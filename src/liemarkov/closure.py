@@ -1,7 +1,7 @@
 """Multiplicative-closure machinery.
 
 Truncated BCH evaluation, log-products of substitution matrices, seeded
-sampling of the log-closure, iterative Lie-bracket saturation of a span,
+sampling of the log-closure, generator-driven Lie-bracket saturation of a span,
 and the closure audit that combines sampled refutation with the
 algebraic bracket-closure certificate for span models.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,8 @@ from .model import (
 logger = logging.getLogger(__name__)
 
 _VERDICTS = ("closed", "not_closed", "inconclusive")
+# Singular-value gate for new bracket directions: about sqrt(eps) on unit-norm operands.
+DEFAULT_BRACKET_GATE = 1e-8
 _MAX_WITNESSES = 10
 
 
@@ -144,13 +147,43 @@ def log_closure_sample(model: RateModel, chain_length: int, samples: int, seed: 
     return out
 
 
-def lie_closure(basis, rel_tol: float = DEFAULT_RANK_RTOL) -> list[np.ndarray]:
-    """Orthonormal basis of the smallest bracket-closed space containing span(basis).
+def _zero_sum(x: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of (a stack of) square matrices onto zero column sums."""
+    return x - x.mean(axis=-2, keepdims=True)
 
-    Repeatedly appends all pairwise commutators and re-extracts a
-    rank-revealing basis until the dimension stabilizes; terminates at
-    dimension n*n - n at the latest since brackets cannot leave the
-    zero-sum space.
+
+def lie_closure(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.ndarray]:
+    """Orthonormal basis of the Lie algebra generated by span(basis).
+
+    The Lie algebra generated by a set S is spanned by the right-normed
+    brackets [s1, [s2, [..., sk]]] with every si in S, so it is the
+    smallest subspace that contains S and is invariant under ad_s = [s, .]
+    for each s in S alone (the LieTree construction of Elliott, Bilinear
+    Control Systems, 2009, ch. 2). The input is orthonormalised once into
+    generators S, and the search runs breadth first: every basis
+    direction of the newest level is bracketed with every s in S. A
+    closure of dimension d thus costs at most |S| d brackets.
+
+    A level's brackets are orthogonalised against the basis accumulated
+    so far by two block Gram-Schmidt passes. The right singular vectors
+    of what remains whose singular values exceed rel_tol become the next
+    level, after one more pass and an exact projection onto the zero-sum
+    space (subtracting column means). Both operands of every bracket
+    have unit norm, so rel_tol is relative to the brackets' scale; the
+    default, about sqrt(eps), sits above the rounding carried through
+    deep brackets (up to about 3e-9 on the tested inputs) and below
+    genuine new directions (2e-5 and up). rel_tol is also the relative
+    SVD rank threshold for the input. One SVD per level, rather than
+    accepting brackets one at a time, matters: a nearly dependent
+    bracket accepted on its own becomes a direction whose rounding
+    error is divided by its small residual, and its brackets carry that
+    error on until it clears the gate. Brackets of zero-sum matrices
+    are zero-sum, so the search stops once the dimension reaches
+    n*n - n.
+
+    One debug log line per call gives the dimension after each level and
+    the rank gap: the smallest accepted and the largest rejected singular
+    value.
     """
     mats = [check_square(b) for b in basis]
     if not mats:
@@ -158,18 +191,39 @@ def lie_closure(basis, rel_tol: float = DEFAULT_RANK_RTOL) -> list[np.ndarray]:
     for b in mats:
         if not is_in_L(b, tol=1e-10 * max(1.0, frobenius(b))):
             raise ValueError("lie_closure requires zero-sum generators")
-    current = orthonormal_basis(mats, rel_tol)
-    while current:
-        brackets = [
-            commutator(x, y)
-            for i, x in enumerate(current)
-            for y in current[i + 1:]
-        ]
-        merged = orthonormal_basis(current + brackets, rel_tol)
-        if len(merged) == len(current):
-            return merged
-        current = merged
-    return current
+    gens = orthonormal_basis([_zero_sum(b) for b in mats], rel_tol)
+    n = mats[0].shape[0]
+    ambient = n * n - n
+    # Rows 0..d-1 hold the orthonormal basis found so far, vectorized.
+    flat = np.empty((ambient, n * n))
+    d = len(gens)
+    flat[:d] = np.reshape(gens, (d, n * n))
+    dims = [d]
+    smallest_accepted, largest_rejected = math.inf, 0.0
+    # [g_i, g_j] for j <= i is zero or an earlier bracket's negative.
+    brackets = [commutator(g, s) for i, g in enumerate(gens) for s in gens[i + 1:]]
+    while brackets and d < ambient:
+        block = np.stack(brackets).reshape(len(brackets), -1)
+        for _ in range(2):
+            block -= (block @ flat[:d].T) @ flat[:d]
+        _, svals, vt = np.linalg.svd(block, full_matrices=False)
+        k = min(int(np.sum(svals > rel_tol)), ambient - d)
+        if k < len(svals):
+            largest_rejected = max(largest_rejected, float(svals[k]))
+        if k:
+            smallest_accepted = min(smallest_accepted, float(svals[k - 1]))
+        # A direction with a small singular value carries eps/sigma of the basis.
+        new = vt[:k] - (vt[:k] @ flat[:d].T) @ flat[:d]
+        flat[d:d + k] = _zero_sum(new.reshape(k, n, n)).reshape(k, n * n)
+        brackets = [commutator(v.reshape(n, n), s) for v in flat[d:d + k] for s in gens]
+        d += k
+        dims.append(d)
+    logger.debug(
+        "lie_closure n=%d: dimension after each level %s, smallest accepted singular value %.3g, "
+        "largest rejected singular value %.3g",
+        n, dims, smallest_accepted, largest_rejected,
+    )
+    return [row.reshape(n, n).copy() for row in flat[:d]]
 
 
 def span_basis(model: RateModel, seed: int = 0, rel_tol: float = DEFAULT_RANK_RTOL) -> list[np.ndarray]:

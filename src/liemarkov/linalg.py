@@ -169,41 +169,43 @@ def _vectorize(mats) -> tuple[list[np.ndarray], int]:
     return mats, (mats[0].shape[0] if mats else 0)
 
 
+def _svd_range(mats, rel_tol: float) -> tuple[np.ndarray, int]:
+    """Rank-revealing SVD of the stacked vectorized input.
+
+    Returns the right singular vectors whose singular values exceed
+    rel_tol times the largest one (none for empty or all-zero input),
+    and the matrix order.
+    """
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError("rel_tol must lie in (0, 1)")
+    mats, n = _vectorize(mats)
+    if not mats:
+        return np.empty((0, 0)), 0
+    stack = np.stack([m.reshape(-1) for m in mats])
+    _, svals, vt = np.linalg.svd(stack, full_matrices=False)
+    return vt[: int(np.sum(svals > rel_tol * svals[0]))], n
+
+
 def numerical_rank(mats, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
     """Rank of a list of matrices viewed as vectors, via SVD.
 
     Counts singular values above rel_tol times the largest one; an empty
     list or all-zero input has rank 0.
     """
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError("rel_tol must lie in (0, 1)")
-    mats, _ = _vectorize(mats)
-    if not mats:
-        return 0
-    stack = np.stack([m.reshape(-1) for m in mats])
-    svals = np.linalg.svd(stack, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.sum(svals > rel_tol * svals[0]))
+    return len(_svd_range(mats, rel_tol)[0])
 
 
 def orthonormal_basis(mats, rel_tol: float = DEFAULT_RANK_RTOL) -> list[np.ndarray]:
     """Rank-revealing orthonormal basis of span(mats) under the Frobenius inner product.
 
-    Basis elements are right singular vectors of the stacked vectorized
-    input, each sign-fixed so its largest-magnitude entry is positive;
-    the output is therefore reproducible run to run.
+    Basis elements are the right singular vectors of the stacked
+    vectorized input that numerical_rank counts, each sign-fixed so its
+    largest-magnitude entry is positive; the output is therefore
+    reproducible run to run. rel_tol must lie in (0, 1).
     """
-    mats, n = _vectorize(mats)
-    if not mats:
-        return []
-    stack = np.stack([m.reshape(-1) for m in mats])
-    _, svals, vt = np.linalg.svd(stack, full_matrices=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return []
-    rank = int(np.sum(svals > rel_tol * svals[0]))
+    rows, n = _svd_range(mats, rel_tol)
     basis = []
-    for row in vt[:rank]:
+    for row in rows:
         pivot = int(np.argmax(np.abs(row)))
         if row[pivot] < 0.0:
             row = -row

@@ -1,5 +1,11 @@
+import logging
+from functools import reduce
+from math import gcd
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liemarkov import (
     ClosureReport,
@@ -28,10 +34,111 @@ from liemarkov import (
     multiplicative_closure_check,
     sample_stochastic,
     span_basis,
+    zoo_model,
+    zoo_names,
 )
 from liemarkov.zoo import REFERENCE_LOG_PRODUCT
 
 from conftest import make_rate_matrix
+
+
+def _generic_pair(rng, n):
+    """Two n x n rate matrices with off-diagonal integers 1..9 (zero column sums)."""
+    q = rng.integers(1, 10, size=(2, n, n)).astype(float)
+    q[:, np.arange(n), np.arange(n)] = 0.0
+    q[:, np.arange(n), np.arange(n)] = -q.sum(axis=1)
+    return q
+
+
+def _kronecker_pair(seed, p, m):
+    """Q_k = A_k (x) I_m + I_p (x) B_k for generic pairs A of order p and B of order m.
+
+    Every bracket has the form [A, A'] (x) I + I (x) [B, B'], so the
+    closure has dimension at most (p*p - p) + (m*m - m).
+    """
+    rng = np.random.default_rng(seed)
+    a, b = _generic_pair(rng, p), _generic_pair(rng, m)
+    return [np.kron(a[k], np.eye(m)) + np.kron(np.eye(p), b[k]) for k in range(2)]
+
+
+def _exact_floats(mats):
+    # Integers below 2**53 convert to float exactly, so exact_rank sees them unrounded.
+    assert all(abs(int(x)) < 2 ** 53 for m in mats for x in m.flat)
+    return [m.astype(float) for m in mats]
+
+
+def _exact_lie_rank(gens) -> int:
+    """Dimension of the Lie algebra generated by integer matrices, in exact arithmetic.
+
+    Right-normed words [s, w] (s a generator, w a word kept at the
+    previous level) are built level by level in Python ints (dtype=object,
+    so nothing overflows) and divided by the gcd of their entries. A word
+    is kept when fraction-free elimination finds it independent of those
+    kept before; the search ends when a level keeps none. exact_rank then
+    certifies the answer independently of the elimination: the kept words
+    are independent, and adding the generators and every bracket [s, w]
+    does not raise the rank, so their span is the smallest ad_S-invariant
+    space containing S. No floating-point rank decision is involved.
+    """
+    assert all(np.array_equal(g, np.rint(g)) for g in gens), "integer generators only"
+    gens = [np.array(np.rint(g).astype(np.int64).tolist(), dtype=object) for g in gens]
+    pivots = []  # (column, row) of an integer echelon form of the kept words
+
+    def independent(word):
+        vec = list(word.flat)
+        for col, row in pivots:
+            if vec[col]:
+                vec = [row[col] * x - vec[col] * y for x, y in zip(vec, row)]
+        col = next((j for j, x in enumerate(vec) if x), None)
+        if col is None:
+            return False
+        g = reduce(gcd, vec)
+        pivots.append((col, [x // g for x in vec]))
+        return True
+
+    def primitive(word):
+        g = reduce(gcd, word.flat, 0)
+        return word // g if g else word
+
+    kept = [g for g in gens if independent(g)]
+    level = kept
+    while level:
+        level = [w for w in (primitive(s.dot(v) - v.dot(s)) for v in level for s in gens)
+                 if independent(w)]
+        kept += level
+    brackets = [s.dot(w) - w.dot(s) for w in kept for s in gens]
+    assert exact_rank(_exact_floats(kept)) == len(kept)
+    assert exact_rank(_exact_floats(kept + gens + brackets)) == len(kept)
+    return len(kept)
+
+
+@st.composite
+def _patterned_generators(draw):
+    """2-3 integer rate matrices of order 3-5 with random zero patterns."""
+    n = draw(st.integers(3, 5))
+    gens = []
+    for _ in range(draw(st.integers(2, 3))):
+        cells = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 3)),
+                              min_size=n * n, max_size=n * n))
+        q = np.array([v if keep else 0 for keep, v in cells], dtype=float).reshape(n, n)
+        np.fill_diagonal(q, 0.0)
+        np.fill_diagonal(q, -q.sum(axis=0))
+        gens.append(q)
+    return gens
+
+
+def _assert_closed_basis(closed, gens, tol):
+    """Orthonormal, zero column sums, contains gens, bracket-closed to tol."""
+    n = gens[0].shape[0]
+    assert len(closed) <= n * n - n
+    flat = np.array([b.reshape(-1) for b in closed])
+    assert np.abs(flat @ flat.T - np.eye(len(closed))).max() <= 1e-12
+    assert max(np.abs(b.sum(axis=0)).max() for b in closed) <= 1e-12
+    for g in gens:
+        assert least_squares_membership(g, closed, tol).inside
+    for i, x in enumerate(closed):
+        for y in closed[i + 1:]:
+            assert least_squares_membership(commutator(x, y), closed, tol).inside
 
 
 def _cyclic_blowup_model():
@@ -205,21 +312,50 @@ class TestLieClosure:
                 assert least_squares_membership(commutator(x, y), closed, 1e-8).inside
 
     def test_f81_matches_exact_saturation_oracle(self):
-        # Oracle: bracket saturation in integer arithmetic with exact
-        # rational rank, fully independent of the SVD pipeline.
+        # Oracle: saturation in integer arithmetic with exact rational
+        # rank, fully independent of the SVD pipeline.
         basis = [np.asarray(b) for b in f81_model().basis]
-        mats = [b.astype(np.int64) for b in basis]
-        while True:
-            brackets = [
-                x @ y - y @ x for i, x in enumerate(mats) for y in mats[i + 1:]
-            ]
-            rank_before = exact_rank([m.astype(float) for m in mats])
-            rank_after = exact_rank([m.astype(float) for m in mats + brackets])
-            if rank_after == rank_before:
-                break
-            mats = mats + brackets
-        assert rank_after == 4
+        assert _exact_lie_rank(basis) == 4
         assert len(lie_closure(basis)) == 4
+
+    @settings(max_examples=20, deadline=None)
+    @given(_patterned_generators())
+    def test_matches_exact_oracle_on_patterned_generators(self, gens):
+        # Zero patterns make proper subalgebras as well as full ones.
+        assert len(lie_closure(gens)) == _exact_lie_rank(gens)
+
+    @pytest.mark.parametrize("p, m, seed", [
+        (4, 4, 4), (4, 4, 6), (4, 4, 0), (4, 4, 13), (3, 5, 0), (2, 6, 0),
+    ])
+    def test_kronecker_sum_dimension(self, p, m, seed):
+        # 4 (x) 4 at seeds 4 and 6 once came out as 256, beyond n*n - n = 240.
+        gens = _kronecker_pair(seed, p, m)
+        closed = lie_closure(gens)
+        assert len(closed) == (p * p - p) + (m * m - m)
+        _assert_closed_basis(closed, gens, 1e-8)
+
+    @pytest.mark.parametrize("name, dim", [
+        ("jc", 1), ("k2p", 2), ("f81", 4), ("hky", 8), ("lm88", 8), ("gtr", 12),
+    ])
+    def test_zoo_closure_dimension_and_bracket_closure(self, name, dim):
+        base = span_basis(zoo_model(name), seed=0)
+        closed = lie_closure(base)
+        assert len(closed) == dim
+        _assert_closed_basis(closed, base, 1e-12)
+
+    def test_rank_gap_logged(self, caplog):
+        inputs = [span_basis(zoo_model(name), seed=0) for name in zoo_names()]
+        inputs += [_kronecker_pair(seed, 4, 4) for seed in (0, 4, 6, 13)]
+        inputs += [list(_generic_pair(np.random.default_rng(n), n)) for n in range(3, 15)]
+        for gens in inputs:
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="liemarkov.closure"):
+                closed = lie_closure(gens)
+            (record,) = [r for r in caplog.records if r.getMessage().startswith("lie_closure")]
+            _, dims, accepted, rejected = record.args
+            assert dims[-1] == len(closed)
+            # At least three decades between the kept and the dropped directions.
+            assert accepted >= 1e3 * rejected
 
 
 class TestMultiplicativeClosure:

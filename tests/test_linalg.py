@@ -258,3 +258,10 @@ class TestOrthonormalBasis:
     def test_sign_convention(self):
         for b in orthonormal_basis([np.diag([1.0, -1.0]) * -1.0]):
             assert b.reshape(-1)[np.argmax(np.abs(b))] > 0
+
+    def test_rel_tol_range(self):
+        # rel_tol = 0 would keep rounding-noise directions as basis elements.
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        for bad in (0.0, -1e-8, 1.0, 1.5):
+            with pytest.raises(ValueError, match="rel_tol"):
+                orthonormal_basis([a, a / 3.0], bad)
