@@ -20,7 +20,7 @@ def main():
     for name in zoo_names():
         model = zoo_model(name)
         start = time.perf_counter()
-        scaling = check_scaling_closure(model, samples=10, seed=args.seed)
+        scaling = check_scaling_closure(model)
         report = multiplicative_closure_check(
             model, samples=args.samples, seed=args.seed, tol=args.tol
         )

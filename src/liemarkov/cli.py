@@ -142,7 +142,7 @@ def _fmt_matrix(m, indent: str = "  ") -> str:
 
 def _cmd_check(args) -> int:
     model = _resolve_model(args.model)
-    scaling = check_scaling_closure(model, samples=min(20, args.samples), seed=args.seed)
+    scaling = check_scaling_closure(model)
     report = multiplicative_closure_check(model, samples=args.samples, seed=args.seed, tol=args.tol)
     payload = {
         "command": "check",

@@ -20,6 +20,8 @@ from .linalg import (
     DEFAULT_MEMBERSHIP_TOL,
     DEFAULT_RANK_RTOL,
     PrincipalLogError,
+    _exp_stack,
+    _log_stack,
     check_square,
     commutator,
     frobenius,
@@ -30,8 +32,10 @@ from .linalg import (
 from .model import (
     RateModel,
     SamplingError,
+    _compile_residual,
+    _exhausted,
+    _sample_stack,
     is_in_L,
-    model_residual,
     sample_with_rng,
 )
 
@@ -41,6 +45,8 @@ _VERDICTS = ("closed", "not_closed", "inconclusive")
 # Singular-value gate for new bracket directions: about sqrt(eps) on unit-norm operands.
 DEFAULT_BRACKET_GATE = 1e-8
 _MAX_WITNESSES = 10
+# Pairs per stack in the closure audit; bounds its memory for any sample count.
+_PAIR_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -148,8 +154,8 @@ def log_closure_sample(model: RateModel, chain_length: int, samples: int, seed: 
 
 
 def _zero_sum(x: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of (a stack of) square matrices onto zero column sums."""
-    return x - x.mean(axis=-2, keepdims=True)
+    """Orthogonal projection of (a stack of) square matrices onto zero generator sums."""
+    return x - x.mean(axis=config.sum_axis(), keepdims=True)
 
 
 def lie_closure(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.ndarray]:
@@ -168,7 +174,8 @@ def lie_closure(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.ndarray
     so far by two block Gram-Schmidt passes. The right singular vectors
     of what remains whose singular values exceed rel_tol become the next
     level, after one more pass and an exact projection onto the zero-sum
-    space (subtracting column means). Both operands of every bracket
+    space (subtracting column means, or row means under the row
+    convention). Both operands of every bracket
     have unit norm, so rel_tol is relative to the brackets' scale; the
     default, about sqrt(eps), sits above the rounding carried through
     deep brackets (up to about 3e-9 on the tested inputs) and below
@@ -229,16 +236,20 @@ def lie_closure(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.ndarray
 def span_basis(model: RateModel, seed: int = 0, rel_tol: float = DEFAULT_RANK_RTOL) -> list[np.ndarray]:
     """Orthonormal basis of the span of the model's stochastic cone.
 
-    Uses the declared basis when present; otherwise samples 4 n^2
-    generators from the parameterization and extracts a rank-revealing
-    basis.
+    Uses the declared basis when present; otherwise draws 4 n^2
+    generators from the parameterization as one stack, every row from
+    the one generator seeded with seed (so, while no draw is rejected,
+    the same matrices as 4 n^2 sequential sample_with_rng calls), and
+    extracts a rank-revealing basis.
     """
     if model.basis:
         return orthonormal_basis(model.basis, rel_tol)
     if not model.samplable:
         raise ValueError(f"model {model.name!r} has no basis and cannot be sampled")
     rng = np.random.default_rng(seed)
-    mats = [sample_with_rng(model, rng) for _ in range(4 * model.n ** 2)]
+    mats, ok = _sample_stack(model, [rng] * (4 * model.n ** 2))
+    if not ok.all():
+        raise _exhausted(model, 1000)
     return orthonormal_basis(mats, rel_tol)
 
 
@@ -317,6 +328,36 @@ def _select_witnesses(found: list[Witness], cap: int = _MAX_WITNESSES) -> tuple[
     return tuple(found[i] for i in sorted(chosen))
 
 
+def _log_product_block(model: RateModel, rngs, residual) -> tuple[np.ndarray, ...]:
+    """Pair k of a block: q then q' from rngs[k], and log(exp(q) exp(q')).
+
+    Every row draws its q slot first and its q' slot second, so each
+    pair's generator is read in the same order as sequential draws.
+    Returns q, q', the log-products and a mask of the pairs that have
+    one; a pair fails when its sampler is exhausted or its product has
+    no principal logarithm. Under the row convention each log-product is
+    the transpose of the column-convention one.
+    """
+    try:
+        q, ok = _sample_stack(model, rngs, residual)
+        q_prime = np.full_like(q, np.nan)
+        rows = np.flatnonzero(ok)
+        q_prime[rows], ok[rows] = _sample_stack(model, [rngs[k] for k in rows], residual)
+    except SamplingError:
+        # A model its sampler cannot serve at all fails every pair.
+        q = q_prime = np.full((len(rngs), model.n, model.n), np.nan)
+        ok = np.zeros(len(rngs), dtype=bool)
+    logs = np.full_like(q, np.nan)
+    rows = np.flatnonzero(ok)
+    # Products are formed in the column convention, so a row-convention
+    # audit is the transpose of the column-convention one, pair by pair.
+    exps = _exp_stack(config.to_column(np.concatenate([q[rows], q_prime[rows]])))
+    products, status = _log_stack(exps[: len(rows)] @ exps[len(rows):])
+    logs[rows] = config.from_column(products)
+    ok[rows] = status == 0
+    return q, q_prime, logs, ok
+
+
 def multiplicative_closure_check(
     model: RateModel,
     samples: int = 100,
@@ -335,33 +376,38 @@ def multiplicative_closure_check(
     smaller constraint variety inside it.
 
     Pair k derives its randomness from seed + k, so the audit is
-    deterministic and could be evaluated concurrently.
+    deterministic. Pairs run in blocks of up to 1024: one stack draw of
+    every pair's q, one of every q', one stack exponential of the 2B
+    generators, one stack logarithm of the B products and one pass of
+    the model's residual, compiled once per call. Pair k gets the same
+    matrices, log-product and residual as the batch-of-one kernels
+    (matrix_exp, matrix_log, sample_with_rng) give it alone. Pairs
+    whose sampler is exhausted or whose product has no principal
+    logarithm are skipped; more than samples/2 of them is an error.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if not model.samplable:
         raise ValueError(f"model {model.name!r} cannot be sampled")
+    residual = _compile_residual(model)
     found: list[Witness] = []
     failures = 0
     tested = 0
-    for index in range(samples):
-        rng = np.random.default_rng(seed + index)
-        try:
-            q = sample_with_rng(model, rng)
-            q_prime = sample_with_rng(model, rng)
-            log_m = log_product(q, q_prime)
-        except (SamplingError, PrincipalLogError):
-            failures += 1
-            if failures > samples / 2:
-                raise RuntimeError(
-                    f"more than half of the {samples} sampled pairs failed "
-                    "to produce a principal logarithm"
-                ) from None
-            continue
-        tested += 1
-        residual = model_residual(model, log_m, tol)
-        if residual > tol:
-            found.append(Witness(q, q_prime, log_m, float(residual), index))
+    for start in range(0, samples, _PAIR_BLOCK):
+        index = range(start, min(start + _PAIR_BLOCK, samples))
+        rngs = [np.random.default_rng(seed + k) for k in index]
+        q, q_prime, logs, ok = _log_product_block(model, rngs, residual)
+        failures += len(ok) - int(ok.sum())
+        if failures > samples / 2:
+            raise RuntimeError(
+                f"more than half of the {samples} sampled pairs failed "
+                "to produce a principal logarithm"
+            )
+        rows = np.flatnonzero(ok)
+        tested += len(rows)
+        resid = residual(logs[rows])
+        for k, r in zip(rows[resid > tol], resid[resid > tol]):
+            found.append(Witness(q[k].copy(), q_prime[k].copy(), logs[k].copy(), float(r), index[k]))
 
     base = span_basis(model, seed=seed + samples)
     span_dim = len(base)

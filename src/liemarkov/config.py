@@ -32,15 +32,19 @@ def get_convention() -> str:
 
 
 def sum_axis() -> int:
-    """Axis along which generator entries must sum to zero."""
-    return 0 if _convention == "column" else 1
+    """Axis along which generator entries must sum to zero.
+
+    Counted from the end (-2 for columns, -1 for rows), so it addresses
+    a single matrix and every matrix of a (B, n, n) stack alike.
+    """
+    return -2 if _convention == "column" else -1
 
 
 def from_column(q: np.ndarray) -> np.ndarray:
-    """Convert a column-convention matrix into the active convention."""
-    return q if _convention == "column" else q.T.copy()
+    """Convert a column-convention matrix, or stack of them, into the active convention."""
+    return q if _convention == "column" else np.swapaxes(q, -1, -2).copy()
 
 
 def to_column(q: np.ndarray) -> np.ndarray:
-    """View a matrix in the active convention as a column-convention one."""
-    return q if _convention == "column" else q.T.copy()
+    """View a matrix, or stack of them, in the active convention as column-convention."""
+    return q if _convention == "column" else np.swapaxes(q, -1, -2).copy()

@@ -9,6 +9,7 @@ Markov models or sum conventions.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,13 +30,26 @@ class PrincipalLogError(ValueError):
     """The principal matrix logarithm does not exist for the input."""
 
 
+def _require_square(shape: tuple[int, ...]) -> None:
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+    if shape[0] < 2:
+        raise ValueError("matrix order must be at least 2")
+
+
 def check_square(a) -> np.ndarray:
     """Validate and return a finite real square matrix of order >= 2."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 2:
-        raise ValueError("matrix order must be at least 2")
+    _require_square(a.shape)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    return a
+
+
+def check_stack(a) -> np.ndarray:
+    """Validate a finite real square matrix, or a (B, n, n) stack of them, of order >= 2."""
+    a = np.asarray(a, dtype=float)
+    _require_square(a.shape[1:] if a.ndim == 3 else a.shape)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
@@ -78,54 +92,175 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
+def _fro_rows(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a (B, n, n) stack (or each row of a (B, m) array).
+
+    Each row is summed as one dot product, as frobenius sums a single
+    matrix, so a batch-of-one call sees the same norm bit for bit.
+    """
+    count = len(x)
+    flat = np.ascontiguousarray(x).reshape(count, math.prod(x.shape[1:]))
+    return np.sqrt((flat[:, None, :] @ flat[:, :, None]).reshape(count))
+
+
+def _exp_stack(a: np.ndarray) -> np.ndarray:
+    """Exponentials of a finite (B, n, n) stack by scaling and squaring.
+
+    Row k is halved s_k times until its Frobenius norm is at most 0.5,
+    its power series is summed until its own next term falls below
+    1e-18, and its partial sum is squared s_k times. Rows leave the
+    series and the squaring loop on their own schedule, so every row is
+    computed exactly as a stack of one would compute it.
+    """
+    count, n = a.shape[0], a.shape[-1]
+    nrm = _fro_rows(a)
+    squarings = np.zeros(count, dtype=int)
+    big = nrm > _EXP_SCALE_TARGET
+    squarings[big] = np.ceil(np.log2(nrm[big] / _EXP_SCALE_TARGET))
+    b = a / (2.0 ** squarings)[:, None, None]
+    total = np.broadcast_to(np.eye(n), a.shape).copy()
+    # Rows still summing, with their current term and scaled argument.
+    rows, term = np.arange(count), total.copy()
+    for k in range(1, 64):
+        term = term @ b / k
+        total[rows] = total[rows] + term
+        going = ~(_fro_rows(term) < _SERIES_CUTOFF)
+        if not going.any():
+            break
+        rows, term, b = rows[going], term[going], b[going]
+    for level in range(int(squarings.max(initial=0))):
+        rows = squarings > level
+        total[rows] = total[rows] @ total[rows]
+    return total
+
+
 def matrix_exp(a) -> np.ndarray:
     """Matrix exponential by scaling and squaring.
 
     The argument is halved until its Frobenius norm is at most 0.5, the
     power series is summed until the next term falls below 1e-18, and the
-    partial sum is squared back up.
+    partial sum is squared back up. This is the batch-of-one case of the
+    stack kernel that the closure audit runs on (B, n, n) blocks.
     """
-    a = check_square(a)
-    n = a.shape[0]
-    nrm = frobenius(a)
-    squarings = 0
-    if nrm > _EXP_SCALE_TARGET:
-        squarings = int(np.ceil(np.log2(nrm / _EXP_SCALE_TARGET)))
-    b = a / (2.0 ** squarings)
-    total = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, 64):
-        term = term @ b / k
-        total = total + term
-        if frobenius(term) < _SERIES_CUTOFF:
-            break
-    for _ in range(squarings):
-        total = total @ total
-    return total
+    return _exp_stack(check_square(a)[None])[0]
 
 
-def _require_principal_branch(m: np.ndarray) -> None:
-    # Distance from each eigenvalue to the closed ray (-inf, 0].
-    for lam in np.linalg.eigvals(m):
-        dist = abs(lam.imag) if lam.real <= 0.0 else abs(lam)
-        if dist <= _NEG_AXIS_MARGIN:
-            raise PrincipalLogError(
-                "principal logarithm undefined: eigenvalue "
-                f"{lam:.6g} lies within {_NEG_AXIS_MARGIN:g} of the closed negative real axis"
-            )
+# Per-row outcome codes of _log_stack; 0 means the row has a principal log.
+_LOG_OK, _LOG_BRANCH, _LOG_FAR, _LOG_STALLED, _LOG_SINGULAR, _LOG_NONFINITE = range(6)
+_LOG_FAILURES = {
+    _LOG_FAR: "square-root stage failed to approach the identity",
+    _LOG_STALLED: "square-root iteration did not converge",
+    _LOG_SINGULAR: "square-root iteration met a singular iterate",
+    _LOG_NONFINITE: "matrix entries must be finite",
+}
 
 
-def _sqrtm_denman_beavers(m: np.ndarray, max_iter: int = 100) -> np.ndarray:
-    y = m
-    z = np.eye(m.shape[0])
+def _branch_distance(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a (B, n, n) stack and their distances to the closed ray (-inf, 0]."""
+    lam = np.linalg.eigvals(m)
+    return lam, np.where(lam.real <= 0.0, np.abs(lam.imag), np.abs(lam))
+
+
+def _inv_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a (B, n, n) stack and a mask of the rows that have one.
+
+    A singular row is left as NaN instead of failing the whole stack.
+    """
+    try:
+        return np.linalg.inv(x), np.ones(len(x), dtype=bool)
+    except np.linalg.LinAlgError:
+        out = np.full_like(x, np.nan)
+        ok = np.zeros(len(x), dtype=bool)
+        for k, row in enumerate(x):
+            try:
+                out[k], ok[k] = np.linalg.inv(row), True
+            except np.linalg.LinAlgError:
+                pass
+        return out, ok
+
+
+def _sqrtm_denman_beavers(m: np.ndarray, max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+    """Principal square roots of a (B, n, n) stack and a per-row status.
+
+    Each row iterates until its own step falls below 1e-15 of its norm.
+    A row that meets a singular iterate, or runs out of iterations, gets
+    a failure status and a NaN root; the other rows go on.
+    """
+    count = len(m)
+    roots = np.full_like(m, np.nan)
+    status = np.full(count, _LOG_STALLED, dtype=np.int8)
+    rows, y = np.arange(count), m
+    z = np.broadcast_to(np.eye(m.shape[-1]), m.shape).copy()
     for _ in range(max_iter):
-        y_next = 0.5 * (y + np.linalg.inv(z))
-        z_next = 0.5 * (z + np.linalg.inv(y))
-        delta = frobenius(y_next - y)
+        inv_z, ok_z = _inv_rows(z)
+        inv_y, ok_y = _inv_rows(y)
+        y_next = 0.5 * (y + inv_z)
+        z_next = 0.5 * (z + inv_y)
+        delta = _fro_rows(y_next - y)
         y, z = y_next, z_next
-        if delta <= 1e-15 * max(1.0, frobenius(y)):
-            return y
-    raise PrincipalLogError("square-root iteration did not converge")
+        singular = ~(ok_z & ok_y)
+        status[rows[singular]] = _LOG_SINGULAR
+        done = ~singular & (delta <= 1e-15 * np.maximum(1.0, _fro_rows(y)))
+        roots[rows[done]] = y[done]
+        status[rows[done]] = _LOG_OK
+        going = ~singular & ~done
+        rows, y, z = rows[going], y[going], z[going]
+        if not len(rows):
+            break
+    return roots, status
+
+
+def _log_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Principal logarithms of a (B, n, n) stack by inverse scaling and squaring.
+
+    Returns the logs and a per-row status, 0 where the row has a
+    principal logarithm. A row fails, and its log is NaN, when an
+    eigenvalue lies within 1e-12 of the closed negative real axis, when
+    its square roots stall, meet a singular iterate or fail to approach
+    the identity in 60 halvings, or when it is not finite; one failing
+    row never stops the others. Every row takes its own number of
+    halvings, Denman-Beavers iterations and series terms, exactly as a
+    stack of one would.
+    """
+    count, n = m.shape[0], m.shape[-1]
+    ident = np.eye(n)
+    status = np.zeros(count, dtype=np.int8)
+    finite = np.isfinite(m).all(axis=(1, 2))
+    status[~finite] = _LOG_NONFINITE
+    rows = np.flatnonzero(finite)
+    if len(rows):
+        near = (_branch_distance(m[rows])[1] <= _NEG_AXIS_MARGIN).any(axis=1)
+        status[rows[near]] = _LOG_BRANCH
+        rows = rows[~near]
+    x = m.copy()
+    halvings = np.zeros(count, dtype=int)
+    pending = rows[_fro_rows(x[rows] - ident) > _LOG_SQRT_TARGET]
+    level = 0
+    while len(pending):
+        if level >= 60:
+            status[pending] = _LOG_FAR
+            break
+        roots, root_status = _sqrtm_denman_beavers(x[pending])
+        status[pending] = root_status
+        converged = root_status == _LOG_OK
+        pending, roots = pending[converged], roots[converged]
+        x[pending] = roots
+        level += 1
+        halvings[pending] = level
+        pending = pending[_fro_rows(roots - ident) > _LOG_SQRT_TARGET]
+    rows = np.flatnonzero(status == _LOG_OK)
+    total = np.zeros_like(m)
+    power = y = x[rows] - ident
+    j = 1
+    while len(rows) and j <= 256:
+        going = _fro_rows(power) / j >= _SERIES_CUTOFF
+        rows, power, y = rows[going], power[going], y[going]
+        total[rows] = total[rows] + ((-1.0) ** (j + 1) / j) * power
+        power = power @ y
+        j += 1
+    logs = (2.0 ** halvings)[:, None, None] * total
+    logs[status != _LOG_OK] = np.nan
+    return logs, status
 
 
 def matrix_log(m) -> np.ndarray:
@@ -135,28 +270,22 @@ def matrix_log(m) -> np.ndarray:
     within 0.25 of the identity, log(I + X) is summed as a power series,
     and the result is doubled back. Inputs with an eigenvalue within 1e-12
     of the closed negative real axis are rejected instead of silently
-    choosing a branch.
+    choosing a branch. This is the batch-of-one case of the stack kernel
+    that the closure audit runs on (B, n, n) blocks, where a failing row
+    is flagged instead of raising.
     """
     m = check_square(m)
-    _require_principal_branch(m)
-    n = m.shape[0]
-    ident = np.eye(n)
-    x = m
-    halvings = 0
-    while frobenius(x - ident) > _LOG_SQRT_TARGET:
-        if halvings >= 60:
-            raise PrincipalLogError("square-root stage failed to approach the identity")
-        x = _sqrtm_denman_beavers(x)
-        halvings += 1
-    y = x - ident
-    total = np.zeros((n, n))
-    power = y
-    j = 1
-    while frobenius(power) / j >= _SERIES_CUTOFF and j <= 256:
-        total = total + ((-1.0) ** (j + 1) / j) * power
-        power = power @ y
-        j += 1
-    return (2.0 ** halvings) * total
+    logs, status = _log_stack(m[None])
+    if status[0] == _LOG_BRANCH:
+        lam, dist = _branch_distance(m[None])
+        worst = lam[0][np.argmax(dist[0] <= _NEG_AXIS_MARGIN)]
+        raise PrincipalLogError(
+            "principal logarithm undefined: eigenvalue "
+            f"{worst:.6g} lies within {_NEG_AXIS_MARGIN:g} of the closed negative real axis"
+        )
+    if status[0] != _LOG_OK:
+        raise PrincipalLogError(_LOG_FAILURES[status[0]])
+    return logs[0]
 
 
 def _vectorize(mats) -> tuple[list[np.ndarray], int]:
@@ -247,17 +376,32 @@ def least_squares_membership(x, basis, tol: float = DEFAULT_MEMBERSHIP_TOL) -> M
     )
 
 
+def _fractions(m) -> list[Fraction]:
+    """Entries of a square matrix as exact rationals, row-major, without a float round trip."""
+    a = np.asarray(m)
+    _require_square(a.shape)
+    out = []
+    for x in a.reshape(-1).tolist():
+        if isinstance(x, float) and not math.isfinite(x):
+            raise ValueError("matrix entries must be finite")
+        out.append(Fraction(x))
+    return out
+
+
 def exact_rank(mats) -> int:
     """Rank over the rationals by exact Gaussian elimination.
 
-    Binary floats are rationals, so the conversion is lossless. Intended
-    as a cross-check oracle for numerical_rank on small integer-valued
-    bases, where it is immune to floating-point thresholds.
+    Entries are converted straight to fractions: binary floats are
+    rationals, and integers (including Python integers beyond 2**53 in
+    object arrays) are taken exactly. Intended as a cross-check oracle
+    for numerical_rank on small integer-valued bases, where it is immune
+    to floating-point thresholds.
     """
-    mats, _ = _vectorize(mats)
-    if not mats:
+    rows = [_fractions(m) for m in mats]
+    if not rows:
         return 0
-    rows = [[Fraction(float(x)) for x in m.reshape(-1)] for m in mats]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("matrices must all have the same order")
     ncols = len(rows[0])
     rank = 0
     for col in range(ncols):

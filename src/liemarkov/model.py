@@ -19,7 +19,9 @@ from . import config
 from .linalg import (
     DEFAULT_MEMBERSHIP_TOL,
     MembershipResult,
+    _fro_rows,
     check_square,
+    check_stack,
     frobenius,
     least_squares_membership,
 )
@@ -92,15 +94,17 @@ def product_constraint(left: Sequence[tuple[int, int]], right: Sequence[tuple[in
     return PolynomialConstraint(((1.0, tuple(left)), (-1.0, tuple(right))))
 
 
-# Named parameterizations (filled in by the zoo module on import).
-_PARAMETERIZATIONS: dict[str, tuple[Callable[[Sequence[float]], np.ndarray], int]] = {}
+# Named parameterizations (filled in by the zoo module on import). Each
+# maps a (B, n_params) array of parameter rows to a (B, n, n) stack.
+_PARAMETERIZATIONS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], int]] = {}
 
 
-def register_parameterization(name: str, fn: Callable[[Sequence[float]], np.ndarray], n_params: int) -> None:
+def register_parameterization(name: str, fn: Callable[[np.ndarray], np.ndarray], n_params: int) -> None:
+    """Register fn, which maps a (B, n_params) parameter array to a (B, n, n) stack."""
     _PARAMETERIZATIONS[name] = (fn, n_params)
 
 
-def get_parameterization(name: str) -> tuple[Callable[[Sequence[float]], np.ndarray], int]:
+def get_parameterization(name: str) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
     try:
         return _PARAMETERIZATIONS[name]
     except KeyError:
@@ -161,20 +165,25 @@ class RateModel:
         )
 
 
-def is_in_L(q, tol: float = 1e-12) -> bool:
-    """True when every generator sum of q (columns by default) is zero within tol."""
-    q = check_square(q)
-    sums = q.sum(axis=config.sum_axis())
-    return bool(np.max(np.abs(sums)) <= tol)
+def is_in_L(q, tol: float = 1e-12):
+    """True when every generator sum of q (columns by default) is zero within tol.
+
+    For a (B, n, n) stack the answer is a boolean array, one per matrix.
+    """
+    q = check_stack(q)
+    ok = np.max(np.abs(q.sum(axis=config.sum_axis())), axis=-1) <= tol
+    return bool(ok) if q.ndim == 2 else ok
 
 
-def is_stochastic_rate(q, tol: float = 1e-12) -> bool:
-    """True when q is a valid rate matrix: zero sums and off-diagonals >= -tol."""
-    q = check_square(q)
-    if not is_in_L(q, tol):
-        return False
-    off = q[~np.eye(q.shape[0], dtype=bool)]
-    return bool(np.min(off) >= -tol)
+def is_stochastic_rate(q, tol: float = 1e-12):
+    """True when q is a valid rate matrix: zero sums and off-diagonals >= -tol.
+
+    For a (B, n, n) stack the answer is a boolean array, one per matrix.
+    """
+    q = check_stack(q)
+    off = q[..., ~np.eye(q.shape[-1], dtype=bool)]
+    ok = is_in_L(q, tol) & (np.min(off, axis=-1) >= -tol)
+    return bool(ok) if q.ndim == 2 else ok
 
 
 def evaluate_constraints(model: RateModel, q) -> list[float]:
@@ -194,28 +203,78 @@ def constraints_homogeneous(model: RateModel) -> bool | None:
     return all(c.homogeneous for c in model.constraints)
 
 
-def _scaled_constraint_residuals(model: RateModel, q: np.ndarray) -> list[float]:
-    # Homogeneous degree-d residuals are divided by ||q||^d so the
-    # membership decision is invariant under positive rescaling of q.
-    nrm = frobenius(q)
-    out = []
-    for c in model.constraints:
-        raw = abs(c.evaluate(q))
-        if c.homogeneous and c.degree > 0 and nrm > 0.0:
-            out.append(raw / nrm ** c.degree)
-        else:
-            out.append(raw)
-    return out
+def _flat(q: np.ndarray, n: int) -> np.ndarray:
+    if q.shape[-2:] != (n, n):
+        raise ValueError("matrix order does not match the model")
+    return q.reshape(len(q), n * n)
+
+
+def _compile_residual(model: RateModel) -> Callable[[np.ndarray], np.ndarray]:
+    """The model's scale-invariant residual as a function of a (B, n, n) stack.
+
+    A span model projects each vectorized matrix onto the orthogonal
+    complement of its span (I - U U^T, U an orthonormal basis of the
+    basis matrices at lstsq's default rank cutoff) and divides the
+    remainder's norm by max(||q||_F, 1), as least_squares_membership
+    does. A constraint model gathers the entries of every monomial,
+    multiplies them term by term in declaration order and sums each
+    constraint, then takes the largest absolute value; a homogeneous
+    degree-d constraint is divided by ||q||_F^d first, so the residual
+    is invariant under positive rescaling of q. Callers build this once
+    per audit or sampling call; nothing is compiled at construction.
+    """
+    n = model.n
+    if model.basis:
+        cols = np.reshape(model.basis, (len(model.basis), n * n)).T
+        u, svals, _ = np.linalg.svd(cols, full_matrices=False)
+        u = u[:, svals > svals[0] * max(cols.shape) * np.finfo(float).eps]
+        projector = np.eye(n * n) - u @ u.T
+
+        def span_residual(q: np.ndarray) -> np.ndarray:
+            flat = _flat(q, n)
+            return _fro_rows(flat @ projector) / np.maximum(_fro_rows(flat), 1.0)
+
+        return span_residual
+    if not model.constraints:
+        raise ValueError(f"model {model.name!r} has neither a basis nor constraints")
+    cons = model.constraints
+    width = max(len(c.terms) for c in cons)
+    depth = max(max(c.degree, 1) for c in cons)
+    # Missing terms have coefficient 0; missing factors read entry n*n, a constant 1.
+    coeffs = np.zeros((len(cons), width))
+    index = np.full((len(cons), width, depth), n * n)
+    for a, c in enumerate(cons):
+        for t, (coeff, monomial) in enumerate(c.terms):
+            coeffs[a, t] = coeff
+            for d, (i, j) in enumerate(monomial):
+                if i > n or j > n:
+                    raise IndexError(f"constraint index ({i}, {j}) out of range for order {n}")
+                index[a, t, d] = (i - 1) * n + (j - 1)
+    degree = np.array([c.degree if c.homogeneous else 0 for c in cons], dtype=float)
+
+    def constraint_residual(q: np.ndarray) -> np.ndarray:
+        entries = np.concatenate([_flat(q, n), np.ones((len(q), 1))], axis=1)
+        total = 0.0
+        for t in range(width):
+            term = coeffs[:, t]
+            for d in range(depth):
+                term = term * entries[:, index[:, t, d]]
+            total = total + term
+        nrm = _fro_rows(q)[:, None]
+        scale = np.where((degree > 0) & (nrm > 0.0), nrm ** degree, 1.0)
+        return np.max(np.abs(total) / scale, axis=1)
+
+    return constraint_residual
 
 
 def model_residual(model: RateModel, q, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
-    """Scale-invariant residual of q against the model's rate space."""
+    """Scale-invariant residual of q against the model's rate space.
+
+    The batch-of-one case of the residual the closure audit and the
+    samplers compile once per call; tol does not enter the residual.
+    """
     q = check_square(q)
-    if model.basis:
-        return least_squares_membership(q, model.basis, tol).residual
-    if model.constraints:
-        return max(_scaled_constraint_residuals(model, q), default=0.0)
-    raise ValueError(f"model {model.name!r} has neither a basis nor constraints")
+    return float(_compile_residual(model)(q[None])[0])
 
 
 class Membership(NamedTuple):
@@ -245,15 +304,38 @@ def membership(model: RateModel, q, tol: float = DEFAULT_MEMBERSHIP_TOL) -> Memb
         in_r = detail.inside
     elif model.constraints:
         detail = evaluate_constraints(model, q)
-        in_r = max(_scaled_constraint_residuals(model, q), default=0.0) <= tol
+        in_r = _compile_residual(model)(q[None])[0] <= tol
     else:
         raise ValueError(f"model {model.name!r} has neither a basis nor constraints")
     in_r_plus = bool(in_r and is_stochastic_rate(q, tol))
     return Membership(bool(in_r), in_r_plus, detail)
 
 
-def sample_with_rng(model: RateModel, rng: np.random.Generator, max_attempts: int = 1000) -> np.ndarray:
-    """Draw one stochastic rate matrix from the model using rng."""
+def _sample_stack(
+    model: RateModel,
+    rngs: Sequence[np.random.Generator],
+    residual: Callable[[np.ndarray], np.ndarray] | None = None,
+    max_attempts: int = 1000,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One stochastic rate matrix per generator in rngs, as a (B, n, n) stack.
+
+    Row k draws from rngs[k] exactly as sample_with_rng(model, rngs[k])
+    would: a parameterized model draws its parameter row uniform(lo, hi)
+    as one vector, a basis-only model draws its coefficients uniformly
+    in [-1, 1]. A rejected row redraws alone, from its own generator, up to
+    max_attempts times in all; a row that runs out is marked failed in
+    the returned mask (its matrix is NaN) instead of raising. The same
+    generator may fill several rows, which then draw from it in row
+    order; that matches sequential draws while no row is rejected.
+
+    A parameterized draw is accepted when it is a stochastic rate matrix
+    and its model residual is at most 1e-10; ``residual`` is that
+    compiled residual, built here when the caller has none. A basis-only
+    draw lies in its span by construction and only needs to be
+    stochastic. Raises SamplingError when the model cannot be sampled at
+    all.
+    """
+    n = model.n
     if model.parameterization is not None and model.parameter_ranges is not None:
         fn, n_params = get_parameterization(model.parameterization)
         if len(model.parameter_ranges) != n_params:
@@ -261,27 +343,58 @@ def sample_with_rng(model: RateModel, rng: np.random.Generator, max_attempts: in
                 f"model {model.name!r} declares {len(model.parameter_ranges)} ranges "
                 f"but parameterization {model.parameterization!r} takes {n_params}"
             )
-        for _ in range(max_attempts):
-            params = [float(rng.uniform(lo, hi)) for lo, hi in model.parameter_ranges]
-            q = fn(params)
-            if is_stochastic_rate(q, 1e-12) and membership(model, q, 1e-10).in_r:
-                return q
-        raise SamplingError(
+        lo, hi = np.array(model.parameter_ranges).T
+        residual = residual or _compile_residual(model)
+
+        def draw(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # Generator.uniform(lo, hi) forms lo + (hi - lo) * random(); this
+            # is that stream without its per-call argument checks.
+            unit = np.array([rngs[k].random(len(lo)) for k in rows]).reshape(len(rows), len(lo))
+            q = fn(lo + (hi - lo) * unit)
+            return q, is_stochastic_rate(q, 1e-12) & (residual(q) <= 1e-10)
+    elif model.basis:
+        stack = np.reshape(model.basis, (len(model.basis), n * n))
+
+        def draw(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            coeffs = np.array([rngs[k].uniform(-1.0, 1.0, size=len(stack)) for k in rows])
+            q = (coeffs[:, None, :] @ stack).reshape(len(rows), n, n)
+            return q, is_stochastic_rate(q, 1e-12)
+    else:
+        raise SamplingError(f"model {model.name!r} has no parameterization or basis to sample")
+    out = np.full((len(rngs), n, n), np.nan)
+    ok = np.zeros(len(rngs), dtype=bool)
+    pending = np.arange(len(rngs))
+    for _ in range(max_attempts):
+        if not len(pending):
+            break
+        q, accept = draw(pending)
+        out[pending[accept]] = q[accept]
+        ok[pending[accept]] = True
+        pending = pending[~accept]
+    return out, ok
+
+
+def sample_with_rng(model: RateModel, rng: np.random.Generator, max_attempts: int = 1000) -> np.ndarray:
+    """Draw one stochastic rate matrix from the model using rng.
+
+    The batch-of-one case of the stack sampler the closure audit uses;
+    raises SamplingError when no draw is accepted in max_attempts.
+    """
+    q, ok = _sample_stack(model, [rng], max_attempts=max_attempts)
+    if not ok[0]:
+        raise _exhausted(model, max_attempts)
+    return q[0]
+
+
+def _exhausted(model: RateModel, max_attempts: int) -> SamplingError:
+    if model.parameterization is not None and model.parameter_ranges is not None:
+        return SamplingError(
             f"parameterized sampler for {model.name!r} failed {max_attempts} times"
         )
-    if model.basis:
-        k = len(model.basis)
-        stack = np.stack([np.asarray(b) for b in model.basis])
-        for _ in range(max_attempts):
-            coeffs = rng.uniform(-1.0, 1.0, size=k)
-            q = np.tensordot(coeffs, stack, axes=1)
-            if is_stochastic_rate(q, 1e-12):
-                return q
-        raise SamplingError(
-            f"sampler could not reach the stochastic cone of {model.name!r} "
-            f"in {max_attempts} attempts"
-        )
-    raise SamplingError(f"model {model.name!r} has no parameterization or basis to sample")
+    return SamplingError(
+        f"sampler could not reach the stochastic cone of {model.name!r} "
+        f"in {max_attempts} attempts"
+    )
 
 
 def sample_stochastic(model: RateModel, seed: int) -> np.ndarray:
@@ -289,22 +402,14 @@ def sample_stochastic(model: RateModel, seed: int) -> np.ndarray:
     return sample_with_rng(model, np.random.default_rng(seed))
 
 
-def check_scaling_closure(model: RateModel, samples: int = 20, seed: int = 0) -> bool:
-    """Check closure under non-negative scalar multiplication.
+def check_scaling_closure(model: RateModel) -> bool:
+    """Whether the model is closed under non-negative scalar multiplication.
 
-    Returns False immediately when a defining constraint is
-    inhomogeneous (the exact algebraic criterion); otherwise verifies on
-    seeded samples that alpha * Q stays in the model for
-    alpha in {0, 0.5, 2, 10}.
+    Decided algebraically: a span is a linear space, and a homogeneous
+    constraint of degree d satisfies f(alpha q) = alpha^d f(q), so the
+    model scales unless a defining constraint is inhomogeneous.
     """
-    if model.constraints and not all(c.homogeneous for c in model.constraints):
-        return False
-    for i in range(samples):
-        q = sample_stochastic(model, seed + i)
-        for alpha in (0.0, 0.5, 2.0, 10.0):
-            if not membership(model, alpha * q, 1e-8).in_r:
-                return False
-    return True
+    return constraints_homogeneous(model) is not False
 
 
 # ---------------------------------------------------------------------------

@@ -30,17 +30,92 @@ _TRANSITIONS = ((0, 1), (1, 0), (2, 3), (3, 2))
 
 
 def _with_diagonal(off) -> np.ndarray:
-    """Fill the diagonal so each generator sum (column by default) is zero."""
+    """Fill the diagonal so each generator sum (column by default) is zero.
+
+    Acts on the last two axes, so off may be one matrix or a (B, n, n) stack.
+    """
     q = np.array(off, dtype=float)
-    np.fill_diagonal(q, 0.0)
-    np.fill_diagonal(q, -q.sum(axis=0))
+    diag = np.arange(q.shape[-1])
+    q[..., diag, diag] = 0.0
+    q[..., diag, diag] = -q.sum(axis=-2)
     return config.from_column(q)
 
 
-def _require_nonnegative(**params) -> None:
-    for pname, value in params.items():
-        if value < 0:
-            raise ValueError(f"parameter {pname} must be non-negative, got {value}")
+def _params(p, names: tuple[str, ...]) -> np.ndarray:
+    """A (B, len(names)) parameter array, checked to be non-negative column by column."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 2 or p.shape[1] != len(names):
+        raise ValueError(f"expected a (B, {len(names)}) parameter array, got shape {p.shape}")
+    for col, pname in enumerate(names):
+        negative = p[:, col] < 0
+        if negative.any():
+            raise ValueError(
+                f"parameter {pname} must be non-negative, got {p[negative, col][0]}"
+            )
+    return p
+
+
+# Stack builders: each maps a (B, n_params) array to a (B, 4, 4) stack of
+# generators; the scalar builders below are their batch-of-one calls.
+
+def _hky_stack(p) -> np.ndarray:
+    p = _params(p, ("alpha_a", "alpha_g", "alpha_c", "alpha_t", "kappa"))
+    alpha, kappa = p[:, :4], p[:, 4]
+    off = np.repeat(alpha[:, :, None], 4, axis=2)
+    for i, j in _TRANSITIONS:
+        off[:, i, j] = kappa * alpha[:, i]
+    return _with_diagonal(off)
+
+
+def _jc_stack(p) -> np.ndarray:
+    mu = _params(p, ("mu",))[:, 0]
+    return _with_diagonal(np.broadcast_to(mu[:, None, None], (len(mu), 4, 4)))
+
+
+def _f81_stack(p) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    return _hky_stack(np.concatenate([p, np.ones((len(p), 1))], axis=1))
+
+
+def _k2p_stack(p) -> np.ndarray:
+    p = _params(p, ("alpha", "beta"))
+    off = np.repeat(p[:, 1, None, None], 4, axis=1).repeat(4, axis=2)
+    for i, j in _TRANSITIONS:
+        off[:, i, j] = p[:, 0]
+    return _with_diagonal(off)
+
+
+# Off-diagonal slots of lm88's parameters, in signature order.
+_LM88_SLOTS = (
+    ((0, 2), (0, 3)), ((1, 2), (1, 3)), ((2, 0), (2, 1)), ((3, 0), (3, 1)),
+    ((0, 1),), ((1, 0),), ((2, 3),), ((3, 2),),
+)
+
+
+def _lm88_stack(p) -> np.ndarray:
+    p = _params(p, ("alpha", "beta", "gamma", "delta", "kappa_1", "kappa_2", "kappa_3", "kappa_4"))
+    off = np.zeros((len(p), 4, 4))
+    for col, slots in enumerate(_LM88_SLOTS):
+        for i, j in slots:
+            off[:, i, j] = p[:, col]
+    return _with_diagonal(off)
+
+
+_GTR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _gtr_stack(p) -> np.ndarray:
+    p = _params(p, ("s_ag", "s_ac", "s_at", "s_gc", "s_gt", "s_ct", "w_a", "w_g", "w_c", "w_t"))
+    exch, weights = p[:, :6], p[:, 6:]
+    total = weights.sum(axis=1)
+    if (total <= 0).any():
+        raise ValueError("frequency weights must not all be zero")
+    pi = weights / total[:, None]
+    off = np.zeros((len(p), 4, 4))
+    for col, (i, j) in enumerate(_GTR_PAIRS):
+        off[:, i, j] = exch[:, col] * pi[:, i]
+        off[:, j, i] = exch[:, col] * pi[:, j]
+    return _with_diagonal(off)
 
 
 def hky(alpha_a: float, alpha_g: float, alpha_c: float, alpha_t: float, kappa: float) -> np.ndarray:
@@ -49,37 +124,22 @@ def hky(alpha_a: float, alpha_g: float, alpha_c: float, alpha_t: float, kappa: f
     Row i carries alpha_i off the diagonal, with the transition entries
     (A<->G, C<->T) multiplied by kappa and the diagonal balancing the sums.
     """
-    _require_nonnegative(
-        alpha_a=alpha_a, alpha_g=alpha_g, alpha_c=alpha_c, alpha_t=alpha_t, kappa=kappa
-    )
-    return _with_diagonal(
-        [
-            [0.0, kappa * alpha_a, alpha_a, alpha_a],
-            [kappa * alpha_g, 0.0, alpha_g, alpha_g],
-            [alpha_c, alpha_c, 0.0, kappa * alpha_c],
-            [alpha_t, alpha_t, kappa * alpha_t, 0.0],
-        ]
-    )
+    return _hky_stack([[alpha_a, alpha_g, alpha_c, alpha_t, kappa]])[0]
 
 
 def jc(mu: float) -> np.ndarray:
     """Jukes-Cantor generator: all substitutions at rate mu."""
-    _require_nonnegative(mu=mu)
-    return _with_diagonal(np.full((4, 4), mu))
+    return _jc_stack([[mu]])[0]
 
 
 def f81(alpha_a: float, alpha_g: float, alpha_c: float, alpha_t: float) -> np.ndarray:
     """F81 generator: row i constant at alpha_i off the diagonal (HKY at kappa=1)."""
-    return hky(alpha_a, alpha_g, alpha_c, alpha_t, 1.0)
+    return _f81_stack([[alpha_a, alpha_g, alpha_c, alpha_t]])[0]
 
 
 def k2p(alpha: float, beta: float) -> np.ndarray:
     """Kimura two-parameter generator: transitions at alpha, transversions at beta."""
-    _require_nonnegative(alpha=alpha, beta=beta)
-    off = np.full((4, 4), beta)
-    for i, j in _TRANSITIONS:
-        off[i, j] = alpha
-    return _with_diagonal(off)
+    return _k2p_stack([[alpha, beta]])[0]
 
 
 def lm88(alpha: float, beta: float, gamma: float, delta: float,
@@ -89,21 +149,7 @@ def lm88(alpha: float, beta: float, gamma: float, delta: float,
     Same row-pair structure as HKY but with the four transition rates
     kappa_1..kappa_4 free instead of tied to a common ratio.
     """
-    _require_nonnegative(
-        alpha=alpha, beta=beta, gamma=gamma, delta=delta,
-        kappa_1=kappa_1, kappa_2=kappa_2, kappa_3=kappa_3, kappa_4=kappa_4,
-    )
-    return _with_diagonal(
-        [
-            [0.0, kappa_1, alpha, alpha],
-            [kappa_2, 0.0, beta, beta],
-            [gamma, gamma, 0.0, kappa_3],
-            [delta, delta, kappa_4, 0.0],
-        ]
-    )
-
-
-_GTR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    return _lm88_stack([[alpha, beta, gamma, delta, kappa_1, kappa_2, kappa_3, kappa_4]])[0]
 
 
 def gtr(s_ag: float, s_ac: float, s_at: float, s_gc: float, s_gt: float, s_ct: float,
@@ -114,33 +160,31 @@ def gtr(s_ag: float, s_ac: float, s_at: float, s_gc: float, s_gt: float, s_ct: f
     into state i from state j is s_ij * pi_i, which satisfies detailed
     balance by construction.
     """
-    exch = (s_ag, s_ac, s_at, s_gc, s_gt, s_ct)
-    weights = np.array([w_a, w_g, w_c, w_t], dtype=float)
-    _require_nonnegative(
-        s_ag=s_ag, s_ac=s_ac, s_at=s_at, s_gc=s_gc, s_gt=s_gt, s_ct=s_ct,
-        w_a=w_a, w_g=w_g, w_c=w_c, w_t=w_t,
-    )
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("frequency weights must not all be zero")
-    pi = weights / total
-    off = np.zeros((4, 4))
-    for s, (i, j) in zip(exch, _GTR_PAIRS):
-        off[i, j] = s * pi[i]
-        off[j, i] = s * pi[j]
-    return _with_diagonal(off)
+    return _gtr_stack([[s_ag, s_ac, s_at, s_gc, s_gt, s_ct, w_a, w_g, w_c, w_t]])[0]
 
 
-register_parameterization("hky", lambda p: hky(*p), 5)
-register_parameterization("jc", lambda p: jc(*p), 1)
-register_parameterization("f81", lambda p: f81(*p), 4)
-register_parameterization("k2p", lambda p: k2p(*p), 2)
-register_parameterization("lm88", lambda p: lm88(*p), 8)
-register_parameterization("gtr", lambda p: gtr(*p), 10)
+register_parameterization("hky", _hky_stack, 5)
+register_parameterization("jc", _jc_stack, 1)
+register_parameterization("f81", _f81_stack, 4)
+register_parameterization("k2p", _k2p_stack, 2)
+register_parameterization("lm88", _lm88_stack, 8)
+register_parameterization("gtr", _gtr_stack, 10)
 
 
 def _unit(k: int, size: int) -> list[float]:
     return [1.0 if i == k else 0.0 for i in range(size)]
+
+
+def _oriented(constraints: tuple[PolynomialConstraint, ...]) -> tuple[PolynomialConstraint, ...]:
+    """Constraints written for the column convention, re-indexed for the active one."""
+    if config.get_convention() == "column":
+        return constraints
+    return tuple(
+        PolynomialConstraint(tuple(
+            (coeff, tuple((j, i) for i, j in monomial)) for coeff, monomial in c.terms
+        ))
+        for c in constraints
+    )
 
 
 def _hky_constraints() -> tuple[PolynomialConstraint, ...]:
@@ -181,7 +225,7 @@ def hky_model() -> RateModel:
     return RateModel(
         name="hky",
         n=4,
-        constraints=_hky_constraints(),
+        constraints=_oriented(_hky_constraints()),
         parameterization="hky",
         parameter_ranges=((0.001, 0.05),) * 4 + ((0.5, 2.0),),
     )
@@ -239,7 +283,7 @@ def gtr_model() -> RateModel:
     return RateModel(
         name="gtr",
         n=4,
-        constraints=_gtr_constraints(),
+        constraints=_oriented(_gtr_constraints()),
         parameterization="gtr",
         parameter_ranges=((0.2, 0.6),) * 6 + ((0.1, 0.4),) * 4,
     )

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from liemarkov import (
     ClosureReport,
+    PrincipalLogError,
+    RateModel,
+    SamplingError,
     ProductChain,
     bch_truncated,
     chain_substitution_matrix,
@@ -33,12 +36,16 @@ from liemarkov import (
     model_residual,
     multiplicative_closure_check,
     sample_stochastic,
+    sample_with_rng,
     span_basis,
     zoo_model,
     zoo_names,
 )
+from liemarkov import closure, config
+from liemarkov.model import _sample_stack
 from liemarkov.zoo import REFERENCE_LOG_PRODUCT
 
+from audit_goldens import AUDIT_GOLDENS
 from conftest import make_rate_matrix
 
 
@@ -141,20 +148,21 @@ def _assert_closed_basis(closed, gens, tol):
             assert least_squares_membership(commutator(x, y), closed, tol).inside
 
 
-def _cyclic_blowup_model():
-    """Span model whose samples are enormous cyclic generators.
+def _cyclic_model(scale=1e6):
+    """Span model whose samples are multiples of scale times a 4-cycle generator.
 
-    exp(Qt) of such a generator has eigenvalue magnitudes below the
-    principal-branch margin for all but vanishing durations, so log
-    extraction reliably fails.
+    A pair's product is exp(s C) with s up to 2 * scale. Its
+    eigenvalues shrink like exp(-s), and the principal log fails once
+    the square-root iteration stalls on the ill-conditioned product
+    (s above about 8.3) or an eigenvalue comes within the branch margin
+    of zero. At the default scale, log extraction reliably fails; at
+    scale 6 about a fifth of the pairs fail, at scale 8 about half.
     """
-    from liemarkov import RateModel
-
     cycle = np.zeros((4, 4))
     for i in range(4):
         cycle[(i + 1) % 4, i] = 1.0
     np.fill_diagonal(cycle, -1.0)
-    return RateModel(name="blowup", n=4, basis=(1e6 * cycle,))
+    return RateModel(name="cyclic", n=4, basis=(scale * cycle,))
 
 
 class TestProductChain:
@@ -278,7 +286,7 @@ class TestLogClosureSample:
         # Huge cyclic rates push exp(Qt) eigenvalues inside the rejection
         # margin around the negative axis, so every chain is skipped.
         with pytest.raises(RuntimeError, match="principal logarithm"):
-            log_closure_sample(_cyclic_blowup_model(), chain_length=2, samples=10, seed=0)
+            log_closure_sample(_cyclic_model(), chain_length=2, samples=10, seed=0)
 
 
 class TestLieClosure:
@@ -466,7 +474,7 @@ class TestMultiplicativeClosure:
 
     def test_majority_log_failures_error(self):
         with pytest.raises(RuntimeError, match="half"):
-            multiplicative_closure_check(_cyclic_blowup_model(), samples=10, seed=0)
+            multiplicative_closure_check(_cyclic_model(), samples=10, seed=0)
 
     def test_bracket_extraction_limit(self):
         # (2/eps^2)(log(e^{eQ} e^{eQ'}) - eQ - eQ') converges to [Q, Q'].
@@ -547,3 +555,110 @@ class TestKappaWitness:
                     term *= q[i - 1, j - 1]
                 total += term
             assert sympy.simplify(total) == 0
+
+
+def _golden_model(name):
+    if name.startswith("cyclic-"):
+        return _cyclic_model(float(name.split("-")[1]))
+    return zoo_model(name)
+
+
+class TestBatchedAudit:
+    """The block audit against the per-pair audit it replaced, scipy, and sequential draws."""
+
+    @pytest.mark.parametrize("name, seed", sorted(AUDIT_GOLDENS))
+    def test_matches_per_pair_goldens(self, name, seed):
+        expected = AUDIT_GOLDENS[name, seed]
+        model = _golden_model(name)
+        if expected is None:
+            with pytest.raises(RuntimeError, match="half"):
+                multiplicative_closure_check(model, samples=150, seed=seed)
+            return
+        verdict, tested, span_dim, lie_dim, indices, residuals = expected
+        report = multiplicative_closure_check(model, samples=150, seed=seed)
+        assert (report.mult_closed_verdict, report.samples_tested) == (verdict, tested)
+        assert (report.span_dim, report.lie_closure_dim) == (span_dim, lie_dim)
+        assert [w.pair_index for w in report.witnesses] == indices
+        np.testing.assert_allclose([w.residual for w in report.witnesses], residuals, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("name, seed", [("hky", 7), ("hky", 2024), ("gtr", 7), ("gtr", 2024)])
+    def test_witness_log_products_match_scipy(self, name, seed):
+        sla = pytest.importorskip("scipy.linalg")
+        report = multiplicative_closure_check(zoo_model(name), samples=150, seed=seed)
+        assert report.witnesses
+        for w in report.witnesses:
+            ref = sla.logm(sla.expm(w.q) @ sla.expm(w.q_prime))
+            assert np.abs(ref.imag).max() < 1e-12
+            assert frobenius(w.log_product - ref.real) <= 1e-9 * frobenius(ref.real)
+
+    def test_mixed_block_skip_count(self):
+        # Recount with the batch-of-one kernels: a pair is skipped exactly when log_product raises.
+        model, samples, seed = _cyclic_model(6.0), 80, 2024
+        skipped = 0
+        for k in range(samples):
+            rng = np.random.default_rng(seed + k)
+            q, q_prime = sample_with_rng(model, rng), sample_with_rng(model, rng)
+            try:
+                log_product(q, q_prime)
+            except PrincipalLogError:
+                skipped += 1
+        assert 0 < skipped < samples / 2
+        report = multiplicative_closure_check(model, samples=samples, seed=seed)
+        assert report.samples_tested == samples - skipped
+
+    @pytest.mark.parametrize(
+        "name, seed", [("hky", 7), ("gtr", 2024), ("cyclic-6", 7), ("cyclic-8", 2024), ("cyclic-8", 7)]
+    )
+    def test_block_size_does_not_change_the_report(self, name, seed, monkeypatch):
+        model = _golden_model(name)
+
+        def audit():
+            try:
+                return multiplicative_closure_check(model, samples=150, seed=seed).to_json()
+            except RuntimeError as exc:
+                return str(exc)
+
+        whole = audit()
+        monkeypatch.setattr(closure, "_PAIR_BLOCK", 7)
+        assert audit() == whole
+
+    def test_stack_draws_match_sequential_draws_under_rejection(self):
+        # Coefficient draws in [-1, 1]^2: three of four land outside the stochastic cone.
+        model = RateModel(name="k2p-span", n=4, basis=zoo_model("k2p").basis)
+        seed, count = 11, 40
+        rngs = [np.random.default_rng(seed + k) for k in range(count)]
+        q, ok = _sample_stack(model, rngs)
+        q_prime, ok_prime = _sample_stack(model, rngs)
+        assert ok.all() and ok_prime.all()
+        for k in range(count):
+            rng = np.random.default_rng(seed + k)
+            np.testing.assert_array_equal(q[k], sample_with_rng(model, rng))
+            np.testing.assert_array_equal(q_prime[k], sample_with_rng(model, rng))
+
+    def test_exhausted_rows_fail_alone(self):
+        model = RateModel(name="k2p-span", n=4, basis=zoo_model("k2p").basis)
+        rngs = [np.random.default_rng(5 + k) for k in range(40)]
+        q, ok = _sample_stack(model, rngs, max_attempts=2)
+        assert 0 < ok.sum() < 40
+        for k in range(40):
+            rng = np.random.default_rng(5 + k)
+            if ok[k]:
+                np.testing.assert_array_equal(q[k], sample_with_rng(model, rng, max_attempts=2))
+            else:
+                assert np.isnan(q[k]).all()
+                with pytest.raises(SamplingError, match="attempts"):
+                    sample_with_rng(model, rng, max_attempts=2)
+
+    @pytest.mark.parametrize("name", zoo_names())
+    def test_row_convention_mirrors_column_convention(self, name):
+        column = multiplicative_closure_check(zoo_model(name), samples=80, seed=5)
+        config.set_convention("row")
+        row = multiplicative_closure_check(zoo_model(name), samples=80, seed=5)
+        assert (row.mult_closed_verdict, row.samples_tested) == (
+            column.mult_closed_verdict, column.samples_tested)
+        assert (row.span_dim, row.lie_closure_dim) == (column.span_dim, column.lie_closure_dim)
+        assert [w.pair_index for w in row.witnesses] == [w.pair_index for w in column.witnesses]
+        for r, c in zip(row.witnesses, column.witnesses):
+            for got, want in ((r.q, c.q), (r.q_prime, c.q_prime), (r.log_product, c.log_product)):
+                np.testing.assert_allclose(got, want.T, rtol=1e-13, atol=1e-16)
+            assert r.residual == pytest.approx(c.residual, rel=1e-12)

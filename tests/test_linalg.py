@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liemarkov import linalg
+from liemarkov import linalg, reference_pair
 from liemarkov.linalg import (
+    _LOG_BRANCH,
+    _LOG_OK,
     PrincipalLogError,
+    _exp_stack,
+    _log_stack,
     commutator,
     exact_rank,
     frobenius,
@@ -196,6 +200,21 @@ class TestRank:
         with pytest.raises(ValueError, match="same order"):
             numerical_rank([np.eye(2), np.eye(3)])
 
+    def test_exact_rank_keeps_large_integers(self):
+        # 2**53 + 1 has no float64; a float round trip would merge the two vectors.
+        a = np.array([[2 ** 53 + 1, 1], [0, 0]], dtype=object)
+        b = np.array([[2 ** 53, 1], [0, 0]], dtype=object)
+        assert exact_rank([a, b]) == 2
+        assert exact_rank([a, a]) == 1
+
+    def test_exact_rank_validates_shape_and_finiteness(self):
+        with pytest.raises(ValueError, match="square"):
+            exact_rank([np.zeros((2, 3))])
+        with pytest.raises(ValueError, match="finite"):
+            exact_rank([np.array([[np.inf, 0.0], [0.0, 0.0]])])
+        with pytest.raises(ValueError, match="same order"):
+            exact_rank([np.eye(2), np.eye(3)])
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.lists(
@@ -265,3 +284,173 @@ class TestOrthonormalBasis:
         for bad in (0.0, -1e-8, 1.0, 1.5):
             with pytest.raises(ValueError, match="rel_tol"):
                 orthonormal_basis([a, a / 3.0], bad)
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def _cyclic_generator(rates):
+    """Rate matrix of the cycle 0 -> 1 -> ... -> n-1 -> 0 with the given rates (complex spectrum)."""
+    n = len(rates)
+    q = np.zeros((n, n))
+    for i, r in enumerate(rates):
+        q[(i + 1) % n, i] = r
+        q[i, i] = -r
+    return q
+
+
+class TestStackKernels:
+    """Stack exp/log in hard regimes, row by row against the batch-of-one call, scipy and mpmath."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12), st.integers(2, 6))
+    def test_mixed_norm_exp_rows(self, seed, count, n):
+        sla = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(seed)
+        # From no squaring at all (norm 0.3) to 20 squarings (norm 0.5 * 2**19.5).
+        norms = 10.0 ** rng.uniform(-3.0, 5.4, size=count)
+        norms[0], norms[1] = 0.3, 0.5 * 2.0 ** 19.5
+        a = np.stack([make_rate_matrix(rng, n) for _ in range(count)])
+        a *= (norms / np.linalg.norm(a, axis=(1, 2)))[:, None, None]
+        stack = _exp_stack(a)
+        for k in range(count):
+            alone = matrix_exp(a[k])
+            assert frobenius(stack[k] - alone) <= 1e-15 * frobenius(alone)
+            # Scaling and squaring loses about eps * ||A|| on these non-normal inputs.
+            assert _rel(stack[k], sla.expm(a[k])) <= 1e-14 * max(1.0, norms[k])
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12), st.integers(2, 6))
+    def test_mixed_norm_log_rows(self, seed, count, n):
+        sla = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(seed)
+        # ||exp(Q) - I|| from about 1e-3 (no square root) to several halvings.
+        q = np.stack([make_rate_matrix(rng, n) for _ in range(count)])
+        q *= (10.0 ** rng.uniform(-3.0, np.log10(3.0), size=count) / np.linalg.norm(q, axis=(1, 2)))[:, None, None]
+        m = np.stack([sla.expm(x) for x in q])
+        logs, status = _log_stack(m)
+        assert (status == _LOG_OK).all()
+        for k in range(count):
+            alone = matrix_log(m[k])
+            assert frobenius(logs[k] - alone) <= 1e-15 * frobenius(alone)
+            assert _rel(logs[k], sla.logm(m[k]).real) <= 1e-11
+            # Spectra of these generators stay inside |Im| < pi, so log(exp(Q)) = Q.
+            assert _rel(logs[k], q[k]) <= 1e-11
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 6), st.integers(1, 8))
+    def test_complex_spectra(self, seed, n, count):
+        sla = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(seed)
+        gens = []
+        for _ in range(count):
+            q = _cyclic_generator(rng.uniform(0.5, 1.0, size=n))
+            # Spectral radius in (0.5, 3), so every |Im lambda| < pi.
+            q *= rng.uniform(0.5, 3.0) / np.abs(np.linalg.eigvals(q)).max()
+            gens.append(q)
+        gens = np.stack(gens)
+        assert (np.abs(np.linalg.eigvals(gens).imag).max(axis=1) > 0.1).all()
+        exps = _exp_stack(gens)
+        logs, status = _log_stack(exps)
+        assert (status == _LOG_OK).all()
+        for k in range(count):
+            assert _rel(exps[k], sla.expm(gens[k])) <= 1e-13
+            assert _rel(logs[k], sla.logm(exps[k]).real) <= 1e-10
+            assert _rel(logs[k], gens[k]) <= 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.lists(st.sampled_from("gsnbc"), min_size=2, max_size=10))
+    def test_failing_rows_are_flagged_and_neighbours_unaffected(self, seed, kinds):
+        sla = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(seed)
+        cycle = _cyclic_generator(np.ones(4))
+        rows = []
+        for kind in kinds:
+            if kind == "g":  # good: a substitution matrix of moderate norm
+                rows.append(sla.expm(make_rate_matrix(rng, 4, max_norm=2.0)))
+            elif kind == "s":  # singular: every column the same distribution
+                p = rng.dirichlet(np.ones(4))
+                rows.append(np.repeat(p[:, None], 4, axis=1))
+            elif kind == "n":  # an eigenvalue within 1e-12 of zero
+                basis = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+                rows.append(basis @ np.diag([1.0, 0.5, 0.25, 1e-14]) @ basis.T)
+            elif kind == "b":  # a negative real eigenvalue
+                basis = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+                rows.append(basis @ np.diag([1.0, 0.5, -0.3, 0.8]) @ basis.T)
+            else:  # complex pair near the axis: the square-root iteration stalls
+                rows.append(sla.expm(rng.uniform(9.0, 13.0) * cycle))
+        logs, status = _log_stack(np.stack(rows))
+        for kind, m, log_m, code in zip(kinds, rows, logs, status):
+            if kind == "g":
+                assert code == _LOG_OK
+                np.testing.assert_array_equal(log_m, matrix_log(m))
+                assert _rel(log_m, sla.logm(m).real) <= 1e-10
+            else:
+                assert code != _LOG_OK
+                assert np.isnan(log_m).all()
+                with pytest.raises(PrincipalLogError):
+                    matrix_log(m)
+            if kind in "snb":
+                assert code == _LOG_BRANCH
+
+    def test_nonfinite_row_is_flagged(self):
+        m = np.stack([np.eye(3), np.full((3, 3), np.nan), 2.0 * np.eye(3)])
+        logs, status = _log_stack(m)
+        assert list(status == _LOG_OK) == [True, False, True]
+        np.testing.assert_allclose(logs[2], np.log(2.0) * np.eye(3), rtol=1e-14, atol=1e-15)
+
+    def test_reference_pair_durations(self):
+        # The principal-branch guard refuses once exp(tQ1) exp(tQ2) nears rank one.
+        sla = pytest.importorskip("scipy.linalg")
+        mpmath = pytest.importorskip("mpmath")
+        q1, q2 = reference_pair()
+        ts = np.geomspace(1.0, 1000.0, 40)
+        exps = _exp_stack(np.concatenate([ts[:, None, None] * q1, ts[:, None, None] * q2]))
+        products = exps[:40] @ exps[40:]
+        logs, status = _log_stack(products)
+        ok = status == _LOG_OK
+        # Accepted up to t = 100 at least, refused from the first failure on, refused by the guard at t = 1000.
+        assert ok[ts <= 100.0].all()
+        first_refusal = int(np.argmin(ok))
+        assert not ok[first_refusal:].any()
+        assert status[-1] == _LOG_BRANCH
+        dist = np.abs(sla.eigvals(products[-1])).min()
+        assert dist <= 1e-12
+        for k, t in enumerate(ts):
+            assert _rel(exps[k], sla.expm(t * q1)) <= 1e-13 * t
+            if ok[k]:
+                np.testing.assert_array_equal(logs[k], matrix_log(products[k]))
+                # Conditioning grows like 1 / (distance of the spectrum to zero).
+                gap = np.abs(np.linalg.eigvals(products[k])).min()
+                assert _rel(logs[k], sla.logm(products[k]).real) <= 1e-13 / gap
+            else:
+                with pytest.raises(PrincipalLogError):
+                    matrix_log(products[k])
+        mpmath.mp.dps = 40
+        for k in (0, int(np.searchsorted(ts, 50.0))):
+            exact = mpmath.logm(mpmath.matrix(products[k].tolist()))
+            exact = np.array(exact.tolist(), dtype=complex).real
+            assert _rel(logs[k], exact) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["hky", "lm88", "jc", "f81", "k2p", "gtr"])
+    def test_audit_inputs_against_scipy(self, name):
+        # The stacks an audit block feeds the kernels: 60 pairs drawn as the audit draws them.
+        sla = pytest.importorskip("scipy.linalg")
+        from liemarkov import zoo_model
+        from liemarkov.model import _sample_stack
+
+        model = zoo_model(name)
+        rngs = [np.random.default_rng(17 + k) for k in range(60)]
+        q, ok = _sample_stack(model, rngs)
+        q_prime, ok_prime = _sample_stack(model, rngs)
+        assert ok.all() and ok_prime.all()
+        exps = _exp_stack(np.concatenate([q, q_prime]))
+        logs, status = _log_stack(exps[:60] @ exps[60:])
+        assert (status == _LOG_OK).all()
+        for k in range(60):
+            assert _rel(exps[k], sla.expm(q[k])) <= 1e-14
+            assert _rel(exps[60 + k], sla.expm(q_prime[k])) <= 1e-14
+            ref = sla.logm(sla.expm(q[k]) @ sla.expm(q_prime[k]))
+            assert np.abs(ref.imag).max() < 1e-12
+            assert _rel(logs[k], ref.real) <= 1e-11

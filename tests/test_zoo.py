@@ -30,6 +30,31 @@ from liemarkov import (
 from liemarkov.zoo import REFERENCE_HKY_PARAMS, REFERENCE_LOG_PRODUCT
 
 
+class TestStackBuilders:
+    SCALAR = {"hky": hky, "jc": jc, "f81": f81, "k2p": k2p, "lm88": lm88, "gtr": gtr}
+
+    @pytest.mark.parametrize("convention", ["column", "row"])
+    @pytest.mark.parametrize("name", sorted(SCALAR))
+    def test_rows_match_scalar_builders(self, name, convention):
+        from liemarkov.model import get_parameterization
+
+        config.set_convention(convention)
+        fn, n_params = get_parameterization(name)
+        params = np.random.default_rng(4).uniform(0.0, 2.0, size=(7, n_params))
+        stack = fn(params)
+        assert stack.shape == (7, 4, 4)
+        for p, q in zip(params, stack):
+            np.testing.assert_array_equal(q, self.SCALAR[name](*p))
+        assert is_stochastic_rate(stack).all()
+
+    def test_negative_parameter_rejected_for_the_stack(self):
+        from liemarkov.model import get_parameterization
+
+        fn, _ = get_parameterization("k2p")
+        with pytest.raises(ValueError, match="parameter beta must be non-negative, got -0.5"):
+            fn(np.array([[0.1, 0.2], [0.3, -0.5]]))
+
+
 class TestGenerators:
     def test_hky_reference_entries(self):
         q = hky(*REFERENCE_HKY_PARAMS[0])
