@@ -8,7 +8,6 @@ bracket closures of their spans, and decides or refutes multiplicative
 closure with concrete witnesses.
 """
 
-from .config import get_convention, set_convention
 from .linalg import (
     DEFAULT_MEMBERSHIP_TOL,
     DEFAULT_RANK_RTOL,
@@ -45,13 +44,10 @@ from .model import (
 )
 from .closure import (
     ClosureReport,
-    ProductChain,
     Witness,
     bch_truncated,
-    chain_substitution_matrix,
     kappa_witness,
     lie_closure,
-    log_closure_sample,
     log_product,
     multiplicative_closure_check,
     span_basis,

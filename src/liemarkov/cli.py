@@ -30,7 +30,7 @@ from .model import (
     SamplingError,
     check_scaling_closure,
     constraints_homogeneous,
-    model_from_dict,
+    load_model,
     model_to_dict,
     sample_stochastic,
     sample_with_rng,
@@ -69,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default="-", help="output path, '-' for stdout (default)")
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field")
-    common.add_argument("--chain-length", type=int, default=3, help="max product chain length (default 3)")
 
     parser = argparse.ArgumentParser(
         prog="liemarkov",
@@ -87,24 +86,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_model(ref: str):
-    if ref == "-":
-        try:
-            doc = json.load(sys.stdin)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"stdin is not valid model JSON: {exc}") from exc
-        return model_from_dict(doc)
     if ref in zoo_names():
         return zoo_model(ref)
+    if ref == "-":
+        return load_model(sys.stdin)
     try:
-        with open(ref, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        return load_model(ref)
     except OSError as exc:
         raise CliError(f"cannot read model {ref!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"model file {ref!r} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CliError(f"model file {ref!r} must contain a JSON object")
-    return model_from_dict(doc)
 
 
 def _config_dict(args) -> dict:
@@ -114,7 +103,6 @@ def _config_dict(args) -> dict:
         "seed": args.seed,
         "samples": args.samples,
         "tol": args.tol,
-        "chain_length": args.chain_length,
         "format": args.format,
         "output": args.output,
     }
@@ -313,7 +301,11 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits with 2 on a usage error, which is also EXIT_NOT_CLOSED.
+        return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
     except (CliError, ValueError, SamplingError, RuntimeError, OSError) as exc:

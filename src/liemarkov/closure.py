@@ -1,9 +1,9 @@
 """Multiplicative-closure machinery.
 
-Truncated BCH evaluation, log-products of substitution matrices, seeded
-sampling of the log-closure, generator-driven Lie-bracket saturation of a span,
-and the closure audit that combines sampled refutation with the
-algebraic bracket-closure certificate for span models.
+Truncated BCH evaluation, log-products of substitution matrices,
+generator-driven Lie-bracket saturation of a span, and the closure
+audit that combines sampled refutation with the algebraic
+bracket-closure certificate for span models.
 """
 
 from __future__ import annotations
@@ -15,11 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
 from .linalg import (
     DEFAULT_MEMBERSHIP_TOL,
     DEFAULT_RANK_RTOL,
-    PrincipalLogError,
     _exp_stack,
     _log_stack,
     check_square,
@@ -36,7 +34,6 @@ from .model import (
     _exhausted,
     _sample_stack,
     is_in_L,
-    sample_with_rng,
 )
 
 logger = logging.getLogger(__name__)
@@ -47,48 +44,6 @@ DEFAULT_BRACKET_GATE = 1e-8
 _MAX_WITNESSES = 10
 # Pairs per stack in the closure audit; bounds its memory for any sample count.
 _PAIR_BLOCK = 1024
-
-
-@dataclass(frozen=True)
-class ProductChain:
-    """Ordered (generator, duration) links; the empty chain is the identity.
-
-    ``n`` pins the matrix order for empty chains; for non-empty chains it
-    must agree with the links.
-    """
-
-    links: tuple[tuple[np.ndarray, float], ...]
-    n: int | None = None
-
-    def __post_init__(self):
-        norm = []
-        order = self.n
-        for q, t in self.links:
-            q = check_square(q)
-            t = float(t)
-            if t < 0.0 or not np.isfinite(t):
-                raise ValueError(f"chain durations must be non-negative, got {t}")
-            if order is None:
-                order = q.shape[0]
-            elif q.shape[0] != order:
-                raise ValueError("chain links must all have the same order")
-            norm.append((q, t))
-        object.__setattr__(self, "links", tuple(norm))
-        object.__setattr__(self, "n", order)
-
-    @property
-    def order(self) -> int:
-        if self.n is None:
-            raise ValueError("empty chain with unspecified order")
-        return self.n
-
-
-def chain_substitution_matrix(chain: ProductChain) -> np.ndarray:
-    """Product of exp(Q_k * t_k) over the links, in order; identity when empty."""
-    out = np.eye(chain.order)
-    for q, t in chain.links:
-        out = out @ matrix_exp(q * t)
-    return out
 
 
 def bch_truncated(a, b, order: int) -> np.ndarray:
@@ -118,44 +73,9 @@ def log_product(q, qp) -> np.ndarray:
     return matrix_log(matrix_exp(q) @ matrix_exp(qp))
 
 
-def log_closure_sample(model: RateModel, chain_length: int, samples: int, seed: int) -> list[np.ndarray]:
-    """Seeded draws from the scaled logarithms of finite substitution products.
-
-    Each draw multiplies up to chain_length substitution matrices from
-    the model (durations uniform in [0, 1]), takes the principal log and
-    scales it by a uniform factor in [0, 2]. Chains whose product has no
-    principal logarithm are skipped; if every chain is skipped an error
-    is raised.
-    """
-    if chain_length < 1:
-        raise ValueError("chain_length must be at least 1")
-    rng = np.random.default_rng(seed)
-    out = []
-    skipped = 0
-    for _ in range(samples):
-        length = int(rng.integers(1, chain_length + 1))
-        links = tuple(
-            (sample_with_rng(model, rng), float(rng.uniform(0.0, 1.0)))
-            for _ in range(length)
-        )
-        alpha = float(rng.uniform(0.0, 2.0))
-        product = chain_substitution_matrix(ProductChain(links))
-        try:
-            log_m = matrix_log(product)
-        except PrincipalLogError:
-            skipped += 1
-            continue
-        out.append(alpha * log_m)
-    if not out:
-        raise RuntimeError("every sampled chain lacked a principal logarithm")
-    if skipped:
-        logger.debug("log_closure_sample skipped %d of %d chains", skipped, samples)
-    return out
-
-
 def _zero_sum(x: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of (a stack of) square matrices onto zero generator sums."""
-    return x - x.mean(axis=config.sum_axis(), keepdims=True)
+    """Orthogonal projection of (a stack of) square matrices onto zero column sums."""
+    return x - x.mean(axis=-2, keepdims=True)
 
 
 def lie_closure(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.ndarray]:
@@ -173,10 +93,9 @@ def lie_closure(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.ndarray
     A level's brackets are orthogonalised against the basis accumulated
     so far by two block Gram-Schmidt passes. The right singular vectors
     of what remains whose singular values exceed rel_tol become the next
-    level, after one more pass and an exact projection onto the zero-sum
-    space (subtracting column means, or row means under the row
-    convention). Both operands of every bracket
-    have unit norm, so rel_tol is relative to the brackets' scale; the
+    level, after one more pass and an exact projection onto zero column
+    sums (subtracting column means). Both operands of every bracket have
+    unit norm, so rel_tol is relative to the brackets' scale; the
     default, about sqrt(eps), sits above the rounding carried through
     deep brackets (up to about 3e-9 on the tested inputs) and below
     genuine new directions (2e-5 and up). rel_tol is also the relative
@@ -335,8 +254,7 @@ def _log_product_block(model: RateModel, rngs, residual) -> tuple[np.ndarray, ..
     pair's generator is read in the same order as sequential draws.
     Returns q, q', the log-products and a mask of the pairs that have
     one; a pair fails when its sampler is exhausted or its product has
-    no principal logarithm. Under the row convention each log-product is
-    the transpose of the column-convention one.
+    no principal logarithm.
     """
     try:
         q, ok = _sample_stack(model, rngs, residual)
@@ -349,11 +267,8 @@ def _log_product_block(model: RateModel, rngs, residual) -> tuple[np.ndarray, ..
         ok = np.zeros(len(rngs), dtype=bool)
     logs = np.full_like(q, np.nan)
     rows = np.flatnonzero(ok)
-    # Products are formed in the column convention, so a row-convention
-    # audit is the transpose of the column-convention one, pair by pair.
-    exps = _exp_stack(config.to_column(np.concatenate([q[rows], q_prime[rows]])))
-    products, status = _log_stack(exps[: len(rows)] @ exps[len(rows):])
-    logs[rows] = config.from_column(products)
+    exps = _exp_stack(np.concatenate([q[rows], q_prime[rows]]))
+    logs[rows], status = _log_stack(exps[: len(rows)] @ exps[len(rows):])
     ok[rows] = status == 0
     return q, q_prime, logs, ok
 
@@ -440,7 +355,7 @@ def kappa_witness(q) -> list[float]:
     at 1e-6. A single-ratio (HKY) matrix returns four equal values; a
     generic log-product returns four distinct ones.
     """
-    q = config.to_column(check_square(q))
+    q = check_square(q)
     if q.shape[0] != 4:
         raise ValueError("the closure pattern is defined for order-4 matrices")
     pattern_pairs = (

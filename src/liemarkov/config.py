@@ -1,50 +1,28 @@
-"""Global sum convention for rate matrices.
+"""Sum conventions of the model file format.
 
-Everything in this package defaults to the zero-column-sum convention: a
-rate matrix has columns summing to zero, and the exponential of such a
-matrix is column-stochastic. Users who keep their chains in row-sum form
-can flip the convention once, up front; generators, predicates and model
-file IO then transpose at the boundary.
+The package works in the zero-column-sum convention throughout: a rate
+matrix has columns summing to zero, and its exponential is
+column-stochastic. Multiplicative closure does not depend on that
+choice: transposition reverses products and maps each bracket to minus
+the bracket of the transposes, so a span is bracket-closed exactly when
+its transpose is. Model files may declare ``"convention": "row"`` for
+rate matrices whose rows sum to zero; they are converted to the column
+convention when they are loaded.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-_VALID = ("column", "row")
-_convention = "column"
+CONVENTIONS = ("column", "row")
 
 
-def set_convention(mode: str) -> None:
-    """Select the sum convention: "column" (default) or "row".
+def column_axes(convention: str) -> tuple[int, int]:
+    """Axis order that takes a file's matrices into the column convention.
 
-    Set this once before building models; matrices created under one
-    convention are not meaningful under the other.
+    (0, 1) for "column" and (1, 0) for "row". It applies alike to an
+    n x n matrix (``m.transpose(axes)``) and to an (i, j) index pair
+    (``itemgetter(*axes)(pair)``). Raises ValueError for any other
+    convention name.
     """
-    global _convention
-    if mode not in _VALID:
-        raise ValueError(f"convention must be one of {_VALID}, got {mode!r}")
-    _convention = mode
-
-
-def get_convention() -> str:
-    return _convention
-
-
-def sum_axis() -> int:
-    """Axis along which generator entries must sum to zero.
-
-    Counted from the end (-2 for columns, -1 for rows), so it addresses
-    a single matrix and every matrix of a (B, n, n) stack alike.
-    """
-    return -2 if _convention == "column" else -1
-
-
-def from_column(q: np.ndarray) -> np.ndarray:
-    """Convert a column-convention matrix, or stack of them, into the active convention."""
-    return q if _convention == "column" else np.swapaxes(q, -1, -2).copy()
-
-
-def to_column(q: np.ndarray) -> np.ndarray:
-    """View a matrix, or stack of them, in the active convention as column-convention."""
-    return q if _convention == "column" else np.swapaxes(q, -1, -2).copy()
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
+    return (0, 1) if convention == "column" else (1, 0)

@@ -8,14 +8,11 @@ Markov models or sum conventions.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_MEMBERSHIP_TOL = 1e-8
 DEFAULT_RANK_RTOL = 1e-10
@@ -65,25 +62,6 @@ def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float), "fro"))
-
-
-def add(a, b) -> np.ndarray:
-    a, b = _check_pair(a, b)
-    return a + b
-
-
-def sub(a, b) -> np.ndarray:
-    a, b = _check_pair(a, b)
-    return a - b
-
-
-def mul(a, b) -> np.ndarray:
-    a, b = _check_pair(a, b)
-    return a @ b
-
-
-def scale(alpha: float, a) -> np.ndarray:
-    return float(alpha) * check_square(a)
 
 
 def commutator(a, b) -> np.ndarray:

@@ -10,6 +10,7 @@ share across threads.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -166,12 +167,12 @@ class RateModel:
 
 
 def is_in_L(q, tol: float = 1e-12):
-    """True when every generator sum of q (columns by default) is zero within tol.
+    """True when every column sum of q is zero within tol.
 
     For a (B, n, n) stack the answer is a boolean array, one per matrix.
     """
     q = check_stack(q)
-    ok = np.max(np.abs(q.sum(axis=config.sum_axis())), axis=-1) <= tol
+    ok = np.max(np.abs(q.sum(axis=-2)), axis=-1) <= tol
     return bool(ok) if q.ndim == 2 else ok
 
 
@@ -419,12 +420,8 @@ def check_scaling_closure(model: RateModel) -> bool:
 # ---------------------------------------------------------------------------
 
 def model_to_dict(model: RateModel) -> dict:
-    """Serialize a model in the model file format, in the active convention."""
-    doc: dict = {
-        "name": model.name,
-        "n": model.n,
-        "convention": config.get_convention(),
-    }
+    """Serialize a model in the model file format, in the column convention."""
+    doc: dict = {"name": model.name, "n": model.n, "convention": "column"}
     if model.basis:
         doc["basis"] = [[float(x) for x in np.asarray(b).reshape(-1)] for b in model.basis]
     if model.constraints:
@@ -444,16 +441,22 @@ def model_to_dict(model: RateModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> RateModel:
-    """Build a RateModel from the model file format, converting conventions."""
+    """Build a RateModel from the model file format.
+
+    A file declaring ``"convention": "row"`` is converted to the column
+    convention: its basis matrices are transposed and the (i, j) pairs
+    of its constraint monomials swapped.
+    """
     try:
         name = str(doc["name"])
         n = int(doc["n"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"model file missing or invalid name/n: {exc}") from exc
-    file_convention = doc.get("convention", "column")
-    if file_convention not in ("column", "row"):
-        raise ModelFormatError(f"unknown convention {file_convention!r}")
-    transpose = file_convention != config.get_convention()
+    try:
+        axes = config.column_axes(doc.get("convention", "column"))
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from exc
+    swap = itemgetter(*axes)
 
     basis = []
     for flat in doc.get("basis", []) or []:
@@ -462,8 +465,7 @@ def model_from_dict(doc: dict) -> RateModel:
             raise ModelFormatError(
                 f"basis matrix has {arr.size} entries, expected {n * n}"
             )
-        mat = arr.reshape(n, n)
-        basis.append(mat.T.copy() if transpose else mat)
+        basis.append(arr.reshape(n, n).transpose(axes))
 
     constraints = []
     for cdoc in doc.get("constraints", []) or []:
@@ -471,10 +473,7 @@ def model_from_dict(doc: dict) -> RateModel:
             terms = tuple(
                 (
                     float(t["coeff"]),
-                    tuple(
-                        ((int(j), int(i)) if transpose else (int(i), int(j)))
-                        for i, j in t["monomial"]
-                    ),
+                    tuple(swap((int(i), int(j))) for i, j in t["monomial"]),
                 )
                 for t in cdoc["terms"]
             )
@@ -515,12 +514,16 @@ def save_model(model: RateModel, path) -> None:
         fh.write("\n")
 
 
-def load_model(path) -> RateModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"not valid JSON: {exc}") from exc
+def load_model(source) -> RateModel:
+    """Read a model file from a path or from an open text stream such as stdin."""
+    if not hasattr(source, "read"):
+        with open(source, "r", encoding="utf-8") as fh:
+            return load_model(fh)
+    name = getattr(source, "name", "model stream")
+    try:
+        doc = json.load(source)
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"{name} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ModelFormatError("model file must contain a JSON object")
+        raise ModelFormatError(f"{name} must contain a JSON object")
     return model_from_dict(doc)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
 from .model import (
     PolynomialConstraint,
     RateModel,
@@ -30,7 +29,7 @@ _TRANSITIONS = ((0, 1), (1, 0), (2, 3), (3, 2))
 
 
 def _with_diagonal(off) -> np.ndarray:
-    """Fill the diagonal so each generator sum (column by default) is zero.
+    """Fill the diagonal so each column sums to zero.
 
     Acts on the last two axes, so off may be one matrix or a (B, n, n) stack.
     """
@@ -38,7 +37,7 @@ def _with_diagonal(off) -> np.ndarray:
     diag = np.arange(q.shape[-1])
     q[..., diag, diag] = 0.0
     q[..., diag, diag] = -q.sum(axis=-2)
-    return config.from_column(q)
+    return q
 
 
 def _params(p, names: tuple[str, ...]) -> np.ndarray:
@@ -175,18 +174,6 @@ def _unit(k: int, size: int) -> list[float]:
     return [1.0 if i == k else 0.0 for i in range(size)]
 
 
-def _oriented(constraints: tuple[PolynomialConstraint, ...]) -> tuple[PolynomialConstraint, ...]:
-    """Constraints written for the column convention, re-indexed for the active one."""
-    if config.get_convention() == "column":
-        return constraints
-    return tuple(
-        PolynomialConstraint(tuple(
-            (coeff, tuple((j, i) for i, j in monomial)) for coeff, monomial in c.terms
-        ))
-        for c in constraints
-    )
-
-
 def _hky_constraints() -> tuple[PolynomialConstraint, ...]:
     # Four row-pair equalities plus the full orbit of equal-ratio
     # quadratics; the first three quadratics already determine the model
@@ -225,7 +212,7 @@ def hky_model() -> RateModel:
     return RateModel(
         name="hky",
         n=4,
-        constraints=_oriented(_hky_constraints()),
+        constraints=_hky_constraints(),
         parameterization="hky",
         parameter_ranges=((0.001, 0.05),) * 4 + ((0.5, 2.0),),
     )
@@ -283,7 +270,7 @@ def gtr_model() -> RateModel:
     return RateModel(
         name="gtr",
         n=4,
-        constraints=_oriented(_gtr_constraints()),
+        constraints=_gtr_constraints(),
         parameterization="gtr",
         parameter_ranges=((0.2, 0.6),) * 6 + ((0.1, 0.4),) * 4,
     )
@@ -330,7 +317,7 @@ def zoo_model(name: str) -> RateModel:
 
 
 # ---------------------------------------------------------------------------
-# Reference example (column convention): two HKY generators and the
+# Reference example: two HKY generators and the
 # independently computed principal logarithm of exp(Q1) @ exp(Q2). The
 # log-product fits the lm88 pattern with the alpha values below but
 # admits no single transition/transversion ratio.
@@ -355,11 +342,6 @@ REFERENCE_ALPHAS = (0.0498348, 0.0200951, 0.0109967, 0.0170734)
 
 
 def reference_pair() -> tuple[np.ndarray, np.ndarray]:
-    """The two reference HKY generators, in column convention."""
+    """The two reference HKY generators."""
     p1, p2 = REFERENCE_HKY_PARAMS
-    saved = config.get_convention()
-    config.set_convention("column")
-    try:
-        return hky(*p1), hky(*p2)
-    finally:
-        config.set_convention(saved)
+    return hky(*p1), hky(*p2)

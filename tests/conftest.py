@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from liemarkov import REFERENCE_HKY_PARAMS, config, hky
-
-
-@pytest.fixture(autouse=True)
-def column_convention():
-    # Tests that flip the convention must not leak it into the others.
-    config.set_convention("column")
-    yield
-    config.set_convention("column")
+from liemarkov import (
+    REFERENCE_HKY_PARAMS,
+    PrincipalLogError,
+    hky,
+    matrix_exp,
+    matrix_log,
+    model_to_dict,
+    sample_with_rng,
+)
 
 
 @pytest.fixture
@@ -26,3 +26,44 @@ def make_rate_matrix(rng, n=4, max_norm=1.0):
     np.fill_diagonal(q, -off.sum(axis=0))
     nrm = np.linalg.norm(q, "fro")
     return q * (rng.uniform(0.05, 1.0) * max_norm / nrm)
+
+
+def chain_logs(model, chain_length, samples, seed):
+    """Seeded elements of the model's log-closure: scaled logs of substitution products.
+
+    Each of the samples draws a length in 1..chain_length, then for each
+    factor a model sample Q and a duration t uniform in [0, 1], multiplies
+    the exp(Q t) in order, and scales the product's principal log by a
+    uniform factor in [0, 2]. Products without a principal log are
+    skipped, so the list may be shorter than samples.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(samples):
+        product = np.eye(model.n)
+        for _ in range(int(rng.integers(1, chain_length + 1))):
+            q = sample_with_rng(model, rng)
+            product = product @ matrix_exp(q * float(rng.uniform(0.0, 1.0)))
+        alpha = float(rng.uniform(0.0, 2.0))
+        try:
+            out.append(alpha * matrix_log(product))
+        except PrincipalLogError:
+            pass
+    return out
+
+
+def row_convention_doc(model):
+    """The model's file dictionary rewritten in the row-sum convention.
+
+    Basis matrices are transposed and every (i, j) monomial pair swapped,
+    as a user who keeps rows summing to zero would write the file.
+    """
+    doc = model_to_dict(model)
+    n = doc["n"]
+    doc["convention"] = "row"
+    if "basis" in doc:
+        doc["basis"] = [np.reshape(b, (n, n)).T.reshape(-1).tolist() for b in doc["basis"]]
+    for c in doc.get("constraints", []):
+        for t in c["terms"]:
+            t["monomial"] = [[j, i] for i, j in t["monomial"]]
+    return doc

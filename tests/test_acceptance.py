@@ -23,7 +23,6 @@ from liemarkov import (
     least_squares_membership,
     lie_closure,
     lm88_model,
-    log_closure_sample,
     log_product,
     matrix_exp,
     matrix_log,
@@ -39,7 +38,7 @@ from liemarkov.cli import main as cli_main
 from liemarkov.closure import bch_truncated
 from liemarkov.zoo import REFERENCE_LOG_PRODUCT, reference_pair
 
-from conftest import make_rate_matrix
+from conftest import chain_logs, make_rate_matrix
 
 
 def criterion(number, label):
@@ -112,7 +111,7 @@ def test_04_closed_models():
     assert multiplicative_closure_check(jc_model(), samples=50, seed=7).mult_closed_verdict == "closed"
     lm88 = lm88_model()
     assert multiplicative_closure_check(lm88, samples=50, seed=7).mult_closed_verdict == "closed"
-    for element in log_closure_sample(lm88, chain_length=3, samples=50, seed=7):
+    for element in chain_logs(lm88, chain_length=3, samples=50, seed=7):
         assert model_residual(lm88, element) <= 1e-7
 
 

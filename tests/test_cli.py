@@ -80,6 +80,30 @@ class TestCheck:
         assert "verdict: closed" in out
 
 
+class TestUsageErrors:
+    # argparse's own status 2 would read as EXIT_NOT_CLOSED.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--model", "jc", "--bogus"),
+            ("check", "--model", "jc", "--samples", "x"),
+            ("check", "--model", "jc", "--chain-length", "3"),
+            ("nope",),
+            (),
+        ],
+    )
+    def test_usage_error_is_exit_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "usage:" in err
+
+    def test_help_exits_ok(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "--help")
+        assert code == EXIT_OK
+        assert "--samples" in out and "--chain-length" not in out
+
+
 class TestClosure:
     def test_hky_dimension(self, capsys):
         code, out, _ = run_cli(capsys, "closure", "--model", "hky", "--no-timestamp")

@@ -1,5 +1,8 @@
+import json
 import logging
-from functools import reduce
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial, reduce
 from math import gcd
 
 import numpy as np
@@ -12,9 +15,7 @@ from liemarkov import (
     PrincipalLogError,
     RateModel,
     SamplingError,
-    ProductChain,
     bch_truncated,
-    chain_substitution_matrix,
     commutator,
     exact_rank,
     f81_model,
@@ -29,7 +30,7 @@ from liemarkov import (
     lie_closure,
     lm88,
     lm88_model,
-    log_closure_sample,
+    load_model,
     log_product,
     matrix_exp,
     membership,
@@ -41,12 +42,12 @@ from liemarkov import (
     zoo_model,
     zoo_names,
 )
-from liemarkov import closure, config
+from liemarkov import closure
 from liemarkov.model import _sample_stack
-from liemarkov.zoo import REFERENCE_LOG_PRODUCT
+from liemarkov.zoo import REFERENCE_LOG_PRODUCT, reference_pair
 
 from audit_goldens import AUDIT_GOLDENS
-from conftest import make_rate_matrix
+from conftest import chain_logs, make_rate_matrix, row_convention_doc
 
 
 def _generic_pair(rng, n):
@@ -166,40 +167,24 @@ def _cyclic_model(scale=1e6):
 
 
 class TestProductChain:
-    def test_empty_chain_is_identity(self):
-        chain = ProductChain((), n=4)
-        np.testing.assert_array_equal(chain_substitution_matrix(chain), np.eye(4))
-
-    def test_empty_chain_needs_order(self):
-        with pytest.raises(ValueError, match="order"):
-            chain_substitution_matrix(ProductChain(()))
+    """Products of substitution matrices exp(Q_k t_k), formed link by link."""
 
     def test_repeated_link_is_one_parameter_semigroup(self, reference_pair_q):
         q1, _ = reference_pair_q
-        chain = ProductChain(((q1, 1.0), (q1, 1.0)))
         np.testing.assert_allclose(
-            chain_substitution_matrix(chain), matrix_exp(2.0 * q1), atol=1e-14
+            matrix_exp(q1) @ matrix_exp(q1), matrix_exp(2.0 * q1), atol=1e-14
         )
 
     def test_reference_chain_matches_log_product(self, reference_pair_q):
         # The stored reference matrix carries ~7 digits, so its exp can
         # only agree with the true product to the rounding level.
         q1, q2 = reference_pair_q
-        chain = ProductChain(((q1, 1.0), (q2, 1.0)))
         np.testing.assert_allclose(
-            chain_substitution_matrix(chain),
+            matrix_exp(q1) @ matrix_exp(q2),
             matrix_exp(np.asarray(REFERENCE_LOG_PRODUCT)),
             rtol=0.0,
             atol=1e-7,
         )
-
-    def test_negative_duration_rejected(self, reference_pair_q):
-        with pytest.raises(ValueError, match="non-negative"):
-            ProductChain(((reference_pair_q[0], -1.0),))
-
-    def test_mixed_orders_rejected(self, reference_pair_q):
-        with pytest.raises(ValueError, match="same order"):
-            ProductChain(((reference_pair_q[0], 1.0), (np.zeros((3, 3)), 1.0)))
 
 
 class TestBch:
@@ -259,34 +244,27 @@ class TestLogProduct:
 class TestLogClosureSample:
     def test_chain_length_one_stays_in_model(self):
         model = hky_model()
-        for elem in log_closure_sample(model, chain_length=1, samples=20, seed=3):
+        for elem in chain_logs(model, chain_length=1, samples=20, seed=3):
             assert membership(model, elem, 1e-8).in_r
 
     def test_hky_chain_two_escapes(self):
         model = hky_model()
-        elems = log_closure_sample(model, chain_length=2, samples=50, seed=11)
+        elems = chain_logs(model, chain_length=2, samples=50, seed=11)
         assert any(not membership(model, e, 1e-8).in_r for e in elems)
 
     def test_lm88_chain_two_stays(self):
         model = lm88_model()
-        elems = log_closure_sample(model, chain_length=2, samples=50, seed=11)
+        elems = chain_logs(model, chain_length=2, samples=50, seed=11)
         assert all(membership(model, e, 1e-8).in_r for e in elems)
 
     def test_zero_column_sums(self):
-        for e in log_closure_sample(hky_model(), chain_length=3, samples=20, seed=5):
+        for e in chain_logs(hky_model(), chain_length=3, samples=20, seed=5):
             assert np.abs(e.sum(axis=0)).max() <= 1e-9
-
-    def test_deterministic(self):
-        a = log_closure_sample(hky_model(), 2, 5, seed=1)
-        b = log_closure_sample(hky_model(), 2, 5, seed=1)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
 
     def test_all_chains_skipped(self):
         # Huge cyclic rates push exp(Qt) eigenvalues inside the rejection
-        # margin around the negative axis, so every chain is skipped.
-        with pytest.raises(RuntimeError, match="principal logarithm"):
-            log_closure_sample(_cyclic_model(), chain_length=2, samples=10, seed=0)
+        # margin around the negative axis, so every product lacks a principal log.
+        assert chain_logs(_cyclic_model(), chain_length=2, samples=10, seed=0) == []
 
 
 class TestLieClosure:
@@ -498,7 +476,7 @@ class TestTheoremDirections:
             model = builder()
             report = multiplicative_closure_check(model, samples=20, seed=4)
             assert report.mult_closed_verdict == "closed"
-            for elem in log_closure_sample(model, chain_length=3, samples=50, seed=4):
+            for elem in chain_logs(model, chain_length=3, samples=50, seed=4):
                 assert model_residual(model, elem) <= 1e-7
 
 
@@ -650,15 +628,40 @@ class TestBatchedAudit:
                     sample_with_rng(model, rng, max_attempts=2)
 
     @pytest.mark.parametrize("name", zoo_names())
-    def test_row_convention_mirrors_column_convention(self, name):
+    def test_row_convention_mirrors_column_convention(self, name, tmp_path):
+        # A row-sum model file loads as the column-convention model, so it audits bit for bit alike.
+        path = tmp_path / f"{name}-row.json"
+        path.write_text(json.dumps(row_convention_doc(zoo_model(name))))
         column = multiplicative_closure_check(zoo_model(name), samples=80, seed=5)
-        config.set_convention("row")
-        row = multiplicative_closure_check(zoo_model(name), samples=80, seed=5)
+        row = multiplicative_closure_check(load_model(path), samples=80, seed=5)
         assert (row.mult_closed_verdict, row.samples_tested) == (
             column.mult_closed_verdict, column.samples_tested)
         assert (row.span_dim, row.lie_closure_dim) == (column.span_dim, column.lie_closure_dim)
         assert [w.pair_index for w in row.witnesses] == [w.pair_index for w in column.witnesses]
         for r, c in zip(row.witnesses, column.witnesses):
             for got, want in ((r.q, c.q), (r.q_prime, c.q_prime), (r.log_product, c.log_product)):
-                np.testing.assert_allclose(got, want.T, rtol=1e-13, atol=1e-16)
-            assert r.residual == pytest.approx(c.residual, rel=1e-12)
+                np.testing.assert_array_equal(got, want)
+            assert r.residual == c.residual
+        assert row.to_json() == column.to_json()
+
+
+class TestConcurrency:
+    def test_threaded_audits_match_serial(self):
+        # Calls share no module state, so running them side by side cannot change a result.
+        def audit(name, seed):
+            return multiplicative_closure_check(zoo_model(name), samples=60, seed=seed).to_json()
+
+        def reference_kappas():
+            return kappa_witness(log_product(*reference_pair()))
+
+        tasks = [partial(audit, name, seed) for name in zoo_names() for seed in (3, 8)]
+        tasks += [reference_kappas] * 8
+        serial = [task() for task in tasks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(lambda task: task(), tasks, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial

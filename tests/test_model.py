@@ -9,7 +9,6 @@ from liemarkov import (
     RateModel,
     SamplingError,
     check_scaling_closure,
-    config,
     constraints_homogeneous,
     evaluate_constraints,
     hky,
@@ -28,6 +27,8 @@ from liemarkov import (
 )
 from liemarkov.model import load_model, save_model
 from liemarkov.zoo import REFERENCE_LOG_PRODUCT
+
+from conftest import row_convention_doc
 
 
 def q12_constraint(value=1.0):
@@ -97,18 +98,15 @@ class TestPredicates:
                 assert is_in_L(q, 1e-9)
 
     def test_row_convention(self):
-        config.set_convention("row")
-        q = hky(0.02, 0.01, 0.005, 0.009, 1.5)
-        assert is_in_L(q, 1e-15)
+        # Library matrices keep zero column sums; a row-sum generator is not in L.
+        q = hky(0.02, 0.01, 0.005, 0.009, 1.5).T
         assert abs(q.sum(axis=1)).max() <= 1e-15
-        config.set_convention("column")
         assert not is_in_L(q, 1e-12)
+        assert is_in_L(q.T, 1e-15)
 
 
 class TestStackPredicates:
-    @pytest.mark.parametrize("convention", ["column", "row"])
-    def test_predicates_act_per_matrix(self, convention):
-        config.set_convention(convention)
+    def test_predicates_act_per_matrix(self):
         rng = np.random.default_rng(3)
         params = rng.uniform(0.001, 0.05, size=(6, 5))
         stack = np.stack([hky(*p) for p in params])
@@ -120,15 +118,6 @@ class TestStackPredicates:
         assert list(ins) == [is_in_L(q) for q in stack]
         assert list(rates) == [is_stochastic_rate(q) for q in stack]
         assert list(rates) == [True, True, False, True, False, True]
-
-    def test_convention_transposes_each_matrix(self):
-        stack = np.arange(2 * 3 * 3, dtype=float).reshape(2, 3, 3)
-        config.set_convention("row")
-        for conv in (config.from_column, config.to_column):
-            out = conv(stack)
-            assert out.shape == stack.shape
-            for k in range(2):
-                np.testing.assert_array_equal(out[k], stack[k].T)
 
 
 class TestEvaluateConstraints:
@@ -295,20 +284,33 @@ class TestModelFiles:
         assert doc["basis"][0] == [float(x) for x in q0.reshape(-1)]
 
     def test_convention_conversion(self):
-        doc = model_to_dict(zoo_model("lm88"))
-        config.set_convention("row")
-        loaded = model_from_dict(doc)
-        config.set_convention("column")
+        # A row-sum file's basis is transposed into the column convention at load.
         original = zoo_model("lm88")
-        for a, b in zip(loaded.basis, original.basis):
-            np.testing.assert_array_equal(a, b.T)
+        doc = row_convention_doc(original)
+        loaded = model_from_dict(doc)
+        assert len(loaded.basis) == len(original.basis) == 8
+        for flat, a, b in zip(doc["basis"], loaded.basis, original.basis):
+            np.testing.assert_array_equal(np.reshape(flat, (4, 4)), b.T)
+            np.testing.assert_array_equal(a, b)
+        assert model_to_dict(loaded) == model_to_dict(original)
 
     def test_constraint_indices_transpose(self):
-        doc = model_to_dict(zoo_model("hky"))
-        config.set_convention("row")
+        # A row-sum file's monomials (i, j) become (j, i) at load.
+        original = zoo_model("hky")
+        doc = row_convention_doc(original)
+        assert doc["constraints"][0]["terms"][0]["monomial"] == [[3, 1]]
         loaded = model_from_dict(doc)
-        q = hky(0.02, 0.01, 0.005, 0.009, 1.5)  # row convention active
+        q = hky(0.02, 0.01, 0.005, 0.009, 1.5)
         assert max(abs(r) for r in evaluate_constraints(loaded, q)) <= 1e-15
+        for m in [q, REFERENCE_LOG_PRODUCT, *np.random.default_rng(6).normal(size=(5, 4, 4))]:
+            assert evaluate_constraints(loaded, m) == evaluate_constraints(original, m)
+        assert model_to_dict(loaded) == model_to_dict(original)
+
+    def test_unknown_convention(self):
+        doc = model_to_dict(zoo_model("jc"))
+        doc["convention"] = "diagonal"
+        with pytest.raises(ModelFormatError, match="unknown convention 'diagonal'"):
+            model_from_dict(doc)
 
     def test_missing_basis_and_constraints(self):
         with pytest.raises(ModelFormatError, match="basis or constraints"):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from liemarkov import (
-    config,
     evaluate_constraints,
     exact_rank,
     f81,
@@ -33,12 +32,10 @@ from liemarkov.zoo import REFERENCE_HKY_PARAMS, REFERENCE_LOG_PRODUCT
 class TestStackBuilders:
     SCALAR = {"hky": hky, "jc": jc, "f81": f81, "k2p": k2p, "lm88": lm88, "gtr": gtr}
 
-    @pytest.mark.parametrize("convention", ["column", "row"])
     @pytest.mark.parametrize("name", sorted(SCALAR))
-    def test_rows_match_scalar_builders(self, name, convention):
+    def test_rows_match_scalar_builders(self, name):
         from liemarkov.model import get_parameterization
 
-        config.set_convention(convention)
         fn, n_params = get_parameterization(name)
         params = np.random.default_rng(4).uniform(0.0, 2.0, size=(7, n_params))
         stack = fn(params)
@@ -97,12 +94,6 @@ class TestGenerators:
         for i in range(4):
             for j in range(4):
                 assert pi[j] * q[i, j] == pytest.approx(pi[i] * q[j, i], abs=1e-15)
-
-    def test_row_convention_generators(self):
-        q_col = hky(0.02, 0.01, 0.005, 0.009, 1.5)
-        config.set_convention("row")
-        q_row = hky(0.02, 0.01, 0.005, 0.009, 1.5)
-        np.testing.assert_array_equal(q_row, q_col.T)
 
 
 class TestHkyModel:
