@@ -14,7 +14,6 @@ from .linalg import (
     MembershipResult,
     PrincipalLogError,
     commutator,
-    exact_rank,
     frobenius,
     least_squares_membership,
     matrix_exp,

@@ -48,6 +48,9 @@ EXIT_ERROR = 1
 EXIT_NOT_CLOSED = 2
 EXIT_INCONCLUSIVE = 3
 
+# BCH truncation errors at or below this are rounding (about 1.4e-14).
+_ROUNDING_LEVEL = 64 * np.finfo(float).eps
+
 _VERDICT_EXIT = {"closed": EXIT_OK, "not_closed": EXIT_NOT_CLOSED, "inconclusive": EXIT_INCONCLUSIVE}
 
 
@@ -55,33 +58,43 @@ class CliError(Exception):
     pass
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--model",
-        default="hky",
-        help="zoo model name (%s), a model file path, or '-' for stdin"
-        % ", ".join(zoo_names()),
-    )
-    common.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
-    common.add_argument("--samples", type=int, default=100, help="sample count (default 100)")
-    common.add_argument("--tol", type=float, default=1e-8, help="membership tolerance (default 1e-8)")
-    common.add_argument("--output", default="-", help="output path, '-' for stdout (default)")
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field")
+_FLAGS = {
+    "--model": {"default": "hky", "help": "zoo model name (%s), a model file path, or '-' for stdin"
+                % ", ".join(zoo_names())},
+    "--seed": {"type": int, "default": 42, "help": "RNG seed (default 42)"},
+    "--samples": {"type": int, "default": 100, "help": "sample count (default 100)"},
+    "--tol": {"type": float, "default": 1e-8, "help": "membership tolerance (default 1e-8)"},
+    "--orders": {"default": "1,2,3", "help": "comma-separated truncation orders"},
+    "--output": {"default": "-", "help": "output path, '-' for stdout (default)"},
+    "--format": {"choices": ("json", "text"), "default": "json"},
+    "--no-timestamp": {"action": "store_true", "help": "omit the timestamp field"},
+}
+_REPORT = ("--output", "--format", "--no-timestamp")
+# Each subcommand takes only the flags it uses, except that closure and
+# repro-paper still accept --samples, which they ignore, for existing command lines.
+_SUBCOMMANDS = {
+    "check": ("run the full multiplicative-closure audit",
+              ("--model", "--seed", "--samples", "--tol", *_REPORT)),
+    "closure": ("print the bracket-saturated span basis", ("--model", "--seed", "--samples", *_REPORT)),
+    "bch": ("truncation error sweep against log-products", ("--model", "--seed", "--orders", *_REPORT)),
+    "sample": ("emit seeded generator samples", ("--model", "--seed", "--samples", *_REPORT)),
+    "repro-paper": ("recompute the built-in reference example", ("--samples", *_REPORT)),
+    "export": ("write the model in the model file format", ("--model", "--output")),
+}
+# A report's config block lists those of these that its subcommand takes, in this order.
+_CONFIG_KEYS = ("model", "seed", "samples", "tol", "format", "output")
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liemarkov",
         description="Closure audits for continuous-time Markov substitution models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("check", parents=[common], help="run the full multiplicative-closure audit")
-    sub.add_parser("closure", parents=[common], help="print the bracket-saturated span basis")
-    bch = sub.add_parser("bch", parents=[common], help="truncation error sweep against log-products")
-    bch.add_argument("--orders", default="1,2,3", help="comma-separated truncation orders")
-    sub.add_parser("sample", parents=[common], help="emit seeded generator samples")
-    sub.add_parser("repro-paper", parents=[common], help="recompute the built-in reference example")
-    sub.add_parser("export", parents=[common], help="write the model in the model file format")
+    for command, (help_text, flags) in _SUBCOMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
+        for flag in flags:
+            cmd.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -97,19 +110,12 @@ def _resolve_model(ref: str):
 
 
 def _config_dict(args) -> dict:
-    return {
-        "command": args.command,
-        "model": args.model,
-        "seed": args.seed,
-        "samples": args.samples,
-        "tol": args.tol,
-        "format": args.format,
-        "output": args.output,
-    }
+    given = vars(args)
+    return {"command": args.command, **{key: given[key] for key in _CONFIG_KEYS if key in given}}
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    body = json.dumps(payload, indent=2) + "\n" if args.format == "json" else text
+def _emit(args, payload: dict, text: str = "") -> None:
+    body = text if getattr(args, "format", "json") == "text" else json.dumps(payload, indent=2) + "\n"
     if args.output == "-":
         sys.stdout.write(body)
     else:
@@ -185,6 +191,19 @@ def _cmd_closure(args) -> int:
     return EXIT_OK
 
 
+def _slope(ts: list[float], errors: list[float]) -> float | None:
+    """Slope of log2(error) against log2(t) over the errors above rounding level.
+
+    An error of at most 64 eps is rounding, not truncation, and says
+    nothing about the order; None when fewer than two points are left.
+    """
+    kept = [(t, err) for t, err in zip(ts, errors) if err > _ROUNDING_LEVEL]
+    if len(kept) < 2:
+        return None
+    t, err = zip(*kept)
+    return float(np.polyfit(np.log2(t), np.log2(err), 1)[0])
+
+
 def _cmd_bch(args) -> int:
     try:
         orders = [int(tok) for tok in args.orders.split(",") if tok.strip()]
@@ -204,10 +223,7 @@ def _cmd_bch(args) -> int:
             errors[order].append(
                 float(np.linalg.norm(reference - bch_truncated(t * q, t * q_prime, order)))
             )
-    slopes = {
-        order: float(np.polyfit(np.log2(ts), np.log2(errors[order]), 1)[0])
-        for order in orders
-    }
+    slopes = {order: _slope(ts, errors[order]) for order in orders}
     payload = {
         "command": "bch",
         "config": _config_dict(args),
@@ -223,7 +239,7 @@ def _cmd_bch(args) -> int:
         lines.append(
             f"{t:<8.6g} " + "  ".join(f"{errors[o][i]:.6g}" for o in orders)
         )
-    lines.append("slopes:  " + "  ".join(f"{slopes[o]:.6g}" for o in orders))
+    lines.append("slopes:  " + "  ".join("n/a" if slopes[o] is None else f"{slopes[o]:.6g}" for o in orders))
     _emit(args, payload, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -279,14 +295,7 @@ def _cmd_repro_paper(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    model = _resolve_model(args.model)
-    payload = model_to_dict(model)
-    body = json.dumps(payload, indent=2) + "\n"
-    if args.output == "-":
-        sys.stdout.write(body)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(body)
+    _emit(args, model_to_dict(_resolve_model(args.model)))
     return EXIT_OK
 
 

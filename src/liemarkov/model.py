@@ -19,12 +19,11 @@ import numpy as np
 from . import config
 from .linalg import (
     DEFAULT_MEMBERSHIP_TOL,
-    MembershipResult,
     _fro_rows,
+    _svd_range,
     check_square,
     check_stack,
     frobenius,
-    least_squares_membership,
 )
 
 
@@ -70,19 +69,9 @@ class PolynomialConstraint:
         return len(lengths) <= 1
 
     def evaluate(self, q) -> float:
-        q = np.asarray(q, dtype=float)
-        n = q.shape[0]
-        total = 0.0
-        for coeff, monomial in self.terms:
-            prod = coeff
-            for i, j in monomial:
-                if i > n or j > n:
-                    raise IndexError(
-                        f"constraint index ({i}, {j}) out of range for order {n}"
-                    )
-                prod *= q[i - 1, j - 1]
-            total += prod
-        return float(total)
+        """The batch-of-one case of the compiled constraint evaluator."""
+        q = check_square(q)
+        return float(_compile_constraints(q.shape[0], (self,))(q[None])[0, 0])
 
 
 def linear_constraint(plus: tuple[int, int], minus: tuple[int, int]) -> PolynomialConstraint:
@@ -146,12 +135,9 @@ class RateModel:
         object.__setattr__(self, "basis", tuple(mats))
         object.__setattr__(self, "constraints", tuple(self.constraints))
         if self.basis and self.constraints:
-            for b in self.basis:
-                for c in self.constraints:
-                    if abs(c.evaluate(np.asarray(b))) > 1e-12:
-                        raise ValueError(
-                            "basis matrices must satisfy the declared constraints"
-                        )
+            values = _compile_constraints(self.n, self.constraints)(np.stack(self.basis))
+            if np.max(np.abs(values)) > 1e-12:
+                raise ValueError("basis matrices must satisfy the declared constraints")
         if self.parameter_ranges is not None:
             ranges = tuple((float(lo), float(hi)) for lo, hi in self.parameter_ranges)
             for lo, hi in ranges:
@@ -192,9 +178,7 @@ def evaluate_constraints(model: RateModel, q) -> list[float]:
     if not model.constraints:
         raise ValueError(f"model {model.name!r} has no constraints")
     q = check_square(q)
-    if q.shape[0] != model.n:
-        raise ValueError("matrix order does not match the model")
-    return [c.evaluate(q) for c in model.constraints]
+    return _compile_constraints(model.n, model.constraints)(q[None])[0].tolist()
 
 
 def constraints_homogeneous(model: RateModel) -> bool | None:
@@ -210,26 +194,61 @@ def _flat(q: np.ndarray, n: int) -> np.ndarray:
     return q.reshape(len(q), n * n)
 
 
+def _compile_constraints(
+    n: int, constraints: Sequence[PolynomialConstraint]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Raw constraint values as a function of a (B, n, n) stack, shape (B, m).
+
+    Gathers the entries of every monomial, multiplies each term's
+    coefficient by its factors in declaration order and sums each
+    constraint's terms in declaration order, starting from 0.0; missing
+    terms and factors are padded with a zero coefficient and a constant
+    1, which leave every sum and product unchanged. Raises IndexError
+    when a monomial index exceeds n.
+    """
+    width = max((len(c.terms) for c in constraints), default=0)
+    depth = max((max(c.degree, 1) for c in constraints), default=1)
+    # Missing terms have coefficient 0; missing factors read entry n*n, a constant 1.
+    coeffs = np.zeros((len(constraints), width))
+    index = np.full((len(constraints), width, depth), n * n)
+    for a, c in enumerate(constraints):
+        for t, (coeff, monomial) in enumerate(c.terms):
+            coeffs[a, t] = coeff
+            for d, (i, j) in enumerate(monomial):
+                if i > n or j > n:
+                    raise IndexError(f"constraint index ({i}, {j}) out of range for order {n}")
+                index[a, t, d] = (i - 1) * n + (j - 1)
+
+    def values(q: np.ndarray) -> np.ndarray:
+        entries = np.concatenate([_flat(q, n), np.ones((len(q), 1))], axis=1)
+        total = np.zeros((len(q), len(constraints)))
+        for t in range(width):
+            term = coeffs[:, t]
+            for d in range(depth):
+                term = term * entries[:, index[:, t, d]]
+            total = total + term
+        return total
+
+    return values
+
+
 def _compile_residual(model: RateModel) -> Callable[[np.ndarray], np.ndarray]:
     """The model's scale-invariant residual as a function of a (B, n, n) stack.
 
     A span model projects each vectorized matrix onto the orthogonal
-    complement of its span (I - U U^T, U an orthonormal basis of the
-    basis matrices at lstsq's default rank cutoff) and divides the
-    remainder's norm by max(||q||_F, 1), as least_squares_membership
-    does. A constraint model gathers the entries of every monomial,
-    multiplies them term by term in declaration order and sums each
-    constraint, then takes the largest absolute value; a homogeneous
-    degree-d constraint is divided by ||q||_F^d first, so the residual
-    is invariant under positive rescaling of q. Callers build this once
-    per audit or sampling call; nothing is compiled at construction.
+    complement of its span (I - V^T V, V an orthonormal basis of the
+    basis matrices at lstsq's default rank cutoff, max(n^2, k) eps) and
+    divides the remainder's norm by max(||q||_F, 1), as
+    least_squares_membership does. A constraint model takes the largest
+    absolute raw constraint value; a homogeneous degree-d constraint is
+    divided by ||q||_F^d first, so the residual is invariant under
+    positive rescaling of q. Callers build this once per audit or
+    sampling call, not at model construction.
     """
     n = model.n
     if model.basis:
-        cols = np.reshape(model.basis, (len(model.basis), n * n)).T
-        u, svals, _ = np.linalg.svd(cols, full_matrices=False)
-        u = u[:, svals > svals[0] * max(cols.shape) * np.finfo(float).eps]
-        projector = np.eye(n * n) - u @ u.T
+        rows, _ = _svd_range(model.basis, max(n * n, len(model.basis)) * np.finfo(float).eps)
+        projector = np.eye(n * n) - rows.T @ rows
 
         def span_residual(q: np.ndarray) -> np.ndarray:
             flat = _flat(q, n)
@@ -238,29 +257,11 @@ def _compile_residual(model: RateModel) -> Callable[[np.ndarray], np.ndarray]:
         return span_residual
     if not model.constraints:
         raise ValueError(f"model {model.name!r} has neither a basis nor constraints")
-    cons = model.constraints
-    width = max(len(c.terms) for c in cons)
-    depth = max(max(c.degree, 1) for c in cons)
-    # Missing terms have coefficient 0; missing factors read entry n*n, a constant 1.
-    coeffs = np.zeros((len(cons), width))
-    index = np.full((len(cons), width, depth), n * n)
-    for a, c in enumerate(cons):
-        for t, (coeff, monomial) in enumerate(c.terms):
-            coeffs[a, t] = coeff
-            for d, (i, j) in enumerate(monomial):
-                if i > n or j > n:
-                    raise IndexError(f"constraint index ({i}, {j}) out of range for order {n}")
-                index[a, t, d] = (i - 1) * n + (j - 1)
-    degree = np.array([c.degree if c.homogeneous else 0 for c in cons], dtype=float)
+    values = _compile_constraints(n, model.constraints)
+    degree = np.array([c.degree if c.homogeneous else 0 for c in model.constraints], dtype=float)
 
     def constraint_residual(q: np.ndarray) -> np.ndarray:
-        entries = np.concatenate([_flat(q, n), np.ones((len(q), 1))], axis=1)
-        total = 0.0
-        for t in range(width):
-            term = coeffs[:, t]
-            for d in range(depth):
-                term = term * entries[:, index[:, t, d]]
-            total = total + term
+        total = values(q)
         nrm = _fro_rows(q)[:, None]
         scale = np.where((degree > 0) & (nrm > 0.0), nrm ** degree, 1.0)
         return np.max(np.abs(total) / scale, axis=1)
@@ -268,11 +269,11 @@ def _compile_residual(model: RateModel) -> Callable[[np.ndarray], np.ndarray]:
     return constraint_residual
 
 
-def model_residual(model: RateModel, q, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
+def model_residual(model: RateModel, q) -> float:
     """Scale-invariant residual of q against the model's rate space.
 
     The batch-of-one case of the residual the closure audit and the
-    samplers compile once per call; tol does not enter the residual.
+    samplers compile once per call.
     """
     q = check_square(q)
     return float(_compile_residual(model)(q[None])[0])
@@ -281,35 +282,26 @@ def model_residual(model: RateModel, q, tol: float = DEFAULT_MEMBERSHIP_TOL) -> 
 class Membership(NamedTuple):
     """Verdict of a model membership test.
 
-    ``detail`` is a MembershipResult for span-basis models and the raw
-    constraint residual list for constraint-defined models.
+    ``residual`` is model_residual(model, q); ``in_r`` is residual <= tol,
+    the comparison the closure audit makes for each log-product.
     """
 
     in_r: bool
     in_r_plus: bool
-    detail: MembershipResult | list[float]
+    residual: float
 
 
 def membership(model: RateModel, q, tol: float = DEFAULT_MEMBERSHIP_TOL) -> Membership:
     """Test membership of q in the model's rate space and stochastic cone.
 
-    Span membership decides when a basis is declared; otherwise the
-    constraint residuals do (scale-normalized for the decision, raw in
-    the returned detail).
+    The span decides when a basis is declared, the constraints
+    otherwise; both through model_residual. Raw constraint values come
+    from evaluate_constraints, span coefficients from
+    least_squares_membership.
     """
-    q = check_square(q)
-    if q.shape[0] != model.n:
-        raise ValueError("matrix order does not match the model")
-    if model.basis:
-        detail: MembershipResult | list[float] = least_squares_membership(q, model.basis, tol)
-        in_r = detail.inside
-    elif model.constraints:
-        detail = evaluate_constraints(model, q)
-        in_r = _compile_residual(model)(q[None])[0] <= tol
-    else:
-        raise ValueError(f"model {model.name!r} has neither a basis nor constraints")
-    in_r_plus = bool(in_r and is_stochastic_rate(q, tol))
-    return Membership(bool(in_r), in_r_plus, detail)
+    residual = model_residual(model, q)
+    in_r = residual <= tol
+    return Membership(in_r, bool(in_r and is_stochastic_rate(q, tol)), residual)
 
 
 def _sample_stack(

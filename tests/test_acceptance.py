@@ -15,7 +15,6 @@ import pytest
 from liemarkov import (
     commutator,
     evaluate_constraints,
-    exact_rank,
     frobenius,
     hky_model,
     jc_model,
@@ -39,6 +38,7 @@ from liemarkov.closure import bch_truncated
 from liemarkov.zoo import REFERENCE_LOG_PRODUCT, reference_pair
 
 from conftest import chain_logs, make_rate_matrix
+from exact import exact_rank
 
 
 def criterion(number, label):

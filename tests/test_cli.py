@@ -90,6 +90,12 @@ class TestUsageErrors:
             ("check", "--model", "jc", "--chain-length", "3"),
             ("nope",),
             (),
+            # Flags a subcommand would ignore are refused.
+            ("repro-paper", "--model", "gtr"),
+            ("export", "--format", "text"),
+            ("closure", "--tol", "1"),
+            ("bch", "--samples", "3"),
+            ("sample", "--tol", "1"),
         ],
     )
     def test_usage_error_is_exit_error(self, capsys, argv):
@@ -102,6 +108,22 @@ class TestUsageErrors:
         code, out, _ = run_cli(capsys, "check", "--help")
         assert code == EXIT_OK
         assert "--samples" in out and "--chain-length" not in out
+
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (("check", "--model", "jc", "--samples", "5"), ["model", "seed", "samples", "tol", "format", "output"]),
+            (("closure", "--model", "jc"), ["model", "seed", "samples", "format", "output"]),
+            (("bch", "--model", "jc"), ["model", "seed", "format", "output"]),
+            (("sample", "--model", "jc", "--samples", "1"), ["model", "seed", "samples", "format", "output"]),
+            (("repro-paper",), ["samples", "format", "output"]),
+        ],
+    )
+    def test_config_lists_the_subcommand_flags(self, capsys, argv, keys):
+        code, out, _ = run_cli(capsys, *argv, "--no-timestamp")
+        assert code == EXIT_OK
+        assert list(json.loads(out)["config"]) == ["command", *keys]
 
 
 class TestClosure:
@@ -123,6 +145,17 @@ class TestBch:
         doc = json.loads(out)
         for order, target in (("1", 2.0), ("2", 3.0), ("3", 4.0)):
             assert doc["slopes"][order] == pytest.approx(target, abs=0.3)
+
+    @pytest.mark.parametrize("model", ["jc", "k2p"])
+    def test_commuting_generators_have_no_slope(self, capsys, model):
+        # Every truncation is exact up to rounding, so no error is fitted.
+        code, out, _ = run_cli(capsys, "bch", "--model", model, "--no-timestamp")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert max(max(errs) for errs in doc["errors"].values()) <= 1e-14
+        assert doc["slopes"] == {"1": None, "2": None, "3": None}
+        _, text, _ = run_cli(capsys, "bch", "--model", model, "--no-timestamp", "--format", "text")
+        assert text.splitlines()[-1].split() == ["slopes:", "n/a", "n/a", "n/a"]
 
     def test_rejects_bad_orders(self, capsys):
         code, _, err = run_cli(capsys, "bch", "--orders", "5")

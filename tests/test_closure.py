@@ -17,7 +17,6 @@ from liemarkov import (
     SamplingError,
     bch_truncated,
     commutator,
-    exact_rank,
     f81_model,
     frobenius,
     gtr_model,
@@ -48,6 +47,7 @@ from liemarkov.zoo import REFERENCE_LOG_PRODUCT, reference_pair
 
 from audit_goldens import AUDIT_GOLDENS
 from conftest import chain_logs, make_rate_matrix, row_convention_doc
+from exact import exact_rank
 
 
 def _generic_pair(rng, n):

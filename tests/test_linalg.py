@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liemarkov import linalg, reference_pair
@@ -13,7 +13,6 @@ from liemarkov.linalg import (
     _exp_stack,
     _log_stack,
     commutator,
-    exact_rank,
     frobenius,
     least_squares_membership,
     matrix_exp,
@@ -23,6 +22,7 @@ from liemarkov.linalg import (
 )
 
 from conftest import make_rate_matrix
+from exact import exact_rank
 
 
 def taylor_log(m, terms=200):
@@ -186,21 +186,6 @@ class TestRank:
         with pytest.raises(ValueError, match="same order"):
             numerical_rank([np.eye(2), np.eye(3)])
 
-    def test_exact_rank_keeps_large_integers(self):
-        # 2**53 + 1 has no float64; a float round trip would merge the two vectors.
-        a = np.array([[2 ** 53 + 1, 1], [0, 0]], dtype=object)
-        b = np.array([[2 ** 53, 1], [0, 0]], dtype=object)
-        assert exact_rank([a, b]) == 2
-        assert exact_rank([a, a]) == 1
-
-    def test_exact_rank_validates_shape_and_finiteness(self):
-        with pytest.raises(ValueError, match="square"):
-            exact_rank([np.zeros((2, 3))])
-        with pytest.raises(ValueError, match="finite"):
-            exact_rank([np.array([[np.inf, 0.0], [0.0, 0.0]])])
-        with pytest.raises(ValueError, match="same order"):
-            exact_rank([np.eye(2), np.eye(3)])
-
     @settings(max_examples=30, deadline=None)
     @given(
         st.lists(
@@ -347,6 +332,8 @@ class TestStackKernels:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.lists(st.sampled_from("gsnbc"), min_size=2, max_size=10))
+    # Its 'c' row, expm(9.5125 C), is one whose square roots converge.
+    @example(seed=7260160, kinds=["g", "g", "g", "g", "g", "s", "s", "c"])
     def test_failing_rows_are_flagged_and_neighbours_unaffected(self, seed, kinds):
         sla = pytest.importorskip("scipy.linalg")
         rng = np.random.default_rng(seed)
@@ -364,14 +351,15 @@ class TestStackKernels:
             elif kind == "b":  # a negative real eigenvalue
                 basis = np.linalg.qr(rng.normal(size=(4, 4)))[0]
                 rows.append(basis @ np.diag([1.0, 0.5, -0.3, 0.8]) @ basis.T)
-            else:  # complex pair near the axis: the square-root iteration stalls
+            else:  # complex pair near the axis: the square-root iteration mostly stalls
                 rows.append(sla.expm(rng.uniform(9.0, 13.0) * cycle))
         logs, status = _log_stack(np.stack(rows))
         for kind, m, log_m, code in zip(kinds, rows, logs, status):
-            if kind == "g":
+            if kind == "g" or (kind == "c" and code == _LOG_OK):
                 assert code == _LOG_OK
                 np.testing.assert_array_equal(log_m, matrix_log(m))
                 assert _rel(log_m, sla.logm(m).real) <= 1e-10
+                assert (np.abs(np.linalg.eigvals(log_m).imag) < math.pi).all()
             else:
                 assert code != _LOG_OK
                 assert np.isnan(log_m).all()

@@ -4,6 +4,7 @@ import pytest
 
 from liemarkov import (
     Membership,
+    PrincipalLogError,
     ModelFormatError,
     PolynomialConstraint,
     RateModel,
@@ -17,18 +18,33 @@ from liemarkov import (
     is_stochastic_rate,
     jc,
     lm88_model,
+    log_product,
     membership,
     model_from_dict,
     model_residual,
     model_to_dict,
+    multiplicative_closure_check,
     sample_stochastic,
+    sample_with_rng,
     zoo_model,
     zoo_names,
 )
+from liemarkov.closure import _MAX_WITNESSES
 from liemarkov.model import load_model, save_model
 from liemarkov.zoo import REFERENCE_LOG_PRODUCT
 
-from conftest import row_convention_doc
+from conftest import make_rate_matrix, row_convention_doc
+
+
+def by_hand(c, q):
+    """Per-term product and sum in declaration order, starting from 0.0."""
+    total = 0.0
+    for coeff, monomial in c.terms:
+        prod = coeff
+        for i, j in monomial:
+            prod *= q[i - 1, j - 1]
+        total += prod
+    return total
 
 
 def q12_constraint(value=1.0):
@@ -63,6 +79,33 @@ class TestPolynomialConstraint:
         c = PolynomialConstraint(((1.0, ((1, 4),)),))
         with pytest.raises(IndexError, match="out of range"):
             c.evaluate(np.zeros((3, 3)))
+        model = RateModel(name="short", n=3, constraints=(q12_constraint(0.0), c))
+        with pytest.raises(IndexError, match=r"\(1, 4\) out of range for order 3"):
+            evaluate_constraints(model, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("name", ["hky", "gtr"])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-2, 1.0, 1e3])
+    def test_compiled_values_equal_hand_sum(self, name, scale):
+        model = zoo_model(name)
+        rng = np.random.default_rng(0)
+        for _ in range(25):
+            q = scale * rng.normal(size=(4, 4))
+            expected = [by_hand(c, q) for c in model.constraints]
+            assert [c.evaluate(q) for c in model.constraints] == expected
+            assert evaluate_constraints(model, q) == expected
+
+    def test_constant_and_mixed_degree_terms(self):
+        c = PolynomialConstraint(
+            ((2.5, ((1, 2), (2, 3))), (-0.75, ()), (1.0, ((3, 1),)), (-3.0, ((1, 3), (2, 1), (3, 2))))
+        )
+        model = RateModel(name="mixed", n=3, constraints=(c, q12_constraint(0.2)))
+        rng = np.random.default_rng(3)
+        for _ in range(25):
+            q = rng.normal(size=(3, 3))
+            assert c.evaluate(q) == by_hand(c, q)
+            assert evaluate_constraints(model, q) == [by_hand(c, q), by_hand(q12_constraint(0.2), q)]
+        assert PolynomialConstraint(((4.0, ()),)).evaluate(np.zeros((2, 2))) == 4.0
+        assert PolynomialConstraint(()).evaluate(np.ones((2, 2))) == 0.0
 
     @pytest.mark.parametrize("alpha", [0.25, 2.0, 10.0])
     def test_residual_scales_with_degree(self, alpha):
@@ -154,12 +197,12 @@ class TestMembership:
         res = membership(hky_model(), REFERENCE_LOG_PRODUCT)
         assert res.in_r is False
         assert res.in_r_plus is False
-        assert isinstance(res.detail, list)
+        assert res.residual > 1e-5
 
     def test_reference_log_product_in_lm88(self):
         res = membership(lm88_model(), REFERENCE_LOG_PRODUCT, tol=1e-6)
         assert res.in_r and res.in_r_plus
-        assert res.detail.residual <= 1e-6
+        assert res.residual <= 1e-6
 
     def test_scale_invariance(self):
         model = hky_model()
@@ -175,8 +218,42 @@ class TestMembership:
             membership(bare, np.zeros((4, 4)))
 
     def test_namedtuple_unpacks(self):
-        in_r, in_r_plus, detail = membership(hky_model(), np.zeros((4, 4)))
-        assert isinstance(Membership(in_r, in_r_plus, detail), Membership)
+        in_r, in_r_plus, residual = membership(hky_model(), np.zeros((4, 4)))
+        assert isinstance(Membership(in_r, in_r_plus, residual), Membership)
+        assert residual == 0.0
+
+    @pytest.mark.parametrize("name", zoo_names())
+    def test_residual_is_model_residual(self, name):
+        model = zoo_model(name)
+        rng = np.random.default_rng(11)
+        for q in [sample_stochastic(model, 8), np.asarray(REFERENCE_LOG_PRODUCT),
+                  make_rate_matrix(rng, 4, max_norm=3.0)]:
+            for tol in (1e-10, 1e-8, 1e-3):
+                res = membership(model, q, tol)
+                assert res.residual == model_residual(model, q)
+                assert res.in_r == (model_residual(model, q) <= tol)
+
+    @pytest.mark.parametrize("name", zoo_names())
+    def test_agrees_with_the_audit(self, name):
+        # Ten pairs never exceed the witness cap, so every failing pair is a witness.
+        model, samples = zoo_model(name), _MAX_WITNESSES
+        for seed in (5, 15, 25):
+            report = multiplicative_closure_check(model, samples=samples, seed=seed)
+            witnesses = {w.pair_index for w in report.witnesses}
+            for w in report.witnesses:
+                assert membership(model, w.log_product).in_r is False
+            passed = 0
+            for k in set(range(samples)) - witnesses:
+                # Pair k of an audit draws q, then q', from default_rng(seed + k).
+                rng = np.random.default_rng(seed + k)
+                q, q_prime = sample_with_rng(model, rng), sample_with_rng(model, rng)
+                try:
+                    log = log_product(q, q_prime)
+                except PrincipalLogError:
+                    continue
+                assert membership(model, log).in_r is True
+                passed += 1
+            assert passed == report.samples_tested - len(witnesses)
 
 
 class TestScalingClosure:

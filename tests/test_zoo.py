@@ -3,7 +3,6 @@ import pytest
 
 from liemarkov import (
     evaluate_constraints,
-    exact_rank,
     f81,
     f81_model,
     gtr,
@@ -27,6 +26,8 @@ from liemarkov import (
     zoo_names,
 )
 from liemarkov.zoo import REFERENCE_HKY_PARAMS, REFERENCE_LOG_PRODUCT
+
+from exact import exact_rank
 
 
 class TestStackBuilders:
