@@ -38,6 +38,7 @@ from .model import (
     model_residual,
     model_to_dict,
     sample_stochastic,
+    sample_stochastic_stack,
     sample_with_rng,
     save_model,
 )

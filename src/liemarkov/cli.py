@@ -32,7 +32,7 @@ from .model import (
     constraints_homogeneous,
     load_model,
     model_to_dict,
-    sample_stochastic,
+    sample_stochastic_stack,
     sample_with_rng,
 )
 from .zoo import (
@@ -246,7 +246,8 @@ def _cmd_bch(args) -> int:
 
 def _cmd_sample(args) -> int:
     model = _resolve_model(args.model)
-    mats = [sample_stochastic(model, args.seed + i) for i in range(args.samples)]
+    # Sample i is sample_stochastic(model, seed + i); a count of zero or below draws nothing.
+    mats = sample_stochastic_stack(model, args.seed, args.samples) if args.samples > 0 else []
     payload = {
         "command": "sample",
         "config": _config_dict(args),

@@ -31,7 +31,9 @@ from .model import (
     RateModel,
     SamplingError,
     _compile_residual,
+    _SeedStreams,
     _exhausted,
+    _generator_source,
     _sample_stack,
     is_in_L,
 )
@@ -90,6 +92,12 @@ def lie_closure(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.ndarray
     direction of the newest level is bracketed with every s in S. A
     closure of dimension d thus costs at most |S| d brackets.
 
+    A level's brackets are formed as one array operation: the first
+    level as g_i g_j - g_j g_i over every generator pair i < j, each
+    later level as v g - g v over every new direction v and generator g,
+    written straight into the level's (k |S|, n^2) block. Each bracket
+    is the same floating-point value as commutator(v, g).
+
     A level's brackets are orthogonalised against the basis accumulated
     so far by two block Gram-Schmidt passes. The right singular vectors
     of what remains whose singular values exceed rel_tol become the next
@@ -117,19 +125,22 @@ def lie_closure(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.ndarray
     for b in mats:
         if not is_in_L(b, tol=1e-10 * max(1.0, frobenius(b))):
             raise ValueError("lie_closure requires zero-sum generators")
-    gens = orthonormal_basis([_zero_sum(b) for b in mats], rel_tol)
     n = mats[0].shape[0]
+    gens = orthonormal_basis([_zero_sum(b) for b in mats], rel_tol)
+    gens = np.reshape(gens, (len(gens), n, n))
     ambient = n * n - n
     # Rows 0..d-1 hold the orthonormal basis found so far, vectorized.
     flat = np.empty((ambient, n * n))
     d = len(gens)
-    flat[:d] = np.reshape(gens, (d, n * n))
+    flat[:d] = gens.reshape(d, n * n)
     dims = [d]
     smallest_accepted, largest_rejected = math.inf, 0.0
     # [g_i, g_j] for j <= i is zero or an earlier bracket's negative.
-    brackets = [commutator(g, s) for i, g in enumerate(gens) for s in gens[i + 1:]]
-    while brackets and d < ambient:
-        block = np.stack(brackets).reshape(len(brackets), -1)
+    i, j = np.triu_indices(d, 1)
+    block = gens[i] @ gens[j]
+    block -= gens[j] @ gens[i]
+    block = block.reshape(len(i), n * n)
+    while len(block) and d < ambient:
         for _ in range(2):
             block -= (block @ flat[:d].T) @ flat[:d]
         _, svals, vt = np.linalg.svd(block, full_matrices=False)
@@ -141,7 +152,11 @@ def lie_closure(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.ndarray
         # A direction with a small singular value carries eps/sigma of the basis.
         new = vt[:k] - (vt[:k] @ flat[:d].T) @ flat[:d]
         flat[d:d + k] = _zero_sum(new.reshape(k, n, n)).reshape(k, n * n)
-        brackets = [commutator(v.reshape(n, n), s) for v in flat[d:d + k] for s in gens]
+        # [v, s] for every new direction v and generator s, v-major, as the next block.
+        v = flat[d:d + k].reshape(k, 1, n, n)
+        block = v @ gens
+        block -= gens @ v
+        block = block.reshape(k * len(gens), n * n)
         d += k
         dims.append(d)
     logger.debug(
@@ -156,17 +171,18 @@ def span_basis(model: RateModel, seed: int = 0, rel_tol: float = DEFAULT_RANK_RT
     """Orthonormal basis of the span of the model's stochastic cone.
 
     Uses the declared basis when present; otherwise draws 4 n^2
-    generators from the parameterization as one stack, every row from
-    the one generator seeded with seed (so, while no draw is rejected,
-    the same matrices as 4 n^2 sequential sample_with_rng calls), and
-    extracts a rank-revealing basis.
+    generators from the parameterization as one stack, all rows from
+    the one generator seeded with seed, in row order, as a single
+    (rows, m) draw per attempt (so, while no draw is rejected, the same
+    matrices as 4 n^2 sequential sample_with_rng calls), and extracts a
+    rank-revealing basis.
     """
     if model.basis:
         return orthonormal_basis(model.basis, rel_tol)
     if not model.samplable:
         raise ValueError(f"model {model.name!r} has no basis and cannot be sampled")
-    rng = np.random.default_rng(seed)
-    mats, ok = _sample_stack(model, [rng] * (4 * model.n ** 2))
+    source = _generator_source(np.random.default_rng(seed))
+    mats, ok = _sample_stack(model, np.arange(4 * model.n ** 2), source)
     if not ok.all():
         raise _exhausted(model, 1000)
     return orthonormal_basis(mats, rel_tol)
@@ -247,24 +263,27 @@ def _select_witnesses(found: list[Witness], cap: int = _MAX_WITNESSES) -> tuple[
     return tuple(found[i] for i in sorted(chosen))
 
 
-def _log_product_block(model: RateModel, rngs, residual) -> tuple[np.ndarray, ...]:
-    """Pair k of a block: q then q' from rngs[k], and log(exp(q) exp(q')).
+def _log_product_block(model: RateModel, seed: int, count: int, residual) -> tuple[np.ndarray, ...]:
+    """A block of count pairs: pair k draws q then q' from default_rng(seed + k)'s stream.
 
-    Every row draws its q slot first and its q' slot second, so each
-    pair's generator is read in the same order as sequential draws.
-    Returns q, q', the log-products and a mask of the pairs that have
-    one; a pair fails when its sampler is exhausted or its product has
-    no principal logarithm.
+    The streams of all pairs are one _SeedStreams, local to the call.
+    Every row draws its q slot first; only the rows whose q was accepted
+    then draw their q' slot, so each pair's stream is read in the same
+    order as sequential draws from its own generator. Returns q, q', the
+    log-products and a mask of the pairs that have one; a pair fails
+    when its sampler is exhausted or its product has no principal
+    logarithm.
     """
+    streams = _SeedStreams(seed, count)
     try:
-        q, ok = _sample_stack(model, rngs, residual)
+        q, ok = _sample_stack(model, np.arange(count), streams.random, residual)
         q_prime = np.full_like(q, np.nan)
         rows = np.flatnonzero(ok)
-        q_prime[rows], ok[rows] = _sample_stack(model, [rngs[k] for k in rows], residual)
+        q_prime[rows], ok[rows] = _sample_stack(model, rows, streams.random, residual)
     except SamplingError:
         # A model its sampler cannot serve at all fails every pair.
-        q = q_prime = np.full((len(rngs), model.n, model.n), np.nan)
-        ok = np.zeros(len(rngs), dtype=bool)
+        q = q_prime = np.full((count, model.n, model.n), np.nan)
+        ok = np.zeros(count, dtype=bool)
     logs = np.full_like(q, np.nan)
     rows = np.flatnonzero(ok)
     exps = _exp_stack(np.concatenate([q[rows], q_prime[rows]]))
@@ -290,13 +309,15 @@ def multiplicative_closure_check(
     inconclusive, because a bracket-closed span does not vouch for a
     smaller constraint variety inside it.
 
-    Pair k derives its randomness from seed + k, so the audit is
-    deterministic. Pairs run in blocks of up to 1024: one stack draw of
-    every pair's q, one of every q', one stack exponential of the 2B
-    generators, one stack logarithm of the B products and one pass of
-    the model's residual, compiled once per call. Pair k gets the same
-    matrices, log-product and residual as the batch-of-one kernels
-    (matrix_exp, matrix_log, sample_with_rng) give it alone. Pairs
+    Pair k reads the stream of np.random.default_rng(seed + k), so the
+    audit is deterministic. Pairs run in blocks of up to 1024: the
+    block's streams are seeded and advanced as arrays (_SeedStreams,
+    local to the call), then one stack draw of every pair's q, one of
+    every q', one stack exponential of the 2B generators, one stack
+    logarithm of the B products and one pass of the model's residual,
+    compiled once per call. Pair k gets the same matrices, log-product
+    and residual as the batch-of-one kernels (matrix_exp, matrix_log,
+    sample_with_rng on default_rng(seed + k)) give it alone. Pairs
     whose sampler is exhausted or whose product has no principal
     logarithm are skipped; more than samples/2 of them is an error.
     """
@@ -310,8 +331,7 @@ def multiplicative_closure_check(
     tested = 0
     for start in range(0, samples, _PAIR_BLOCK):
         index = range(start, min(start + _PAIR_BLOCK, samples))
-        rngs = [np.random.default_rng(seed + k) for k in index]
-        q, q_prime, logs, ok = _log_product_block(model, rngs, residual)
+        q, q_prime, logs, ok = _log_product_block(model, seed + start, len(index), residual)
         failures += len(ok) - int(ok.sum())
         if failures > samples / 2:
             raise RuntimeError(

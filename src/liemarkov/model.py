@@ -10,6 +10,7 @@ share across threads.
 from __future__ import annotations
 
 import json
+import operator
 from operator import itemgetter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -134,9 +135,12 @@ class RateModel:
             mats.append(b)
         object.__setattr__(self, "basis", tuple(mats))
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        if self.basis and self.constraints:
-            values = _compile_constraints(self.n, self.constraints)(np.stack(self.basis))
-            if np.max(np.abs(values)) > 1e-12:
+        if self.constraints:
+            try:
+                values = _compile_constraints(self.n, self.constraints)
+            except IndexError as exc:
+                raise ValueError(str(exc)) from None
+            if self.basis and np.max(np.abs(values(np.stack(self.basis)))) > 1e-12:
                 raise ValueError("basis matrices must satisfy the declared constraints")
         if self.parameter_ranges is not None:
             ranges = tuple((float(lo), float(hi)) for lo, hi in self.parameter_ranges)
@@ -304,22 +308,146 @@ def membership(model: RateModel, q, tol: float = DEFAULT_MEMBERSHIP_TOL) -> Memb
     return Membership(in_r, bool(in_r and is_stochastic_rate(q, tol)), residual)
 
 
+# SeedSequence's hash constants and PCG64's 128-bit LCG multiplier, as numpy defines them.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# The multiplier's high word, low word and the low word's 32-bit halves.
+_PCG_HI, _PCG_LO, _PCG_LO0, _PCG_LO1 = (
+    np.array(w, dtype=np.uint64)
+    for w in (_PCG_MULT >> 64, _PCG_MULT & (2**64 - 1), _PCG_MULT & _MASK32, (_PCG_MULT >> 32) & _MASK32)
+)
+_U32_MASK = np.array(_MASK32, dtype=np.uint64)
+
+
+def _u32(x: int) -> np.ndarray:
+    return np.array(x, dtype=np.uint32)
+
+
+def _u64(x: int) -> np.ndarray:
+    return np.array(x, dtype=np.uint64)
+
+
+class _SeedStreams:
+    """The streams of np.random.default_rng(seed + k) for k < count, advanced as arrays.
+
+    Reproduces, with uint32/uint64 array arithmetic for every row at
+    once, SeedSequence(seed + k): the entropy words of seed + k, the
+    pool mixing and generate_state(4, uint64); then PCG64's seeding from
+    those four words, its 128-bit LCG step and XSL-RR output, and
+    Generator.random()'s (x >> 11) * 2**-53. ``random(rows, m)`` returns
+    the next m doubles of each listed row's stream and advances only
+    those rows, so row k yields what default_rng(seed + k).random(m)
+    calls would. The state lives in the instance, never in the module.
+    Raises ValueError when a seed + k is negative, as default_rng does.
+    """
+
+    def __init__(self, seed: int, count: int):
+        seed = operator.index(seed)
+        if count > 0 and seed < 0:
+            raise ValueError("expected non-negative integer")
+        # Entropy: the base-2**32 words of seed + k, least significant first, one column per row.
+        nwords = max(1, ((seed + count - 1).bit_length() + 31) // 32)
+        words = np.zeros((max(nwords, 4), count), dtype=np.uint32)
+        carry = np.arange(count, dtype=np.uint64)
+        for i in range(nwords):
+            total = carry + _u64((seed >> (32 * i)) & _MASK32)
+            words[i] = total & _U32_MASK
+            carry = total >> _u64(32)
+        # SeedSequence pads entropy shorter than its pool of 4 with zeros, which
+        # is what the zero rows are; longer entropy mixes only the words it has.
+        length = len(words) - np.argmax(words[::-1] != 0, axis=0)
+        hash_const = _INIT_A
+
+        def hashmix(value: np.ndarray) -> np.ndarray:
+            nonlocal hash_const
+            value = value ^ _u32(hash_const)
+            hash_const = hash_const * _MULT_A & _MASK32
+            value = value * _u32(hash_const)
+            return value ^ (value >> _u32(16))
+
+        def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+            out = _u32(_MIX_L) * x - _u32(_MIX_R) * y
+            return out ^ (out >> _u32(16))
+
+        pool = [hashmix(words[i]) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for src in range(4, len(words)):
+            present = length > src
+            for dst in range(4):
+                pool[dst] = np.where(present, mix(pool[dst], hashmix(words[src])), pool[dst])
+        # generate_state(4, uint64): eight hashed 32-bit words, paired little-endian.
+        hash_const = _INIT_B
+        state = []
+        for i in range(8):
+            value = pool[i % 4] ^ _u32(hash_const)
+            hash_const = hash_const * _MULT_B & _MASK32
+            value = value * _u32(hash_const)
+            state.append((value ^ (value >> _u32(16))).astype(np.uint64))
+        w = [state[2 * j] | (state[2 * j + 1] << _u64(32)) for j in range(4)]
+        # PCG64 seeding: inc = (w2:w3 << 1) | 1, state = inc + w0:w1, then one step.
+        self.inc_hi = (w[2] << _u64(1)) | (w[3] >> _u64(63))
+        self.inc_lo = (w[3] << _u64(1)) | _u64(1)
+        lo = self.inc_lo + w[1]
+        hi = self.inc_hi + w[0] + (lo < w[1])
+        self.hi, self.lo = self._step(hi, lo, self.inc_hi, self.inc_lo)
+
+    @staticmethod
+    def _step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
+        """One LCG step, state * _PCG_MULT + inc mod 2**128, on (high, low) word arrays."""
+        # The high word of lo * _PCG_LO, from the 32-bit halves of both factors.
+        lo0, lo1 = lo & _U32_MASK, lo >> _u64(32)
+        p00, p01, p10, p11 = lo0 * _PCG_LO0, lo0 * _PCG_LO1, lo1 * _PCG_LO0, lo1 * _PCG_LO1
+        mid = (p00 >> _u64(32)) + (p01 & _U32_MASK) + (p10 & _U32_MASK)
+        high = p11 + (p01 >> _u64(32)) + (p10 >> _u64(32)) + (mid >> _u64(32))
+        new_lo = lo * _PCG_LO + inc_lo
+        new_hi = high + lo * _PCG_HI + hi * _PCG_LO + inc_hi + (new_lo < inc_lo)
+        return new_hi, new_lo
+
+    def random(self, rows: np.ndarray, m: int) -> np.ndarray:
+        """The next m doubles in [0, 1) of each listed row's stream, shape (len(rows), m)."""
+        hi, lo = self.hi[rows], self.lo[rows]
+        inc_hi, inc_lo = self.inc_hi[rows], self.inc_lo[rows]
+        bits = np.empty((len(rows), m), dtype=np.uint64)
+        for j in range(m):
+            hi, lo = self._step(hi, lo, inc_hi, inc_lo)
+            # XSL-RR: the xor of both words, rotated right by the top 6 bits.
+            x, rot = hi ^ lo, hi >> _u64(58)
+            bits[:, j] = (x >> rot) | (x << ((_u64(64) - rot) & _u64(63)))
+        self.hi[rows], self.lo[rows] = hi, lo
+        return (bits >> _u64(11)).astype(float) * 2.0 ** -53
+
+
+def _generator_source(rng: np.random.Generator) -> Callable[[np.ndarray, int], np.ndarray]:
+    """One shared Generator as a stream source: the listed rows draw from it in row order."""
+    return lambda rows, m: rng.random((len(rows), m))
+
+
 def _sample_stack(
     model: RateModel,
-    rngs: Sequence[np.random.Generator],
+    rows: np.ndarray,
+    random: Callable[[np.ndarray, int], np.ndarray],
     residual: Callable[[np.ndarray], np.ndarray] | None = None,
     max_attempts: int = 1000,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One stochastic rate matrix per generator in rngs, as a (B, n, n) stack.
+    """One stochastic rate matrix per stream in rows, as a (len(rows), n, n) stack.
 
-    Row k draws from rngs[k] exactly as sample_with_rng(model, rngs[k])
-    would: a parameterized model draws its parameter row uniform(lo, hi)
-    as one vector, a basis-only model draws its coefficients uniformly
-    in [-1, 1]. A rejected row redraws alone, from its own generator, up to
-    max_attempts times in all; a row that runs out is marked failed in
-    the returned mask (its matrix is NaN) instead of raising. The same
-    generator may fill several rows, which then draw from it in row
-    order; that matches sequential draws while no row is rejected.
+    ``random(rows, m)`` is the stream source: the next m uniform doubles
+    of each listed stream, as a (len(rows), m) array, either a
+    _SeedStreams or one shared Generator (_generator_source). Each
+    attempt makes one draw for all pending rows: a parameterized model
+    maps lo + (hi - lo) * unit through its parameterization, which is
+    Generator.uniform(lo, hi); a basis-only model takes coefficients
+    -1 + 2 * unit, which is Generator.uniform(-1, 1). So a row draws what
+    sample_with_rng would draw from its stream. A rejected row redraws
+    alone, from its own stream, up to max_attempts times in all; a row
+    that runs out is marked failed in the returned mask (its matrix is
+    NaN) instead of raising. Rows of a shared Generator draw from it in
+    row order; that matches sequential draws while no row is rejected.
 
     A parameterized draw is accepted when it is a stochastic rate matrix
     and its model residual is at most 1e-10; ``residual`` is that
@@ -340,27 +468,24 @@ def _sample_stack(
         residual = residual or _compile_residual(model)
 
         def draw(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # Generator.uniform(lo, hi) forms lo + (hi - lo) * random(); this
-            # is that stream without its per-call argument checks.
-            unit = np.array([rngs[k].random(len(lo)) for k in rows]).reshape(len(rows), len(lo))
-            q = fn(lo + (hi - lo) * unit)
+            q = fn(lo + (hi - lo) * random(rows, len(lo)))
             return q, is_stochastic_rate(q, 1e-12) & (residual(q) <= 1e-10)
     elif model.basis:
         stack = np.reshape(model.basis, (len(model.basis), n * n))
 
         def draw(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            coeffs = np.array([rngs[k].uniform(-1.0, 1.0, size=len(stack)) for k in rows])
+            coeffs = -1.0 + 2.0 * random(rows, len(stack))
             q = (coeffs[:, None, :] @ stack).reshape(len(rows), n, n)
             return q, is_stochastic_rate(q, 1e-12)
     else:
         raise SamplingError(f"model {model.name!r} has no parameterization or basis to sample")
-    out = np.full((len(rngs), n, n), np.nan)
-    ok = np.zeros(len(rngs), dtype=bool)
-    pending = np.arange(len(rngs))
+    out = np.full((len(rows), n, n), np.nan)
+    ok = np.zeros(len(rows), dtype=bool)
+    pending = np.arange(len(rows))
     for _ in range(max_attempts):
         if not len(pending):
             break
-        q, accept = draw(pending)
+        q, accept = draw(rows[pending])
         out[pending[accept]] = q[accept]
         ok[pending[accept]] = True
         pending = pending[~accept]
@@ -373,7 +498,7 @@ def sample_with_rng(model: RateModel, rng: np.random.Generator, max_attempts: in
     The batch-of-one case of the stack sampler the closure audit uses;
     raises SamplingError when no draw is accepted in max_attempts.
     """
-    q, ok = _sample_stack(model, [rng], max_attempts=max_attempts)
+    q, ok = _sample_stack(model, np.arange(1), _generator_source(rng), max_attempts=max_attempts)
     if not ok[0]:
         raise _exhausted(model, max_attempts)
     return q[0]
@@ -391,8 +516,24 @@ def _exhausted(model: RateModel, max_attempts: int) -> SamplingError:
 
 
 def sample_stochastic(model: RateModel, seed: int) -> np.ndarray:
-    """Deterministic seeded draw from the model's stochastic cone."""
-    return sample_with_rng(model, np.random.default_rng(seed))
+    """Deterministic seeded draw from the model's stochastic cone.
+
+    The batch-of-one case of sample_stochastic_stack: the draw
+    sample_with_rng makes from np.random.default_rng(seed).
+    """
+    return sample_stochastic_stack(model, seed, 1)[0]
+
+
+def sample_stochastic_stack(model: RateModel, seed: int, count: int) -> np.ndarray:
+    """Row k is sample_stochastic(model, seed + k), for k < count, drawn as one stack.
+
+    Raises SamplingError when any row's sampler is exhausted, and
+    ValueError when seed is negative, as default_rng does.
+    """
+    mats, ok = _sample_stack(model, np.arange(count), _SeedStreams(seed, count).random)
+    if not ok.all():
+        raise _exhausted(model, 1000)
+    return mats
 
 
 def check_scaling_closure(model: RateModel) -> bool:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from liemarkov import RateModel, model_to_dict, sample_stochastic, sample_with_rng, save_model, zoo_model
 from liemarkov.cli import EXIT_ERROR, EXIT_NOT_CLOSED, EXIT_OK, main
 
 
@@ -48,6 +49,17 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "--model", str(path))
         assert code == EXIT_ERROR
         assert "basis or constraints" in err
+
+    def test_constraint_index_beyond_order(self, capsys, tmp_path):
+        # Samplable, so the audit would reach the constraint compiler if the file loaded.
+        doc = model_to_dict(zoo_model("hky"))
+        doc["constraints"] = [{"terms": [{"coeff": 1.0, "monomial": [[1, 5]]}]}]
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", "--model", str(path))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == "error: constraint index (1, 5) out of range for order 4\n"
 
     def test_timestamp_toggle(self, capsys):
         _, out, _ = run_cli(capsys, "check", "--model", "jc", "--samples", "5")
@@ -173,6 +185,47 @@ class TestSample:
         assert len(doc["matrices"]) == 3
         q = np.array(doc["matrices"][0])
         assert np.abs(q.sum(axis=0)).max() < 1e-12
+
+
+    @pytest.mark.parametrize("name", ["hky", "gtr", "k2p-span"])
+    def test_matches_per_seed_draws(self, name, capsys, tmp_path):
+        # Sample i is the draw of default_rng(seed + i); k2p's span rejects most draws, so rows redraw.
+        if name == "k2p-span":
+            model = RateModel(name=name, n=4, basis=zoo_model("k2p").basis)
+            ref = tmp_path / "k2p-span.json"
+            save_model(model, ref)
+        else:
+            model, ref = zoo_model(name), name
+        seed = 2**32 - 4
+        code, out, _ = run_cli(capsys, "sample", "--model", str(ref), "--samples", "9",
+                               "--seed", str(seed), "--no-timestamp")
+        assert code == EXIT_OK
+        mats = np.array(json.loads(out)["matrices"])
+        for i in range(9):
+            np.testing.assert_array_equal(mats[i], sample_stochastic(model, seed + i))
+            np.testing.assert_array_equal(mats[i], sample_with_rng(model, np.random.default_rng(seed + i)))
+
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_no_samples(self, samples, capsys):
+        code, out, _ = run_cli(capsys, "sample", "--samples", samples, "--no-timestamp")
+        assert code == EXIT_OK
+        assert json.loads(out)["matrices"] == []
+
+    def test_exhausted_sampler_is_an_error(self, capsys, tmp_path):
+        # Off-diagonal entries of both signs: no multiple of the basis matrix is a rate matrix.
+        bad = np.zeros((4, 4))
+        bad[0, 1], bad[1, 1], bad[0, 2], bad[2, 2] = 1.0, -1.0, -1.0, 1.0
+        path = tmp_path / "stuck.json"
+        save_model(RateModel(name="stuck", n=4, basis=(bad,)), path)
+        code, out, err = run_cli(capsys, "sample", "--model", str(path), "--samples", "3")
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error:") and "attempts" in err
+
+    def test_negative_seed_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--seed", "-1", "--samples", "2")
+        assert code == EXIT_ERROR
+        assert out == "" and err == "error: expected non-negative integer\n"
 
 
 class TestReproPaper:

@@ -42,10 +42,11 @@ from liemarkov import (
     zoo_names,
 )
 from liemarkov import closure
-from liemarkov.model import _sample_stack
+from liemarkov.model import _SeedStreams, _sample_stack
 from liemarkov.zoo import REFERENCE_LOG_PRODUCT, reference_pair
 
 from audit_goldens import AUDIT_GOLDENS
+from bracket_loop import lie_closure_loop
 from conftest import chain_logs, make_rate_matrix, row_convention_doc
 from exact import exact_rank
 
@@ -344,6 +345,35 @@ class TestLieClosure:
             assert accepted >= 1e3 * rejected
 
 
+class TestBatchedBrackets:
+    """lie_closure forms each level's brackets as one array; the per-bracket loop is the reference."""
+
+    @staticmethod
+    def _assert_same_basis(gens):
+        batched, looped = lie_closure(gens), lie_closure_loop(gens)
+        assert len(batched) == len(looped)
+        for b, ref in zip(batched, looped):
+            np.testing.assert_array_equal(b, ref)
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_generic_pairs(self, n):
+        self._assert_same_basis(list(_generic_pair(np.random.default_rng(n), n)))
+
+    @pytest.mark.parametrize("seed", [0, 4, 6, 13])
+    def test_kronecker_pairs(self, seed):
+        self._assert_same_basis(_kronecker_pair(seed, 4, 4))
+
+    @pytest.mark.parametrize("name", zoo_names())
+    def test_zoo_span_bases(self, name):
+        self._assert_same_basis(span_basis(zoo_model(name), seed=0))
+
+    @pytest.mark.parametrize("n, count", [(4, 1), (5, 2), (3, 3)])
+    def test_all_zero_generators(self, n, count):
+        # No generator survives orthonormalisation, so there is no bracket to form.
+        assert lie_closure([np.zeros((n, n))] * count) == []
+        self._assert_same_basis([np.zeros((n, n))] * count)
+
+
 class TestMultiplicativeClosure:
     def test_jc_closed(self):
         report = multiplicative_closure_check(jc_model(), samples=20, seed=1)
@@ -604,9 +634,9 @@ class TestBatchedAudit:
         # Coefficient draws in [-1, 1]^2: three of four land outside the stochastic cone.
         model = RateModel(name="k2p-span", n=4, basis=zoo_model("k2p").basis)
         seed, count = 11, 40
-        rngs = [np.random.default_rng(seed + k) for k in range(count)]
-        q, ok = _sample_stack(model, rngs)
-        q_prime, ok_prime = _sample_stack(model, rngs)
+        streams, rows = _SeedStreams(seed, count), np.arange(count)
+        q, ok = _sample_stack(model, rows, streams.random)
+        q_prime, ok_prime = _sample_stack(model, rows, streams.random)
         assert ok.all() and ok_prime.all()
         for k in range(count):
             rng = np.random.default_rng(seed + k)
@@ -615,8 +645,7 @@ class TestBatchedAudit:
 
     def test_exhausted_rows_fail_alone(self):
         model = RateModel(name="k2p-span", n=4, basis=zoo_model("k2p").basis)
-        rngs = [np.random.default_rng(5 + k) for k in range(40)]
-        q, ok = _sample_stack(model, rngs, max_attempts=2)
+        q, ok = _sample_stack(model, np.arange(40), _SeedStreams(5, 40).random, max_attempts=2)
         assert 0 < ok.sum() < 40
         for k in range(40):
             rng = np.random.default_rng(5 + k)

@@ -412,12 +412,12 @@ class TestStackKernels:
         # The stacks an audit block feeds the kernels: 60 pairs drawn as the audit draws them.
         sla = pytest.importorskip("scipy.linalg")
         from liemarkov import zoo_model
-        from liemarkov.model import _sample_stack
+        from liemarkov.model import _SeedStreams, _sample_stack
 
         model = zoo_model(name)
-        rngs = [np.random.default_rng(17 + k) for k in range(60)]
-        q, ok = _sample_stack(model, rngs)
-        q_prime, ok_prime = _sample_stack(model, rngs)
+        streams, rows = _SeedStreams(17, 60), np.arange(60)
+        q, ok = _sample_stack(model, rows, streams.random)
+        q_prime, ok_prime = _sample_stack(model, rows, streams.random)
         assert ok.all() and ok_prime.all()
         exps = _exp_stack(np.concatenate([q, q_prime]))
         logs, status = _log_stack(exps[:60] @ exps[60:])

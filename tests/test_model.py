@@ -1,6 +1,10 @@
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liemarkov import (
     Membership,
@@ -25,12 +29,14 @@ from liemarkov import (
     model_to_dict,
     multiplicative_closure_check,
     sample_stochastic,
+    sample_stochastic_stack,
     sample_with_rng,
     zoo_model,
     zoo_names,
 )
 from liemarkov.closure import _MAX_WITNESSES
-from liemarkov.model import load_model, save_model
+from liemarkov import model as model_module
+from liemarkov.model import _SeedStreams, load_model, save_model
 from liemarkov.zoo import REFERENCE_LOG_PRODUCT
 
 from conftest import make_rate_matrix, row_convention_doc
@@ -79,9 +85,9 @@ class TestPolynomialConstraint:
         c = PolynomialConstraint(((1.0, ((1, 4),)),))
         with pytest.raises(IndexError, match="out of range"):
             c.evaluate(np.zeros((3, 3)))
-        model = RateModel(name="short", n=3, constraints=(q12_constraint(0.0), c))
-        with pytest.raises(IndexError, match=r"\(1, 4\) out of range for order 3"):
-            evaluate_constraints(model, np.zeros((3, 3)))
+        # A model rejects the index when it is built, so no evaluation of it can reach the IndexError.
+        with pytest.raises(ValueError, match=r"\(1, 4\) out of range for order 3"):
+            RateModel(name="short", n=3, constraints=(q12_constraint(0.0), c))
 
     @pytest.mark.parametrize("name", ["hky", "gtr"])
     @pytest.mark.parametrize("scale", [1e-6, 1e-2, 1.0, 1e3])
@@ -313,7 +319,87 @@ class TestSampling:
             sample_stochastic(model, 0)
 
 
+# Seeds around the word boundaries of SeedSequence's entropy: 1 to 5 words of 32 bits.
+_BOUNDARIES = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**128)
+_SEEDS = st.one_of(
+    st.integers(0, 2**140),
+    st.builds(lambda b, k: max(b + k, 0), st.sampled_from(_BOUNDARIES), st.integers(-20, 20)),
+)
+
+
+class TestSeedStreams:
+    """Row k of _SeedStreams(seed, count) is the stream of np.random.default_rng(seed + k)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=_SEEDS, count=st.integers(1, 12), data=st.data())
+    def test_rows_match_default_rng(self, seed, count, data):
+        streams = _SeedStreams(seed, count)
+        gens = [np.random.default_rng(seed + k) for k in range(count)]
+        subsets = st.permutations(range(count)).flatmap(lambda p: st.integers(0, count).map(lambda size: p[:size]))
+        for _ in range(data.draw(st.integers(1, 4))):
+            # Successive draws over row subsets in any order; the other rows stay where they were.
+            rows, m = data.draw(subsets), data.draw(st.integers(0, 6))
+            out = streams.random(np.array(rows, dtype=int), m)
+            assert out.shape == (len(rows), m)
+            for r, k in enumerate(rows):
+                np.testing.assert_array_equal(out[r], gens[k].random(m))
+
+    @pytest.mark.parametrize("boundary", _BOUNDARIES[1:] + (2**128 + 2**64,))
+    def test_blocks_straddling_word_boundaries(self, boundary):
+        # Rows below the boundary have one entropy word fewer than the rows at and above it.
+        seed, count = boundary - 5, 11
+        out = _SeedStreams(seed, count).random(np.arange(count), 3)
+        for k in range(count):
+            np.testing.assert_array_equal(out[k], np.random.default_rng(seed + k).random(3))
+
+    def test_negative_seed_raises_like_default_rng(self):
+        with pytest.raises(ValueError) as ours:
+            _SeedStreams(-1, 4)
+        with pytest.raises(ValueError) as numpys:
+            np.random.default_rng(-1)
+        assert str(ours.value) == str(numpys.value)
+        with pytest.raises(ValueError, match="non-negative"):
+            multiplicative_closure_check(hky_model(), samples=3, seed=-2)
+        # No row, no seed to check.
+        assert _SeedStreams(-1, 0).random(np.arange(0), 3).shape == (0, 3)
+
+    def test_constants_are_unsigned_arrays(self):
+        # Under NEP 50 an op with a Python integer beyond the dtype raises OverflowError; with
+        # a uint array it wraps. Scalars would warn on overflow, so every constant is an array.
+        for name in ("_PCG_HI", "_PCG_LO", "_PCG_LO0", "_PCG_LO1", "_U32_MASK"):
+            value = getattr(model_module, name)
+            assert isinstance(value, np.ndarray) and value.dtype == np.uint64, name
+        streams = _SeedStreams(7, 3)
+        for state in (streams.hi, streams.lo, streams.inc_hi, streams.inc_lo):
+            assert state.dtype == np.uint64 and state.shape == (3,)
+
+    @pytest.mark.parametrize("seed, count", [(2**128 - 1, 3), (2**64 - 1, 1), (0, 1), (2**32 - 2, 4)])
+    def test_wraparound_emits_no_warning(self, seed, count):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _SeedStreams(seed, count).random(np.arange(count), 5)
+        for k in range(count):
+            np.testing.assert_array_equal(out[k], np.random.default_rng(seed + k).random(5))
+
+    @pytest.mark.parametrize("name", ["hky", "gtr", "k2p-span"])
+    def test_stack_rows_are_seeded_draws(self, name):
+        # k2p's basis coefficients in [-1, 1]^2 are rejected three times in four, so rows redraw.
+        model = (RateModel(name=name, n=4, basis=zoo_model("k2p").basis) if name == "k2p-span"
+                 else zoo_model(name))
+        seed = 2**32 - 10
+        mats = sample_stochastic_stack(model, seed, 20)
+        for k in range(20):
+            expected = sample_with_rng(model, np.random.default_rng(seed + k))
+            np.testing.assert_array_equal(mats[k], expected)
+            np.testing.assert_array_equal(sample_stochastic(model, seed + k), expected)
+
+
 class TestModelValidation:
+    def test_constraint_index_beyond_order_is_a_format_error(self):
+        doc = {"name": "short", "n": 3, "constraints": [{"terms": [{"coeff": 1.0, "monomial": [[1, 4]]}]}]}
+        with pytest.raises(ModelFormatError, match=r"\(1, 4\) out of range"):
+            model_from_dict(doc)
+
     def test_basis_must_be_zero_sum(self):
         with pytest.raises(ValueError, match="zero generator sums"):
             RateModel(name="bad", n=4, basis=(np.eye(4),))
