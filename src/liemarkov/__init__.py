@@ -38,7 +38,6 @@ from .model import (
     model_residual,
     model_to_dict,
     sample_stochastic,
-    sample_stochastic_stack,
     sample_with_rng,
     save_model,
 )

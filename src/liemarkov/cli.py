@@ -28,11 +28,11 @@ from .closure import (
 from .model import (
     ModelFormatError,
     SamplingError,
+    _sample_stochastic_stack,
     check_scaling_closure,
     constraints_homogeneous,
     load_model,
     model_to_dict,
-    sample_stochastic_stack,
     sample_with_rng,
 )
 from .zoo import (
@@ -246,8 +246,8 @@ def _cmd_bch(args) -> int:
 
 def _cmd_sample(args) -> int:
     model = _resolve_model(args.model)
-    # Sample i is sample_stochastic(model, seed + i); a count of zero or below draws nothing.
-    mats = sample_stochastic_stack(model, args.seed, args.samples) if args.samples > 0 else []
+    # Sample i is sample_stochastic(model, seed + i), drawn as one stack.
+    mats = _sample_stochastic_stack(model, args.seed, args.samples)
     payload = {
         "command": "sample",
         "config": _config_dict(args),

@@ -516,20 +516,18 @@ def _exhausted(model: RateModel, max_attempts: int) -> SamplingError:
 
 
 def sample_stochastic(model: RateModel, seed: int) -> np.ndarray:
-    """Deterministic seeded draw from the model's stochastic cone.
-
-    The batch-of-one case of sample_stochastic_stack: the draw
-    sample_with_rng makes from np.random.default_rng(seed).
-    """
-    return sample_stochastic_stack(model, seed, 1)[0]
+    """Deterministic seeded draw from the model's stochastic cone."""
+    return sample_with_rng(model, np.random.default_rng(seed))
 
 
-def sample_stochastic_stack(model: RateModel, seed: int, count: int) -> np.ndarray:
+def _sample_stochastic_stack(model: RateModel, seed: int, count: int) -> np.ndarray:
     """Row k is sample_stochastic(model, seed + k), for k < count, drawn as one stack.
 
-    Raises SamplingError when any row's sampler is exhausted, and
-    ValueError when seed is negative, as default_rng does.
+    A count of zero or below gives an empty stack. Raises SamplingError
+    when any row's sampler is exhausted, and ValueError when seed is
+    negative and count positive, as default_rng does.
     """
+    count = max(count, 0)
     mats, ok = _sample_stack(model, np.arange(count), _SeedStreams(seed, count).random)
     if not ok.all():
         raise _exhausted(model, 1000)

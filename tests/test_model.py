@@ -29,14 +29,13 @@ from liemarkov import (
     model_to_dict,
     multiplicative_closure_check,
     sample_stochastic,
-    sample_stochastic_stack,
     sample_with_rng,
     zoo_model,
     zoo_names,
 )
 from liemarkov.closure import _MAX_WITNESSES
 from liemarkov import model as model_module
-from liemarkov.model import _SeedStreams, load_model, save_model
+from liemarkov.model import _SeedStreams, _sample_stochastic_stack, load_model, save_model
 from liemarkov.zoo import REFERENCE_LOG_PRODUCT
 
 from conftest import make_rate_matrix, row_convention_doc
@@ -387,11 +386,16 @@ class TestSeedStreams:
         model = (RateModel(name=name, n=4, basis=zoo_model("k2p").basis) if name == "k2p-span"
                  else zoo_model(name))
         seed = 2**32 - 10
-        mats = sample_stochastic_stack(model, seed, 20)
+        mats = _sample_stochastic_stack(model, seed, 20)
         for k in range(20):
             expected = sample_with_rng(model, np.random.default_rng(seed + k))
             np.testing.assert_array_equal(mats[k], expected)
             np.testing.assert_array_equal(sample_stochastic(model, seed + k), expected)
+
+    @pytest.mark.parametrize("seed", [7, -1])
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_stack_of_no_rows_is_empty(self, seed, count):
+        assert _sample_stochastic_stack(hky_model(), seed, count).shape == (0, 4, 4)
 
 
 class TestModelValidation:
