@@ -250,17 +250,17 @@ class ClosureReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _select_witnesses(found: list[Witness], cap: int = _MAX_WITNESSES) -> tuple[Witness, ...]:
-    # Keep the first failure and the worst one, then earliest others.
-    if len(found) <= cap:
-        return tuple(found)
-    worst = max(range(len(found)), key=lambda i: found[i].residual)
-    chosen = {0, worst}
-    for i in range(len(found)):
-        if len(chosen) >= cap:
-            break
-        chosen.add(i)
-    return tuple(found[i] for i in sorted(chosen))
+def _select_witnesses(residuals: np.ndarray, cap: int = _MAX_WITNESSES) -> np.ndarray:
+    """Positions, in order, of the failures to report out of residuals in pair order.
+
+    Keeps the first failure and the worst one (the first of equals),
+    then the earliest others. Selecting again among the kept failures
+    of several blocks picks what one selection over all of them would.
+    """
+    if len(residuals) <= cap:
+        return np.arange(len(residuals))
+    worst = int(np.argmax(residuals))
+    return np.arange(cap) if worst < cap else np.append(np.arange(cap - 1), worst)
 
 
 def _log_product_block(model: RateModel, seed: int, count: int, residual) -> tuple[np.ndarray, ...]:
@@ -341,8 +341,11 @@ def multiplicative_closure_check(
         rows = np.flatnonzero(ok)
         tested += len(rows)
         resid = residual(logs[rows])
-        for k, r in zip(rows[resid > tol], resid[resid > tol]):
-            found.append(Witness(q[k].copy(), q_prime[k].copy(), logs[k].copy(), float(r), index[k]))
+        rows, resid = rows[resid > tol], resid[resid > tol]
+        # Only the failures a report could keep become witnesses.
+        for k in _select_witnesses(resid):
+            r = rows[k]
+            found.append(Witness(q[r].copy(), q_prime[r].copy(), logs[r].copy(), float(resid[k]), index[r]))
 
     base = span_basis(model, seed=seed + samples)
     span_dim = len(base)
@@ -356,13 +359,14 @@ def multiplicative_closure_check(
     else:
         verdict = "inconclusive"
 
+    keep = _select_witnesses(np.array([w.residual for w in found]))
     return ClosureReport(
         model_name=model.name,
         span_dim=span_dim,
         lie_closure_dim=lie_dim,
         ambient_dim=model.n * model.n - model.n,
         mult_closed_verdict=verdict,
-        witnesses=_select_witnesses(found),
+        witnesses=tuple(found[k] for k in keep),
         samples_tested=tested,
         tolerance=float(tol),
     )

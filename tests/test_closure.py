@@ -41,8 +41,8 @@ from liemarkov import (
     zoo_model,
     zoo_names,
 )
-from liemarkov import closure
-from liemarkov.model import _SeedStreams, _sample_stack
+from liemarkov import closure, linalg
+from liemarkov.model import _SeedStreams, _compile_residual, _sample_stack
 from liemarkov.zoo import REFERENCE_LOG_PRODUCT, reference_pair
 
 from audit_goldens import AUDIT_GOLDENS
@@ -629,6 +629,43 @@ class TestBatchedAudit:
         whole = audit()
         monkeypatch.setattr(closure, "_PAIR_BLOCK", 7)
         assert audit() == whole
+
+    def test_hky_products_take_no_square_root(self, monkeypatch):
+        # Their ||P - I||_F stays under the 0.75 series radius, so the log needs no Denman-Beavers.
+        calls, sqrtm = [], linalg._sqrtm_denman_beavers
+
+        def spy(m, *args):
+            calls.append(len(m))
+            return sqrtm(m, *args)
+
+        monkeypatch.setattr(linalg, "_sqrtm_denman_beavers", spy)
+        model = zoo_model("hky")
+        *_, ok = closure._log_product_block(model, 7, 200, _compile_residual(model))
+        assert ok.all()
+        assert calls == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(1e-8, 1.0), max_size=40), st.lists(st.integers(1, 12), min_size=1, max_size=8))
+    def test_witness_selection_by_block_matches_one_selection(self, residuals, sizes):
+        def select_all(resid, cap=10):
+            # The rule over every failure at once: the first, the worst, then the earliest others.
+            if len(resid) <= cap:
+                return list(range(len(resid)))
+            chosen = {0, max(range(len(resid)), key=lambda i: resid[i])}
+            for i in range(len(resid)):
+                if len(chosen) >= cap:
+                    break
+                chosen.add(i)
+            return sorted(chosen)
+
+        resid = np.array(residuals)
+        kept, start = [], 0
+        for size in sizes * (len(resid) // sum(sizes) + 1):
+            block = resid[start:start + size]
+            kept.extend(start + closure._select_witnesses(block))
+            start += size
+        kept = np.array(kept, dtype=int)
+        assert list(kept[closure._select_witnesses(resid[kept])]) == select_all(residuals)
 
     def test_stack_draws_match_sequential_draws_under_rejection(self):
         # Coefficient draws in [-1, 1]^2: three of four land outside the stochastic cone.

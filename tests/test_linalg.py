@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -367,6 +368,37 @@ class TestStackKernels:
                     matrix_log(m)
             if kind in "snb":
                 assert code == _LOG_BRANCH
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12), st.integers(2, 6))
+    def test_rows_at_the_square_root_radius(self, seed, count, n):
+        # ||X - I||_F just inside 0.75 (straight to the series) and just outside (one square root).
+        sla = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(seed)
+        norms = np.where(rng.random(count) < 0.5, rng.uniform(0.70, 0.75, count), rng.uniform(0.75, 0.80, count))
+        # The inner edge sits 1e-12 short of 0.75, far beyond the rounding of I + E.
+        norms[0], norms[-1] = 0.75 - 1e-12, 0.80
+        rows = []
+        for k, target in enumerate(norms):
+            kind = k % 3
+            if kind == 0:  # a rate matrix
+                e = make_rate_matrix(rng, n)
+            elif kind == 1:  # non-normal: a Jordan-like 2x2 block plus a rate matrix
+                e = make_rate_matrix(rng, n)
+                e[0, 1] += rng.uniform(2.0, 8.0) * np.abs(e).max()
+            else:  # a general real matrix, complex spectra included
+                e = rng.normal(size=(n, n))
+            rows.append(np.eye(n) + e * (target / np.linalg.norm(e, "fro")))
+        m = np.stack(rows)
+        with mock.patch.object(linalg, "_sqrtm_denman_beavers", wraps=linalg._sqrtm_denman_beavers) as spy:
+            logs, status = _log_stack(m)
+            roots = [len(call.args[0]) for call in spy.call_args_list]
+        assert (status == _LOG_OK).all()
+        # Only rows beyond the radius are square-rooted, once each.
+        assert sum(roots) == int(np.sum(np.linalg.norm(m - np.eye(n), axis=(1, 2)) > 0.75))
+        for k in range(count):
+            np.testing.assert_array_equal(logs[k], matrix_log(m[k]))
+            assert _rel(logs[k], sla.logm(m[k]).real) <= 1e-13
 
     def test_nonfinite_row_is_flagged(self):
         m = np.stack([np.eye(3), np.full((3, 3), np.nan), 2.0 * np.eye(3)])
