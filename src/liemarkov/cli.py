@@ -25,6 +25,7 @@ from .closure import (
     multiplicative_closure_check,
     span_basis,
 )
+from .linalg import DEFAULT_MEMBERSHIP_TOL
 from .model import (
     ModelFormatError,
     SamplingError,
@@ -63,7 +64,8 @@ _FLAGS = {
                 % ", ".join(zoo_names())},
     "--seed": {"type": int, "default": 42, "help": "RNG seed (default 42)"},
     "--samples": {"type": int, "default": 100, "help": "sample count (default 100)"},
-    "--tol": {"type": float, "default": 1e-8, "help": "membership tolerance (default 1e-8)"},
+    "--tol": {"type": float, "default": DEFAULT_MEMBERSHIP_TOL,
+              "help": "membership tolerance (default %(default)g)"},
     "--orders": {"default": "1,2,3", "help": "comma-separated truncation orders"},
     "--output": {"default": "-", "help": "output path, '-' for stdout (default)"},
     "--format": {"choices": ("json", "text"), "default": "json"},
@@ -170,7 +172,7 @@ def _cmd_check(args) -> int:
 def _cmd_closure(args) -> int:
     model = _resolve_model(args.model)
     base = span_basis(model, seed=args.seed)
-    closed = lie_closure(base) if base else []
+    closed = lie_closure(base)
     payload = {
         "command": "closure",
         "config": _config_dict(args),

@@ -17,7 +17,6 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_MEMBERSHIP_TOL,
-    DEFAULT_RANK_RTOL,
     _exp_stack,
     _log_stack,
     check_square,
@@ -28,9 +27,8 @@ from .linalg import (
     orthonormal_basis,
 )
 from .model import (
+    _MAX_ATTEMPTS,
     RateModel,
-    SamplingError,
-    _compile_residual,
     _SeedStreams,
     _exhausted,
     _generator_source,
@@ -80,7 +78,7 @@ def _zero_sum(x: np.ndarray) -> np.ndarray:
     return x - x.mean(axis=-2, keepdims=True)
 
 
-def lie_closure(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.ndarray]:
+def lie_closure(basis) -> list[np.ndarray]:
     """Orthonormal basis of the Lie algebra generated by span(basis).
 
     The Lie algebra generated by a set S is spanned by the right-normed
@@ -100,20 +98,21 @@ def lie_closure(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.ndarray
 
     A level's brackets are orthogonalised against the basis accumulated
     so far by two block Gram-Schmidt passes. The right singular vectors
-    of what remains whose singular values exceed rel_tol become the next
-    level, after one more pass and an exact projection onto zero column
-    sums (subtracting column means). Both operands of every bracket have
-    unit norm, so rel_tol is relative to the brackets' scale; the
-    default, about sqrt(eps), sits above the rounding carried through
-    deep brackets (up to about 3e-9 on the tested inputs) and below
-    genuine new directions (2e-5 and up). rel_tol is also the relative
-    SVD rank threshold for the input. One SVD per level, rather than
-    accepting brackets one at a time, matters: a nearly dependent
-    bracket accepted on its own becomes a direction whose rounding
-    error is divided by its small residual, and its brackets carry that
-    error on until it clears the gate. Brackets of zero-sum matrices
-    are zero-sum, so the search stops once the dimension reaches
-    n*n - n.
+    of what remains whose singular values exceed DEFAULT_BRACKET_GATE
+    become the next level, after one more pass and an exact projection
+    onto zero column sums (subtracting column means). Both operands of
+    every bracket have unit norm, so the gate is relative to the
+    brackets' scale; at about sqrt(eps) it sits above the rounding
+    carried through deep brackets (up to about 3e-9 on the tested
+    inputs) and below genuine new directions (2e-5 and up). The gate is
+    also the relative SVD rank threshold for the input. One SVD per
+    level, rather than accepting brackets one at a time, matters: a
+    nearly dependent bracket accepted on its own becomes a direction
+    whose rounding error is divided by its small residual, and its
+    brackets carry that error on until it clears the gate. Brackets of
+    zero-sum matrices are zero-sum, so the search stops once the
+    dimension reaches n*n - n. An empty basis, like all-zero
+    generators, generates the zero algebra, whose basis is empty.
 
     One debug log line per call gives the dimension after each level and
     the rank gap: the smallest accepted and the largest rejected singular
@@ -121,12 +120,12 @@ def lie_closure(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.ndarray
     """
     mats = [check_square(b) for b in basis]
     if not mats:
-        raise ValueError("basis must be non-empty")
+        return []
     for b in mats:
         if not is_in_L(b, tol=1e-10 * max(1.0, frobenius(b))):
             raise ValueError("lie_closure requires zero-sum generators")
     n = mats[0].shape[0]
-    gens = orthonormal_basis([_zero_sum(b) for b in mats], rel_tol)
+    gens = orthonormal_basis([_zero_sum(b) for b in mats], DEFAULT_BRACKET_GATE)
     gens = np.reshape(gens, (len(gens), n, n))
     ambient = n * n - n
     # Rows 0..d-1 hold the orthonormal basis found so far, vectorized.
@@ -144,7 +143,7 @@ def lie_closure(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.ndarray
         for _ in range(2):
             block -= (block @ flat[:d].T) @ flat[:d]
         _, svals, vt = np.linalg.svd(block, full_matrices=False)
-        k = min(int(np.sum(svals > rel_tol)), ambient - d)
+        k = min(int(np.sum(svals > DEFAULT_BRACKET_GATE)), ambient - d)
         if k < len(svals):
             largest_rejected = max(largest_rejected, float(svals[k]))
         if k:
@@ -167,7 +166,7 @@ def lie_closure(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.ndarray
     return [row.reshape(n, n).copy() for row in flat[:d]]
 
 
-def span_basis(model: RateModel, seed: int = 0, rel_tol: float = DEFAULT_RANK_RTOL) -> list[np.ndarray]:
+def span_basis(model: RateModel, seed: int = 0) -> list[np.ndarray]:
     """Orthonormal basis of the span of the model's stochastic cone.
 
     Uses the declared basis when present; otherwise draws 4 n^2
@@ -175,17 +174,17 @@ def span_basis(model: RateModel, seed: int = 0, rel_tol: float = DEFAULT_RANK_RT
     the one generator seeded with seed, in row order, as a single
     (rows, m) draw per attempt (so, while no draw is rejected, the same
     matrices as 4 n^2 sequential sample_with_rng calls), and extracts a
-    rank-revealing basis.
+    rank-revealing basis at DEFAULT_RANK_RTOL.
     """
     if model.basis:
-        return orthonormal_basis(model.basis, rel_tol)
+        return orthonormal_basis(model.basis)
     if not model.samplable:
         raise ValueError(f"model {model.name!r} has no basis and cannot be sampled")
     source = _generator_source(np.random.default_rng(seed))
     mats, ok = _sample_stack(model, np.arange(4 * model.n ** 2), source)
     if not ok.all():
-        raise _exhausted(model, 1000)
-    return orthonormal_basis(mats, rel_tol)
+        raise _exhausted(model, _MAX_ATTEMPTS)
+    return orthonormal_basis(mats)
 
 
 @dataclass(frozen=True)
@@ -250,20 +249,21 @@ class ClosureReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _select_witnesses(residuals: np.ndarray, cap: int = _MAX_WITNESSES) -> np.ndarray:
+def _select_witnesses(residuals: np.ndarray) -> np.ndarray:
     """Positions, in order, of the failures to report out of residuals in pair order.
 
     Keeps the first failure and the worst one (the first of equals),
     then the earliest others. Selecting again among the kept failures
     of several blocks picks what one selection over all of them would.
     """
+    cap = _MAX_WITNESSES
     if len(residuals) <= cap:
         return np.arange(len(residuals))
     worst = int(np.argmax(residuals))
     return np.arange(cap) if worst < cap else np.append(np.arange(cap - 1), worst)
 
 
-def _log_product_block(model: RateModel, seed: int, count: int, residual) -> tuple[np.ndarray, ...]:
+def _log_product_block(model: RateModel, seed: int, count: int) -> tuple[np.ndarray, ...]:
     """A block of count pairs: pair k draws q then q' from default_rng(seed + k)'s stream.
 
     The streams of all pairs are one _SeedStreams, local to the call.
@@ -275,15 +275,10 @@ def _log_product_block(model: RateModel, seed: int, count: int, residual) -> tup
     logarithm.
     """
     streams = _SeedStreams(seed, count)
-    try:
-        q, ok = _sample_stack(model, np.arange(count), streams.random, residual)
-        q_prime = np.full_like(q, np.nan)
-        rows = np.flatnonzero(ok)
-        q_prime[rows], ok[rows] = _sample_stack(model, rows, streams.random, residual)
-    except SamplingError:
-        # A model its sampler cannot serve at all fails every pair.
-        q = q_prime = np.full((count, model.n, model.n), np.nan)
-        ok = np.zeros(count, dtype=bool)
+    q, ok = _sample_stack(model, np.arange(count), streams.random)
+    q_prime = np.full_like(q, np.nan)
+    rows = np.flatnonzero(ok)
+    q_prime[rows], ok[rows] = _sample_stack(model, rows, streams.random)
     logs = np.full_like(q, np.nan)
     rows = np.flatnonzero(ok)
     exps = _exp_stack(np.concatenate([q[rows], q_prime[rows]]))
@@ -314,8 +309,8 @@ def multiplicative_closure_check(
     block's streams are seeded and advanced as arrays (_SeedStreams,
     local to the call), then one stack draw of every pair's q, one of
     every q', one stack exponential of the 2B generators, one stack
-    logarithm of the B products and one pass of the model's residual,
-    compiled once per call. Pair k gets the same matrices, log-product
+    logarithm of the B products and one pass of the residual the model
+    compiled when it was built. Pair k gets the same matrices, log-product
     and residual as the batch-of-one kernels (matrix_exp, matrix_log,
     sample_with_rng on default_rng(seed + k)) give it alone. Pairs
     whose sampler is exhausted or whose product has no principal
@@ -325,13 +320,12 @@ def multiplicative_closure_check(
         raise ValueError("samples must be at least 1")
     if not model.samplable:
         raise ValueError(f"model {model.name!r} cannot be sampled")
-    residual = _compile_residual(model)
     found: list[Witness] = []
     failures = 0
     tested = 0
     for start in range(0, samples, _PAIR_BLOCK):
         index = range(start, min(start + _PAIR_BLOCK, samples))
-        q, q_prime, logs, ok = _log_product_block(model, seed + start, len(index), residual)
+        q, q_prime, logs, ok = _log_product_block(model, seed + start, len(index))
         failures += len(ok) - int(ok.sum())
         if failures > samples / 2:
             raise RuntimeError(
@@ -340,7 +334,7 @@ def multiplicative_closure_check(
             )
         rows = np.flatnonzero(ok)
         tested += len(rows)
-        resid = residual(logs[rows])
+        resid = model._residual(logs[rows])
         rows, resid = rows[resid > tol], resid[resid > tol]
         # Only the failures a report could keep become witnesses.
         for k in _select_witnesses(resid):
@@ -349,8 +343,7 @@ def multiplicative_closure_check(
 
     base = span_basis(model, seed=seed + samples)
     span_dim = len(base)
-    closure_basis = lie_closure(base) if base else []
-    lie_dim = len(closure_basis)
+    lie_dim = len(lie_closure(base))
 
     if found:
         verdict = "not_closed"

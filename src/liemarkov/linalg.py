@@ -20,6 +20,7 @@ _EXP_SCALE_TARGET = 0.5
 _LOG_SQRT_TARGET = 0.75
 _SERIES_CUTOFF = 1e-18
 _NEG_AXIS_MARGIN = 1e-12
+_SQRT_MAX_ITER = 100
 
 
 class PrincipalLogError(ValueError):
@@ -156,19 +157,20 @@ def _inv_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return out, ok
 
 
-def _sqrtm_denman_beavers(m: np.ndarray, max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def _sqrtm_denman_beavers(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Principal square roots of a (B, n, n) stack and a per-row status.
 
     Each row iterates until its own step falls below 1e-15 of its norm.
-    A row that meets a singular iterate, or runs out of iterations, gets
-    a failure status and a NaN root; the other rows go on.
+    A row that meets a singular iterate, or runs out of its
+    _SQRT_MAX_ITER iterations, gets a failure status and a NaN root;
+    the other rows go on.
     """
     count = len(m)
     roots = np.full_like(m, np.nan)
     status = np.full(count, _LOG_STALLED, dtype=np.int8)
     rows, y = np.arange(count), m
     z = np.broadcast_to(np.eye(m.shape[-1]), m.shape).copy()
-    for _ in range(max_iter):
+    for _ in range(_SQRT_MAX_ITER):
         inv_z, ok_z = _inv_rows(z)
         inv_y, ok_y = _inv_rows(y)
         y_next = 0.5 * (y + inv_z)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import operator
 from operator import itemgetter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -110,7 +110,13 @@ class RateModel:
     ``constraints`` define it as a variety otherwise (both may be
     present, in which case the basis decides membership and must satisfy
     every constraint). ``parameterization`` names a registered generator
-    used together with ``parameter_ranges`` for seeded sampling.
+    used together with ``parameter_ranges``, one range per parameter,
+    for seeded sampling.
+
+    Construction checks the model and compiles, once, the constraint
+    values (None without constraints) and the residual, both as
+    functions of a (B, n, n) stack; every membership test, sampler and
+    audit of the model uses these two.
     """
 
     name: str
@@ -119,6 +125,10 @@ class RateModel:
     constraints: tuple[PolynomialConstraint, ...] = ()
     parameterization: str | None = None
     parameter_ranges: tuple[tuple[float, float], ...] | None = None
+    _constraint_values: Callable[[np.ndarray], np.ndarray] | None = field(
+        init=False, repr=False, default=None
+    )
+    _residual: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -142,12 +152,26 @@ class RateModel:
                 raise ValueError(str(exc)) from None
             if self.basis and np.max(np.abs(values(np.stack(self.basis)))) > 1e-12:
                 raise ValueError("basis matrices must satisfy the declared constraints")
+            object.__setattr__(self, "_constraint_values", values)
         if self.parameter_ranges is not None:
             ranges = tuple((float(lo), float(hi)) for lo, hi in self.parameter_ranges)
             for lo, hi in ranges:
                 if not lo <= hi:
                     raise ValueError(f"invalid parameter range ({lo}, {hi})")
+            if self.parameterization is not None:
+                _, n_params = get_parameterization(self.parameterization)
+                if len(ranges) != n_params:
+                    raise ValueError(
+                        f"model {self.name!r} declares {len(ranges)} ranges "
+                        f"but parameterization {self.parameterization!r} takes {n_params}"
+                    )
             object.__setattr__(self, "parameter_ranges", ranges)
+        object.__setattr__(self, "_residual", _compile_residual(self))
+
+    def __reduce__(self):
+        # The compiled functions are closures, so a pickle or copy rebuilds the model from its fields.
+        return RateModel, (self.name, self.n, self.basis, self.constraints,
+                           self.parameterization, self.parameter_ranges)
 
     @property
     def samplable(self) -> bool:
@@ -182,7 +206,7 @@ def evaluate_constraints(model: RateModel, q) -> list[float]:
     if not model.constraints:
         raise ValueError(f"model {model.name!r} has no constraints")
     q = check_square(q)
-    return _compile_constraints(model.n, model.constraints)(q[None])[0].tolist()
+    return model._constraint_values(q[None])[0].tolist()
 
 
 def constraints_homogeneous(model: RateModel) -> bool | None:
@@ -246,8 +270,10 @@ def _compile_residual(model: RateModel) -> Callable[[np.ndarray], np.ndarray]:
     least_squares_membership does. A constraint model takes the largest
     absolute raw constraint value; a homogeneous degree-d constraint is
     divided by ||q||_F^d first, so the residual is invariant under
-    positive rescaling of q. Callers build this once per audit or
-    sampling call, not at model construction.
+    positive rescaling of q. RateModel builds this once, at construction,
+    from the constraint values it compiled there; a model with neither a
+    basis nor constraints gets a residual that raises ValueError when
+    called.
     """
     n = model.n
     if model.basis:
@@ -260,8 +286,13 @@ def _compile_residual(model: RateModel) -> Callable[[np.ndarray], np.ndarray]:
 
         return span_residual
     if not model.constraints:
-        raise ValueError(f"model {model.name!r} has neither a basis nor constraints")
-    values = _compile_constraints(n, model.constraints)
+        message = f"model {model.name!r} has neither a basis nor constraints"
+
+        def no_rate_space(q: np.ndarray) -> np.ndarray:
+            raise ValueError(message)
+
+        return no_rate_space
+    values = model._constraint_values
     degree = np.array([c.degree if c.homogeneous else 0 for c in model.constraints], dtype=float)
 
     def constraint_residual(q: np.ndarray) -> np.ndarray:
@@ -276,11 +307,11 @@ def _compile_residual(model: RateModel) -> Callable[[np.ndarray], np.ndarray]:
 def model_residual(model: RateModel, q) -> float:
     """Scale-invariant residual of q against the model's rate space.
 
-    The batch-of-one case of the residual the closure audit and the
-    samplers compile once per call.
+    The batch-of-one case of the residual the model compiled when it was
+    built, which the closure audit and the samplers use.
     """
     q = check_square(q)
-    return float(_compile_residual(model)(q[None])[0])
+    return float(model._residual(q[None])[0])
 
 
 class Membership(NamedTuple):
@@ -300,8 +331,7 @@ def membership(model: RateModel, q, tol: float = DEFAULT_MEMBERSHIP_TOL) -> Memb
 
     The span decides when a basis is declared, the constraints
     otherwise; both through model_residual. Raw constraint values come
-    from evaluate_constraints, span coefficients from
-    least_squares_membership.
+    from evaluate_constraints.
     """
     residual = model_residual(model, q)
     in_r = residual <= tol
@@ -422,6 +452,10 @@ class _SeedStreams:
         return (bits >> _u64(11)).astype(float) * 2.0 ** -53
 
 
+# Draws a sampler makes for one matrix before it gives up.
+_MAX_ATTEMPTS = 1000
+
+
 def _generator_source(rng: np.random.Generator) -> Callable[[np.ndarray, int], np.ndarray]:
     """One shared Generator as a stream source: the listed rows draw from it in row order."""
     return lambda rows, m: rng.random((len(rows), m))
@@ -431,8 +465,7 @@ def _sample_stack(
     model: RateModel,
     rows: np.ndarray,
     random: Callable[[np.ndarray, int], np.ndarray],
-    residual: Callable[[np.ndarray], np.ndarray] | None = None,
-    max_attempts: int = 1000,
+    max_attempts: int = _MAX_ATTEMPTS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One stochastic rate matrix per stream in rows, as a (len(rows), n, n) stack.
 
@@ -450,26 +483,18 @@ def _sample_stack(
     row order; that matches sequential draws while no row is rejected.
 
     A parameterized draw is accepted when it is a stochastic rate matrix
-    and its model residual is at most 1e-10; ``residual`` is that
-    compiled residual, built here when the caller has none. A basis-only
-    draw lies in its span by construction and only needs to be
-    stochastic. Raises SamplingError when the model cannot be sampled at
-    all.
+    and its model residual is at most 1e-10. A basis-only draw lies in
+    its span by construction and only needs to be stochastic. Raises
+    SamplingError when the model cannot be sampled at all.
     """
     n = model.n
     if model.parameterization is not None and model.parameter_ranges is not None:
-        fn, n_params = get_parameterization(model.parameterization)
-        if len(model.parameter_ranges) != n_params:
-            raise SamplingError(
-                f"model {model.name!r} declares {len(model.parameter_ranges)} ranges "
-                f"but parameterization {model.parameterization!r} takes {n_params}"
-            )
+        fn, _ = get_parameterization(model.parameterization)
         lo, hi = np.array(model.parameter_ranges).T
-        residual = residual or _compile_residual(model)
 
         def draw(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             q = fn(lo + (hi - lo) * random(rows, len(lo)))
-            return q, is_stochastic_rate(q, 1e-12) & (residual(q) <= 1e-10)
+            return q, is_stochastic_rate(q, 1e-12) & (model._residual(q) <= 1e-10)
     elif model.basis:
         stack = np.reshape(model.basis, (len(model.basis), n * n))
 
@@ -492,7 +517,9 @@ def _sample_stack(
     return out, ok
 
 
-def sample_with_rng(model: RateModel, rng: np.random.Generator, max_attempts: int = 1000) -> np.ndarray:
+def sample_with_rng(
+    model: RateModel, rng: np.random.Generator, max_attempts: int = _MAX_ATTEMPTS
+) -> np.ndarray:
     """Draw one stochastic rate matrix from the model using rng.
 
     The batch-of-one case of the stack sampler the closure audit uses;
@@ -530,7 +557,7 @@ def _sample_stochastic_stack(model: RateModel, seed: int, count: int) -> np.ndar
     count = max(count, 0)
     mats, ok = _sample_stack(model, np.arange(count), _SeedStreams(seed, count).random)
     if not ok.all():
-        raise _exhausted(model, 1000)
+        raise _exhausted(model, _MAX_ATTEMPTS)
     return mats
 
 

@@ -92,6 +92,20 @@ class TestCheck:
         assert "verdict: closed" in out
 
 
+class TestModelLoadErrors:
+    @pytest.mark.parametrize("command", ["check", "closure", "sample", "bch", "export"])
+    def test_range_count_mismatch(self, command, capsys, tmp_path):
+        # Refused on load, so every subcommand reports it, not a sampler or audit failure.
+        doc = model_to_dict(zoo_model("hky"))
+        doc["parameter_ranges"] = doc["parameter_ranges"][:3]
+        path = tmp_path / "short-ranges.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, "--model", str(path))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == "error: model 'hky' declares 3 ranges but parameterization 'hky' takes 5\n"
+
+
 class TestUsageErrors:
     # argparse's own status 2 would read as EXIT_NOT_CLOSED.
     @pytest.mark.parametrize(

@@ -42,7 +42,7 @@ from liemarkov import (
     zoo_names,
 )
 from liemarkov import closure, linalg
-from liemarkov.model import _SeedStreams, _compile_residual, _sample_stack
+from liemarkov.model import _SeedStreams, _sample_stack
 from liemarkov.zoo import REFERENCE_LOG_PRODUCT, reference_pair
 
 from audit_goldens import AUDIT_GOLDENS
@@ -373,6 +373,9 @@ class TestBatchedBrackets:
         assert lie_closure([np.zeros((n, n))] * count) == []
         self._assert_same_basis([np.zeros((n, n))] * count)
 
+    def test_empty_basis_generates_the_zero_algebra(self):
+        assert lie_closure([]) == []
+
 
 class TestMultiplicativeClosure:
     def test_jc_closed(self):
@@ -640,7 +643,7 @@ class TestBatchedAudit:
 
         monkeypatch.setattr(linalg, "_sqrtm_denman_beavers", spy)
         model = zoo_model("hky")
-        *_, ok = closure._log_product_block(model, 7, 200, _compile_residual(model))
+        *_, ok = closure._log_product_block(model, 7, 200)
         assert ok.all()
         assert calls == []
 

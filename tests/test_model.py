@@ -1,4 +1,5 @@
 
+import pickle
 import warnings
 
 import numpy as np
@@ -418,11 +419,66 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="satisfy"):
             RateModel(name="bad", n=4, basis=(q0,), constraints=(q12_constraint(0.5),))
 
+    def test_range_count_must_match_the_parameterization(self):
+        hky4 = hky_model()
+        message = "declares 3 ranges but parameterization 'hky' takes 5"
+        with pytest.raises(ValueError, match=message):
+            RateModel(name="hky", n=4, constraints=hky4.constraints, parameterization="hky",
+                      parameter_ranges=hky4.parameter_ranges[:3])
+        doc = model_to_dict(hky4)
+        doc["parameter_ranges"] = doc["parameter_ranges"][:3]
+        with pytest.raises(ModelFormatError, match=message):
+            model_from_dict(doc)
+
+    def test_bare_model_builds_and_fails_at_first_use(self):
+        bare = RateModel(name="bare", n=4, parameterization="jc", parameter_ranges=((0.0, 1.0),))
+        with pytest.raises(ValueError, match="neither a basis nor constraints"):
+            model_residual(bare, np.zeros((4, 4)))
+        with pytest.raises(ValueError, match="neither a basis nor constraints"):
+            multiplicative_closure_check(bare, samples=4)
+
     def test_model_residual_matches_membership(self):
         model = hky_model()
         q = sample_stochastic(model, 4)
         assert model_residual(model, q) <= 1e-12
         assert model_residual(model, REFERENCE_LOG_PRODUCT) > 1e-8
+
+
+class TestCompiledOnce:
+    def test_compiled_at_construction_only(self, monkeypatch):
+        calls = []
+
+        def spy(name):
+            compile_fn = getattr(model_module, name)
+
+            def counted(*args):
+                calls.append(name)
+                return compile_fn(*args)
+
+            monkeypatch.setattr(model_module, name, counted)
+
+        spy("_compile_residual")
+        spy("_compile_constraints")
+        for name in zoo_names():
+            model = zoo_model(name)
+            built = ["_compile_constraints"] * bool(model.constraints) + ["_compile_residual"]
+            assert calls == built
+            q = sample_with_rng(model, np.random.default_rng(1))
+            multiplicative_closure_check(model, samples=20, seed=3)
+            assert membership(model, q).in_r and model_residual(model, q) <= 1e-10
+            if model.constraints:
+                evaluate_constraints(model, q)
+            assert calls == built
+            calls.clear()
+
+    @pytest.mark.parametrize("name", zoo_names())
+    def test_pickle_rebuilds_the_model(self, name):
+        model = zoo_model(name)
+        copy = pickle.loads(pickle.dumps(model))
+        assert model_to_dict(copy) == model_to_dict(model)
+        q = sample_stochastic(model, 5)
+        assert model_residual(copy, REFERENCE_LOG_PRODUCT) == model_residual(model, REFERENCE_LOG_PRODUCT)
+        np.testing.assert_array_equal(sample_stochastic(copy, 5), q)
 
 
 class TestModelFiles:
