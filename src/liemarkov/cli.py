@@ -125,9 +125,17 @@ def _emit(args, payload: dict, text: str = "") -> None:
             fh.write(body)
 
 
-def _stamp(args, payload: dict) -> None:
+def _report(args, body: dict, lines: list[str], code: int) -> int:
+    """Emit a subcommand's report and return its exit code.
+
+    The JSON report is the command, its config block and the body, then
+    a timestamp unless --no-timestamp is given; text mode prints lines.
+    """
+    payload = {"command": args.command, "config": _config_dict(args), **body}
     if not args.no_timestamp:
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
+    _emit(args, payload, "\n".join(lines) + "\n")
+    return code
 
 
 def _fmt_matrix(m, indent: str = "  ") -> str:
@@ -136,19 +144,16 @@ def _fmt_matrix(m, indent: str = "  ") -> str:
     )
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[dict, list[str], int]:
     model = _resolve_model(args.model)
     scaling = check_scaling_closure(model)
     report = multiplicative_closure_check(model, samples=args.samples, seed=args.seed, tol=args.tol)
-    payload = {
-        "command": "check",
-        "config": _config_dict(args),
+    body = {
         "model": model.name,
         "scaling_closed": scaling,
         "constraints_homogeneous": constraints_homogeneous(model),
         "closure": report.to_dict(),
     }
-    _stamp(args, payload)
     lines = [
         f"model: {model.name}",
         f"scaling closed: {scaling}",
@@ -165,23 +170,19 @@ def _cmd_check(args) -> int:
         )
         lines.append("worst log-product:")
         lines.append(_fmt_matrix(worst.log_product))
-    _emit(args, payload, "\n".join(lines) + "\n")
-    return _VERDICT_EXIT[report.mult_closed_verdict]
+    return body, lines, _VERDICT_EXIT[report.mult_closed_verdict]
 
 
-def _cmd_closure(args) -> int:
+def _cmd_closure(args) -> tuple[dict, list[str], int]:
     model = _resolve_model(args.model)
     base = span_basis(model, seed=args.seed)
     closed = lie_closure(base)
-    payload = {
-        "command": "closure",
-        "config": _config_dict(args),
+    body = {
         "model": model.name,
         "span_dim": len(base),
         "lie_closure_dim": len(closed),
         "basis": [b.tolist() for b in closed],
     }
-    _stamp(args, payload)
     lines = [
         f"model: {model.name}",
         f"span dim: {len(base)}   lie closure dim: {len(closed)}",
@@ -189,8 +190,7 @@ def _cmd_closure(args) -> int:
     for k, b in enumerate(closed):
         lines.append(f"basis element {k}:")
         lines.append(_fmt_matrix(b))
-    _emit(args, payload, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return body, lines, EXIT_OK
 
 
 def _slope(ts: list[float], errors: list[float]) -> float | None:
@@ -206,7 +206,7 @@ def _slope(ts: list[float], errors: list[float]) -> float | None:
     return float(np.polyfit(np.log2(t), np.log2(err), 1)[0])
 
 
-def _cmd_bch(args) -> int:
+def _cmd_bch(args) -> tuple[dict, list[str], int]:
     try:
         orders = [int(tok) for tok in args.orders.split(",") if tok.strip()]
     except ValueError as exc:
@@ -226,55 +226,42 @@ def _cmd_bch(args) -> int:
                 float(np.linalg.norm(reference - bch_truncated(t * q, t * q_prime, order)))
             )
     slopes = {order: _slope(ts, errors[order]) for order in orders}
-    payload = {
-        "command": "bch",
-        "config": _config_dict(args),
+    body = {
         "model": model.name,
         "orders": orders,
         "t": ts,
         "errors": {str(o): errors[o] for o in orders},
         "slopes": {str(o): slopes[o] for o in orders},
     }
-    _stamp(args, payload)
     lines = [f"model: {model.name}", "t        " + "  ".join(f"order {o}" for o in orders)]
     for i, t in enumerate(ts):
         lines.append(
             f"{t:<8.6g} " + "  ".join(f"{errors[o][i]:.6g}" for o in orders)
         )
     lines.append("slopes:  " + "  ".join("n/a" if slopes[o] is None else f"{slopes[o]:.6g}" for o in orders))
-    _emit(args, payload, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return body, lines, EXIT_OK
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> tuple[dict, list[str], int]:
     model = _resolve_model(args.model)
     # Sample i is sample_stochastic(model, seed + i), drawn as one stack.
     mats = _sample_stochastic_stack(model, args.seed, args.samples)
-    payload = {
-        "command": "sample",
-        "config": _config_dict(args),
-        "model": model.name,
-        "matrices": [m.tolist() for m in mats],
-    }
-    _stamp(args, payload)
+    body = {"model": model.name, "matrices": [m.tolist() for m in mats]}
     lines = [f"model: {model.name}"]
     for i, m in enumerate(mats):
         lines.append(f"sample {i} (seed {args.seed + i}):")
         lines.append(_fmt_matrix(m))
-    _emit(args, payload, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return body, lines, EXIT_OK
 
 
-def _cmd_repro_paper(args) -> int:
+def _cmd_repro_paper(args) -> tuple[dict, list[str], int]:
     q1, q2 = reference_pair()
     computed = log_product(q1, q2)
     expected = np.asarray(REFERENCE_LOG_PRODUCT)
     deviation = float(np.max(np.abs(computed - expected)))
     kappas = kappa_witness(computed)
     alphas = [float(computed[0, 2]), float(computed[1, 2]), float(computed[2, 0]), float(computed[3, 0])]
-    payload = {
-        "command": "repro-paper",
-        "config": _config_dict(args),
+    body = {
         "computed_log_product": computed.tolist(),
         "reference_log_product": expected.tolist(),
         "max_deviation": deviation,
@@ -283,7 +270,6 @@ def _cmd_repro_paper(args) -> int:
         "kappas": kappas,
         "within_tolerance": deviation <= 1e-5,
     }
-    _stamp(args, payload)
     lines = [
         "log(exp(Q1) exp(Q2)), computed:",
         _fmt_matrix(computed),
@@ -293,22 +279,16 @@ def _cmd_repro_paper(args) -> int:
         "alphas: " + "  ".join(f"{a:.6g}" for a in alphas),
         "kappas: " + "  ".join(f"{k:.6g}" for k in kappas),
     ]
-    _emit(args, payload, "\n".join(lines) + "\n")
-    return EXIT_OK if deviation <= 1e-5 else EXIT_NOT_CLOSED
+    return body, lines, EXIT_OK if deviation <= 1e-5 else EXIT_NOT_CLOSED
 
 
-def _cmd_export(args) -> int:
-    _emit(args, model_to_dict(_resolve_model(args.model)))
-    return EXIT_OK
-
-
+# Each returns (body, text lines, exit code); export writes the bare model dict instead.
 _HANDLERS = {
     "check": _cmd_check,
     "closure": _cmd_closure,
     "bch": _cmd_bch,
     "sample": _cmd_sample,
     "repro-paper": _cmd_repro_paper,
-    "export": _cmd_export,
 }
 
 
@@ -319,7 +299,10 @@ def main(argv=None) -> int:
         # argparse exits with 2 on a usage error, which is also EXIT_NOT_CLOSED.
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
-        return _HANDLERS[args.command](args)
+        if args.command == "export":
+            _emit(args, model_to_dict(_resolve_model(args.model)))
+            return EXIT_OK
+        return _report(args, *_HANDLERS[args.command](args))
     except (CliError, ValueError, SamplingError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -27,11 +27,10 @@ from .linalg import (
     orthonormal_basis,
 )
 from .model import (
-    _MAX_ATTEMPTS,
     RateModel,
     _SeedStreams,
-    _exhausted,
     _generator_source,
+    _sample_all,
     _sample_stack,
     is_in_L,
 )
@@ -181,10 +180,7 @@ def span_basis(model: RateModel, seed: int = 0) -> list[np.ndarray]:
     if not model.samplable:
         raise ValueError(f"model {model.name!r} has no basis and cannot be sampled")
     source = _generator_source(np.random.default_rng(seed))
-    mats, ok = _sample_stack(model, np.arange(4 * model.n ** 2), source)
-    if not ok.all():
-        raise _exhausted(model, _MAX_ATTEMPTS)
-    return orthonormal_basis(mats)
+    return orthonormal_basis(_sample_all(model, 4 * model.n ** 2, source))
 
 
 @dataclass(frozen=True)

@@ -27,37 +27,25 @@ class PrincipalLogError(ValueError):
     """The principal matrix logarithm does not exist for the input."""
 
 
-def _require_square(shape: tuple[int, ...]) -> None:
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {shape}")
-    if shape[0] < 2:
-        raise ValueError("matrix order must be at least 2")
-
-
 def check_square(a) -> np.ndarray:
     """Validate and return a finite real square matrix of order >= 2."""
     a = np.asarray(a, dtype=float)
-    _require_square(a.shape)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return a
+    if a.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return check_stack(a)
 
 
 def check_stack(a) -> np.ndarray:
     """Validate a finite real square matrix, or a (B, n, n) stack of them, of order >= 2."""
     a = np.asarray(a, dtype=float)
-    _require_square(a.shape[1:] if a.ndim == 3 else a.shape)
+    shape = a.shape[1:] if a.ndim == 3 else a.shape
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+    if shape[0] < 2:
+        raise ValueError("matrix order must be at least 2")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
-
-
-def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a = check_square(a)
-    b = check_square(b)
-    if a.shape != b.shape:
-        raise ValueError(f"incompatible matrix orders {a.shape[0]} and {b.shape[0]}")
-    return a, b
 
 
 def frobenius(a) -> float:
@@ -66,7 +54,9 @@ def frobenius(a) -> float:
 
 def commutator(a, b) -> np.ndarray:
     """Lie bracket AB - BA."""
-    a, b = _check_pair(a, b)
+    a, b = check_square(a), check_square(b)
+    if a.shape != b.shape:
+        raise ValueError(f"incompatible matrix orders {a.shape[0]} and {b.shape[0]}")
     return a @ b - b @ a
 
 

@@ -107,16 +107,17 @@ class RateModel:
     """A named Markov model over n states.
 
     ``basis`` spans the model's rate space when that space is linear;
-    ``constraints`` define it as a variety otherwise (both may be
-    present, in which case the basis decides membership and must satisfy
+    ``constraints`` define it as a variety otherwise (at least one must
+    be given; with both, the basis decides membership and must satisfy
     every constraint). ``parameterization`` names a registered generator
-    used together with ``parameter_ranges``, one range per parameter,
-    for seeded sampling.
+    and ``parameter_ranges`` gives it one (lo, hi) range per parameter,
+    for seeded sampling; the two come together or not at all.
 
-    Construction checks the model and compiles, once, the constraint
-    values (None without constraints) and the residual, both as
-    functions of a (B, n, n) stack; every membership test, sampler and
-    audit of the model uses these two.
+    Construction is the one place a model is judged well formed: a
+    breach of any rule above raises ValueError here. It also compiles,
+    once, the constraint values (None without constraints) and the
+    residual, both as functions of a (B, n, n) stack; every membership
+    test, sampler and audit of the model uses these two.
     """
 
     name: str
@@ -145,6 +146,8 @@ class RateModel:
             mats.append(b)
         object.__setattr__(self, "basis", tuple(mats))
         object.__setattr__(self, "constraints", tuple(self.constraints))
+        if not self.basis and not self.constraints:
+            raise ValueError(f"model {self.name!r} must declare a basis or constraints")
         if self.constraints:
             try:
                 values = _compile_constraints(self.n, self.constraints)
@@ -153,18 +156,24 @@ class RateModel:
             if self.basis and np.max(np.abs(values(np.stack(self.basis)))) > 1e-12:
                 raise ValueError("basis matrices must satisfy the declared constraints")
             object.__setattr__(self, "_constraint_values", values)
-        if self.parameter_ranges is not None:
-            ranges = tuple((float(lo), float(hi)) for lo, hi in self.parameter_ranges)
+        if (self.parameterization is None) != (self.parameter_ranges is None):
+            raise ValueError(
+                f"model {self.name!r} must declare parameterization and parameter_ranges together"
+            )
+        if self.parameterization is not None:
+            _, n_params = get_parameterization(self.parameterization)
+            try:
+                ranges = tuple((float(lo), float(hi)) for lo, hi in self.parameter_ranges)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"parameter_ranges must be (lo, hi) pairs: {exc}") from None
             for lo, hi in ranges:
                 if not lo <= hi:
                     raise ValueError(f"invalid parameter range ({lo}, {hi})")
-            if self.parameterization is not None:
-                _, n_params = get_parameterization(self.parameterization)
-                if len(ranges) != n_params:
-                    raise ValueError(
-                        f"model {self.name!r} declares {len(ranges)} ranges "
-                        f"but parameterization {self.parameterization!r} takes {n_params}"
-                    )
+            if len(ranges) != n_params:
+                raise ValueError(
+                    f"model {self.name!r} declares {len(ranges)} ranges "
+                    f"but parameterization {self.parameterization!r} takes {n_params}"
+                )
             object.__setattr__(self, "parameter_ranges", ranges)
         object.__setattr__(self, "_residual", _compile_residual(self))
 
@@ -175,9 +184,7 @@ class RateModel:
 
     @property
     def samplable(self) -> bool:
-        return bool(self.basis) or (
-            self.parameterization is not None and self.parameter_ranges is not None
-        )
+        return bool(self.basis) or self.parameterization is not None
 
 
 def is_in_L(q, tol: float = 1e-12):
@@ -271,9 +278,7 @@ def _compile_residual(model: RateModel) -> Callable[[np.ndarray], np.ndarray]:
     absolute raw constraint value; a homogeneous degree-d constraint is
     divided by ||q||_F^d first, so the residual is invariant under
     positive rescaling of q. RateModel builds this once, at construction,
-    from the constraint values it compiled there; a model with neither a
-    basis nor constraints gets a residual that raises ValueError when
-    called.
+    from the constraint values it compiled there.
     """
     n = model.n
     if model.basis:
@@ -285,13 +290,6 @@ def _compile_residual(model: RateModel) -> Callable[[np.ndarray], np.ndarray]:
             return _fro_rows(flat @ projector) / np.maximum(_fro_rows(flat), 1.0)
 
         return span_residual
-    if not model.constraints:
-        message = f"model {model.name!r} has neither a basis nor constraints"
-
-        def no_rate_space(q: np.ndarray) -> np.ndarray:
-            raise ValueError(message)
-
-        return no_rate_space
     values = model._constraint_values
     degree = np.array([c.degree if c.homogeneous else 0 for c in model.constraints], dtype=float)
 
@@ -488,7 +486,7 @@ def _sample_stack(
     SamplingError when the model cannot be sampled at all.
     """
     n = model.n
-    if model.parameterization is not None and model.parameter_ranges is not None:
+    if model.parameterization is not None:
         fn, _ = get_parameterization(model.parameterization)
         lo, hi = np.array(model.parameter_ranges).T
 
@@ -517,6 +515,27 @@ def _sample_stack(
     return out, ok
 
 
+def _sample_all(
+    model: RateModel,
+    count: int,
+    random: Callable[[np.ndarray, int], np.ndarray],
+    max_attempts: int = _MAX_ATTEMPTS,
+) -> np.ndarray:
+    """Rows 0..count-1 of _sample_stack as a (count, n, n) stack.
+
+    Raises SamplingError when any row is exhausted in max_attempts draws.
+    """
+    mats, ok = _sample_stack(model, np.arange(count), random, max_attempts=max_attempts)
+    if ok.all():
+        return mats
+    if model.parameterization is not None:
+        raise SamplingError(f"parameterized sampler for {model.name!r} failed {max_attempts} times")
+    raise SamplingError(
+        f"sampler could not reach the stochastic cone of {model.name!r} "
+        f"in {max_attempts} attempts"
+    )
+
+
 def sample_with_rng(
     model: RateModel, rng: np.random.Generator, max_attempts: int = _MAX_ATTEMPTS
 ) -> np.ndarray:
@@ -525,21 +544,7 @@ def sample_with_rng(
     The batch-of-one case of the stack sampler the closure audit uses;
     raises SamplingError when no draw is accepted in max_attempts.
     """
-    q, ok = _sample_stack(model, np.arange(1), _generator_source(rng), max_attempts=max_attempts)
-    if not ok[0]:
-        raise _exhausted(model, max_attempts)
-    return q[0]
-
-
-def _exhausted(model: RateModel, max_attempts: int) -> SamplingError:
-    if model.parameterization is not None and model.parameter_ranges is not None:
-        return SamplingError(
-            f"parameterized sampler for {model.name!r} failed {max_attempts} times"
-        )
-    return SamplingError(
-        f"sampler could not reach the stochastic cone of {model.name!r} "
-        f"in {max_attempts} attempts"
-    )
+    return _sample_all(model, 1, _generator_source(rng), max_attempts=max_attempts)[0]
 
 
 def sample_stochastic(model: RateModel, seed: int) -> np.ndarray:
@@ -555,10 +560,7 @@ def _sample_stochastic_stack(model: RateModel, seed: int, count: int) -> np.ndar
     negative and count positive, as default_rng does.
     """
     count = max(count, 0)
-    mats, ok = _sample_stack(model, np.arange(count), _SeedStreams(seed, count).random)
-    if not ok.all():
-        raise _exhausted(model, _MAX_ATTEMPTS)
-    return mats
+    return _sample_all(model, count, _SeedStreams(seed, count).random)
 
 
 def check_scaling_closure(model: RateModel) -> bool:
@@ -598,70 +600,58 @@ def model_to_dict(model: RateModel) -> dict:
     return doc
 
 
+_REQUIRED = object()
+
+
+def _field(doc: dict, key: str, parse: Callable, default=_REQUIRED):
+    """parse(doc[key]); an optional field that is absent or null gives default instead.
+
+    A required field that is absent or null, or a KeyError, TypeError or
+    ValueError from parse, is a ModelFormatError that names the field.
+    """
+    value = doc.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ModelFormatError(f"model file field {key!r} is missing or null")
+        return default
+    try:
+        return parse(value)
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
+        raise ModelFormatError(f"model file field {key!r}: {detail}") from exc
+
+
 def model_from_dict(doc: dict) -> RateModel:
     """Build a RateModel from the model file format.
 
+    Only reads the fields; RateModel judges whether they make a model.
     A file declaring ``"convention": "row"`` is converted to the column
     convention: its basis matrices are transposed and the (i, j) pairs
     of its constraint monomials swapped.
     """
-    try:
-        name = str(doc["name"])
-        n = int(doc["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"model file missing or invalid name/n: {exc}") from exc
-    try:
-        axes = config.column_axes(doc.get("convention", "column"))
-    except ValueError as exc:
-        raise ModelFormatError(str(exc)) from exc
+    name = _field(doc, "name", str)
+    n = _field(doc, "n", int)
+    axes = _field(doc, "convention", config.column_axes, config.column_axes("column"))
     swap = itemgetter(*axes)
 
-    basis = []
-    for flat in doc.get("basis", []) or []:
+    def matrix(flat) -> np.ndarray:
         arr = np.asarray(flat, dtype=float)
         if arr.size != n * n:
-            raise ModelFormatError(
-                f"basis matrix has {arr.size} entries, expected {n * n}"
-            )
-        basis.append(arr.reshape(n, n).transpose(axes))
+            raise ValueError(f"basis matrix has {arr.size} entries, expected {n * n}")
+        return arr.reshape(n, n).transpose(axes)
 
-    constraints = []
-    for cdoc in doc.get("constraints", []) or []:
-        try:
-            terms = tuple(
-                (
-                    float(t["coeff"]),
-                    tuple(swap((int(i), int(j))) for i, j in t["monomial"]),
-                )
-                for t in cdoc["terms"]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelFormatError(f"malformed constraint: {exc}") from exc
-        try:
-            constraints.append(PolynomialConstraint(terms))
-        except ValueError as exc:
-            raise ModelFormatError(str(exc)) from exc
+    def constraint(cdoc) -> PolynomialConstraint:
+        return PolynomialConstraint(tuple(
+            (float(t["coeff"]), tuple(swap((int(i), int(j))) for i, j in t["monomial"]))
+            for t in cdoc["terms"]
+        ))
 
-    if not basis and not constraints:
-        raise ModelFormatError("model file must declare a basis or constraints")
-
-    parameterization = doc.get("parameterization")
-    if parameterization is not None:
-        parameterization = str(parameterization)
-        get_parameterization(parameterization)  # fail fast on unknown names
-    ranges = doc.get("parameter_ranges")
-    if ranges is not None:
-        ranges = tuple((float(lo), float(hi)) for lo, hi in ranges)
-
+    basis = _field(doc, "basis", lambda v: tuple(map(matrix, v)), ())
+    constraints = _field(doc, "constraints", lambda v: tuple(map(constraint, v)), ())
+    parameterization = _field(doc, "parameterization", str, None)
+    ranges = _field(doc, "parameter_ranges", tuple, None)
     try:
-        return RateModel(
-            name=name,
-            n=n,
-            basis=tuple(basis),
-            constraints=tuple(constraints),
-            parameterization=parameterization,
-            parameter_ranges=ranges,
-        )
+        return RateModel(name, n, basis, constraints, parameterization, ranges)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc
 

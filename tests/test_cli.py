@@ -106,6 +106,25 @@ class TestModelLoadErrors:
         assert err == "error: model 'hky' declares 3 ranges but parameterization 'hky' takes 5\n"
 
 
+    @pytest.mark.parametrize("command", ["check", "closure", "sample", "bch", "export"])
+    @pytest.mark.parametrize("field, value", [
+        ("name", None),
+        ("basis", 5),
+        ("constraints", 5),
+        ("parameter_ranges", 5),
+        ("parameter_ranges", [[0.001, 0.05, 0.1]] * 5),
+    ])
+    def test_malformed_field(self, command, field, value, capsys, tmp_path):
+        doc = model_to_dict(zoo_model("hky"))
+        doc[field] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, "--model", str(path))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: ") and field in err and err.count("\n") == 1
+
+
 class TestUsageErrors:
     # argparse's own status 2 would read as EXIT_NOT_CLOSED.
     @pytest.mark.parametrize(

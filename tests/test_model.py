@@ -219,9 +219,8 @@ class TestMembership:
             assert not membership(model, alpha * outside).in_r
 
     def test_requires_basis_or_constraints(self):
-        bare = RateModel(name="bare", n=4, parameterization="jc", parameter_ranges=((0.0, 1.0),))
-        with pytest.raises(ValueError, match="neither"):
-            membership(bare, np.zeros((4, 4)))
+        with pytest.raises(ValueError, match="model 'bare' must declare a basis or constraints"):
+            RateModel(name="bare", n=4, parameterization="jc", parameter_ranges=((0.0, 1.0),))
 
     def test_namedtuple_unpacks(self):
         in_r, in_r_plus, residual = membership(hky_model(), np.zeros((4, 4)))
@@ -430,12 +429,32 @@ class TestModelValidation:
         with pytest.raises(ModelFormatError, match=message):
             model_from_dict(doc)
 
-    def test_bare_model_builds_and_fails_at_first_use(self):
-        bare = RateModel(name="bare", n=4, parameterization="jc", parameter_ranges=((0.0, 1.0),))
-        with pytest.raises(ValueError, match="neither a basis nor constraints"):
-            model_residual(bare, np.zeros((4, 4)))
-        with pytest.raises(ValueError, match="neither a basis nor constraints"):
-            multiplicative_closure_check(bare, samples=4)
+    def test_bare_model_is_refused_at_construction(self):
+        # Such a model could do nothing: its residual, sampler and audit would all raise.
+        with pytest.raises(ValueError, match="model 'bare' must declare a basis or constraints"):
+            RateModel(name="bare", n=4)
+
+    @pytest.mark.parametrize("fields", [
+        {"parameterization": "jc"},
+        {"parameter_ranges": ((0.0, 1.0),)},
+    ])
+    def test_parameterization_and_ranges_come_together(self, fields):
+        with pytest.raises(ValueError, match="parameterization and parameter_ranges together"):
+            RateModel(name="x", n=4, basis=(jc(1.0),), **fields)
+
+    def test_unknown_parameterization_is_refused_at_construction(self):
+        # Without ranges it used to build, and its exported file did not load again.
+        with pytest.raises(ValueError):
+            RateModel(name="x", n=4, basis=(jc(1.0),), parameterization="nope")
+        with pytest.raises(ValueError, match="unknown parameterization 'nope'"):
+            RateModel(name="x", n=4, basis=(jc(1.0),), parameterization="nope",
+                      parameter_ranges=((0.0, 1.0),))
+
+    @pytest.mark.parametrize("ranges", [5, ((0.0, 1.0, 2.0),), ((0.0,),), (("a", 1.0),)])
+    def test_ranges_must_be_pairs(self, ranges):
+        with pytest.raises(ValueError, match="parameter_ranges must be"):
+            RateModel(name="x", n=4, basis=(jc(1.0),), parameterization="jc",
+                      parameter_ranges=ranges)
 
     def test_model_residual_matches_membership(self):
         model = hky_model()
@@ -556,6 +575,26 @@ class TestModelFiles:
             "constraints": [{"terms": [{"coeff": 1.0, "monomial": [[2, 2]]}]}],
         }
         with pytest.raises(ModelFormatError, match="off-diagonal"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("name", None),
+        ("basis", 5),
+        ("constraints", 5),
+        ("constraints", [{"terms": [{"monomial": [[1, 2]]}]}]),
+        ("parameter_ranges", 5),
+        ("parameter_ranges", [[0.001, 0.05, 0.1]]),
+    ])
+    def test_malformed_field_is_named(self, field, value):
+        doc = model_to_dict(zoo_model("jc"))
+        doc[field] = value
+        with pytest.raises(ModelFormatError, match=field):
+            model_from_dict(doc)
+
+    def test_missing_name(self):
+        doc = model_to_dict(zoo_model("jc"))
+        del doc["name"]
+        with pytest.raises(ModelFormatError, match="'name' is missing or null"):
             model_from_dict(doc)
 
     def test_not_json(self, tmp_path):
