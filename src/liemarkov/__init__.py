@@ -45,7 +45,6 @@ from .closure import (
     ClosureReport,
     Witness,
     bch_truncated,
-    kappa_witness,
     lie_closure,
     log_product,
     multiplicative_closure_check,
@@ -66,6 +65,7 @@ from .zoo import (
     jc_model,
     k2p,
     k2p_model,
+    kappa_witness,
     lm88,
     lm88_model,
     reference_pair,

@@ -19,7 +19,6 @@ import numpy as np
 
 from .closure import (
     bch_truncated,
-    kappa_witness,
     lie_closure,
     log_product,
     multiplicative_closure_check,
@@ -37,8 +36,10 @@ from .model import (
     sample_with_rng,
 )
 from .zoo import (
+    _ROW_PAIRS,
     REFERENCE_ALPHAS,
     REFERENCE_LOG_PRODUCT,
+    kappa_witness,
     reference_pair,
     zoo_model,
     zoo_names,
@@ -260,7 +261,7 @@ def _cmd_repro_paper(args) -> tuple[dict, list[str], int]:
     expected = np.asarray(REFERENCE_LOG_PRODUCT)
     deviation = float(np.max(np.abs(computed - expected)))
     kappas = kappa_witness(computed)
-    alphas = [float(computed[0, 2]), float(computed[1, 2]), float(computed[2, 0]), float(computed[3, 0])]
+    alphas = [float(computed[slot]) for slot, _ in _ROW_PAIRS]
     body = {
         "computed_log_product": computed.tolist(),
         "reference_log_product": expected.tolist(),

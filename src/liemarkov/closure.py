@@ -18,10 +18,11 @@ import numpy as np
 from .linalg import (
     DEFAULT_MEMBERSHIP_TOL,
     _exp_stack,
+    _fro_rows,
     _log_stack,
+    check_matrices,
     check_square,
     commutator,
-    frobenius,
     matrix_exp,
     matrix_log,
     orthonormal_basis,
@@ -117,15 +118,13 @@ def lie_closure(basis) -> list[np.ndarray]:
     the rank gap: the smallest accepted and the largest rejected singular
     value.
     """
-    mats = [check_square(b) for b in basis]
-    if not mats:
+    stack = check_matrices(basis)
+    if not len(stack):
         return []
-    for b in mats:
-        if not is_in_L(b, tol=1e-10 * max(1.0, frobenius(b))):
-            raise ValueError("lie_closure requires zero-sum generators")
-    n = mats[0].shape[0]
-    gens = orthonormal_basis([_zero_sum(b) for b in mats], DEFAULT_BRACKET_GATE)
-    gens = np.reshape(gens, (len(gens), n, n))
+    if not is_in_L(stack, tol=1e-10 * np.maximum(1.0, _fro_rows(stack))).all():
+        raise ValueError("lie_closure requires zero-sum generators")
+    n = stack.shape[-1]
+    gens = np.reshape(orthonormal_basis(_zero_sum(stack), DEFAULT_BRACKET_GATE), (-1, n, n))
     ambient = n * n - n
     # Rows 0..d-1 hold the orthonormal basis found so far, vectorized.
     flat = np.empty((ambient, n * n))
@@ -162,13 +161,14 @@ def lie_closure(basis) -> list[np.ndarray]:
         "largest rejected singular value %.3g",
         n, dims, smallest_accepted, largest_rejected,
     )
-    return [row.reshape(n, n).copy() for row in flat[:d]]
+    return list(flat[:d].reshape(d, n, n).copy())
 
 
 def span_basis(model: RateModel, seed: int = 0) -> list[np.ndarray]:
     """Orthonormal basis of the span of the model's stochastic cone.
 
-    Uses the declared basis when present; otherwise draws 4 n^2
+    For a declared basis, fresh copies of the one the model computed
+    when it was built, at DEFAULT_RANK_RTOL. Otherwise draws 4 n^2
     generators from the parameterization as one stack, all rows from
     the one generator seeded with seed, in row order, as a single
     (rows, m) draw per attempt (so, while no draw is rejected, the same
@@ -176,7 +176,7 @@ def span_basis(model: RateModel, seed: int = 0) -> list[np.ndarray]:
     rank-revealing basis at DEFAULT_RANK_RTOL.
     """
     if model.basis:
-        return orthonormal_basis(model.basis)
+        return list(model._span.reshape(-1, model.n, model.n).copy())
     if not model.samplable:
         raise ValueError(f"model {model.name!r} has no basis and cannot be sampled")
     source = _generator_source(np.random.default_rng(seed))
@@ -360,41 +360,3 @@ def multiplicative_closure_check(
         tolerance=float(tol),
     )
 
-
-def kappa_witness(q) -> list[float]:
-    """The four transition/transversion ratios implied by a closure-pattern matrix.
-
-    Requires the row-pair equalities of the 8-parameter pattern to hold
-    at 1e-6. A single-ratio (HKY) matrix returns four equal values; a
-    generic log-product returns four distinct ones.
-    """
-    q = check_square(q)
-    if q.shape[0] != 4:
-        raise ValueError("the closure pattern is defined for order-4 matrices")
-    pattern_pairs = (
-        ((0, 2), (0, 3)),
-        ((1, 2), (1, 3)),
-        ((2, 0), (2, 1)),
-        ((3, 0), (3, 1)),
-    )
-    for (i1, j1), (i2, j2) in pattern_pairs:
-        if abs(q[i1, j1] - q[i2, j2]) > 1e-6:
-            raise ValueError(
-                f"entries ({i1 + 1},{j1 + 1}) and ({i2 + 1},{j2 + 1}) differ "
-                "beyond 1e-6; matrix is not in the closure pattern"
-            )
-    ratios = (
-        ((0, 1), (0, 2)),
-        ((1, 0), (1, 2)),
-        ((2, 3), (2, 0)),
-        ((3, 2), (3, 0)),
-    )
-    out = []
-    for (ni, nj), (di, dj) in ratios:
-        denom = q[di, dj]
-        if abs(denom) < 1e-14:
-            raise ZeroDivisionError(
-                f"entry ({di + 1},{dj + 1}) is below 1e-14; ratio undefined"
-            )
-        out.append(float(q[ni, nj] / denom))
-    return out

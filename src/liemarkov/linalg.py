@@ -270,31 +270,41 @@ def matrix_log(m) -> np.ndarray:
     return logs[0]
 
 
-def _vectorize(mats) -> tuple[list[np.ndarray], int]:
-    mats = [check_square(m) for m in mats]
-    if mats:
-        n = mats[0].shape[0]
-        for m in mats[1:]:
-            if m.shape[0] != n:
-                raise ValueError("matrices must all have the same order")
-    return mats, (mats[0].shape[0] if mats else 0)
+def check_matrices(mats) -> np.ndarray:
+    """A validated (k, n, n) stack of a list, tuple or array of same-order square matrices.
+
+    No matrices give a (0, 0, 0) stack.
+    """
+    if not isinstance(mats, np.ndarray):
+        mats = list(mats)
+    if not len(mats):
+        return np.empty((0, 0, 0))
+    try:
+        stack = np.asarray(mats, dtype=float)
+    except ValueError:
+        if len({np.shape(m) for m in mats}) > 1:
+            raise ValueError("matrices must all have the same order") from None
+        raise
+    if stack.ndim != 3:
+        raise ValueError(f"expected a square matrix, got shape {stack.shape[1:]}")
+    return check_stack(stack)
 
 
-def _svd_range(mats, rel_tol: float) -> tuple[np.ndarray, int]:
-    """Rank-revealing SVD of the stacked vectorized input.
+def _svd_range(stack: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Rank-revealing SVD of a validated (k, n, n) stack, vectorized.
 
-    Returns the right singular vectors whose singular values exceed
-    rel_tol times the largest one (none for empty or all-zero input),
-    and the matrix order.
+    Returns, as (r, n^2) rows, the right singular vectors whose singular
+    values exceed rel_tol times the largest one (none for no or all-zero
+    matrices), each sign-fixed so its largest-magnitude entry is positive.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must lie in (0, 1)")
-    mats, n = _vectorize(mats)
-    if not mats:
-        return np.empty((0, 0)), 0
-    stack = np.stack([m.reshape(-1) for m in mats])
-    _, svals, vt = np.linalg.svd(stack, full_matrices=False)
-    return vt[: int(np.sum(svals > rel_tol * svals[0]))], n
+    if not len(stack):
+        return np.empty((0, 0))
+    _, svals, vt = np.linalg.svd(stack.reshape(len(stack), -1), full_matrices=False)
+    rows = vt[: int(np.sum(svals > rel_tol * svals[0]))]
+    pivot = rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)]
+    return np.where(pivot[:, None] < 0.0, -rows, rows)
 
 
 def numerical_rank(mats, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
@@ -303,7 +313,7 @@ def numerical_rank(mats, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
     Counts singular values above rel_tol times the largest one; an empty
     list or all-zero input has rank 0.
     """
-    return len(_svd_range(mats, rel_tol)[0])
+    return len(_svd_range(check_matrices(mats), rel_tol))
 
 
 def orthonormal_basis(mats, rel_tol: float = DEFAULT_RANK_RTOL) -> list[np.ndarray]:
@@ -314,14 +324,9 @@ def orthonormal_basis(mats, rel_tol: float = DEFAULT_RANK_RTOL) -> list[np.ndarr
     largest-magnitude entry is positive; the output is therefore
     reproducible run to run. rel_tol must lie in (0, 1).
     """
-    rows, n = _svd_range(mats, rel_tol)
-    basis = []
-    for row in rows:
-        pivot = int(np.argmax(np.abs(row)))
-        if row[pivot] < 0.0:
-            row = -row
-        basis.append(row.reshape(n, n).copy())
-    return basis
+    stack = check_matrices(mats)
+    rows = _svd_range(stack, rel_tol)
+    return list(rows.reshape(len(rows), *stack.shape[1:]))
 
 
 @dataclass(frozen=True)
@@ -340,14 +345,12 @@ def least_squares_membership(x, basis, tol: float = DEFAULT_MEMBERSHIP_TOL) -> M
     holds when it does not exceed tol.
     """
     x = check_square(x)
-    mats, _ = _vectorize(list(basis))
-    if not mats:
+    stack = check_matrices(basis)
+    if not len(stack):
         raise ValueError("basis must be non-empty")
-    if mats[0].shape != x.shape:
-        raise ValueError(
-            f"incompatible matrix orders {x.shape[0]} and {mats[0].shape[0]}"
-        )
-    columns = np.stack([m.reshape(-1) for m in mats], axis=1)
+    if stack.shape[1:] != x.shape:
+        raise ValueError(f"incompatible matrix orders {x.shape[0]} and {stack.shape[1]}")
+    columns = stack.reshape(len(stack), -1).T
     coeffs, *_ = np.linalg.lstsq(columns, x.reshape(-1), rcond=None)
     resid = x - (columns @ coeffs).reshape(x.shape)
     residual = frobenius(resid) / max(frobenius(x), 1.0)

@@ -20,11 +20,12 @@ import numpy as np
 from . import config
 from .linalg import (
     DEFAULT_MEMBERSHIP_TOL,
+    DEFAULT_RANK_RTOL,
     _fro_rows,
     _svd_range,
+    check_matrices,
     check_square,
     check_stack,
-    frobenius,
 )
 
 
@@ -115,9 +116,10 @@ class RateModel:
 
     Construction is the one place a model is judged well formed: a
     breach of any rule above raises ValueError here. It also compiles,
-    once, the constraint values (None without constraints) and the
-    residual, both as functions of a (B, n, n) stack; every membership
-    test, sampler and audit of the model uses these two.
+    once, the constraint values (None without constraints), the
+    orthonormal span basis of a declared basis (None without one) and
+    the residual; every membership test, sampler, span and audit of the
+    model uses these.
     """
 
     name: str
@@ -129,22 +131,23 @@ class RateModel:
     _constraint_values: Callable[[np.ndarray], np.ndarray] | None = field(
         init=False, repr=False, default=None
     )
+    _span: np.ndarray | None = field(init=False, repr=False, default=None)
     _residual: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("model order must be at least 2")
-        mats = []
-        for b in self.basis:
-            b = check_square(b)
-            if b.shape[0] != self.n:
+        basis = np.array(check_matrices(self.basis))
+        if len(basis):
+            if basis.shape[1] != self.n:
                 raise ValueError("basis matrix order does not match the model")
-            if not is_in_L(b, tol=1e-10 * max(1.0, frobenius(b))):
+            if not is_in_L(basis, tol=1e-10 * np.maximum(1.0, _fro_rows(basis))).all():
                 raise ValueError("basis matrices must have zero generator sums")
-            b = b.copy()
-            b.flags.writeable = False
-            mats.append(b)
-        object.__setattr__(self, "basis", tuple(mats))
+            span = _svd_range(basis, DEFAULT_RANK_RTOL)
+            span.flags.writeable = False
+            object.__setattr__(self, "_span", span)
+        basis.flags.writeable = False
+        object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "constraints", tuple(self.constraints))
         if not self.basis and not self.constraints:
             raise ValueError(f"model {self.name!r} must declare a basis or constraints")
@@ -153,7 +156,7 @@ class RateModel:
                 values = _compile_constraints(self.n, self.constraints)
             except IndexError as exc:
                 raise ValueError(str(exc)) from None
-            if self.basis and np.max(np.abs(values(np.stack(self.basis)))) > 1e-12:
+            if len(basis) and np.max(np.abs(values(basis))) > 1e-12:
                 raise ValueError("basis matrices must satisfy the declared constraints")
             object.__setattr__(self, "_constraint_values", values)
         if (self.parameterization is None) != (self.parameter_ranges is None):
@@ -271,19 +274,19 @@ def _compile_residual(model: RateModel) -> Callable[[np.ndarray], np.ndarray]:
     """The model's scale-invariant residual as a function of a (B, n, n) stack.
 
     A span model projects each vectorized matrix onto the orthogonal
-    complement of its span (I - V^T V, V an orthonormal basis of the
-    basis matrices at lstsq's default rank cutoff, max(n^2, k) eps) and
-    divides the remainder's norm by max(||q||_F, 1), as
-    least_squares_membership does. A constraint model takes the largest
-    absolute raw constraint value; a homogeneous degree-d constraint is
-    divided by ||q||_F^d first, so the residual is invariant under
-    positive rescaling of q. RateModel builds this once, at construction,
-    from the constraint values it compiled there.
+    complement of its span (I - V^T V, V the orthonormal span basis the
+    model computed once, at the same DEFAULT_RANK_RTOL cutoff that
+    span_basis reports) and divides the remainder's norm by
+    max(||q||_F, 1), as least_squares_membership does. A constraint
+    model takes the largest absolute raw constraint value; a homogeneous
+    degree-d constraint is divided by ||q||_F^d first, so the residual
+    is invariant under positive rescaling of q. RateModel builds this
+    once, at construction, from the span basis or the constraint values
+    it compiled there.
     """
     n = model.n
     if model.basis:
-        rows, _ = _svd_range(model.basis, max(n * n, len(model.basis)) * np.finfo(float).eps)
-        projector = np.eye(n * n) - rows.T @ rows
+        projector = np.eye(n * n) - model._span.T @ model._span
 
         def span_residual(q: np.ndarray) -> np.ndarray:
             flat = _flat(q, n)
@@ -621,6 +624,13 @@ def _field(doc: dict, key: str, parse: Callable, default=_REQUIRED):
         raise ModelFormatError(f"model file field {key!r}: {detail}") from exc
 
 
+def _json_int(value) -> int:
+    """A JSON integer as an int; floats, strings and booleans are refused."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def model_from_dict(doc: dict) -> RateModel:
     """Build a RateModel from the model file format.
 
@@ -630,7 +640,7 @@ def model_from_dict(doc: dict) -> RateModel:
     of its constraint monomials swapped.
     """
     name = _field(doc, "name", str)
-    n = _field(doc, "n", int)
+    n = _field(doc, "n", _json_int)
     axes = _field(doc, "convention", config.column_axes, config.column_axes("column"))
     swap = itemgetter(*axes)
 

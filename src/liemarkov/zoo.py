@@ -1,11 +1,11 @@
 """Built-in substitution models.
 
-DNA models over the state order A, G, C, T: HKY and the 8-parameter
-Lie-algebra envelope that its products land in, plus the standard
-companions JC, F81, K2P and GTR used as closed/not-closed contrast
-cases. Also holds the reference HKY example (two generators and the
-independently computed logarithm of the product of their substitution
-matrices) that the golden tests and the repro-paper command pin.
+DNA models over the state order A, G, C, T, as one table: HKY and the
+8-parameter Lie-algebra envelope that its products land in, plus JC,
+F81, K2P and GTR as closed/not-closed contrast cases. Also holds the
+reference HKY example (two generators and the independently computed
+logarithm of the product of their substitution matrices) that the golden
+tests and the repro-paper command pin, and kappa_witness, its ratios.
 """
 
 from __future__ import annotations
@@ -14,9 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import check_square
 from .model import (
     PolynomialConstraint,
     RateModel,
+    get_parameterization,
     linear_constraint,
     product_constraint,
     register_parameterization,
@@ -24,8 +26,15 @@ from .model import (
 
 NUCLEOTIDES = ("A", "G", "C", "T")
 
+# Off-diagonal slots of lm88's parameters, in signature order: the row
+# pairs of alpha..delta, then the transitions of kappa_1..kappa_4.
+_LM88_SLOTS = (
+    ((0, 2), (0, 3)), ((1, 2), (1, 3)), ((2, 0), (2, 1)), ((3, 0), (3, 1)),
+    ((0, 1),), ((1, 0),), ((2, 3),), ((3, 2),),
+)
+_ROW_PAIRS = _LM88_SLOTS[:4]
 # Transition pairs under the A, G, C, T ordering: A<->G and C<->T.
-_TRANSITIONS = ((0, 1), (1, 0), (2, 3), (3, 2))
+_TRANSITIONS = tuple(slot for (slot,) in _LM88_SLOTS[4:])
 
 
 def _with_diagonal(off) -> np.ndarray:
@@ -82,13 +91,6 @@ def _k2p_stack(p) -> np.ndarray:
     for i, j in _TRANSITIONS:
         off[:, i, j] = p[:, 0]
     return _with_diagonal(off)
-
-
-# Off-diagonal slots of lm88's parameters, in signature order.
-_LM88_SLOTS = (
-    ((0, 2), (0, 3)), ((1, 2), (1, 3)), ((2, 0), (2, 1)), ((3, 0), (3, 1)),
-    ((0, 1),), ((1, 0),), ((2, 3),), ((3, 2),),
-)
 
 
 def _lm88_stack(p) -> np.ndarray:
@@ -170,27 +172,17 @@ register_parameterization("lm88", _lm88_stack, 8)
 register_parameterization("gtr", _gtr_stack, 10)
 
 
-def _unit(k: int, size: int) -> list[float]:
-    return [1.0 if i == k else 0.0 for i in range(size)]
-
-
 def _hky_constraints() -> tuple[PolynomialConstraint, ...]:
     # Four row-pair equalities plus the full orbit of equal-ratio
-    # quadratics; the first three quadratics already determine the model
-    # on the open stratum, the last three close the degenerate one.
-    linear = (
-        linear_constraint((1, 3), (1, 4)),
-        linear_constraint((2, 3), (2, 4)),
-        linear_constraint((3, 1), (3, 2)),
-        linear_constraint((4, 1), (4, 2)),
-    )
-    quadratic = (
-        product_constraint([(1, 2), (2, 3)], [(2, 1), (1, 3)]),
-        product_constraint([(3, 4), (1, 3)], [(1, 2), (3, 1)]),
-        product_constraint([(4, 3), (1, 3)], [(1, 2), (4, 1)]),
-        product_constraint([(3, 4), (2, 3)], [(2, 1), (3, 1)]),
-        product_constraint([(4, 3), (2, 3)], [(2, 1), (4, 1)]),
-        product_constraint([(4, 3), (3, 1)], [(3, 4), (4, 1)]),
+    # quadratics kappa_r alpha_s = kappa_s alpha_r; the first three
+    # quadratics already determine the model on the open stratum, the
+    # last three close the degenerate one.
+    alphas = [[(i + 1, j + 1) for i, j in pair] for pair in _ROW_PAIRS]
+    kappas = [(i + 1, j + 1) for i, j in _TRANSITIONS]
+    linear = tuple(linear_constraint(*pair) for pair in alphas)
+    quadratic = tuple(
+        product_constraint([kappas[r], alphas[s][0]], [kappas[s], alphas[r][0]])
+        for r, s in ((0, 1), (2, 0), (3, 0), (2, 1), (3, 1), (3, 2))
     )
     return linear + quadratic
 
@@ -199,105 +191,40 @@ def _gtr_constraints() -> tuple[PolynomialConstraint, ...]:
     # Reversibility as cycle conditions: on every 3-cycle the product of
     # rates one way around equals the product the other way.
     triples = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
-    out = []
-    for i, j, k in triples:
-        out.append(
-            product_constraint([(i, j), (j, k), (k, i)], [(i, k), (k, j), (j, i)])
-        )
-    return tuple(out)
-
-
-def hky_model() -> RateModel:
-    """HKY as a constraint variety with its 5-parameter generator attached."""
-    return RateModel(
-        name="hky",
-        n=4,
-        constraints=_hky_constraints(),
-        parameterization="hky",
-        parameter_ranges=((0.001, 0.05),) * 4 + ((0.5, 2.0),),
-    )
-
-
-def lm88_model() -> RateModel:
-    """The 8-dimensional span model enveloping HKY (one basis matrix per free rate)."""
-    basis = tuple(lm88(*_unit(k, 8)) for k in range(8))
-    return RateModel(
-        name="lm88",
-        n=4,
-        basis=basis,
-        parameterization="lm88",
-        parameter_ranges=((0.001, 0.06),) * 8,
-    )
-
-
-def jc_model() -> RateModel:
-    return RateModel(
-        name="jc",
-        n=4,
-        basis=(jc(1.0),),
-        parameterization="jc",
-        parameter_ranges=((0.001, 0.05),),
-    )
-
-
-def f81_model() -> RateModel:
-    basis = tuple(f81(*_unit(k, 4)) for k in range(4))
-    return RateModel(
-        name="f81",
-        n=4,
-        basis=basis,
-        parameterization="f81",
-        parameter_ranges=((0.001, 0.05),) * 4,
-    )
-
-
-def k2p_model() -> RateModel:
-    return RateModel(
-        name="k2p",
-        n=4,
-        basis=(k2p(1.0, 0.0), k2p(0.0, 1.0)),
-        parameterization="k2p",
-        parameter_ranges=((0.001, 0.05),) * 2,
-    )
-
-
-def gtr_model() -> RateModel:
-    """GTR as a constraint variety; no span basis is declared on purpose.
-
-    Closure audits of this model must argue from sampled witnesses, which
-    exercises the constraints-only code path.
-    """
-    return RateModel(
-        name="gtr",
-        n=4,
-        constraints=_gtr_constraints(),
-        parameterization="gtr",
-        parameter_ranges=((0.2, 0.6),) * 6 + ((0.1, 0.4),) * 4,
+    return tuple(
+        product_constraint([(i, j), (j, k), (k, i)], [(i, k), (k, j), (j, i)])
+        for i, j, k in triples
     )
 
 
 @dataclass(frozen=True)
 class ZooEntry:
-    """A built-in model with its expected audit outcome.
+    """A built-in model: its sampling ranges, its constraints and its expected audit outcome.
 
     provenance is "reference" when the expectation is pinned by the
     built-in reference computation (see the repro-paper command) and
     "literature" when it is standard-model background.
     """
 
-    builder: object
+    parameter_ranges: tuple[tuple[float, float], ...]
     expected_span_dim: int | None
     expected_closed: bool | None
     provenance: str
+    constraints: tuple[PolynomialConstraint, ...] = ()
 
 
 _ZOO: dict[str, ZooEntry] = {
-    "hky": ZooEntry(hky_model, 8, False, "reference"),
-    "lm88": ZooEntry(lm88_model, 8, True, "reference"),
-    "jc": ZooEntry(jc_model, 1, True, "literature"),
-    "f81": ZooEntry(f81_model, 4, True, "literature"),
-    "k2p": ZooEntry(k2p_model, 2, True, "literature"),
-    "gtr": ZooEntry(gtr_model, None, False, "literature"),
+    # HKY as a constraint variety with its 5-parameter generator attached.
+    "hky": ZooEntry(((0.001, 0.05),) * 4 + ((0.5, 2.0),), 8, False, "reference", _hky_constraints()),
+    # The 8-dimensional span model enveloping HKY, one basis matrix per free rate.
+    "lm88": ZooEntry(((0.001, 0.06),) * 8, 8, True, "reference"),
+    "jc": ZooEntry(((0.001, 0.05),), 1, True, "literature"),
+    "f81": ZooEntry(((0.001, 0.05),) * 4, 4, True, "literature"),
+    "k2p": ZooEntry(((0.001, 0.05),) * 2, 2, True, "literature"),
+    # GTR as a constraint variety; no span basis is declared on purpose, so
+    # closure audits of it argue from sampled witnesses, which exercises the
+    # constraints-only code path.
+    "gtr": ZooEntry(((0.2, 0.6),) * 6 + ((0.1, 0.4),) * 4, None, False, "literature", _gtr_constraints()),
 }
 
 
@@ -313,7 +240,39 @@ def zoo_entry(name: str) -> ZooEntry:
 
 
 def zoo_model(name: str) -> RateModel:
-    return zoo_entry(name).builder()
+    """The zoo model of that name: 4 states, sampled through the parameterization of its name.
+
+    A model without constraints declares as its basis the images of the
+    unit vectors under that parameterization, which is linear.
+    """
+    entry = zoo_entry(name)
+    fn, n_params = get_parameterization(name)
+    basis = () if entry.constraints else tuple(fn(np.eye(n_params)))
+    return RateModel(name, 4, basis, entry.constraints, name, entry.parameter_ranges)
+
+
+def hky_model() -> RateModel:
+    return zoo_model("hky")
+
+
+def lm88_model() -> RateModel:
+    return zoo_model("lm88")
+
+
+def jc_model() -> RateModel:
+    return zoo_model("jc")
+
+
+def f81_model() -> RateModel:
+    return zoo_model("f81")
+
+
+def k2p_model() -> RateModel:
+    return zoo_model("k2p")
+
+
+def gtr_model() -> RateModel:
+    return zoo_model("gtr")
 
 
 # ---------------------------------------------------------------------------
@@ -345,3 +304,28 @@ def reference_pair() -> tuple[np.ndarray, np.ndarray]:
     """The two reference HKY generators."""
     p1, p2 = REFERENCE_HKY_PARAMS
     return hky(*p1), hky(*p2)
+
+
+def kappa_witness(q) -> list[float]:
+    """The four transition/transversion ratios implied by a closure-pattern matrix.
+
+    Requires the row-pair equalities of the 8-parameter pattern to hold
+    at 1e-6. A single-ratio (HKY) matrix returns four equal values; a
+    generic log-product returns four distinct ones.
+    """
+    q = check_square(q)
+    if q.shape[0] != 4:
+        raise ValueError("the closure pattern is defined for order-4 matrices")
+    for (i1, j1), (i2, j2) in _ROW_PAIRS:
+        if abs(q[i1, j1] - q[i2, j2]) > 1e-6:
+            raise ValueError(
+                f"entries ({i1 + 1},{j1 + 1}) and ({i2 + 1},{j2 + 1}) differ "
+                "beyond 1e-6; matrix is not in the closure pattern"
+            )
+    out = []
+    for (ni, nj), ((di, dj), _) in zip(_TRANSITIONS, _ROW_PAIRS):
+        denom = q[di, dj]
+        if abs(denom) < 1e-14:
+            raise ZeroDivisionError(f"entry ({di + 1},{dj + 1}) is below 1e-14; ratio undefined")
+        out.append(float(q[ni, nj] / denom))
+    return out

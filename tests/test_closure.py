@@ -35,6 +35,8 @@ from liemarkov import (
     membership,
     model_residual,
     multiplicative_closure_check,
+    numerical_rank,
+    orthonormal_basis,
     sample_stochastic,
     sample_with_rng,
     span_basis,
@@ -375,6 +377,62 @@ class TestBatchedBrackets:
 
     def test_empty_basis_generates_the_zero_algebra(self):
         assert lie_closure([]) == []
+
+
+class TestMatrixSets:
+    """A set of matrices may come as a list, a tuple or a (k, n, n) array, with the same result."""
+
+    @pytest.mark.parametrize("gens", [
+        _generic_pair(np.random.default_rng(5), 5),
+        np.stack(_kronecker_pair(4, 4, 4)),
+        np.stack(lm88_model().basis),
+    ])
+    def test_list_tuple_and_array_agree(self, gens):
+        results = []
+        for form in (list(gens), tuple(gens), np.array(gens)):
+            results.append((numerical_rank(form), orthonormal_basis(form), lie_closure(form)))
+        for rank, basis, closed in results[1:]:
+            assert rank == results[0][0]
+            for got, ref in ((basis, results[0][1]), (closed, results[0][2])):
+                assert isinstance(got, list) and len(got) == len(ref)
+                for a, b in zip(got, ref):
+                    np.testing.assert_array_equal(a, b)
+
+    def test_empty_and_mixed_sets(self):
+        for empty in ([], (), np.empty((0, 4, 4))):
+            assert numerical_rank(empty) == 0
+            assert orthonormal_basis(empty) == [] and lie_closure(empty) == []
+        for call in (numerical_rank, orthonormal_basis, lie_closure):
+            with pytest.raises(ValueError, match="matrices must all have the same order"):
+                call([np.zeros((3, 3)), np.zeros((4, 4))])
+
+
+class TestSpanBasis:
+    def test_declared_basis_gives_fresh_arrays(self):
+        model = lm88_model()
+        first = span_basis(model)
+        residual = model_residual(model, REFERENCE_LOG_PRODUCT)
+        for b in first:
+            assert b.flags.writeable
+            b[...] = 7.0
+        for b, ref in zip(span_basis(model), orthonormal_basis(model.basis)):
+            np.testing.assert_array_equal(b, ref)
+        assert model_residual(model, REFERENCE_LOG_PRODUCT) == residual
+        assert all(not b.flags.writeable for b in model.basis)
+
+    def test_declared_basis_runs_no_svd_per_call(self, monkeypatch):
+        model = f81_model()
+        monkeypatch.setattr(np.linalg, "svd", None)
+        assert len(span_basis(model)) == 4
+
+    def test_nearly_dependent_basis_has_one_span_and_residual(self):
+        # jc and jc + 1e-12 b span one direction at DEFAULT_RANK_RTOL, so b lies outside it.
+        q = jc_model().basis[0]
+        b = k2p_model().basis[0] - (np.sum(k2p_model().basis[0] * q) / np.sum(q * q)) * q
+        b /= frobenius(b)
+        model = RateModel(name="near", n=4, basis=(q, q + 1e-12 * b))
+        assert len(span_basis(model)) == 1
+        assert model_residual(model, b) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMultiplicativeClosure:

@@ -335,6 +335,9 @@ class TestStackKernels:
     @given(st.integers(0, 2 ** 32 - 1), st.lists(st.sampled_from("gsnbc"), min_size=2, max_size=10))
     # Its 'c' row, expm(9.5125 C), is one whose square roots converge.
     @example(seed=7260160, kinds=["g", "g", "g", "g", "g", "s", "s", "c"])
+    # Its 'c' row, expm(10.3993 C), has an eigenvalue of 9.3e-10: its log is
+    # 6.2e-10 from an mpmath reference and scipy's is 2.1e-9.
+    @example(seed=13503374, kinds=["g"] * 6 + ["s"] * 3 + ["c"])
     def test_failing_rows_are_flagged_and_neighbours_unaffected(self, seed, kinds):
         sla = pytest.importorskip("scipy.linalg")
         rng = np.random.default_rng(seed)
@@ -359,7 +362,13 @@ class TestStackKernels:
             if kind == "g" or (kind == "c" and code == _LOG_OK):
                 assert code == _LOG_OK
                 np.testing.assert_array_equal(log_m, matrix_log(m))
-                assert _rel(log_m, sla.logm(m).real) <= 1e-10
+                reference = sla.logm(m).real
+                bound = 1e-10
+                if kind == "c":
+                    # Near-singular rows: the log's condition number, which scipy's error shares.
+                    kappa = np.linalg.norm(m) / (np.abs(np.linalg.eigvals(m)).min() * np.linalg.norm(reference))
+                    bound = max(bound, 16 * np.finfo(float).eps * kappa)
+                assert _rel(log_m, reference) <= bound
                 assert (np.abs(np.linalg.eigvals(log_m).imag) < math.pi).all()
             else:
                 assert code != _LOG_OK

@@ -591,6 +591,13 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError, match=field):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("value", [4.9, 4.0, "4", True])
+    def test_n_must_be_a_json_integer(self, value):
+        doc = model_to_dict(zoo_model("jc"))
+        doc["n"] = value
+        with pytest.raises(ModelFormatError, match="field 'n'"):
+            model_from_dict(doc)
+
     def test_missing_name(self):
         doc = model_to_dict(zoo_model("jc"))
         del doc["name"]
