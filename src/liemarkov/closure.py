@@ -266,21 +266,22 @@ def _log_product_block(model: RateModel, seed: int, count: int) -> tuple[np.ndar
     Every row draws its q slot first; only the rows whose q was accepted
     then draw their q' slot, so each pair's stream is read in the same
     order as sequential draws from its own generator. Returns q, q', the
-    log-products and a mask of the pairs that have one; a pair fails
-    when its sampler is exhausted or its product has no principal
-    logarithm.
+    log-products, a mask of the pairs whose sampler drew both
+    generators and a mask of the pairs that have a log-product; a drawn
+    pair fails only when its product has no principal logarithm.
     """
     streams = _SeedStreams(seed, count)
-    q, ok = _sample_stack(model, np.arange(count), streams.random)
+    q, sampled = _sample_stack(model, np.arange(count), streams.random)
     q_prime = np.full_like(q, np.nan)
-    rows = np.flatnonzero(ok)
-    q_prime[rows], ok[rows] = _sample_stack(model, rows, streams.random)
+    rows = np.flatnonzero(sampled)
+    q_prime[rows], sampled[rows] = _sample_stack(model, rows, streams.random)
     logs = np.full_like(q, np.nan)
-    rows = np.flatnonzero(ok)
+    rows = np.flatnonzero(sampled)
     exps = _exp_stack(np.concatenate([q[rows], q_prime[rows]]))
     logs[rows], status = _log_stack(exps[: len(rows)] @ exps[len(rows):])
+    ok = sampled.copy()
     ok[rows] = status == 0
-    return q, q_prime, logs, ok
+    return q, q_prime, logs, sampled, ok
 
 
 def multiplicative_closure_check(
@@ -310,23 +311,30 @@ def multiplicative_closure_check(
     and residual as the batch-of-one kernels (matrix_exp, matrix_log,
     sample_with_rng on default_rng(seed + k)) give it alone. Pairs
     whose sampler is exhausted or whose product has no principal
-    logarithm are skipped; more than samples/2 of them is an error.
+    logarithm are skipped; more than samples/2 of them is an error,
+    which counts the two causes apart and names the larger.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if not model.samplable:
         raise ValueError(f"model {model.name!r} cannot be sampled")
     found: list[Witness] = []
-    failures = 0
+    exhausted = no_log = 0
     tested = 0
     for start in range(0, samples, _PAIR_BLOCK):
         index = range(start, min(start + _PAIR_BLOCK, samples))
-        q, q_prime, logs, ok = _log_product_block(model, seed + start, len(index))
-        failures += len(ok) - int(ok.sum())
-        if failures > samples / 2:
+        q, q_prime, logs, sampled, ok = _log_product_block(model, seed + start, len(index))
+        # Count up to the pair whose failure passes half the sample, so blocking cannot change it.
+        over = np.flatnonzero(exhausted + no_log + np.cumsum(~ok) > samples / 2)
+        end = over[0] + 1 if len(over) else len(ok)
+        exhausted += int(np.sum(~sampled[:end]))
+        no_log += int(np.sum(sampled[:end] & ~ok[:end]))
+        if len(over):
+            cause = "sampler exhaustion" if exhausted > no_log else "a missing principal logarithm"
             raise RuntimeError(
-                f"more than half of the {samples} sampled pairs failed "
-                "to produce a principal logarithm"
+                f"more than half of the {samples} sampled pairs failed, mostly by {cause}: "
+                f"{exhausted} sampler exhaustions and {no_log} without a principal logarithm "
+                f"in the first {index[end - 1] + 1} pairs"
             )
         rows = np.flatnonzero(ok)
         tested += len(rows)

@@ -76,9 +76,10 @@ def _exp_stack(a: np.ndarray) -> np.ndarray:
 
     Row k is halved s_k times until its Frobenius norm is at most 0.5,
     its power series is summed until its own next term falls below
-    1e-18, and its partial sum is squared s_k times. Rows leave the
-    series and the squaring loop on their own schedule, so every row is
-    computed exactly as a stack of one would compute it.
+    1e-18, and its partial sum is squared s_k times. Rows stay in place:
+    every pass forms the next term of every row, and a row whose series
+    has ended is masked out of the sum, so every row is computed exactly
+    as a stack of one would compute it.
     """
     count, n = a.shape[0], a.shape[-1]
     nrm = _fro_rows(a)
@@ -87,15 +88,13 @@ def _exp_stack(a: np.ndarray) -> np.ndarray:
     squarings[big] = np.ceil(np.log2(nrm[big] / _EXP_SCALE_TARGET))
     b = a / (2.0 ** squarings)[:, None, None]
     total = np.broadcast_to(np.eye(n), a.shape).copy()
-    # Rows still summing, with their current term and scaled argument.
-    rows, term = np.arange(count), total.copy()
+    term, going = total.copy(), np.ones(count, dtype=bool)
     for k in range(1, 64):
         term = term @ b / k
-        total[rows] = total[rows] + term
-        going = ~(_fro_rows(term) < _SERIES_CUTOFF)
+        np.add(total, term, out=total, where=going[:, None, None])
+        going &= ~(_fro_rows(term) < _SERIES_CUTOFF)
         if not going.any():
             break
-        rows, term, b = rows[going], term[going], b[going]
     for level in range(int(squarings.max(initial=0))):
         rows = squarings > level
         total[rows] = total[rows] @ total[rows]
@@ -187,13 +186,17 @@ def _log_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvalue lies within 1e-12 of the closed negative real axis, when
     its square roots stall, meet a singular iterate or fail to approach
     the identity in 60 halvings, or when it is not finite; one failing
-    row never stops the others. Each row is square-rooted until
-    ||X - I||_F <= 0.75; log X is then summed as the Gregory series
-    2 atanh((X + I)^-1 (X - I)) over odd powers, one batched solve for
-    all rows, until the row's own next term falls below 1e-18, and
-    doubled back once per halving. Every row takes its own number of
-    halvings, Denman-Beavers iterations and series terms, exactly as a
-    stack of one would.
+    row never stops the others. The eigenvalue guard runs only on the
+    rows with ||X - I||_F > 0.75: a row within that radius has every
+    eigenvalue within 0.75 of 1, so it cannot be near the axis. Each
+    row is square-rooted until ||X - I||_F <= 0.75; log X is then summed
+    as the Gregory series 2 atanh((X + I)^-1 (X - I)) over odd powers,
+    one batched solve for all rows, until the row's own next term falls
+    below 1e-18, and doubled back once per halving. The series rows stay
+    in place: every pass forms the next term of every row, and a row
+    whose series has ended is masked out of the sum. Every row takes its
+    own number of halvings, Denman-Beavers iterations and series terms,
+    exactly as a stack of one would.
     """
     count, n = m.shape[0], m.shape[-1]
     ident = np.eye(n)
@@ -201,13 +204,14 @@ def _log_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     finite = np.isfinite(m).all(axis=(1, 2))
     status[~finite] = _LOG_NONFINITE
     rows = np.flatnonzero(finite)
-    if len(rows):
-        near = (_branch_distance(m[rows])[1] <= _NEG_AXIS_MARGIN).any(axis=1)
-        status[rows[near]] = _LOG_BRANCH
-        rows = rows[~near]
+    pending = rows[_fro_rows(m[rows] - ident) > _LOG_SQRT_TARGET]
+    # ||X - I||_F <= 0.75 bounds every eigenvalue within 0.75 of 1, so 0.25 from the ray.
+    if len(pending):
+        near = (_branch_distance(m[pending])[1] <= _NEG_AXIS_MARGIN).any(axis=1)
+        status[pending[near]] = _LOG_BRANCH
+        pending = pending[~near]
     x = m.copy()
     halvings = np.zeros(count, dtype=int)
-    pending = rows[_fro_rows(x[rows] - ident) > _LOG_SQRT_TARGET]
     level = 0
     while len(pending):
         if level >= 60:
@@ -231,14 +235,15 @@ def _log_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # ||E||_2 <= ||E||_F <= 0.75 gives ||(2I + E)^-1||_2 <= 1 / (2 - 0.75) = 0.8, so
     # ||Z||_F <= 0.6 and every row's term 2 ||Z^j||_F / j falls below 1e-18 by j = 75,
     # well inside the cap.
+    series, going = np.zeros_like(e), np.ones(len(rows), dtype=bool)
     j = 1
-    while len(rows) and j < 128:
+    while going.any() and j < 128:
         term = (2.0 / j) * power
-        going = _fro_rows(term) >= _SERIES_CUTOFF
-        rows, term, power, zsq = rows[going], term[going], power[going], zsq[going]
-        total[rows] = total[rows] + term
+        going &= _fro_rows(term) >= _SERIES_CUTOFF
+        np.add(series, term, out=series, where=going[:, None, None])
         power = power @ zsq
         j += 2
+    total[rows] = series
     logs = (2.0 ** halvings)[:, None, None] * total
     logs[status != _LOG_OK] = np.nan
     return logs, status
@@ -252,7 +257,9 @@ def matrix_log(m) -> np.ndarray:
     the Gregory series 2 atanh((X + I)^-1 (X - I)), and the result is
     doubled back. Inputs with an eigenvalue within 1e-12 of the closed
     negative real axis are rejected instead of silently choosing a
-    branch. This is the batch-of-one case of the stack kernel
+    branch; only an input that needs a square root is checked, since
+    ||X - I||_F <= 0.75 keeps every eigenvalue 0.25 from that axis.
+    This is the batch-of-one case of the stack kernel
     that the closure audit runs on (B, n, n) blocks, where a failing row
     is flagged instead of raising.
     """

@@ -135,6 +135,13 @@ class RateModel:
     _residual: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            n = None
+        if n is None or isinstance(self.n, bool):
+            raise ValueError(f"model order n must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", n)
         if self.n < 2:
             raise ValueError("model order must be at least 2")
         basis = np.array(check_matrices(self.basis))

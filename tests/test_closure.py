@@ -545,6 +545,20 @@ class TestMultiplicativeClosure:
         with pytest.raises(RuntimeError, match="half"):
             multiplicative_closure_check(_cyclic_model(), samples=10, seed=0)
 
+    def test_majority_failure_names_its_cause(self):
+        # The 12-state equal-input basis: its box sampler accepts about 2^-12 of its draws.
+        n = 12
+        basis = np.zeros((n, n, n))
+        for i in range(n):
+            basis[i, i] = 1.0
+            basis[i, i, i] = 0.0
+            basis[i][np.arange(n), np.arange(n)] = -basis[i].sum(axis=0)
+        model = RateModel(name="equal-input", n=n, basis=tuple(basis))
+        with pytest.raises(RuntimeError, match="half of the 20 sampled pairs failed, mostly by sampler exhaustion"):
+            multiplicative_closure_check(model, samples=20, seed=42)
+        with pytest.raises(RuntimeError, match="mostly by a missing principal logarithm: 0 sampler exhaustions and 6 without"):
+            multiplicative_closure_check(_cyclic_model(), samples=10, seed=0)
+
     def test_bracket_extraction_limit(self):
         # (2/eps^2)(log(e^{eQ} e^{eQ'}) - eQ - eQ') converges to [Q, Q'].
         eps = 1e-3
@@ -702,6 +716,20 @@ class TestBatchedAudit:
         monkeypatch.setattr(linalg, "_sqrtm_denman_beavers", spy)
         model = zoo_model("hky")
         *_, ok = closure._log_product_block(model, 7, 200)
+        assert ok.all()
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["hky", "lm88", "f81", "k2p", "jc"])
+    def test_products_within_the_radius_skip_the_branch_guard(self, name, monkeypatch):
+        # The guard runs only on rows that need a square root, and these products need none.
+        calls, guard = [], linalg._branch_distance
+
+        def spy(m):
+            calls.append(len(m))
+            return guard(m)
+
+        monkeypatch.setattr(linalg, "_branch_distance", spy)
+        *_, ok = closure._log_product_block(zoo_model(name), 7, 200)
         assert ok.all()
         assert calls == []
 

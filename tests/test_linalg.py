@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from liemarkov import linalg, reference_pair
 from liemarkov.linalg import (
     _LOG_BRANCH,
+    _LOG_NONFINITE,
     _LOG_OK,
     PrincipalLogError,
+    _branch_distance,
     _exp_stack,
+    _fro_rows,
     _log_stack,
     commutator,
     frobenius,
@@ -270,6 +273,123 @@ def _cyclic_generator(rates):
         q[(i + 1) % n, i] = r
         q[i, i] = -r
     return q
+
+
+def _series_exp_rows(a):
+    """Per-row oracle for _exp_stack: scaling, the power series and squaring on (1, n, n) slices.
+
+    Returns the exponentials and the number of series terms each row added.
+    """
+    out, terms = np.empty_like(a), []
+    for r in range(len(a)):
+        nrm = _fro_rows(a[r:r + 1])[0]
+        squarings = int(np.ceil(np.log2(nrm / 0.5))) if nrm > 0.5 else 0
+        b = a[r:r + 1] / 2.0 ** squarings
+        total = np.eye(a.shape[-1])[None].copy()
+        term = total.copy()
+        for k in range(1, 64):
+            term = term @ b / k
+            total = total + term
+            if _fro_rows(term)[0] < 1e-18:
+                break
+        for _ in range(squarings):
+            total = total @ total
+        out[r] = total[0]
+        terms.append(k)
+    return out, terms
+
+
+def _gregory_log_rows(m):
+    """Per-row oracle for _log_stack on rows with ||X - I||_F <= 0.75: the Gregory series alone.
+
+    Returns the logarithms and the number of series terms each row added.
+    """
+    out, terms = np.empty_like(m), []
+    ident = np.eye(m.shape[-1])
+    for r in range(len(m)):
+        e = m[r:r + 1] - ident
+        power = np.linalg.solve(e + 2.0 * ident, e)
+        zsq = power @ power
+        total = np.zeros_like(e)
+        j = 1
+        while j < 128:
+            term = (2.0 / j) * power
+            if _fro_rows(term)[0] < 1e-18:
+                break
+            total = total + term
+            power = power @ zsq
+            j += 2
+        out[r] = total[0]
+        terms.append(j // 2)
+    return out, terms
+
+
+class TestStackSeries:
+    """Rows leave the stack series on their own term, as the per-row oracle stops them."""
+
+    @pytest.mark.parametrize("seed, n", [(0, 2), (1, 4), (2, 5), (3, 8)])
+    def test_exp_stack_matches_per_row_series(self, seed, n):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(40, n, n))
+        # Row norms from 1e-8 (a few terms) to 8 (four squarings).
+        norms = np.geomspace(1e-8, 8.0, len(a))
+        a *= (norms / np.linalg.norm(a, axis=(1, 2)))[:, None, None]
+        expected, terms = _series_exp_rows(a)
+        assert len(set(terms)) >= 5
+        np.testing.assert_array_equal(_exp_stack(a), expected)
+        np.testing.assert_array_equal(_exp_stack(a[::-1]), expected[::-1])
+
+    @pytest.mark.parametrize("seed, n", [(0, 2), (1, 4), (2, 5), (3, 8)])
+    def test_log_stack_matches_per_row_series(self, seed, n):
+        rng = np.random.default_rng(seed)
+        e = rng.normal(size=(40, n, n))
+        norms = np.geomspace(1e-6, 0.75, len(e))
+        m = np.eye(n) + e * (norms / np.linalg.norm(e, axis=(1, 2)))[:, None, None]
+        expected, terms = _gregory_log_rows(m)
+        assert len(set(terms)) >= 5
+        logs, status = _log_stack(m)
+        assert (status == _LOG_OK).all()
+        np.testing.assert_array_equal(logs, expected)
+        np.testing.assert_array_equal(_log_stack(m[::-1])[0], expected[::-1])
+
+
+class TestBranchGuard:
+    """The eigenvalue guard runs only on rows that need a square root."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8), st.floats(1e-6, 0.75), st.booleans())
+    def test_rows_within_the_radius_are_far_from_the_axis(self, seed, n, norm, jordan):
+        # rho(E) <= ||E||_2 <= ||E||_F <= 0.75, so every eigenvalue of I + E is 0.25 from (-inf, 0].
+        rng = np.random.default_rng(seed)
+        e = rng.normal(size=(n, n))
+        if jordan:  # strongly non-normal
+            e[0, 1] += 10.0 * np.abs(e).max()
+        e *= norm / np.linalg.norm(e)
+        # eigvals is backward stable: exact for a perturbation of about eps * ||X||.
+        assert _branch_distance((np.eye(n) + e)[None])[1].min() >= 0.25 - 1e-12
+
+    def test_bound_is_attained(self):
+        x = np.eye(4)
+        x[0, 0] -= 0.75
+        assert _branch_distance(x[None])[1].min() == 0.25
+
+    def test_mixed_stack(self):
+        m = np.stack([
+            np.eye(2) + [[1e-3, 2e-3], [0.0, -1e-3]],
+            np.diag([-1.0, 2.0]),
+            np.diag([1e-13, 1.0]),
+            np.full((2, 2), np.nan),
+        ])
+        with mock.patch.object(linalg, "_branch_distance", wraps=linalg._branch_distance) as spy:
+            logs, status = _log_stack(m)
+            guarded = [len(call.args[0]) for call in spy.call_args_list]
+        assert list(status) == [_LOG_OK, _LOG_BRANCH, _LOG_BRANCH, _LOG_NONFINITE]
+        # The near-identity row needs no square root, so only the two far rows are guarded.
+        assert guarded == [2]
+        np.testing.assert_array_equal(logs[0], matrix_log(m[0]))
+        assert np.isnan(logs[1:]).all()
+        with pytest.raises(PrincipalLogError, match="eigenvalue -1 lies within 1e-12"):
+            matrix_log(m[1])
 
 
 class TestStackKernels:

@@ -1,4 +1,5 @@
 
+import json
 import pickle
 import warnings
 
@@ -433,6 +434,23 @@ class TestModelValidation:
         # Such a model could do nothing: its residual, sampler and audit would all raise.
         with pytest.raises(ValueError, match="model 'bare' must declare a basis or constraints"):
             RateModel(name="bare", n=4)
+
+    @pytest.mark.parametrize("n, shown", [(4.0, "4.0"), (True, "True"), ("4", "'4'")])
+    def test_order_must_be_an_integer(self, n, shown):
+        # A float order used to build from constraints and fail in every residual.
+        message = f"model order n must be an integer, got {shown}"
+        with pytest.raises(ValueError, match=message):
+            RateModel(name="x", n=n, constraints=hky_model().constraints)
+        with pytest.raises(ValueError, match=message):
+            RateModel(name="x", n=n, basis=(jc(1.0),))
+
+    def test_numpy_integer_order_is_stored_as_int(self):
+        model = RateModel(name="x", n=np.int64(4), basis=(jc(1.0),))
+        assert type(model.n) is int
+        doc = model_to_dict(model)
+        assert type(doc["n"]) is int
+        again = model_from_dict(json.loads(json.dumps(doc)))
+        assert again.n == 4 and model_to_dict(again) == doc
 
     @pytest.mark.parametrize("fields", [
         {"parameterization": "jc"},
