@@ -28,7 +28,6 @@ from .model import (
     RateModel,
     SamplingError,
     check_scaling_closure,
-    constraints_homogeneous,
     evaluate_constraints,
     is_in_L,
     is_stochastic_rate,
@@ -56,18 +55,12 @@ from .zoo import (
     REFERENCE_LOG_PRODUCT,
     ZooEntry,
     f81,
-    f81_model,
     gtr,
-    gtr_model,
     hky,
-    hky_model,
     jc,
-    jc_model,
     k2p,
-    k2p_model,
     kappa_witness,
     lm88,
-    lm88_model,
     reference_pair,
     zoo_entry,
     zoo_model,

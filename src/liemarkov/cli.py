@@ -2,10 +2,9 @@
 
 Subcommands: check (closure audit with exit code 0/2/3 for
 closed/not_closed/inconclusive), closure (bracket-saturated basis),
-bch (truncation error sweep), sample (seeded generator draws),
-repro-paper (recompute the built-in reference example) and export
-(write a model file). Reports are JSON by default; text mode prints
-numbers to 6 significant figures.
+sample (seeded generator draws), repro-paper (recompute the built-in
+reference example) and export (write a model file). Reports are JSON
+by default; text mode prints numbers to 6 significant figures.
 """
 
 from __future__ import annotations
@@ -17,23 +16,15 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .closure import (
-    bch_truncated,
-    lie_closure,
-    log_product,
-    multiplicative_closure_check,
-    span_basis,
-)
+from .closure import lie_closure, log_product, multiplicative_closure_check, span_basis
 from .linalg import DEFAULT_MEMBERSHIP_TOL
 from .model import (
     ModelFormatError,
     SamplingError,
     _sample_stochastic_stack,
     check_scaling_closure,
-    constraints_homogeneous,
     load_model,
     model_to_dict,
-    sample_with_rng,
 )
 from .zoo import (
     _ROW_PAIRS,
@@ -50,9 +41,6 @@ EXIT_ERROR = 1
 EXIT_NOT_CLOSED = 2
 EXIT_INCONCLUSIVE = 3
 
-# BCH truncation errors at or below this are rounding (about 1.4e-14).
-_ROUNDING_LEVEL = 64 * np.finfo(float).eps
-
 _VERDICT_EXIT = {"closed": EXIT_OK, "not_closed": EXIT_NOT_CLOSED, "inconclusive": EXIT_INCONCLUSIVE}
 
 
@@ -67,7 +55,6 @@ _FLAGS = {
     "--samples": {"type": int, "default": 100, "help": "sample count (default 100)"},
     "--tol": {"type": float, "default": DEFAULT_MEMBERSHIP_TOL,
               "help": "membership tolerance (default %(default)g)"},
-    "--orders": {"default": "1,2,3", "help": "comma-separated truncation orders"},
     "--output": {"default": "-", "help": "output path, '-' for stdout (default)"},
     "--format": {"choices": ("json", "text"), "default": "json"},
     "--no-timestamp": {"action": "store_true", "help": "omit the timestamp field"},
@@ -79,7 +66,6 @@ _SUBCOMMANDS = {
     "check": ("run the full multiplicative-closure audit",
               ("--model", "--seed", "--samples", "--tol", *_REPORT)),
     "closure": ("print the bracket-saturated span basis", ("--model", "--seed", "--samples", *_REPORT)),
-    "bch": ("truncation error sweep against log-products", ("--model", "--seed", "--orders", *_REPORT)),
     "sample": ("emit seeded generator samples", ("--model", "--seed", "--samples", *_REPORT)),
     "repro-paper": ("recompute the built-in reference example", ("--samples", *_REPORT)),
     "export": ("write the model in the model file format", ("--model", "--output")),
@@ -152,7 +138,7 @@ def _cmd_check(args) -> tuple[dict, list[str], int]:
     body = {
         "model": model.name,
         "scaling_closed": scaling,
-        "constraints_homogeneous": constraints_homogeneous(model),
+        "constraints_homogeneous": scaling if model.constraints else None,
         "closure": report.to_dict(),
     }
     lines = [
@@ -191,55 +177,6 @@ def _cmd_closure(args) -> tuple[dict, list[str], int]:
     for k, b in enumerate(closed):
         lines.append(f"basis element {k}:")
         lines.append(_fmt_matrix(b))
-    return body, lines, EXIT_OK
-
-
-def _slope(ts: list[float], errors: list[float]) -> float | None:
-    """Slope of log2(error) against log2(t) over the errors above rounding level.
-
-    An error of at most 64 eps is rounding, not truncation, and says
-    nothing about the order; None when fewer than two points are left.
-    """
-    kept = [(t, err) for t, err in zip(ts, errors) if err > _ROUNDING_LEVEL]
-    if len(kept) < 2:
-        return None
-    t, err = zip(*kept)
-    return float(np.polyfit(np.log2(t), np.log2(err), 1)[0])
-
-
-def _cmd_bch(args) -> tuple[dict, list[str], int]:
-    try:
-        orders = [int(tok) for tok in args.orders.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise CliError(f"cannot parse --orders {args.orders!r}") from exc
-    if not orders or any(o not in (1, 2, 3) for o in orders):
-        raise CliError("--orders must list values from 1, 2, 3")
-    model = _resolve_model(args.model)
-    rng = np.random.default_rng(args.seed)
-    q = sample_with_rng(model, rng)
-    q_prime = sample_with_rng(model, rng)
-    ts = [2.0 ** -k for k in range(1, 7)]
-    errors = {order: [] for order in orders}
-    for t in ts:
-        reference = log_product(t * q, t * q_prime)
-        for order in orders:
-            errors[order].append(
-                float(np.linalg.norm(reference - bch_truncated(t * q, t * q_prime, order)))
-            )
-    slopes = {order: _slope(ts, errors[order]) for order in orders}
-    body = {
-        "model": model.name,
-        "orders": orders,
-        "t": ts,
-        "errors": {str(o): errors[o] for o in orders},
-        "slopes": {str(o): slopes[o] for o in orders},
-    }
-    lines = [f"model: {model.name}", "t        " + "  ".join(f"order {o}" for o in orders)]
-    for i, t in enumerate(ts):
-        lines.append(
-            f"{t:<8.6g} " + "  ".join(f"{errors[o][i]:.6g}" for o in orders)
-        )
-    lines.append("slopes:  " + "  ".join("n/a" if slopes[o] is None else f"{slopes[o]:.6g}" for o in orders))
     return body, lines, EXIT_OK
 
 
@@ -287,7 +224,6 @@ def _cmd_repro_paper(args) -> tuple[dict, list[str], int]:
 _HANDLERS = {
     "check": _cmd_check,
     "closure": _cmd_closure,
-    "bch": _cmd_bch,
     "sample": _cmd_sample,
     "repro-paper": _cmd_repro_paper,
 }

@@ -312,10 +312,13 @@ def multiplicative_closure_check(
     sample_with_rng on default_rng(seed + k)) give it alone. Pairs
     whose sampler is exhausted or whose product has no principal
     logarithm are skipped; more than samples/2 of them is an error,
-    which counts the two causes apart and names the larger.
+    which counts the two causes apart and names the larger. Raises
+    ValueError unless tol is a positive finite number.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
     if not model.samplable:
         raise ValueError(f"model {model.name!r} cannot be sampled")
     found: list[Witness] = []

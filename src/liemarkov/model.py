@@ -58,7 +58,10 @@ class PolynomialConstraint:
                     raise ValueError(f"constraint indices are 1-based, got ({i}, {j})")
                 if i == j:
                     raise ValueError("constraints only involve off-diagonal entries")
-            norm.append((float(coeff), pairs))
+            coeff = float(coeff)
+            if not np.isfinite(coeff):
+                raise ValueError(f"constraint coefficients must be finite, got {coeff}")
+            norm.append((coeff, pairs))
         object.__setattr__(self, "terms", tuple(norm))
 
     @property
@@ -224,13 +227,6 @@ def evaluate_constraints(model: RateModel, q) -> list[float]:
         raise ValueError(f"model {model.name!r} has no constraints")
     q = check_square(q)
     return model._constraint_values(q[None])[0].tolist()
-
-
-def constraints_homogeneous(model: RateModel) -> bool | None:
-    """Whether every defining constraint is homogeneous; None without constraints."""
-    if not model.constraints:
-        return None
-    return all(c.homogeneous for c in model.constraints)
 
 
 def _flat(q: np.ndarray, n: int) -> np.ndarray:
@@ -473,7 +469,6 @@ def _sample_stack(
     model: RateModel,
     rows: np.ndarray,
     random: Callable[[np.ndarray, int], np.ndarray],
-    max_attempts: int = _MAX_ATTEMPTS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One stochastic rate matrix per stream in rows, as a (len(rows), n, n) stack.
 
@@ -485,7 +480,7 @@ def _sample_stack(
     Generator.uniform(lo, hi); a basis-only model takes coefficients
     -1 + 2 * unit, which is Generator.uniform(-1, 1). So a row draws what
     sample_with_rng would draw from its stream. A rejected row redraws
-    alone, from its own stream, up to max_attempts times in all; a row
+    alone, from its own stream, up to _MAX_ATTEMPTS times in all; a row
     that runs out is marked failed in the returned mask (its matrix is
     NaN) instead of raising. Rows of a shared Generator draw from it in
     row order; that matches sequential draws while no row is rejected.
@@ -515,7 +510,7 @@ def _sample_stack(
     out = np.full((len(rows), n, n), np.nan)
     ok = np.zeros(len(rows), dtype=bool)
     pending = np.arange(len(rows))
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         if not len(pending):
             break
         q, accept = draw(rows[pending])
@@ -526,35 +521,30 @@ def _sample_stack(
 
 
 def _sample_all(
-    model: RateModel,
-    count: int,
-    random: Callable[[np.ndarray, int], np.ndarray],
-    max_attempts: int = _MAX_ATTEMPTS,
+    model: RateModel, count: int, random: Callable[[np.ndarray, int], np.ndarray]
 ) -> np.ndarray:
     """Rows 0..count-1 of _sample_stack as a (count, n, n) stack.
 
-    Raises SamplingError when any row is exhausted in max_attempts draws.
+    Raises SamplingError when any row is exhausted in _MAX_ATTEMPTS draws.
     """
-    mats, ok = _sample_stack(model, np.arange(count), random, max_attempts=max_attempts)
+    mats, ok = _sample_stack(model, np.arange(count), random)
     if ok.all():
         return mats
     if model.parameterization is not None:
-        raise SamplingError(f"parameterized sampler for {model.name!r} failed {max_attempts} times")
+        raise SamplingError(f"parameterized sampler for {model.name!r} failed {_MAX_ATTEMPTS} times")
     raise SamplingError(
         f"sampler could not reach the stochastic cone of {model.name!r} "
-        f"in {max_attempts} attempts"
+        f"in {_MAX_ATTEMPTS} attempts"
     )
 
 
-def sample_with_rng(
-    model: RateModel, rng: np.random.Generator, max_attempts: int = _MAX_ATTEMPTS
-) -> np.ndarray:
+def sample_with_rng(model: RateModel, rng: np.random.Generator) -> np.ndarray:
     """Draw one stochastic rate matrix from the model using rng.
 
     The batch-of-one case of the stack sampler the closure audit uses;
-    raises SamplingError when no draw is accepted in max_attempts.
+    raises SamplingError when no draw is accepted in _MAX_ATTEMPTS.
     """
-    return _sample_all(model, 1, _generator_source(rng), max_attempts=max_attempts)[0]
+    return _sample_all(model, 1, _generator_source(rng))[0]
 
 
 def sample_stochastic(model: RateModel, seed: int) -> np.ndarray:
@@ -580,7 +570,7 @@ def check_scaling_closure(model: RateModel) -> bool:
     constraint of degree d satisfies f(alpha q) = alpha^d f(q), so the
     model scales unless a defining constraint is inhomogeneous.
     """
-    return constraints_homogeneous(model) is not False
+    return all(c.homogeneous for c in model.constraints)
 
 
 # ---------------------------------------------------------------------------

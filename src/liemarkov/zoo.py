@@ -251,30 +251,6 @@ def zoo_model(name: str) -> RateModel:
     return RateModel(name, 4, basis, entry.constraints, name, entry.parameter_ranges)
 
 
-def hky_model() -> RateModel:
-    return zoo_model("hky")
-
-
-def lm88_model() -> RateModel:
-    return zoo_model("lm88")
-
-
-def jc_model() -> RateModel:
-    return zoo_model("jc")
-
-
-def f81_model() -> RateModel:
-    return zoo_model("f81")
-
-
-def k2p_model() -> RateModel:
-    return zoo_model("k2p")
-
-
-def gtr_model() -> RateModel:
-    return zoo_model("gtr")
-
-
 # ---------------------------------------------------------------------------
 # Reference example: two HKY generators and the
 # independently computed principal logarithm of exp(Q1) @ exp(Q2). The

@@ -16,12 +16,9 @@ from liemarkov import (
     commutator,
     evaluate_constraints,
     frobenius,
-    hky_model,
-    jc_model,
     kappa_witness,
     least_squares_membership,
     lie_closure,
-    lm88_model,
     log_product,
     matrix_exp,
     matrix_log,
@@ -70,7 +67,7 @@ def test_01_golden_log_product():
 @criterion(2, "HKY refutation with witness")
 def test_02_hky_refutation():
     start = time.perf_counter()
-    model = hky_model()
+    model = zoo_model("hky")
     report = multiplicative_closure_check(model, samples=100, seed=42)
     assert report.mult_closed_verdict == "not_closed"
 
@@ -91,7 +88,7 @@ def test_02_hky_refutation():
 @criterion(3, "HKY span and bracket closure dimensions")
 def test_03_span_and_closure_dimensions():
     start = time.perf_counter()
-    model = hky_model()
+    model = zoo_model("hky")
     samples = [sample_stochastic(model, seed) for seed in range(200)]
     assert numerical_rank(samples) == 8
 
@@ -100,7 +97,7 @@ def test_03_span_and_closure_dimensions():
     closed = lie_closure(basis)
     assert len(closed) == 8
 
-    pattern = list(lm88_model().basis)
+    pattern = list(zoo_model("lm88").basis)
     for element in closed:
         assert least_squares_membership(element, pattern, tol=1e-8).inside
     assert time.perf_counter() - start < 10.0
@@ -108,8 +105,8 @@ def test_03_span_and_closure_dimensions():
 
 @criterion(4, "closed models verified")
 def test_04_closed_models():
-    assert multiplicative_closure_check(jc_model(), samples=50, seed=7).mult_closed_verdict == "closed"
-    lm88 = lm88_model()
+    assert multiplicative_closure_check(zoo_model("jc"), samples=50, seed=7).mult_closed_verdict == "closed"
+    lm88 = zoo_model("lm88")
     assert multiplicative_closure_check(lm88, samples=50, seed=7).mult_closed_verdict == "closed"
     for element in chain_logs(lm88, chain_length=3, samples=50, seed=7):
         assert model_residual(lm88, element) <= 1e-7

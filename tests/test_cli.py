@@ -22,6 +22,7 @@ class TestCheck:
         assert doc["closure"]["mult_closed_verdict"] == "closed"
         assert doc["closure"]["span_dim"] == 1
         assert doc["scaling_closed"] is True
+        assert doc["constraints_homogeneous"] is None
         assert doc["config"]["seed"] == 42
 
     def test_lm88_closed(self, capsys):
@@ -37,6 +38,7 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["closure"]["mult_closed_verdict"] == "not_closed"
         assert doc["closure"]["witnesses"]
+        assert doc["constraints_homogeneous"] is True
 
     def test_unknown_model(self, capsys):
         code, _, err = run_cli(capsys, "check", "--model", "nope.json")
@@ -49,6 +51,14 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "--model", str(path))
         assert code == EXIT_ERROR
         assert "basis or constraints" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_bad_tol(self, capsys, tol):
+        # A NaN or infinite tol would hide every witness, and a zero one refute on rounding.
+        code, out, err = run_cli(capsys, "check", "--model", "lm88", "--tol", tol)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: tol must be a positive finite number")
 
     def test_constraint_index_beyond_order(self, capsys, tmp_path):
         # Samplable, so the audit would reach the constraint compiler if the file loaded.
@@ -93,7 +103,7 @@ class TestCheck:
 
 
 class TestModelLoadErrors:
-    @pytest.mark.parametrize("command", ["check", "closure", "sample", "bch", "export"])
+    @pytest.mark.parametrize("command", ["check", "closure", "sample", "export"])
     def test_range_count_mismatch(self, command, capsys, tmp_path):
         # Refused on load, so every subcommand reports it, not a sampler or audit failure.
         doc = model_to_dict(zoo_model("hky"))
@@ -106,13 +116,15 @@ class TestModelLoadErrors:
         assert err == "error: model 'hky' declares 3 ranges but parameterization 'hky' takes 5\n"
 
 
-    @pytest.mark.parametrize("command", ["check", "closure", "sample", "bch", "export"])
+    @pytest.mark.parametrize("command", ["check", "closure", "sample", "export"])
     @pytest.mark.parametrize("field, value", [
         ("name", None),
         ("basis", 5),
         ("constraints", 5),
         ("parameter_ranges", 5),
         ("parameter_ranges", [[0.001, 0.05, 0.1]] * 5),
+        # JSON's NaN literal loads as a float; a NaN coefficient would leave every draw rejected.
+        ("constraints", [{"terms": [{"coeff": float("nan"), "monomial": [[1, 2]]}]}]),
     ])
     def test_malformed_field(self, command, field, value, capsys, tmp_path):
         doc = model_to_dict(zoo_model("hky"))
@@ -134,12 +146,12 @@ class TestUsageErrors:
             ("check", "--model", "jc", "--samples", "x"),
             ("check", "--model", "jc", "--chain-length", "3"),
             ("nope",),
+            ("bch",),
             (),
             # Flags a subcommand would ignore are refused.
             ("repro-paper", "--model", "gtr"),
             ("export", "--format", "text"),
             ("closure", "--tol", "1"),
-            ("bch", "--samples", "3"),
             ("sample", "--tol", "1"),
         ],
     )
@@ -160,7 +172,6 @@ class TestUsageErrors:
         [
             (("check", "--model", "jc", "--samples", "5"), ["model", "seed", "samples", "tol", "format", "output"]),
             (("closure", "--model", "jc"), ["model", "seed", "samples", "format", "output"]),
-            (("bch", "--model", "jc"), ["model", "seed", "format", "output"]),
             (("sample", "--model", "jc", "--samples", "1"), ["model", "seed", "samples", "format", "output"]),
             (("repro-paper",), ["samples", "format", "output"]),
         ],
@@ -179,33 +190,6 @@ class TestClosure:
         assert doc["span_dim"] == 8
         assert doc["lie_closure_dim"] == 8
         assert len(doc["basis"]) == 8
-
-
-class TestBch:
-    def test_slopes(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bch", "--model", "hky", "--orders", "1,2,3", "--no-timestamp"
-        )
-        assert code == EXIT_OK
-        doc = json.loads(out)
-        for order, target in (("1", 2.0), ("2", 3.0), ("3", 4.0)):
-            assert doc["slopes"][order] == pytest.approx(target, abs=0.3)
-
-    @pytest.mark.parametrize("model", ["jc", "k2p"])
-    def test_commuting_generators_have_no_slope(self, capsys, model):
-        # Every truncation is exact up to rounding, so no error is fitted.
-        code, out, _ = run_cli(capsys, "bch", "--model", model, "--no-timestamp")
-        assert code == EXIT_OK
-        doc = json.loads(out)
-        assert max(max(errs) for errs in doc["errors"].values()) <= 1e-14
-        assert doc["slopes"] == {"1": None, "2": None, "3": None}
-        _, text, _ = run_cli(capsys, "bch", "--model", model, "--no-timestamp", "--format", "text")
-        assert text.splitlines()[-1].split() == ["slopes:", "n/a", "n/a", "n/a"]
-
-    def test_rejects_bad_orders(self, capsys):
-        code, _, err = run_cli(capsys, "bch", "--orders", "5")
-        assert code == EXIT_ERROR
-        assert "orders" in err
 
 
 class TestSample:

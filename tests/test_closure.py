@@ -17,18 +17,12 @@ from liemarkov import (
     SamplingError,
     bch_truncated,
     commutator,
-    f81_model,
     frobenius,
-    gtr_model,
     hky,
-    hky_model,
-    jc_model,
-    k2p_model,
     kappa_witness,
     least_squares_membership,
     lie_closure,
     lm88,
-    lm88_model,
     load_model,
     log_product,
     matrix_exp,
@@ -44,6 +38,7 @@ from liemarkov import (
     zoo_names,
 )
 from liemarkov import closure, linalg
+from liemarkov import model as model_module
 from liemarkov.model import _SeedStreams, _sample_stack
 from liemarkov.zoo import REFERENCE_LOG_PRODUCT, reference_pair
 
@@ -201,6 +196,14 @@ class TestBch:
             np.testing.assert_allclose(
                 bch_truncated(q1, q1, order), 2.0 * q1, atol=1e-15
             )
+        # jc and k2p generators commute, so every order is exact up to rounding.
+        for name in ("jc", "k2p"):
+            rng = np.random.default_rng(42)
+            q, q_prime = sample_with_rng(zoo_model(name), rng), sample_with_rng(zoo_model(name), rng)
+            for t in (2.0 ** -k for k in range(1, 7)):
+                reference = log_product(t * q, t * q_prime)
+                for order in (1, 2, 3):
+                    assert frobenius(reference - bch_truncated(t * q, t * q_prime, order)) <= 1e-14
 
     def test_invalid_order(self, reference_pair_q):
         q1, q2 = reference_pair_q
@@ -246,22 +249,22 @@ class TestLogProduct:
 
 class TestLogClosureSample:
     def test_chain_length_one_stays_in_model(self):
-        model = hky_model()
+        model = zoo_model("hky")
         for elem in chain_logs(model, chain_length=1, samples=20, seed=3):
             assert membership(model, elem, 1e-8).in_r
 
     def test_hky_chain_two_escapes(self):
-        model = hky_model()
+        model = zoo_model("hky")
         elems = chain_logs(model, chain_length=2, samples=50, seed=11)
         assert any(not membership(model, e, 1e-8).in_r for e in elems)
 
     def test_lm88_chain_two_stays(self):
-        model = lm88_model()
+        model = zoo_model("lm88")
         elems = chain_logs(model, chain_length=2, samples=50, seed=11)
         assert all(membership(model, e, 1e-8).in_r for e in elems)
 
     def test_zero_column_sums(self):
-        for e in chain_logs(hky_model(), chain_length=3, samples=20, seed=5):
+        for e in chain_logs(zoo_model("hky"), chain_length=3, samples=20, seed=5):
             assert np.abs(e.sum(axis=0)).max() <= 1e-9
 
     def test_all_chains_skipped(self):
@@ -272,11 +275,11 @@ class TestLogClosureSample:
 
 class TestLieClosure:
     def test_single_generator_is_abelian(self):
-        q = sample_stochastic(jc_model(), 0)
+        q = sample_stochastic(zoo_model("jc"), 0)
         assert len(lie_closure([q])) == 1
 
     def test_commuting_basis_closure_is_span(self):
-        basis = k2p_model().basis
+        basis = zoo_model("k2p").basis
         for x in basis:
             for y in basis:
                 assert frobenius(commutator(x, y)) <= 1e-14
@@ -287,12 +290,12 @@ class TestLieClosure:
             lie_closure([np.eye(4)])
 
     def test_idempotent(self):
-        closed = lie_closure(list(lm88_model().basis))
+        closed = lie_closure(list(zoo_model("lm88").basis))
         again = lie_closure(closed)
         assert len(again) == len(closed)
 
     def test_monotone_and_bracket_closed(self):
-        basis = span_basis(hky_model(), seed=0)
+        basis = span_basis(zoo_model("hky"), seed=0)
         closed = lie_closure(basis)
         for b in basis:
             assert least_squares_membership(b, closed, 1e-10).inside
@@ -303,7 +306,7 @@ class TestLieClosure:
     def test_f81_matches_exact_saturation_oracle(self):
         # Oracle: saturation in integer arithmetic with exact rational
         # rank, fully independent of the SVD pipeline.
-        basis = [np.asarray(b) for b in f81_model().basis]
+        basis = [np.asarray(b) for b in zoo_model("f81").basis]
         assert _exact_lie_rank(basis) == 4
         assert len(lie_closure(basis)) == 4
 
@@ -385,7 +388,7 @@ class TestMatrixSets:
     @pytest.mark.parametrize("gens", [
         _generic_pair(np.random.default_rng(5), 5),
         np.stack(_kronecker_pair(4, 4, 4)),
-        np.stack(lm88_model().basis),
+        np.stack(zoo_model("lm88").basis),
     ])
     def test_list_tuple_and_array_agree(self, gens):
         results = []
@@ -409,7 +412,7 @@ class TestMatrixSets:
 
 class TestSpanBasis:
     def test_declared_basis_gives_fresh_arrays(self):
-        model = lm88_model()
+        model = zoo_model("lm88")
         first = span_basis(model)
         residual = model_residual(model, REFERENCE_LOG_PRODUCT)
         for b in first:
@@ -421,14 +424,14 @@ class TestSpanBasis:
         assert all(not b.flags.writeable for b in model.basis)
 
     def test_declared_basis_runs_no_svd_per_call(self, monkeypatch):
-        model = f81_model()
+        model = zoo_model("f81")
         monkeypatch.setattr(np.linalg, "svd", None)
         assert len(span_basis(model)) == 4
 
     def test_nearly_dependent_basis_has_one_span_and_residual(self):
         # jc and jc + 1e-12 b span one direction at DEFAULT_RANK_RTOL, so b lies outside it.
-        q = jc_model().basis[0]
-        b = k2p_model().basis[0] - (np.sum(k2p_model().basis[0] * q) / np.sum(q * q)) * q
+        q = zoo_model("jc").basis[0]
+        b = zoo_model("k2p").basis[0] - (np.sum(zoo_model("k2p").basis[0] * q) / np.sum(q * q)) * q
         b /= frobenius(b)
         model = RateModel(name="near", n=4, basis=(q, q + 1e-12 * b))
         assert len(span_basis(model)) == 1
@@ -437,19 +440,24 @@ class TestSpanBasis:
 
 class TestMultiplicativeClosure:
     def test_jc_closed(self):
-        report = multiplicative_closure_check(jc_model(), samples=20, seed=1)
+        report = multiplicative_closure_check(zoo_model("jc"), samples=20, seed=1)
         assert report.mult_closed_verdict == "closed"
         assert report.span_dim == report.lie_closure_dim == 1
         assert report.ambient_dim == 12
         assert report.witnesses == ()
 
     def test_lm88_closed(self):
-        report = multiplicative_closure_check(lm88_model(), samples=30, seed=2)
+        report = multiplicative_closure_check(zoo_model("lm88"), samples=30, seed=2)
         assert report.mult_closed_verdict == "closed"
         assert report.span_dim == report.lie_closure_dim == 8
 
+    def test_tol_must_be_positive_and_finite(self):
+        for tol in (float("nan"), float("inf"), -1.0, 0.0):
+            with pytest.raises(ValueError, match="positive finite"):
+                multiplicative_closure_check(zoo_model("hky"), samples=5, tol=tol)
+
     def test_hky_not_closed(self):
-        report = multiplicative_closure_check(hky_model(), samples=30, seed=42)
+        report = multiplicative_closure_check(zoo_model("hky"), samples=30, seed=42)
         assert report.mult_closed_verdict == "not_closed"
         assert report.witnesses
         worst = max(w.residual for w in report.witnesses)
@@ -457,14 +465,14 @@ class TestMultiplicativeClosure:
         assert len(report.witnesses) <= 10
 
     def test_gtr_not_closed(self):
-        report = multiplicative_closure_check(gtr_model(), samples=40, seed=3)
+        report = multiplicative_closure_check(zoo_model("gtr"), samples=40, seed=3)
         assert report.mult_closed_verdict == "not_closed"
 
     def test_gtr_witness_against_scipy_oracle(self):
         # Independent oracle: scipy's expm/logm and direct evaluation of
         # the cycle conditions, no liemarkov kernels involved.
         sla = pytest.importorskip("scipy.linalg")
-        model = gtr_model()
+        model = zoo_model("gtr")
         found = None
         for seed in range(40):
             q = sample_stochastic(model, 2 * seed)
@@ -483,7 +491,7 @@ class TestMultiplicativeClosure:
         # report must keep the first failure and the global worst one.
         from liemarkov import sample_with_rng
 
-        model = hky_model()
+        model = zoo_model("hky")
         samples, seed, tol = 150, 42, 1e-8
         failures = []
         for index in range(samples):
@@ -507,12 +515,12 @@ class TestMultiplicativeClosure:
         )
 
     def test_deterministic(self):
-        a = multiplicative_closure_check(hky_model(), samples=25, seed=9)
-        b = multiplicative_closure_check(hky_model(), samples=25, seed=9)
+        a = multiplicative_closure_check(zoo_model("hky"), samples=25, seed=9)
+        b = multiplicative_closure_check(zoo_model("hky"), samples=25, seed=9)
         assert a.to_json() == b.to_json()
 
     def test_report_serialization_fields(self):
-        report = multiplicative_closure_check(hky_model(), samples=10, seed=42)
+        report = multiplicative_closure_check(zoo_model("hky"), samples=10, seed=42)
         doc = report.to_dict()
         assert set(doc) == {
             "model_name",
@@ -563,7 +571,7 @@ class TestMultiplicativeClosure:
         # (2/eps^2)(log(e^{eQ} e^{eQ'}) - eQ - eQ') converges to [Q, Q'].
         eps = 1e-3
         for name in ("hky", "lm88", "gtr"):
-            model = {"hky": hky_model, "lm88": lm88_model, "gtr": gtr_model}[name]()
+            model = zoo_model(name)
             q = sample_stochastic(model, 0)
             qp = sample_stochastic(model, 1)
             bracket = commutator(q, qp)
@@ -577,8 +585,8 @@ class TestTheoremDirections:
     def test_closed_models_contain_their_log_closure(self):
         # Forward direction, numerically: models audited as closed keep
         # all sampled log-closure elements inside their span.
-        for builder in (jc_model, f81_model, k2p_model, lm88_model):
-            model = builder()
+        for name in ("jc", "f81", "k2p", "lm88"):
+            model = zoo_model(name)
             report = multiplicative_closure_check(model, samples=20, seed=4)
             assert report.mult_closed_verdict == "closed"
             for elem in chain_logs(model, chain_length=3, samples=50, seed=4):
@@ -630,7 +638,7 @@ class TestKappaWitness:
         }
         for (i, j), expr in pattern.items():
             q[i, j] = expr
-        for c in hky_model().constraints:
+        for c in zoo_model("hky").constraints:
             total = sympy.Integer(0)
             for coeff, monomial in c.terms:
                 term = sympy.Float(coeff)
@@ -769,18 +777,19 @@ class TestBatchedAudit:
             np.testing.assert_array_equal(q[k], sample_with_rng(model, rng))
             np.testing.assert_array_equal(q_prime[k], sample_with_rng(model, rng))
 
-    def test_exhausted_rows_fail_alone(self):
+    def test_exhausted_rows_fail_alone(self, monkeypatch):
+        monkeypatch.setattr(model_module, "_MAX_ATTEMPTS", 2)
         model = RateModel(name="k2p-span", n=4, basis=zoo_model("k2p").basis)
-        q, ok = _sample_stack(model, np.arange(40), _SeedStreams(5, 40).random, max_attempts=2)
+        q, ok = _sample_stack(model, np.arange(40), _SeedStreams(5, 40).random)
         assert 0 < ok.sum() < 40
         for k in range(40):
             rng = np.random.default_rng(5 + k)
             if ok[k]:
-                np.testing.assert_array_equal(q[k], sample_with_rng(model, rng, max_attempts=2))
+                np.testing.assert_array_equal(q[k], sample_with_rng(model, rng))
             else:
                 assert np.isnan(q[k]).all()
-                with pytest.raises(SamplingError, match="attempts"):
-                    sample_with_rng(model, rng, max_attempts=2)
+                with pytest.raises(SamplingError, match="in 2 attempts"):
+                    sample_with_rng(model, rng)
 
     @pytest.mark.parametrize("name", zoo_names())
     def test_row_convention_mirrors_column_convention(self, name, tmp_path):

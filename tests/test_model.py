@@ -16,14 +16,11 @@ from liemarkov import (
     RateModel,
     SamplingError,
     check_scaling_closure,
-    constraints_homogeneous,
     evaluate_constraints,
     hky,
-    hky_model,
     is_in_L,
     is_stochastic_rate,
     jc,
-    lm88_model,
     log_product,
     membership,
     model_from_dict,
@@ -116,7 +113,7 @@ class TestPolynomialConstraint:
 
     @pytest.mark.parametrize("alpha", [0.25, 2.0, 10.0])
     def test_residual_scales_with_degree(self, alpha):
-        model = hky_model()
+        model = zoo_model("hky")
         q = sample_stochastic(model, 5)
         base = evaluate_constraints(model, q + 0.01)  # push off the variety
         scaled = evaluate_constraints(model, alpha * (q + 0.01))
@@ -172,13 +169,13 @@ class TestStackPredicates:
 
 class TestEvaluateConstraints:
     def test_own_samples_satisfy_constraints(self):
-        model = hky_model()
+        model = zoo_model("hky")
         for seed in range(5):
             q = sample_stochastic(model, seed)
             assert max(abs(r) for r in evaluate_constraints(model, q)) <= 1e-15
 
     def test_reference_log_product_breaks_quadratics_only(self):
-        model = hky_model()
+        model = zoo_model("hky")
         resids = evaluate_constraints(model, REFERENCE_LOG_PRODUCT)
         linear = resids[:4]
         quadratic = resids[4:]
@@ -186,33 +183,33 @@ class TestEvaluateConstraints:
         assert max(abs(r) for r in quadratic) > 1e-6
 
     def test_zero_matrix_zero_residuals(self):
-        model = hky_model()
+        model = zoo_model("hky")
         assert evaluate_constraints(model, np.zeros((4, 4))) == [0.0] * 10
 
     def test_requires_constraints(self):
         with pytest.raises(ValueError, match="no constraints"):
-            evaluate_constraints(lm88_model(), np.zeros((4, 4)))
+            evaluate_constraints(zoo_model("lm88"), np.zeros((4, 4)))
 
 
 class TestMembership:
     def test_hky_member(self):
-        model = hky_model()
+        model = zoo_model("hky")
         q2 = hky(0.03, 0.01, 0.006, 0.008, 1.4)
         assert membership(model, q2)[:2] == (True, True)
 
     def test_reference_log_product_not_in_hky(self):
-        res = membership(hky_model(), REFERENCE_LOG_PRODUCT)
+        res = membership(zoo_model("hky"), REFERENCE_LOG_PRODUCT)
         assert res.in_r is False
         assert res.in_r_plus is False
         assert res.residual > 1e-5
 
     def test_reference_log_product_in_lm88(self):
-        res = membership(lm88_model(), REFERENCE_LOG_PRODUCT, tol=1e-6)
+        res = membership(zoo_model("lm88"), REFERENCE_LOG_PRODUCT, tol=1e-6)
         assert res.in_r and res.in_r_plus
         assert res.residual <= 1e-6
 
     def test_scale_invariance(self):
-        model = hky_model()
+        model = zoo_model("hky")
         q = sample_stochastic(model, 3)
         outside = np.asarray(REFERENCE_LOG_PRODUCT)
         for alpha in (0.5, 2.0, 10.0, 1000.0):
@@ -224,7 +221,7 @@ class TestMembership:
             RateModel(name="bare", n=4, parameterization="jc", parameter_ranges=((0.0, 1.0),))
 
     def test_namedtuple_unpacks(self):
-        in_r, in_r_plus, residual = membership(hky_model(), np.zeros((4, 4)))
+        in_r, in_r_plus, residual = membership(zoo_model("hky"), np.zeros((4, 4)))
         assert isinstance(Membership(in_r, in_r_plus, residual), Membership)
         assert residual == 0.0
 
@@ -264,8 +261,7 @@ class TestMembership:
 
 class TestScalingClosure:
     def test_hky_scales(self):
-        assert check_scaling_closure(hky_model())
-        assert constraints_homogeneous(hky_model()) is True
+        assert check_scaling_closure(zoo_model("hky"))
 
     def test_span_models_scale(self):
         for name in ("jc", "f81", "k2p", "lm88"):
@@ -274,15 +270,14 @@ class TestScalingClosure:
     def test_inhomogeneous_constraint_fails(self):
         model = RateModel(name="pinned", n=4, constraints=(q12_constraint(),))
         assert not check_scaling_closure(model)
-        assert constraints_homogeneous(model) is False
 
 
 class TestSampling:
     def test_deterministic(self):
-        a = sample_stochastic(hky_model(), 1)
-        b = sample_stochastic(hky_model(), 1)
+        a = sample_stochastic(zoo_model("hky"), 1)
+        b = sample_stochastic(zoo_model("hky"), 1)
         np.testing.assert_array_equal(a, b)
-        c = sample_stochastic(hky_model(), 2)
+        c = sample_stochastic(zoo_model("hky"), 2)
         assert np.abs(a - c).max() > 0
 
     def test_samples_are_members(self):
@@ -359,7 +354,7 @@ class TestSeedStreams:
             np.random.default_rng(-1)
         assert str(ours.value) == str(numpys.value)
         with pytest.raises(ValueError, match="non-negative"):
-            multiplicative_closure_check(hky_model(), samples=3, seed=-2)
+            multiplicative_closure_check(zoo_model("hky"), samples=3, seed=-2)
         # No row, no seed to check.
         assert _SeedStreams(-1, 0).random(np.arange(0), 3).shape == (0, 3)
 
@@ -396,7 +391,7 @@ class TestSeedStreams:
     @pytest.mark.parametrize("seed", [7, -1])
     @pytest.mark.parametrize("count", [0, -2])
     def test_stack_of_no_rows_is_empty(self, seed, count):
-        assert _sample_stochastic_stack(hky_model(), seed, count).shape == (0, 4, 4)
+        assert _sample_stochastic_stack(zoo_model("hky"), seed, count).shape == (0, 4, 4)
 
 
 class TestModelValidation:
@@ -420,7 +415,7 @@ class TestModelValidation:
             RateModel(name="bad", n=4, basis=(q0,), constraints=(q12_constraint(0.5),))
 
     def test_range_count_must_match_the_parameterization(self):
-        hky4 = hky_model()
+        hky4 = zoo_model("hky")
         message = "declares 3 ranges but parameterization 'hky' takes 5"
         with pytest.raises(ValueError, match=message):
             RateModel(name="hky", n=4, constraints=hky4.constraints, parameterization="hky",
@@ -440,7 +435,7 @@ class TestModelValidation:
         # A float order used to build from constraints and fail in every residual.
         message = f"model order n must be an integer, got {shown}"
         with pytest.raises(ValueError, match=message):
-            RateModel(name="x", n=n, constraints=hky_model().constraints)
+            RateModel(name="x", n=n, constraints=zoo_model("hky").constraints)
         with pytest.raises(ValueError, match=message):
             RateModel(name="x", n=n, basis=(jc(1.0),))
 
@@ -475,7 +470,7 @@ class TestModelValidation:
                       parameter_ranges=ranges)
 
     def test_model_residual_matches_membership(self):
-        model = hky_model()
+        model = zoo_model("hky")
         q = sample_stochastic(model, 4)
         assert model_residual(model, q) <= 1e-12
         assert model_residual(model, REFERENCE_LOG_PRODUCT) > 1e-8

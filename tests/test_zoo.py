@@ -4,19 +4,13 @@ import pytest
 from liemarkov import (
     evaluate_constraints,
     f81,
-    f81_model,
     gtr,
-    gtr_model,
     hky,
-    hky_model,
     is_stochastic_rate,
     jc,
-    jc_model,
     k2p,
-    k2p_model,
     lie_closure,
     lm88,
-    lm88_model,
     membership,
     numerical_rank,
     orthonormal_basis,
@@ -68,7 +62,7 @@ class TestGenerators:
     def test_hky_kappa_one_is_f81(self):
         q = hky(0.02, 0.01, 0.005, 0.009, 1.0)
         np.testing.assert_array_equal(q, f81(0.02, 0.01, 0.005, 0.009))
-        assert membership(f81_model(), q)[:2] == (True, True)
+        assert membership(zoo_model("f81"), q)[:2] == (True, True)
 
     def test_negative_parameter_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -99,14 +93,14 @@ class TestGenerators:
 
 class TestHkyModel:
     def test_constraints_hold_on_random_draws(self):
-        model = hky_model()
+        model = zoo_model("hky")
         rng = np.random.default_rng(4)
         for _ in range(100):
             q = hky(*rng.uniform(0.0, 0.1, 4), rng.uniform(0.0, 3.0))
             assert max(abs(r) for r in evaluate_constraints(model, q)) <= 1e-14
 
     def test_reference_memberships(self):
-        model = hky_model()
+        model = zoo_model("hky")
         q2 = hky(*REFERENCE_HKY_PARAMS[1])
         assert membership(model, q2)[:2] == (True, True)
         assert membership(model, REFERENCE_LOG_PRODUCT)[:2] == (False, False)
@@ -116,7 +110,7 @@ class TestHkyModel:
         # points of the 5-parameter family the constraint Jacobian (in
         # the 12 off-diagonal coordinates) must have rank 7, leaving a
         # variety of dimension 12 - 7 = 5.
-        model = hky_model()
+        model = zoo_model("hky")
         rng = np.random.default_rng(21)
         off_indices = [(i, j) for i in range(4) for j in range(4) if i != j]
         for _ in range(10):
@@ -137,9 +131,9 @@ class TestHkyModel:
 
     def test_hky_inside_gtr(self):
         # Time reversibility: HKY draws satisfy the GTR cycle conditions.
-        gtr_m = gtr_model()
+        gtr_m = zoo_model("gtr")
         for seed in range(10):
-            q = sample_stochastic(hky_model(), seed)
+            q = sample_stochastic(zoo_model("hky"), seed)
             assert membership(gtr_m, q)[:2] == (True, True)
 
     def test_span_rank_against_exact_rational_oracle(self):
@@ -190,21 +184,21 @@ class TestHkyModel:
 
 class TestLm88Model:
     def test_span_dimension(self):
-        model = lm88_model()
+        model = zoo_model("lm88")
         assert numerical_rank(list(model.basis)) == 8
 
     def test_bracket_closed(self):
-        assert len(lie_closure(list(lm88_model().basis))) == 8
+        assert len(lie_closure(list(zoo_model("lm88").basis))) == 8
 
     def test_orthonormalized_basis_is_orthogonal(self):
-        basis = orthonormal_basis(list(lm88_model().basis))
+        basis = orthonormal_basis(list(zoo_model("lm88").basis))
         for i, u in enumerate(basis):
             for j, v in enumerate(basis):
                 expected = 1.0 if i == j else 0.0
                 assert np.sum(u * v) == pytest.approx(expected, abs=1e-12)
 
     def test_contains_hky(self):
-        model = lm88_model()
+        model = zoo_model("lm88")
         rng = np.random.default_rng(6)
         for _ in range(20):
             q = hky(*rng.uniform(0.0, 0.1, 4), rng.uniform(0.0, 3.0))
@@ -213,9 +207,9 @@ class TestLm88Model:
 
 class TestCompanionModels:
     def test_span_dims(self):
-        assert numerical_rank(list(jc_model().basis)) == 1
-        assert numerical_rank(list(f81_model().basis)) == 4
-        assert numerical_rank(list(k2p_model().basis)) == 2
+        assert numerical_rank(list(zoo_model("jc").basis)) == 1
+        assert numerical_rank(list(zoo_model("f81").basis)) == 4
+        assert numerical_rank(list(zoo_model("k2p").basis)) == 2
 
     def test_exact_rank_oracle_on_all_declared_bases(self):
         for name in zoo_names():
@@ -226,11 +220,11 @@ class TestCompanionModels:
 
     def test_k2p_inside_hky(self):
         q = k2p(0.03, 0.02)
-        assert membership(hky_model(), q)[:2] == (True, True)
+        assert membership(zoo_model("hky"), q)[:2] == (True, True)
 
     def test_gtr_has_no_declared_basis(self):
-        assert gtr_model().basis == ()
-        assert len(gtr_model().constraints) == 4
+        assert zoo_model("gtr").basis == ()
+        assert len(zoo_model("gtr").constraints) == 4
 
     def test_zoo_entry_metadata(self):
         assert set(zoo_names()) == {"hky", "lm88", "jc", "f81", "k2p", "gtr"}
