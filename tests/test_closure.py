@@ -196,14 +196,16 @@ class TestBch:
             np.testing.assert_allclose(
                 bch_truncated(q1, q1, order), 2.0 * q1, atol=1e-15
             )
+
+    @pytest.mark.parametrize("name", ["jc", "k2p"])
+    def test_commuting_generators_match_log_product(self, name):
         # jc and k2p generators commute, so every order is exact up to rounding.
-        for name in ("jc", "k2p"):
-            rng = np.random.default_rng(42)
-            q, q_prime = sample_with_rng(zoo_model(name), rng), sample_with_rng(zoo_model(name), rng)
-            for t in (2.0 ** -k for k in range(1, 7)):
-                reference = log_product(t * q, t * q_prime)
-                for order in (1, 2, 3):
-                    assert frobenius(reference - bch_truncated(t * q, t * q_prime, order)) <= 1e-14
+        rng = np.random.default_rng(42)
+        q, q_prime = sample_with_rng(zoo_model(name), rng), sample_with_rng(zoo_model(name), rng)
+        for t in (2.0 ** -k for k in range(1, 7)):
+            reference = log_product(t * q, t * q_prime)
+            for order in (1, 2, 3):
+                assert frobenius(reference - bch_truncated(t * q, t * q_prime, order)) <= 1e-14
 
     def test_invalid_order(self, reference_pair_q):
         q1, q2 = reference_pair_q
