@@ -20,6 +20,7 @@ _EXP_SCALE_TARGET = 0.5
 _LOG_SQRT_TARGET = 0.75
 _SERIES_CUTOFF = 1e-18
 _NEG_AXIS_MARGIN = 1e-12
+_DISC_MARGIN = 1e-6
 _SQRT_MAX_ITER = 100
 
 
@@ -128,6 +129,23 @@ def _branch_distance(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, np.where(lam.real <= 0.0, np.abs(lam.imag), np.abs(lam))
 
 
+def _gershgorin_clear(m: np.ndarray) -> np.ndarray:
+    """Rows of a (B, n, n) stack whose Gershgorin discs keep every eigenvalue off the ray (-inf, 0].
+
+    A row qualifies when all of its column discs, or all of its row
+    discs, satisfy x_jj - sum_{i != j} |x_ij| > 1e-6. Every eigenvalue
+    lies in the union of either family of discs, so its real part, and
+    hence its distance to the ray, then exceeds 1e-6, far beyond the
+    1e-12 branch margin.
+    """
+    diag = np.diagonal(m, axis1=1, axis2=2)
+    mag = np.abs(m)
+    # x_jj - (sum_i |x_ij| - |x_jj|) is 2 x_jj - sum_i |x_ij| where x_jj > 0, and <= 0 otherwise.
+    twice = diag + np.abs(diag)
+    columns = (twice - mag.sum(axis=1) > _DISC_MARGIN).all(axis=1)
+    return columns | (twice - mag.sum(axis=2) > _DISC_MARGIN).all(axis=1)
+
+
 def _inv_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverses of a (B, n, n) stack and a mask of the rows that have one.
 
@@ -149,30 +167,31 @@ def _inv_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sqrtm_denman_beavers(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Principal square roots of a (B, n, n) stack and a per-row status.
 
-    Each row iterates until its own step falls below 1e-15 of its norm.
-    A row that meets a singular iterate, or runs out of its
-    _SQRT_MAX_ITER iterations, gets a failure status and a NaN root;
-    the other rows go on.
+    The product form of the Denman-Beavers iteration (Higham, Functions
+    of Matrices, SIAM 2008, eq. 6.17): from M = Y = X, each step takes
+    one inverse of M and sets Y <- Y (I + M^-1) / 2 and
+    M <- (I + (M + M^-1) / 2) / 2. Y tends to X^(1/2) and M to I, so
+    only a well-conditioned matrix is inverted as the iteration ends,
+    and a row stops once its own ||M - I||_F is at most 1e-15. A row
+    that meets a singular iterate, or runs out of its _SQRT_MAX_ITER
+    iterations, gets a failure status and a NaN root; the other rows
+    go on.
     """
     count = len(m)
+    ident = np.eye(m.shape[-1])
     roots = np.full_like(m, np.nan)
     status = np.full(count, _LOG_STALLED, dtype=np.int8)
     rows, y = np.arange(count), m
-    z = np.broadcast_to(np.eye(m.shape[-1]), m.shape).copy()
     for _ in range(_SQRT_MAX_ITER):
-        inv_z, ok_z = _inv_rows(z)
-        inv_y, ok_y = _inv_rows(y)
-        y_next = 0.5 * (y + inv_z)
-        z_next = 0.5 * (z + inv_y)
-        delta = _fro_rows(y_next - y)
-        y, z = y_next, z_next
-        singular = ~(ok_z & ok_y)
-        status[rows[singular]] = _LOG_SINGULAR
-        done = ~singular & (delta <= 1e-15 * np.maximum(1.0, _fro_rows(y)))
+        inv_m, ok = _inv_rows(m)
+        y = 0.5 * (y + y @ inv_m)
+        m = 0.5 * (ident + 0.5 * (m + inv_m))
+        status[rows[~ok]] = _LOG_SINGULAR
+        done = ok & (_fro_rows(m - ident) <= 1e-15)
         roots[rows[done]] = y[done]
         status[rows[done]] = _LOG_OK
-        going = ~singular & ~done
-        rows, y, z = rows[going], y[going], z[going]
+        going = ok & ~done
+        rows, y, m = rows[going], y[going], m[going]
         if not len(rows):
             break
     return roots, status
@@ -186,10 +205,14 @@ def _log_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvalue lies within 1e-12 of the closed negative real axis, when
     its square roots stall, meet a singular iterate or fail to approach
     the identity in 60 halvings, or when it is not finite; one failing
-    row never stops the others. The eigenvalue guard runs only on the
-    rows with ||X - I||_F > 0.75: a row within that radius has every
-    eigenvalue within 0.75 of 1, so it cannot be near the axis. Each
-    row is square-rooted until ||X - I||_F <= 0.75; log X is then summed
+    row never stops the others. The branch guard looks only at the rows
+    with ||X - I||_F > 0.75: a row within that radius has every
+    eigenvalue within 0.75 of 1, so it cannot be near the axis. Of
+    those, a row whose Gershgorin discs keep every eigenvalue right of
+    Re z = 1e-6 is cleared without eigvals, and only the rest have their
+    eigenvalues computed; with no row beyond the radius, neither test
+    runs. Each row is square-rooted (product-form Denman-Beavers) until
+    ||X - I||_F <= 0.75; log X is then summed
     as the Gregory series 2 atanh((X + I)^-1 (X - I)) over odd powers,
     one batched solve for all rows, until the row's own next term falls
     below 1e-18, and doubled back once per halving. The series rows stay
@@ -207,9 +230,12 @@ def _log_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pending = rows[_fro_rows(m[rows] - ident) > _LOG_SQRT_TARGET]
     # ||X - I||_F <= 0.75 bounds every eigenvalue within 0.75 of 1, so 0.25 from the ray.
     if len(pending):
-        near = (_branch_distance(m[pending])[1] <= _NEG_AXIS_MARGIN).any(axis=1)
-        status[pending[near]] = _LOG_BRANCH
-        pending = pending[~near]
+        # Only the rows whose discs do not clear the ray go to eigvals.
+        doubtful = pending[~_gershgorin_clear(m[pending])]
+        if len(doubtful):
+            near = (_branch_distance(m[doubtful])[1] <= _NEG_AXIS_MARGIN).any(axis=1)
+            status[doubtful[near]] = _LOG_BRANCH
+            pending = pending[status[pending] == _LOG_OK]
     x = m.copy()
     halvings = np.zeros(count, dtype=int)
     level = 0
@@ -252,14 +278,18 @@ def _log_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def matrix_log(m) -> np.ndarray:
     """Principal matrix logarithm by inverse scaling and squaring.
 
-    Principal square roots (Denman-Beavers) are taken until the iterate X
-    is within 0.75 of the identity in Frobenius norm, log X is summed as
-    the Gregory series 2 atanh((X + I)^-1 (X - I)), and the result is
-    doubled back. Inputs with an eigenvalue within 1e-12 of the closed
-    negative real axis are rejected instead of silently choosing a
-    branch; only an input that needs a square root is checked, since
-    ||X - I||_F <= 0.75 keeps every eigenvalue 0.25 from that axis.
-    This is the batch-of-one case of the stack kernel
+    Principal square roots (the product form of Denman-Beavers, one
+    inverse per step) are taken until the iterate X is within 0.75 of
+    the identity in Frobenius norm, log X is summed as the Gregory series
+    2 atanh((X + I)^-1 (X - I)), and the result is doubled back. Inputs
+    with an eigenvalue within 1e-12 of the closed negative real axis are
+    rejected instead of silently choosing a branch; only an input that
+    needs a square root is checked, since ||X - I||_F <= 0.75 keeps every
+    eigenvalue 0.25 from that axis, and an input whose Gershgorin discs
+    clear the axis by 1e-6 is accepted without computing its
+    eigenvalues. Products closer to singular than that are still
+    accepted down to the 1e-12 margin, with the accuracy their
+    conditioning allows. This is the batch-of-one case of the stack kernel
     that the closure audit runs on (B, n, n) blocks, where a failing row
     is flagged instead of raising.
     """

@@ -10,6 +10,7 @@ share across threads.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from operator import itemgetter
 from dataclasses import dataclass, field
@@ -180,8 +181,11 @@ class RateModel:
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"parameter_ranges must be (lo, hi) pairs: {exc}") from None
             for lo, hi in ranges:
-                if not lo <= hi:
-                    raise ValueError(f"invalid parameter range ({lo}, {hi})")
+                # A NaN fails lo <= hi; an infinite bound would leave every draw non-finite.
+                if not (lo <= hi and math.isfinite(lo) and math.isfinite(hi)):
+                    raise ValueError(
+                        f"parameter_ranges must be finite with lo <= hi, got ({lo}, {hi})"
+                    )
             if len(ranges) != n_params:
                 raise ValueError(
                     f"model {self.name!r} declares {len(ranges)} ranges "

@@ -115,6 +115,18 @@ class TestModelLoadErrors:
         assert out == ""
         assert err == "error: model 'hky' declares 3 ranges but parameterization 'hky' takes 5\n"
 
+    @pytest.mark.parametrize("bound", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_range(self, bound, capsys, tmp_path):
+        # Refused on load under the field's name, not as non-finite matrix entries at the first draw.
+        doc = model_to_dict(zoo_model("jc"))
+        doc["parameter_ranges"] = [[0.001, bound]] if bound > 0 else [[bound, 0.05]]
+        path = tmp_path / "open-range.json"
+        # JSON's Infinity, -Infinity and NaN literals.
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", "--model", str(path))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: parameter_ranges must be finite") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["check", "closure", "sample", "export"])
     @pytest.mark.parametrize("field, value", [

@@ -150,12 +150,13 @@ def _assert_closed_basis(closed, gens, tol):
 def _cyclic_model(scale=1e6):
     """Span model whose samples are multiples of scale times a 4-cycle generator.
 
-    A pair's product is exp(s C) with s up to 2 * scale. Its
-    eigenvalues shrink like exp(-s), and the principal log fails once
-    the square-root iteration stalls on the ill-conditioned product
-    (s above about 8.3) or an eigenvalue comes within the branch margin
-    of zero. At the default scale, log extraction reliably fails; at
-    scale 6 about a fifth of the pairs fail, at scale 8 about half.
+    A pair's product is exp(s C) with s up to 2 * scale. Its complex
+    eigenvalues shrink like exp(-s) and its real one like exp(-2s), so
+    the product is ill-conditioned, and the principal log fails once
+    that real eigenvalue comes within the branch margin of zero (s
+    above about 13.8). At the default scale, log extraction reliably
+    fails; at scale 6 no pair fails, at scale 8 a few in a hundred, at
+    scale 10 about a fifth.
     """
     cycle = np.zeros((4, 4))
     for i in range(4):
@@ -686,7 +687,7 @@ class TestBatchedAudit:
 
     def test_mixed_block_skip_count(self):
         # Recount with the batch-of-one kernels: a pair is skipped exactly when log_product raises.
-        model, samples, seed = _cyclic_model(6.0), 80, 2024
+        model, samples, seed = _cyclic_model(10.0), 80, 2024
         skipped = 0
         for k in range(samples):
             rng = np.random.default_rng(seed + k)
@@ -742,6 +743,43 @@ class TestBatchedAudit:
         *_, ok = closure._log_product_block(zoo_model(name), 7, 200)
         assert ok.all()
         assert calls == []
+
+    @pytest.mark.parametrize("name", ["hky", "lm88", "f81", "k2p", "jc"])
+    def test_products_within_the_radius_skip_the_disc_certificate(self, name, monkeypatch):
+        # With no row pending a square root, the certificate does not run at all.
+        calls, clear = [], linalg._gershgorin_clear
+
+        def spy(m):
+            calls.append(len(m))
+            return clear(m)
+
+        monkeypatch.setattr(linalg, "_gershgorin_clear", spy)
+        *_, ok = closure._log_product_block(zoo_model(name), 7, 200)
+        assert ok.all()
+        assert calls == []
+
+    def test_gtr_guard_sees_only_rows_the_discs_leave_in_doubt(self, monkeypatch):
+        calls, guard = [], linalg._branch_distance
+
+        def spy(m):
+            calls.append(m.copy())
+            return guard(m)
+
+        monkeypatch.setattr(linalg, "_branch_distance", spy)
+        q, q_prime, _, sampled, ok = closure._log_product_block(zoo_model("gtr"), 7, 1024)
+        assert sampled.all() and ok.all()
+        products = np.stack([matrix_exp(a) @ matrix_exp(b) for a, b in zip(q, q_prime)])
+        pending = np.linalg.norm(products - np.eye(4), axis=(1, 2)) > 0.75
+        # Gershgorin, written out: every column disc, or every row disc, clears 1e-6.
+        diag = np.diagonal(products, axis1=1, axis2=2)
+        by_columns = (2 * diag - np.abs(products).sum(axis=1) > 1e-6).all(axis=1)
+        by_rows = (2 * diag - np.abs(products).sum(axis=2) > 1e-6).all(axis=1)
+        doubtful = pending & ~(by_columns | by_rows)
+        # Nearly every gtr product needs a square root; only a few percent reach eigvals.
+        assert pending.sum() >= 1000
+        assert 0 < doubtful.sum() < 0.05 * len(products)
+        assert len(calls) == 1
+        np.testing.assert_allclose(calls[0], products[doubtful], rtol=0, atol=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(1e-8, 1.0), max_size=40), st.lists(st.integers(1, 12), min_size=1, max_size=8))

@@ -11,11 +11,14 @@ from liemarkov.linalg import (
     _LOG_BRANCH,
     _LOG_NONFINITE,
     _LOG_OK,
+    _NEG_AXIS_MARGIN,
     PrincipalLogError,
     _branch_distance,
     _exp_stack,
     _fro_rows,
+    _gershgorin_clear,
     _log_stack,
+    _sqrtm_denman_beavers,
     commutator,
     frobenius,
     least_squares_membership,
@@ -324,6 +327,36 @@ def _gregory_log_rows(m):
     return out, terms
 
 
+def _product_form_steps(x):
+    """Steps of the product-form Denman-Beavers iteration on one matrix, counted on a (1, n, n) slice."""
+    m, ident = x[None], np.eye(len(x))
+    for step in range(1, 101):
+        m = 0.5 * (ident + 0.5 * (m + np.linalg.inv(m)))
+        if _fro_rows(m - ident)[0] <= 1e-15:
+            return step
+    raise AssertionError("the iteration did not reach the identity")
+
+
+def _cycle_product(s):
+    """exp(s C) for the unit-rate 4-cycle C: eigenvalues 1, exp(-2s) and exp(-s) e^(+-is)."""
+    return matrix_exp(s * _cyclic_generator(np.ones(4)))
+
+
+def _reference_product(t):
+    q1, q2 = reference_pair()
+    return matrix_exp(t * q1) @ matrix_exp(t * q2)
+
+
+def _assert_principal_log(m, log_m):
+    """log_m is scipy's principal log of m within max(1e-10, 16 eps kappa), kappa the log's conditioning."""
+    sla = pytest.importorskip("scipy.linalg")
+    reference = sla.logm(m)
+    assert np.abs(reference.imag).max() < 1e-10
+    reference = reference.real
+    kappa = np.linalg.norm(m) / (np.abs(np.linalg.eigvals(m)).min() * np.linalg.norm(reference))
+    assert _rel(log_m, reference) <= max(1e-10, 16 * np.finfo(float).eps * kappa)
+
+
 class TestStackSeries:
     """Rows leave the stack series on their own term, as the per-row oracle stops them."""
 
@@ -368,6 +401,31 @@ class TestBranchGuard:
         # eigvals is backward stable: exact for a perturbation of about eps * ||X||.
         assert _branch_distance((np.eye(n) + e)[None])[1].min() >= 0.25 - 1e-12
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2 ** 32 - 1), st.integers(2, 8), st.floats(-1e-4, 1e-4),
+        st.sampled_from(["columns", "rows", "product"]),
+    )
+    @example(seed=0, n=4, margin=1.01e-6, kind="columns")
+    @example(seed=1, n=5, margin=0.99e-6, kind="rows")
+    def test_disc_certificate_keeps_eigenvalues_off_the_ray(self, seed, n, margin, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "product":  # a substitution product that needs a square root, as in a gtr audit
+            q, q_prime = make_rate_matrix(rng, n, max_norm=3.0), make_rate_matrix(rng, n, max_norm=3.0)
+            x = matrix_exp(q) @ matrix_exp(q_prime)
+            dominant = False
+        else:  # every column's (or row's) disc margin is at least margin, complex spectra included
+            x = rng.normal(size=(n, n))
+            np.fill_diagonal(x, 0.0)
+            off = np.abs(x).sum(axis=0 if kind == "columns" else 1)
+            np.fill_diagonal(x, off + margin + rng.uniform(0.0, 1e-4, n) * rng.integers(0, 2, n))
+            dominant = margin > 2e-6
+        certified = _gershgorin_clear(x[None])[0]
+        assert certified or not dominant
+        if certified:
+            assert _branch_distance(x[None])[1].min() > _NEG_AXIS_MARGIN
+            assert np.linalg.eigvals(x).real.min() > 1e-6 - 1e-12
+
     def test_bound_is_attained(self):
         x = np.eye(4)
         x[0, 0] -= 0.75
@@ -390,6 +448,73 @@ class TestBranchGuard:
         assert np.isnan(logs[1:]).all()
         with pytest.raises(PrincipalLogError, match="eigenvalue -1 lies within 1e-12"):
             matrix_log(m[1])
+
+
+class TestSquareRoot:
+    """The product-form Denman-Beavers stage: one inverse per step, and near-singular products."""
+
+    def test_one_inverse_per_step(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        # Products of growing norm take from a few steps to several.
+        pairs = [(make_rate_matrix(rng, 4, max_norm=nrm), make_rate_matrix(rng, 4, max_norm=nrm))
+                 for nrm in (1.5, 3.0, 6.0, 12.0, 24.0)]
+        m = np.stack([matrix_exp(q) @ matrix_exp(q_prime) for q, q_prime in pairs] + [_cycle_product(10.0)])
+        steps = [_product_form_steps(x) for x in m]
+        assert len(set(steps)) >= 3
+        calls, inv_rows = [], linalg._inv_rows
+
+        def spy(x):
+            calls.append(len(x))
+            return inv_rows(x)
+
+        monkeypatch.setattr(linalg, "_inv_rows", spy)
+        roots, status = _sqrtm_denman_beavers(m)
+        assert (status == _LOG_OK).all()
+        # Step j inverts exactly the rows that have not yet reached the identity.
+        assert calls == [sum(s > j for s in steps) for j in range(max(steps))]
+        for x, root in zip(m, roots):
+            # The residual grows like eps over the spectrum's distance to zero (2e-9 for the cycle).
+            gap = np.abs(np.linalg.eigvals(x)).min()
+            assert _rel(root @ root, x) <= max(1e-14, 16 * np.finfo(float).eps / gap)
+
+    @pytest.mark.parametrize("product, arg", [
+        (_cycle_product, 8.5), (_cycle_product, 10.0), (_cycle_product, 12.0),
+        (_cycle_product, 13.5), (_reference_product, 150.0), (_reference_product, 170.0),
+        (_reference_product, 203.0),
+    ])
+    def test_near_singular_products_are_accepted(self, product, arg):
+        # Smallest eigenvalues from 4e-8 (s = 8.5) down to 1.9e-12 (s = 13.5), 2.9e-10 and 4.2e-12
+        # (t = 170 and 203); the old step test never stopped on the cycle products or past t = 150.
+        m = product(arg)
+        logs, status = _log_stack(m[None])
+        assert status[0] == _LOG_OK
+        np.testing.assert_array_equal(matrix_log(m), logs[0])
+        _assert_principal_log(m, logs[0])
+
+    @pytest.mark.parametrize("product, arg, shown", [
+        (_cycle_product, 14.5, r"2\.54\d*e-13\+0j"),
+        (_reference_product, 220.0, r"4\.72\d*e-13"),
+    ])
+    def test_past_the_margin_the_guard_refuses(self, product, arg, shown):
+        message = (f"^principal logarithm undefined: eigenvalue {shown} "
+                   "lies within 1e-12 of the closed negative real axis$")
+        with pytest.raises(PrincipalLogError, match=message):
+            matrix_log(product(arg))
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_rate_products_at_larger_order(self, n):
+        # ||M - I||_F <= 1e-15 is an absolute test: it must still be met when n^2 entries round.
+        rng = np.random.default_rng(n)
+        m = np.stack([
+            matrix_exp(make_rate_matrix(rng, n, max_norm=6.0 * n ** 0.5))
+            @ matrix_exp(make_rate_matrix(rng, n, max_norm=6.0 * n ** 0.5))
+            for _ in range(4)
+        ])
+        assert (_fro_rows(m - np.eye(n)) > 0.75).all()
+        logs, status = _log_stack(m)
+        assert (status == _LOG_OK).all()
+        for x, log_x in zip(m, logs):
+            _assert_principal_log(x, log_x)
 
 
 class TestStackKernels:
@@ -475,7 +600,7 @@ class TestStackKernels:
             elif kind == "b":  # a negative real eigenvalue
                 basis = np.linalg.qr(rng.normal(size=(4, 4)))[0]
                 rows.append(basis @ np.diag([1.0, 0.5, -0.3, 0.8]) @ basis.T)
-            else:  # complex pair near the axis: the square-root iteration mostly stalls
+            else:  # complex pair near the axis: ill-conditioned, eigenvalues down to 5e-12
                 rows.append(sla.expm(rng.uniform(9.0, 13.0) * cycle))
         logs, status = _log_stack(np.stack(rows))
         for kind, m, log_m, code in zip(kinds, rows, logs, status):

@@ -1,5 +1,6 @@
 
 import json
+import math
 import pickle
 import warnings
 
@@ -462,6 +463,14 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="unknown parameterization 'nope'"):
             RateModel(name="x", n=4, basis=(jc(1.0),), parameterization="nope",
                       parameter_ranges=((0.0, 1.0),))
+
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+    def test_ranges_must_be_finite(self, bound):
+        # An infinite range used to load, and every draw from it then held non-finite entries.
+        doc = model_to_dict(zoo_model("jc"))
+        doc["parameter_ranges"] = [[0.001, bound]] if bound > 0 else [[bound, 0.05]]
+        with pytest.raises(ModelFormatError, match="parameter_ranges must be finite"):
+            model_from_dict(json.loads(json.dumps(doc)))
 
     @pytest.mark.parametrize("ranges", [5, ((0.0, 1.0, 2.0),), ((0.0,),), (("a", 1.0),)])
     def test_ranges_must_be_pairs(self, ranges):
