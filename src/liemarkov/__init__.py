@@ -14,11 +14,9 @@ from .linalg import (
     MembershipResult,
     PrincipalLogError,
     commutator,
-    frobenius,
     least_squares_membership,
     matrix_exp,
     matrix_log,
-    numerical_rank,
     orthonormal_basis,
 )
 from .model import (
@@ -28,7 +26,6 @@ from .model import (
     RateModel,
     SamplingError,
     check_scaling_closure,
-    evaluate_constraints,
     is_in_L,
     is_stochastic_rate,
     load_model,
@@ -36,9 +33,7 @@ from .model import (
     model_from_dict,
     model_residual,
     model_to_dict,
-    sample_stochastic,
     sample_with_rng,
-    save_model,
 )
 from .closure import (
     ClosureReport,

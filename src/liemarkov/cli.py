@@ -125,10 +125,8 @@ def _report(args, body: dict, lines: list[str], code: int) -> int:
     return code
 
 
-def _fmt_matrix(m, indent: str = "  ") -> str:
-    return "\n".join(
-        indent + "  ".join(f"{x:12.6g}" for x in row) for row in np.asarray(m)
-    )
+def _fmt_matrix(m) -> str:
+    return "\n".join("  " + "  ".join(f"{x:12.6g}" for x in row) for row in np.asarray(m))
 
 
 def _cmd_check(args) -> tuple[dict, list[str], int]:
@@ -182,7 +180,7 @@ def _cmd_closure(args) -> tuple[dict, list[str], int]:
 
 def _cmd_sample(args) -> tuple[dict, list[str], int]:
     model = _resolve_model(args.model)
-    # Sample i is sample_stochastic(model, seed + i), drawn as one stack.
+    # Sample i is sample_with_rng(model, np.random.default_rng(seed + i)), drawn as one stack.
     mats = _sample_stochastic_stack(model, args.seed, args.samples)
     body = {"model": model.name, "matrices": [m.tolist() for m in mats]}
     lines = [f"model: {model.name}"]

@@ -241,8 +241,8 @@ class ClosureReport:
             "tolerance": self.tolerance,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _select_witnesses(residuals: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Dense real matrix kernels.
 
-Exponential, principal logarithm, commutators, numerical rank and
-least-squares span membership for small dense matrices. All functions are
-pure and operate on plain ``numpy`` arrays; nothing here knows about
-Markov models or sum conventions.
+Exponential, principal logarithm, commutators, rank-revealing span
+bases and least-squares span membership for small dense matrices. All
+functions are pure and operate on plain ``numpy`` arrays; nothing here
+knows about Markov models or sum conventions.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ def check_stack(a) -> np.ndarray:
     return a
 
 
-def frobenius(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=float), "fro"))
-
-
 def commutator(a, b) -> np.ndarray:
     """Lie bracket AB - BA."""
     a, b = check_square(a), check_square(b)
@@ -64,8 +60,9 @@ def commutator(a, b) -> np.ndarray:
 def _fro_rows(x: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a (B, n, n) stack (or each row of a (B, m) array).
 
-    Each row is summed as one dot product, as frobenius sums a single
-    matrix, so a batch-of-one call sees the same norm bit for bit.
+    Each row is summed as one dot product, as np.linalg.norm(x, "fro")
+    sums a single matrix, so a batch-of-one call sees the same norm bit
+    for bit.
     """
     count = len(x)
     flat = np.ascontiguousarray(x).reshape(count, math.prod(x.shape[1:]))
@@ -344,22 +341,15 @@ def _svd_range(stack: np.ndarray, rel_tol: float) -> np.ndarray:
     return np.where(pivot[:, None] < 0.0, -rows, rows)
 
 
-def numerical_rank(mats, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
-    """Rank of a list of matrices viewed as vectors, via SVD.
-
-    Counts singular values above rel_tol times the largest one; an empty
-    list or all-zero input has rank 0.
-    """
-    return len(_svd_range(check_matrices(mats), rel_tol))
-
-
 def orthonormal_basis(mats, rel_tol: float = DEFAULT_RANK_RTOL) -> list[np.ndarray]:
     """Rank-revealing orthonormal basis of span(mats) under the Frobenius inner product.
 
     Basis elements are the right singular vectors of the stacked
-    vectorized input that numerical_rank counts, each sign-fixed so its
-    largest-magnitude entry is positive; the output is therefore
-    reproducible run to run. rel_tol must lie in (0, 1).
+    vectorized input whose singular values exceed rel_tol times the
+    largest one, each sign-fixed so its largest-magnitude entry is
+    positive; the output is therefore reproducible run to run, and its
+    length is the numerical rank (empty or all-zero input has rank 0).
+    rel_tol must lie in (0, 1).
     """
     stack = check_matrices(mats)
     rows = _svd_range(stack, rel_tol)
@@ -390,7 +380,7 @@ def least_squares_membership(x, basis, tol: float = DEFAULT_MEMBERSHIP_TOL) -> M
     columns = stack.reshape(len(stack), -1).T
     coeffs, *_ = np.linalg.lstsq(columns, x.reshape(-1), rcond=None)
     resid = x - (columns @ coeffs).reshape(x.shape)
-    residual = frobenius(resid) / max(frobenius(x), 1.0)
+    residual = np.linalg.norm(resid, "fro") / max(np.linalg.norm(x, "fro"), 1.0)
     return MembershipResult(
         inside=bool(residual <= tol),
         coefficients=tuple(float(c) for c in coeffs),

@@ -38,6 +38,13 @@ class ModelFormatError(ValueError):
     """A model file or dictionary does not follow the model format."""
 
 
+def _json_int(value) -> int:
+    """An integer as an int, by operator.index; floats, strings and booleans are refused."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class PolynomialConstraint:
     """Polynomial in the off-diagonal entries q_ij, stored as coefficient-monomial terms.
@@ -53,7 +60,10 @@ class PolynomialConstraint:
     def __post_init__(self):
         norm = []
         for coeff, monomial in self.terms:
-            pairs = tuple((int(i), int(j)) for i, j in monomial)
+            try:
+                pairs = tuple((_json_int(i), _json_int(j)) for i, j in monomial)
+            except TypeError as exc:
+                raise ValueError(f"constraint monomials must be pairs of integers: {exc}") from None
             for i, j in pairs:
                 if i < 1 or j < 1:
                     raise ValueError(f"constraint indices are 1-based, got ({i}, {j})")
@@ -78,11 +88,6 @@ class PolynomialConstraint:
         """The batch-of-one case of the compiled constraint evaluator."""
         q = check_square(q)
         return float(_compile_constraints(q.shape[0], (self,))(q[None])[0, 0])
-
-
-def linear_constraint(plus: tuple[int, int], minus: tuple[int, int]) -> PolynomialConstraint:
-    """The equality q_plus = q_minus as a degree-1 constraint."""
-    return PolynomialConstraint(((1.0, (plus,)), (-1.0, (minus,))))
 
 
 def product_constraint(left: Sequence[tuple[int, int]], right: Sequence[tuple[int, int]]) -> PolynomialConstraint:
@@ -140,15 +145,15 @@ class RateModel:
 
     def __post_init__(self):
         try:
-            n = operator.index(self.n)
+            object.__setattr__(self, "n", _json_int(self.n))
         except TypeError:
-            n = None
-        if n is None or isinstance(self.n, bool):
-            raise ValueError(f"model order n must be an integer, got {self.n!r}")
-        object.__setattr__(self, "n", n)
+            raise ValueError(f"model order n must be an integer, got {self.n!r}") from None
         if self.n < 2:
             raise ValueError("model order must be at least 2")
-        basis = np.array(check_matrices(self.basis))
+        try:
+            basis = np.array(check_matrices(self.basis))
+        except ValueError as exc:
+            raise ValueError(f"basis: {exc}") from None
         if len(basis):
             if basis.shape[1] != self.n:
                 raise ValueError("basis matrix order does not match the model")
@@ -223,14 +228,6 @@ def is_stochastic_rate(q, tol: float = 1e-12):
     off = q[..., ~np.eye(q.shape[-1], dtype=bool)]
     ok = is_in_L(q, tol) & (np.min(off, axis=-1) >= -tol)
     return bool(ok) if q.ndim == 2 else ok
-
-
-def evaluate_constraints(model: RateModel, q) -> list[float]:
-    """Raw residuals f_k(q) of the model's constraints, in declaration order."""
-    if not model.constraints:
-        raise ValueError(f"model {model.name!r} has no constraints")
-    q = check_square(q)
-    return model._constraint_values(q[None])[0].tolist()
 
 
 def _flat(q: np.ndarray, n: int) -> np.ndarray:
@@ -339,7 +336,7 @@ def membership(model: RateModel, q, tol: float = DEFAULT_MEMBERSHIP_TOL) -> Memb
 
     The span decides when a basis is declared, the constraints
     otherwise; both through model_residual. Raw constraint values come
-    from evaluate_constraints.
+    from PolynomialConstraint.evaluate.
     """
     residual = model_residual(model, q)
     in_r = residual <= tol
@@ -551,13 +548,8 @@ def sample_with_rng(model: RateModel, rng: np.random.Generator) -> np.ndarray:
     return _sample_all(model, 1, _generator_source(rng))[0]
 
 
-def sample_stochastic(model: RateModel, seed: int) -> np.ndarray:
-    """Deterministic seeded draw from the model's stochastic cone."""
-    return sample_with_rng(model, np.random.default_rng(seed))
-
-
 def _sample_stochastic_stack(model: RateModel, seed: int, count: int) -> np.ndarray:
-    """Row k is sample_stochastic(model, seed + k), for k < count, drawn as one stack.
+    """Row k is sample_with_rng(model, np.random.default_rng(seed + k)), for k < count, as one stack.
 
     A count of zero or below gives an empty stack. Raises SamplingError
     when any row's sampler is exhausted, and ValueError when seed is
@@ -625,13 +617,6 @@ def _field(doc: dict, key: str, parse: Callable, default=_REQUIRED):
         raise ModelFormatError(f"model file field {key!r}: {detail}") from exc
 
 
-def _json_int(value) -> int:
-    """A JSON integer as an int; floats, strings and booleans are refused."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return operator.index(value)
-
-
 def model_from_dict(doc: dict) -> RateModel:
     """Build a RateModel from the model file format.
 
@@ -653,7 +638,7 @@ def model_from_dict(doc: dict) -> RateModel:
 
     def constraint(cdoc) -> PolynomialConstraint:
         return PolynomialConstraint(tuple(
-            (float(t["coeff"]), tuple(swap((int(i), int(j))) for i, j in t["monomial"]))
+            (float(t["coeff"]), tuple(swap((_json_int(i), _json_int(j))) for i, j in t["monomial"]))
             for t in cdoc["terms"]
         ))
 
@@ -665,12 +650,6 @@ def model_from_dict(doc: dict) -> RateModel:
         return RateModel(name, n, basis, constraints, parameterization, ranges)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc
-
-
-def save_model(model: RateModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
 
 
 def load_model(source) -> RateModel:

@@ -19,7 +19,6 @@ from .model import (
     PolynomialConstraint,
     RateModel,
     get_parameterization,
-    linear_constraint,
     product_constraint,
     register_parameterization,
 )
@@ -179,7 +178,7 @@ def _hky_constraints() -> tuple[PolynomialConstraint, ...]:
     # last three close the degenerate one.
     alphas = [[(i + 1, j + 1) for i, j in pair] for pair in _ROW_PAIRS]
     kappas = [(i + 1, j + 1) for i, j in _TRANSITIONS]
-    linear = tuple(linear_constraint(*pair) for pair in alphas)
+    linear = tuple(product_constraint([plus], [minus]) for plus, minus in alphas)
     quadratic = tuple(
         product_constraint([kappas[r], alphas[s][0]], [kappas[s], alphas[r][0]])
         for r, s in ((0, 1), (2, 0), (3, 0), (2, 1), (3, 1), (3, 2))

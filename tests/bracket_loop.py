@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from liemarkov import commutator, frobenius, is_in_L, orthonormal_basis
+from liemarkov import commutator, is_in_L, orthonormal_basis
 from liemarkov.closure import DEFAULT_BRACKET_GATE, _zero_sum
 
 
@@ -18,7 +18,7 @@ def lie_closure_loop(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.nd
     if not mats:
         raise ValueError("basis must be non-empty")
     for b in mats:
-        if not is_in_L(b, tol=1e-10 * max(1.0, frobenius(b))):
+        if not is_in_L(b, tol=1e-10 * max(1.0, np.linalg.norm(b, "fro"))):
             raise ValueError("lie_closure requires zero-sum generators")
     gens = orthonormal_basis([_zero_sum(b) for b in mats], rel_tol)
     n = mats[0].shape[0]

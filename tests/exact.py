@@ -24,9 +24,9 @@ def exact_rank(mats) -> int:
 
     Entries are converted straight to fractions: binary floats are
     rationals, and integers (including Python integers beyond 2**53 in
-    object arrays) are taken exactly. A cross-check oracle for
-    numerical_rank on small integer-valued bases, where it is immune to
-    floating-point thresholds.
+    object arrays) are taken exactly. A cross-check oracle for the
+    numerical rank, len(orthonormal_basis(mats)), on small integer-valued
+    bases, where it is immune to floating-point thresholds.
     """
     rows = [_fractions(m) for m in mats]
     if not rows:

@@ -17,7 +17,6 @@ from liemarkov import (
     RateModel,
     SamplingError,
     check_scaling_closure,
-    evaluate_constraints,
     hky,
     is_in_L,
     is_stochastic_rate,
@@ -28,14 +27,13 @@ from liemarkov import (
     model_residual,
     model_to_dict,
     multiplicative_closure_check,
-    sample_stochastic,
     sample_with_rng,
     zoo_model,
     zoo_names,
 )
 from liemarkov.closure import _MAX_WITNESSES
 from liemarkov import model as model_module
-from liemarkov.model import _SeedStreams, _sample_stochastic_stack, load_model, save_model
+from liemarkov.model import _SeedStreams, _sample_stochastic_stack, load_model
 from liemarkov.zoo import REFERENCE_LOG_PRODUCT
 
 from conftest import make_rate_matrix, row_convention_doc
@@ -80,6 +78,17 @@ class TestPolynomialConstraint:
         with pytest.raises(ValueError, match="off-diagonal"):
             PolynomialConstraint(((1.0, ((2, 2),)),))
 
+    @pytest.mark.parametrize("pair", [(1, 2.7), (1.0, 2), (True, 2), ("1", 2)])
+    def test_indices_must_be_integers(self, pair):
+        # Truncation would read 2.7 as 2 and True as 1.
+        with pytest.raises(ValueError, match="constraint monomials must be pairs of integers"):
+            PolynomialConstraint(((1.0, (pair,)),))
+
+    def test_numpy_integer_indices_are_stored_as_int(self):
+        c = PolynomialConstraint(((1.0, ((np.int64(1), np.int32(2)),)),))
+        assert c.terms == ((1.0, ((1, 2),)),)
+        assert all(type(i) is int for i in c.terms[0][1][0])
+
     def test_index_out_of_range(self):
         c = PolynomialConstraint(((1.0, ((1, 4),)),))
         with pytest.raises(IndexError, match="out of range"):
@@ -97,7 +106,6 @@ class TestPolynomialConstraint:
             q = scale * rng.normal(size=(4, 4))
             expected = [by_hand(c, q) for c in model.constraints]
             assert [c.evaluate(q) for c in model.constraints] == expected
-            assert evaluate_constraints(model, q) == expected
 
     def test_constant_and_mixed_degree_terms(self):
         c = PolynomialConstraint(
@@ -108,16 +116,16 @@ class TestPolynomialConstraint:
         for _ in range(25):
             q = rng.normal(size=(3, 3))
             assert c.evaluate(q) == by_hand(c, q)
-            assert evaluate_constraints(model, q) == [by_hand(c, q), by_hand(q12_constraint(0.2), q)]
+            assert [f.evaluate(q) for f in model.constraints] == [by_hand(c, q), by_hand(q12_constraint(0.2), q)]
         assert PolynomialConstraint(((4.0, ()),)).evaluate(np.zeros((2, 2))) == 4.0
         assert PolynomialConstraint(()).evaluate(np.ones((2, 2))) == 0.0
 
     @pytest.mark.parametrize("alpha", [0.25, 2.0, 10.0])
     def test_residual_scales_with_degree(self, alpha):
         model = zoo_model("hky")
-        q = sample_stochastic(model, 5)
-        base = evaluate_constraints(model, q + 0.01)  # push off the variety
-        scaled = evaluate_constraints(model, alpha * (q + 0.01))
+        q = sample_with_rng(model, np.random.default_rng(5))
+        base = [c.evaluate(q + 0.01) for c in model.constraints]  # push off the variety
+        scaled = [c.evaluate(alpha * (q + 0.01)) for c in model.constraints]
         for c, f0, f1 in zip(model.constraints, base, scaled):
             assert f1 == pytest.approx(alpha ** c.degree * f0, abs=1e-10)
 
@@ -172,12 +180,12 @@ class TestEvaluateConstraints:
     def test_own_samples_satisfy_constraints(self):
         model = zoo_model("hky")
         for seed in range(5):
-            q = sample_stochastic(model, seed)
-            assert max(abs(r) for r in evaluate_constraints(model, q)) <= 1e-15
+            q = sample_with_rng(model, np.random.default_rng(seed))
+            assert max(abs(c.evaluate(q)) for c in model.constraints) <= 1e-15
 
     def test_reference_log_product_breaks_quadratics_only(self):
         model = zoo_model("hky")
-        resids = evaluate_constraints(model, REFERENCE_LOG_PRODUCT)
+        resids = [c.evaluate(REFERENCE_LOG_PRODUCT) for c in model.constraints]
         linear = resids[:4]
         quadratic = resids[4:]
         assert max(abs(r) for r in linear) <= 1e-6
@@ -185,11 +193,7 @@ class TestEvaluateConstraints:
 
     def test_zero_matrix_zero_residuals(self):
         model = zoo_model("hky")
-        assert evaluate_constraints(model, np.zeros((4, 4))) == [0.0] * 10
-
-    def test_requires_constraints(self):
-        with pytest.raises(ValueError, match="no constraints"):
-            evaluate_constraints(zoo_model("lm88"), np.zeros((4, 4)))
+        assert [c.evaluate(np.zeros((4, 4))) for c in model.constraints] == [0.0] * 10
 
 
 class TestMembership:
@@ -211,7 +215,7 @@ class TestMembership:
 
     def test_scale_invariance(self):
         model = zoo_model("hky")
-        q = sample_stochastic(model, 3)
+        q = sample_with_rng(model, np.random.default_rng(3))
         outside = np.asarray(REFERENCE_LOG_PRODUCT)
         for alpha in (0.5, 2.0, 10.0, 1000.0):
             assert membership(model, alpha * q).in_r
@@ -230,7 +234,7 @@ class TestMembership:
     def test_residual_is_model_residual(self, name):
         model = zoo_model(name)
         rng = np.random.default_rng(11)
-        for q in [sample_stochastic(model, 8), np.asarray(REFERENCE_LOG_PRODUCT),
+        for q in [sample_with_rng(model, np.random.default_rng(8)), np.asarray(REFERENCE_LOG_PRODUCT),
                   make_rate_matrix(rng, 4, max_norm=3.0)]:
             for tol in (1e-10, 1e-8, 1e-3):
                 res = membership(model, q, tol)
@@ -275,24 +279,24 @@ class TestScalingClosure:
 
 class TestSampling:
     def test_deterministic(self):
-        a = sample_stochastic(zoo_model("hky"), 1)
-        b = sample_stochastic(zoo_model("hky"), 1)
+        a = sample_with_rng(zoo_model("hky"), np.random.default_rng(1))
+        b = sample_with_rng(zoo_model("hky"), np.random.default_rng(1))
         np.testing.assert_array_equal(a, b)
-        c = sample_stochastic(zoo_model("hky"), 2)
+        c = sample_with_rng(zoo_model("hky"), np.random.default_rng(2))
         assert np.abs(a - c).max() > 0
 
     def test_samples_are_members(self):
         for name in zoo_names():
             model = zoo_model(name)
             for seed in range(100):
-                q = sample_stochastic(model, seed)
+                q = sample_with_rng(model, np.random.default_rng(seed))
                 assert is_stochastic_rate(q, 1e-12)
                 assert membership(model, q)[:2] == (True, True)
 
     def test_single_basis_cone(self):
         q0 = jc(0.02)
         model = RateModel(name="ray", n=4, basis=(q0,))
-        q = sample_stochastic(model, 9)
+        q = sample_with_rng(model, np.random.default_rng(9))
         coeff = q[0, 1] / q0[0, 1]
         assert coeff > 0
         np.testing.assert_allclose(q, coeff * q0, atol=1e-15)
@@ -300,7 +304,7 @@ class TestSampling:
     def test_unsamplable_model(self):
         model = RateModel(name="bare", n=4, constraints=(q12_constraint(0.0),))
         with pytest.raises(SamplingError):
-            sample_stochastic(model, 0)
+            sample_with_rng(model, np.random.default_rng(0))
 
     def test_unreachable_cone(self):
         # Zero-sum basis matrix with off-diagonal entries of both signs:
@@ -312,7 +316,7 @@ class TestSampling:
         bad[2, 2] = 1.0
         model = RateModel(name="stuck", n=4, basis=(bad,))
         with pytest.raises(SamplingError, match="attempts"):
-            sample_stochastic(model, 0)
+            sample_with_rng(model, np.random.default_rng(0))
 
 
 # Seeds around the word boundaries of SeedSequence's entropy: 1 to 5 words of 32 bits.
@@ -387,7 +391,6 @@ class TestSeedStreams:
         for k in range(20):
             expected = sample_with_rng(model, np.random.default_rng(seed + k))
             np.testing.assert_array_equal(mats[k], expected)
-            np.testing.assert_array_equal(sample_stochastic(model, seed + k), expected)
 
     @pytest.mark.parametrize("seed", [7, -1])
     @pytest.mark.parametrize("count", [0, -2])
@@ -480,7 +483,7 @@ class TestModelValidation:
 
     def test_model_residual_matches_membership(self):
         model = zoo_model("hky")
-        q = sample_stochastic(model, 4)
+        q = sample_with_rng(model, np.random.default_rng(4))
         assert model_residual(model, q) <= 1e-12
         assert model_residual(model, REFERENCE_LOG_PRODUCT) > 1e-8
 
@@ -507,8 +510,6 @@ class TestCompiledOnce:
             q = sample_with_rng(model, np.random.default_rng(1))
             multiplicative_closure_check(model, samples=20, seed=3)
             assert membership(model, q).in_r and model_residual(model, q) <= 1e-10
-            if model.constraints:
-                evaluate_constraints(model, q)
             assert calls == built
             calls.clear()
 
@@ -517,9 +518,9 @@ class TestCompiledOnce:
         model = zoo_model(name)
         copy = pickle.loads(pickle.dumps(model))
         assert model_to_dict(copy) == model_to_dict(model)
-        q = sample_stochastic(model, 5)
+        q = sample_with_rng(model, np.random.default_rng(5))
         assert model_residual(copy, REFERENCE_LOG_PRODUCT) == model_residual(model, REFERENCE_LOG_PRODUCT)
-        np.testing.assert_array_equal(sample_stochastic(copy, 5), q)
+        np.testing.assert_array_equal(sample_with_rng(copy, np.random.default_rng(5)), q)
 
 
 class TestModelFiles:
@@ -527,7 +528,7 @@ class TestModelFiles:
     def test_round_trip(self, name, tmp_path):
         model = zoo_model(name)
         path = tmp_path / f"{name}.json"
-        save_model(model, path)
+        path.write_text(json.dumps(model_to_dict(model)))
         loaded = load_model(path)
         assert loaded.name == model.name and loaded.n == model.n
         assert len(loaded.basis) == len(model.basis)
@@ -539,7 +540,7 @@ class TestModelFiles:
         assert loaded.parameterization == model.parameterization
         assert loaded.parameter_ranges == model.parameter_ranges
         np.testing.assert_array_equal(
-            sample_stochastic(loaded, 0), sample_stochastic(model, 0)
+            sample_with_rng(loaded, np.random.default_rng(0)), sample_with_rng(model, np.random.default_rng(0))
         )
 
     def test_flat_row_major_basis(self):
@@ -565,9 +566,9 @@ class TestModelFiles:
         assert doc["constraints"][0]["terms"][0]["monomial"] == [[3, 1]]
         loaded = model_from_dict(doc)
         q = hky(0.02, 0.01, 0.005, 0.009, 1.5)
-        assert max(abs(r) for r in evaluate_constraints(loaded, q)) <= 1e-15
+        assert max(abs(c.evaluate(q)) for c in loaded.constraints) <= 1e-15
         for m in [q, REFERENCE_LOG_PRODUCT, *np.random.default_rng(6).normal(size=(5, 4, 4))]:
-            assert evaluate_constraints(loaded, m) == evaluate_constraints(original, m)
+            assert [c.evaluate(m) for c in loaded.constraints] == [c.evaluate(m) for c in original.constraints]
         assert model_to_dict(loaded) == model_to_dict(original)
 
     def test_unknown_convention(self):
@@ -619,6 +620,26 @@ class TestModelFiles:
         doc["n"] = value
         with pytest.raises(ModelFormatError, match="field 'n'"):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize("index", [2.7, 1.0, True, "2"])
+    def test_constraint_index_must_be_a_json_integer(self, index):
+        # hky's first term is [[1, 3]]; truncation would load [[2.7, 3]] as (2, 3) and [[True, 3]] as (1, 3).
+        doc = model_to_dict(zoo_model("hky"))
+        doc["constraints"][0]["terms"][0]["monomial"] = [[index, 3]]
+        with pytest.raises(ModelFormatError, match="field 'constraints'"):
+            model_from_dict(json.loads(json.dumps(doc)))
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_basis_entries_must_be_finite(self, entry):
+        doc = model_to_dict(zoo_model("jc"))
+        doc["basis"][0][1] = entry
+        # JSON's NaN, Infinity and -Infinity literals load as floats.
+        with pytest.raises(ModelFormatError, match="basis: matrix entries must be finite"):
+            model_from_dict(json.loads(json.dumps(doc)))
+        bad = jc(1.0)
+        bad[0, 1] = entry
+        with pytest.raises(ValueError, match="basis: matrix entries must be finite"):
+            RateModel(name="x", n=4, basis=(bad,))
 
     def test_missing_name(self):
         doc = model_to_dict(zoo_model("jc"))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from liemarkov import (
-    evaluate_constraints,
     f81,
     gtr,
     hky,
@@ -12,9 +11,8 @@ from liemarkov import (
     lie_closure,
     lm88,
     membership,
-    numerical_rank,
     orthonormal_basis,
-    sample_stochastic,
+    sample_with_rng,
     zoo_entry,
     zoo_model,
     zoo_names,
@@ -97,7 +95,7 @@ class TestHkyModel:
         rng = np.random.default_rng(4)
         for _ in range(100):
             q = hky(*rng.uniform(0.0, 0.1, 4), rng.uniform(0.0, 3.0))
-            assert max(abs(r) for r in evaluate_constraints(model, q)) <= 1e-14
+            assert max(abs(c.evaluate(q)) for c in model.constraints) <= 1e-14
 
     def test_reference_memberships(self):
         model = zoo_model("hky")
@@ -133,7 +131,7 @@ class TestHkyModel:
         # Time reversibility: HKY draws satisfy the GTR cycle conditions.
         gtr_m = zoo_model("gtr")
         for seed in range(10):
-            q = sample_stochastic(zoo_model("hky"), seed)
+            q = sample_with_rng(zoo_model("hky"), np.random.default_rng(seed))
             assert membership(gtr_m, q)[:2] == (True, True)
 
     def test_span_rank_against_exact_rational_oracle(self):
@@ -177,7 +175,7 @@ class TestHkyModel:
         ]
         exact_mats = [hky_exact(*p) for p in points]
         assert exact_rank(exact_mats) == 8
-        assert numerical_rank(exact_mats) == 8
+        assert len(orthonormal_basis(exact_mats)) == 8
         for p, m in zip(points, exact_mats):
             np.testing.assert_array_equal(m, hky(*p))
 
@@ -185,7 +183,7 @@ class TestHkyModel:
 class TestLm88Model:
     def test_span_dimension(self):
         model = zoo_model("lm88")
-        assert numerical_rank(list(model.basis)) == 8
+        assert len(orthonormal_basis(list(model.basis))) == 8
 
     def test_bracket_closed(self):
         assert len(lie_closure(list(zoo_model("lm88").basis))) == 8
@@ -207,16 +205,16 @@ class TestLm88Model:
 
 class TestCompanionModels:
     def test_span_dims(self):
-        assert numerical_rank(list(zoo_model("jc").basis)) == 1
-        assert numerical_rank(list(zoo_model("f81").basis)) == 4
-        assert numerical_rank(list(zoo_model("k2p").basis)) == 2
+        assert len(orthonormal_basis(list(zoo_model("jc").basis))) == 1
+        assert len(orthonormal_basis(list(zoo_model("f81").basis))) == 4
+        assert len(orthonormal_basis(list(zoo_model("k2p").basis))) == 2
 
     def test_exact_rank_oracle_on_all_declared_bases(self):
         for name in zoo_names():
             model = zoo_model(name)
             if model.basis:
                 mats = list(model.basis)
-                assert numerical_rank(mats) == exact_rank(mats)
+                assert len(orthonormal_basis(mats)) == exact_rank(mats)
 
     def test_k2p_inside_hky(self):
         q = k2p(0.03, 0.02)
