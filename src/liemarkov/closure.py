@@ -30,7 +30,6 @@ from .linalg import (
 from .model import (
     RateModel,
     _SeedStreams,
-    _generator_source,
     _sample_all,
     _sample_stack,
     is_in_L,
@@ -170,16 +169,23 @@ def span_basis(model: RateModel, seed: int = 0) -> list[np.ndarray]:
     For a declared basis, fresh copies of the one the model computed
     when it was built, at DEFAULT_RANK_RTOL. Otherwise draws 4 n^2
     generators from the parameterization as one stack, all rows from
-    the one generator seeded with seed, in row order, as a single
-    (rows, m) draw per attempt (so, while no draw is rejected, the same
-    matrices as 4 n^2 sequential sample_with_rng calls), and extracts a
-    rank-revealing basis at DEFAULT_RANK_RTOL.
+    the one stream of np.random.default_rng(seed), read row-major as
+    its random((rows, m)) would read it, one such draw per attempt (so,
+    while no draw is rejected, the same matrices as 4 n^2 sequential
+    sample_with_rng calls), and extracts a rank-revealing basis at
+    DEFAULT_RANK_RTOL. The stream is a _SeedStreams row, so no call
+    imports numpy.random. The audit reads its dimensions from the
+    default seed, once per model.
     """
     if model.basis:
         return list(model._span.reshape(-1, model.n, model.n).copy())
     if not model.samplable:
         raise ValueError(f"model {model.name!r} has no basis and cannot be sampled")
-    source = _generator_source(np.random.default_rng(seed))
+    stream, row = _SeedStreams(seed, 1), np.zeros(1, dtype=int)
+
+    def source(rows: np.ndarray, m: int) -> np.ndarray:
+        return stream.random(row, len(rows) * m).reshape(len(rows), m)
+
     return orthonormal_basis(_sample_all(model, 4 * model.n ** 2, source))
 
 
@@ -263,19 +269,18 @@ def _log_product_block(model: RateModel, seed: int, count: int) -> tuple[np.ndar
     """A block of count pairs: pair k draws q then q' from default_rng(seed + k)'s stream.
 
     The streams of all pairs are one _SeedStreams, local to the call.
-    Every row draws its q slot first; only the rows whose q was accepted
-    then draw their q' slot, so each pair's stream is read in the same
+    One _sample_stack call draws both generators of every pair: its
+    first attempt reads two candidates from each stream and checks all
+    2 count of them as one stack, and q and q' are the stream's first
+    two accepted candidates, so each pair's stream is read in the same
     order as sequential draws from its own generator. Returns q, q', the
     log-products, a mask of the pairs whose sampler drew both
     generators and a mask of the pairs that have a log-product; a drawn
     pair fails only when its product has no principal logarithm.
     """
-    streams = _SeedStreams(seed, count)
-    q, sampled = _sample_stack(model, np.arange(count), streams.random)
-    q_prime = np.full_like(q, np.nan)
-    rows = np.flatnonzero(sampled)
-    q_prime[rows], sampled[rows] = _sample_stack(model, rows, streams.random)
-    logs = np.full_like(q, np.nan)
+    pairs, sampled = _sample_stack(model, np.arange(count), _SeedStreams(seed, count).random, 2)
+    q, q_prime = pairs[:, 0], pairs[:, 1]
+    logs = np.full(q.shape, np.nan)
     rows = np.flatnonzero(sampled)
     exps = _exp_stack(np.concatenate([q[rows], q_prime[rows]]))
     logs[rows], status = _log_stack(exps[: len(rows)] @ exps[len(rows):])
@@ -304,8 +309,9 @@ def multiplicative_closure_check(
     Pair k reads the stream of np.random.default_rng(seed + k), so the
     audit is deterministic. Pairs run in blocks of up to 1024: the
     block's streams are seeded and advanced as arrays (_SeedStreams,
-    local to the call), then one stack draw of every pair's q, one of
-    every q', one stack exponential of the 2B generators, one stack
+    local to the call, each stream jumped ahead to all the states a draw
+    needs at once), then one stack draw of both generators of every
+    pair, one stack exponential of the 2B generators, one stack
     logarithm of the B products and one pass of the residual the model
     compiled when it was built. Pair k gets the same matrices, log-product
     and residual as the batch-of-one kernels (matrix_exp, matrix_log,
@@ -314,6 +320,11 @@ def multiplicative_closure_check(
     logarithm are skipped; more than samples/2 of them is an error,
     which counts the two causes apart and names the larger. Raises
     ValueError unless tol is a positive finite number.
+
+    The span and Lie closure dimensions are properties of the model, not
+    of the sample: they come from span_basis at its default seed and its
+    lie_closure, computed on the model's first audit and held on the
+    model object, so later audits of that object pay for neither.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -348,10 +359,7 @@ def multiplicative_closure_check(
             r = rows[k]
             found.append(Witness(q[r].copy(), q_prime[r].copy(), logs[r].copy(), float(resid[k]), index[r]))
 
-    base = span_basis(model, seed=seed + samples)
-    span_dim = len(base)
-    lie_dim = len(lie_closure(base))
-
+    span_dim, lie_dim = model._closure_dims
     if found:
         verdict = "not_closed"
     elif model.basis and lie_dim == span_dim:

@@ -4,7 +4,8 @@ A model is a set of stochastic rate matrices cut out of the zero-sum
 space either by a linear span basis, by polynomial constraints on the
 off-diagonal entries, or both, optionally with a named parameterization
 for seeded sampling. Models are immutable after construction and safe to
-share across threads.
+share across threads; the one value a model fills in later, its closure
+dimensions, is a deterministic function of its fields.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import operator
 from operator import itemgetter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -74,6 +76,12 @@ class PolynomialConstraint:
                 raise ValueError(f"constraint coefficients must be finite, got {coeff}")
             norm.append((coeff, pairs))
         object.__setattr__(self, "terms", tuple(norm))
+        # The evaluator of each matrix order, compiled on first use.
+        object.__setattr__(self, "_compiled", {})
+
+    def __reduce__(self):
+        # The compiled evaluators are closures, so a pickle or copy rebuilds from the terms.
+        return PolynomialConstraint, (self.terms,)
 
     @property
     def degree(self) -> int:
@@ -85,9 +93,16 @@ class PolynomialConstraint:
         return len(lengths) <= 1
 
     def evaluate(self, q) -> float:
-        """The batch-of-one case of the compiled constraint evaluator."""
+        """The batch-of-one case of the compiled constraint evaluator.
+
+        The evaluator is compiled once per constraint and matrix order, on
+        the first call at that order.
+        """
         q = check_square(q)
-        return float(_compile_constraints(q.shape[0], (self,))(q[None])[0, 0])
+        n = q.shape[0]
+        if n not in self._compiled:
+            self._compiled[n] = _compile_constraints(n, (self,))
+        return float(self._compiled[n](q[None])[0, 0])
 
 
 def product_constraint(left: Sequence[tuple[int, int]], right: Sequence[tuple[int, int]]) -> PolynomialConstraint:
@@ -128,7 +143,8 @@ class RateModel:
     once, the constraint values (None without constraints), the
     orthonormal span basis of a declared basis (None without one) and
     the residual; every membership test, sampler, span and audit of the
-    model uses these.
+    model uses these. Its span and Lie closure dimensions are computed
+    later, on its first audit, and held on the instance (_closure_dims).
     """
 
     name: str
@@ -207,6 +223,19 @@ class RateModel:
     @property
     def samplable(self) -> bool:
         return bool(self.basis) or self.parameterization is not None
+
+    @cached_property
+    def _closure_dims(self) -> tuple[int, int]:
+        """(span dimension, Lie closure dimension), computed on first use, once per model.
+
+        The span is span_basis at its default seed, so neither dimension
+        depends on an audit's seed or sample count. The value is held on
+        the instance only; a pickle or copy rebuilds the model without it.
+        """
+        from . import closure  # closure imports this module, so it is imported here
+
+        base = closure.span_basis(self)
+        return len(base), len(closure.lie_closure(base))
 
 
 def is_in_L(q, tol: float = 1e-12):
@@ -345,14 +374,10 @@ def membership(model: RateModel, q, tol: float = DEFAULT_MEMBERSHIP_TOL) -> Memb
 
 # SeedSequence's hash constants and PCG64's 128-bit LCG multiplier, as numpy defines them.
 _MASK32 = 0xFFFFFFFF
+_MASK128 = 2**128 - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# The multiplier's high word, low word and the low word's 32-bit halves.
-_PCG_HI, _PCG_LO, _PCG_LO0, _PCG_LO1 = (
-    np.array(w, dtype=np.uint64)
-    for w in (_PCG_MULT >> 64, _PCG_MULT & (2**64 - 1), _PCG_MULT & _MASK32, (_PCG_MULT >> 32) & _MASK32)
-)
 _U32_MASK = np.array(_MASK32, dtype=np.uint64)
 
 
@@ -364,18 +389,55 @@ def _u64(x: int) -> np.ndarray:
     return np.array(x, dtype=np.uint64)
 
 
+def _words(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit integers as arrays of their (high, low) 64-bit words."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & (2**64 - 1) for v in values], dtype=np.uint64))
+
+
+def _mul_add(x, m, c) -> tuple[np.ndarray, np.ndarray]:
+    """x * m + c mod 2**128, each a (high, low) pair of broadcastable uint64 word arrays."""
+    (x_hi, x_lo), (m_hi, m_lo), (c_hi, c_lo) = x, m, c
+    # The high word of x_lo * m_lo, from the 32-bit halves of both factors.
+    x0, x1 = x_lo & _U32_MASK, x_lo >> _u64(32)
+    m0, m1 = m_lo & _U32_MASK, m_lo >> _u64(32)
+    p00, p01, p10, p11 = x0 * m0, x0 * m1, x1 * m0, x1 * m1
+    mid = (p00 >> _u64(32)) + (p01 & _U32_MASK) + (p10 & _U32_MASK)
+    high = p11 + (p01 >> _u64(32)) + (p10 >> _u64(32)) + (mid >> _u64(32))
+    lo = x_lo * m_lo + c_lo
+    hi = high + x_lo * m_hi + x_hi * m_lo + c_hi + (lo < c_lo)
+    return hi, lo
+
+
+def _jump(m: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The words of a^j and of a^(j-1) + ... + a + 1 mod 2**128, a = _PCG_MULT, for j = 0..m.
+
+    A PCG64 stream j steps after state s is at a^j s + (a^(j-1) + ... + 1) inc
+    (F. B. Brown, "Random number generation with arbitrary strides", 1994).
+    """
+    power, total = [1], [0]
+    for _ in range(m):
+        power.append(power[-1] * _PCG_MULT & _MASK128)
+        total.append((total[-1] * _PCG_MULT + 1) & _MASK128)
+    return _words(power), _words(total)
+
+
 class _SeedStreams:
     """The streams of np.random.default_rng(seed + k) for k < count, advanced as arrays.
 
     Reproduces, with uint32/uint64 array arithmetic for every row at
     once, SeedSequence(seed + k): the entropy words of seed + k, the
     pool mixing and generate_state(4, uint64); then PCG64's seeding from
-    those four words, its 128-bit LCG step and XSL-RR output, and
+    those four words, its 128-bit LCG and XSL-RR output, and
     Generator.random()'s (x >> 11) * 2**-53. ``random(rows, m)`` returns
     the next m doubles of each listed row's stream and advances only
     those rows, so row k yields what default_rng(seed + k).random(m)
-    calls would. The state lives in the instance, never in the module.
-    Raises ValueError when a seed + k is negative, as default_rng does.
+    calls would. It jumps each row to all m states in one pass: the
+    state j steps on is a^j s + (a^(j-1) + ... + 1) inc mod 2**128, for
+    the multiplier a and each row's increment inc, so the m states are
+    two 128-bit multiply-adds on (rows, m) word arrays. The state lives
+    in the instance, never in the module. Raises ValueError when a
+    seed + k is negative, as default_rng does.
     """
 
     def __init__(self, seed: int, count: int):
@@ -429,31 +491,20 @@ class _SeedStreams:
         self.inc_lo = (w[3] << _u64(1)) | _u64(1)
         lo = self.inc_lo + w[1]
         hi = self.inc_hi + w[0] + (lo < w[1])
-        self.hi, self.lo = self._step(hi, lo, self.inc_hi, self.inc_lo)
-
-    @staticmethod
-    def _step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
-        """One LCG step, state * _PCG_MULT + inc mod 2**128, on (high, low) word arrays."""
-        # The high word of lo * _PCG_LO, from the 32-bit halves of both factors.
-        lo0, lo1 = lo & _U32_MASK, lo >> _u64(32)
-        p00, p01, p10, p11 = lo0 * _PCG_LO0, lo0 * _PCG_LO1, lo1 * _PCG_LO0, lo1 * _PCG_LO1
-        mid = (p00 >> _u64(32)) + (p01 & _U32_MASK) + (p10 & _U32_MASK)
-        high = p11 + (p01 >> _u64(32)) + (p10 >> _u64(32)) + (mid >> _u64(32))
-        new_lo = lo * _PCG_LO + inc_lo
-        new_hi = high + lo * _PCG_HI + hi * _PCG_LO + inc_hi + (new_lo < inc_lo)
-        return new_hi, new_lo
+        self.hi, self.lo = _mul_add((hi, lo), _words([_PCG_MULT]), (self.inc_hi, self.inc_lo))
 
     def random(self, rows: np.ndarray, m: int) -> np.ndarray:
         """The next m doubles in [0, 1) of each listed row's stream, shape (len(rows), m)."""
-        hi, lo = self.hi[rows], self.lo[rows]
-        inc_hi, inc_lo = self.inc_hi[rows], self.inc_lo[rows]
-        bits = np.empty((len(rows), m), dtype=np.uint64)
-        for j in range(m):
-            hi, lo = self._step(hi, lo, inc_hi, inc_lo)
-            # XSL-RR: the xor of both words, rotated right by the top 6 bits.
-            x, rot = hi ^ lo, hi >> _u64(58)
-            bits[:, j] = (x >> rot) | (x << ((_u64(64) - rot) & _u64(63)))
-        self.hi[rows], self.lo[rows] = hi, lo
+        power, total = _jump(m)
+        inc = self.inc_hi[rows, None], self.inc_lo[rows, None]
+        # Column j is the state j steps on; column 0 is the current one.
+        hi, lo = _mul_add((self.hi[rows, None], self.lo[rows, None]), power,
+                          _mul_add(inc, total, (_u64(0), _u64(0))))
+        self.hi[rows], self.lo[rows] = hi[:, m], lo[:, m]
+        # XSL-RR: the xor of both words, rotated right by the top 6 bits.
+        hi, lo = hi[:, 1:], lo[:, 1:]
+        x, rot = hi ^ lo, hi >> _u64(58)
+        bits = (x >> rot) | (x << ((_u64(64) - rot) & _u64(63)))
         return (bits >> _u64(11)).astype(float) * 2.0 ** -53
 
 
@@ -470,21 +521,28 @@ def _sample_stack(
     model: RateModel,
     rows: np.ndarray,
     random: Callable[[np.ndarray, int], np.ndarray],
+    count: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One stochastic rate matrix per stream in rows, as a (len(rows), n, n) stack.
+    """count stochastic rate matrices per stream in rows, as a (len(rows), count, n, n) stack.
 
     ``random(rows, m)`` is the stream source: the next m uniform doubles
-    of each listed stream, as a (len(rows), m) array, either a
-    _SeedStreams or one shared Generator (_generator_source). Each
-    attempt makes one draw for all pending rows: a parameterized model
-    maps lo + (hi - lo) * unit through its parameterization, which is
+    of each listed stream, as a (len(rows), m) array: the rows of a
+    _SeedStreams, one _SeedStreams row that every row reads in turn
+    (span_basis), or one shared Generator (_generator_source). A
+    candidate is one draw of m doubles: a parameterized model maps
+    lo + (hi - lo) * unit through its parameterization, which is
     Generator.uniform(lo, hi); a basis-only model takes coefficients
-    -1 + 2 * unit, which is Generator.uniform(-1, 1). So a row draws what
-    sample_with_rng would draw from its stream. A rejected row redraws
-    alone, from its own stream, up to _MAX_ATTEMPTS times in all; a row
-    that runs out is marked failed in the returned mask (its matrix is
-    NaN) instead of raising. Rows of a shared Generator draw from it in
-    row order; that matches sequential draws while no row is rejected.
+    -1 + 2 * unit, which is Generator.uniform(-1, 1). A stream's
+    matrices are its first count accepted candidates, in stream order,
+    so slot i of a row is what the (i + 1)-th sample_with_rng call on
+    its stream would draw. The first attempt draws count candidates for
+    every row, as one (len(rows) * count) stack; each later attempt
+    draws one candidate for every row that still needs one, from its
+    own stream. A matrix that sees _MAX_ATTEMPTS rejected candidates in
+    a row exhausts its stream: the row is marked failed in the returned
+    mask (its open slots stay NaN) instead of raising. Rows of a shared
+    Generator or stream draw from it in row order; that matches
+    sequential draws while no row is rejected.
 
     A parameterized draw is accepted when it is a stochastic rate matrix
     and its model residual is at most 1e-10. A basis-only draw lies in
@@ -496,41 +554,49 @@ def _sample_stack(
         fn, _ = get_parameterization(model.parameterization)
         lo, hi = np.array(model.parameter_ranges).T
 
-        def draw(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            q = fn(lo + (hi - lo) * random(rows, len(lo)))
+        def draw(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+            q = fn(lo + (hi - lo) * random(rows, k * len(lo)).reshape(-1, len(lo)))
             return q, is_stochastic_rate(q, 1e-12) & (model._residual(q) <= 1e-10)
     elif model.basis:
         stack = np.reshape(model.basis, (len(model.basis), n * n))
 
-        def draw(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            coeffs = -1.0 + 2.0 * random(rows, len(stack))
-            q = (coeffs[:, None, :] @ stack).reshape(len(rows), n, n)
+        def draw(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+            coeffs = -1.0 + 2.0 * random(rows, k * len(stack)).reshape(-1, len(stack))
+            q = (coeffs[:, None, :] @ stack).reshape(-1, n, n)
             return q, is_stochastic_rate(q, 1e-12)
     else:
         raise SamplingError(f"model {model.name!r} has no parameterization or basis to sample")
-    out = np.full((len(rows), n, n), np.nan)
-    ok = np.zeros(len(rows), dtype=bool)
-    pending = np.arange(len(rows))
-    for _ in range(_MAX_ATTEMPTS):
-        if not len(pending):
-            break
-        q, accept = draw(rows[pending])
-        out[pending[accept]] = q[accept]
-        ok[pending[accept]] = True
-        pending = pending[~accept]
-    return out, ok
+    out = np.full((len(rows), count, n, n), np.nan)
+    got = np.zeros(len(rows), dtype=int)
+    misses = np.zeros(len(rows), dtype=int)
+    pending, k = np.arange(len(rows)), count
+    while len(pending):
+        q, accept = draw(rows[pending], k)
+        q, accept = q.reshape(len(pending), k, n, n), accept.reshape(len(pending), k)
+        # A row's candidates fill its open slots in stream order until it is full or exhausted.
+        for j in range(k):
+            live = (got[pending] < count) & (misses[pending] < _MAX_ATTEMPTS)
+            take = live & accept[:, j]
+            hit, miss = pending[take], pending[live & ~accept[:, j]]
+            out[hit, got[hit]] = q[take, j]
+            got[hit] += 1
+            misses[hit] = 0
+            misses[miss] += 1
+        pending = pending[(got[pending] < count) & (misses[pending] < _MAX_ATTEMPTS)]
+        k = 1
+    return out, got == count
 
 
 def _sample_all(
     model: RateModel, count: int, random: Callable[[np.ndarray, int], np.ndarray]
 ) -> np.ndarray:
-    """Rows 0..count-1 of _sample_stack as a (count, n, n) stack.
+    """Rows 0..count-1 of _sample_stack, one matrix each, as a (count, n, n) stack.
 
     Raises SamplingError when any row is exhausted in _MAX_ATTEMPTS draws.
     """
     mats, ok = _sample_stack(model, np.arange(count), random)
     if ok.all():
-        return mats
+        return mats[:, 0]
     if model.parameterization is not None:
         raise SamplingError(f"parameterized sampler for {model.name!r} failed {_MAX_ATTEMPTS} times")
     raise SamplingError(

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,3 +333,23 @@ class TestExport:
         doc = json.loads(out)
         assert doc["parameterization"] == "hky"
         assert len(doc["constraints"]) == 10
+
+
+class TestImports:
+    def test_draw_paths_do_not_load_numpy_random(self):
+        # Every draw is a _SeedStreams jump-ahead, so no command needs numpy.random's import.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+        def loaded(code):
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  check=True, timeout=120, env=env)
+            return proc.stdout.strip() == "True"
+
+        probe = "import sys; {}; print('numpy.random' in sys.modules)"
+        if loaded(probe.format("import numpy")):
+            pytest.skip("this numpy loads numpy.random on import")
+        commands = ("main(['check', '--model', 'hky']); main(['closure', '--model', 'gtr']); "
+                    "main(['sample', '--model', 'gtr', '--samples', '3', '--seed', '1'])")
+        run = ("import io, contextlib; from liemarkov.cli import main\n"
+               f"with contextlib.redirect_stdout(io.StringIO()): {commands}")
+        assert not loaded(probe.format(run))

@@ -1,5 +1,6 @@
 import json
 import logging
+import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial, reduce
@@ -560,8 +561,13 @@ class TestMultiplicativeClosure:
             basis[i, i, i] = 0.0
             basis[i][np.arange(n), np.arange(n)] = -basis[i].sum(axis=0)
         model = RateModel(name="equal-input", n=n, basis=tuple(basis))
-        with pytest.raises(RuntimeError, match="half of the 20 sampled pairs failed, mostly by sampler exhaustion"):
-            multiplicative_closure_check(model, samples=20, seed=42)
+        # The whole message, pinned: one pair of seed 7's first 27 draws both its generators.
+        for samples, seed, failed, read in ((20, 42, 11, 11), (50, 7, 26, 27)):
+            with pytest.raises(RuntimeError) as err:
+                multiplicative_closure_check(model, samples=samples, seed=seed)
+            assert str(err.value) == (
+                f"more than half of the {samples} sampled pairs failed, mostly by sampler exhaustion: "
+                f"{failed} sampler exhaustions and 0 without a principal logarithm in the first {read} pairs")
         with pytest.raises(RuntimeError, match="mostly by a missing principal logarithm: 0 sampler exhaustions and 6 without"):
             multiplicative_closure_check(_cyclic_model(), samples=10, seed=0)
 
@@ -797,19 +803,42 @@ class TestBatchedAudit:
         # Coefficient draws in [-1, 1]^2: three of four land outside the stochastic cone.
         model = RateModel(name="k2p-span", n=4, basis=zoo_model("k2p").basis)
         seed, count = 11, 40
-        streams, rows = _SeedStreams(seed, count), np.arange(count)
-        q, ok = _sample_stack(model, rows, streams.random)
-        q_prime, ok_prime = _sample_stack(model, rows, streams.random)
-        assert ok.all() and ok_prime.all()
+        pairs, ok = _sample_stack(model, np.arange(count), _SeedStreams(seed, count).random, 2)
+        assert ok.all()
         for k in range(count):
             rng = np.random.default_rng(seed + k)
-            np.testing.assert_array_equal(q[k], sample_with_rng(model, rng))
-            np.testing.assert_array_equal(q_prime[k], sample_with_rng(model, rng))
+            np.testing.assert_array_equal(pairs[k, 0], sample_with_rng(model, rng))
+            np.testing.assert_array_equal(pairs[k, 1], sample_with_rng(model, rng))
+
+    def test_two_candidate_draw_counts_attempts_per_matrix(self, monkeypatch):
+        # With two attempts per matrix, a pair fails exactly when q or q' fails alone on its stream.
+        monkeypatch.setattr(model_module, "_MAX_ATTEMPTS", 2)
+        model = RateModel(name="k2p-span", n=4, basis=zoo_model("k2p").basis)
+        seed, count = 3, 80
+        pairs, ok = _sample_stack(model, np.arange(count), _SeedStreams(seed, count).random, 2)
+        slots = {"q": 0, "q_prime": 0}
+        for k in range(count):
+            rng = np.random.default_rng(seed + k)
+            expected = []
+            try:
+                expected.append(sample_with_rng(model, rng))
+                expected.append(sample_with_rng(model, rng))
+            except SamplingError:
+                slots["q_prime" if expected else "q"] += 1
+            assert ok[k] == (len(expected) == 2)
+            for i in range(2):
+                if i < len(expected):
+                    np.testing.assert_array_equal(pairs[k, i], expected[i])
+                else:
+                    assert np.isnan(pairs[k, i]).all()
+        # Both slots run out somewhere, and some pairs draw both.
+        assert slots["q"] and slots["q_prime"] and ok.any()
 
     def test_exhausted_rows_fail_alone(self, monkeypatch):
         monkeypatch.setattr(model_module, "_MAX_ATTEMPTS", 2)
         model = RateModel(name="k2p-span", n=4, basis=zoo_model("k2p").basis)
         q, ok = _sample_stack(model, np.arange(40), _SeedStreams(5, 40).random)
+        q = q[:, 0]
         assert 0 < ok.sum() < 40
         for k in range(40):
             rng = np.random.default_rng(5 + k)
@@ -838,18 +867,57 @@ class TestBatchedAudit:
         assert row.to_json() == column.to_json()
 
 
+class TestClosureDims:
+    def test_computed_once_per_model(self, monkeypatch):
+        # Audits at other seeds, sample counts and tolerances read the model's one pair of dimensions.
+        calls = []
+
+        def spy(name):
+            fn = getattr(closure, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(closure, name, counted)
+
+        spy("span_basis")
+        spy("lie_closure")
+        for name in zoo_names():
+            model = zoo_model(name)
+            reports = [multiplicative_closure_check(model, samples=samples, seed=seed, tol=tol)
+                       for samples, seed, tol in ((20, 3, 1e-8), (7, 2024, 1e-6), (50, 0, 1e-10))]
+            assert calls == ["span_basis", "lie_closure"]
+            base = span_basis(model)
+            dims = (len(base), len(lie_closure(base)))
+            assert all((r.span_dim, r.lie_closure_dim) == dims for r in reports)
+            calls.clear()
+
+    def test_pickle_drops_the_memo(self):
+        model = zoo_model("gtr")
+        multiplicative_closure_check(model, samples=5, seed=1)
+        assert "_closure_dims" in vars(model)
+        assert "_closure_dims" not in vars(pickle.loads(pickle.dumps(model)))
+
+
 class TestConcurrency:
     def test_threaded_audits_match_serial(self):
-        # Calls share no module state, so running them side by side cannot change a result.
-        def audit(name, seed):
-            return multiplicative_closure_check(zoo_model(name), samples=60, seed=seed).to_json()
+        # Calls share no module state, so running them side by side cannot change a result. The
+        # threads share one model per zoo name, built with its dimensions not yet computed, so
+        # several audits race to fill them.
+        def audit(model, seed):
+            return multiplicative_closure_check(model, samples=60, seed=seed).to_json()
 
         def reference_kappas():
             return kappa_witness(log_product(*reference_pair()))
 
-        tasks = [partial(audit, name, seed) for name in zoo_names() for seed in (3, 8)]
+        seeds = (3, 8, 13, 21)
+        serial = [audit(zoo_model(name), seed) for name in zoo_names() for seed in seeds]
+        serial += [reference_kappas()] * 8
+        shared = {name: zoo_model(name) for name in zoo_names()}
+        tasks = [partial(audit, shared[name], seed) for name in zoo_names() for seed in seeds]
         tasks += [reference_kappas] * 8
-        serial = [task() for task in tasks]
+        assert not any("_closure_dims" in vars(model) for model in shared.values())
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

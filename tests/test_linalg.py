@@ -699,10 +699,9 @@ class TestStackKernels:
         from liemarkov.model import _SeedStreams, _sample_stack
 
         model = zoo_model(name)
-        streams, rows = _SeedStreams(17, 60), np.arange(60)
-        q, ok = _sample_stack(model, rows, streams.random)
-        q_prime, ok_prime = _sample_stack(model, rows, streams.random)
-        assert ok.all() and ok_prime.all()
+        pairs, ok = _sample_stack(model, np.arange(60), _SeedStreams(17, 60).random, 2)
+        q, q_prime = pairs[:, 0], pairs[:, 1]
+        assert ok.all()
         exps = _exp_stack(np.concatenate([q, q_prime]))
         logs, status = _log_stack(exps[:60] @ exps[60:])
         assert (status == _LOG_OK).all()

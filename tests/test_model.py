@@ -352,6 +352,19 @@ class TestSeedStreams:
         for k in range(count):
             np.testing.assert_array_equal(out[k], np.random.default_rng(seed + k).random(3))
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 20, 64, 640])
+    @pytest.mark.parametrize("seed", [5, 2**32 - 3, 2**64 - 2])
+    def test_jumps_match_default_rng(self, seed, m):
+        # One, then two, then three entropy words; the last two blocks cross 2**32 and 2**64.
+        count = 6
+        streams = _SeedStreams(seed, count)
+        gens = [np.random.default_rng(seed + k) for k in range(count)]
+        for rows, width in (([4, 1], m), (list(range(count)), m), ([1], 3), ([5, 0, 1], m)):
+            out = streams.random(np.array(rows), width)
+            assert out.shape == (len(rows), width)
+            for r, k in enumerate(rows):
+                np.testing.assert_array_equal(out[r], gens[k].random(width))
+
     def test_negative_seed_raises_like_default_rng(self):
         with pytest.raises(ValueError) as ours:
             _SeedStreams(-1, 4)
@@ -366,9 +379,9 @@ class TestSeedStreams:
     def test_constants_are_unsigned_arrays(self):
         # Under NEP 50 an op with a Python integer beyond the dtype raises OverflowError; with
         # a uint array it wraps. Scalars would warn on overflow, so every constant is an array.
-        for name in ("_PCG_HI", "_PCG_LO", "_PCG_LO0", "_PCG_LO1", "_U32_MASK"):
-            value = getattr(model_module, name)
-            assert isinstance(value, np.ndarray) and value.dtype == np.uint64, name
+        power, total = model_module._jump(5)
+        for value in (model_module._U32_MASK, *power, *total):
+            assert isinstance(value, np.ndarray) and value.dtype == np.uint64
         streams = _SeedStreams(7, 3)
         for state in (streams.hi, streams.lo, streams.inc_hi, streams.inc_lo):
             assert state.dtype == np.uint64 and state.shape == (3,)
@@ -512,6 +525,31 @@ class TestCompiledOnce:
             assert membership(model, q).in_r and model_residual(model, q) <= 1e-10
             assert calls == built
             calls.clear()
+
+    def test_raw_values_compile_once_per_constraint(self, monkeypatch):
+        calls = []
+        compile_fn = model_module._compile_constraints
+
+        def counted(*args):
+            calls.append(args[0])
+            return compile_fn(*args)
+
+        # Zoo models share their constraint objects, so build fresh ones that have not compiled yet.
+        model = model_from_dict(model_to_dict(zoo_model("hky")))
+        q = sample_with_rng(model, np.random.default_rng(4))
+        monkeypatch.setattr(model_module, "_compile_constraints", counted)
+        first = [c.evaluate(q) for c in model.constraints]
+        assert calls == [4] * len(model.constraints)
+        for seed in range(3):
+            p = sample_with_rng(model, np.random.default_rng(seed))
+            assert [c.evaluate(p) for c in model.constraints] == [
+                float(compile_fn(4, (c,))(p[None])[0, 0]) for c in model.constraints]
+        assert [c.evaluate(q) for c in model.constraints] == first
+        assert calls == [4] * len(model.constraints)
+        # A used constraint still pickles, and its copy compiles afresh.
+        copies = pickle.loads(pickle.dumps(model.constraints))
+        assert copies == model.constraints
+        assert [c.evaluate(q) for c in copies] == first
 
     @pytest.mark.parametrize("name", zoo_names())
     def test_pickle_rebuilds_the_model(self, name):
