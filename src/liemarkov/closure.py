@@ -95,22 +95,33 @@ def lie_closure(basis) -> list[np.ndarray]:
     written straight into the level's (k |S|, n^2) block. Each bracket
     is the same floating-point value as commutator(v, g).
 
-    A level's brackets are orthogonalised against the basis accumulated
-    so far by two block Gram-Schmidt passes. The right singular vectors
-    of what remains whose singular values exceed DEFAULT_BRACKET_GATE
-    become the next level, after one more pass and an exact projection
-    onto zero column sums (subtracting column means). Both operands of
-    every bracket have unit norm, so the gate is relative to the
-    brackets' scale; at about sqrt(eps) it sits above the rounding
-    carried through deep brackets (up to about 3e-9 on the tested
-    inputs) and below genuine new directions (2e-5 and up). The gate is
+    A block of brackets (a level, or part of one, below) is
+    orthogonalised against the basis accumulated so far by two block
+    Gram-Schmidt passes. The right singular vectors of what remains
+    whose singular values exceed DEFAULT_BRACKET_GATE become new
+    directions, after one more pass and an exact projection onto zero
+    column sums (subtracting column means). Both operands of every
+    bracket have unit norm, so the gate is relative to the brackets'
+    scale; at about sqrt(eps) it sits above the rounding carried through
+    deep brackets (up to about 3e-9 on the tested inputs) and below
+    genuine new directions (5e-5 and up on the tested inputs, 1e-6 and
+    up on generic integer pairs up to n = 20). The gate is
     also the relative SVD rank threshold for the input. One SVD per
-    level, rather than accepting brackets one at a time, matters: a
+    block, rather than accepting brackets one at a time, matters: a
     nearly dependent bracket accepted on its own becomes a direction
     whose rounding error is divided by its small residual, and its
-    brackets carry that error on until it clears the gate. Brackets of
-    zero-sum matrices are zero-sum, so the search stops once the
-    dimension reaches n*n - n. An empty basis, like all-zero
+    brackets carry that error on until it clears the gate.
+
+    Brackets of zero-sum matrices are zero-sum, so the algebra lies in
+    the n*n - n dimensional space L of them, and a level can add at most
+    c = n*n - n - d directions. A level of at most c brackets is one
+    such block. A longer level first takes its first c brackets as a
+    block; only when they leave the dimension short of n*n - n do the
+    rest follow, as a second block against the enlarged basis. Once the
+    dimension is n*n - n the span is all of L, so the brackets not yet
+    taken can add nothing, and the search stops. Every level thus takes
+    at most two SVDs, and the level that fills L orthogonalises c of its
+    brackets rather than all of them. An empty basis, like all-zero
     generators, generates the zero algebra, whose basis is empty.
 
     One debug log line per call gives the dimension after each level and
@@ -137,24 +148,32 @@ def lie_closure(basis) -> list[np.ndarray]:
     block -= gens[j] @ gens[i]
     block = block.reshape(len(i), n * n)
     while len(block) and d < ambient:
-        for _ in range(2):
-            block -= (block @ flat[:d].T) @ flat[:d]
-        _, svals, vt = np.linalg.svd(block, full_matrices=False)
-        k = min(int(np.sum(svals > DEFAULT_BRACKET_GATE)), ambient - d)
-        if k < len(svals):
-            largest_rejected = max(largest_rejected, float(svals[k]))
-        if k:
-            smallest_accepted = min(smallest_accepted, float(svals[k - 1]))
-        # A direction with a small singular value carries eps/sigma of the basis.
-        new = vt[:k] - (vt[:k] @ flat[:d].T) @ flat[:d]
-        flat[d:d + k] = _zero_sum(new.reshape(k, n, n)).reshape(k, n * n)
+        level = d
+        # No level adds more than ambient - d directions: that many brackets
+        # first, the rest only while L is not full.
+        for part in (block[:ambient - d], block[ambient - d:]):
+            if not len(part) or d == ambient:
+                break
+            for _ in range(2):
+                part -= (part @ flat[:d].T) @ flat[:d]
+            _, svals, vt = np.linalg.svd(part, full_matrices=False)
+            k = min(int(np.sum(svals > DEFAULT_BRACKET_GATE)), ambient - d)
+            if k < len(svals):
+                largest_rejected = max(largest_rejected, float(svals[k]))
+            if k:
+                smallest_accepted = min(smallest_accepted, float(svals[k - 1]))
+            # A direction with a small singular value carries eps/sigma of the basis.
+            new = vt[:k] - (vt[:k] @ flat[:d].T) @ flat[:d]
+            flat[d:d + k] = _zero_sum(new.reshape(k, n, n)).reshape(k, n * n)
+            d += k
+        dims.append(d)
+        if d == ambient:
+            break
         # [v, s] for every new direction v and generator s, v-major, as the next block.
-        v = flat[d:d + k].reshape(k, 1, n, n)
+        v = flat[level:d].reshape(d - level, 1, n, n)
         block = v @ gens
         block -= gens @ v
-        block = block.reshape(k * len(gens), n * n)
-        d += k
-        dims.append(d)
+        block = block.reshape((d - level) * len(gens), n * n)
     logger.debug(
         "lie_closure n=%d: dimension after each level %s, smallest accepted singular value %.3g, "
         "largest rejected singular value %.3g",

@@ -15,7 +15,7 @@ import math
 import operator
 from operator import itemgetter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -409,17 +409,23 @@ def _mul_add(x, m, c) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
+@lru_cache(maxsize=32)
 def _jump(m: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """The words of a^j and of a^(j-1) + ... + a + 1 mod 2**128, a = _PCG_MULT, for j = 0..m.
 
     A PCG64 stream j steps after state s is at a^j s + (a^(j-1) + ... + 1) inc
     (F. B. Brown, "Random number generation with arbitrary strides", 1994).
+    The table depends on m alone, so it is built once per m and shared:
+    its arrays are read-only.
     """
     power, total = [1], [0]
     for _ in range(m):
         power.append(power[-1] * _PCG_MULT & _MASK128)
         total.append((total[-1] * _PCG_MULT + 1) & _MASK128)
-    return _words(power), _words(total)
+    table = _words(power), _words(total)
+    for w in (*table[0], *table[1]):
+        w.flags.writeable = False
+    return table
 
 
 class _SeedStreams:

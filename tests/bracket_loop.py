@@ -9,10 +9,11 @@ from liemarkov.closure import DEFAULT_BRACKET_GATE, _zero_sum
 def lie_closure_loop(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.ndarray]:
     """lie_closure with one commutator call per bracket and a list of brackets per level.
 
-    The same breadth-first search, Gram-Schmidt passes, SVD gate and
-    zero-sum projection as lie_closure; only the brackets are formed one
-    at a time and stacked afterwards. lie_closure must return the same
-    basis bit for bit.
+    The same breadth-first search, Gram-Schmidt passes, SVD gate,
+    zero-sum projection and split of a level longer than the directions
+    left as lie_closure; only the brackets are formed one at a time and
+    stacked afterwards. lie_closure must return the same basis bit for
+    bit.
     """
     mats = [np.asarray(b, dtype=float) for b in basis]
     if not mats:
@@ -29,12 +30,18 @@ def lie_closure_loop(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.nd
     brackets = [commutator(g, s) for i, g in enumerate(gens) for s in gens[i + 1:]]
     while brackets and d < ambient:
         block = np.stack(brackets).reshape(len(brackets), -1)
-        for _ in range(2):
-            block -= (block @ flat[:d].T) @ flat[:d]
-        _, svals, vt = np.linalg.svd(block, full_matrices=False)
-        k = min(int(np.sum(svals > rel_tol)), ambient - d)
-        new = vt[:k] - (vt[:k] @ flat[:d].T) @ flat[:d]
-        flat[d:d + k] = _zero_sum(new.reshape(k, n, n)).reshape(k, n * n)
-        brackets = [commutator(v.reshape(n, n), s) for v in flat[d:d + k] for s in gens]
-        d += k
+        level = d
+        # No level adds more than ambient - d directions: that many brackets
+        # first, the rest only while L is not full.
+        for part in (block[:ambient - d], block[ambient - d:]):
+            if not len(part) or d == ambient:
+                break
+            for _ in range(2):
+                part -= (part @ flat[:d].T) @ flat[:d]
+            _, svals, vt = np.linalg.svd(part, full_matrices=False)
+            k = min(int(np.sum(svals > rel_tol)), ambient - d)
+            new = vt[:k] - (vt[:k] @ flat[:d].T) @ flat[:d]
+            flat[d:d + k] = _zero_sum(new.reshape(k, n, n)).reshape(k, n * n)
+            d += k
+        brackets = [commutator(v.reshape(n, n), s) for v in flat[level:d] for s in gens]
     return [row.reshape(n, n).copy() for row in flat[:d]]

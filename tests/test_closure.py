@@ -65,6 +65,14 @@ def _kronecker_pair(seed, p, m):
     return [np.kron(a[k], np.eye(m)) + np.kron(np.eye(p), b[k]) for k in range(2)]
 
 
+def _saturation_inputs():
+    """Zoo span bases, 4 (x) 4 Kronecker pairs and generic pairs up to n = 20."""
+    inputs = [span_basis(zoo_model(name), seed=0) for name in zoo_names()]
+    inputs += [_kronecker_pair(seed, 4, 4) for seed in (0, 4, 6, 13)]
+    inputs += [list(_generic_pair(np.random.default_rng(n), n)) for n in (*range(3, 15), 16, 20)]
+    return inputs
+
+
 def _exact_floats(mats):
     # Integers below 2**53 convert to float exactly, so exact_rank sees them unrounded.
     assert all(abs(int(x)) < 2 ** 53 for m in mats for x in m.flat)
@@ -337,10 +345,7 @@ class TestLieClosure:
         _assert_closed_basis(closed, base, 1e-12)
 
     def test_rank_gap_logged(self, caplog):
-        inputs = [span_basis(zoo_model(name), seed=0) for name in zoo_names()]
-        inputs += [_kronecker_pair(seed, 4, 4) for seed in (0, 4, 6, 13)]
-        inputs += [list(_generic_pair(np.random.default_rng(n), n)) for n in range(3, 15)]
-        for gens in inputs:
+        for gens in _saturation_inputs():
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="liemarkov.closure"):
                 closed = lie_closure(gens)
@@ -349,6 +354,57 @@ class TestLieClosure:
             assert dims[-1] == len(closed)
             # At least three decades between the kept and the dropped directions.
             assert accepted >= 1e3 * rejected
+
+
+def _saturate_counting_svds(gens, monkeypatch, caplog):
+    """lie_closure(gens) under a spy: the row count of every SVD it takes, and its logged dimensions."""
+    rows = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        rows.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    caplog.clear()
+    with monkeypatch.context() as patch, caplog.at_level(logging.DEBUG, logger="liemarkov.closure"):
+        patch.setattr(np.linalg, "svd", spy)
+        lie_closure(gens)
+    (record,) = [r for r in caplog.records if r.getMessage().startswith("lie_closure")]
+    return rows, record.args[1]
+
+
+class TestSaturationCost:
+    """A level takes its first c brackets, c the directions left, and the rest only while L is not full."""
+
+    def test_filling_level_takes_one_small_svd(self, monkeypatch, caplog):
+        # The last level has 2 (127 - 71) = 112 brackets against 5 directions left.
+        rows, dims = _saturate_counting_svds(list(_generic_pair(np.random.default_rng(12), 12)),
+                                             monkeypatch, caplog)
+        assert dims == [2, 3, 5, 8, 14, 23, 41, 71, 127, 132]
+        # The input's rank, then one SVD per level.
+        assert rows == [2, 1, 2, 4, 6, 12, 18, 36, 60, 5]
+
+    @pytest.mark.parametrize("name", ["hky", "lm88"])
+    def test_closed_span_takes_both_blocks(self, name, monkeypatch, caplog):
+        # 28 brackets of 8 generators against 4 directions left: 4 first, then the other 24.
+        base = span_basis(zoo_model(name), seed=0)
+        rows, dims = _saturate_counting_svds(base, monkeypatch, caplog)
+        assert dims == [8, 8]
+        assert rows == [8, 4, 24]
+
+    def test_at_most_two_svds_per_level(self, monkeypatch, caplog):
+        for gens in _saturation_inputs():
+            rows, dims = _saturate_counting_svds(gens, monkeypatch, caplog)
+            s, ambient = dims[0], gens[0].size - len(gens[0])
+            # The input's rank, then each level's blocks.
+            expected, last = [len(gens)], []
+            for level in range(1, len(dims)):
+                r = s * (s - 1) // 2 if level == 1 else (dims[level - 1] - dims[level - 2]) * s
+                c = ambient - dims[level - 1]
+                last = [min(r, c)] + ([r - c] if r > c else [])
+                expected += last
+            # Only the last level may skip its second block, when its first filled L.
+            assert rows == expected or (dims[-1] == ambient and len(last) == 2 and rows == expected[:-1])
 
 
 class TestBatchedBrackets:

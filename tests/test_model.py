@@ -386,6 +386,24 @@ class TestSeedStreams:
         for state in (streams.hi, streams.lo, streams.inc_hi, streams.inc_lo):
             assert state.dtype == np.uint64 and state.shape == (3,)
 
+    def test_jump_table_is_built_once_per_length_and_read_only(self):
+        model_module._jump.cache_clear()
+        table = model_module._jump(9)
+        assert model_module._jump(9) is table
+        for words in table:
+            for w in words:
+                with pytest.raises(ValueError, match="read-only"):
+                    w[0] = 1
+        # Reused tables advance streams as freshly built ones do.
+        streams = _SeedStreams(11, 2)
+        for _ in range(3):
+            out = streams.random(np.arange(2), 9)
+        assert model_module._jump.cache_info().misses == 1
+        rngs = [np.random.default_rng(11 + k) for k in range(2)]
+        for k in range(2):
+            rngs[k].random(18)
+            np.testing.assert_array_equal(out[k], rngs[k].random(9))
+
     @pytest.mark.parametrize("seed, count", [(2**128 - 1, 3), (2**64 - 1, 1), (0, 1), (2**32 - 2, 4)])
     def test_wraparound_emits_no_warning(self, seed, count):
         with warnings.catch_warnings():
