@@ -9,8 +9,6 @@ closure with concrete witnesses.
 """
 
 from .linalg import (
-    DEFAULT_MEMBERSHIP_TOL,
-    DEFAULT_RANK_RTOL,
     MembershipResult,
     PrincipalLogError,
     commutator,
@@ -44,22 +42,6 @@ from .closure import (
     multiplicative_closure_check,
     span_basis,
 )
-from .zoo import (
-    REFERENCE_ALPHAS,
-    REFERENCE_HKY_PARAMS,
-    REFERENCE_LOG_PRODUCT,
-    ZooEntry,
-    f81,
-    gtr,
-    hky,
-    jc,
-    k2p,
-    kappa_witness,
-    lm88,
-    reference_pair,
-    zoo_entry,
-    zoo_model,
-    zoo_names,
-)
+from .zoo import kappa_witness, reference_pair, zoo_model, zoo_names
 
 __version__ = "0.1.0"

@@ -115,11 +115,6 @@ def product_constraint(left: Sequence[tuple[int, int]], right: Sequence[tuple[in
 _PARAMETERIZATIONS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], int]] = {}
 
 
-def register_parameterization(name: str, fn: Callable[[np.ndarray], np.ndarray], n_params: int) -> None:
-    """Register fn, which maps a (B, n_params) parameter array to a (B, n, n) stack."""
-    _PARAMETERIZATIONS[name] = (fn, n_params)
-
-
 def get_parameterization(name: str) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
     try:
         return _PARAMETERIZATIONS[name]
@@ -364,8 +359,8 @@ def membership(model: RateModel, q, tol: float = DEFAULT_MEMBERSHIP_TOL) -> Memb
     """Test membership of q in the model's rate space and stochastic cone.
 
     The span decides when a basis is declared, the constraints
-    otherwise; both through model_residual. Raw constraint values come
-    from PolynomialConstraint.evaluate.
+    otherwise; both through model_residual, which reads the residual the
+    model compiled when it was built.
     """
     residual = model_residual(model, q)
     in_r = residual <= tol

@@ -16,14 +16,12 @@ import numpy as np
 
 from .linalg import check_square
 from .model import (
+    _PARAMETERIZATIONS,
     PolynomialConstraint,
     RateModel,
     get_parameterization,
     product_constraint,
-    register_parameterization,
 )
-
-NUCLEOTIDES = ("A", "G", "C", "T")
 
 # Off-diagonal slots of lm88's parameters, in signature order: the row
 # pairs of alpha..delta, then the transitions of kappa_1..kappa_4.
@@ -63,10 +61,18 @@ def _params(p, names: tuple[str, ...]) -> np.ndarray:
 
 
 # Stack builders: each maps a (B, n_params) array to a (B, 4, 4) stack of
-# generators; the scalar builders below are their batch-of-one calls.
+# generators, one per parameter row; a single generator is a batch of one.
+
+_ALPHAS = ("alpha_a", "alpha_g", "alpha_c", "alpha_t")
+
 
 def _hky_stack(p) -> np.ndarray:
-    p = _params(p, ("alpha_a", "alpha_g", "alpha_c", "alpha_t", "kappa"))
+    """HKY: per-row base rates alpha_i, transitions scaled by kappa.
+
+    Row i carries alpha_i off the diagonal, with the transition entries
+    (A<->G, C<->T) multiplied by kappa and the diagonal balancing the sums.
+    """
+    p = _params(p, (*_ALPHAS, "kappa"))
     alpha, kappa = p[:, :4], p[:, 4]
     off = np.repeat(alpha[:, :, None], 4, axis=2)
     for i, j in _TRANSITIONS:
@@ -75,16 +81,19 @@ def _hky_stack(p) -> np.ndarray:
 
 
 def _jc_stack(p) -> np.ndarray:
+    """Jukes-Cantor: all substitutions at rate mu."""
     mu = _params(p, ("mu",))[:, 0]
     return _with_diagonal(np.broadcast_to(mu[:, None, None], (len(mu), 4, 4)))
 
 
 def _f81_stack(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    return _hky_stack(np.concatenate([p, np.ones((len(p), 1))], axis=1))
+    """F81: row i constant at alpha_i off the diagonal (HKY at kappa = 1)."""
+    alpha = _params(p, _ALPHAS)
+    return _with_diagonal(np.repeat(alpha[:, :, None], 4, axis=2))
 
 
 def _k2p_stack(p) -> np.ndarray:
+    """Kimura two-parameter: transitions at alpha, transversions at beta."""
     p = _params(p, ("alpha", "beta"))
     off = np.repeat(p[:, 1, None, None], 4, axis=1).repeat(4, axis=2)
     for i, j in _TRANSITIONS:
@@ -93,6 +102,11 @@ def _k2p_stack(p) -> np.ndarray:
 
 
 def _lm88_stack(p) -> np.ndarray:
+    """The 8-parameter pattern that log-products of HKY matrices follow.
+
+    Same row-pair structure as HKY but with the four transition rates
+    kappa_1..kappa_4 free instead of tied to a common ratio.
+    """
     p = _params(p, ("alpha", "beta", "gamma", "delta", "kappa_1", "kappa_2", "kappa_3", "kappa_4"))
     off = np.zeros((len(p), 4, 4))
     for col, slots in enumerate(_LM88_SLOTS):
@@ -105,6 +119,12 @@ _GTR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def _gtr_stack(p) -> np.ndarray:
+    """General time-reversible, from exchangeabilities and frequency weights.
+
+    The weights are normalized to stationary frequencies pi and the rate
+    into state i from state j is s_ij * pi_i, which satisfies detailed
+    balance by construction.
+    """
     p = _params(p, ("s_ag", "s_ac", "s_at", "s_gc", "s_gt", "s_ct", "w_a", "w_g", "w_c", "w_t"))
     exch, weights = p[:, :6], p[:, 6:]
     total = weights.sum(axis=1)
@@ -118,57 +138,10 @@ def _gtr_stack(p) -> np.ndarray:
     return _with_diagonal(off)
 
 
-def hky(alpha_a: float, alpha_g: float, alpha_c: float, alpha_t: float, kappa: float) -> np.ndarray:
-    """HKY generator: per-row base rates alpha_i, transitions scaled by kappa.
-
-    Row i carries alpha_i off the diagonal, with the transition entries
-    (A<->G, C<->T) multiplied by kappa and the diagonal balancing the sums.
-    """
-    return _hky_stack([[alpha_a, alpha_g, alpha_c, alpha_t, kappa]])[0]
-
-
-def jc(mu: float) -> np.ndarray:
-    """Jukes-Cantor generator: all substitutions at rate mu."""
-    return _jc_stack([[mu]])[0]
-
-
-def f81(alpha_a: float, alpha_g: float, alpha_c: float, alpha_t: float) -> np.ndarray:
-    """F81 generator: row i constant at alpha_i off the diagonal (HKY at kappa=1)."""
-    return _f81_stack([[alpha_a, alpha_g, alpha_c, alpha_t]])[0]
-
-
-def k2p(alpha: float, beta: float) -> np.ndarray:
-    """Kimura two-parameter generator: transitions at alpha, transversions at beta."""
-    return _k2p_stack([[alpha, beta]])[0]
-
-
-def lm88(alpha: float, beta: float, gamma: float, delta: float,
-         kappa_1: float, kappa_2: float, kappa_3: float, kappa_4: float) -> np.ndarray:
-    """Generator in the 8-parameter pattern that log-products of HKY matrices follow.
-
-    Same row-pair structure as HKY but with the four transition rates
-    kappa_1..kappa_4 free instead of tied to a common ratio.
-    """
-    return _lm88_stack([[alpha, beta, gamma, delta, kappa_1, kappa_2, kappa_3, kappa_4]])[0]
-
-
-def gtr(s_ag: float, s_ac: float, s_at: float, s_gc: float, s_gt: float, s_ct: float,
-        w_a: float, w_g: float, w_c: float, w_t: float) -> np.ndarray:
-    """General time-reversible generator from exchangeabilities and frequency weights.
-
-    The weights are normalized to stationary frequencies pi and the rate
-    into state i from state j is s_ij * pi_i, which satisfies detailed
-    balance by construction.
-    """
-    return _gtr_stack([[s_ag, s_ac, s_at, s_gc, s_gt, s_ct, w_a, w_g, w_c, w_t]])[0]
-
-
-register_parameterization("hky", _hky_stack, 5)
-register_parameterization("jc", _jc_stack, 1)
-register_parameterization("f81", _f81_stack, 4)
-register_parameterization("k2p", _k2p_stack, 2)
-register_parameterization("lm88", _lm88_stack, 8)
-register_parameterization("gtr", _gtr_stack, 10)
+_PARAMETERIZATIONS.update(
+    hky=(_hky_stack, 5), jc=(_jc_stack, 1), f81=(_f81_stack, 4),
+    k2p=(_k2p_stack, 2), lm88=(_lm88_stack, 8), gtr=(_gtr_stack, 10),
+)
 
 
 def _hky_constraints() -> tuple[PolynomialConstraint, ...]:
@@ -231,20 +204,16 @@ def zoo_names() -> list[str]:
     return list(_ZOO)
 
 
-def zoo_entry(name: str) -> ZooEntry:
-    try:
-        return _ZOO[name]
-    except KeyError:
-        raise KeyError(f"unknown zoo model {name!r}; known: {', '.join(_ZOO)}") from None
-
-
 def zoo_model(name: str) -> RateModel:
     """The zoo model of that name: 4 states, sampled through the parameterization of its name.
 
     A model without constraints declares as its basis the images of the
     unit vectors under that parameterization, which is linear.
     """
-    entry = zoo_entry(name)
+    try:
+        entry = _ZOO[name]
+    except KeyError:
+        raise KeyError(f"unknown zoo model {name!r}; known: {', '.join(_ZOO)}") from None
     fn, n_params = get_parameterization(name)
     basis = () if entry.constraints else tuple(fn(np.eye(n_params)))
     return RateModel(name, 4, basis, entry.constraints, name, entry.parameter_ranges)
@@ -277,8 +246,7 @@ REFERENCE_ALPHAS = (0.0498348, 0.0200951, 0.0109967, 0.0170734)
 
 def reference_pair() -> tuple[np.ndarray, np.ndarray]:
     """The two reference HKY generators."""
-    p1, p2 = REFERENCE_HKY_PARAMS
-    return hky(*p1), hky(*p2)
+    return tuple(_hky_stack(REFERENCE_HKY_PARAMS))
 
 
 def kappa_witness(q) -> list[float]:

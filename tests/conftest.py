@@ -2,20 +2,25 @@ import numpy as np
 import pytest
 
 from liemarkov import (
-    REFERENCE_HKY_PARAMS,
     PrincipalLogError,
-    hky,
     matrix_exp,
     matrix_log,
     model_to_dict,
+    reference_pair,
     sample_with_rng,
 )
+from liemarkov.model import get_parameterization
 
 
 @pytest.fixture
 def reference_pair_q():
-    p1, p2 = REFERENCE_HKY_PARAMS
-    return hky(*p1), hky(*p2)
+    return reference_pair()
+
+
+def zoo_generator(name, *params):
+    """One generator of the named zoo parameterization: its stack builder's batch of one."""
+    fn, _ = get_parameterization(name)
+    return fn([params])[0]
 
 
 def make_rate_matrix(rng, n=4, max_norm=1.0):

@@ -18,11 +18,9 @@ from liemarkov import (
     SamplingError,
     bch_truncated,
     commutator,
-    hky,
     kappa_witness,
     least_squares_membership,
     lie_closure,
-    lm88,
     load_model,
     log_product,
     matrix_exp,
@@ -42,7 +40,7 @@ from liemarkov.zoo import REFERENCE_LOG_PRODUCT, reference_pair
 
 from audit_goldens import AUDIT_GOLDENS
 from bracket_loop import lie_closure_loop
-from conftest import chain_logs, make_rate_matrix, row_convention_doc
+from conftest import chain_logs, make_rate_matrix, row_convention_doc, zoo_generator
 from exact import exact_rank
 
 
@@ -655,7 +653,7 @@ class TestTheoremDirections:
 
 class TestKappaWitness:
     def test_single_ratio_matrix(self):
-        q = hky(0.02, 0.01, 0.005, 0.009, 1.5)
+        q = zoo_generator("hky", 0.02, 0.01, 0.005, 0.009, 1.5)
         assert kappa_witness(q) == pytest.approx([1.5] * 4, abs=1e-12)
 
     def test_reference_log_product(self):
@@ -680,7 +678,7 @@ class TestKappaWitness:
             kappa_witness(q)
 
     def test_zero_denominator(self):
-        q = lm88(0.0, 0.01, 0.01, 0.01, 0.02, 0.02, 0.02, 0.02)
+        q = zoo_generator("lm88", 0.0, 0.01, 0.01, 0.01, 0.02, 0.02, 0.02, 0.02)
         with pytest.raises(ZeroDivisionError):
             kappa_witness(q)
 

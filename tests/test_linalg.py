@@ -139,7 +139,7 @@ class TestLog:
             matrix_log(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
     def test_log_of_reference_product(self, reference_pair_q):
-        from liemarkov import REFERENCE_LOG_PRODUCT
+        from liemarkov.zoo import REFERENCE_LOG_PRODUCT
 
         q1, q2 = reference_pair_q
         l = matrix_log(matrix_exp(q1) @ matrix_exp(q2))

@@ -17,10 +17,8 @@ from liemarkov import (
     RateModel,
     SamplingError,
     check_scaling_closure,
-    hky,
     is_in_L,
     is_stochastic_rate,
-    jc,
     log_product,
     membership,
     model_from_dict,
@@ -36,7 +34,7 @@ from liemarkov import model as model_module
 from liemarkov.model import _SeedStreams, _sample_stochastic_stack, load_model
 from liemarkov.zoo import REFERENCE_LOG_PRODUCT
 
-from conftest import make_rate_matrix, row_convention_doc
+from conftest import make_rate_matrix, row_convention_doc, zoo_generator
 
 
 def by_hand(c, q):
@@ -155,7 +153,7 @@ class TestPredicates:
 
     def test_row_convention(self):
         # Library matrices keep zero column sums; a row-sum generator is not in L.
-        q = hky(0.02, 0.01, 0.005, 0.009, 1.5).T
+        q = zoo_generator("hky", 0.02, 0.01, 0.005, 0.009, 1.5).T
         assert abs(q.sum(axis=1)).max() <= 1e-15
         assert not is_in_L(q, 1e-12)
         assert is_in_L(q.T, 1e-15)
@@ -165,7 +163,7 @@ class TestStackPredicates:
     def test_predicates_act_per_matrix(self):
         rng = np.random.default_rng(3)
         params = rng.uniform(0.001, 0.05, size=(6, 5))
-        stack = np.stack([hky(*p) for p in params])
+        stack = np.stack([zoo_generator("hky", *p) for p in params])
         stack[2] = -stack[2]  # zero sums, negative off-diagonals
         stack[4, 0, 1] += 1e-3  # breaks a generator sum
         ins = is_in_L(stack)
@@ -199,7 +197,7 @@ class TestEvaluateConstraints:
 class TestMembership:
     def test_hky_member(self):
         model = zoo_model("hky")
-        q2 = hky(0.03, 0.01, 0.006, 0.008, 1.4)
+        q2 = zoo_generator("hky", 0.03, 0.01, 0.006, 0.008, 1.4)
         assert membership(model, q2)[:2] == (True, True)
 
     def test_reference_log_product_not_in_hky(self):
@@ -294,7 +292,7 @@ class TestSampling:
                 assert membership(model, q)[:2] == (True, True)
 
     def test_single_basis_cone(self):
-        q0 = jc(0.02)
+        q0 = zoo_generator("jc", 0.02)
         model = RateModel(name="ray", n=4, basis=(q0,))
         q = sample_with_rng(model, np.random.default_rng(9))
         coeff = q[0, 1] / q0[0, 1]
@@ -440,7 +438,7 @@ class TestModelValidation:
             RateModel(name="bad", n=4, basis=(np.eye(4),))
 
     def test_basis_must_satisfy_constraints(self):
-        q0 = jc(1.0)
+        q0 = zoo_generator("jc", 1.0)
         ok = RateModel(
             name="ok", n=4, basis=(q0,),
             constraints=(PolynomialConstraint(((1.0, ((1, 2),)), (-1.0, ((1, 3),)))),),
@@ -472,10 +470,10 @@ class TestModelValidation:
         with pytest.raises(ValueError, match=message):
             RateModel(name="x", n=n, constraints=zoo_model("hky").constraints)
         with pytest.raises(ValueError, match=message):
-            RateModel(name="x", n=n, basis=(jc(1.0),))
+            RateModel(name="x", n=n, basis=(zoo_generator("jc", 1.0),))
 
     def test_numpy_integer_order_is_stored_as_int(self):
-        model = RateModel(name="x", n=np.int64(4), basis=(jc(1.0),))
+        model = RateModel(name="x", n=np.int64(4), basis=(zoo_generator("jc", 1.0),))
         assert type(model.n) is int
         doc = model_to_dict(model)
         assert type(doc["n"]) is int
@@ -488,14 +486,14 @@ class TestModelValidation:
     ])
     def test_parameterization_and_ranges_come_together(self, fields):
         with pytest.raises(ValueError, match="parameterization and parameter_ranges together"):
-            RateModel(name="x", n=4, basis=(jc(1.0),), **fields)
+            RateModel(name="x", n=4, basis=(zoo_generator("jc", 1.0),), **fields)
 
     def test_unknown_parameterization_is_refused_at_construction(self):
         # Without ranges it used to build, and its exported file did not load again.
         with pytest.raises(ValueError):
-            RateModel(name="x", n=4, basis=(jc(1.0),), parameterization="nope")
+            RateModel(name="x", n=4, basis=(zoo_generator("jc", 1.0),), parameterization="nope")
         with pytest.raises(ValueError, match="unknown parameterization 'nope'"):
-            RateModel(name="x", n=4, basis=(jc(1.0),), parameterization="nope",
+            RateModel(name="x", n=4, basis=(zoo_generator("jc", 1.0),), parameterization="nope",
                       parameter_ranges=((0.0, 1.0),))
 
     @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
@@ -509,7 +507,7 @@ class TestModelValidation:
     @pytest.mark.parametrize("ranges", [5, ((0.0, 1.0, 2.0),), ((0.0,),), (("a", 1.0),)])
     def test_ranges_must_be_pairs(self, ranges):
         with pytest.raises(ValueError, match="parameter_ranges must be"):
-            RateModel(name="x", n=4, basis=(jc(1.0),), parameterization="jc",
+            RateModel(name="x", n=4, basis=(zoo_generator("jc", 1.0),), parameterization="jc",
                       parameter_ranges=ranges)
 
     def test_model_residual_matches_membership(self):
@@ -601,7 +599,7 @@ class TestModelFiles:
 
     def test_flat_row_major_basis(self):
         doc = model_to_dict(zoo_model("jc"))
-        q0 = jc(1.0)
+        q0 = zoo_generator("jc", 1.0)
         assert doc["basis"][0] == [float(x) for x in q0.reshape(-1)]
 
     def test_convention_conversion(self):
@@ -621,7 +619,7 @@ class TestModelFiles:
         doc = row_convention_doc(original)
         assert doc["constraints"][0]["terms"][0]["monomial"] == [[3, 1]]
         loaded = model_from_dict(doc)
-        q = hky(0.02, 0.01, 0.005, 0.009, 1.5)
+        q = zoo_generator("hky", 0.02, 0.01, 0.005, 0.009, 1.5)
         assert max(abs(c.evaluate(q)) for c in loaded.constraints) <= 1e-15
         for m in [q, REFERENCE_LOG_PRODUCT, *np.random.default_rng(6).normal(size=(5, 4, 4))]:
             assert [c.evaluate(m) for c in loaded.constraints] == [c.evaluate(m) for c in original.constraints]
@@ -692,7 +690,7 @@ class TestModelFiles:
         # JSON's NaN, Infinity and -Infinity literals load as floats.
         with pytest.raises(ModelFormatError, match="basis: matrix entries must be finite"):
             model_from_dict(json.loads(json.dumps(doc)))
-        bad = jc(1.0)
+        bad = zoo_generator("jc", 1.0)
         bad[0, 1] = entry
         with pytest.raises(ValueError, match="basis: matrix entries must be finite"):
             RateModel(name="x", n=4, basis=(bad,))

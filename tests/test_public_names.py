@@ -11,34 +11,22 @@ import liemarkov
 
 PUBLIC_NAMES = [
     "ClosureReport",
-    "DEFAULT_MEMBERSHIP_TOL",
-    "DEFAULT_RANK_RTOL",
     "Membership",
     "MembershipResult",
     "ModelFormatError",
     "PolynomialConstraint",
     "PrincipalLogError",
-    "REFERENCE_ALPHAS",
-    "REFERENCE_HKY_PARAMS",
-    "REFERENCE_LOG_PRODUCT",
     "RateModel",
     "SamplingError",
     "Witness",
-    "ZooEntry",
     "bch_truncated",
     "check_scaling_closure",
     "commutator",
-    "f81",
-    "gtr",
-    "hky",
     "is_in_L",
     "is_stochastic_rate",
-    "jc",
-    "k2p",
     "kappa_witness",
     "least_squares_membership",
     "lie_closure",
-    "lm88",
     "load_model",
     "log_product",
     "matrix_exp",
@@ -52,7 +40,6 @@ PUBLIC_NAMES = [
     "reference_pair",
     "sample_with_rng",
     "span_basis",
-    "zoo_entry",
     "zoo_model",
     "zoo_names",
 ]

@@ -1,19 +1,24 @@
-"""Every package name the benchmark tracer wraps must resolve.
+"""Every package name the benchmark uses must resolve.
 
 perfbench/tracer.py replaces the functions of its TRACED table, by name,
 at every module attribute that holds them, and also wraps
-PolynomialConstraint.evaluate and the registered parameterizations. A
-rename or deletion of any of them breaks every traced benchmark run, so
-the table is read from the tracer itself and checked here.
+PolynomialConstraint.evaluate and the registered parameterizations. The
+benchmark's workers and reference checks call package-level names as
+``lm.<name>``. A rename, deletion or un-export of any of them breaks
+every benchmark run, so the names are read from the benchmark's own
+files and checked here.
 """
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
+import liemarkov
 from liemarkov import model
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _traced_table() -> dict:
@@ -39,3 +44,14 @@ def test_other_tracer_hooks_resolve():
     importlib.import_module("liemarkov.config")
     assert callable(model.PolynomialConstraint.evaluate)
     assert isinstance(model._PARAMETERIZATIONS, dict) and model._PARAMETERIZATIONS
+
+
+def test_benchmark_package_names_resolve():
+    importlib.import_module("liemarkov.cli")
+    used = {
+        name
+        for path in PERFBENCH.glob("*.py")
+        for name in re.findall(r"\blm\.(\w+)", path.read_text(encoding="utf-8"))
+    }
+    assert {"RateModel", "span_basis", "cli"} <= used
+    assert sorted(name for name in used if not hasattr(liemarkov, name)) == []

@@ -2,52 +2,52 @@ import numpy as np
 import pytest
 
 from liemarkov import (
-    f81,
-    gtr,
-    hky,
     is_stochastic_rate,
-    jc,
-    k2p,
     lie_closure,
-    lm88,
     membership,
     orthonormal_basis,
     sample_with_rng,
-    zoo_entry,
     zoo_model,
     zoo_names,
 )
-from liemarkov.zoo import REFERENCE_HKY_PARAMS, REFERENCE_LOG_PRODUCT
+from liemarkov.model import get_parameterization
+from liemarkov.zoo import _ZOO, REFERENCE_HKY_PARAMS, REFERENCE_LOG_PRODUCT
 
+from conftest import zoo_generator
 from exact import exact_rank
 
 
 class TestStackBuilders:
-    SCALAR = {"hky": hky, "jc": jc, "f81": f81, "k2p": k2p, "lm88": lm88, "gtr": gtr}
-
-    @pytest.mark.parametrize("name", sorted(SCALAR))
+    @pytest.mark.parametrize("name", ["f81", "gtr", "hky", "jc", "k2p", "lm88"])
     def test_rows_match_scalar_builders(self, name):
-        from liemarkov.model import get_parameterization
-
+        # A single generator is the batch-of-one call, so every row of a
+        # stack must equal its own batch of one, bit for bit.
         fn, n_params = get_parameterization(name)
         params = np.random.default_rng(4).uniform(0.0, 2.0, size=(7, n_params))
         stack = fn(params)
         assert stack.shape == (7, 4, 4)
-        for p, q in zip(params, stack):
-            np.testing.assert_array_equal(q, self.SCALAR[name](*p))
+        for k in range(len(params)):
+            np.testing.assert_array_equal(stack[k], fn(params[k:k + 1])[0])
         assert is_stochastic_rate(stack).all()
 
     def test_negative_parameter_rejected_for_the_stack(self):
-        from liemarkov.model import get_parameterization
-
         fn, _ = get_parameterization("k2p")
         with pytest.raises(ValueError, match="parameter beta must be non-negative, got -0.5"):
             fn(np.array([[0.1, 0.2], [0.3, -0.5]]))
 
+    def test_f81_names_its_own_shape(self):
+        fn, _ = get_parameterization("f81")
+        with pytest.raises(ValueError, match=r"expected a \(B, 4\) parameter array, got shape \(2, 3\)"):
+            fn(np.ones((2, 3)))
+        with pytest.raises(ValueError, match=r"expected a \(B, 4\) parameter array, got shape \(4,\)"):
+            fn(np.ones(4))
+        with pytest.raises(ValueError, match="parameter alpha_c must be non-negative, got -0.5"):
+            fn(np.array([[0.1, 0.2, -0.5, 0.3]]))
+
 
 class TestGenerators:
     def test_hky_reference_entries(self):
-        q = hky(*REFERENCE_HKY_PARAMS[0])
+        q = zoo_generator("hky", *REFERENCE_HKY_PARAMS[0])
         assert q[0, 1] == pytest.approx(0.03)
         assert q[0, 2] == pytest.approx(0.02)
         assert q[0, 3] == pytest.approx(0.02)
@@ -55,34 +55,34 @@ class TestGenerators:
         np.testing.assert_allclose(q.sum(axis=0), np.zeros(4), atol=1e-17)
 
     def test_hky_zero_rates(self):
-        np.testing.assert_array_equal(hky(0, 0, 0, 0, 1.5), np.zeros((4, 4)))
+        np.testing.assert_array_equal(zoo_generator("hky", 0, 0, 0, 0, 1.5), np.zeros((4, 4)))
 
     def test_hky_kappa_one_is_f81(self):
-        q = hky(0.02, 0.01, 0.005, 0.009, 1.0)
-        np.testing.assert_array_equal(q, f81(0.02, 0.01, 0.005, 0.009))
+        q = zoo_generator("hky", 0.02, 0.01, 0.005, 0.009, 1.0)
+        np.testing.assert_array_equal(q, zoo_generator("f81", 0.02, 0.01, 0.005, 0.009))
         assert membership(zoo_model("f81"), q)[:2] == (True, True)
 
     def test_negative_parameter_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            hky(-0.01, 0.01, 0.01, 0.01, 1.0)
+            zoo_generator("hky", -0.01, 0.01, 0.01, 0.01, 1.0)
         with pytest.raises(ValueError, match="non-negative"):
-            lm88(-1, 1, 1, 1, 1, 1, 1, 1)
+            zoo_generator("lm88", -1, 1, 1, 1, 1, 1, 1, 1)
         with pytest.raises(ValueError, match="non-negative"):
-            gtr(1, 1, 1, 1, 1, -1, 1, 1, 1, 1)
+            zoo_generator("gtr", 1, 1, 1, 1, 1, -1, 1, 1, 1, 1)
 
     def test_all_generators_stochastic(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
-            assert is_stochastic_rate(hky(*rng.uniform(0.0, 0.1, 4), rng.uniform(0, 3)))
-            assert is_stochastic_rate(jc(rng.uniform(0, 1)))
-            assert is_stochastic_rate(k2p(*rng.uniform(0, 1, 2)))
-            assert is_stochastic_rate(lm88(*rng.uniform(0, 1, 8)))
-            assert is_stochastic_rate(gtr(*rng.uniform(0.1, 1, 10)), tol=1e-14)
+            assert is_stochastic_rate(zoo_generator("hky", *rng.uniform(0.0, 0.1, 4), rng.uniform(0, 3)))
+            assert is_stochastic_rate(zoo_generator("jc", rng.uniform(0, 1)))
+            assert is_stochastic_rate(zoo_generator("k2p", *rng.uniform(0, 1, 2)))
+            assert is_stochastic_rate(zoo_generator("lm88", *rng.uniform(0, 1, 8)))
+            assert is_stochastic_rate(zoo_generator("gtr", *rng.uniform(0.1, 1, 10)), tol=1e-14)
 
     def test_gtr_reversible(self):
         # Detailed balance pi_j * q_ij == pi_i * q_ji for the generator.
         weights = np.array([0.3, 0.2, 0.1, 0.4])
-        q = gtr(1.0, 2.0, 0.5, 0.8, 1.2, 2.5, *weights)
+        q = zoo_generator("gtr", 1.0, 2.0, 0.5, 0.8, 1.2, 2.5, *weights)
         pi = weights / weights.sum()
         for i in range(4):
             for j in range(4):
@@ -94,12 +94,12 @@ class TestHkyModel:
         model = zoo_model("hky")
         rng = np.random.default_rng(4)
         for _ in range(100):
-            q = hky(*rng.uniform(0.0, 0.1, 4), rng.uniform(0.0, 3.0))
+            q = zoo_generator("hky", *rng.uniform(0.0, 0.1, 4), rng.uniform(0.0, 3.0))
             assert max(abs(c.evaluate(q)) for c in model.constraints) <= 1e-14
 
     def test_reference_memberships(self):
         model = zoo_model("hky")
-        q2 = hky(*REFERENCE_HKY_PARAMS[1])
+        q2 = zoo_generator("hky", *REFERENCE_HKY_PARAMS[1])
         assert membership(model, q2)[:2] == (True, True)
         assert membership(model, REFERENCE_LOG_PRODUCT)[:2] == (False, False)
 
@@ -112,7 +112,7 @@ class TestHkyModel:
         rng = np.random.default_rng(21)
         off_indices = [(i, j) for i in range(4) for j in range(4) if i != j]
         for _ in range(10):
-            q = hky(*rng.uniform(0.01, 0.1, 4), rng.uniform(0.6, 2.5))
+            q = zoo_generator("hky", *rng.uniform(0.01, 0.1, 4), rng.uniform(0.6, 2.5))
             jac = np.zeros((len(model.constraints), 12))
             h = 1e-6
             for col, (i, j) in enumerate(off_indices):
@@ -177,7 +177,7 @@ class TestHkyModel:
         assert exact_rank(exact_mats) == 8
         assert len(orthonormal_basis(exact_mats)) == 8
         for p, m in zip(points, exact_mats):
-            np.testing.assert_array_equal(m, hky(*p))
+            np.testing.assert_array_equal(m, zoo_generator("hky", *p))
 
 
 class TestLm88Model:
@@ -199,7 +199,7 @@ class TestLm88Model:
         model = zoo_model("lm88")
         rng = np.random.default_rng(6)
         for _ in range(20):
-            q = hky(*rng.uniform(0.0, 0.1, 4), rng.uniform(0.0, 3.0))
+            q = zoo_generator("hky", *rng.uniform(0.0, 0.1, 4), rng.uniform(0.0, 3.0))
             assert membership(model, q)[:2] == (True, True)
 
 
@@ -217,7 +217,7 @@ class TestCompanionModels:
                 assert len(orthonormal_basis(mats)) == exact_rank(mats)
 
     def test_k2p_inside_hky(self):
-        q = k2p(0.03, 0.02)
+        q = zoo_generator("k2p", 0.03, 0.02)
         assert membership(zoo_model("hky"), q)[:2] == (True, True)
 
     def test_gtr_has_no_declared_basis(self):
@@ -226,17 +226,17 @@ class TestCompanionModels:
 
     def test_zoo_entry_metadata(self):
         assert set(zoo_names()) == {"hky", "lm88", "jc", "f81", "k2p", "gtr"}
-        assert zoo_entry("hky").expected_closed is False
-        assert zoo_entry("lm88").expected_span_dim == 8
-        assert zoo_entry("hky").provenance == "reference"
-        assert zoo_entry("jc").provenance == "literature"
-        with pytest.raises(KeyError, match="unknown zoo model"):
-            zoo_entry("hky85")
+        assert _ZOO["hky"].expected_closed is False
+        assert _ZOO["lm88"].expected_span_dim == 8
+        assert _ZOO["hky"].provenance == "reference"
+        assert _ZOO["jc"].provenance == "literature"
+        with pytest.raises(KeyError, match="unknown zoo model 'hky85'; known: hky, lm88, jc, f81, k2p, gtr"):
+            zoo_model("hky85")
 
     def test_expected_span_dims_match_computed(self):
         from liemarkov import span_basis
 
         for name in zoo_names():
-            entry = zoo_entry(name)
+            entry = _ZOO[name]
             if entry.expected_span_dim is not None:
                 assert len(span_basis(zoo_model(name), seed=0)) == entry.expected_span_dim
