@@ -276,30 +276,6 @@ def _cyclic_generator(rates):
     return q
 
 
-def _series_exp_rows(a):
-    """Per-row oracle for _exp_stack: scaling, the power series and squaring on (1, n, n) slices.
-
-    Returns the exponentials and the number of series terms each row added.
-    """
-    out, terms = np.empty_like(a), []
-    for r in range(len(a)):
-        nrm = _fro_rows(a[r:r + 1])[0]
-        squarings = int(np.ceil(np.log2(nrm / 0.5))) if nrm > 0.5 else 0
-        b = a[r:r + 1] / 2.0 ** squarings
-        total = np.eye(a.shape[-1])[None].copy()
-        term = total.copy()
-        for k in range(1, 64):
-            term = term @ b / k
-            total = total + term
-            if _fro_rows(term)[0] < 1e-18:
-                break
-        for _ in range(squarings):
-            total = total @ total
-        out[r] = total[0]
-        terms.append(k)
-    return out, terms
-
-
 def _gregory_log_rows(m):
     """Per-row oracle for _log_stack on rows with ||X - I||_F <= 0.75: the Gregory series alone.
 
@@ -356,17 +332,18 @@ def _assert_principal_log(m, log_m):
 
 
 class TestStackSeries:
-    """Rows leave the stack series on their own term, as the per-row oracle stops them."""
+    """Stack rows are computed exactly as stacks of one compute them."""
 
     @pytest.mark.parametrize("seed, n", [(0, 2), (1, 4), (2, 5), (3, 8)])
-    def test_exp_stack_matches_per_row_series(self, seed, n):
+    def test_exp_stack_rows_match_their_own_slices(self, seed, n):
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(40, n, n))
-        # Row norms from 1e-8 (a few terms) to 8 (four squarings).
+        # Row norms from 1e-8 (no squaring) to 8 (four squarings).
         norms = np.geomspace(1e-8, 8.0, len(a))
         a *= (norms / np.linalg.norm(a, axis=(1, 2)))[:, None, None]
-        expected, terms = _series_exp_rows(a)
-        assert len(set(terms)) >= 5
+        squarings = np.ceil(np.log2(np.maximum(_fro_rows(a), 0.5) / 0.5))
+        assert len(set(squarings)) >= 5
+        expected = np.concatenate([_exp_stack(a[r:r + 1]) for r in range(len(a))])
         np.testing.assert_array_equal(_exp_stack(a), expected)
         np.testing.assert_array_equal(_exp_stack(a[::-1]), expected[::-1])
 
@@ -531,7 +508,7 @@ class TestStackKernels:
         stack = _exp_stack(a)
         for k in range(count):
             alone = matrix_exp(a[k])
-            assert np.linalg.norm(stack[k] - alone, "fro") <= 1e-15 * np.linalg.norm(alone, "fro")
+            np.testing.assert_array_equal(stack[k], alone)
             # Scaling and squaring loses about eps * ||A|| on these non-normal inputs.
             assert _rel(stack[k], sla.expm(a[k])) <= 1e-14 * max(1.0, norms[k])
 
@@ -711,3 +688,25 @@ class TestStackKernels:
             ref = sla.logm(sla.expm(q[k]) @ sla.expm(q_prime[k]))
             assert np.abs(ref.imag).max() < 1e-12
             assert _rel(logs[k], ref.real) <= 1e-11
+
+    @pytest.mark.parametrize("name", ["hky", "lm88", "jc", "f81", "k2p", "gtr", "cyclic-6", "cyclic-8"])
+    def test_audit_inputs_against_mpmath(self, name):
+        # 20 pairs drawn as the audit draws them; cyclic-s is the span model {s C}, C the unit 4-cycle,
+        # whose products lie close to singular. The bounds are about 1.5 times the largest errors
+        # measured: 1.9e-16 (gtr) on the zoo rows and 8.2e-15 (cyclic-8) on the cyclic rows.
+        mpmath = pytest.importorskip("mpmath")
+        from liemarkov import RateModel, zoo_model
+        from liemarkov.model import _SeedStreams, _sample_stack
+
+        if name.startswith("cyclic-"):
+            basis = (float(name.split("-")[1]) * _cyclic_generator(np.ones(4)),)
+            model, bound = RateModel(name="cyclic", n=4, basis=basis), 1.2e-14
+        else:
+            model, bound = zoo_model(name), 3e-16
+        pairs, ok = _sample_stack(model, np.arange(20), _SeedStreams(17, 20).random, 2)
+        assert ok.all()
+        a = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        with mpmath.workdps(40):
+            for x, e in zip(a, _exp_stack(a)):
+                exact = np.array(mpmath.expm(mpmath.matrix(x.tolist())).tolist(), dtype=float)
+                assert _rel(e, exact) <= bound
