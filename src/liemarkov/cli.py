@@ -19,7 +19,6 @@ import numpy as np
 from .closure import lie_closure, log_product, multiplicative_closure_check, span_basis
 from .linalg import DEFAULT_MEMBERSHIP_TOL
 from .model import (
-    ModelFormatError,
     SamplingError,
     _sample_stochastic_stack,
     check_scaling_closure,

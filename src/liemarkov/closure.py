@@ -185,8 +185,8 @@ def lie_closure(basis) -> list[np.ndarray]:
 def span_basis(model: RateModel, seed: int = 0) -> list[np.ndarray]:
     """Orthonormal basis of the span of the model's stochastic cone.
 
-    For a declared basis, fresh copies of the one the model computed
-    when it was built, at DEFAULT_RANK_RTOL. Otherwise draws 4 n^2
+    For a declared basis, fresh copies of the model's orthonormal span
+    at DEFAULT_RANK_RTOL, computed once per model. Otherwise draws 4 n^2
     generators from the parameterization as one stack, all rows from
     the one stream of np.random.default_rng(seed), read row-major as
     its random((rows, m)) would read it, one such draw per attempt (so,
@@ -331,14 +331,16 @@ def multiplicative_closure_check(
     local to the call, each stream jumped ahead to all the states a draw
     needs at once), then one stack draw of both generators of every
     pair, one stack exponential of the 2B generators, one stack
-    logarithm of the B products and one pass of the residual the model
-    compiled when it was built. Pair k gets the same matrices, log-product
-    and residual as the batch-of-one kernels (matrix_exp, matrix_log,
-    sample_with_rng on default_rng(seed + k)) give it alone. Pairs
-    whose sampler is exhausted or whose product has no principal
-    logarithm are skipped; more than samples/2 of them is an error,
-    which counts the two causes apart and names the larger. Raises
-    ValueError unless tol is a positive finite number.
+    logarithm of the B products and one pass of the model's residual.
+    Pair k gets the same matrices and log-product as the batch-of-one
+    kernels (matrix_exp, matrix_log, sample_with_rng on
+    default_rng(seed + k)) give it alone. Its residual is the model's
+    residual of that log-product, but the block's projector product may
+    sum in another order than model_residual's, so the two can differ
+    in the last bits. Pairs whose sampler is exhausted or whose product
+    has no principal logarithm are skipped; more than samples/2 of them
+    is an error, which counts the two causes apart and names the
+    larger. Raises ValueError unless tol is a positive finite number.
 
     The span and Lie closure dimensions are properties of the model, not
     of the sample: they come from span_basis at its default seed and its

@@ -117,9 +117,14 @@ def matrix_exp(a) -> np.ndarray:
     Stockmeyer's scheme (six matrix products; the terms it leaves out
     sum to under 2.3e-20), and the result is squared back up. This is
     the batch-of-one case of the stack kernel that the closure audit
-    runs on (B, n, n) blocks.
+    runs on (B, n, n) blocks. Raises ValueError when the exponential has
+    a non-finite entry, as when it overflows.
     """
-    return _exp_stack(check_square(a)[None])[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _exp_stack(check_square(a)[None])[0]
+    if not np.isfinite(out).all():
+        raise ValueError("matrix exponential overflows to a non-finite entry")
+    return out
 
 
 # Per-row outcome codes of _log_stack; 0 means the row has a principal log.

@@ -4,8 +4,9 @@ A model is a set of stochastic rate matrices cut out of the zero-sum
 space either by a linear span basis, by polynomial constraints on the
 off-diagonal entries, or both, optionally with a named parameterization
 for seeded sampling. Models are immutable after construction and safe to
-share across threads; the one value a model fills in later, its closure
-dimensions, is a deterministic function of its fields.
+share across threads; every value a model fills in later (its span,
+residual and closure dimensions) is a deterministic function of its
+fields.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import math
 import operator
 from operator import itemgetter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -133,13 +134,10 @@ class RateModel:
     and ``parameter_ranges`` gives it one (lo, hi) range per parameter,
     for seeded sampling; the two come together or not at all.
 
-    Construction is the one place a model is judged well formed: a
-    breach of any rule above raises ValueError here. It also compiles,
-    once, the constraint values (None without constraints), the
-    orthonormal span basis of a declared basis (None without one) and
-    the residual; every membership test, sampler, span and audit of the
-    model uses these. Its span and Lie closure dimensions are computed
-    later, on its first audit, and held on the instance (_closure_dims).
+    Construction only judges the model well formed: a breach of any rule
+    above raises ValueError. Everything else is derived from the fields
+    once, on first use, and held on the instance; a pickle or copy
+    rebuilds the model from its fields alone.
     """
 
     name: str
@@ -148,11 +146,6 @@ class RateModel:
     constraints: tuple[PolynomialConstraint, ...] = ()
     parameterization: str | None = None
     parameter_ranges: tuple[tuple[float, float], ...] | None = None
-    _constraint_values: Callable[[np.ndarray], np.ndarray] | None = field(
-        init=False, repr=False, default=None
-    )
-    _span: np.ndarray | None = field(init=False, repr=False, default=None)
-    _residual: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -170,9 +163,6 @@ class RateModel:
                 raise ValueError("basis matrix order does not match the model")
             if not is_in_L(basis, tol=1e-10 * np.maximum(1.0, _fro_rows(basis))).all():
                 raise ValueError("basis matrices must have zero generator sums")
-            span = _svd_range(basis, DEFAULT_RANK_RTOL)
-            span.flags.writeable = False
-            object.__setattr__(self, "_span", span)
         basis.flags.writeable = False
         object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "constraints", tuple(self.constraints))
@@ -180,12 +170,11 @@ class RateModel:
             raise ValueError(f"model {self.name!r} must declare a basis or constraints")
         if self.constraints:
             try:
-                values = _compile_constraints(self.n, self.constraints)
+                values = self._constraint_values
             except IndexError as exc:
                 raise ValueError(str(exc)) from None
             if len(basis) and np.max(np.abs(values(basis))) > 1e-12:
                 raise ValueError("basis matrices must satisfy the declared constraints")
-            object.__setattr__(self, "_constraint_values", values)
         if (self.parameterization is None) != (self.parameter_ranges is None):
             raise ValueError(
                 f"model {self.name!r} must declare parameterization and parameter_ranges together"
@@ -208,10 +197,9 @@ class RateModel:
                     f"but parameterization {self.parameterization!r} takes {n_params}"
                 )
             object.__setattr__(self, "parameter_ranges", ranges)
-        object.__setattr__(self, "_residual", _compile_residual(self))
 
     def __reduce__(self):
-        # The compiled functions are closures, so a pickle or copy rebuilds the model from its fields.
+        # The derived values include closures, so a pickle or copy rebuilds the model from its fields.
         return RateModel, (self.name, self.n, self.basis, self.constraints,
                            self.parameterization, self.parameter_ranges)
 
@@ -220,13 +208,50 @@ class RateModel:
         return bool(self.basis) or self.parameterization is not None
 
     @cached_property
-    def _closure_dims(self) -> tuple[int, int]:
-        """(span dimension, Lie closure dimension), computed on first use, once per model.
+    def _constraint_values(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The constraints' raw values; construction reads them, so a bad index fails there."""
+        return _compile_constraints(self.n, self.constraints)
 
-        The span is span_basis at its default seed, so neither dimension
-        depends on an audit's seed or sample count. The value is held on
-        the instance only; a pickle or copy rebuilds the model without it.
+    @cached_property
+    def _span(self) -> np.ndarray:
+        """Read-only orthonormal rows spanning the declared basis, at DEFAULT_RANK_RTOL."""
+        span = _svd_range(np.array(self.basis), DEFAULT_RANK_RTOL)
+        span.flags.writeable = False
+        return span
+
+    @cached_property
+    def _residual(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The scale-invariant residual of each matrix of a (B, n, n) stack.
+
+        A span model divides the norm of q's part outside the span (its
+        projection by I - V^T V, V = _span) by max(||q||_F, 1), as
+        least_squares_membership does. A constraint model takes the
+        largest absolute constraint value, a homogeneous degree-d one
+        divided by ||q||_F^d first, so a positive rescaling of q keeps it.
         """
+        n = self.n
+        if self.basis:
+            projector = np.eye(n * n) - self._span.T @ self._span
+
+            def span_residual(q: np.ndarray) -> np.ndarray:
+                flat = _flat(q, n)
+                return _fro_rows(flat @ projector) / np.maximum(_fro_rows(flat), 1.0)
+
+            return span_residual
+        values = self._constraint_values
+        degree = np.array([c.degree if c.homogeneous else 0 for c in self.constraints], dtype=float)
+
+        def constraint_residual(q: np.ndarray) -> np.ndarray:
+            total = values(q)
+            nrm = _fro_rows(q)[:, None]
+            scale = np.where((degree > 0) & (nrm > 0.0), nrm ** degree, 1.0)
+            return np.max(np.abs(total) / scale, axis=1)
+
+        return constraint_residual
+
+    @cached_property
+    def _closure_dims(self) -> tuple[int, int]:
+        """(span, Lie closure) dimensions from span_basis at its default seed, not an audit's."""
         from . import closure  # closure imports this module, so it is imported here
 
         base = closure.span_basis(self)
@@ -298,46 +323,11 @@ def _compile_constraints(
     return values
 
 
-def _compile_residual(model: RateModel) -> Callable[[np.ndarray], np.ndarray]:
-    """The model's scale-invariant residual as a function of a (B, n, n) stack.
-
-    A span model projects each vectorized matrix onto the orthogonal
-    complement of its span (I - V^T V, V the orthonormal span basis the
-    model computed once, at the same DEFAULT_RANK_RTOL cutoff that
-    span_basis reports) and divides the remainder's norm by
-    max(||q||_F, 1), as least_squares_membership does. A constraint
-    model takes the largest absolute raw constraint value; a homogeneous
-    degree-d constraint is divided by ||q||_F^d first, so the residual
-    is invariant under positive rescaling of q. RateModel builds this
-    once, at construction, from the span basis or the constraint values
-    it compiled there.
-    """
-    n = model.n
-    if model.basis:
-        projector = np.eye(n * n) - model._span.T @ model._span
-
-        def span_residual(q: np.ndarray) -> np.ndarray:
-            flat = _flat(q, n)
-            return _fro_rows(flat @ projector) / np.maximum(_fro_rows(flat), 1.0)
-
-        return span_residual
-    values = model._constraint_values
-    degree = np.array([c.degree if c.homogeneous else 0 for c in model.constraints], dtype=float)
-
-    def constraint_residual(q: np.ndarray) -> np.ndarray:
-        total = values(q)
-        nrm = _fro_rows(q)[:, None]
-        scale = np.where((degree > 0) & (nrm > 0.0), nrm ** degree, 1.0)
-        return np.max(np.abs(total) / scale, axis=1)
-
-    return constraint_residual
-
-
 def model_residual(model: RateModel, q) -> float:
     """Scale-invariant residual of q against the model's rate space.
 
-    The batch-of-one case of the residual the model compiled when it was
-    built, which the closure audit and the samplers use.
+    The batch-of-one case of the model's residual (RateModel._residual),
+    which the closure audit and the samplers use.
     """
     q = check_square(q)
     return float(model._residual(q[None])[0])
@@ -359,8 +349,8 @@ def membership(model: RateModel, q, tol: float = DEFAULT_MEMBERSHIP_TOL) -> Memb
     """Test membership of q in the model's rate space and stochastic cone.
 
     The span decides when a basis is declared, the constraints
-    otherwise; both through model_residual, which reads the residual the
-    model compiled when it was built.
+    otherwise; both through model_residual, which reads the model's
+    residual.
     """
     residual = model_residual(model, q)
     in_r = residual <= tol

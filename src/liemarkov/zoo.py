@@ -11,6 +11,7 @@ tests and the repro-paper command pin, and kappa_witness, its ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -80,41 +81,6 @@ def _hky_stack(p) -> np.ndarray:
     return _with_diagonal(off)
 
 
-def _jc_stack(p) -> np.ndarray:
-    """Jukes-Cantor: all substitutions at rate mu."""
-    mu = _params(p, ("mu",))[:, 0]
-    return _with_diagonal(np.broadcast_to(mu[:, None, None], (len(mu), 4, 4)))
-
-
-def _f81_stack(p) -> np.ndarray:
-    """F81: row i constant at alpha_i off the diagonal (HKY at kappa = 1)."""
-    alpha = _params(p, _ALPHAS)
-    return _with_diagonal(np.repeat(alpha[:, :, None], 4, axis=2))
-
-
-def _k2p_stack(p) -> np.ndarray:
-    """Kimura two-parameter: transitions at alpha, transversions at beta."""
-    p = _params(p, ("alpha", "beta"))
-    off = np.repeat(p[:, 1, None, None], 4, axis=1).repeat(4, axis=2)
-    for i, j in _TRANSITIONS:
-        off[:, i, j] = p[:, 0]
-    return _with_diagonal(off)
-
-
-def _lm88_stack(p) -> np.ndarray:
-    """The 8-parameter pattern that log-products of HKY matrices follow.
-
-    Same row-pair structure as HKY but with the four transition rates
-    kappa_1..kappa_4 free instead of tied to a common ratio.
-    """
-    p = _params(p, ("alpha", "beta", "gamma", "delta", "kappa_1", "kappa_2", "kappa_3", "kappa_4"))
-    off = np.zeros((len(p), 4, 4))
-    for col, slots in enumerate(_LM88_SLOTS):
-        for i, j in slots:
-            off[:, i, j] = p[:, col]
-    return _with_diagonal(off)
-
-
 _GTR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
@@ -138,9 +104,35 @@ def _gtr_stack(p) -> np.ndarray:
     return _with_diagonal(off)
 
 
+_OFF = tuple((i, j) for i in range(4) for j in range(4) if i != j)
+# The linear models: parameter names and, for each parameter, the off-diagonal slots it fills.
+_LINEAR = {
+    # Jukes-Cantor: all substitutions at rate mu.
+    "jc": (("mu",), (_OFF,)),
+    # F81: row i constant at alpha_i off the diagonal (HKY at kappa = 1).
+    "f81": (_ALPHAS, tuple(tuple(s for s in _OFF if s[0] == i) for i in range(4))),
+    # Kimura two-parameter: transitions at alpha, transversions at beta.
+    "k2p": (("alpha", "beta"), (_TRANSITIONS, tuple(s for s in _OFF if s not in _TRANSITIONS))),
+    # The 8-parameter pattern that log-products of HKY matrices follow: HKY's row pairs, with
+    # the four transition rates kappa_1..kappa_4 free instead of tied to a common ratio.
+    "lm88": (("alpha", "beta", "gamma", "delta", "kappa_1", "kappa_2", "kappa_3", "kappa_4"),
+             _LM88_SLOTS),
+}
+
+
+def _linear_stack(names: tuple[str, ...], slots, p) -> np.ndarray:
+    """The generators whose off-diagonal slots[k] hold parameter names[k], one per parameter row."""
+    p = _params(p, names)
+    off = np.zeros((len(p), 4, 4))
+    for col, cells in enumerate(slots):
+        for i, j in cells:
+            off[:, i, j] = p[:, col]
+    return _with_diagonal(off)
+
+
 _PARAMETERIZATIONS.update(
-    hky=(_hky_stack, 5), jc=(_jc_stack, 1), f81=(_f81_stack, 4),
-    k2p=(_k2p_stack, 2), lm88=(_lm88_stack, 8), gtr=(_gtr_stack, 10),
+    {name: (partial(_linear_stack, names, slots), len(names)) for name, (names, slots) in _LINEAR.items()},
+    hky=(_hky_stack, 5), gtr=(_gtr_stack, 10),
 )
 
 

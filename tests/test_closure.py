@@ -478,6 +478,7 @@ class TestSpanBasis:
 
     def test_declared_basis_runs_no_svd_per_call(self, monkeypatch):
         model = zoo_model("f81")
+        assert len(span_basis(model)) == 4
         monkeypatch.setattr(np.linalg, "svd", None)
         assert len(span_basis(model)) == 4
 
@@ -734,6 +735,19 @@ class TestBatchedAudit:
             assert np.abs(ref.imag).max() < 1e-12
             assert np.linalg.norm(w.log_product - ref.real, "fro") <= 1e-9 * np.linalg.norm(ref.real, "fro")
 
+    @pytest.mark.parametrize("name", ["cyclic-6", "cyclic-8", "hky", "gtr"])
+    def test_witnesses_match_the_batch_of_one_kernels(self, name):
+        # A witness's log-product is log_product's bit for bit. Its residual is the model's residual
+        # of that log-product, but the block's projector product may sum in another order, so it
+        # matches model_residual to a few ulps only.
+        model = _golden_model(name)
+        report = multiplicative_closure_check(model, samples=150, seed=7)
+        assert report.witnesses
+        for w in report.witnesses:
+            logs = log_product(w.q, w.q_prime)
+            np.testing.assert_array_equal(w.log_product, logs)
+            assert abs(w.residual - model_residual(model, logs)) <= 4 * np.finfo(float).eps * w.residual
+
     def test_mixed_block_skip_count(self):
         # Recount with the batch-of-one kernels: a pair is skipped exactly when log_product raises.
         model, samples, seed = _cyclic_model(10.0), 80, 2024
@@ -948,10 +962,16 @@ class TestClosureDims:
             calls.clear()
 
     def test_pickle_drops_the_memo(self):
-        model = zoo_model("gtr")
-        multiplicative_closure_check(model, samples=5, seed=1)
-        assert "_closure_dims" in vars(model)
-        assert "_closure_dims" not in vars(pickle.loads(pickle.dumps(model)))
+        # A copy holds no derived value of the original; a constraint model compiles its
+        # constraint values afresh, at construction.
+        memos = {"_closure_dims", "_residual", "_span", "_constraint_values"}
+        for name in ("gtr", "lm88"):
+            model = zoo_model(name)
+            multiplicative_closure_check(model, samples=5, seed=1)
+            used = {"_closure_dims", "_residual", "_span" if model.basis else "_constraint_values"}
+            assert memos & set(vars(model)) == used
+            copy = pickle.loads(pickle.dumps(model))
+            assert memos & set(vars(copy)) == ({"_constraint_values"} if model.constraints else set())
 
 
 class TestConcurrency:
@@ -971,7 +991,8 @@ class TestConcurrency:
         shared = {name: zoo_model(name) for name in zoo_names()}
         tasks = [partial(audit, shared[name], seed) for name in zoo_names() for seed in seeds]
         tasks += [reference_kappas] * 8
-        assert not any("_closure_dims" in vars(model) for model in shared.values())
+        memos = {"_closure_dims", "_span", "_residual"}
+        assert not any(memos & set(vars(model)) for model in shared.values())
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

@@ -94,6 +94,12 @@ class TestExp:
             rel = np.abs(ours - exact) / np.abs(exact)
             assert rel.max() <= 1e-12
 
+    @pytest.mark.parametrize("top", [710.0, 1e4])
+    def test_exp_overflow_raises(self, top):
+        # e^710 overflows a double; the result must not come back as inf with only a warning.
+        with pytest.raises(ValueError, match="non-finite"):
+            matrix_exp(np.diag([top, -1.0]))
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_exp_log_round_trip(self, seed):

@@ -2,6 +2,7 @@
 import json
 import math
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -518,7 +519,9 @@ class TestModelValidation:
 
 
 class TestCompiledOnce:
-    def test_compiled_at_construction_only(self, monkeypatch):
+    def test_compiled_once_on_first_use(self, monkeypatch):
+        # Construction compiles only the constraint values, which it checks; the span's SVD and the
+        # residual wait for their first use, and audits, membership and sampling never redo them.
         calls = []
 
         def spy(name):
@@ -530,17 +533,43 @@ class TestCompiledOnce:
 
             monkeypatch.setattr(model_module, name, counted)
 
-        spy("_compile_residual")
+        spy("_svd_range")
         spy("_compile_constraints")
         for name in zoo_names():
             model = zoo_model(name)
-            built = ["_compile_constraints"] * bool(model.constraints) + ["_compile_residual"]
+            built = ["_compile_constraints"] * bool(model.constraints)
             assert calls == built
+            assert not {"_span", "_residual"} & set(vars(model))
             q = sample_with_rng(model, np.random.default_rng(1))
-            multiplicative_closure_check(model, samples=20, seed=3)
-            assert membership(model, q).in_r and model_residual(model, q) <= 1e-10
-            assert calls == built
+            residual = vars(model)["_residual"]
+            for seed in (3, 4):
+                multiplicative_closure_check(model, samples=20, seed=seed)
+                assert membership(model, q).in_r and model_residual(model, q) <= 1e-10
+                sample_with_rng(model, np.random.default_rng(seed))
+            assert vars(model)["_residual"] is residual
+            assert calls == built + ["_svd_range"] * bool(model.basis)
             calls.clear()
+
+    def test_large_basis_model_builds_without_its_projector(self):
+        # The n = 61 equal-input model: basis matrix i has row i all ones off the diagonal. Its
+        # n^2 x n^2 residual projector alone would take 106 MiB, and building a model or writing
+        # it out reads neither that nor the span.
+        n = 61
+        basis = np.zeros((n, n, n))
+        for i, b in enumerate(basis):
+            b[i] = 1.0
+            np.fill_diagonal(b, 0.0)
+            np.fill_diagonal(b, -b.sum(axis=0))
+        tracemalloc.start()
+        try:
+            model = RateModel(name="equal-input-61", n=n, basis=tuple(basis))
+            doc = model_to_dict(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert len(doc["basis"]) == n
+        assert not {"_span", "_residual"} & set(vars(model))
 
     def test_raw_values_compile_once_per_constraint(self, monkeypatch):
         calls = []
