@@ -18,7 +18,7 @@ DEFAULT_RANK_RTOL = 1e-10
 
 _EXP_SCALE_TARGET = 0.5
 _EXP_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(17))
-_LOG_SQRT_TARGET = 0.75
+_LOG_CAYLEY_RADIUS = 0.85
 _SERIES_CUTOFF = 1e-18
 _NEG_AXIS_MARGIN = 1e-12
 _DISC_MARGIN = 1e-6
@@ -160,19 +160,19 @@ def _gershgorin_clear(m: np.ndarray) -> np.ndarray:
     return columns | (twice - mag.sum(axis=2) > _DISC_MARGIN).all(axis=1)
 
 
-def _inv_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses of a (B, n, n) stack and a mask of the rows that have one.
+def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions of A X = B for (B, n, n) stacks, and a mask of the rows where A is nonsingular.
 
     A singular row is left as NaN instead of failing the whole stack.
     """
     try:
-        return np.linalg.inv(x), np.ones(len(x), dtype=bool)
+        return np.linalg.solve(a, b), np.ones(len(a), dtype=bool)
     except np.linalg.LinAlgError:
-        out = np.full_like(x, np.nan)
-        ok = np.zeros(len(x), dtype=bool)
-        for k, row in enumerate(x):
+        out = np.full_like(b, np.nan)
+        ok = np.zeros(len(a), dtype=bool)
+        for k in range(len(a)):
             try:
-                out[k], ok[k] = np.linalg.inv(row), True
+                out[k], ok[k] = np.linalg.solve(a[k], b[k]), True
             except np.linalg.LinAlgError:
                 pass
         return out, ok
@@ -197,7 +197,7 @@ def _sqrtm_denman_beavers(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     status = np.full(count, _LOG_STALLED, dtype=np.int8)
     rows, y = np.arange(count), m
     for _ in range(_SQRT_MAX_ITER):
-        inv_m, ok = _inv_rows(m)
+        inv_m, ok = _solve_rows(m, np.broadcast_to(ident, m.shape))
         y = 0.5 * (y + y @ inv_m)
         m = 0.5 * (ident + 0.5 * (m + inv_m))
         status[rows[~ok]] = _LOG_SINGULAR
@@ -211,6 +211,17 @@ def _sqrtm_denman_beavers(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return roots, status
 
 
+def _cayley_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z = (X + I)^-1 (X - I) of each row of a (B, n, n) stack, and a mask of the rows with ||Z||_F <= 0.85.
+
+    X + I and X - I commute, so one solve per row gives Z; a row whose
+    X + I is singular (X has the eigenvalue -1) is NaN and left out.
+    """
+    e = x - np.eye(x.shape[-1])
+    z, ok = _solve_rows(e + 2.0 * np.eye(x.shape[-1]), e)
+    return z, ok & (_fro_rows(z) <= _LOG_CAYLEY_RADIUS)
+
+
 def _log_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Principal logarithms of a (B, n, n) stack by inverse scaling and squaring.
 
@@ -219,30 +230,33 @@ def _log_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvalue lies within 1e-12 of the closed negative real axis, when
     its square roots stall, meet a singular iterate or fail to approach
     the identity in 60 halvings, or when it is not finite; one failing
-    row never stops the others. The branch guard looks only at the rows
-    with ||X - I||_F > 0.75: a row within that radius has every
-    eigenvalue within 0.75 of 1, so it cannot be near the axis. Of
-    those, a row whose Gershgorin discs keep every eigenvalue right of
-    Re z = 1e-6 is cleared without eigvals, and only the rest have their
-    eigenvalues computed; with no row beyond the radius, neither test
-    runs. Each row is square-rooted (product-form Denman-Beavers) until
-    ||X - I||_F <= 0.75; log X is then summed
-    as the Gregory series 2 atanh((X + I)^-1 (X - I)) over odd powers,
-    one batched solve for all rows, until the row's own next term falls
-    below 1e-18, and doubled back once per halving. The series rows stay
-    in place: every pass forms the next term of every row, and a row
-    whose series has ended is masked out of the sum. Every row takes its
-    own number of halvings, Denman-Beavers iterations and series terms,
-    exactly as a stack of one would.
+    row never stops the others. log X is summed as the Gregory series
+    2 atanh(Z) over odd powers of Z = (X + I)^-1 (X - I), from one
+    batched solve, and a row with ||Z||_F <= 0.85 goes straight to it
+    with no branch guard: rho(Z) <= ||Z||_F <= 0.85 puts every
+    eigenvalue of X = (I + Z)(I - Z)^-1 at Re z >= 0.15 / 1.85 > 0.08,
+    so 2 atanh(Z) is the principal log, and X + I = 2 (I - Z)^-1 has
+    condition number at most 1.85 / 0.15 < 12.4. Only the other rows,
+    X + I singular included, are guarded: a row whose Gershgorin discs
+    keep every eigenvalue right of Re z = 1e-6 is cleared without
+    eigvals, and only the rest have their eigenvalues computed. Each
+    guarded row is square-rooted (product-form Denman-Beavers) until its
+    own ||Z||_F <= 0.85, and its log is doubled back once per halving.
+    The series rows stay in place: every pass forms every row's next
+    term 2 Z^j / j, and a row is masked out of the sum once its own term
+    falls below 1e-18, which 2 (0.85)^j / j does by j = 227, inside the
+    cap. Every row takes its own number of halvings, Denman-Beavers
+    iterations and series terms, exactly as a stack of one would.
     """
     count, n = m.shape[0], m.shape[-1]
-    ident = np.eye(n)
     status = np.zeros(count, dtype=np.int8)
     finite = np.isfinite(m).all(axis=(1, 2))
-    status[~finite] = _LOG_NONFINITE
-    rows = np.flatnonzero(finite)
-    pending = rows[_fro_rows(m[rows] - ident) > _LOG_SQRT_TARGET]
-    # ||X - I||_F <= 0.75 bounds every eigenvalue within 0.75 of 1, so 0.25 from the ray.
+    if not finite.all():
+        # A non-finite row is flagged and stands in as I, so that every row takes the one solve.
+        status[~finite] = _LOG_NONFINITE
+        m = np.where(finite[:, None, None], m, np.eye(n))
+    z, inside = _cayley_rows(m)
+    pending = np.flatnonzero(~inside)
     if len(pending):
         # Only the rows whose discs do not clear the ray go to eigvals.
         doubtful = pending[~_gershgorin_clear(m[pending])]
@@ -250,34 +264,29 @@ def _log_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             near = (_branch_distance(m[doubtful])[1] <= _NEG_AXIS_MARGIN).any(axis=1)
             status[doubtful[near]] = _LOG_BRANCH
             pending = pending[status[pending] == _LOG_OK]
-    x = m.copy()
     halvings = np.zeros(count, dtype=int)
-    level = 0
+    x, level = m[pending], 0
     while len(pending):
         if level >= 60:
             status[pending] = _LOG_FAR
             break
-        roots, root_status = _sqrtm_denman_beavers(x[pending])
+        x, root_status = _sqrtm_denman_beavers(x)
         status[pending] = root_status
         converged = root_status == _LOG_OK
-        pending, roots = pending[converged], roots[converged]
-        x[pending] = roots
+        pending, x = pending[converged], x[converged]
         level += 1
         halvings[pending] = level
-        pending = pending[_fro_rows(roots - ident) > _LOG_SQRT_TARGET]
+        z_root, inside = _cayley_rows(x)
+        z[pending[inside]] = z_root[inside]
+        pending, x = pending[~inside], x[~inside]
     rows = np.flatnonzero(status == _LOG_OK)
     total = np.zeros_like(m)
-    # log X = 2 atanh(Z) = 2 (Z + Z^3/3 + Z^5/5 + ...) with Z = (X + I)^-1 (X - I);
-    # the two factors commute, so one solve per row gives Z.
-    e = x[rows] - ident
-    power = np.linalg.solve(e + 2.0 * ident, e)
+    # log X = 2 atanh(Z) = 2 (Z + Z^3/3 + Z^5/5 + ...)
+    power = z[rows]
     zsq = power @ power
-    # ||E||_2 <= ||E||_F <= 0.75 gives ||(2I + E)^-1||_2 <= 1 / (2 - 0.75) = 0.8, so
-    # ||Z||_F <= 0.6 and every row's term 2 ||Z^j||_F / j falls below 1e-18 by j = 75,
-    # well inside the cap.
-    series, going = np.zeros_like(e), np.ones(len(rows), dtype=bool)
+    series, going = np.zeros_like(power), np.ones(len(rows), dtype=bool)
     j = 1
-    while going.any() and j < 128:
+    while going.any() and j < 256:
         term = (2.0 / j) * power
         going &= _fro_rows(term) >= _SERIES_CUTOFF
         np.add(series, term, out=series, where=going[:, None, None])
@@ -292,20 +301,21 @@ def _log_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def matrix_log(m) -> np.ndarray:
     """Principal matrix logarithm by inverse scaling and squaring.
 
-    Principal square roots (the product form of Denman-Beavers, one
-    inverse per step) are taken until the iterate X is within 0.75 of
-    the identity in Frobenius norm, log X is summed as the Gregory series
-    2 atanh((X + I)^-1 (X - I)), and the result is doubled back. Inputs
-    with an eigenvalue within 1e-12 of the closed negative real axis are
-    rejected instead of silently choosing a branch; only an input that
-    needs a square root is checked, since ||X - I||_F <= 0.75 keeps every
-    eigenvalue 0.25 from that axis, and an input whose Gershgorin discs
-    clear the axis by 1e-6 is accepted without computing its
-    eigenvalues. Products closer to singular than that are still
-    accepted down to the 1e-12 margin, with the accuracy their
-    conditioning allows. This is the batch-of-one case of the stack kernel
-    that the closure audit runs on (B, n, n) blocks, where a failing row
-    is flagged instead of raising.
+    log X is summed as the Gregory series 2 atanh(Z) in the Cayley
+    transform Z = (X + I)^-1 (X - I) once ||Z||_F <= 0.85, where every
+    eigenvalue of X has real part above 0.08, so the series gives the
+    principal log and needs at most 114 terms. An input beyond that
+    radius is first checked against the closed negative real axis: one
+    with an eigenvalue within 1e-12 of it is rejected instead of
+    silently choosing a branch, and one whose Gershgorin discs clear it
+    by 1e-6 is accepted without computing its eigenvalues. Its principal
+    square roots (the product form of Denman-Beavers, one inverse per
+    step) are then taken until ||Z||_F <= 0.85, and the result is
+    doubled back. Products closer to singular are still accepted down
+    to the 1e-12 margin, with the accuracy their conditioning allows.
+    This is the batch-of-one case of the stack kernel that the closure
+    audit runs on (B, n, n) blocks, where a failing row is flagged
+    instead of raising.
     """
     m = check_square(m)
     logs, status = _log_stack(m[None])

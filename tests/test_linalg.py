@@ -442,13 +442,13 @@ class TestSquareRoot:
         m = np.stack([matrix_exp(q) @ matrix_exp(q_prime) for q, q_prime in pairs] + [_cycle_product(10.0)])
         steps = [_product_form_steps(x) for x in m]
         assert len(set(steps)) >= 3
-        calls, inv_rows = [], linalg._inv_rows
+        calls, solve_rows = [], linalg._solve_rows
 
-        def spy(x):
-            calls.append(len(x))
-            return inv_rows(x)
+        def spy(a, b):
+            calls.append(len(a))
+            return solve_rows(a, b)
 
-        monkeypatch.setattr(linalg, "_inv_rows", spy)
+        monkeypatch.setattr(linalg, "_solve_rows", spy)
         roots, status = _sqrtm_denman_beavers(m)
         assert (status == _LOG_OK).all()
         # Step j inverts exactly the rows that have not yet reached the identity.
@@ -607,33 +607,47 @@ class TestStackKernels:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12), st.integers(2, 6))
     def test_rows_at_the_square_root_radius(self, seed, count, n):
-        # ||X - I||_F just inside 0.75 (straight to the series) and just outside (one square root).
+        # X = (I + Z)(I - Z)^-1 with ||Z||_F 1e-12 inside 0.85 (straight to the series) or in
+        # (0.85, 0.9] (one square root: Z -> Z / (1 + sqrt(I - Z^2)) has norm at most 0.63).
         sla = pytest.importorskip("scipy.linalg")
         rng = np.random.default_rng(seed)
-        norms = np.where(rng.random(count) < 0.5, rng.uniform(0.70, 0.75, count), rng.uniform(0.75, 0.80, count))
-        # The inner edge sits 1e-12 short of 0.75, far beyond the rounding of I + E.
-        norms[0], norms[-1] = 0.75 - 1e-12, 0.80
+        outside = rng.random(count) < 0.5
+        outside[0], outside[-1] = False, True
+        # The inner edge sits 1e-12 short of 0.85, far beyond the rounding of Z through X.
+        norms = np.where(outside, 0.9 - rng.uniform(0.0, 0.05, count), 0.85 - 1e-12)
+        norms[-1] = 0.9
         rows = []
         for k, target in enumerate(norms):
             kind = k % 3
             if kind == 0:  # a rate matrix
-                e = make_rate_matrix(rng, n)
+                z = make_rate_matrix(rng, n)
             elif kind == 1:  # non-normal: a Jordan-like 2x2 block plus a rate matrix
-                e = make_rate_matrix(rng, n)
-                e[0, 1] += rng.uniform(2.0, 8.0) * np.abs(e).max()
+                z = make_rate_matrix(rng, n)
+                z[0, 1] += rng.uniform(2.0, 8.0) * np.abs(z).max()
             else:  # a general real matrix, complex spectra included
-                e = rng.normal(size=(n, n))
-            rows.append(np.eye(n) + e * (target / np.linalg.norm(e, "fro")))
+                z = rng.normal(size=(n, n))
+            z *= target / np.linalg.norm(z, "fro")
+            rows.append((np.eye(n) + z) @ np.linalg.inv(np.eye(n) - z))
         m = np.stack(rows)
         with mock.patch.object(linalg, "_sqrtm_denman_beavers", wraps=linalg._sqrtm_denman_beavers) as spy:
             logs, status = _log_stack(m)
             roots = [len(call.args[0]) for call in spy.call_args_list]
         assert (status == _LOG_OK).all()
         # Only rows beyond the radius are square-rooted, once each.
-        assert sum(roots) == int(np.sum(np.linalg.norm(m - np.eye(n), axis=(1, 2)) > 0.75))
+        assert roots == ([int(outside.sum())] if outside.any() else [])
         for k in range(count):
             np.testing.assert_array_equal(logs[k], matrix_log(m[k]))
             assert _rel(logs[k], sla.logm(m[k]).real) <= 1e-13
+
+    def test_row_with_eigenvalue_minus_one_is_refused_alone(self):
+        # X + I is singular in the first row, so the batched Cayley solve falls back to one row at a time.
+        m = np.stack([np.diag([-1.0, 1.0]), np.eye(2) + [[0.2, -0.1], [0.3, 0.1]]])
+        logs, status = _log_stack(m)
+        assert list(status) == [_LOG_BRANCH, _LOG_OK]
+        assert np.isnan(logs[0]).all()
+        np.testing.assert_array_equal(logs[1], _log_stack(m[1:])[0][0])
+        with pytest.raises(PrincipalLogError, match="eigenvalue -1 lies within 1e-12"):
+            matrix_log(m[0])
 
     def test_nonfinite_row_is_flagged(self):
         m = np.stack([np.eye(3), np.full((3, 3), np.nan), 2.0 * np.eye(3)])
@@ -694,6 +708,27 @@ class TestStackKernels:
             ref = sla.logm(sla.expm(q[k]) @ sla.expm(q_prime[k]))
             assert np.abs(ref.imag).max() < 1e-12
             assert _rel(logs[k], ref.real) <= 1e-11
+
+    @pytest.mark.parametrize("name", ["hky", "gtr"])
+    def test_audit_logs_against_mpmath(self, name):
+        # 20 products of pairs drawn as the audit draws them. gtr's go straight to the series
+        # (||Z||_F <= 0.85) where they once took square roots, and its largest error fell from 1.0e-15
+        # to 4.3e-16; hky's products never took one (3.3e-16). The bound is 1.5 times the larger.
+        mpmath = pytest.importorskip("mpmath")
+        from liemarkov import zoo_model
+        from liemarkov.model import _SeedStreams, _sample_stack
+
+        pairs, ok = _sample_stack(zoo_model(name), np.arange(20), _SeedStreams(17, 20).random, 2)
+        assert ok.all()
+        exps = _exp_stack(np.concatenate([pairs[:, 0], pairs[:, 1]]))
+        products = exps[:20] @ exps[20:]
+        logs, status = _log_stack(products)
+        assert (status == _LOG_OK).all()
+        with mpmath.workdps(40):
+            for x, log_x in zip(products, logs):
+                exact = np.array(mpmath.logm(mpmath.matrix(x.tolist())).tolist(), dtype=complex)
+                assert np.abs(exact.imag).max() < 1e-30
+                assert _rel(log_x, exact.real) <= 6.5e-16
 
     @pytest.mark.parametrize("name", ["hky", "lm88", "jc", "f81", "k2p", "gtr", "cyclic-6", "cyclic-8"])
     def test_audit_inputs_against_mpmath(self, name):
