@@ -309,15 +309,21 @@ def _log_product_block(model: RateModel, seed: int, count: int) -> tuple[np.ndar
     generators and a mask of the pairs that have a log-product; a drawn
     pair fails only when its product has no principal logarithm.
     """
-    pairs, sampled = _sample_stack(model, np.arange(count), _SeedStreams(seed, count).random, 2)
-    q, q_prime = pairs[:, 0], pairs[:, 1]
-    logs = np.full(q.shape, np.nan)
-    rows = np.flatnonzero(sampled)
-    exps = _exp_stack(np.concatenate([q[rows], q_prime[rows]]))
-    logs[rows], status = _log_stack(exps[: len(rows)] @ exps[len(rows):])
+    # A Frobenius norm past 1.3e154 overflows its sum of squares, which is then summed again scaled.
+    with np.errstate(over="ignore"):
+        pairs, sampled = _sample_stack(model, np.arange(count), _SeedStreams(seed, count).random, 2)
+        rows = np.flatnonzero(sampled)
+        drawn = pairs if len(rows) == count else pairs[rows]
+        # Pair k's generators are adjacent rows, so a fully drawn block is exponentiated where it lies.
+        exps = _exp_stack(drawn.reshape(2 * len(rows), model.n, model.n))
+        logs, status = _log_stack(exps[0::2] @ exps[1::2])
     ok = sampled.copy()
     ok[rows] = status == 0
-    return q, q_prime, logs, sampled, ok
+    if len(rows) < count:
+        # Pairs whose sampler was exhausted have no log-product.
+        logs, drawn_logs = np.full((count, model.n, model.n), np.nan), logs
+        logs[rows] = drawn_logs
+    return pairs[:, 0], pairs[:, 1], logs, sampled, ok
 
 
 def multiplicative_closure_check(
@@ -344,6 +350,13 @@ def multiplicative_closure_check(
     needs at once), then one stack draw of both generators of every
     pair, one stack exponential of the 2B generators, one stack
     logarithm of the B products and one pass of the model's residual.
+    Each stage is a fixed number of whole-array steps, whatever B is,
+    with its constants built once at import; a block whose draws are
+    all accepted and whose products all have a log also skips the
+    per-slot fill, the gathers of the drawn and tested rows and the
+    failure count. So the fixed cost of a call is a count of numpy
+    operations that does not grow with B, and only the log's series
+    passes repeat, once per term its slowest row needs.
     Pair k gets the same matrices and log-product as the batch-of-one
     kernels (matrix_exp, matrix_log, sample_with_rng on
     default_rng(seed + k)) give it alone. Its residual is the model's
@@ -371,21 +384,24 @@ def multiplicative_closure_check(
     for start in range(0, samples, _PAIR_BLOCK):
         index = range(start, min(start + _PAIR_BLOCK, samples))
         q, q_prime, logs, sampled, ok = _log_product_block(model, seed + start, len(index))
-        # Count up to the pair whose failure passes half the sample, so blocking cannot change it.
-        over = np.flatnonzero(exhausted + no_log + np.cumsum(~ok) > samples / 2)
-        end = over[0] + 1 if len(over) else len(ok)
-        exhausted += int(np.sum(~sampled[:end]))
-        no_log += int(np.sum(sampled[:end] & ~ok[:end]))
-        if len(over):
-            cause = "sampler exhaustion" if exhausted > no_log else "a missing principal logarithm"
-            raise RuntimeError(
-                f"more than half of the {samples} sampled pairs failed, mostly by {cause}: "
-                f"{exhausted} sampler exhaustions and {no_log} without a principal logarithm "
-                f"in the first {index[end - 1] + 1} pairs"
-            )
         rows = np.flatnonzero(ok)
+        tested_logs = logs
+        if len(rows) < len(ok):
+            # Count up to the pair whose failure passes half the sample, so blocking cannot change it.
+            over = np.flatnonzero(exhausted + no_log + np.cumsum(~ok) > samples / 2)
+            end = over[0] + 1 if len(over) else len(ok)
+            exhausted += int(np.sum(~sampled[:end]))
+            no_log += int(np.sum(sampled[:end] & ~ok[:end]))
+            if len(over):
+                cause = "sampler exhaustion" if exhausted > no_log else "a missing principal logarithm"
+                raise RuntimeError(
+                    f"more than half of the {samples} sampled pairs failed, mostly by {cause}: "
+                    f"{exhausted} sampler exhaustions and {no_log} without a principal logarithm "
+                    f"in the first {index[end - 1] + 1} pairs"
+                )
+            tested_logs = logs[rows]
         tested += len(rows)
-        resid = model._residual(logs[rows])
+        resid = model._residual(tested_logs)
         rows, resid = rows[resid > tol], resid[resid > tol]
         # Only the failures a report could keep become witnesses.
         for k in _select_witnesses(resid):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,6 +18,7 @@ DEFAULT_MEMBERSHIP_TOL = 1e-8
 DEFAULT_RANK_RTOL = 1e-10
 
 _EXP_SCALE_TARGET = 0.5
+_EXP_NORM_MAX = np.finfo(float).max * _EXP_SCALE_TARGET
 _EXP_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(17))
 _LOG_CAYLEY_RADIUS = 0.85
 _SERIES_CUTOFF = 1e-18
@@ -58,16 +60,35 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
+@lru_cache(maxsize=32)
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity, built once per order."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _fro_rows(x: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a (B, n, n) stack (or each row of a (B, m) array).
 
     Each row is summed as one dot product, as np.linalg.norm(x, "fro")
     sums a single matrix, so a batch-of-one call sees the same norm bit
-    for bit.
+    for bit. A finite row whose sum of squares overflows (norm beyond
+    about 1.3e154) is summed again scaled by 2^-e, e the exponent of its
+    largest entry, and its norm scaled back by 2^e; both scalings are
+    exact, and no other row is touched.
     """
     count = len(x)
     flat = np.ascontiguousarray(x).reshape(count, math.prod(x.shape[1:]))
-    return np.sqrt((flat[:, None, :] @ flat[:, :, None]).reshape(count))
+    squares = (flat[:, None, :] @ flat[:, :, None]).reshape(count)
+    big = np.isinf(squares)
+    if not big.any():
+        return np.sqrt(squares)
+    nrm = np.sqrt(squares)
+    exponent = np.frexp(np.abs(flat[big]).max(axis=1))[1]
+    scaled = np.ldexp(flat[big], -exponent[:, None])
+    nrm[big] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exponent)
+    return nrm
 
 
 def _exp_stack(a: np.ndarray) -> np.ndarray:
@@ -88,12 +109,20 @@ def _exp_stack(a: np.ndarray) -> np.ndarray:
     nrm = _fro_rows(a)
     squarings = np.zeros(count, dtype=int)
     big = nrm > _EXP_SCALE_TARGET
-    squarings[big] = np.ceil(np.log2(nrm[big] / _EXP_SCALE_TARGET))
-    b = a / (2.0 ** squarings)[:, None, None]
+    b = a
+    if big.any():
+        # A norm whose ratio to the target would overflow is taken of the row halved n + 1
+        # times, which is below 2^1022 (||a||_F <= n max |a_ij| < n 2^1024), and the n + 1
+        # halvings are counted back.
+        shift = np.where(nrm > _EXP_NORM_MAX, n + 1, 0)
+        if shift.any():
+            nrm = np.where(shift > 0, _fro_rows(np.ldexp(a, -shift[:, None, None])), nrm)
+        squarings[big] = shift[big] + np.ceil(np.log2(nrm[big] / _EXP_SCALE_TARGET))
+        b = np.ldexp(a, -squarings[:, None, None])
     b2 = b @ b
     b3 = b2 @ b
     b4 = b2 @ b2
-    eye = np.eye(n)
+    eye = _identity(n)
 
     def block(j):
         # sum of B^i / (4j + i)! for i = 0..3; exp(B) ~ block(0) + B^4 (block(1) + B^4 (...)).
@@ -192,7 +221,7 @@ def _sqrtm_denman_beavers(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     go on.
     """
     count = len(m)
-    ident = np.eye(m.shape[-1])
+    ident = _identity(m.shape[-1])
     roots = np.full_like(m, np.nan)
     status = np.full(count, _LOG_STALLED, dtype=np.int8)
     rows, y = np.arange(count), m
@@ -217,8 +246,9 @@ def _cayley_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     X + I and X - I commute, so one solve per row gives Z; a row whose
     X + I is singular (X has the eigenvalue -1) is NaN and left out.
     """
-    e = x - np.eye(x.shape[-1])
-    z, ok = _solve_rows(e + 2.0 * np.eye(x.shape[-1]), e)
+    eye = _identity(x.shape[-1])
+    e = x - eye
+    z, ok = _solve_rows(e + 2.0 * eye, e)
     return z, ok & (_fro_rows(z) <= _LOG_CAYLEY_RADIUS)
 
 
@@ -243,10 +273,14 @@ def _log_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     guarded row is square-rooted (product-form Denman-Beavers) until its
     own ||Z||_F <= 0.85, and its log is doubled back once per halving.
     The series rows stay in place: every pass forms every row's next
-    term 2 Z^j / j, and a row is masked out of the sum once its own term
-    falls below 1e-18, which 2 (0.85)^j / j does by j = 227, inside the
-    cap. Every row takes its own number of halvings, Denman-Beavers
-    iterations and series terms, exactly as a stack of one would.
+    term 2 Z^j / j in one buffer, takes its Frobenius norm as _fro_rows
+    does, through views of that buffer, and masks a row out of the sum
+    once its own term falls below 1e-18, which 2 (0.85)^j / j does by
+    j = 227, inside the cap; the loop ends at the first pass that adds
+    nothing. Every row takes its own number of halvings, Denman-Beavers
+    iterations and series terms, exactly as a stack of one would. A
+    stack whose rows are all inside the radius, as every zoo audit's
+    is, keeps no halvings and no root bookkeeping.
     """
     count, n = m.shape[0], m.shape[-1]
     status = np.zeros(count, dtype=np.int8)
@@ -254,47 +288,59 @@ def _log_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not finite.all():
         # A non-finite row is flagged and stands in as I, so that every row takes the one solve.
         status[~finite] = _LOG_NONFINITE
-        m = np.where(finite[:, None, None], m, np.eye(n))
+        m = np.where(finite[:, None, None], m, _identity(n))
     z, inside = _cayley_rows(m)
     pending = np.flatnonzero(~inside)
+    halvings = None
     if len(pending):
+        # Rows outside the radius are guarded and square-rooted; with none, no halving is kept.
+        halvings = np.zeros(count, dtype=int)
         # Only the rows whose discs do not clear the ray go to eigvals.
         doubtful = pending[~_gershgorin_clear(m[pending])]
         if len(doubtful):
             near = (_branch_distance(m[doubtful])[1] <= _NEG_AXIS_MARGIN).any(axis=1)
             status[doubtful[near]] = _LOG_BRANCH
             pending = pending[status[pending] == _LOG_OK]
-    halvings = np.zeros(count, dtype=int)
-    x, level = m[pending], 0
-    while len(pending):
-        if level >= 60:
-            status[pending] = _LOG_FAR
-            break
-        x, root_status = _sqrtm_denman_beavers(x)
-        status[pending] = root_status
-        converged = root_status == _LOG_OK
-        pending, x = pending[converged], x[converged]
-        level += 1
-        halvings[pending] = level
-        z_root, inside = _cayley_rows(x)
-        z[pending[inside]] = z_root[inside]
-        pending, x = pending[~inside], x[~inside]
+        x, level = m[pending], 0
+        while len(pending):
+            if level >= 60:
+                status[pending] = _LOG_FAR
+                break
+            x, root_status = _sqrtm_denman_beavers(x)
+            status[pending] = root_status
+            converged = root_status == _LOG_OK
+            pending, x = pending[converged], x[converged]
+            level += 1
+            halvings[pending] = level
+            z_root, inside = _cayley_rows(x)
+            z[pending[inside]] = z_root[inside]
+            pending, x = pending[~inside], x[~inside]
     rows = np.flatnonzero(status == _LOG_OK)
-    total = np.zeros_like(m)
+    size = len(rows)
     # log X = 2 atanh(Z) = 2 (Z + Z^3/3 + Z^5/5 + ...)
-    power = z[rows]
+    power = z if size == count else z[rows]
     zsq = power @ power
-    series, going = np.zeros_like(power), np.ones(len(rows), dtype=bool)
-    j = 1
-    while going.any() and j < 256:
-        term = (2.0 / j) * power
-        going &= _fro_rows(term) >= _SERIES_CUTOFF
-        np.add(series, term, out=series, where=going[:, None, None])
+    series, going = np.zeros_like(power), np.ones(size, dtype=bool)
+    # Views that follow the buffers they see: each term's rows as _fro_rows sums them, and going.
+    term, squares = np.empty_like(power), np.empty((size, 1, 1))
+    row, column, square = term.reshape(size, 1, n * n), term.reshape(size, n * n, 1), squares.reshape(size)
+    keep = going[:, None, None]
+    for j in range(1, 256, 2):
+        np.multiply(2.0 / j, power, out=term)
+        np.matmul(row, column, out=squares)
+        going &= np.sqrt(square) >= _SERIES_CUTOFF
+        live = np.count_nonzero(going)
+        if not live:
+            break
+        # While every row goes on, the mask would keep every entry.
+        np.add(series, term, out=series, where=keep if live < size else True)
         power = power @ zsq
-        j += 2
-    total[rows] = series
-    logs = (2.0 ** halvings)[:, None, None] * total
-    logs[status != _LOG_OK] = np.nan
+    logs = series
+    if size < count:
+        logs = np.full_like(m, np.nan)
+        logs[rows] = series
+    if halvings is not None:
+        logs *= (2.0 ** halvings)[:, None, None]
     return logs, status
 
 

@@ -161,7 +161,9 @@ class RateModel:
         if len(basis):
             if basis.shape[1] != self.n:
                 raise ValueError("basis matrix order does not match the model")
-            if not is_in_L(basis, tol=1e-10 * np.maximum(1.0, _fro_rows(basis))).all():
+            with np.errstate(over="ignore"):  # a norm past 1.3e154 is summed again, scaled
+                scale = np.maximum(1.0, _fro_rows(basis))
+            if not is_in_L(basis, tol=1e-10 * scale).all():
                 raise ValueError("basis matrices must have zero generator sums")
         basis.flags.writeable = False
         object.__setattr__(self, "basis", tuple(basis))
@@ -264,18 +266,31 @@ def is_in_L(q, tol: float = 1e-12):
     For a (B, n, n) stack the answer is a boolean array, one per matrix.
     """
     q = check_stack(q)
-    ok = np.max(np.abs(q.sum(axis=-2)), axis=-1) <= tol
+    ok = _zero_sums(q, tol)
     return bool(ok) if q.ndim == 2 else ok
+
+
+def _zero_sums(q: np.ndarray, tol: float) -> np.ndarray:
+    """Whether every column sum of each matrix of a validated stack is within tol of zero."""
+    return np.max(np.abs(q.sum(axis=-2)), axis=-1) <= tol
+
+
+@lru_cache(maxsize=32)
+def _off_diagonal(n: int) -> np.ndarray:
+    """The read-only mask of the off-diagonal entries of an n x n matrix."""
+    mask = ~np.eye(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def is_stochastic_rate(q, tol: float = 1e-12):
     """True when q is a valid rate matrix: zero sums and off-diagonals >= -tol.
 
     For a (B, n, n) stack the answer is a boolean array, one per matrix.
+    The stack is validated once.
     """
     q = check_stack(q)
-    off = q[..., ~np.eye(q.shape[-1], dtype=bool)]
-    ok = is_in_L(q, tol) & (np.min(off, axis=-1) >= -tol)
+    ok = _zero_sums(q, tol) & (np.min(q[..., _off_diagonal(q.shape[-1])], axis=-1) >= -tol)
     return bool(ok) if q.ndim == 2 else ok
 
 
@@ -361,34 +376,58 @@ def membership(model: RateModel, q, tol: float = DEFAULT_MEMBERSHIP_TOL) -> Memb
 _MASK32 = 0xFFFFFFFF
 _MASK128 = 2**128 - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_U32_MASK = np.array(_MASK32, dtype=np.uint64)
 
 
-def _u32(x: int) -> np.ndarray:
-    return np.array(x, dtype=np.uint32)
+def _const(value, dtype) -> np.ndarray:
+    """A read-only array constant; an unsigned one wraps under NEP 50, as numpy's own hashes do."""
+    out = np.array(value, dtype=dtype)
+    out.flags.writeable = False
+    return out
 
 
-def _u64(x: int) -> np.ndarray:
-    return np.array(x, dtype=np.uint64)
+def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiply) constants of count successive SeedSequence hashes, as (count, 1) columns.
+
+    Hash i xors its value with h_i and multiplies it by h_(i+1), where
+    h_0 = init and h_(i+1) = h_i * mult mod 2**32.
+    """
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & _MASK32)
+    return _const(h[:-1], np.uint32)[:, None], _const(h[1:], np.uint32)[:, None]
+
+
+# The 4 pool hashes and 12 mixing hashes of the pool, then the 8 hashes of generate_state.
+_POOL_XOR, _POOL_MUL = _hash_consts(_INIT_A, _MULT_A, 16)
+_STATE_XOR, _STATE_MUL = _hash_consts(_INIT_B, _MULT_B, 8)
+_MIX_L, _MIX_R = _const(0xCA01F9DD, np.uint32), _const(0x4973F715, np.uint32)
+_SHIFT_16 = _const(16, np.uint32)
+# Pool mixing: source word s goes into the other three, in order, with hashes 4 + 3s .. 6 + 3s.
+_MIX_DST = tuple(_const([d for d in range(4) if d != s], np.intp) for s in range(4))
+_U32_MASK = _const(_MASK32, np.uint64)
+_U64_0, _U64_1, _U64_11, _U64_32 = (_const(v, np.uint64) for v in (0, 1, 11, 32))
+_U64_58, _U64_63, _U64_64 = (_const(v, np.uint64) for v in (58, 63, 64))
 
 
 def _words(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """128-bit integers as arrays of their (high, low) 64-bit words."""
-    return (np.array([v >> 64 for v in values], dtype=np.uint64),
-            np.array([v & (2**64 - 1) for v in values], dtype=np.uint64))
+    """128-bit integers as read-only arrays of their (high, low) 64-bit words."""
+    return (_const([v >> 64 for v in values], np.uint64),
+            _const([v & (2**64 - 1) for v in values], np.uint64))
+
+
+_PCG_MULT_WORDS = _words([_PCG_MULT])
 
 
 def _mul_add(x, m, c) -> tuple[np.ndarray, np.ndarray]:
     """x * m + c mod 2**128, each a (high, low) pair of broadcastable uint64 word arrays."""
     (x_hi, x_lo), (m_hi, m_lo), (c_hi, c_lo) = x, m, c
     # The high word of x_lo * m_lo, from the 32-bit halves of both factors.
-    x0, x1 = x_lo & _U32_MASK, x_lo >> _u64(32)
-    m0, m1 = m_lo & _U32_MASK, m_lo >> _u64(32)
+    x0, x1 = x_lo & _U32_MASK, x_lo >> _U64_32
+    m0, m1 = m_lo & _U32_MASK, m_lo >> _U64_32
     p00, p01, p10, p11 = x0 * m0, x0 * m1, x1 * m0, x1 * m1
-    mid = (p00 >> _u64(32)) + (p01 & _U32_MASK) + (p10 & _U32_MASK)
-    high = p11 + (p01 >> _u64(32)) + (p10 >> _u64(32)) + (mid >> _u64(32))
+    mid = (p00 >> _U64_32) + (p01 & _U32_MASK) + (p10 & _U32_MASK)
+    high = p11 + (p01 >> _U64_32) + (p10 >> _U64_32) + (mid >> _U64_32)
     lo = x_lo * m_lo + c_lo
     hi = high + x_lo * m_hi + x_hi * m_lo + c_hi + (lo < c_lo)
     return hi, lo
@@ -407,28 +446,42 @@ def _jump(m: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.n
     for _ in range(m):
         power.append(power[-1] * _PCG_MULT & _MASK128)
         total.append((total[-1] * _PCG_MULT + 1) & _MASK128)
-    table = _words(power), _words(total)
-    for w in (*table[0], *table[1]):
-        w.flags.writeable = False
-    return table
+    return _words(power), _words(total)
+
+
+def _hash(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 words with the given (xor, multiply) constants."""
+    value = (value ^ xor) * mul
+    return value ^ (value >> _SHIFT_16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ (out >> _SHIFT_16)
 
 
 class _SeedStreams:
     """The streams of np.random.default_rng(seed + k) for k < count, advanced as arrays.
 
-    Reproduces, with uint32/uint64 array arithmetic for every row at
-    once, SeedSequence(seed + k): the entropy words of seed + k, the
-    pool mixing and generate_state(4, uint64); then PCG64's seeding from
-    those four words, its 128-bit LCG and XSL-RR output, and
-    Generator.random()'s (x >> 11) * 2**-53. ``random(rows, m)`` returns
-    the next m doubles of each listed row's stream and advances only
-    those rows, so row k yields what default_rng(seed + k).random(m)
-    calls would. It jumps each row to all m states in one pass: the
-    state j steps on is a^j s + (a^(j-1) + ... + 1) inc mod 2**128, for
-    the multiplier a and each row's increment inc, so the m states are
-    two 128-bit multiply-adds on (rows, m) word arrays. The state lives
-    in the instance, never in the module. Raises ValueError when a
-    seed + k is negative, as default_rng does.
+    Reproduces SeedSequence(seed + k) for every row at once, in whole
+    uint32/uint64 array steps whose constants are read-only module
+    arrays: the entropy words of seed + k; the pool as one (4, count)
+    array, hashed in one step; its 12 mixes as four steps, each hashing
+    one source word three times and mixing it into the three other
+    words at once; and generate_state(4, uint64) as one step of eight
+    hashes. Entropy longer than the pool (seed + k >= 2**128) mixes its
+    further words into the pool one word at a time, only in the rows
+    that have that word. Then PCG64's seeding from those four words, its
+    128-bit LCG and XSL-RR output, and Generator.random()'s
+    (x >> 11) * 2**-53. ``random(rows, m)`` returns the next m doubles
+    of each listed row's stream and advances only those rows, so row k
+    yields what default_rng(seed + k).random(m) calls would. It jumps
+    each row to all m states in one pass: the state j steps on is
+    a^j s + (a^(j-1) + ... + 1) inc mod 2**128, for the multiplier a and
+    each row's increment inc, so the m states are two 128-bit
+    multiply-adds on (rows, m) word arrays. The state lives in the
+    instance, never in the module. Raises ValueError when a seed + k is
+    negative, as default_rng does.
     """
 
     def __init__(self, seed: int, count: int):
@@ -440,49 +493,31 @@ class _SeedStreams:
         words = np.zeros((max(nwords, 4), count), dtype=np.uint32)
         carry = np.arange(count, dtype=np.uint64)
         for i in range(nwords):
-            total = carry + _u64((seed >> (32 * i)) & _MASK32)
+            total = carry + ((seed >> (32 * i)) & _MASK32)
             words[i] = total & _U32_MASK
-            carry = total >> _u64(32)
+            carry = total >> _U64_32
         # SeedSequence pads entropy shorter than its pool of 4 with zeros, which
         # is what the zero rows are; longer entropy mixes only the words it has.
-        length = len(words) - np.argmax(words[::-1] != 0, axis=0)
-        hash_const = _INIT_A
-
-        def hashmix(value: np.ndarray) -> np.ndarray:
-            nonlocal hash_const
-            value = value ^ _u32(hash_const)
-            hash_const = hash_const * _MULT_A & _MASK32
-            value = value * _u32(hash_const)
-            return value ^ (value >> _u32(16))
-
-        def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            out = _u32(_MIX_L) * x - _u32(_MIX_R) * y
-            return out ^ (out >> _u32(16))
-
-        pool = [hashmix(words[i]) for i in range(4)]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for src in range(4, len(words)):
-            present = length > src
-            for dst in range(4):
-                pool[dst] = np.where(present, mix(pool[dst], hashmix(words[src])), pool[dst])
+        pool = _hash(words[:4], _POOL_XOR[:4], _POOL_MUL[:4])
+        for src, dst in enumerate(_MIX_DST):
+            hashes = slice(4 + 3 * src, 7 + 3 * src)
+            pool[dst] = _mix(pool[dst], _hash(pool[src], _POOL_XOR[hashes], _POOL_MUL[hashes]))
+        if len(words) > 4:
+            length = len(words) - np.argmax(words[::-1] != 0, axis=0)
+            xor, mul = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * (len(words) - 4))
+            for src in range(4, len(words)):
+                hashes = slice(4 * src, 4 * src + 4)
+                pool = np.where(length > src, _mix(pool, _hash(words[src], xor[hashes], mul[hashes])),
+                                pool)
         # generate_state(4, uint64): eight hashed 32-bit words, paired little-endian.
-        hash_const = _INIT_B
-        state = []
-        for i in range(8):
-            value = pool[i % 4] ^ _u32(hash_const)
-            hash_const = hash_const * _MULT_B & _MASK32
-            value = value * _u32(hash_const)
-            state.append((value ^ (value >> _u32(16))).astype(np.uint64))
-        w = [state[2 * j] | (state[2 * j + 1] << _u64(32)) for j in range(4)]
+        state = _hash(np.concatenate((pool, pool)), _STATE_XOR, _STATE_MUL).astype(np.uint64)
+        w = state[0::2] | (state[1::2] << _U64_32)
         # PCG64 seeding: inc = (w2:w3 << 1) | 1, state = inc + w0:w1, then one step.
-        self.inc_hi = (w[2] << _u64(1)) | (w[3] >> _u64(63))
-        self.inc_lo = (w[3] << _u64(1)) | _u64(1)
+        self.inc_hi = (w[2] << _U64_1) | (w[3] >> _U64_63)
+        self.inc_lo = (w[3] << _U64_1) | _U64_1
         lo = self.inc_lo + w[1]
         hi = self.inc_hi + w[0] + (lo < w[1])
-        self.hi, self.lo = _mul_add((hi, lo), _words([_PCG_MULT]), (self.inc_hi, self.inc_lo))
+        self.hi, self.lo = _mul_add((hi, lo), _PCG_MULT_WORDS, (self.inc_hi, self.inc_lo))
 
     def random(self, rows: np.ndarray, m: int) -> np.ndarray:
         """The next m doubles in [0, 1) of each listed row's stream, shape (len(rows), m)."""
@@ -490,13 +525,13 @@ class _SeedStreams:
         inc = self.inc_hi[rows, None], self.inc_lo[rows, None]
         # Column j is the state j steps on; column 0 is the current one.
         hi, lo = _mul_add((self.hi[rows, None], self.lo[rows, None]), power,
-                          _mul_add(inc, total, (_u64(0), _u64(0))))
+                          _mul_add(inc, total, (_U64_0, _U64_0)))
         self.hi[rows], self.lo[rows] = hi[:, m], lo[:, m]
         # XSL-RR: the xor of both words, rotated right by the top 6 bits.
         hi, lo = hi[:, 1:], lo[:, 1:]
-        x, rot = hi ^ lo, hi >> _u64(58)
-        bits = (x >> rot) | (x << ((_u64(64) - rot) & _u64(63)))
-        return (bits >> _u64(11)).astype(float) * 2.0 ** -53
+        x, rot = hi ^ lo, hi >> _U64_58
+        bits = (x >> rot) | (x << ((_U64_64 - rot) & _U64_63))
+        return (bits >> _U64_11).astype(float) * 2.0 ** -53
 
 
 # Draws a sampler makes for one matrix before it gives up.
@@ -527,9 +562,12 @@ def _sample_stack(
     matrices are its first count accepted candidates, in stream order,
     so slot i of a row is what the (i + 1)-th sample_with_rng call on
     its stream would draw. The first attempt draws count candidates for
-    every row, as one (len(rows) * count) stack; each later attempt
-    draws one candidate for every row that still needs one, from its
-    own stream. A matrix that sees _MAX_ATTEMPTS rejected candidates in
+    every row, as one (len(rows) * count) stack. When it accepts every
+    candidate, as on every zoo draw, slot i of a row is its candidate i,
+    and the stack is stored in one assignment. Otherwise each row's
+    candidates fill its slots one by one, and each later attempt draws
+    one candidate for every row that still needs one, from its own
+    stream. A matrix that sees _MAX_ATTEMPTS rejected candidates in
     a row exhausts its stream: the row is marked failed in the returned
     mask (its open slots stay NaN) instead of raising. Rows of a shared
     Generator or stream draw from it in row order; that matches
@@ -564,6 +602,12 @@ def _sample_stack(
     while len(pending):
         q, accept = draw(rows[pending], k)
         q, accept = q.reshape(len(pending), k, n, n), accept.reshape(len(pending), k)
+        if k == count and accept.all():
+            # As on every zoo draw. No pending row has a slot filled while k == count, so its k
+            # candidates are its slots.
+            out[pending] = q
+            got[pending] = count
+            break
         # A row's candidates fill its open slots in stream order until it is full or exhausted.
         for j in range(k):
             live = (got[pending] < count) & (misses[pending] < _MAX_ATTEMPTS)

@@ -48,16 +48,20 @@ def _with_diagonal(off) -> np.ndarray:
 
 
 def _params(p, names: tuple[str, ...]) -> np.ndarray:
-    """A (B, len(names)) parameter array, checked to be non-negative column by column."""
+    """A (B, len(names)) parameter array, checked to be non-negative in one test.
+
+    A negative entry is named by its column, the first such column, and
+    its value, that column's first negative entry.
+    """
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[1] != len(names):
         raise ValueError(f"expected a (B, {len(names)}) parameter array, got shape {p.shape}")
-    for col, pname in enumerate(names):
-        negative = p[:, col] < 0
-        if negative.any():
-            raise ValueError(
-                f"parameter {pname} must be non-negative, got {p[negative, col][0]}"
-            )
+    negative = p < 0
+    if negative.any():
+        col = int(np.argmax(negative.any(axis=0)))
+        raise ValueError(
+            f"parameter {names[col]} must be non-negative, got {p[negative[:, col], col][0]}"
+        )
     return p
 
 
@@ -120,18 +124,23 @@ _LINEAR = {
 }
 
 
-def _linear_stack(names: tuple[str, ...], slots, p) -> np.ndarray:
-    """The generators whose off-diagonal slots[k] hold parameter names[k], one per parameter row."""
+def _linear_stack(names: tuple[str, ...], cells: np.ndarray, columns: np.ndarray, p) -> np.ndarray:
+    """The generators whose flat entry cells[k] holds parameter columns[k], one per parameter row."""
     p = _params(p, names)
-    off = np.zeros((len(p), 4, 4))
-    for col, cells in enumerate(slots):
-        for i, j in cells:
-            off[:, i, j] = p[:, col]
-    return _with_diagonal(off)
+    off = np.zeros((len(p), 16))
+    off[:, cells] = p[:, columns]
+    return _with_diagonal(off.reshape(len(p), 4, 4))
+
+
+def _slot_table(slots) -> tuple[np.ndarray, np.ndarray]:
+    """The flat cell 4 i + j of every slot (i, j), and the parameter column that fills it."""
+    pairs = [(4 * i + j, col) for col, cells in enumerate(slots) for i, j in cells]
+    return tuple(np.array(side) for side in zip(*pairs))
 
 
 _PARAMETERIZATIONS.update(
-    {name: (partial(_linear_stack, names, slots), len(names)) for name, (names, slots) in _LINEAR.items()},
+    {name: (partial(_linear_stack, names, *_slot_table(slots)), len(names))
+     for name, (names, slots) in _LINEAR.items()},
     hky=(_hky_stack, 5), gtr=(_gtr_stack, 10),
 )
 

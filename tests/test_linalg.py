@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -99,6 +100,26 @@ class TestExp:
         # e^710 overflows a double; the result must not come back as inf with only a warning.
         with pytest.raises(ValueError, match="non-finite"):
             matrix_exp(np.diag([top, -1.0]))
+
+    @pytest.mark.parametrize("a", [1e155, 1e200, 1e300, 1.7e308])
+    def test_exp_past_the_squared_norm_overflow(self, a):
+        # ||q||_F^2 overflows from 1.3e154 on, and the norm itself past 1.04e308; exp(q) is
+        # still the stochastic [[0, 0], [1, 1]], with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = matrix_exp(np.array([[-a, 0.0], [a, 0.0]]))
+        np.testing.assert_allclose(p, [[0.0, 0.0], [1.0, 1.0]], rtol=0, atol=1e-15)
+
+    def test_fro_rows_rescales_only_overflowing_rows(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(5, 3, 3))
+        x[2] *= 1e200
+        x[4] *= 1e-200
+        with np.errstate(over="ignore"):
+            nrm = _fro_rows(x)
+        for k in (0, 1, 3, 4):
+            assert nrm[k] == _fro_rows(x[k:k + 1])[0] == np.linalg.norm(x[k], "fro")
+        assert abs(nrm[2] / (1e200 * np.linalg.norm(x[2] / 1e200, "fro")) - 1.0) <= 4e-16
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -406,6 +427,40 @@ class TestBranchGuard:
         if certified:
             assert _branch_distance(x[None])[1].min() > _NEG_AXIS_MARGIN
             assert np.linalg.eigvals(x).real.min() > 1e-6 - 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8), st.floats(1e-6, 0.85), st.booleans())
+    @example(seed=0, n=3, norm=0.85, jordan=False)
+    def test_cayley_radius_keeps_eigenvalues_right_of_the_axis(self, seed, n, norm, jordan):
+        # The argument _log_stack uses: rho(Z) <= ||Z||_F <= 0.85 puts every eigenvalue
+        # (1 + mu) / (1 - mu) of X = (I + Z)(I - Z)^-1 at real part >= (1 - 0.85) / (1 + 0.85).
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(n, n))
+        if jordan:  # strongly non-normal
+            z[0, 1] += 10.0 * np.abs(z).max()
+        elif seed % 2 == 0:  # the extreme case: all the norm on one eigenvalue near -1
+            z = np.diag(np.r_[-1.0, np.zeros(n - 1)])
+        z *= norm / np.linalg.norm(z)
+        eye = np.eye(n)
+        x = np.linalg.solve((eye - z).T, (eye + z).T).T
+        assert np.linalg.eigvals(x).real.min() >= 0.15 / 1.85 - 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8), st.floats(0.01, 0.65), st.floats(0.0, 1.0),
+           st.booleans())
+    def test_pairs_in_the_bch_domain_are_inside_the_cayley_radius(self, seed, n, s, share, rates):
+        # For s = ||q||_F + ||q'||_F, ||P - I||_F <= e^s - 1 for P = exp(q) exp(q'), and so
+        # ||Z||_F <= (e^s - 1) / (3 - e^s), which is 0.8442 at s = 0.65, inside the 0.85 radius.
+        rng = np.random.default_rng(seed)
+        if rates:
+            q, q_prime = make_rate_matrix(rng, n), make_rate_matrix(rng, n)
+        else:  # any real pair, non-normal in general
+            q, q_prime = rng.normal(size=(2, n, n))
+        q *= share * s / np.linalg.norm(q)
+        q_prime *= (1.0 - share) * s / np.linalg.norm(q_prime)
+        z, inside = linalg._cayley_rows((matrix_exp(q) @ matrix_exp(q_prime))[None])
+        assert inside[0]
+        assert _fro_rows(z)[0] <= math.expm1(s) / (3.0 - math.exp(s)) <= 0.8443
 
     def test_bound_is_attained(self):
         x = np.eye(4)

@@ -174,6 +174,13 @@ class TestStackPredicates:
         assert list(rates) == [is_stochastic_rate(q) for q in stack]
         assert list(rates) == [True, True, False, True, False, True]
 
+    def test_stochastic_rate_validates_the_stack_once(self, monkeypatch):
+        calls = []
+        check_stack = model_module.check_stack
+        monkeypatch.setattr(model_module, "check_stack", lambda q: calls.append(1) or check_stack(q))
+        assert is_stochastic_rate(np.zeros((3, 4, 4))).all()
+        assert len(calls) == 1
+
 
 class TestEvaluateConstraints:
     def test_own_samples_satisfy_constraints(self):
@@ -377,10 +384,23 @@ class TestSeedStreams:
 
     def test_constants_are_unsigned_arrays(self):
         # Under NEP 50 an op with a Python integer beyond the dtype raises OverflowError; with
-        # a uint array it wraps. Scalars would warn on overflow, so every constant is an array.
+        # a uint array it wraps. Scalars would warn on overflow, so every constant is an array,
+        # built once at import and read-only, since every stream shares it.
         power, total = model_module._jump(5)
-        for value in (model_module._U32_MASK, *power, *total):
-            assert isinstance(value, np.ndarray) and value.dtype == np.uint64
+        words = (model_module._U32_MASK, *model_module._PCG_MULT_WORDS, *power, *total,
+                 model_module._U64_0, model_module._U64_1, model_module._U64_11, model_module._U64_32,
+                 model_module._U64_58, model_module._U64_63, model_module._U64_64)
+        halves = (model_module._POOL_XOR, model_module._POOL_MUL, model_module._STATE_XOR,
+                  model_module._STATE_MUL, model_module._MIX_L, model_module._MIX_R, model_module._SHIFT_16)
+        for dtype, values in ((np.uint64, words), (np.uint32, halves)):
+            for value in values:
+                assert isinstance(value, np.ndarray) and value.dtype == dtype
+                assert not value.flags.writeable
+        assert model_module._POOL_XOR.shape == model_module._POOL_MUL.shape == (16, 1)
+        assert model_module._STATE_XOR.shape == model_module._STATE_MUL.shape == (8, 1)
+        # numpy's own hash constants: the first pool hash xors with INIT_A, the first state hash with INIT_B.
+        assert int(model_module._POOL_XOR[0, 0]) == 0x43B0D7E5
+        assert int(model_module._STATE_XOR[0, 0]) == 0x8B51F9DD
         streams = _SeedStreams(7, 3)
         for state in (streams.hi, streams.lo, streams.inc_hi, streams.inc_lo):
             assert state.dtype == np.uint64 and state.shape == (3,)

@@ -35,6 +35,13 @@ class TestStackBuilders:
         with pytest.raises(ValueError, match="parameter beta must be non-negative, got -0.5"):
             fn(np.array([[0.1, 0.2], [0.3, -0.5]]))
 
+    def test_negative_parameter_named_by_first_column_then_first_row(self):
+        fn, _ = get_parameterization("lm88")
+        params = np.full((3, 8), 0.01)
+        params[2, 5], params[0, 6], params[1, 5] = -0.3, -0.7, -0.2
+        with pytest.raises(ValueError, match="parameter kappa_2 must be non-negative, got -0.2"):
+            fn(params)
+
     def test_f81_names_its_own_shape(self):
         fn, _ = get_parameterization("f81")
         with pytest.raises(ValueError, match=r"expected a \(B, 4\) parameter array, got shape \(2, 3\)"):
