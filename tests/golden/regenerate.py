@@ -32,8 +32,13 @@ def commands() -> dict[str, list[str]]:
                 cmds[f"check-{model}-seed{seed}-{samples}"] = [
                     "check", "--model", model, "--seed", str(seed), "--samples", str(samples)]
         cmds[f"closure-{model}"] = ["closure", "--model", model]
+        cmds[f"sample-{model}"] = ["sample", "--model", model, "--seed", "7", "--samples", "5"]
     cmds["repro-paper"] = ["repro-paper"]
-    return {stem: argv + ["--no-timestamp"] for stem, argv in cmds.items()}
+    cmds = {stem: argv + ["--no-timestamp"] for stem, argv in cmds.items()}
+    # export writes the bare model file, which has no timestamp and takes no --no-timestamp.
+    for model in zoo_names():
+        cmds[f"export-{model}"] = ["export", "--model", model]
+    return cmds
 
 
 def run(argv: list[str]) -> dict:

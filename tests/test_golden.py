@@ -44,7 +44,7 @@ def _projector(basis: list) -> np.ndarray:
 
 
 def test_every_pinned_command_has_a_file():
-    assert len(FILES) == 31
+    assert len(FILES) == 43
 
 
 @pytest.mark.parametrize("path", FILES, ids=[p.stem for p in FILES])
