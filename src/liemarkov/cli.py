@@ -131,16 +131,17 @@ def _fmt_matrix(m) -> str:
 def _cmd_check(args) -> tuple[dict, list[str], int]:
     model = _resolve_model(args.model)
     scaling = check_scaling_closure(model)
+    homogeneous = all(c.homogeneous for c in model.constraints) if model.constraints else None
     report = multiplicative_closure_check(model, samples=args.samples, seed=args.seed, tol=args.tol)
     body = {
         "model": model.name,
         "scaling_closed": scaling,
-        "constraints_homogeneous": scaling if model.constraints else None,
+        "constraints_homogeneous": homogeneous,
         "closure": report.to_dict(),
     }
     lines = [
         f"model: {model.name}",
-        f"scaling closed: {scaling}",
+        f"scaling closed: {'undecided' if scaling is None else scaling}",
         f"span dim: {report.span_dim}   lie closure dim: {report.lie_closure_dim}   "
         f"ambient dim: {report.ambient_dim}",
         f"verdict: {report.mult_closed_verdict} "

@@ -32,6 +32,7 @@ from .model import (
     _SeedStreams,
     _sample_all,
     _sample_stack,
+    check_scaling_closure,
     is_in_L,
 )
 
@@ -43,6 +44,8 @@ DEFAULT_BRACKET_GATE = 1e-8
 _MAX_WITNESSES = 10
 # Pairs per stack in the closure audit; bounds its memory for any sample count.
 _PAIR_BLOCK = 1024
+# The audit's BCH domain: pairs with ||q||_F + ||q'||_F above this are scaled onto it.
+_BCH_DOMAIN = 0.65
 
 
 def bch_truncated(a, b, order: int) -> np.ndarray:
@@ -138,7 +141,9 @@ def lie_closure(basis) -> list[np.ndarray]:
     stack = check_matrices(basis)
     if not len(stack):
         return []
-    if not is_in_L(stack, tol=1e-10 * np.maximum(1.0, _fro_rows(stack))).all():
+    with np.errstate(over="ignore"):  # a norm past 1.3e154 is summed again, scaled
+        scale = np.maximum(1.0, _fro_rows(stack))
+    if not is_in_L(stack, tol=1e-10 * scale).all():
         raise ValueError("lie_closure requires zero-sum generators")
     n = stack.shape[-1]
     gens = np.reshape(orthonormal_basis(_zero_sum(stack), DEFAULT_BRACKET_GATE), (-1, n, n))
@@ -296,7 +301,7 @@ def _select_witnesses(residuals: np.ndarray) -> np.ndarray:
     return np.arange(cap) if worst < cap else np.append(np.arange(cap - 1), worst)
 
 
-def _log_product_block(model: RateModel, seed: int, count: int) -> tuple[np.ndarray, ...]:
+def _log_product_block(model: RateModel, seed: int, count: int, tol: float) -> tuple[np.ndarray, ...]:
     """A block of count pairs: pair k draws q then q' from default_rng(seed + k)'s stream.
 
     The streams of all pairs are one _SeedStreams, local to the call.
@@ -304,24 +309,39 @@ def _log_product_block(model: RateModel, seed: int, count: int) -> tuple[np.ndar
     first attempt reads two candidates from each stream and checks all
     2 count of them as one stack, and q and q' are the stream's first
     two accepted candidates, so each pair's stream is read in the same
-    order as sequential draws from its own generator. Returns q, q', the
-    log-products, a mask of the pairs whose sampler drew both
-    generators and a mask of the pairs that have a log-product; a drawn
-    pair fails only when its product has no principal logarithm.
+    order as sequential draws from its own generator. A drawn pair with
+    s = ||q||_F + ||q'||_F > 0.65 is tested as (t q, t q'), t = 0.65 / s,
+    unless the model is not known to scale and t q or t q' has model
+    residual above tol; then it is tested as drawn. Returns the tested
+    q and q', the log-products, a mask of the pairs whose sampler drew
+    both generators and a mask of the pairs that have a log-product; a
+    drawn pair fails only when its product lies beyond the log's radius,
+    which no scaled pair's does.
     """
+    n = model.n
     # A Frobenius norm past 1.3e154 overflows its sum of squares, which is then summed again scaled.
     with np.errstate(over="ignore"):
         pairs, sampled = _sample_stack(model, np.arange(count), _SeedStreams(seed, count).random, 2)
         rows = np.flatnonzero(sampled)
         drawn = pairs if len(rows) == count else pairs[rows]
-        # Pair k's generators are adjacent rows, so a fully drawn block is exponentiated where it lies.
-        exps = _exp_stack(drawn.reshape(2 * len(rows), model.n, model.n))
-        logs, status = _log_stack(exps[0::2] @ exps[1::2])
+        # Pair k's generators are adjacent rows, so a fully drawn block is scaled and exponentiated
+        # where it lies. A factor of exactly 1 leaves a pair inside the domain bit for bit.
+        norms = _fro_rows(drawn.reshape(2 * len(rows), n, n))
+        t = _BCH_DOMAIN / np.maximum(norms[0::2] + norms[1::2], _BCH_DOMAIN)
+        if check_scaling_closure(model) is not True:
+            # A model that may not be a cone tests a pair that scaling takes out of it as drawn.
+            out = model._residual(drawn.reshape(-1, n, n) * np.repeat(t, 2)[:, None, None]) > tol
+            t[out.reshape(-1, 2).any(axis=1)] = 1.0
+        drawn *= t[:, None, None, None]
+        if drawn is not pairs:
+            pairs[rows] = drawn
+        exps = _exp_stack(drawn.reshape(2 * len(rows), n, n))
+        logs, summed = _log_stack(exps[0::2] @ exps[1::2])
     ok = sampled.copy()
-    ok[rows] = status == 0
+    ok[rows] = summed
     if len(rows) < count:
         # Pairs whose sampler was exhausted have no log-product.
-        logs, drawn_logs = np.full((count, model.n, model.n), np.nan), logs
+        logs, drawn_logs = np.full((count, n, n), np.nan), logs
         logs[rows] = drawn_logs
     return pairs[:, 0], pairs[:, 1], logs, sampled, ok
 
@@ -343,29 +363,54 @@ def multiplicative_closure_check(
     inconclusive, because a bracket-closed span does not vouch for a
     smaller constraint variety inside it.
 
+    A pair refutes closure only inside the BCH domain, where s =
+    ||q||_F + ||q'||_F <= 0.65. There s < ln 2, so the BCH series of
+    log(exp(q) exp(q')) converges to the principal log (Blanes and
+    Casas, "On the convergence and optimization of the
+    Baker-Campbell-Hausdorff formula", Linear Algebra Appl. 378, 2004),
+    which therefore lies in the Lie algebra that q and q' generate. By
+    the theorem that a closed model's rate matrices are the stochastic
+    part of a Lie algebra, that log then lies in any closed model, and a
+    pair whose log leaves the model refutes closure. Outside the domain
+    another logarithm of the product may lie in the model while the
+    principal one does not (the single 4-cycle generator at scale 6 is
+    such a model), so a pair with s > 0.65 is tested as (t q, t q'),
+    t = 0.65 / s, and a pair inside it as drawn. For a model that
+    check_scaling_closure does not vouch for, a scaled pair is tested
+    only when t q and t q' are both members (model residual at most
+    tol), and as drawn otherwise: a scaled member leaving the model
+    would show it is no cone, hence not closed, so a raw witness can
+    only confirm a true refutation. In the domain ||P - I||_F <= e^s - 1
+    for P = exp(q) exp(q'), and the Cayley transform Z = (P + I)^-1
+    (P - I) has ||Z||_F <= (e^s - 1) / (3 - e^s) <= 0.8442 < 0.85, so
+    every tested product lies inside the log's series radius. A
+    witness's q and q' are the pair that was tested.
+
     Pair k reads the stream of np.random.default_rng(seed + k), so the
     audit is deterministic. Pairs run in blocks of up to 1024: the
     block's streams are seeded and advanced as arrays (_SeedStreams,
     local to the call, each stream jumped ahead to all the states a draw
     needs at once), then one stack draw of both generators of every
-    pair, one stack exponential of the 2B generators, one stack
-    logarithm of the B products and one pass of the model's residual.
-    Each stage is a fixed number of whole-array steps, whatever B is,
-    with its constants built once at import; a block whose draws are
-    all accepted and whose products all have a log also skips the
-    per-slot fill, the gathers of the drawn and tested rows and the
-    failure count. So the fixed cost of a call is a count of numpy
-    operations that does not grow with B, and only the log's series
-    passes repeat, once per term its slowest row needs.
+    pair, one scaling into the BCH domain, one stack exponential of the
+    2B generators, one stack logarithm of the B products and one pass of
+    the model's residual. Each stage is a fixed number of whole-array
+    steps, whatever B is, with its constants built once at import; a
+    block whose draws are all accepted and whose products all have a
+    log also skips the per-slot fill, the gathers of the drawn and
+    tested rows and the failure count. So the fixed cost of a call is a
+    count of numpy operations that does not grow with B, and only the
+    log's series passes repeat, once per term its slowest row needs.
     Pair k gets the same matrices and log-product as the batch-of-one
     kernels (matrix_exp, matrix_log, sample_with_rng on
-    default_rng(seed + k)) give it alone. Its residual is the model's
-    residual of that log-product, but the block's projector product may
-    sum in another order than model_residual's, so the two can differ
-    in the last bits. Pairs whose sampler is exhausted or whose product
-    has no principal logarithm are skipped; more than samples/2 of them
-    is an error, which counts the two causes apart and names the
-    larger. Raises ValueError unless tol is a positive finite number.
+    default_rng(seed + k), then the same scaling) give it alone. Its
+    residual is the model's residual of that log-product, but the
+    block's projector product may sum in another order than
+    model_residual's, so the two can differ in the last bits. Pairs
+    whose sampler is exhausted, or whose product lies beyond the log's
+    radius (only a pair tested as drawn can), are skipped; more than
+    samples/2 of them is an error, which counts the two causes apart and
+    names the larger. Raises ValueError unless tol is a positive finite
+    number.
 
     The span and Lie closure dimensions are properties of the model, not
     of the sample: they come from span_basis at its default seed and its
@@ -379,24 +424,24 @@ def multiplicative_closure_check(
     if not model.samplable:
         raise ValueError(f"model {model.name!r} cannot be sampled")
     found: list[Witness] = []
-    exhausted = no_log = 0
+    exhausted = far = 0
     tested = 0
     for start in range(0, samples, _PAIR_BLOCK):
         index = range(start, min(start + _PAIR_BLOCK, samples))
-        q, q_prime, logs, sampled, ok = _log_product_block(model, seed + start, len(index))
+        q, q_prime, logs, sampled, ok = _log_product_block(model, seed + start, len(index), tol)
         rows = np.flatnonzero(ok)
         tested_logs = logs
         if len(rows) < len(ok):
             # Count up to the pair whose failure passes half the sample, so blocking cannot change it.
-            over = np.flatnonzero(exhausted + no_log + np.cumsum(~ok) > samples / 2)
+            over = np.flatnonzero(exhausted + far + np.cumsum(~ok) > samples / 2)
             end = over[0] + 1 if len(over) else len(ok)
             exhausted += int(np.sum(~sampled[:end]))
-            no_log += int(np.sum(sampled[:end] & ~ok[:end]))
+            far += int(np.sum(sampled[:end] & ~ok[:end]))
             if len(over):
-                cause = "sampler exhaustion" if exhausted > no_log else "a missing principal logarithm"
+                cause = "sampler exhaustion" if exhausted > far else "products beyond the log's radius"
                 raise RuntimeError(
                     f"more than half of the {samples} sampled pairs failed, mostly by {cause}: "
-                    f"{exhausted} sampler exhaustions and {no_log} without a principal logarithm "
+                    f"{exhausted} sampler exhaustions and {far} products beyond the log's radius "
                     f"in the first {index[end - 1] + 1} pairs"
                 )
             tested_logs = logs[rows]

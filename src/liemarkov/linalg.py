@@ -22,13 +22,10 @@ _EXP_NORM_MAX = np.finfo(float).max * _EXP_SCALE_TARGET
 _EXP_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(17))
 _LOG_CAYLEY_RADIUS = 0.85
 _SERIES_CUTOFF = 1e-18
-_NEG_AXIS_MARGIN = 1e-12
-_DISC_MARGIN = 1e-6
-_SQRT_MAX_ITER = 100
 
 
 class PrincipalLogError(ValueError):
-    """The principal matrix logarithm does not exist for the input."""
+    """The input lies beyond the radius inside which the principal logarithm is computed."""
 
 
 def check_square(a) -> np.ndarray:
@@ -156,166 +153,53 @@ def matrix_exp(a) -> np.ndarray:
     return out
 
 
-# Per-row outcome codes of _log_stack; 0 means the row has a principal log.
-_LOG_OK, _LOG_BRANCH, _LOG_FAR, _LOG_STALLED, _LOG_SINGULAR, _LOG_NONFINITE = range(6)
-_LOG_FAILURES = {
-    _LOG_FAR: "square-root stage failed to approach the identity",
-    _LOG_STALLED: "square-root iteration did not converge",
-    _LOG_SINGULAR: "square-root iteration met a singular iterate",
-    _LOG_NONFINITE: "matrix entries must be finite",
-}
-
-
-def _branch_distance(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of a (B, n, n) stack and their distances to the closed ray (-inf, 0]."""
-    lam = np.linalg.eigvals(m)
-    return lam, np.where(lam.real <= 0.0, np.abs(lam.imag), np.abs(lam))
-
-
-def _gershgorin_clear(m: np.ndarray) -> np.ndarray:
-    """Rows of a (B, n, n) stack whose Gershgorin discs keep every eigenvalue off the ray (-inf, 0].
-
-    A row qualifies when all of its column discs, or all of its row
-    discs, satisfy x_jj - sum_{i != j} |x_ij| > 1e-6. Every eigenvalue
-    lies in the union of either family of discs, so its real part, and
-    hence its distance to the ray, then exceeds 1e-6, far beyond the
-    1e-12 branch margin.
-    """
-    diag = np.diagonal(m, axis1=1, axis2=2)
-    mag = np.abs(m)
-    # x_jj - (sum_i |x_ij| - |x_jj|) is 2 x_jj - sum_i |x_ij| where x_jj > 0, and <= 0 otherwise.
-    twice = diag + np.abs(diag)
-    columns = (twice - mag.sum(axis=1) > _DISC_MARGIN).all(axis=1)
-    return columns | (twice - mag.sum(axis=2) > _DISC_MARGIN).all(axis=1)
-
-
-def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solutions of A X = B for (B, n, n) stacks, and a mask of the rows where A is nonsingular.
-
-    A singular row is left as NaN instead of failing the whole stack.
-    """
-    try:
-        return np.linalg.solve(a, b), np.ones(len(a), dtype=bool)
-    except np.linalg.LinAlgError:
-        out = np.full_like(b, np.nan)
-        ok = np.zeros(len(a), dtype=bool)
-        for k in range(len(a)):
-            try:
-                out[k], ok[k] = np.linalg.solve(a[k], b[k]), True
-            except np.linalg.LinAlgError:
-                pass
-        return out, ok
-
-
-def _sqrtm_denman_beavers(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Principal square roots of a (B, n, n) stack and a per-row status.
-
-    The product form of the Denman-Beavers iteration (Higham, Functions
-    of Matrices, SIAM 2008, eq. 6.17): from M = Y = X, each step takes
-    one inverse of M and sets Y <- Y (I + M^-1) / 2 and
-    M <- (I + (M + M^-1) / 2) / 2. Y tends to X^(1/2) and M to I, so
-    only a well-conditioned matrix is inverted as the iteration ends,
-    and a row stops once its own ||M - I||_F is at most 1e-15. A row
-    that meets a singular iterate, or runs out of its _SQRT_MAX_ITER
-    iterations, gets a failure status and a NaN root; the other rows
-    go on.
-    """
-    count = len(m)
-    ident = _identity(m.shape[-1])
-    roots = np.full_like(m, np.nan)
-    status = np.full(count, _LOG_STALLED, dtype=np.int8)
-    rows, y = np.arange(count), m
-    for _ in range(_SQRT_MAX_ITER):
-        inv_m, ok = _solve_rows(m, np.broadcast_to(ident, m.shape))
-        y = 0.5 * (y + y @ inv_m)
-        m = 0.5 * (ident + 0.5 * (m + inv_m))
-        status[rows[~ok]] = _LOG_SINGULAR
-        done = ok & (_fro_rows(m - ident) <= 1e-15)
-        roots[rows[done]] = y[done]
-        status[rows[done]] = _LOG_OK
-        going = ok & ~done
-        rows, y, m = rows[going], y[going], m[going]
-        if not len(rows):
-            break
-    return roots, status
-
-
 def _cayley_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Z = (X + I)^-1 (X - I) of each row of a (B, n, n) stack, and a mask of the rows with ||Z||_F <= 0.85.
 
-    X + I and X - I commute, so one solve per row gives Z; a row whose
-    X + I is singular (X has the eigenvalue -1) is NaN and left out.
+    X + I and X - I commute, so one batched solve gives Z. A row whose
+    X + I is singular (X has the eigenvalue -1, the zero pivot that makes
+    the solve fail and the determinant exactly 0) is beyond every radius:
+    it is solved as X = I and left out, and the other rows are solved
+    again, each as a stack of one would solve it.
     """
     eye = _identity(x.shape[-1])
     e = x - eye
-    z, ok = _solve_rows(e + 2.0 * eye, e)
-    return z, ok & (_fro_rows(z) <= _LOG_CAYLEY_RADIUS)
+    a = e + 2.0 * eye
+    try:
+        z = np.linalg.solve(a, e)
+        singular = np.zeros(len(x), dtype=bool)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.det(a) == 0.0
+        z = np.linalg.solve(np.where(singular[:, None, None], 2.0 * eye, a), e)
+    return z, ~singular & (_fro_rows(z) <= _LOG_CAYLEY_RADIUS)
 
 
 def _log_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Principal logarithms of a (B, n, n) stack by inverse scaling and squaring.
+    """Principal logarithms of a (B, n, n) stack by the Gregory series, and a mask of the rows summed.
 
-    Returns the logs and a per-row status, 0 where the row has a
-    principal logarithm. A row fails, and its log is NaN, when an
-    eigenvalue lies within 1e-12 of the closed negative real axis, when
-    its square roots stall, meet a singular iterate or fail to approach
-    the identity in 60 halvings, or when it is not finite; one failing
-    row never stops the others. log X is summed as the Gregory series
-    2 atanh(Z) over odd powers of Z = (X + I)^-1 (X - I), from one
-    batched solve, and a row with ||Z||_F <= 0.85 goes straight to it
-    with no branch guard: rho(Z) <= ||Z||_F <= 0.85 puts every
-    eigenvalue of X = (I + Z)(I - Z)^-1 at Re z >= 0.15 / 1.85 > 0.08,
-    so 2 atanh(Z) is the principal log, and X + I = 2 (I - Z)^-1 has
-    condition number at most 1.85 / 0.15 < 12.4. Only the other rows,
-    X + I singular included, are guarded: a row whose Gershgorin discs
-    keep every eigenvalue right of Re z = 1e-6 is cleared without
-    eigvals, and only the rest have their eigenvalues computed. Each
-    guarded row is square-rooted (product-form Denman-Beavers) until its
-    own ||Z||_F <= 0.85, and its log is doubled back once per halving.
-    The series rows stay in place: every pass forms every row's next
-    term 2 Z^j / j in one buffer, takes its Frobenius norm as _fro_rows
-    does, through views of that buffer, and masks a row out of the sum
-    once its own term falls below 1e-18, which 2 (0.85)^j / j does by
-    j = 227, inside the cap; the loop ends at the first pass that adds
-    nothing. Every row takes its own number of halvings, Denman-Beavers
-    iterations and series terms, exactly as a stack of one would. A
-    stack whose rows are all inside the radius, as every zoo audit's
-    is, keeps no halvings and no root bookkeeping.
+    log X is summed as the Gregory series 2 atanh(Z) over odd powers of
+    Z = (X + I)^-1 (X - I), from one batched solve, for every row with
+    ||Z||_F <= 0.85: rho(Z) <= ||Z||_F <= 0.85 puts every eigenvalue of
+    X = (I + Z)(I - Z)^-1 at Re z >= 0.15 / 1.85 > 0.08, so 2 atanh(Z)
+    is the principal log, and X + I = 2 (I - Z)^-1 has condition number
+    at most 1.85 / 0.15 < 12.4. A row beyond that radius, X + I singular
+    or a non-finite entry included, is refused and its log is NaN; one
+    refused row never stops the others. The series rows stay in place:
+    every pass forms every row's next term 2 Z^j / j in one buffer,
+    takes its Frobenius norm as _fro_rows does, through views of that
+    buffer, and masks a row out of the sum once its own term falls below
+    1e-18, which 2 (0.85)^j / j does by j = 227, inside the cap; the
+    loop ends at the first pass that adds nothing. Every row takes its
+    own number of series terms, exactly as a stack of one would.
     """
     count, n = m.shape[0], m.shape[-1]
-    status = np.zeros(count, dtype=np.int8)
     finite = np.isfinite(m).all(axis=(1, 2))
     if not finite.all():
-        # A non-finite row is flagged and stands in as I, so that every row takes the one solve.
-        status[~finite] = _LOG_NONFINITE
+        # A non-finite row stands in as I, so that every row takes the one solve, and is refused.
         m = np.where(finite[:, None, None], m, _identity(n))
-    z, inside = _cayley_rows(m)
-    pending = np.flatnonzero(~inside)
-    halvings = None
-    if len(pending):
-        # Rows outside the radius are guarded and square-rooted; with none, no halving is kept.
-        halvings = np.zeros(count, dtype=int)
-        # Only the rows whose discs do not clear the ray go to eigvals.
-        doubtful = pending[~_gershgorin_clear(m[pending])]
-        if len(doubtful):
-            near = (_branch_distance(m[doubtful])[1] <= _NEG_AXIS_MARGIN).any(axis=1)
-            status[doubtful[near]] = _LOG_BRANCH
-            pending = pending[status[pending] == _LOG_OK]
-        x, level = m[pending], 0
-        while len(pending):
-            if level >= 60:
-                status[pending] = _LOG_FAR
-                break
-            x, root_status = _sqrtm_denman_beavers(x)
-            status[pending] = root_status
-            converged = root_status == _LOG_OK
-            pending, x = pending[converged], x[converged]
-            level += 1
-            halvings[pending] = level
-            z_root, inside = _cayley_rows(x)
-            z[pending[inside]] = z_root[inside]
-            pending, x = pending[~inside], x[~inside]
-    rows = np.flatnonzero(status == _LOG_OK)
+    z, ok = _cayley_rows(m)
+    ok &= finite
+    rows = np.flatnonzero(ok)
     size = len(rows)
     # log X = 2 atanh(Z) = 2 (Z + Z^3/3 + Z^5/5 + ...)
     power = z if size == count else z[rows]
@@ -335,45 +219,30 @@ def _log_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # While every row goes on, the mask would keep every entry.
         np.add(series, term, out=series, where=keep if live < size else True)
         power = power @ zsq
-    logs = series
-    if size < count:
-        logs = np.full_like(m, np.nan)
-        logs[rows] = series
-    if halvings is not None:
-        logs *= (2.0 ** halvings)[:, None, None]
-    return logs, status
+    if size == count:
+        return series, ok
+    logs = np.full_like(m, np.nan)
+    logs[rows] = series
+    return logs, ok
 
 
 def matrix_log(m) -> np.ndarray:
-    """Principal matrix logarithm by inverse scaling and squaring.
+    """Principal matrix logarithm by the Gregory series in the Cayley transform.
 
-    log X is summed as the Gregory series 2 atanh(Z) in the Cayley
-    transform Z = (X + I)^-1 (X - I) once ||Z||_F <= 0.85, where every
-    eigenvalue of X has real part above 0.08, so the series gives the
-    principal log and needs at most 114 terms. An input beyond that
-    radius is first checked against the closed negative real axis: one
-    with an eigenvalue within 1e-12 of it is rejected instead of
-    silently choosing a branch, and one whose Gershgorin discs clear it
-    by 1e-6 is accepted without computing its eigenvalues. Its principal
-    square roots (the product form of Denman-Beavers, one inverse per
-    step) are then taken until ||Z||_F <= 0.85, and the result is
-    doubled back. Products closer to singular are still accepted down
-    to the 1e-12 margin, with the accuracy their conditioning allows.
-    This is the batch-of-one case of the stack kernel that the closure
-    audit runs on (B, n, n) blocks, where a failing row is flagged
-    instead of raising.
+    log X is summed as 2 atanh(Z) in Z = (X + I)^-1 (X - I) when
+    ||Z||_F <= 0.85, where every eigenvalue of X has real part above
+    0.08, so the series gives the principal log and needs at most 114
+    terms. An input beyond that radius, X + I singular included, raises
+    PrincipalLogError instead of being rooted down to it. This is the
+    batch-of-one case of the stack kernel that the closure audit runs on
+    (B, n, n) blocks, where a failing row is flagged instead of raising.
     """
-    m = check_square(m)
-    logs, status = _log_stack(m[None])
-    if status[0] == _LOG_BRANCH:
-        lam, dist = _branch_distance(m[None])
-        worst = lam[0][np.argmax(dist[0] <= _NEG_AXIS_MARGIN)]
+    logs, ok = _log_stack(check_square(m)[None])
+    if not ok[0]:
         raise PrincipalLogError(
-            "principal logarithm undefined: eigenvalue "
-            f"{worst:.6g} lies within {_NEG_AXIS_MARGIN:g} of the closed negative real axis"
+            "principal logarithm not computed: the Cayley transform Z = (X + I)^-1 (X - I) "
+            f"lies beyond the series radius ||Z||_F <= {_LOG_CAYLEY_RADIUS}"
         )
-    if status[0] != _LOG_OK:
-        raise PrincipalLogError(_LOG_FAILURES[status[0]])
     return logs[0]
 
 

@@ -660,14 +660,17 @@ def _sample_stochastic_stack(model: RateModel, seed: int, count: int) -> np.ndar
     return _sample_all(model, count, _SeedStreams(seed, count).random)
 
 
-def check_scaling_closure(model: RateModel) -> bool:
-    """Whether the model is closed under non-negative scalar multiplication.
+def check_scaling_closure(model: RateModel) -> bool | None:
+    """Whether the model is closed under non-negative scalar multiplication: True, or None if undecided.
 
-    Decided algebraically: a span is a linear space, and a homogeneous
-    constraint of degree d satisfies f(alpha q) = alpha^d f(q), so the
-    model scales unless a defining constraint is inhomogeneous.
+    Decided algebraically where it can be: a span is a linear space, and a
+    homogeneous constraint of degree d satisfies f(alpha q) = alpha^d f(q),
+    so a model whose constraints are all homogeneous scales. An
+    inhomogeneous constraint does not settle the question either way:
+    q12^2 + q12 = 0 holds on the stochastic cone exactly when q12 = 0,
+    which is a cone. Such a model gets None.
     """
-    return all(c.homogeneous for c in model.constraints)
+    return True if all(c.homogeneous for c in model.constraints) else None
 
 
 # ---------------------------------------------------------------------------

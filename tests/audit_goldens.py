@@ -4,17 +4,18 @@ Each key is (model, seed); every audit ran 150 pairs at the default
 tolerance. Zoo models are looked up by name; their entries come from the
 per-pair audit that preceded the batched one. "cyclic-6" and "cyclic-8"
 are the single-generator span models of tests/test_closure.py's
-_cyclic_model at scales 6 and 8, whose products lie close to singular.
-Their entries were regenerated when the square root took the product
-form of Denman-Beavers, and their witness residuals alone again when the
-exponential became one degree-16 Paterson-Stockmeyer polynomial (the
-products' condition numbers, up to about 1e11, moved them by up to
-1.9e-7 relative; verdicts, counts and indices held). Both times a
-per-pair loop (sample_with_rng on default_rng(seed + k), log_product,
-model_residual) in which every accepted log was within
-max(1e-10, 16 eps kappa) of scipy's logm gave the values. A
-value is (verdict, samples_tested, span_dim, lie_closure_dim, witness
-pair indices, witness residuals).
+_cyclic_model at scales 6 and 8, whose raw products lie close to
+singular. The cyclic and gtr entries were regenerated when the audit
+began to scale every pair with s = ||q||_F + ||q'||_F > 0.65 into the
+BCH domain: the cyclic models, one-dimensional and so closed, went from
+not_closed to closed, and gtr's witness residuals moved (its pairs all
+lie outside the domain as drawn) while its verdict, counts and indices
+held. A per-pair loop gave the values: pair k drew q then q' by
+sample_with_rng on default_rng(seed + k), a pair with s > 0.65 became
+(t q, t q') with t = 0.65 / s, and its log_product, within 1e-12 of
+scipy's logm, went to model_residual. A value is (verdict,
+samples_tested, span_dim, lie_closure_dim, witness pair indices, witness
+residuals).
 """
 
 AUDIT_GOLDENS = {
@@ -82,60 +83,40 @@ AUDIT_GOLDENS = {
         'not_closed', 150, 12, 12,
         [0, 1, 2, 3, 4, 5, 6, 7, 8, 132],
         (
-            0.00020295553824897092, 0.0003682772780300789, 0.0009287004114304468,
-            0.0002500042634476973, 0.00023604850314692973, 0.0007503337574292552,
-            0.0003473760182950363, 0.0005471578331625156, 0.00014873713772591013,
-            0.002242644024748712,
+            0.0002416211435714092, 0.0003350748591425689, 0.0007424226251216859,
+            0.00017790810071158282, 0.00018491845706481065, 0.0006824116131465075,
+            0.00032818435857793923, 0.0004043820189401168, 0.00013642324479035318,
+            0.002142515300611816,
         ),
     ),
     ('gtr', 2024): (
         'not_closed', 150, 12, 12,
         [0, 1, 2, 3, 4, 5, 6, 7, 8, 100],
         (
-            0.00047865173990170736, 0.0003178037209893965, 0.0002865356703324084,
-            0.0008354743894937366, 0.000920500994793988, 9.189542475844383e-05,
-            0.0009650103385792901, 0.00017941495026484178, 0.00013991842470624505,
-            0.00198109515301159,
+            0.0005425003637306206, 0.00023355350737545651, 0.00024988948159402404,
+            0.0008732108799920644, 0.0007408547165506066, 9.352735996279048e-05,
+            0.0008784058276949449, 0.0001434431787291293, 0.00021315762338153368,
+            0.0018629159557303398,
         ),
     ),
     ('cyclic-6', 7): (
-        'not_closed', 150, 1, 1,
-        [0, 1, 2, 3, 4, 5, 6, 7, 8, 64],
-        (
-            0.5012339203919833, 0.3316543065859455, 0.5519888978102113,
-            0.3277522626535753, 0.4942211543558018, 0.4225569901672332,
-            0.3591300031208138, 0.49048640250699604, 0.5147101548901658,
-            0.8210681182261748,
-        ),
+        'closed', 150, 1, 1,
+        [],
+        (),
     ),
     ('cyclic-6', 2024): (
-        'not_closed', 150, 1, 1,
-        [0, 1, 2, 3, 4, 5, 6, 7, 9, 37],
-        (
-            0.5498660725587226, 0.6294273006344728, 0.6035311386446678,
-            0.7568470269119029, 0.7515852297743585, 0.47849353353546376,
-            0.4050162903235436, 0.5696164447031964, 0.7813225673919181,
-            0.8645803863242236,
-        ),
+        'closed', 150, 1, 1,
+        [],
+        (),
     ),
     ('cyclic-8', 7): (
-        'not_closed', 146, 1, 1,
-        [0, 1, 2, 3, 4, 5, 6, 7, 8, 83],
-        (
-            0.3721261153168634, 0.5061563252643795, 0.4127725832777359,
-            0.5006064143526036, 0.36660888944657277, 0.6285280835961728,
-            0.54459374466235, 0.36367945315412775, 0.3827917312017771,
-            0.8569970480622545,
-        ),
+        'closed', 150, 1, 1,
+        [],
+        (),
     ),
     ('cyclic-8', 2024): (
-        'not_closed', 147, 1, 1,
-        [0, 1, 2, 3, 4, 5, 6, 7, 9, 73],
-        (
-            0.41104500565181573, 0.4778106400624381, 0.4555860488955654,
-            0.5969736855423505, 0.5916382848060978, 0.3543125941601981,
-            0.6060357543286952, 0.4272214617293315, 0.6224065800045534,
-            0.8622969696385043,
-        ),
+        'closed', 150, 1, 1,
+        [],
+        (),
     ),
 }

@@ -3,8 +3,10 @@ import pytest
 
 from liemarkov import (
     PrincipalLogError,
+    check_scaling_closure,
     matrix_exp,
     matrix_log,
+    model_residual,
     model_to_dict,
     reference_pair,
     sample_with_rng,
@@ -31,6 +33,22 @@ def make_rate_matrix(rng, n=4, max_norm=1.0):
     np.fill_diagonal(q, -off.sum(axis=0))
     nrm = np.linalg.norm(q, "fro")
     return q * (rng.uniform(0.05, 1.0) * max_norm / nrm)
+
+
+def audit_pair(model, rng, tol=1e-8):
+    """The pair an audit tests from rng = default_rng(seed + k): q then q', scaled into the BCH domain.
+
+    A pair with s = ||q||_F + ||q'||_F > 0.65 becomes (t q, t q'), t = 0.65 / s, unless the model
+    is not vouched for by check_scaling_closure and t q or t q' has model residual above tol.
+    """
+    q, q_prime = sample_with_rng(model, rng), sample_with_rng(model, rng)
+    s = np.linalg.norm(q, "fro") + np.linalg.norm(q_prime, "fro")
+    if s > 0.65:
+        t = 0.65 / s
+        if check_scaling_closure(model) is True or max(
+                model_residual(model, t * q), model_residual(model, t * q_prime)) <= tol:
+            q, q_prime = t * q, t * q_prime
+    return q, q_prime
 
 
 def chain_logs(model, chain_length, samples, seed):

@@ -49,6 +49,22 @@ class TestCheck:
         assert code == EXIT_ERROR
         assert "nope.json" in err
 
+    def test_undecided_scaling_is_null(self, capsys, tmp_path):
+        # jc at rate 0.1 with q12 - 0.1 = 0: an inhomogeneous constraint, so scaling is undecided.
+        doc = model_to_dict(zoo_model("jc"))
+        doc.update(name="jc-pinned", parameter_ranges=[[0.1, 0.1]],
+                   constraints=[{"terms": [{"coeff": 1.0, "monomial": [[1, 2]]}, {"coeff": -0.1, "monomial": []}]}])
+        del doc["basis"]
+        path = tmp_path / "pinned.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "check", "--model", str(path), "--samples", "20", "--no-timestamp")
+        assert code == EXIT_NOT_CLOSED
+        doc = json.loads(out)
+        assert doc["scaling_closed"] is None
+        assert doc["constraints_homogeneous"] is False
+        code, out, _ = run_cli(capsys, "check", "--model", str(path), "--samples", "20", "--format", "text")
+        assert "scaling closed: undecided" in out
+
     def test_bad_model_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"name": "x", "n": 4}')

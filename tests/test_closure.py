@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from liemarkov import (
     ClosureReport,
+    PolynomialConstraint,
     PrincipalLogError,
     RateModel,
     SamplingError,
     bch_truncated,
+    check_scaling_closure,
     commutator,
     kappa_witness,
     least_squares_membership,
@@ -34,14 +36,14 @@ from liemarkov import (
     zoo_model,
     zoo_names,
 )
-from liemarkov import closure, linalg
+from liemarkov import closure
 from liemarkov import model as model_module
 from liemarkov.model import _SeedStreams, _sample_stack
 from liemarkov.zoo import REFERENCE_LOG_PRODUCT, reference_pair
 
 from audit_goldens import AUDIT_GOLDENS
 from bracket_loop import lie_closure_loop
-from conftest import chain_logs, make_rate_matrix, row_convention_doc, zoo_generator
+from conftest import audit_pair, chain_logs, make_rate_matrix, row_convention_doc, zoo_generator
 from exact import exact_rank
 
 
@@ -170,6 +172,18 @@ def _cyclic_model(scale=1e6):
     return RateModel(name="cyclic", n=4, basis=(scale * cycle,))
 
 
+def _pinned_model(name, ranges):
+    """The zoo parameterization name with q12 pinned to its first range by the constraint q12 - c = 0.
+
+    The constant term makes the constraint inhomogeneous, so check_scaling_closure does not vouch
+    for the model, and a pair that scaling would take out of it is tested as drawn.
+    """
+    c = ranges[0][0]
+    pin = PolynomialConstraint(((1.0, ((1, 2),)), (-c, ())))
+    return RateModel(name=f"{name}-pinned", n=4, constraints=(pin,), parameterization=name,
+                     parameter_ranges=ranges)
+
+
 class TestProductChain:
     """Products of substitution matrices exp(Q_k t_k), formed link by link."""
 
@@ -296,6 +310,12 @@ class TestLieClosure:
     def test_rejects_nonzero_sums(self):
         with pytest.raises(ValueError, match="zero-sum"):
             lie_closure([np.eye(4)])
+
+    def test_generators_past_the_squared_norm_overflow_warn_nothing(self):
+        # ||q||_F^2 overflows from 1.3e154 on; the zero-sum tolerance's norm is summed again, scaled.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(lie_closure([1e160 * np.array([[-1.0, 0.0], [1.0, 0.0]])])) == 1
 
     def test_idempotent(self):
         closed = lie_closure(list(zoo_model("lm88").basis))
@@ -551,15 +571,11 @@ class TestMultiplicativeClosure:
     def test_witness_cap_and_selection(self):
         # Recompute every failing pair independently of the cap: the
         # report must keep the first failure and the global worst one.
-        from liemarkov import sample_with_rng
-
         model = zoo_model("hky")
         samples, seed, tol = 150, 42, 1e-8
         failures = []
         for index in range(samples):
-            rng = np.random.default_rng(seed + index)
-            q = sample_with_rng(model, rng)
-            qp = sample_with_rng(model, rng)
+            q, qp = audit_pair(model, np.random.default_rng(seed + index))
             resid = model_residual(model, log_product(q, qp))
             if resid > tol:
                 failures.append((index, resid))
@@ -612,8 +628,10 @@ class TestMultiplicativeClosure:
             )
 
     def test_majority_log_failures_error(self):
+        # jc at rate 5 with q12 - 5 = 0: no scaled pair is a member, and exp(2q) is within e^-40 of
+        # rank one, so every pair is tested as drawn and lies beyond the log's radius.
         with pytest.raises(RuntimeError, match="half"):
-            multiplicative_closure_check(_cyclic_model(), samples=10, seed=0)
+            multiplicative_closure_check(_pinned_model("jc", ((5.0, 5.0),)), samples=10, seed=0)
 
     def test_majority_failure_names_its_cause(self):
         # The 12-state equal-input basis: its box sampler accepts about 2^-12 of its draws.
@@ -630,18 +648,71 @@ class TestMultiplicativeClosure:
                 multiplicative_closure_check(model, samples=samples, seed=seed)
             assert str(err.value) == (
                 f"more than half of the {samples} sampled pairs failed, mostly by sampler exhaustion: "
-                f"{failed} sampler exhaustions and 0 without a principal logarithm in the first {read} pairs")
-        with pytest.raises(RuntimeError, match="mostly by a missing principal logarithm: 0 sampler exhaustions and 6 without"):
-            multiplicative_closure_check(_cyclic_model(), samples=10, seed=0)
+                f"{failed} sampler exhaustions and 0 products beyond the log's radius in the first {read} pairs")
+        with pytest.raises(RuntimeError) as err:
+            multiplicative_closure_check(_pinned_model("jc", ((5.0, 5.0),)), samples=10, seed=0)
+        assert str(err.value) == (
+            "more than half of the 10 sampled pairs failed, mostly by products beyond the log's radius: "
+            "0 sampler exhaustions and 6 products beyond the log's radius in the first 6 pairs")
 
     def test_generators_past_the_squared_norm_overflow_warn_nothing(self):
-        # ||q||_F^2 overflows from 1.3e154 on. Every exp(q) is the singular [[0, 0], [1, 1]], so
-        # every product truly has no principal log, and the audit says so without a warning.
+        # ||q||_F^2 overflows from 1.3e154 on. The model is one-dimensional, hence closed; its pairs
+        # are scaled into the BCH domain, and the audit says closed without a warning.
         model = RateModel(name="huge", n=2, basis=(1e160 * np.array([[-1.0, 0.0], [1.0, 0.0]]),))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(RuntimeError, match="0 sampler exhaustions and 3 without a principal"):
-                multiplicative_closure_check(model, samples=4, seed=1)
+            report = multiplicative_closure_check(model, samples=4, seed=1)
+        assert (report.mult_closed_verdict, report.samples_tested) == ("closed", 4)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0, 3.0, 6.0, 8.0, 10.0, 13.5, 20.0, 1e6])
+    def test_single_cycle_is_closed_at_every_scale(self, scale):
+        # One generator spans an abelian algebra. Unscaled, pairs from scale 2 on had principal logs
+        # off the span (|Im lambda| > pi), and from about 7 on products near rank one.
+        report = multiplicative_closure_check(_cyclic_model(scale), samples=150, seed=7)
+        assert (report.mult_closed_verdict, report.samples_tested) == ("closed", 150)
+
+    @pytest.mark.parametrize("name", ["jc", "k2p", "f81", "lm88"])
+    def test_span_bases_scaled_by_ten_stay_closed(self, name):
+        base = zoo_model(name)
+        model = RateModel(name=f"{name}-x10", n=4, basis=tuple(10.0 * b for b in base.basis))
+        # The box sampler of a declared basis may run out on a few pairs (6 of lm88's 150).
+        report = multiplicative_closure_check(model, samples=150, seed=7)
+        assert report.mult_closed_verdict == "closed" and report.samples_tested >= 140
+
+    @pytest.mark.parametrize("seed", [7, 42, 2024])
+    def test_gtr_stays_not_closed_in_the_bch_domain(self, seed):
+        report = multiplicative_closure_check(zoo_model("gtr"), samples=1000, seed=seed)
+        assert report.mult_closed_verdict == "not_closed"
+        for w in report.witnesses:
+            s = np.linalg.norm(w.q, "fro") + np.linalg.norm(w.q_prime, "fro")
+            assert s <= 0.65 * (1 + 1e-15)
+
+    def test_a_model_that_may_not_scale_keeps_its_pairs_members(self):
+        # jc with its rate fixed at 0.1 and q12 - 0.1 = 0: every pair has s = 1.39, but t q has
+        # q12 = 0.047 and leaves the model, so each pair is tested as drawn. Its log 2 q has
+        # q12 = 0.2, a sound witness.
+        model = _pinned_model("jc", ((0.1, 0.1),))
+        assert check_scaling_closure(model) is None
+        report = multiplicative_closure_check(model, samples=100, seed=7)
+        assert (report.mult_closed_verdict, report.samples_tested) == ("not_closed", 100)
+        assert report.witnesses
+        for w in report.witnesses:
+            assert model_residual(model, w.q) <= report.tolerance
+            assert model_residual(model, w.q_prime) <= report.tolerance
+            assert w.residual == pytest.approx(0.1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["jc", "k2p", "f81", "lm88"]),
+           st.floats(0.01, 0.65), st.floats(0.05, 0.95))
+    def test_closed_pairs_in_the_bch_domain_stay_in_the_model(self, seed, name, s, share):
+        # The theorem's direction the audit relies on: inside the domain a closed model's
+        # log-product lies in the model, to rounding.
+        model = zoo_model(name)
+        rng = np.random.default_rng(seed)
+        q, q_prime = sample_with_rng(model, rng), sample_with_rng(model, rng)
+        q = q * (share * s / np.linalg.norm(q, "fro"))
+        q_prime = q_prime * ((1.0 - share) * s / np.linalg.norm(q_prime, "fro"))
+        assert model_residual(model, log_product(q, q_prime)) <= 1e-12
 
     def test_bracket_extraction_limit(self):
         # (2/eps^2)(log(e^{eQ} e^{eQ'}) - eQ - eQ') converges to [Q, Q'].
@@ -727,6 +798,8 @@ class TestKappaWitness:
 def _golden_model(name):
     if name.startswith("cyclic-"):
         return _cyclic_model(float(name.split("-")[1]))
+    if name == "jc-pinned":
+        return _pinned_model("jc", ((0.1, 0.1),))
     return zoo_model(name)
 
 
@@ -752,32 +825,46 @@ class TestBatchedAudit:
             assert np.abs(ref.imag).max() < 1e-12
             assert np.linalg.norm(w.log_product - ref.real, "fro") <= 1e-9 * np.linalg.norm(ref.real, "fro")
 
-    @pytest.mark.parametrize("name", ["cyclic-6", "cyclic-8", "cyclic-10", "hky", "gtr"])
+    @pytest.mark.parametrize("name", ["cyclic-6", "cyclic-8", "cyclic-10", "jc-pinned", "hky", "gtr"])
     def test_witnesses_match_the_batch_of_one_kernels(self, name):
-        # A witness's log-product is log_product's bit for bit. Its residual is the model's residual
-        # of that log-product, but the block's projector product may sum in another order, so it
-        # matches model_residual to a few ulps only. At scale 10 about a fifth of the pairs have no
-        # principal log, so witnesses come after skipped pairs of their block.
-        model = _golden_model(name)
-        report = multiplicative_closure_check(model, samples=150, seed=7)
-        assert report.witnesses
-        for w in report.witnesses:
-            logs = log_product(w.q, w.q_prime)
-            np.testing.assert_array_equal(w.log_product, logs)
-            assert abs(w.residual - model_residual(model, logs)) <= 4 * np.finfo(float).eps * w.residual
+        # Pair by pair, sample_with_rng, the audit's scaling, log_product and model_residual find
+        # the witnesses the report keeps: none for the closed cyclic models, scaled pairs for gtr,
+        # pairs tested as drawn for jc-pinned. A witness's q, q' and log-product are those bit for
+        # bit. Its residual is the model's residual of that log-product, but the block's projector
+        # product may sum in another order, so it matches model_residual to a few ulps only.
+        model, samples, seed = _golden_model(name), 150, 7
+        failures = []
+        for k in range(samples):
+            q, q_prime = audit_pair(model, np.random.default_rng(seed + k))
+            logs = log_product(q, q_prime)
+            residual = model_residual(model, logs)
+            if residual > 1e-8:
+                failures.append((k, q, q_prime, logs, residual))
+        report = multiplicative_closure_check(model, samples=samples, seed=seed)
+        keep = closure._select_witnesses(np.array([f[-1] for f in failures]))
+        assert [w.pair_index for w in report.witnesses] == [failures[i][0] for i in keep]
+        assert bool(report.witnesses) == (name not in ("cyclic-6", "cyclic-8", "cyclic-10"))
+        for w, i in zip(report.witnesses, keep):
+            _, q, q_prime, logs, residual = failures[i]
+            for got, want in ((w.q, q), (w.q_prime, q_prime), (w.log_product, logs)):
+                np.testing.assert_array_equal(got, want)
+            assert abs(w.residual - residual) <= 4 * np.finfo(float).eps * w.residual
 
     def test_mixed_block_skip_count(self):
-        # Recount with the batch-of-one kernels: a pair is skipped exactly when log_product raises.
-        model, samples, seed = _cyclic_model(10.0), 80, 2024
-        skipped = 0
+        # k2p with alpha pinned at 0.02 and beta in [0.001, 0.3]: a pair with s <= 0.65 is tested
+        # as drawn, and so is every other, since scaling moves q12. Some of those lie beyond the
+        # log's radius. Recount with the batch-of-one kernels: a pair is skipped exactly when
+        # log_product raises.
+        model, samples, seed = _pinned_model("k2p", ((0.02, 0.02), (0.001, 0.3))), 80, 2024
+        skipped, inside = 0, 0
         for k in range(samples):
-            rng = np.random.default_rng(seed + k)
-            q, q_prime = sample_with_rng(model, rng), sample_with_rng(model, rng)
+            q, q_prime = audit_pair(model, np.random.default_rng(seed + k))
+            inside += np.linalg.norm(q, "fro") + np.linalg.norm(q_prime, "fro") <= 0.65
             try:
                 log_product(q, q_prime)
             except PrincipalLogError:
                 skipped += 1
-        assert 0 < skipped < samples / 2
+        assert 0 < skipped < samples / 2 and inside
         report = multiplicative_closure_check(model, samples=samples, seed=seed)
         assert report.samples_tested == samples - skipped
 
@@ -797,59 +884,18 @@ class TestBatchedAudit:
         monkeypatch.setattr(closure, "_PAIR_BLOCK", 7)
         assert audit() == whole
 
-    def test_hky_products_take_no_square_root(self, monkeypatch):
-        # Their Cayley transforms Z = (P + I)^-1 (P - I) stay under the 0.85 series radius
-        # (||Z||_F <= 0.35), so the log needs no Denman-Beavers.
-        calls, sqrtm = [], linalg._sqrtm_denman_beavers
-
-        def spy(m, *args):
-            calls.append(len(m))
-            return sqrtm(m, *args)
-
-        monkeypatch.setattr(linalg, "_sqrtm_denman_beavers", spy)
-        model = zoo_model("hky")
-        *_, ok = closure._log_product_block(model, 7, 200)
-        assert ok.all()
-        assert calls == []
-
-    @pytest.mark.parametrize("name", ["hky", "lm88", "f81", "k2p", "jc"])
-    def test_products_within_the_radius_skip_the_branch_guard(self, name, monkeypatch):
-        # The guard runs only on rows that need a square root, and these products need none.
-        calls, guard = [], linalg._branch_distance
-
-        def spy(m):
-            calls.append(len(m))
-            return guard(m)
-
-        monkeypatch.setattr(linalg, "_branch_distance", spy)
-        *_, ok = closure._log_product_block(zoo_model(name), 7, 200)
-        assert ok.all()
-        assert calls == []
-
-    @pytest.mark.parametrize("name", ["hky", "lm88", "f81", "k2p", "jc"])
-    def test_products_within_the_radius_skip_the_disc_certificate(self, name, monkeypatch):
-        # With no row pending a square root, the certificate does not run at all.
-        calls, clear = [], linalg._gershgorin_clear
-
-        def spy(m):
-            calls.append(len(m))
-            return clear(m)
-
-        monkeypatch.setattr(linalg, "_gershgorin_clear", spy)
-        *_, ok = closure._log_product_block(zoo_model(name), 7, 200)
-        assert ok.all()
-        assert calls == []
-
-    def test_gtr_products_take_no_square_root_and_no_guard(self, monkeypatch):
-        # Every gtr product lies within the Cayley radius ||Z||_F <= 0.85 (at most 0.82 on
-        # seeds 7, 42, 2024 and 99), so none is square-rooted, disc-tested or sent to eigvals.
-        def refuse(*args):
-            raise AssertionError("a gtr product was square-rooted or guarded")
-
-        for name in ("_sqrtm_denman_beavers", "_gershgorin_clear", "_branch_distance"):
-            monkeypatch.setattr(linalg, name, refuse)
-        *_, sampled, ok = closure._log_product_block(zoo_model("gtr"), 7, 1024)
+    @pytest.mark.parametrize("name", zoo_names())
+    def test_audit_products_lie_inside_the_bch_bound(self, name):
+        # Every product an audit block logs has ||Z||_F <= (e^s - 1) / (3 - e^s) <= 0.8442 for its
+        # tested s <= 0.65, so none is refused. gtr's pairs all have s > 0.65 as drawn and are scaled.
+        q, q_prime, _, sampled, ok = closure._log_product_block(zoo_model(name), 7, 1024, 1e-8)
         assert sampled.all() and ok.all()
+        s = np.linalg.norm(q, axis=(1, 2)) + np.linalg.norm(q_prime, axis=(1, 2))
+        assert s.max() <= 0.65 * (1 + 1e-15)
+        p = np.stack([matrix_exp(a) @ matrix_exp(b) for a, b in zip(q, q_prime)])
+        eye = np.eye(4)
+        z = np.linalg.norm(np.linalg.inv(p + eye) @ (p - eye), axis=(1, 2))
+        assert (z <= np.expm1(s) / (3.0 - np.exp(s)) + 1e-12).all()
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(1e-8, 1.0), max_size=40), st.lists(st.integers(1, 12), min_size=1, max_size=8))
