@@ -233,9 +233,9 @@ def matrix_log(m) -> np.ndarray:
     ||Z||_F <= 0.85, where every eigenvalue of X has real part above
     0.08, so the series gives the principal log and needs at most 114
     terms. An input beyond that radius, X + I singular included, raises
-    PrincipalLogError instead of being rooted down to it. This is the
-    batch-of-one case of the stack kernel that the closure audit runs on
-    (B, n, n) blocks, where a failing row is flagged instead of raising.
+    PrincipalLogError. This is the batch-of-one case of the stack kernel
+    that the closure audit runs on (B, n, n) blocks, where a refused row
+    is flagged instead of raising.
     """
     logs, ok = _log_stack(check_square(m)[None])
     if not ok[0]:

@@ -666,7 +666,7 @@ class TestMultiplicativeClosure:
 
     @pytest.mark.parametrize("scale", [1.0, 2.0, 3.0, 6.0, 8.0, 10.0, 13.5, 20.0, 1e6])
     def test_single_cycle_is_closed_at_every_scale(self, scale):
-        # One generator spans an abelian algebra. Unscaled, pairs from scale 2 on had principal logs
+        # One generator spans an abelian algebra. As drawn, pairs from scale 2 on have principal logs
         # off the span (|Im lambda| > pi), and from about 7 on products near rank one.
         report = multiplicative_closure_check(_cyclic_model(scale), samples=150, seed=7)
         assert (report.mult_closed_verdict, report.samples_tested) == ("closed", 150)
