@@ -299,7 +299,7 @@ def _cyclic_generator(rates):
 
 
 def _gregory_log_rows(m):
-    """Per-row oracle for _log_stack on rows with ||X - I||_F <= 0.75: the Gregory series alone.
+    """Per-row oracle for _log_stack on rows inside the radius ||Z||_F <= 0.85: the Gregory series alone.
 
     Returns the logarithms and the number of series terms each row added.
     """
@@ -311,7 +311,7 @@ def _gregory_log_rows(m):
         zsq = power @ power
         total = np.zeros_like(e)
         j = 1
-        while j < 128:
+        while j < 256:
             term = (2.0 / j) * power
             if _fro_rows(term)[0] < 1e-18:
                 break
@@ -371,6 +371,32 @@ class TestStackSeries:
         assert ok.all()
         np.testing.assert_array_equal(logs, expected)
         np.testing.assert_array_equal(_log_stack(m[::-1])[0], expected[::-1])
+
+    @pytest.mark.parametrize("seed, n", [(0, 2), (1, 4), (2, 5), (3, 8)])
+    def test_log_stack_matches_per_row_series_to_the_radius(self, seed, n):
+        # X = (I + Z)(I - Z)^-1 with ||Z||_F up to 0.85; the last row puts all of it on one
+        # eigenvalue, where the series runs to its longest.
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(40, n, n))
+        z[-1] = np.diag(np.r_[-1.0, np.zeros(n - 1)])
+        z *= (np.geomspace(1e-6, 0.85 - 1e-12, len(z)) / np.linalg.norm(z, axis=(1, 2)))[:, None, None]
+        eye = np.eye(n)
+        m = np.linalg.solve((eye - z).transpose(0, 2, 1), (eye + z).transpose(0, 2, 1)).transpose(0, 2, 1)
+        expected, terms = _gregory_log_rows(m)
+        assert max(terms) > 100
+        logs, ok = _log_stack(m)
+        assert ok.all()
+        np.testing.assert_array_equal(logs, expected)
+
+    @pytest.mark.parametrize("name", ["hky", "lm88", "jc", "f81", "k2p", "gtr"])
+    def test_audit_products_match_per_row_series(self, name):
+        # The log-products of an audit block are its products' per-row series, bit for bit.
+        from liemarkov import closure, zoo_model
+
+        q, q_prime, logs, sampled, ok = closure._log_product_block(zoo_model(name), 7, 300, 1e-8)
+        assert sampled.all() and ok.all()
+        exps = _exp_stack(np.stack([q, q_prime], axis=1).reshape(-1, 4, 4))
+        np.testing.assert_array_equal(logs, _gregory_log_rows(exps[0::2] @ exps[1::2])[0])
 
 
 def _cayley_norm(m):
