@@ -50,7 +50,7 @@ class CliError(Exception):
 _FLAGS = {
     "--model": {"default": "hky", "help": "zoo model name (%s), a model file path, or '-' for stdin"
                 % ", ".join(zoo_names())},
-    "--seed": {"type": int, "default": 42, "help": "RNG seed (default 42)"},
+    "--seed": {"type": int, "default": 42, "help": "RNG seed, 0 <= seed < 2**128 (default 42)"},
     "--samples": {"type": int, "default": 100, "help": "sample count (default 100)"},
     "--tol": {"type": float, "default": DEFAULT_MEMBERSHIP_TOL,
               "help": "membership tolerance (default %(default)g)"},
@@ -179,13 +179,15 @@ def _cmd_closure(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_sample(args) -> tuple[dict, list[str], int]:
+    if args.samples < 1:
+        raise CliError("samples must be at least 1")
     model = _resolve_model(args.model)
-    # Sample i is sample_with_rng(model, np.random.default_rng(seed + i)), drawn as one stack.
+    # Sample i is sample_with_rng on stream i, Generator(Philox(key=seed, counter=i << 128)).
     mats = _sample_stochastic_stack(model, args.seed, args.samples)
     body = {"model": model.name, "matrices": [m.tolist() for m in mats]}
     lines = [f"model: {model.name}"]
     for i, m in enumerate(mats):
-        lines.append(f"sample {i} (seed {args.seed + i}):")
+        lines.append(f"sample {i} (stream {i} of seed {args.seed}):")
         lines.append(_fmt_matrix(m))
     return body, lines, EXIT_OK
 

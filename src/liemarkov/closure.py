@@ -30,8 +30,8 @@ from .linalg import (
 from .model import (
     RateModel,
     _SeedStreams,
-    _sample_all,
     _sample_stack,
+    _sample_stochastic_stack,
     check_scaling_closure,
     is_in_L,
 )
@@ -204,25 +204,19 @@ def span_basis(model: RateModel, seed: int = 0) -> list[np.ndarray]:
 
     For a declared basis, fresh copies of the model's orthonormal span
     at DEFAULT_RANK_RTOL, computed once per model. Otherwise draws 4 n^2
-    generators from the parameterization as one stack, all rows from
-    the one stream of np.random.default_rng(seed), read row-major as
-    its random((rows, m)) would read it, one such draw per attempt (so,
-    while no draw is rejected, the same matrices as 4 n^2 sequential
-    sample_with_rng calls), and extracts a rank-revealing basis at
-    DEFAULT_RANK_RTOL. The stream is a _SeedStreams row, so no call
-    imports numpy.random. The audit reads its dimensions from the
-    default seed, once per model.
+    generators as one stack, generator i from stream i of seed
+    (_sample_stochastic_stack, the draws of the sample command), and
+    extracts a rank-revealing basis at DEFAULT_RANK_RTOL. The streams
+    are Philox counters in array arithmetic, so no call imports
+    numpy.random. The audit reads its dimensions from the default seed,
+    once per model. Raises ValueError when a sampled model's seed is not
+    in [0, 2**128).
     """
     if model.basis:
         return list(model._span.reshape(-1, model.n, model.n).copy())
     if not model.samplable:
         raise ValueError(f"model {model.name!r} has no basis and cannot be sampled")
-    stream, row = _SeedStreams(seed, 1), np.zeros(1, dtype=int)
-
-    def source(rows: np.ndarray, m: int) -> np.ndarray:
-        return stream.random(row, len(rows) * m).reshape(len(rows), m)
-
-    return orthonormal_basis(_sample_all(model, 4 * model.n ** 2, source))
+    return orthonormal_basis(_sample_stochastic_stack(model, seed, 4 * model.n ** 2))
 
 
 @dataclass(frozen=True)
@@ -301,8 +295,8 @@ def _select_witnesses(residuals: np.ndarray) -> np.ndarray:
     return np.arange(cap) if worst < cap else np.append(np.arange(cap - 1), worst)
 
 
-def _log_product_block(model: RateModel, seed: int, count: int, tol: float) -> tuple[np.ndarray, ...]:
-    """A block of count pairs: pair k draws q then q' from default_rng(seed + k)'s stream.
+def _log_product_block(model: RateModel, seed: int, count: int, tol: float, start=0) -> tuple[np.ndarray, ...]:
+    """Pairs start .. start + count - 1: pair k draws q then q' from stream k of seed.
 
     The streams of all pairs are one _SeedStreams, local to the call.
     One _sample_stack call draws both generators of every pair: its
@@ -321,7 +315,7 @@ def _log_product_block(model: RateModel, seed: int, count: int, tol: float) -> t
     n = model.n
     # A Frobenius norm past 1.3e154 overflows its sum of squares, which is then summed again scaled.
     with np.errstate(over="ignore"):
-        pairs, sampled = _sample_stack(model, np.arange(count), _SeedStreams(seed, count).random, 2)
+        pairs, sampled = _sample_stack(model, np.arange(count), _SeedStreams(seed, count, start).random, 2)
         rows = np.flatnonzero(sampled)
         drawn = pairs if len(rows) == count else pairs[rows]
         # Pair k's generators are adjacent rows, so a fully drawn block is scaled and exponentiated
@@ -386,11 +380,12 @@ def multiplicative_closure_check(
     every tested product lies inside the log's series radius. A
     witness's q and q' are the pair that was tested.
 
-    Pair k reads the stream of np.random.default_rng(seed + k), so the
-    audit is deterministic. Pairs run in blocks of up to 1024: the
-    block's streams are seeded and advanced as arrays (_SeedStreams,
-    local to the call, each stream jumped ahead to all the states a draw
-    needs at once), then one stack draw of both generators of every
+    Pair k reads stream k of seed, np.random.Generator(np.random.Philox(
+    key=seed, counter=k << 128)), so the audit is deterministic and its
+    pairs are independent of the block they fall in. Pairs run in blocks
+    of up to 1024: the block's Philox blocks are computed as arrays
+    (_SeedStreams, local to the call, every word a draw needs in one
+    pass of ten rounds), then one stack draw of both generators of every
     pair, one scaling into the BCH domain, one stack exponential of the
     2B generators, one stack logarithm of the B products and one pass of
     the model's residual. Each stage is a fixed number of whole-array
@@ -401,8 +396,8 @@ def multiplicative_closure_check(
     count of numpy operations that does not grow with B, and only the
     log's series passes repeat, once per term its slowest row needs.
     Pair k gets the same matrices and log-product as the batch-of-one
-    kernels (matrix_exp, matrix_log, sample_with_rng on
-    default_rng(seed + k), then the same scaling) give it alone. Its
+    kernels (matrix_exp, matrix_log, sample_with_rng on stream k, then
+    the same scaling) give it alone. Its
     residual is the model's residual of that log-product, but the
     block's projector product may sum in another order than
     model_residual's, so the two can differ in the last bits. Pairs
@@ -410,7 +405,7 @@ def multiplicative_closure_check(
     radius (only a pair tested as drawn can), are skipped; more than
     samples/2 of them is an error, which counts the two causes apart and
     names the larger. Raises ValueError unless tol is a positive finite
-    number.
+    number, or when seed is not in [0, 2**128), the range of a Philox key.
 
     The span and Lie closure dimensions are properties of the model, not
     of the sample: they come from span_basis at its default seed and its
@@ -428,7 +423,7 @@ def multiplicative_closure_check(
     tested = 0
     for start in range(0, samples, _PAIR_BLOCK):
         index = range(start, min(start + _PAIR_BLOCK, samples))
-        q, q_prime, logs, sampled, ok = _log_product_block(model, seed + start, len(index), tol)
+        q, q_prime, logs, sampled, ok = _log_product_block(model, seed, len(index), tol, start)
         rows = np.flatnonzero(ok)
         tested_logs = logs
         if len(rows) < len(ok):

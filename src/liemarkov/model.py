@@ -372,175 +372,79 @@ def membership(model: RateModel, q, tol: float = DEFAULT_MEMBERSHIP_TOL) -> Memb
     return Membership(in_r, bool(in_r and is_stochastic_rate(q, tol)), residual)
 
 
-# SeedSequence's hash constants and PCG64's 128-bit LCG multiplier, as numpy defines them.
-_MASK32 = 0xFFFFFFFF
-_MASK128 = 2**128 - 1
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _const(value, dtype) -> np.ndarray:
-    """A read-only array constant; an unsigned one wraps under NEP 50, as numpy's own hashes do."""
-    out = np.array(value, dtype=dtype)
+def _const(value) -> np.ndarray:
+    """A read-only uint64 array constant: arithmetic on uint64 arrays wraps mod 2**64 and never warns."""
+    out = np.array(value, dtype=np.uint64)
     out.flags.writeable = False
     return out
 
 
-def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (xor, multiply) constants of count successive SeedSequence hashes, as (count, 1) columns.
-
-    Hash i xors its value with h_i and multiplies it by h_(i+1), where
-    h_0 = init and h_(i+1) = h_i * mult mod 2**32.
-    """
-    h = [init]
-    for _ in range(count):
-        h.append(h[-1] * mult & _MASK32)
-    return _const(h[:-1], np.uint32)[:, None], _const(h[1:], np.uint32)[:, None]
-
-
-# The 4 pool hashes and 12 mixing hashes of the pool, then the 8 hashes of generate_state.
-_POOL_XOR, _POOL_MUL = _hash_consts(_INIT_A, _MULT_A, 16)
-_STATE_XOR, _STATE_MUL = _hash_consts(_INIT_B, _MULT_B, 8)
-_MIX_L, _MIX_R = _const(0xCA01F9DD, np.uint32), _const(0x4973F715, np.uint32)
-_SHIFT_16 = _const(16, np.uint32)
-# Pool mixing: source word s goes into the other three, in order, with hashes 4 + 3s .. 6 + 3s.
-_MIX_DST = tuple(_const([d for d in range(4) if d != s], np.intp) for s in range(4))
-_U32_MASK = _const(_MASK32, np.uint64)
-_U64_0, _U64_1, _U64_11, _U64_32 = (_const(v, np.uint64) for v in (0, 1, 11, 32))
-_U64_58, _U64_63, _U64_64 = (_const(v, np.uint64) for v in (58, 63, 64))
-
-
-def _words(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """128-bit integers as read-only arrays of their (high, low) 64-bit words."""
-    return (_const([v >> 64 for v in values], np.uint64),
-            _const([v & (2**64 - 1) for v in values], np.uint64))
-
-
-_PCG_MULT_WORDS = _words([_PCG_MULT])
-
-
-def _mul_add(x, m, c) -> tuple[np.ndarray, np.ndarray]:
-    """x * m + c mod 2**128, each a (high, low) pair of broadcastable uint64 word arrays."""
-    (x_hi, x_lo), (m_hi, m_lo), (c_hi, c_lo) = x, m, c
-    # The high word of x_lo * m_lo, from the 32-bit halves of both factors.
-    x0, x1 = x_lo & _U32_MASK, x_lo >> _U64_32
-    m0, m1 = m_lo & _U32_MASK, m_lo >> _U64_32
-    p00, p01, p10, p11 = x0 * m0, x0 * m1, x1 * m0, x1 * m1
-    mid = (p00 >> _U64_32) + (p01 & _U32_MASK) + (p10 & _U32_MASK)
-    high = p11 + (p01 >> _U64_32) + (p10 >> _U64_32) + (mid >> _U64_32)
-    lo = x_lo * m_lo + c_lo
-    hi = high + x_lo * m_hi + x_hi * m_lo + c_hi + (lo < c_lo)
-    return hi, lo
-
-
-@lru_cache(maxsize=32)
-def _jump(m: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The words of a^j and of a^(j-1) + ... + a + 1 mod 2**128, a = _PCG_MULT, for j = 0..m.
-
-    A PCG64 stream j steps after state s is at a^j s + (a^(j-1) + ... + 1) inc
-    (F. B. Brown, "Random number generation with arbitrary strides", 1994).
-    The table depends on m alone, so it is built once per m and shared:
-    its arrays are read-only.
-    """
-    power, total = [1], [0]
-    for _ in range(m):
-        power.append(power[-1] * _PCG_MULT & _MASK128)
-        total.append((total[-1] * _PCG_MULT + 1) & _MASK128)
-    return _words(power), _words(total)
-
-
-def _hash(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of uint32 words with the given (xor, multiply) constants."""
-    value = (value ^ xor) * mul
-    return value ^ (value >> _SHIFT_16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = _MIX_L * x - _MIX_R * y
-    return out ^ (out >> _SHIFT_16)
+# Philox4x64-10 (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as easy as 1, 2, 3",
+# SC'11) as numpy defines it: the round multipliers of counter words 0 and 2, shaped to
+# broadcast over a (2, rows, blocks) array, and their 32-bit halves; then the key's Weyl increments.
+_PHILOX_M = _const([0xD2E7470EE14C6C93, 0xCA5A826395121157])[:, None, None]
+_LOW32, _U64_11, _U64_32 = _const(0xFFFFFFFF), _const(11), _const(32)
+_M_LO, _M_HI = _const(_PHILOX_M & _LOW32), _const(_PHILOX_M >> _U64_32)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_MASK64 = 2**64 - 1
 
 
 class _SeedStreams:
-    """The streams of np.random.default_rng(seed + k) for k < count, advanced as arrays.
+    """Streams start .. start + count - 1 of seed, one row each, as Philox4x64-10 counters.
 
-    Reproduces SeedSequence(seed + k) for every row at once, in whole
-    uint32/uint64 array steps whose constants are read-only module
-    arrays: the entropy words of seed + k; the pool as one (4, count)
-    array, hashed in one step; its 12 mixes as four steps, each hashing
-    one source word three times and mixing it into the three other
-    words at once; and generate_state(4, uint64) as one step of eight
-    hashes. Entropy longer than the pool (seed + k >= 2**128) mixes its
-    further words into the pool one word at a time, only in the rows
-    that have that word. Then PCG64's seeding from those four words, its
-    128-bit LCG and XSL-RR output, and Generator.random()'s
-    (x >> 11) * 2**-53. ``random(rows, m)`` returns the next m doubles
-    of each listed row's stream and advances only those rows, so row k
-    yields what default_rng(seed + k).random(m) calls would. It jumps
-    each row to all m states in one pass: the state j steps on is
-    a^j s + (a^(j-1) + ... + 1) inc mod 2**128, for the multiplier a and
-    each row's increment inc, so the m states are two 128-bit
-    multiply-adds on (rows, m) word arrays. The state lives in the
-    instance, never in the module. Raises ValueError when a seed + k is
-    negative, as default_rng does.
+    Stream k of seed is np.random.Generator(np.random.Philox(key=seed,
+    counter=k << 128)): its word i is lane i % 4 of the Philox block at
+    counter (i // 4 + 1, 0, k, 0), the counter numpy increments before
+    each block, and its i-th double is (word i >> 11) * 2**-53, as
+    Generator.random() reads it. A counter-based generator holds no
+    state but the word position of each row, so ``random(rows, m)``
+    computes the blocks that hold each listed row's next m words, in one
+    pass of ten rounds over a (2, len(rows), blocks) array, and advances
+    only those rows. The state lives in the instance, never in the
+    module. Raises ValueError when count is positive and seed is not in
+    [0, 2**128), the range of a Philox key.
     """
 
-    def __init__(self, seed: int, count: int):
+    def __init__(self, seed: int, count: int, start: int = 0):
         seed = operator.index(seed)
-        if count > 0 and seed < 0:
-            raise ValueError("expected non-negative integer")
-        # Entropy: the base-2**32 words of seed + k, least significant first, one column per row.
-        nwords = max(1, ((seed + count - 1).bit_length() + 31) // 32)
-        words = np.zeros((max(nwords, 4), count), dtype=np.uint32)
-        carry = np.arange(count, dtype=np.uint64)
-        for i in range(nwords):
-            total = carry + ((seed >> (32 * i)) & _MASK32)
-            words[i] = total & _U32_MASK
-            carry = total >> _U64_32
-        # SeedSequence pads entropy shorter than its pool of 4 with zeros, which
-        # is what the zero rows are; longer entropy mixes only the words it has.
-        pool = _hash(words[:4], _POOL_XOR[:4], _POOL_MUL[:4])
-        for src, dst in enumerate(_MIX_DST):
-            hashes = slice(4 + 3 * src, 7 + 3 * src)
-            pool[dst] = _mix(pool[dst], _hash(pool[src], _POOL_XOR[hashes], _POOL_MUL[hashes]))
-        if len(words) > 4:
-            length = len(words) - np.argmax(words[::-1] != 0, axis=0)
-            xor, mul = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * (len(words) - 4))
-            for src in range(4, len(words)):
-                hashes = slice(4 * src, 4 * src + 4)
-                pool = np.where(length > src, _mix(pool, _hash(words[src], xor[hashes], mul[hashes])),
-                                pool)
-        # generate_state(4, uint64): eight hashed 32-bit words, paired little-endian.
-        state = _hash(np.concatenate((pool, pool)), _STATE_XOR, _STATE_MUL).astype(np.uint64)
-        w = state[0::2] | (state[1::2] << _U64_32)
-        # PCG64 seeding: inc = (w2:w3 << 1) | 1, state = inc + w0:w1, then one step.
-        self.inc_hi = (w[2] << _U64_1) | (w[3] >> _U64_63)
-        self.inc_lo = (w[3] << _U64_1) | _U64_1
-        lo = self.inc_lo + w[1]
-        hi = self.inc_hi + w[0] + (lo < w[1])
-        self.hi, self.lo = _mul_add((hi, lo), _PCG_MULT_WORDS, (self.inc_hi, self.inc_lo))
+        if count > 0 and not 0 <= seed < 2**128:
+            raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+        # The key of each of the ten rounds: its two words, low first, bumped by the Weyl increments.
+        words = seed & _MASK64, seed >> 64
+        keys = [[word + r * inc & _MASK64 for word, inc in zip(words, _PHILOX_W)] for r in range(10)]
+        self.keys = _const(keys)[:, :, None, None]
+        self.stream = np.arange(start, start + count, dtype=np.uint64)
+        self.pos = np.zeros(len(self.stream), dtype=np.uint64)
 
     def random(self, rows: np.ndarray, m: int) -> np.ndarray:
         """The next m doubles in [0, 1) of each listed row's stream, shape (len(rows), m)."""
-        power, total = _jump(m)
-        inc = self.inc_hi[rows, None], self.inc_lo[rows, None]
-        # Column j is the state j steps on; column 0 is the current one.
-        hi, lo = _mul_add((self.hi[rows, None], self.lo[rows, None]), power,
-                          _mul_add(inc, total, (_U64_0, _U64_0)))
-        self.hi[rows], self.lo[rows] = hi[:, m], lo[:, m]
-        # XSL-RR: the xor of both words, rotated right by the top 6 bits.
-        hi, lo = hi[:, 1:], lo[:, 1:]
-        x, rot = hi ^ lo, hi >> _U64_58
-        bits = (x >> rot) | (x << ((_U64_64 - rot) & _U64_63))
-        return (bits >> _U64_11).astype(float) * 2.0 ** -53
+        pos = self.pos[rows]
+        skip = pos % 4
+        # Every row takes the blocks that the row skipping most words of its first block needs.
+        blocks = (int(skip.max(initial=0)) + m + 3) // 4
+        # x holds counter words 0 and 2, which a round multiplies; y words 1 and 3, which it xors.
+        x = np.stack(np.broadcast_arrays((pos // 4 + 1)[:, None] + np.arange(blocks, dtype=np.uint64),
+                                         self.stream[rows, None]))
+        y = np.zeros_like(x)
+        # The multipliers spread to x's shape once: a broadcast operand takes numpy's slower loop.
+        m_lo, m_hi, mult = (np.broadcast_to(c, x.shape).copy() for c in (_M_LO, _M_HI, _PHILOX_M))
+        for key in self.keys:
+            # The high words of both products, from the 32-bit halves of the factors. Two terms of
+            # cross are below 2**32 and the third is at most (2**32 - 1)**2, so their sum fits.
+            x_lo, x_hi = x & _LOW32, x >> _U64_32
+            hi_lo = m_hi * x_lo
+            cross = (m_lo * x_lo >> _U64_32) + (hi_lo & _LOW32) + m_lo * x_hi
+            high = m_hi * x_hi + (hi_lo >> _U64_32) + (cross >> _U64_32)
+            x, y = high[::-1] ^ y ^ key, (mult * x)[::-1]
+        words = np.stack((x[0], y[0], x[1], y[1]), axis=-1).reshape(len(rows), 4 * blocks)
+        self.pos[rows] = pos + m
+        if skip.any():
+            words = np.take_along_axis(words, skip.astype(np.intp)[:, None] + np.arange(m), axis=1)
+        return (words[:, :m] >> _U64_11).astype(float) * 2.0 ** -53
 
 
 # Draws a sampler makes for one matrix before it gives up.
 _MAX_ATTEMPTS = 1000
-
-
-def _generator_source(rng: np.random.Generator) -> Callable[[np.ndarray, int], np.ndarray]:
-    """One shared Generator as a stream source: the listed rows draw from it in row order."""
-    return lambda rows, m: rng.random((len(rows), m))
 
 
 def _sample_stack(
@@ -552,9 +456,8 @@ def _sample_stack(
     """count stochastic rate matrices per stream in rows, as a (len(rows), count, n, n) stack.
 
     ``random(rows, m)`` is the stream source: the next m uniform doubles
-    of each listed stream, as a (len(rows), m) array: the rows of a
-    _SeedStreams, one _SeedStreams row that every row reads in turn
-    (span_basis), or one shared Generator (_generator_source). A
+    of each listed stream, as a (len(rows), m) array: the Philox rows of
+    a _SeedStreams, or one shared Generator (sample_with_rng). A
     candidate is one draw of m doubles: a parameterized model maps
     lo + (hi - lo) * unit through its parameterization, which is
     Generator.uniform(lo, hi); a basis-only model takes coefficients
@@ -570,8 +473,8 @@ def _sample_stack(
     stream. A matrix that sees _MAX_ATTEMPTS rejected candidates in
     a row exhausts its stream: the row is marked failed in the returned
     mask (its open slots stay NaN) instead of raising. Rows of a shared
-    Generator or stream draw from it in row order; that matches
-    sequential draws while no row is rejected.
+    Generator draw from it in row order; that matches sequential draws
+    while no row is rejected.
 
     A parameterized draw is accepted when it is a stochastic rate matrix
     and its model residual is at most 1e-10. A basis-only draw lies in
@@ -646,17 +549,17 @@ def sample_with_rng(model: RateModel, rng: np.random.Generator) -> np.ndarray:
     The batch-of-one case of the stack sampler the closure audit uses;
     raises SamplingError when no draw is accepted in _MAX_ATTEMPTS.
     """
-    return _sample_all(model, 1, _generator_source(rng))[0]
+    return _sample_all(model, 1, lambda rows, m: rng.random((len(rows), m)))[0]
 
 
 def _sample_stochastic_stack(model: RateModel, seed: int, count: int) -> np.ndarray:
-    """Row k is sample_with_rng(model, np.random.default_rng(seed + k)), for k < count, as one stack.
+    """Row k is sample_with_rng(model, rng) on stream k of seed, for k < count, as one stack.
 
-    A count of zero or below gives an empty stack. Raises SamplingError
-    when any row's sampler is exhausted, and ValueError when seed is
-    negative and count positive, as default_rng does.
+    Stream k is np.random.Generator(np.random.Philox(key=seed, counter=k << 128)),
+    drawn here by _SeedStreams. A count of zero or below gives an empty
+    stack. Raises SamplingError when any row's sampler is exhausted, and
+    ValueError when count is positive and seed is not in [0, 2**128).
     """
-    count = max(count, 0)
     return _sample_all(model, count, _SeedStreams(seed, count).random)
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from liemarkov import (
     PrincipalLogError,
+    RateModel,
     check_scaling_closure,
     matrix_exp,
     matrix_log,
@@ -35,8 +36,34 @@ def make_rate_matrix(rng, n=4, max_norm=1.0):
     return q * (rng.uniform(0.05, 1.0) * max_norm / nrm)
 
 
+def pair_rng(seed, k):
+    """Stream k of seed, which pair k of an audit and sample k of the sample command read.
+
+    numpy's own Philox4x64-10, keyed by the seed, with k in counter word 2.
+    """
+    return np.random.Generator(np.random.Philox(key=seed, counter=k << 128))
+
+
+def cyclic_model(scale=1e6):
+    """Span model whose samples are multiples of scale times a 4-cycle generator.
+
+    A pair's product is exp(s C) with s up to 2 * scale. Its complex
+    eigenvalues shrink like exp(-s) and its real one like exp(-2s), so
+    the product is ill-conditioned, and the principal log fails once
+    that real eigenvalue comes within the branch margin of zero (s
+    above about 13.8). At the default scale, log extraction reliably
+    fails; at scale 6 no pair fails, at scale 8 a few in a hundred, at
+    scale 10 about a fifth.
+    """
+    cycle = np.zeros((4, 4))
+    for i in range(4):
+        cycle[(i + 1) % 4, i] = 1.0
+    np.fill_diagonal(cycle, -1.0)
+    return RateModel(name="cyclic", n=4, basis=(scale * cycle,))
+
+
 def audit_pair(model, rng, tol=1e-8):
-    """The pair an audit tests from rng = default_rng(seed + k): q then q', scaled into the BCH domain.
+    """The pair an audit tests from rng = pair_rng(seed, k): q then q', scaled into the BCH domain.
 
     A pair with s = ||q||_F + ||q'||_F > 0.65 becomes (t q, t q'), t = 0.65 / s, unless the model
     is not vouched for by check_scaling_closure and t q or t q' has model residual above tol.

@@ -1,12 +1,27 @@
-"""Regenerate the pinned CLI reports in tests/golden/.
+"""Regenerate the pinned CLI reports and the per-pair audit goldens in tests/golden/.
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
 Run from the repository root. Each command below runs in process through
 liemarkov.cli.main with --no-timestamp; its file holds the argv, the
 exit code and the parsed JSON stdout. tests/test_golden.py compares the
-current program against these files. A change that regenerates them
-should say which fields moved and why.
+current program against these files.
+
+The files in audit/ hold what a per-pair audit finds, one file per
+(model, seed) at 150 pairs and the default tolerance;
+tests/test_closure.py checks the block audit against them. The loop
+here shares none of the block audit's stack code: pair k draws q then
+q' by sample_with_rng on pair_rng(seed, k), a pair with
+s = ||q||_F + ||q'||_F > 0.65 becomes (t q, t q'), t = 0.65 / s
+(conftest.audit_pair), and its log_product, checked against scipy's
+logm to 1e-12, goes to model_residual. A pair whose sampler is
+exhausted or whose product has no principal log is not tested. The
+dimensions come from span_basis and lie_closure. "cyclic-6" and
+"cyclic-8" are conftest.cyclic_model at scales 6 and 8, one-dimensional
+and so closed, whose raw products lie close to singular.
+
+A change that regenerates these files should say which fields moved
+and why.
 """
 
 from __future__ import annotations
@@ -15,12 +30,27 @@ import contextlib
 import io
 import json
 import re
+import sys
 from pathlib import Path
 
+import numpy as np
+from scipy.linalg import expm, logm
+
+from liemarkov import PrincipalLogError, SamplingError, lie_closure, log_product, model_residual, span_basis, zoo_model
 from liemarkov.cli import main
+from liemarkov.linalg import DEFAULT_MEMBERSHIP_TOL
 from liemarkov.zoo import zoo_names
 
 HERE = Path(__file__).resolve().parent
+# The audit pairs come from the tests' own helpers, in the directory above.
+sys.path.insert(0, str(HERE.parent))
+from conftest import audit_pair, cyclic_model, pair_rng
+
+AUDIT_DIR = HERE / "audit"
+AUDIT_MODELS = (*zoo_names(), "cyclic-6", "cyclic-8")
+AUDIT_SEEDS = (7, 2024)
+AUDIT_SAMPLES = 150
+MAX_WITNESSES = 10
 
 
 def commands() -> dict[str, list[str]]:
@@ -49,6 +79,46 @@ def run(argv: list[str]) -> dict:
     return {"argv": argv, "exit_code": code, "stdout": json.loads(out.getvalue())}
 
 
+def audit_model(name: str):
+    return cyclic_model(float(name.split("-")[1])) if name.startswith("cyclic-") else zoo_model(name)
+
+
+def audit(name: str, seed: int) -> dict:
+    """The per-pair audit of one model and seed, as an audit golden record."""
+    model, tol = audit_model(name), DEFAULT_MEMBERSHIP_TOL
+    failures, tested = [], 0
+    for k in range(AUDIT_SAMPLES):
+        try:
+            q, q_prime = audit_pair(model, pair_rng(seed, k), tol)
+            log = log_product(q, q_prime)
+        except (SamplingError, PrincipalLogError):
+            continue
+        reference = logm(expm(q) @ expm(q_prime))
+        error = np.linalg.norm(log - reference.real) / np.linalg.norm(reference.real)
+        if np.abs(reference.imag).max() >= 1e-12 or error > 1e-12:
+            raise AssertionError(f"{name} seed {seed} pair {k}: log_product is {error:.2e} from scipy's logm")
+        tested += 1
+        residual = model_residual(model, log)
+        if residual > tol:
+            failures.append({"pair_index": k, "residual": residual})
+    if len(failures) > MAX_WITNESSES:
+        # The first failure, the worst (the first of equals), then the earliest others, in pair order.
+        worst = max(range(len(failures)), key=lambda i: failures[i]["residual"])
+        keep = sorted({*range(MAX_WITNESSES - (worst >= MAX_WITNESSES)), worst})
+        failures = [failures[i] for i in keep]
+    base = span_basis(model)
+    span_dim, lie_dim = len(base), len(lie_closure(base))
+    if failures:
+        verdict = "not_closed"
+    elif model.basis and lie_dim == span_dim:
+        verdict = "closed"
+    else:
+        verdict = "inconclusive"
+    return {"model": name, "seed": seed, "samples": AUDIT_SAMPLES, "tolerance": tol,
+            "mult_closed_verdict": verdict, "samples_tested": tested, "span_dim": span_dim,
+            "lie_closure_dim": lie_dim, "witnesses": failures}
+
+
 def dumps(record: dict) -> str:
     """Indented JSON with each innermost list of numbers, a matrix row, on one line."""
     text = json.dumps(record, indent=1)
@@ -56,8 +126,12 @@ def dumps(record: dict) -> str:
 
 
 if __name__ == "__main__":
-    for old in HERE.glob("*.json"):
+    for old in (*HERE.glob("*.json"), *AUDIT_DIR.glob("*.json")):
         old.unlink()
     for stem, argv in commands().items():
         (HERE / f"{stem}.json").write_text(dumps(run(argv)), encoding="utf-8")
-    print(f"wrote {len(commands())} files to {HERE}")
+    AUDIT_DIR.mkdir(exist_ok=True)
+    for name in AUDIT_MODELS:
+        for seed in AUDIT_SEEDS:
+            (AUDIT_DIR / f"{name}-seed{seed}.json").write_text(dumps(audit(name, seed)), encoding="utf-8")
+    print(f"wrote {len(commands())} files to {HERE} and {len(AUDIT_MODELS) * len(AUDIT_SEEDS)} to {AUDIT_DIR}")

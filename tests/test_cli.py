@@ -11,6 +11,8 @@ import pytest
 from liemarkov import RateModel, model_to_dict, sample_with_rng, zoo_model
 from liemarkov.cli import EXIT_ERROR, EXIT_NOT_CLOSED, EXIT_OK, main
 
+from conftest import pair_rng
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -220,6 +222,14 @@ class TestUsageErrors:
         assert code == EXIT_OK
         assert "--samples" in out and "--chain-length" not in out
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    @pytest.mark.parametrize("argv", [("check",), ("sample",), ("closure", "--model", "gtr")])
+    def test_seed_outside_the_key_range(self, capsys, argv, seed):
+        # Every command that draws refuses a seed that is no Philox key, in one line naming both.
+        code, out, err = run_cli(capsys, *argv, "--seed", seed)
+        assert code == EXIT_ERROR
+        assert out == "" and err == f"error: seed must be in [0, 2**128), got {seed}\n"
+
 
     @pytest.mark.parametrize(
         "argv, keys",
@@ -260,7 +270,7 @@ class TestSample:
 
     @pytest.mark.parametrize("name", ["hky", "gtr", "k2p-span"])
     def test_matches_per_seed_draws(self, name, capsys, tmp_path):
-        # Sample i is the draw of default_rng(seed + i); k2p's span rejects most draws, so rows redraw.
+        # Sample i is the draw of stream i, pair_rng(seed, i); k2p's span rejects most draws, so rows redraw.
         if name == "k2p-span":
             model = RateModel(name=name, n=4, basis=zoo_model("k2p").basis)
             ref = tmp_path / "k2p-span.json"
@@ -273,13 +283,15 @@ class TestSample:
         assert code == EXIT_OK
         mats = np.array(json.loads(out)["matrices"])
         for i in range(9):
-            np.testing.assert_array_equal(mats[i], sample_with_rng(model, np.random.default_rng(seed + i)))
+            np.testing.assert_array_equal(mats[i], sample_with_rng(model, pair_rng(seed, i)))
 
-    @pytest.mark.parametrize("samples", ["0", "-2"])
+    @pytest.mark.parametrize("samples", ["0", "-2", "-3"])
     def test_no_samples(self, samples, capsys):
-        code, out, _ = run_cli(capsys, "sample", "--samples", samples, "--no-timestamp")
-        assert code == EXIT_OK
-        assert json.loads(out)["matrices"] == []
+        # Refused, as check refuses it.
+        code, out, err = run_cli(capsys, "sample", "--model", "jc", "--samples", samples, "--no-timestamp")
+        assert code == EXIT_ERROR
+        assert out == "" and err == "error: samples must be at least 1\n"
+        assert run_cli(capsys, "check", "--model", "jc", "--samples", samples) == (code, out, err)
 
     def test_exhausted_sampler_is_an_error(self, capsys, tmp_path):
         # Off-diagonal entries of both signs: no multiple of the basis matrix is a rate matrix.
@@ -295,7 +307,7 @@ class TestSample:
     def test_negative_seed_is_an_error(self, capsys):
         code, out, err = run_cli(capsys, "sample", "--seed", "-1", "--samples", "2")
         assert code == EXIT_ERROR
-        assert out == "" and err == "error: expected non-negative integer\n"
+        assert out == "" and err == "error: seed must be in [0, 2**128), got -1\n"
 
 
 class TestReproPaper:
@@ -353,7 +365,7 @@ class TestExport:
 
 class TestImports:
     def test_draw_paths_do_not_load_numpy_random(self):
-        # Every draw is a _SeedStreams jump-ahead, so no command needs numpy.random's import.
+        # Every draw is a Philox block computed by _SeedStreams, so no command needs numpy.random's import.
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
         def loaded(code):

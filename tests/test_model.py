@@ -35,7 +35,7 @@ from liemarkov import model as model_module
 from liemarkov.model import _SeedStreams, _sample_stochastic_stack, load_model
 from liemarkov.zoo import REFERENCE_LOG_PRODUCT
 
-from conftest import audit_pair, make_rate_matrix, row_convention_doc, zoo_generator
+from conftest import audit_pair, make_rate_matrix, pair_rng, row_convention_doc, zoo_generator
 
 
 def by_hand(c, q):
@@ -258,8 +258,8 @@ class TestMembership:
                 assert membership(model, w.log_product).in_r is False
             passed = 0
             for k in set(range(samples)) - witnesses:
-                # Pair k of an audit draws q, then q', from default_rng(seed + k), and scales them.
-                q, q_prime = audit_pair(model, np.random.default_rng(seed + k))
+                # Pair k of an audit draws q, then q', from stream k of the seed, and scales them.
+                q, q_prime = audit_pair(model, pair_rng(seed, k))
                 try:
                     log = log_product(q, q_prime)
                 except PrincipalLogError:
@@ -334,103 +334,59 @@ class TestSampling:
             sample_with_rng(model, np.random.default_rng(0))
 
 
-# Seeds around the word boundaries of SeedSequence's entropy: 1 to 5 words of 32 bits.
-_BOUNDARIES = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**128)
-_SEEDS = st.one_of(
-    st.integers(0, 2**140),
-    st.builds(lambda b, k: max(b + k, 0), st.sampled_from(_BOUNDARIES), st.integers(-20, 20)),
+# Philox keys: anywhere in [0, 2**128), at the edges of its two 64-bit words, and around 2**64.
+_KEYS = st.one_of(
+    st.integers(0, 2**128 - 1),
+    st.sampled_from((0, 2**64 - 1, 2**64, 2**128 - 1)),
+    st.integers(2**64 - 20, 2**64 + 20),
 )
 
 
 class TestSeedStreams:
-    """Row k of _SeedStreams(seed, count) is the stream of np.random.default_rng(seed + k)."""
+    """Row k of _SeedStreams(seed, count, start) is stream start + k of seed, pair_rng(seed, start + k)."""
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=_SEEDS, count=st.integers(1, 12), data=st.data())
-    def test_rows_match_default_rng(self, seed, count, data):
-        streams = _SeedStreams(seed, count)
-        gens = [np.random.default_rng(seed + k) for k in range(count)]
+    @given(seed=_KEYS, count=st.integers(1, 12), start=st.sampled_from((0, 1024, 2**40)), data=st.data())
+    def test_rows_match_philox(self, seed, count, start, data):
+        streams = _SeedStreams(seed, count, start)
+        gens = [pair_rng(seed, start + k) for k in range(count)]
         subsets = st.permutations(range(count)).flatmap(lambda p: st.integers(0, count).map(lambda size: p[:size]))
+        widths = st.one_of(st.integers(0, 9), st.integers(0, 640))
         for _ in range(data.draw(st.integers(1, 4))):
             # Successive draws over row subsets in any order; the other rows stay where they were.
-            rows, m = data.draw(subsets), data.draw(st.integers(0, 6))
+            rows, m = data.draw(subsets), data.draw(widths)
             out = streams.random(np.array(rows, dtype=int), m)
             assert out.shape == (len(rows), m)
             for r, k in enumerate(rows):
                 np.testing.assert_array_equal(out[r], gens[k].random(m))
 
-    @pytest.mark.parametrize("boundary", _BOUNDARIES[1:] + (2**128 + 2**64,))
-    def test_blocks_straddling_word_boundaries(self, boundary):
-        # Rows below the boundary have one entropy word fewer than the rows at and above it.
-        seed, count = boundary - 5, 11
-        out = _SeedStreams(seed, count).random(np.arange(count), 3)
-        for k in range(count):
-            np.testing.assert_array_equal(out[k], np.random.default_rng(seed + k).random(3))
-
-    @pytest.mark.parametrize("m", [1, 2, 7, 20, 64, 640])
-    @pytest.mark.parametrize("seed", [5, 2**32 - 3, 2**64 - 2])
-    def test_jumps_match_default_rng(self, seed, m):
-        # One, then two, then three entropy words; the last two blocks cross 2**32 and 2**64.
-        count = 6
-        streams = _SeedStreams(seed, count)
-        gens = [np.random.default_rng(seed + k) for k in range(count)]
-        for rows, width in (([4, 1], m), (list(range(count)), m), ([1], 3), ([5, 0, 1], m)):
-            out = streams.random(np.array(rows), width)
-            assert out.shape == (len(rows), width)
-            for r, k in enumerate(rows):
-                np.testing.assert_array_equal(out[r], gens[k].random(width))
-
-    def test_negative_seed_raises_like_default_rng(self):
-        with pytest.raises(ValueError) as ours:
-            _SeedStreams(-1, 4)
-        with pytest.raises(ValueError) as numpys:
-            np.random.default_rng(-1)
-        assert str(ours.value) == str(numpys.value)
-        with pytest.raises(ValueError, match="non-negative"):
-            multiplicative_closure_check(zoo_model("hky"), samples=3, seed=-2)
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_the_key_range_raises(self, seed):
+        # numpy's Philox refuses the same keys.
+        with pytest.raises(ValueError):
+            pair_rng(seed, 0)
+        message = rf"seed must be in \[0, 2\*\*128\), got {seed}$"
+        with pytest.raises(ValueError, match=message):
+            _SeedStreams(seed, 4)
+        with pytest.raises(ValueError, match=message):
+            multiplicative_closure_check(zoo_model("hky"), samples=3, seed=seed)
         # No row, no seed to check.
-        assert _SeedStreams(-1, 0).random(np.arange(0), 3).shape == (0, 3)
+        assert _SeedStreams(seed, 0).random(np.arange(0), 3).shape == (0, 3)
 
     def test_constants_are_unsigned_arrays(self):
         # Under NEP 50 an op with a Python integer beyond the dtype raises OverflowError; with
         # a uint array it wraps. Scalars would warn on overflow, so every constant is an array,
         # built once at import and read-only, since every stream shares it.
-        power, total = model_module._jump(5)
-        words = (model_module._U32_MASK, *model_module._PCG_MULT_WORDS, *power, *total,
-                 model_module._U64_0, model_module._U64_1, model_module._U64_11, model_module._U64_32,
-                 model_module._U64_58, model_module._U64_63, model_module._U64_64)
-        halves = (model_module._POOL_XOR, model_module._POOL_MUL, model_module._STATE_XOR,
-                  model_module._STATE_MUL, model_module._MIX_L, model_module._MIX_R, model_module._SHIFT_16)
-        for dtype, values in ((np.uint64, words), (np.uint32, halves)):
-            for value in values:
-                assert isinstance(value, np.ndarray) and value.dtype == dtype
-                assert not value.flags.writeable
-        assert model_module._POOL_XOR.shape == model_module._POOL_MUL.shape == (16, 1)
-        assert model_module._STATE_XOR.shape == model_module._STATE_MUL.shape == (8, 1)
-        # numpy's own hash constants: the first pool hash xors with INIT_A, the first state hash with INIT_B.
-        assert int(model_module._POOL_XOR[0, 0]) == 0x43B0D7E5
-        assert int(model_module._STATE_XOR[0, 0]) == 0x8B51F9DD
         streams = _SeedStreams(7, 3)
-        for state in (streams.hi, streams.lo, streams.inc_hi, streams.inc_lo):
+        for value in (model_module._PHILOX_M, model_module._M_LO, model_module._M_HI,
+                      model_module._LOW32, model_module._U64_11, model_module._U64_32, streams.keys):
+            assert isinstance(value, np.ndarray) and value.dtype == np.uint64
+            assert not value.flags.writeable
+        # numpy's own Philox4x64 multipliers, and the key of round 0, low word first.
+        assert model_module._PHILOX_M.ravel().tolist() == [0xD2E7470EE14C6C93, 0xCA5A826395121157]
+        assert streams.keys.shape == (10, 2, 1, 1) and streams.keys[0].ravel().tolist() == [7, 0]
+        for state in (streams.stream, streams.pos):
             assert state.dtype == np.uint64 and state.shape == (3,)
-
-    def test_jump_table_is_built_once_per_length_and_read_only(self):
-        model_module._jump.cache_clear()
-        table = model_module._jump(9)
-        assert model_module._jump(9) is table
-        for words in table:
-            for w in words:
-                with pytest.raises(ValueError, match="read-only"):
-                    w[0] = 1
-        # Reused tables advance streams as freshly built ones do.
-        streams = _SeedStreams(11, 2)
-        for _ in range(3):
-            out = streams.random(np.arange(2), 9)
-        assert model_module._jump.cache_info().misses == 1
-        rngs = [np.random.default_rng(11 + k) for k in range(2)]
-        for k in range(2):
-            rngs[k].random(18)
-            np.testing.assert_array_equal(out[k], rngs[k].random(9))
 
     @pytest.mark.parametrize("seed, count", [(2**128 - 1, 3), (2**64 - 1, 1), (0, 1), (2**32 - 2, 4)])
     def test_wraparound_emits_no_warning(self, seed, count):
@@ -438,7 +394,7 @@ class TestSeedStreams:
             warnings.simplefilter("error")
             out = _SeedStreams(seed, count).random(np.arange(count), 5)
         for k in range(count):
-            np.testing.assert_array_equal(out[k], np.random.default_rng(seed + k).random(5))
+            np.testing.assert_array_equal(out[k], pair_rng(seed, k).random(5))
 
     @pytest.mark.parametrize("name", ["hky", "gtr", "k2p-span"])
     def test_stack_rows_are_seeded_draws(self, name):
@@ -448,7 +404,7 @@ class TestSeedStreams:
         seed = 2**32 - 10
         mats = _sample_stochastic_stack(model, seed, 20)
         for k in range(20):
-            expected = sample_with_rng(model, np.random.default_rng(seed + k))
+            expected = sample_with_rng(model, pair_rng(seed, k))
             np.testing.assert_array_equal(mats[k], expected)
 
     @pytest.mark.parametrize("seed", [7, -1])
