@@ -39,9 +39,10 @@ def make_rate_matrix(rng, n=4, max_norm=1.0):
 def pair_rng(seed, k):
     """Stream k of seed, which pair k of an audit and sample k of the sample command read.
 
-    numpy's own Philox4x64-10, keyed by the seed, with k in counter word 2.
+    np.random.default_rng over numpy's own Philox4x64-10, keyed by the seed, with k in
+    counter word 2.
     """
-    return np.random.Generator(np.random.Philox(key=seed, counter=k << 128))
+    return np.random.default_rng(np.random.Philox(key=seed, counter=k << 128))
 
 
 def cyclic_model(scale=1e6):

@@ -347,7 +347,7 @@ class TestSeedStreams:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=_KEYS, count=st.integers(1, 12), start=st.sampled_from((0, 1024, 2**40)), data=st.data())
-    def test_rows_match_philox(self, seed, count, start, data):
+    def test_rows_match_default_rng(self, seed, count, start, data):
         streams = _SeedStreams(seed, count, start)
         gens = [pair_rng(seed, start + k) for k in range(count)]
         subsets = st.permutations(range(count)).flatmap(lambda p: st.integers(0, count).map(lambda size: p[:size]))
@@ -359,6 +359,20 @@ class TestSeedStreams:
             assert out.shape == (len(rows), m)
             for r, k in enumerate(rows):
                 np.testing.assert_array_equal(out[r], gens[k].random(m))
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 20, 64, 640])
+    @pytest.mark.parametrize("seed", [5, 2**32 - 3, 2**64 - 2])
+    def test_jumps_match_default_rng(self, seed, m):
+        # Rows jump ahead by whole Philox blocks of four words; after the width-3 draw row 1
+        # starts mid-block while the others do not, so one call mixes block offsets.
+        count = 6
+        streams = _SeedStreams(seed, count)
+        gens = [pair_rng(seed, k) for k in range(count)]
+        for rows, width in (([4, 1], m), (list(range(count)), m), ([1], 3), ([5, 0, 1], m)):
+            out = streams.random(np.array(rows), width)
+            assert out.shape == (len(rows), width)
+            for r, k in enumerate(rows):
+                np.testing.assert_array_equal(out[r], gens[k].random(width))
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_outside_the_key_range_raises(self, seed):
