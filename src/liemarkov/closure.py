@@ -92,10 +92,11 @@ def lie_closure(basis) -> list[np.ndarray]:
     direction of the newest level is bracketed with every s in S. A
     closure of dimension d thus costs at most |S| d brackets.
 
-    A level's brackets are formed as one array operation: the first
-    level as g_i g_j - g_j g_i over every generator pair i < j, each
-    later level as v g - g v over every new direction v and generator g,
-    written straight into the level's (k |S|, n^2) block. Each bracket
+    A level's brackets are written straight into the level's block: the
+    first level as g_i g_j - g_j g_i over every generator pair i < j,
+    formed in place for one g_i and all its g_j at a time, each later
+    level as one array operation, v g - g v over every new direction v
+    and generator g, into a (k |S|, n^2) block. Each bracket
     is the same floating-point value as commutator(v, g).
 
     A block of brackets (a level, or part of one, below) is
@@ -154,11 +155,16 @@ def lie_closure(basis) -> list[np.ndarray]:
     flat[:d] = gens.reshape(d, n * n)
     dims = [d]
     smallest_accepted, largest_rejected = math.inf, 0.0
-    # [g_i, g_j] for j <= i is zero or an earlier bracket's negative.
-    i, j = np.triu_indices(d, 1)
-    block = gens[i] @ gens[j]
-    block -= gens[j] @ gens[i]
-    block = block.reshape(len(i), n * n)
+    # [g_i, g_j] for j <= i is zero or an earlier bracket's negative, so the first level is every
+    # i < j, i-major, formed in place one generator at a time rather than from gathered copies.
+    block = np.empty((d * (d - 1) // 2, n, n))
+    start = 0
+    for i in range(d - 1):
+        rows = block[start:start + d - 1 - i]
+        np.matmul(gens[i], gens[i + 1:], out=rows)
+        rows -= gens[i + 1:] @ gens[i]
+        start += len(rows)
+    block = block.reshape(len(block), n * n)
     while len(block) and d < ambient:
         level = d
         # No level adds more than ambient - d directions: that many brackets
@@ -394,7 +400,8 @@ def multiplicative_closure_check(
     log also skips the per-slot fill, the gathers of the drawn and
     tested rows and the failure count. So the fixed cost of a call is a
     count of numpy operations that does not grow with B, and only the
-    log's series passes repeat, once per term its slowest row needs.
+    log's Horner steps repeat, once per block of four series terms that
+    its longest row needs.
     Pair k gets the same matrices and log-product as the batch-of-one
     kernels (matrix_exp, matrix_log, sample_with_rng on stream k, then
     the same scaling) give it alone. Its

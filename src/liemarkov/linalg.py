@@ -22,6 +22,14 @@ _EXP_NORM_MAX = np.finfo(float).max * _EXP_SCALE_TARGET
 _EXP_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(17))
 _LOG_CAYLEY_RADIUS = 0.85
 _SERIES_CUTOFF = 1e-18
+# Odd term j of the log's series 2 atanh(Z) is kept when 2 ||Z||_F^j / j >= 1e-18, that is when
+# ||Z||_F reaches (1e-18 j / 2)^(1/j), for j = 1, 3, ..., 255; these thresholds increase with j.
+# Each is lowered by 1e-12 relative, far beyond the rounding of ||Z||_F and of a power of Z, so a
+# term whose computed norm reaches the cutoff is never left out.
+_LOG_TERM_NORMS = np.array([(_SERIES_CUTOFF * j / 2) ** (1.0 / j) for j in range(1, 256, 2)]) * (1.0 - 1e-12)
+# Row K holds the coefficients 2 / (2k + 1) of W^k = Z^(2k) in 2 atanh(Z) = Z sum_k 2 W^k / (2k + 1)
+# for k < K, zero-padded to 128: the coefficient table of a row that keeps K terms.
+_GREGORY = np.tril(np.broadcast_to(2.0 / np.arange(1, 256, 2), (129, 128)), -1)
 
 
 class PrincipalLogError(ValueError):
@@ -154,24 +162,32 @@ def matrix_exp(a) -> np.ndarray:
 
 
 def _cayley_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Z = (X + I)^-1 (X - I) of each row of a (B, n, n) stack, and a mask of the rows with ||Z||_F <= 0.85.
+    """Z = (X + I)^-1 (X - I) of each row of a (B, n, n) stack, and ||Z||_F of each row.
 
     X + I and X - I commute, so one batched solve gives Z. A row whose
     X + I is singular (X has the eigenvalue -1, the zero pivot that makes
     the solve fail and the determinant exactly 0) is beyond every radius:
-    it is solved as X = I and left out, and the other rows are solved
-    again, each as a stack of one would solve it.
+    it is solved as X = I and its norm is inf, and the other rows are
+    solved again, each as a stack of one would solve it.
     """
     eye = _identity(x.shape[-1])
     e = x - eye
     a = e + 2.0 * eye
     try:
         z = np.linalg.solve(a, e)
-        singular = np.zeros(len(x), dtype=bool)
     except np.linalg.LinAlgError:
         singular = np.linalg.det(a) == 0.0
         z = np.linalg.solve(np.where(singular[:, None, None], 2.0 * eye, a), e)
-    return z, ~singular & (_fro_rows(z) <= _LOG_CAYLEY_RADIUS)
+        return z, np.where(singular, np.inf, _fro_rows(z))
+    return z, _fro_rows(z)
+
+
+def _series_terms(nrm: np.ndarray) -> np.ndarray:
+    """How many odd terms of 2 atanh(Z) each ||Z||_F keeps.
+
+    Term j = 1, 3, ..., 255 is kept when 2 ||Z||_F^j / j >= 1e-18.
+    """
+    return np.searchsorted(_LOG_TERM_NORMS, nrm, side="right")
 
 
 def _log_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,41 +200,50 @@ def _log_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     is the principal log, and X + I = 2 (I - Z)^-1 has condition number
     at most 1.85 / 0.15 < 12.4. A row beyond that radius, X + I singular
     or a non-finite entry included, is refused and its log is NaN; one
-    refused row never stops the others. The series rows stay in place:
-    every pass forms every row's next term 2 Z^j / j in one buffer,
-    takes its Frobenius norm as _fro_rows does, through views of that
-    buffer, and masks a row out of the sum once its own term falls below
-    1e-18, which 2 (0.85)^j / j does by j = 227, inside the cap; the
-    loop ends at the first pass that adds nothing. Every row takes its
-    own number of series terms, exactly as a stack of one would.
+    refused row never stops the others.
+
+    Each row's term count is fixed in advance from its own ||Z||_F: odd
+    term j is kept when 2 ||Z||_F^j / j >= 1e-18, which, as
+    ||Z^j||_F <= ||Z||_F^j, keeps every term whose own norm reaches
+    1e-18; at ||Z||_F = 0.85 that is j <= 225, 113 terms. With W = Z^2
+    the series is Z sum_k 2 W^k / (2k + 1), and the sum is evaluated by
+    Paterson and Stockmeyer's scheme (Higham, Functions of Matrices,
+    SIAM 2008, sec. 4.2) in blocks of four terms: the products W^2, W^3
+    and W^4, every block of every row as one batched contraction of that
+    row's zero-padded coefficient table with its [I, W, W^2, W^3], Horner
+    steps in W^4 and one product by Z. A row whose table is padded with
+    zero blocks passes through them as zeros, so every row is computed
+    exactly as a stack of one computes it.
     """
     count, n = m.shape[0], m.shape[-1]
-    finite = np.isfinite(m).all(axis=(1, 2))
-    if not finite.all():
+    finite = np.isfinite(m).all()
+    if not finite:
         # A non-finite row stands in as I, so that every row takes the one solve, and is refused.
+        finite = np.isfinite(m).all(axis=(1, 2))
         m = np.where(finite[:, None, None], m, _identity(n))
-    z, ok = _cayley_rows(m)
-    ok &= finite
+    z, nrm = _cayley_rows(m)
+    ok = (nrm <= _LOG_CAYLEY_RADIUS) & finite
     rows = np.flatnonzero(ok)
     size = len(rows)
-    # log X = 2 atanh(Z) = 2 (Z + Z^3/3 + Z^5/5 + ...)
-    power = z if size == count else z[rows]
-    zsq = power @ power
-    series, going = np.zeros_like(power), np.ones(size, dtype=bool)
-    # Views that follow the buffers they see: each term's rows as _fro_rows sums them, and going.
-    term, squares = np.empty_like(power), np.empty((size, 1, 1))
-    row, column, square = term.reshape(size, 1, n * n), term.reshape(size, n * n, 1), squares.reshape(size)
-    keep = going[:, None, None]
-    for j in range(1, 256, 2):
-        np.multiply(2.0 / j, power, out=term)
-        np.matmul(row, column, out=squares)
-        going &= np.sqrt(square) >= _SERIES_CUTOFF
-        live = np.count_nonzero(going)
-        if not live:
-            break
-        # While every row goes on, the mask would keep every entry.
-        np.add(series, term, out=series, where=keep if live < size else True)
-        power = power @ zsq
+    if size < count:
+        z, nrm = z[rows], nrm[rows]
+    terms = _series_terms(nrm)
+    # At least two blocks: a one-block table would make a row's contraction a matrix-vector
+    # product, which BLAS may round otherwise than the matrix product of a longer table.
+    blocks = max(-(-int(terms.max(initial=0)) // 4), 2)
+    powers = np.empty((size, 4, n, n))
+    powers[:, 0] = _identity(n)
+    np.matmul(z, z, out=powers[:, 1])
+    np.matmul(powers[:, 1], powers[:, 1], out=powers[:, 2])
+    np.matmul(powers[:, 2], powers[:, 1], out=powers[:, 3])
+    w4 = powers[:, 2] @ powers[:, 2]
+    coeffs = _GREGORY[terms, :4 * blocks].reshape(size, blocks, 4)
+    table = (coeffs @ powers.reshape(size, 4, n * n)).reshape(size, blocks, n, n)
+    total = table[:, -1]
+    for b in range(blocks - 2, -1, -1):
+        total = w4 @ total
+        total += table[:, b]
+    series = z @ total
     if size == count:
         return series, ok
     logs = np.full_like(m, np.nan)
@@ -231,8 +256,10 @@ def matrix_log(m) -> np.ndarray:
 
     log X is summed as 2 atanh(Z) in Z = (X + I)^-1 (X - I) when
     ||Z||_F <= 0.85, where every eigenvalue of X has real part above
-    0.08, so the series gives the principal log and needs at most 114
-    terms. An input beyond that radius, X + I singular included, raises
+    0.08, so the series gives the principal log. Its term count, at most
+    113, is fixed in advance from ||Z||_F, and the series is evaluated in
+    W = Z^2 by Paterson and Stockmeyer's scheme in blocks of four terms.
+    An input beyond that radius, X + I singular included, raises
     PrincipalLogError. This is the batch-of-one case of the stack kernel
     that the closure audit runs on (B, n, n) blocks, where a refused row
     is flagged instead of raising.

@@ -241,13 +241,20 @@ class RateModel:
 
             return span_residual
         values = self._constraint_values
-        degree = np.array([c.degree if c.homogeneous else 0 for c in self.constraints], dtype=float)
+        degree = np.array([c.degree if c.homogeneous else 0 for c in self.constraints])
+        top = int(degree.max(initial=0))
 
         def constraint_residual(q: np.ndarray) -> np.ndarray:
-            total = values(q)
-            nrm = _fro_rows(q)[:, None]
-            scale = np.where((degree > 0) & (nrm > 0.0), nrm ** degree, 1.0)
-            return np.max(np.abs(total) / scale, axis=1)
+            total = np.abs(values(q))
+            # ||q||_F^d for d = 0..top, each the product of the one before and ||q||_F; a zero norm gives 1.
+            scale = np.ones((top + 1, len(q)))
+            if top:
+                nrm = _fro_rows(q)
+                scale[1] = np.where(nrm > 0.0, nrm, 1.0)
+                for d in range(2, top + 1):
+                    np.multiply(scale[d - 1], scale[1], out=scale[d])
+            total /= scale[degree]
+            return total.max(axis=0)
 
         return constraint_residual
 
@@ -270,9 +277,22 @@ def is_in_L(q, tol: float = 1e-12):
     return bool(ok) if q.ndim == 2 else ok
 
 
+def _column_sums(q: np.ndarray) -> np.ndarray:
+    """The column sums of each matrix of a stack of order >= 2, as q.sum(axis=-2) gives them, bit for bit.
+
+    The rows are added in order, as that reduction adds them, but as
+    whole-row array additions rather than a reduction over a short axis.
+    """
+    sums = q[..., 0, :] + q[..., 1, :]
+    for i in range(2, q.shape[-2]):
+        sums += q[..., i, :]
+    return sums
+
+
 def _zero_sums(q: np.ndarray, tol: float) -> np.ndarray:
     """Whether every column sum of each matrix of a validated stack is within tol of zero."""
-    return np.max(np.abs(q.sum(axis=-2)), axis=-1) <= tol
+    sums = _column_sums(q)
+    return np.max(np.abs(sums, out=sums), axis=-1) <= tol
 
 
 @lru_cache(maxsize=32)
@@ -303,19 +323,20 @@ def _flat(q: np.ndarray, n: int) -> np.ndarray:
 def _compile_constraints(
     n: int, constraints: Sequence[PolynomialConstraint]
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Raw constraint values as a function of a (B, n, n) stack, shape (B, m).
+    """Raw constraint values as a function of a (B, n, n) stack, constraint-major: shape (m, B).
 
-    Gathers the entries of every monomial, multiplies each term's
-    coefficient by its factors in declaration order and sums each
-    constraint's terms in declaration order, starting from 0.0; missing
-    terms and factors are padded with a zero coefficient and a constant
-    1, which leave every sum and product unchanged. Raises IndexError
-    when a monomial index exceeds n.
+    Gathers the factors of every monomial as whole rows of the stack's
+    transposed entry table, multiplies each term's coefficient by its
+    factors in declaration order and sums each constraint's terms in
+    declaration order, starting from 0.0; missing terms and factors are
+    padded with a zero coefficient and a constant 1, which leave every
+    sum and product unchanged. Raises IndexError when a monomial index
+    exceeds n.
     """
     width = max((len(c.terms) for c in constraints), default=0)
     depth = max((max(c.degree, 1) for c in constraints), default=1)
     # Missing terms have coefficient 0; missing factors read entry n*n, a constant 1.
-    coeffs = np.zeros((len(constraints), width))
+    coeffs = np.zeros((len(constraints), width, 1))
     index = np.full((len(constraints), width, depth), n * n)
     for a, c in enumerate(constraints):
         for t, (coeff, monomial) in enumerate(c.terms):
@@ -326,13 +347,17 @@ def _compile_constraints(
                 index[a, t, d] = (i - 1) * n + (j - 1)
 
     def values(q: np.ndarray) -> np.ndarray:
-        entries = np.concatenate([_flat(q, n), np.ones((len(q), 1))], axis=1)
-        total = np.zeros((len(q), len(constraints)))
+        # Row e of the table holds entry e of every matrix; row n*n is the constant 1.
+        entries = np.empty((n * n + 1, len(q)))
+        entries[:-1] = _flat(q, n).T
+        entries[-1] = 1.0
+        factors = entries[index]
+        terms = coeffs * factors[:, :, 0]
+        for d in range(1, depth):
+            terms *= factors[:, :, d]
+        total = np.zeros((len(constraints), len(q)))
         for t in range(width):
-            term = coeffs[:, t]
-            for d in range(depth):
-                term = term * entries[:, index[:, t, d]]
-            total = total + term
+            total += terms[:, t]
         return total
 
     return values

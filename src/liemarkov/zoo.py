@@ -20,6 +20,7 @@ from .model import (
     _PARAMETERIZATIONS,
     PolynomialConstraint,
     RateModel,
+    _column_sums,
     get_parameterization,
     product_constraint,
 )
@@ -43,7 +44,7 @@ def _with_diagonal(off) -> np.ndarray:
     q = np.array(off, dtype=float)
     diag = np.arange(q.shape[-1])
     q[..., diag, diag] = 0.0
-    q[..., diag, diag] = -q.sum(axis=-2)
+    q[..., diag, diag] = -_column_sums(q)
     return q
 
 

@@ -4,8 +4,11 @@
 
 Run from the repository root. Each command below runs in process through
 liemarkov.cli.main with --no-timestamp; its file holds the argv, the
-exit code and the parsed JSON stdout. tests/test_golden.py compares the
-current program against these files.
+exit code and the parsed JSON stdout. The README's error cases run the
+same way, some with a model file on stdin (`--model -`); their files
+hold the argv, that stdin, the exit code and the `error:` line, the last
+line of stderr, and they print nothing to stdout. tests/test_golden.py
+compares the current program against these files.
 
 The files in audit/ hold what a per-pair audit finds, one file per
 (model, seed) at 150 pairs and the default tolerance;
@@ -39,6 +42,7 @@ from scipy.linalg import expm, logm
 from liemarkov import PrincipalLogError, SamplingError, lie_closure, log_product, model_residual, span_basis, zoo_model
 from liemarkov.cli import main
 from liemarkov.linalg import DEFAULT_MEMBERSHIP_TOL
+from liemarkov.model import model_to_dict
 from liemarkov.zoo import zoo_names
 
 HERE = Path(__file__).resolve().parent
@@ -71,12 +75,45 @@ def commands() -> dict[str, list[str]]:
     return cmds
 
 
-def run(argv: list[str]) -> dict:
-    """The pinned record of one command: argv, exit code and parsed stdout."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(list(argv))
-    return {"argv": argv, "exit_code": code, "stdout": json.loads(out.getvalue())}
+def _model_text(**fields) -> str:
+    """A model file: jc as export writes it, with fields replaced or added."""
+    return json.dumps({**model_to_dict(zoo_model("jc")), **fields})
+
+
+# The README's error cases: file stem -> (argv, model file on stdin or None). Each exits 1.
+ERRORS = {
+    "error-unknown-flag": (["check", "--no-such-flag"], None),
+    "error-flag-not-taken": (["export", "--model", "jc", "--seed", "7"], None),
+    "error-tol-nan": (["check", "--model", "jc", "--tol", "nan", "--no-timestamp"], None),
+    "error-index-beyond-n": (["check", "--model", "-", "--no-timestamp"], json.dumps(
+        {"name": "index-beyond-n", "n": 3,
+         "constraints": [{"terms": [{"coeff": 1.0, "monomial": [[1, 4]]}]}]})),
+    "error-range-count": (["check", "--model", "-", "--no-timestamp"],
+                          _model_text(parameter_ranges=[[0.001, 0.05], [0.001, 0.05]])),
+    "error-constraints-not-a-list": (["check", "--model", "-", "--no-timestamp"], _model_text(constraints=5)),
+    "error-infinite-range": (["check", "--model", "-", "--no-timestamp"],
+                             _model_text(parameter_ranges=[[0.001, float("inf")]])),
+}
+
+
+def run(argv: list[str], stdin: str | None = None) -> dict:
+    """The pinned record of one command: argv, stdin if any, exit code, then parsed stdout or the error line."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin or "")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        sys.stdin = saved
+    record = {"argv": argv}
+    if stdin is not None:
+        record["stdin"] = stdin
+    record["exit_code"] = code
+    if out.getvalue():
+        record["stdout"] = json.loads(out.getvalue())
+    else:
+        record["error"] = err.getvalue().splitlines()[-1]
+    return record
 
 
 def audit_model(name: str):
@@ -130,8 +167,11 @@ if __name__ == "__main__":
         old.unlink()
     for stem, argv in commands().items():
         (HERE / f"{stem}.json").write_text(dumps(run(argv)), encoding="utf-8")
+    for stem, (argv, stdin) in ERRORS.items():
+        (HERE / f"{stem}.json").write_text(dumps(run(argv, stdin)), encoding="utf-8")
     AUDIT_DIR.mkdir(exist_ok=True)
     for name in AUDIT_MODELS:
         for seed in AUDIT_SEEDS:
             (AUDIT_DIR / f"{name}-seed{seed}.json").write_text(dumps(audit(name, seed)), encoding="utf-8")
-    print(f"wrote {len(commands())} files to {HERE} and {len(AUDIT_MODELS) * len(AUDIT_SEEDS)} to {AUDIT_DIR}")
+    print(f"wrote {len(commands()) + len(ERRORS)} files to {HERE} "
+          f"and {len(AUDIT_MODELS) * len(AUDIT_SEEDS)} to {AUDIT_DIR}")

@@ -4,12 +4,15 @@ Verdicts, indices, dimensions, keys, strings and exit codes must match
 exactly; floats to 1e-12 relative, since another numpy or BLAS may round
 differently. A closure basis is compared by the span it projects onto,
 because another LAPACK may rotate singular vectors within a repeated
-singular value. tests/golden/regenerate.py rewrites the files.
+singular value. An error case feeds its pinned stdin, prints nothing to
+stdout, and its last stderr line must be the pinned `error:` line.
+tests/golden/regenerate.py rewrites the files.
 """
 
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,16 +47,22 @@ def _projector(basis: list) -> np.ndarray:
 
 
 def test_every_pinned_command_has_a_file():
-    assert len(FILES) == 43
+    assert len(FILES) == 50
+    assert sum(p.stem.startswith("error-") for p in FILES) == 7
 
 
 @pytest.mark.parametrize("path", FILES, ids=[p.stem for p in FILES])
-def test_report_matches_pin(path):
+def test_report_matches_pin(path, monkeypatch):
     pin = json.loads(path.read_text(encoding="utf-8"))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(pin.get("stdin", "")))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(pin["argv"]))
     assert code == pin["exit_code"]
+    if "error" in pin:
+        assert out.getvalue() == ""
+        assert err.getvalue().splitlines()[-1] == pin["error"]
+        return
     got, want = json.loads(out.getvalue()), pin["stdout"]
     if pin["argv"][0] == "closure":
         got_basis, want_basis = got.pop("basis"), want.pop("basis")

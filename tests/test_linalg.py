@@ -148,7 +148,7 @@ class TestLog:
         q = make_rate_matrix(rng, 4, max_norm=1.0)
         q *= 4.0 / np.linalg.norm(q, "fro")
         m = matrix_exp(q)
-        assert _fro_rows(_cayley_rows(m[None])[0])[0] > 0.85
+        assert _cayley_rows(m[None])[1][0] > 0.85
         with pytest.raises(PrincipalLogError, match=r"beyond the series radius \|\|Z\|\|_F <= 0\.85$"):
             matrix_log(m)
 
@@ -299,28 +299,77 @@ def _cyclic_generator(rates):
 
 
 def _gregory_log_rows(m):
-    """Per-row oracle for _log_stack on rows inside the radius ||Z||_F <= 0.85: the Gregory series alone.
+    """Per-row oracle for _log_stack on rows inside the radius ||Z||_F <= 0.85: its evaluation, row by row.
 
-    Returns the logarithms and the number of series terms each row added.
+    Row r alone: Z from a batch-of-one solve; its term count K, odd term j
+    kept while ||Z||_F reaches (1e-18 j / 2)^(1/j) lowered by 1e-12
+    relative; the coefficients 2 / (2k + 1), k < K, zero-padded to blocks
+    of four, at least two blocks; one matrix product of that table with
+    [I, W, W^2, W^3], W = Z^2; Horner steps in W^4 from the top block
+    down; and one product by Z. Returns the logarithms and each row's K.
     """
+    n = m.shape[-1]
+    ident = np.eye(n)
+    thresholds = [(1e-18 * j / 2) ** (1.0 / j) * (1.0 - 1e-12) for j in range(1, 256, 2)]
     out, terms = np.empty_like(m), []
+    for r in range(len(m)):
+        e = m[r:r + 1] - ident
+        z = np.linalg.solve(e + 2.0 * ident, e)[0]
+        nrm = _fro_rows(z[None])[0]
+        count = sum(nrm >= t for t in thresholds)
+        blocks = max(-(-count // 4), 2)
+        coeffs = np.zeros(4 * blocks)
+        coeffs[:count] = [2.0 / (2 * k + 1) for k in range(count)]
+        w = z @ z
+        w2 = w @ w
+        w4 = w2 @ w2
+        table = coeffs.reshape(blocks, 4) @ np.stack([ident, w, w2, w2 @ w]).reshape(4, n * n)
+        total = table[-1].reshape(n, n)
+        for b in range(blocks - 2, -1, -1):
+            total = w4 @ total + table[b].reshape(n, n)
+        out[r] = z @ total
+        terms.append(count)
+    return out, terms
+
+
+def _per_term_count(z):
+    """Odd terms 2 Z^j / j of 2 atanh(Z), taken in order, before the first whose norm falls below 1e-18."""
+    power, zsq = z[None], (z @ z)[None]
+    for count, j in enumerate(range(1, 256, 2)):
+        if _fro_rows((2.0 / j) * power)[0] < 1e-18:
+            return count
+        power = power @ zsq
+    return 128
+
+
+def _sequential_log_rows(m):
+    """Second oracle: the Gregory series summed term by term, per row, until a term's norm falls below 1e-18."""
+    out = np.empty_like(m)
     ident = np.eye(m.shape[-1])
     for r in range(len(m)):
         e = m[r:r + 1] - ident
         power = np.linalg.solve(e + 2.0 * ident, e)
         zsq = power @ power
         total = np.zeros_like(e)
-        j = 1
-        while j < 256:
+        for j in range(1, 256, 2):
             term = (2.0 / j) * power
             if _fro_rows(term)[0] < 1e-18:
                 break
             total = total + term
             power = power @ zsq
-            j += 2
         out[r] = total[0]
-        terms.append(j // 2)
-    return out, terms
+    return out
+
+
+def _assert_near_sequential(logs, m):
+    """Each log is the term-by-term series' within 4 eps of its norm, and the tails both leave out.
+
+    Each series leaves out terms of norm below 1e-18, whose sum is below
+    1e-18 / (1 - 0.85^2) < 3.7e-18 since ||Z^(j+2)||_F <= ||Z^j||_F ||Z||_F^2,
+    so the two also differ by up to 1e-17 on rows whose log is near 1e-18 / eps.
+    """
+    for log_x, seq in zip(logs, _sequential_log_rows(m)):
+        assert np.linalg.norm(log_x - seq) <= 4 * np.finfo(float).eps * np.linalg.norm(seq) + 1e-17
 
 
 def _cycle_product(s):
@@ -371,6 +420,7 @@ class TestStackSeries:
         assert ok.all()
         np.testing.assert_array_equal(logs, expected)
         np.testing.assert_array_equal(_log_stack(m[::-1])[0], expected[::-1])
+        _assert_near_sequential(logs, m)
 
     @pytest.mark.parametrize("seed, n", [(0, 2), (1, 4), (2, 5), (3, 8)])
     def test_log_stack_matches_per_row_series_to_the_radius(self, seed, n):
@@ -387,6 +437,7 @@ class TestStackSeries:
         logs, ok = _log_stack(m)
         assert ok.all()
         np.testing.assert_array_equal(logs, expected)
+        _assert_near_sequential(logs, m)
 
     @pytest.mark.parametrize("name", ["hky", "lm88", "jc", "f81", "k2p", "gtr"])
     def test_audit_products_match_per_row_series(self, name):
@@ -396,7 +447,57 @@ class TestStackSeries:
         q, q_prime, logs, sampled, ok = closure._log_product_block(zoo_model(name), 7, 300, 1e-8)
         assert sampled.all() and ok.all()
         exps = _exp_stack(np.stack([q, q_prime], axis=1).reshape(-1, 4, 4))
-        np.testing.assert_array_equal(logs, _gregory_log_rows(exps[0::2] @ exps[1::2])[0])
+        products = exps[0::2] @ exps[1::2]
+        np.testing.assert_array_equal(logs, _gregory_log_rows(products)[0])
+        _assert_near_sequential(logs, products)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8), st.floats(0.0, 0.85), st.sampled_from("gjd"))
+    @example(seed=0, n=3, norm=0.85, kind="d")
+    @example(seed=0, n=3, norm=0.0, kind="g")
+    def test_term_count_covers_the_per_term_rule(self, seed, n, norm, kind):
+        # The count fixed in advance from ||Z||_F keeps every term the per-term 1e-18 rule keeps, since
+        # ||Z^j||_F <= ||Z||_F^j, and never more than 128 terms.
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(n, n))
+        if kind == "j":  # strongly non-normal
+            z[0, 1] += 10.0 * np.abs(z).max()
+        elif kind == "d":  # the extreme case: all the norm on one eigenvalue, so ||Z^j||_F = ||Z||_F^j
+            z = np.diag(np.r_[-1.0, np.zeros(n - 1)])
+        z *= norm / np.linalg.norm(z)
+        count = int(linalg._series_terms(_fro_rows(z[None]))[0])
+        assert _per_term_count(z) <= count <= 128
+
+    def test_term_count_at_each_threshold(self):
+        # Z = diag(-x, 0, 0) with x at, and one ulp either side of, the norm where 2 x^j / j = 1e-18:
+        # there ||Z^j||_F = ||Z||_F^j up to rounding, so the per-term rule sits on its cutoff.
+        for j in range(1, 256, 2):
+            edge = (1e-18 * j / 2) ** (1.0 / j)
+            for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+                z = np.diag([-x, 0.0, 0.0])
+                count = int(linalg._series_terms(_fro_rows(z[None]))[0])
+                assert _per_term_count(z) <= count <= (j + 1) // 2
+        assert linalg._series_terms(np.array([0.0, 0.85, 1.0])).tolist() == [0, 113, 128]
+
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_rows_of_every_block_count_match_their_own_slices(self, n):
+        # ||Z||_F from 0 (no term) to the radius (113 terms), midway between the norms where a row's
+        # term count steps: rows of 0 to 29 blocks of four terms, each the log that its stack of one
+        # gives, in any order.
+        rng = np.random.default_rng(n)
+        steps = np.r_[linalg._LOG_TERM_NORMS[:113], 0.85]
+        norms = np.r_[0.0, (steps[:-1] + steps[1:]) / 2]
+        z = rng.normal(size=(len(norms), n, n))
+        z *= (norms / np.linalg.norm(z, axis=(1, 2)))[:, None, None]
+        eye = np.eye(n)
+        m = np.linalg.solve((eye - z).transpose(0, 2, 1), (eye + z).transpose(0, 2, 1)).transpose(0, 2, 1)
+        blocks = -(-linalg._series_terms(_cayley_rows(m)[1]) // 4)
+        assert set(blocks) == set(range(30))
+        expected = np.concatenate([_log_stack(m[r:r + 1])[0] for r in range(len(m))])
+        for order in (np.arange(len(m)), np.arange(len(m))[::-1], rng.permutation(len(m))):
+            logs, ok = _log_stack(m[order])
+            assert ok.all()
+            np.testing.assert_array_equal(logs, expected[order])
 
 
 def _cayley_norm(m):
@@ -419,8 +520,8 @@ class TestBranchGuard:
             e[0, 1] += 10.0 * np.abs(e).max()
         e *= norm / np.linalg.norm(e)
         x = np.eye(n) + e
-        z, inside = _cayley_rows(x[None])
-        assert inside[0] and _fro_rows(z)[0] <= 0.6 + 1e-12
+        z, nrm = _cayley_rows(x[None])
+        assert nrm[0] == _fro_rows(z)[0] <= 0.6 + 1e-12
         # eigvals is backward stable: exact for a perturbation of about eps * ||X||. The ray's
         # nearest point to lam is min(Re lam, 0).
         lam = np.linalg.eigvals(x)
@@ -456,16 +557,15 @@ class TestBranchGuard:
             q, q_prime = rng.normal(size=(2, n, n))
         q *= share * s / np.linalg.norm(q)
         q_prime *= (1.0 - share) * s / np.linalg.norm(q_prime)
-        z, inside = _cayley_rows((matrix_exp(q) @ matrix_exp(q_prime))[None])
-        assert inside[0]
-        assert _fro_rows(z)[0] <= math.expm1(s) / (3.0 - math.exp(s)) <= 0.8443
+        z, nrm = _cayley_rows((matrix_exp(q) @ matrix_exp(q_prime))[None])
+        assert nrm[0] == _fro_rows(z)[0] <= math.expm1(s) / (3.0 - math.exp(s)) <= 0.8443
 
     def test_bound_is_attained(self):
         # Z = -0.85 e1 e1^T puts an eigenvalue of X at exactly 0.15 / 1.85, and X is summed.
         x = np.eye(4)
         x[0, 0] = 0.15 / 1.85
-        z, inside = _cayley_rows(x[None])
-        assert inside[0] and abs(_fro_rows(z)[0] - 0.85) <= 1e-15
+        _, nrm = _cayley_rows(x[None])
+        assert nrm[0] <= 0.85 and abs(nrm[0] - 0.85) <= 1e-15
         np.testing.assert_allclose(matrix_log(x), np.diag([math.log(0.15 / 1.85), 0.0, 0.0, 0.0]), atol=1e-14)
 
     def test_mixed_stack(self):

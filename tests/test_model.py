@@ -106,6 +106,32 @@ class TestPolynomialConstraint:
             expected = [by_hand(c, q) for c in model.constraints]
             assert [c.evaluate(q) for c in model.constraints] == expected
 
+    @pytest.mark.parametrize("name", ["hky", "gtr"])
+    def test_constraint_major_values_equal_hand_sums(self, name):
+        # The compiled evaluator gives one row per constraint and one column per matrix, each entry the
+        # hand sum bit for bit; the residual divides each by ||q||_F to its degree, as a product of norms.
+        model = zoo_model(name)
+        rng = np.random.default_rng(11)
+        stack = np.concatenate([
+            _sample_stochastic_stack(model, 5, 40),
+            rng.normal(size=(40, 4, 4)) * 10.0 ** rng.integers(-8, 4, size=(40, 1, 1)),
+            np.zeros((1, 4, 4)),
+        ])
+        values = model._constraint_values(stack)
+        assert values.shape == (len(model.constraints), len(stack))
+        np.testing.assert_array_equal(values, [[by_hand(c, q) for q in stack] for c in model.constraints])
+        expected = []
+        for q in stack:
+            nrm = float(np.sqrt(q.ravel() @ q.ravel())) or 1.0
+            scaled = []
+            for c in model.constraints:
+                power = 1.0
+                for _ in range(c.degree):
+                    power *= nrm
+                scaled.append(abs(by_hand(c, q)) / power)
+            expected.append(max(scaled))
+        np.testing.assert_array_equal(model._residual(stack), expected)
+
     def test_constant_and_mixed_degree_terms(self):
         c = PolynomialConstraint(
             ((2.5, ((1, 2), (2, 3))), (-0.75, ()), (1.0, ((3, 1),)), (-3.0, ((1, 3), (2, 1), (3, 2))))
@@ -173,6 +199,27 @@ class TestStackPredicates:
         assert list(ins) == [is_in_L(q) for q in stack]
         assert list(rates) == [is_stochastic_rate(q) for q in stack]
         assert list(rates) == [True, True, False, True, False, True]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 21, 34, 61])
+    def test_predicates_agree_with_the_axis_reduction(self, n):
+        # Column sums added row by row are q.sum(axis=-2) bit for bit, so both predicates decide as
+        # np.max(np.abs(q.sum(axis=-2)), axis=-1) <= tol does: with a scalar tol, a per-row tol, and
+        # sums exactly at tol or one ulp past it. zoo's diagonal fill uses the same sums.
+        from liemarkov.model import _column_sums
+        from liemarkov.zoo import _with_diagonal
+
+        rng = np.random.default_rng(n)
+        q = np.stack([make_rate_matrix(rng, n) for _ in range(20)] + list(rng.normal(size=(10, n, n))))
+        q *= 10.0 ** rng.integers(-6, 4, size=(len(q), 1, 1))
+        np.testing.assert_array_equal(_column_sums(q), q.sum(axis=-2))
+        diag, off_diagonal = np.arange(n), np.where(np.eye(n, dtype=bool), 0.0, q)
+        np.testing.assert_array_equal(_with_diagonal(q)[:, diag, diag], -off_diagonal.sum(axis=-2))
+        worst = np.max(np.abs(q.sum(axis=-2)), axis=-1)
+        off = np.min(q[:, ~np.eye(n, dtype=bool)], axis=-1)
+        for tol in (1e-12, float(np.median(worst[:20])), worst, np.nextafter(worst, 0.0), -off):
+            assert is_in_L(q, tol).tolist() == (worst <= tol).tolist()
+            assert is_stochastic_rate(q, tol).tolist() == ((worst <= tol) & (off >= -tol)).tolist()
+        assert is_in_L(q, worst).all() and not is_in_L(q, np.nextafter(worst, 0.0))[worst > 0].any()
 
     def test_stochastic_rate_validates_the_stack_once(self, monkeypatch):
         calls = []
