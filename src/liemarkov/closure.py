@@ -297,8 +297,9 @@ def _select_witnesses(residuals: np.ndarray) -> np.ndarray:
     cap = _MAX_WITNESSES
     if len(residuals) <= cap:
         return np.arange(len(residuals))
-    worst = int(np.argmax(residuals))
-    return np.arange(cap) if worst < cap else np.append(np.arange(cap - 1), worst)
+    keep = np.arange(cap)
+    keep[-1] = max(cap - 1, int(residuals.argmax()))
+    return keep
 
 
 def _log_product_block(model: RateModel, seed: int, count: int, tol: float, start=0) -> tuple[np.ndarray, ...]:
@@ -322,7 +323,7 @@ def _log_product_block(model: RateModel, seed: int, count: int, tol: float, star
     # A Frobenius norm past 1.3e154 overflows its sum of squares, which is then summed again scaled.
     with np.errstate(over="ignore"):
         pairs, sampled = _sample_stack(model, np.arange(count), _SeedStreams(seed, count, start).random, 2)
-        rows = np.flatnonzero(sampled)
+        rows = sampled.nonzero()[0]
         drawn = pairs if len(rows) == count else pairs[rows]
         # Pair k's generators are adjacent rows, so a fully drawn block is scaled and exponentiated
         # where it lies. A factor of exactly 1 leaves a pair inside the domain bit for bit.
@@ -391,17 +392,20 @@ def multiplicative_closure_check(
     pairs are independent of the block they fall in. Pairs run in blocks
     of up to 1024: the block's Philox blocks are computed as arrays
     (_SeedStreams, local to the call, every word a draw needs in one
-    pass of ten rounds), then one stack draw of both generators of every
-    pair, one scaling into the BCH domain, one stack exponential of the
-    2B generators, one stack logarithm of the B products and one pass of
-    the model's residual. Each stage is a fixed number of whole-array
-    steps, whatever B is, with its constants built once at import; a
-    block whose draws are all accepted and whose products all have a
-    log also skips the per-slot fill, the gathers of the drawn and
-    tested rows and the failure count. So the fixed cost of a call is a
-    count of numpy operations that does not grow with B, and only the
-    log's Horner steps repeat, once per block of four series terms that
-    its longest row needs.
+    pass of ten rounds on work arrays allocated once by that call), then
+    one stack draw of both generators of every pair, one scaling into
+    the BCH domain, one stack exponential of the 2B generators, one
+    stack logarithm of the B products and one pass of the model's
+    residual. Each stage is a fixed number of whole-array steps,
+    whatever B is, with its constants built once at import; a block
+    whose draws are all accepted keeps the sampler's stack as drawn, and
+    one whose products all have a log also skips the gathers of the
+    drawn and tested rows and the failure count. The failures a report
+    can keep become witnesses by one gather of their rows from each of
+    the block's q, q' and log-product stacks, not a copy per witness.
+    So the fixed cost of a call is a count of numpy operations that does
+    not grow with B, and only the log's Horner steps repeat, once per
+    block of four series terms that its longest row needs.
     Pair k gets the same matrices and log-product as the batch-of-one
     kernels (matrix_exp, matrix_log, sample_with_rng on stream k, then
     the same scaling) give it alone. Its
@@ -431,7 +435,7 @@ def multiplicative_closure_check(
     for start in range(0, samples, _PAIR_BLOCK):
         index = range(start, min(start + _PAIR_BLOCK, samples))
         q, q_prime, logs, sampled, ok = _log_product_block(model, seed, len(index), tol, start)
-        rows = np.flatnonzero(ok)
+        rows = ok.nonzero()[0]
         tested_logs = logs
         if len(rows) < len(ok):
             # Count up to the pair whose failure passes half the sample, so blocking cannot change it.
@@ -449,11 +453,11 @@ def multiplicative_closure_check(
             tested_logs = logs[rows]
         tested += len(rows)
         resid = model._residual(tested_logs)
-        rows, resid = rows[resid > tol], resid[resid > tol]
-        # Only the failures a report could keep become witnesses.
-        for k in _select_witnesses(resid):
-            r = rows[k]
-            found.append(Witness(q[r].copy(), q_prime[r].copy(), logs[r].copy(), float(resid[k]), index[r]))
+        fail = (resid > tol).nonzero()[0]
+        # Only the failures a report could keep become witnesses, gathered from the block at once.
+        keep = fail[_select_witnesses(resid[fail])]
+        kept = rows[keep]
+        found += map(Witness, q[kept], q_prime[kept], logs[kept], resid[keep].tolist(), (start + kept).tolist())
 
     span_dim, lie_dim = model._closure_dims
     if found:

@@ -52,7 +52,7 @@ def check_stack(a) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {shape}")
     if shape[0] < 2:
         raise ValueError("matrix order must be at least 2")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -223,7 +223,7 @@ def _log_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = np.where(finite[:, None, None], m, _identity(n))
     z, nrm = _cayley_rows(m)
     ok = (nrm <= _LOG_CAYLEY_RADIUS) & finite
-    rows = np.flatnonzero(ok)
+    rows = ok.nonzero()[0]
     size = len(rows)
     if size < count:
         z, nrm = z[rows], nrm[rows]

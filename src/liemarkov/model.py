@@ -247,7 +247,8 @@ class RateModel:
         def constraint_residual(q: np.ndarray) -> np.ndarray:
             total = np.abs(values(q))
             # ||q||_F^d for d = 0..top, each the product of the one before and ||q||_F; a zero norm gives 1.
-            scale = np.ones((top + 1, len(q)))
+            scale = np.empty((top + 1, len(q)))
+            scale[0] = 1.0
             if top:
                 nrm = _fro_rows(q)
                 scale[1] = np.where(nrm > 0.0, nrm, 1.0)
@@ -290,9 +291,14 @@ def _column_sums(q: np.ndarray) -> np.ndarray:
 
 
 def _zero_sums(q: np.ndarray, tol: float) -> np.ndarray:
-    """Whether every column sum of each matrix of a validated stack is within tol of zero."""
-    sums = _column_sums(q)
-    return np.max(np.abs(sums, out=sums), axis=-1) <= tol
+    """Whether every column sum of each matrix of a validated stack is within tol of zero.
+
+    The absolute sums are written matrix-minor, (n, B), so the largest
+    of each matrix is a max over the leading axis: elementwise across
+    whole rows, where a max over a last axis only n wide runs one inner
+    loop per matrix.
+    """
+    return np.abs(_column_sums(q).T, order="C").max(axis=0) <= tol
 
 
 @lru_cache(maxsize=32)
@@ -310,7 +316,7 @@ def is_stochastic_rate(q, tol: float = 1e-12):
     The stack is validated once.
     """
     q = check_stack(q)
-    ok = _zero_sums(q, tol) & (np.min(q[..., _off_diagonal(q.shape[-1])], axis=-1) >= -tol)
+    ok = _zero_sums(q, tol) & (q[..., _off_diagonal(q.shape[-1])].min(axis=-1) >= -tol)
     return bool(ok) if q.ndim == 2 else ok
 
 
@@ -326,7 +332,9 @@ def _compile_constraints(
     """Raw constraint values as a function of a (B, n, n) stack, constraint-major: shape (m, B).
 
     Gathers the factors of every monomial as whole rows of the stack's
-    transposed entry table, multiplies each term's coefficient by its
+    transposed entry table, in one take laid out factor by factor and
+    term by term, so that every product and sum runs on contiguous
+    (m, B) blocks. It multiplies each term's coefficient by its
     factors in declaration order and sums each constraint's terms in
     declaration order, starting from 0.0; missing terms and factors are
     padded with a zero coefficient and a constant 1, which leave every
@@ -335,16 +343,17 @@ def _compile_constraints(
     """
     width = max((len(c.terms) for c in constraints), default=0)
     depth = max((max(c.degree, 1) for c in constraints), default=1)
-    # Missing terms have coefficient 0; missing factors read entry n*n, a constant 1.
-    coeffs = np.zeros((len(constraints), width, 1))
-    index = np.full((len(constraints), width, depth), n * n)
+    # Factor d of term t of every constraint, so that each factor and each term is a contiguous
+    # (m, B) block. Missing terms have coefficient 0; missing factors read entry n*n, a constant 1.
+    coeffs = np.zeros((width, len(constraints), 1))
+    index = np.full((depth, width, len(constraints)), n * n)
     for a, c in enumerate(constraints):
         for t, (coeff, monomial) in enumerate(c.terms):
-            coeffs[a, t] = coeff
+            coeffs[t, a] = coeff
             for d, (i, j) in enumerate(monomial):
                 if i > n or j > n:
                     raise IndexError(f"constraint index ({i}, {j}) out of range for order {n}")
-                index[a, t, d] = (i - 1) * n + (j - 1)
+                index[d, t, a] = (i - 1) * n + (j - 1)
 
     def values(q: np.ndarray) -> np.ndarray:
         # Row e of the table holds entry e of every matrix; row n*n is the constant 1.
@@ -352,12 +361,12 @@ def _compile_constraints(
         entries[:-1] = _flat(q, n).T
         entries[-1] = 1.0
         factors = entries[index]
-        terms = coeffs * factors[:, :, 0]
+        terms = coeffs * factors[0]
         for d in range(1, depth):
-            terms *= factors[:, :, d]
+            terms *= factors[d]
         total = np.zeros((len(constraints), len(q)))
         for t in range(width):
-            total += terms[:, t]
+            total += terms[t]
         return total
 
     return values
@@ -410,7 +419,7 @@ def _const(value) -> np.ndarray:
 _PHILOX_M = _const([0xD2E7470EE14C6C93, 0xCA5A826395121157])[:, None, None]
 _LOW32, _U64_11, _U64_32 = _const(0xFFFFFFFF), _const(11), _const(32)
 _M_LO, _M_HI = _const(_PHILOX_M & _LOW32), _const(_PHILOX_M >> _U64_32)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_W = _const([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B])
 _MASK64 = 2**64 - 1
 
 
@@ -424,8 +433,11 @@ class _SeedStreams:
     Generator.random() reads it. A counter-based generator holds no
     state but the word position of each row, so ``random(rows, m)``
     computes the blocks that hold each listed row's next m words, in one
-    pass of ten rounds over a (2, len(rows), blocks) array, and advances
-    only those rows. The state lives in the instance, never in the
+    pass of ten rounds over (2, len(rows), blocks) arrays, and advances
+    only those rows. Each call allocates its work arrays once and every
+    round writes them in place; the rounds read no reversed or broadcast
+    operand, which would take numpy's slower strided loop. The state
+    lives in the instance and the buffers in the call, never in the
     module. Raises ValueError when count is positive and seed is not in
     [0, 2**128), the range of a Philox key.
     """
@@ -434,38 +446,64 @@ class _SeedStreams:
         seed = operator.index(seed)
         if count > 0 and not 0 <= seed < 2**128:
             raise ValueError(f"seed must be in [0, 2**128), got {seed}")
-        # The key of each of the ten rounds: its two words, low first, bumped by the Weyl increments.
-        words = seed & _MASK64, seed >> 64
-        keys = [[word + r * inc & _MASK64 for word, inc in zip(words, _PHILOX_W)] for r in range(10)]
-        self.keys = _const(keys)[:, :, None, None]
+        # The key of each of the ten rounds: its two words, low first, bumped by r times the Weyl
+        # increments, every sum and product wrapping mod 2**64.
+        words = np.array([seed & _MASK64, seed >> 64 & _MASK64], dtype=np.uint64)
+        self.keys = _const(words + np.arange(10, dtype=np.uint64)[:, None] * _PHILOX_W)
         self.stream = np.arange(start, start + count, dtype=np.uint64)
         self.pos = np.zeros(len(self.stream), dtype=np.uint64)
 
     def random(self, rows: np.ndarray, m: int) -> np.ndarray:
         """The next m doubles in [0, 1) of each listed row's stream, shape (len(rows), m)."""
         pos = self.pos[rows]
-        skip = pos % 4
+        block, skip = np.divmod(pos, 4)
         # Every row takes the blocks that the row skipping most words of its first block needs.
-        blocks = (int(skip.max(initial=0)) + m + 3) // 4
-        # x holds counter words 0 and 2, which a round multiplies; y words 1 and 3, which it xors.
-        x = np.stack(np.broadcast_arrays((pos // 4 + 1)[:, None] + np.arange(blocks, dtype=np.uint64),
-                                         self.stream[rows, None]))
-        y = np.zeros_like(x)
-        # The multipliers spread to x's shape once: a broadcast operand takes numpy's slower loop.
-        m_lo, m_hi, mult = (np.broadcast_to(c, x.shape).copy() for c in (_M_LO, _M_HI, _PHILOX_M))
-        for key in self.keys:
+        most = int(skip.max(initial=0))
+        blocks = (most + m + 3) // 4
+        shape = (2, len(rows), blocks)
+        # x holds counter words 0 and 2, which a round multiplies; words 1 and 3 start at zero.
+        x, lo, hi, hi_lo, cross, low = np.empty((6, *shape), dtype=np.uint64)
+        np.add(block[:, None], np.arange(1, blocks + 1, dtype=np.uint64), out=x[0])
+        x[1] = self.stream[rows][:, None]
+        # The multipliers fill x's shape once: a broadcast operand takes numpy's slower loop.
+        m_lo, m_hi, mult = np.empty((3, *shape), dtype=np.uint64)
+        m_lo[...], m_hi[...], mult[...] = _M_LO, _M_HI, _PHILOX_M
+        (x_0, x_1), (hi_0, hi_1) = x, hi
+        for r, (key_0, key_1) in enumerate(self.keys):
             # The high words of both products, from the 32-bit halves of the factors. Two terms of
             # cross are below 2**32 and the third is at most (2**32 - 1)**2, so their sum fits.
-            x_lo, x_hi = x & _LOW32, x >> _U64_32
-            hi_lo = m_hi * x_lo
-            cross = (m_lo * x_lo >> _U64_32) + (hi_lo & _LOW32) + m_lo * x_hi
-            high = m_hi * x_hi + (hi_lo >> _U64_32) + (cross >> _U64_32)
-            x, y = high[::-1] ^ y ^ key, (mult * x)[::-1]
-        words = np.stack((x[0], y[0], x[1], y[1]), axis=-1).reshape(len(rows), 4 * blocks)
+            np.bitwise_and(x, _LOW32, out=lo)
+            np.right_shift(x, _U64_32, out=hi)
+            np.multiply(m_hi, lo, out=hi_lo)
+            np.multiply(m_lo, lo, out=cross)
+            cross >>= _U64_32
+            np.multiply(m_lo, hi, out=lo)
+            cross += lo
+            np.bitwise_and(hi_lo, _LOW32, out=lo)
+            cross += lo
+            hi *= m_hi
+            hi_lo >>= _U64_32
+            hi += hi_lo
+            cross >>= _U64_32
+            hi += cross
+            # A round maps (x0, y0, x1, y1) to (high1 ^ y0 ^ key0, low1, high0 ^ y1 ^ key1, low0),
+            # low = mult * x. So low is kept with its lanes unswapped, y = low[::-1], and the swap
+            # happens once, lane by lane, as x is written back. y is zero before round 0.
+            if r:
+                hi ^= low
+            np.multiply(mult, x, out=low)
+            np.bitwise_xor(hi_1, key_0, out=x_0)
+            np.bitwise_xor(hi_0, key_1, out=x_1)
+        words = np.empty((len(rows), blocks, 4), dtype=np.uint64)
+        words[..., 0::2] = x.transpose(1, 2, 0)
+        words[..., 1::2] = low[::-1].transpose(1, 2, 0)
+        words = words.reshape(len(rows), 4 * blocks)
         self.pos[rows] = pos + m
-        if skip.any():
+        if most:
             words = np.take_along_axis(words, skip.astype(np.intp)[:, None] + np.arange(m), axis=1)
-        return (words[:, :m] >> _U64_11).astype(float) * 2.0 ** -53
+        out = (words[:, :m] >> _U64_11).astype(float)
+        out *= 2.0 ** -53
+        return out
 
 
 # Draws a sampler makes for one matrix before it gives up.
@@ -492,7 +530,8 @@ def _sample_stack(
     its stream would draw. The first attempt draws count candidates for
     every row, as one (len(rows) * count) stack. When it accepts every
     candidate, as on every zoo draw, slot i of a row is its candidate i,
-    and the stack is stored in one assignment. Otherwise each row's
+    and that stack is returned as drawn, with no fill, copy or slot
+    count. Otherwise each row's
     candidates fill its slots one by one, and each later attempt draws
     one candidate for every row that still needs one, from its own
     stream. A matrix that sees _MAX_ATTEMPTS rejected candidates in
@@ -523,19 +562,16 @@ def _sample_stack(
             return q, is_stochastic_rate(q, 1e-12)
     else:
         raise SamplingError(f"model {model.name!r} has no parameterization or basis to sample")
+    q, accept = draw(rows, count)
+    if accept.all():
+        # As on every zoo draw: slot i of a row is its candidate i, so the draw is the stack.
+        return q.reshape(len(rows), count, n, n), np.ones(len(rows), dtype=bool)
     out = np.full((len(rows), count, n, n), np.nan)
     got = np.zeros(len(rows), dtype=int)
     misses = np.zeros(len(rows), dtype=int)
     pending, k = np.arange(len(rows)), count
-    while len(pending):
-        q, accept = draw(rows[pending], k)
+    while True:
         q, accept = q.reshape(len(pending), k, n, n), accept.reshape(len(pending), k)
-        if k == count and accept.all():
-            # As on every zoo draw. No pending row has a slot filled while k == count, so its k
-            # candidates are its slots.
-            out[pending] = q
-            got[pending] = count
-            break
         # A row's candidates fill its open slots in stream order until it is full or exhausted.
         for j in range(k):
             live = (got[pending] < count) & (misses[pending] < _MAX_ATTEMPTS)
@@ -546,8 +582,10 @@ def _sample_stack(
             misses[hit] = 0
             misses[miss] += 1
         pending = pending[(got[pending] < count) & (misses[pending] < _MAX_ATTEMPTS)]
+        if not len(pending):
+            return out, got == count
         k = 1
-    return out, got == count
+        q, accept = draw(rows[pending], k)
 
 
 def _sample_all(

@@ -42,9 +42,11 @@ def _with_diagonal(off) -> np.ndarray:
     Acts on the last two axes, so off may be one matrix or a (B, n, n) stack.
     """
     q = np.array(off, dtype=float)
-    diag = np.arange(q.shape[-1])
-    q[..., diag, diag] = 0.0
-    q[..., diag, diag] = -_column_sums(q)
+    n = q.shape[-1]
+    # The diagonal as a view: every (n + 1)-th entry of each flattened matrix.
+    diag = q.reshape(*q.shape[:-2], n * n)[..., :: n + 1]
+    diag[...] = 0.0
+    np.negative(_column_sums(q), out=diag)
     return q
 
 
@@ -87,6 +89,10 @@ def _hky_stack(p) -> np.ndarray:
 
 
 _GTR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# GTR's twelve rates: the flat cell 4 i + j of each, the column of its pair's exchangeability
+# and the column of its row's frequency, since the rate into i from j is s_ij * pi_i.
+_GTR_SLOTS = tuple(np.array(side) for side in zip(*(
+    (4 * a + b, col, a) for col, pair in enumerate(_GTR_PAIRS) for a, b in (pair, pair[::-1]))))
 
 
 def _gtr_stack(p) -> np.ndarray:
@@ -102,11 +108,10 @@ def _gtr_stack(p) -> np.ndarray:
     if (total <= 0).any():
         raise ValueError("frequency weights must not all be zero")
     pi = weights / total[:, None]
-    off = np.zeros((len(p), 4, 4))
-    for col, (i, j) in enumerate(_GTR_PAIRS):
-        off[:, i, j] = exch[:, col] * pi[:, i]
-        off[:, j, i] = exch[:, col] * pi[:, j]
-    return _with_diagonal(off)
+    cells, pairs, rows = _GTR_SLOTS
+    off = np.zeros((len(p), 16))
+    off[:, cells] = exch[:, pairs] * pi[:, rows]
+    return _with_diagonal(off.reshape(len(p), 4, 4))
 
 
 _OFF = tuple((i, j) for i in range(4) for j in range(4) if i != j)

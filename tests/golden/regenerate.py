@@ -1,10 +1,17 @@
 """Regenerate the pinned CLI reports and the per-pair audit goldens in tests/golden/.
 
-    PYTHONPATH=src python tests/golden/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py [--check]
 
-Run from the repository root. Each command below runs in process through
-liemarkov.cli.main with --no-timestamp; its file holds the argv, the
-exit code and the parsed JSON stdout. The README's error cases run the
+Run from the repository root. With --check, every file is recomputed in
+memory and nothing is written: the script lists each file whose JSON
+would change at all (exact equality, not tests/test_golden.py's 1e-12),
+or that would be added or removed, and exits 1 if there is one. It is
+meant for changes that promise bit-identical reports. It is not a CI
+step, since another BLAS may round the last bits differently.
+
+Each command below runs in process through liemarkov.cli.main with
+--no-timestamp; its file holds the argv, the exit code and the parsed
+JSON stdout. The README's error cases run the
 same way, some with a model file on stdin (`--model -`); their files
 hold the argv, that stdin, the exit code and the `error:` line, the last
 line of stderr, and they print nothing to stdout. tests/test_golden.py
@@ -29,6 +36,7 @@ and why.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -162,16 +170,34 @@ def dumps(record: dict) -> str:
     return re.sub(r"\[[^\[\]{}\"]*\]", lambda m: " ".join(m.group(0).split()), text) + "\n"
 
 
-if __name__ == "__main__":
-    for old in (*HERE.glob("*.json"), *AUDIT_DIR.glob("*.json")):
-        old.unlink()
-    for stem, argv in commands().items():
-        (HERE / f"{stem}.json").write_text(dumps(run(argv)), encoding="utf-8")
-    for stem, (argv, stdin) in ERRORS.items():
-        (HERE / f"{stem}.json").write_text(dumps(run(argv, stdin)), encoding="utf-8")
-    AUDIT_DIR.mkdir(exist_ok=True)
+def records() -> dict[Path, str]:
+    """The text of every pinned file, by path, computed in memory."""
+    out = {HERE / f"{stem}.json": dumps(run(argv)) for stem, argv in commands().items()}
+    out.update({HERE / f"{stem}.json": dumps(run(argv, stdin)) for stem, (argv, stdin) in ERRORS.items()})
     for name in AUDIT_MODELS:
         for seed in AUDIT_SEEDS:
-            (AUDIT_DIR / f"{name}-seed{seed}.json").write_text(dumps(audit(name, seed)), encoding="utf-8")
+            out[AUDIT_DIR / f"{name}-seed{seed}.json"] = dumps(audit(name, seed))
+    return out
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; list the files that would change and exit 1 if any would")
+    check = parser.parse_args().check
+    fresh = records()
+    old = {path: path.read_text(encoding="utf-8") for path in (*HERE.glob("*.json"), *AUDIT_DIR.glob("*.json"))}
+    if check:
+        changed = sorted(path for path in fresh.keys() | old.keys() if fresh.get(path) != old.get(path))
+        for path in changed:
+            state = "added" if path not in old else "removed" if path not in fresh else "changed"
+            print(f"{state}: {path.relative_to(HERE)}")
+        print(f"{len(changed)} of {len(fresh)} files would change")
+        sys.exit(1 if changed else 0)
+    for path in old:
+        path.unlink()
+    AUDIT_DIR.mkdir(exist_ok=True)
+    for path, text in fresh.items():
+        path.write_text(text, encoding="utf-8")
     print(f"wrote {len(commands()) + len(ERRORS)} files to {HERE} "
           f"and {len(AUDIT_MODELS) * len(AUDIT_SEEDS)} to {AUDIT_DIR}")

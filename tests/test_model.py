@@ -445,9 +445,19 @@ class TestSeedStreams:
             assert not value.flags.writeable
         # numpy's own Philox4x64 multipliers, and the key of round 0, low word first.
         assert model_module._PHILOX_M.ravel().tolist() == [0xD2E7470EE14C6C93, 0xCA5A826395121157]
-        assert streams.keys.shape == (10, 2, 1, 1) and streams.keys[0].ravel().tolist() == [7, 0]
+        assert streams.keys.shape == (10, 2) and streams.keys[0].tolist() == [7, 0]
         for state in (streams.stream, streams.pos):
             assert state.dtype == np.uint64 and state.shape == (3,)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**64 + 5, 2**128 - 1])
+    def test_round_keys_follow_the_weyl_schedule(self, seed):
+        # Round r's key is the seed's two 64-bit words, low first, each plus r times numpy's
+        # Philox4x64 Weyl increment for its word, mod 2**64; computed here in Python ints. r times
+        # either increment passes 2**64 from r = 2 on, and a word of 2**64 - 1 wraps from r = 1.
+        increments = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+        words = (seed % 2**64, seed // 2**64)
+        expected = [[(word + r * inc) % 2**64 for word, inc in zip(words, increments)] for r in range(10)]
+        assert _SeedStreams(seed, 1).keys.tolist() == expected
 
     @pytest.mark.parametrize("seed, count", [(2**128 - 1, 3), (2**64 - 1, 1), (0, 1), (2**32 - 2, 4)])
     def test_wraparound_emits_no_warning(self, seed, count):

@@ -30,6 +30,25 @@ class TestStackBuilders:
             np.testing.assert_array_equal(stack[k], fn(params[k:k + 1])[0])
         assert is_stochastic_rate(stack).all()
 
+    def test_gtr_stack_is_its_definition(self):
+        # The rate into i from j is s_ij pi_i, pi the weights over their sum. The expected stack is
+        # built pair by pair, each exchangeability filling both of its rates, and each diagonal
+        # entry is minus its column's off-diagonal sum.
+        rng = np.random.default_rng(25)
+        p = rng.random((1000, 10)) * 10.0 ** rng.integers(-4, 2, size=(1000, 10))
+        p[rng.random((1000, 10)) < 0.05] = 0.0
+        p[:, 6] += 1e-3  # a row of weights must not sum to zero
+        exch, weights = p[:, :6], p[:, 6:]
+        pi = weights / weights.sum(axis=1)[:, None]
+        expected = np.zeros((1000, 4, 4))
+        for col, (i, j) in enumerate(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))):
+            expected[:, i, j] = exch[:, col] * pi[:, i]
+            expected[:, j, i] = exch[:, col] * pi[:, j]
+        diag = np.arange(4)
+        expected[:, diag, diag] = -expected.sum(axis=1)
+        fn, _ = get_parameterization("gtr")
+        np.testing.assert_array_equal(fn(p), expected)
+
     def test_negative_parameter_rejected_for_the_stack(self):
         fn, _ = get_parameterization("k2p")
         with pytest.raises(ValueError, match="parameter beta must be non-negative, got -0.5"):
