@@ -302,7 +302,9 @@ def _select_witnesses(residuals: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _log_product_block(model: RateModel, seed: int, count: int, tol: float, start=0) -> tuple[np.ndarray, ...]:
+def _log_product_block(
+    model: RateModel, seed: int, count: int, tol: float, scales: bool, start=0
+) -> tuple[np.ndarray, ...]:
     """Pairs start .. start + count - 1: pair k draws q then q' from stream k of seed.
 
     The streams of all pairs are one _SeedStreams, local to the call.
@@ -312,38 +314,28 @@ def _log_product_block(model: RateModel, seed: int, count: int, tol: float, star
     two accepted candidates, so each pair's stream is read in the same
     order as sequential draws from its own generator. A drawn pair with
     s = ||q||_F + ||q'||_F > 0.65 is tested as (t q, t q'), t = 0.65 / s,
-    unless the model is not known to scale and t q or t q' has model
-    residual above tol; then it is tested as drawn. Returns the tested
-    q and q', the log-products, a mask of the pairs whose sampler drew
-    both generators and a mask of the pairs that have a log-product; a
-    drawn pair fails only when its product lies beyond the log's radius,
-    which no scaled pair's does.
+    unless scales is false (check_scaling_closure does not vouch for the
+    model) and t q or t q' has model residual above tol; then it is
+    tested as drawn. Returns the tested q and q', the log-products, a
+    mask of the pairs whose sampler drew both generators and a mask of
+    the pairs that have a log-product, row k for pair start + k; a pair
+    that cannot be tested is a NaN row (see multiplicative_closure_check).
     """
     n = model.n
     # A Frobenius norm past 1.3e154 overflows its sum of squares, which is then summed again scaled.
     with np.errstate(over="ignore"):
         pairs, sampled = _sample_stack(model, np.arange(count), _SeedStreams(seed, count, start).random, 2)
-        rows = sampled.nonzero()[0]
-        drawn = pairs if len(rows) == count else pairs[rows]
-        # Pair k's generators are adjacent rows, so a fully drawn block is scaled and exponentiated
-        # where it lies. A factor of exactly 1 leaves a pair inside the domain bit for bit.
-        norms = _fro_rows(drawn.reshape(2 * len(rows), n, n))
+        # Pair k's generators are adjacent rows, so the block is scaled and exponentiated where it
+        # lies. A factor of exactly 1 leaves a pair inside the domain bit for bit.
+        norms = _fro_rows(pairs.reshape(2 * count, n, n))
         t = _BCH_DOMAIN / np.maximum(norms[0::2] + norms[1::2], _BCH_DOMAIN)
-        if check_scaling_closure(model) is not True:
+        if not scales:
             # A model that may not be a cone tests a pair that scaling takes out of it as drawn.
-            out = model._residual(drawn.reshape(-1, n, n) * np.repeat(t, 2)[:, None, None]) > tol
+            out = model._residual(pairs.reshape(-1, n, n) * np.repeat(t, 2)[:, None, None]) > tol
             t[out.reshape(-1, 2).any(axis=1)] = 1.0
-        drawn *= t[:, None, None, None]
-        if drawn is not pairs:
-            pairs[rows] = drawn
-        exps = _exp_stack(drawn.reshape(2 * len(rows), n, n))
-        logs, summed = _log_stack(exps[0::2] @ exps[1::2])
-    ok = sampled.copy()
-    ok[rows] = summed
-    if len(rows) < count:
-        # Pairs whose sampler was exhausted have no log-product.
-        logs, drawn_logs = np.full((count, n, n), np.nan), logs
-        logs[rows] = drawn_logs
+        pairs *= t[:, None, None, None]
+        exps = _exp_stack(pairs.reshape(2 * count, n, n))
+        logs, ok = _log_stack(exps[0::2] @ exps[1::2])
     return pairs[:, 0], pairs[:, 1], logs, sampled, ok
 
 
@@ -399,24 +391,29 @@ def multiplicative_closure_check(
     residual. Each stage is a fixed number of whole-array steps,
     whatever B is, with its constants built once at import; a block
     whose draws are all accepted keeps the sampler's stack as drawn, and
-    one whose products all have a log also skips the gathers of the
-    drawn and tested rows and the failure count. The failures a report
-    can keep become witnesses by one gather of their rows from each of
-    the block's q, q' and log-product stacks, not a copy per witness.
-    So the fixed cost of a call is a count of numpy operations that does
-    not grow with B, and only the log's Horner steps repeat, once per
-    block of four series terms that its longest row needs.
-    Pair k gets the same matrices and log-product as the batch-of-one
-    kernels (matrix_exp, matrix_log, sample_with_rng on stream k, then
-    the same scaling) give it alone. Its
-    residual is the model's residual of that log-product, but the
-    block's projector product may sum in another order than
-    model_residual's, so the two can differ in the last bits. Pairs
-    whose sampler is exhausted, or whose product lies beyond the log's
-    radius (only a pair tested as drawn can), are skipped; more than
-    samples/2 of them is an error, which counts the two causes apart and
-    names the larger. Raises ValueError unless tol is a positive finite
-    number, or when seed is not in [0, 2**128), the range of a Philox key.
+    one whose products all have a log skips the failure count. The
+    failures a report can keep become witnesses by one gather of their
+    rows from each of the block's q, q' and log-product stacks, not a
+    copy per witness. So the fixed cost of a call is a count of numpy
+    operations that does not grow with B, and only the log's Horner
+    steps repeat, once per block of four series terms that its longest
+    row needs. Pair k gets the same matrices and log-product as the
+    batch-of-one kernels (matrix_exp, matrix_log, sample_with_rng on
+    stream k, then the same scaling) give it alone. Its residual is the
+    model's residual of that log-product, but the block's projector
+    product may sum in another order than model_residual's, so the two
+    can differ in the last bits.
+
+    A pair that cannot be tested keeps its own row in every stage, as
+    NaN, and two masks say why: its sampler was exhausted (the sampler
+    leaves the pair NaN, and the NaN runs through the scaling and the
+    exponential until the log refuses it), or its product lies beyond
+    the log's radius (only a pair tested as drawn can; the log writes
+    NaN into its row). Its residual is NaN, which never exceeds tol, so
+    it is skipped without a gather. More than samples/2 such pairs is an
+    error, which counts the two causes apart and names the larger.
+    Raises ValueError unless tol is a positive finite number, or when
+    seed is not in [0, 2**128), the range of a Philox key.
 
     The span and Lie closure dimensions are properties of the model, not
     of the sample: they come from span_basis at its default seed and its
@@ -432,12 +429,12 @@ def multiplicative_closure_check(
     found: list[Witness] = []
     exhausted = far = 0
     tested = 0
+    scales = check_scaling_closure(model) is True
     for start in range(0, samples, _PAIR_BLOCK):
         index = range(start, min(start + _PAIR_BLOCK, samples))
-        q, q_prime, logs, sampled, ok = _log_product_block(model, seed, len(index), tol, start)
-        rows = ok.nonzero()[0]
-        tested_logs = logs
-        if len(rows) < len(ok):
+        q, q_prime, logs, sampled, ok = _log_product_block(model, seed, len(index), tol, scales, start)
+        passed = int(np.count_nonzero(ok))
+        if passed < len(ok):
             # Count up to the pair whose failure passes half the sample, so blocking cannot change it.
             over = np.flatnonzero(exhausted + far + np.cumsum(~ok) > samples / 2)
             end = over[0] + 1 if len(over) else len(ok)
@@ -450,14 +447,13 @@ def multiplicative_closure_check(
                     f"{exhausted} sampler exhaustions and {far} products beyond the log's radius "
                     f"in the first {index[end - 1] + 1} pairs"
                 )
-            tested_logs = logs[rows]
-        tested += len(rows)
-        resid = model._residual(tested_logs)
+        tested += passed
+        # An untested pair's log-product is NaN, whose residual never exceeds tol.
+        resid = model._residual(logs)
         fail = (resid > tol).nonzero()[0]
         # Only the failures a report could keep become witnesses, gathered from the block at once.
         keep = fail[_select_witnesses(resid[fail])]
-        kept = rows[keep]
-        found += map(Witness, q[kept], q_prime[kept], logs[kept], resid[keep].tolist(), (start + kept).tolist())
+        found += map(Witness, q[keep], q_prime[keep], logs[keep], resid[keep].tolist(), (start + keep).tolist())
 
     span_dim, lie_dim = model._closure_dims
     if found:

@@ -199,8 +199,9 @@ def _log_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     X = (I + Z)(I - Z)^-1 at Re z >= 0.15 / 1.85 > 0.08, so 2 atanh(Z)
     is the principal log, and X + I = 2 (I - Z)^-1 has condition number
     at most 1.85 / 0.15 < 12.4. A row beyond that radius, X + I singular
-    or a non-finite entry included, is refused and its log is NaN; one
-    refused row never stops the others.
+    or a non-finite entry included, is refused: it keeps its place, runs
+    through every pass as Z = 0 with no terms, and its log is NaN, so
+    one refused row never stops or moves the others.
 
     Each row's term count is fixed in advance from its own ||Z||_F: odd
     term j is kept when 2 ||Z||_F^j / j >= 1e-18, which, as
@@ -211,8 +212,9 @@ def _log_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     SIAM 2008, sec. 4.2) in blocks of four terms: the products W^2, W^3
     and W^4, every block of every row as one batched contraction of that
     row's zero-padded coefficient table with its [I, W, W^2, W^3], Horner
-    steps in W^4 and one product by Z. A row whose table is padded with
-    zero blocks passes through them as zeros, so every row is computed
+    steps in W^4 and one product by Z. The stack takes as many blocks as
+    its longest kept row needs; a row whose table is padded with zero
+    blocks passes through them as zeros, so every kept row is computed
     exactly as a stack of one computes it.
     """
     count, n = m.shape[0], m.shape[-1]
@@ -223,32 +225,29 @@ def _log_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = np.where(finite[:, None, None], m, _identity(n))
     z, nrm = _cayley_rows(m)
     ok = (nrm <= _LOG_CAYLEY_RADIUS) & finite
-    rows = ok.nonzero()[0]
-    size = len(rows)
-    if size < count:
-        z, nrm = z[rows], nrm[rows]
+    # A refused row runs as Z = 0 with no terms: zeros, which cannot overflow.
+    refused = ~ok
+    z[refused] = 0.0
+    nrm[refused] = 0.0
     terms = _series_terms(nrm)
     # At least two blocks: a one-block table would make a row's contraction a matrix-vector
     # product, which BLAS may round otherwise than the matrix product of a longer table.
     blocks = max(-(-int(terms.max(initial=0)) // 4), 2)
-    powers = np.empty((size, 4, n, n))
+    powers = np.empty((count, 4, n, n))
     powers[:, 0] = _identity(n)
     np.matmul(z, z, out=powers[:, 1])
     np.matmul(powers[:, 1], powers[:, 1], out=powers[:, 2])
     np.matmul(powers[:, 2], powers[:, 1], out=powers[:, 3])
     w4 = powers[:, 2] @ powers[:, 2]
-    coeffs = _GREGORY[terms, :4 * blocks].reshape(size, blocks, 4)
-    table = (coeffs @ powers.reshape(size, 4, n * n)).reshape(size, blocks, n, n)
+    coeffs = _GREGORY[terms, :4 * blocks].reshape(count, blocks, 4)
+    table = (coeffs @ powers.reshape(count, 4, n * n)).reshape(count, blocks, n, n)
     total = table[:, -1]
     for b in range(blocks - 2, -1, -1):
         total = w4 @ total
         total += table[:, b]
     series = z @ total
-    if size == count:
-        return series, ok
-    logs = np.full_like(m, np.nan)
-    logs[rows] = series
-    return logs, ok
+    series[refused] = np.nan
+    return series, ok
 
 
 def matrix_log(m) -> np.ndarray:

@@ -517,6 +517,15 @@ class TestMultiplicativeClosure:
         assert report.mult_closed_verdict == "closed"
         assert report.span_dim == report.lie_closure_dim == 8
 
+    def test_unclosed_span_without_witnesses_is_inconclusive(self):
+        # A generic 4-state pair spans 2 dimensions and generates 12. At tol = 1.0 no pair can fail
+        # (a span residual is at most 1), so only the dimensions decide, and they must not say closed.
+        model = RateModel(name="generic-4", n=4, basis=tuple(_generic_pair(np.random.default_rng(3), 4)))
+        report = multiplicative_closure_check(model, samples=200, tol=1.0)
+        assert (report.span_dim, report.lie_closure_dim) == (2, 12)
+        assert report.witnesses == ()
+        assert report.mult_closed_verdict == "inconclusive"
+
     def test_tol_must_be_positive_and_finite(self):
         for tol in (float("nan"), float("inf"), -1.0, 0.0):
             with pytest.raises(ValueError, match="positive finite"):
@@ -847,6 +856,39 @@ class TestBatchedAudit:
                 np.testing.assert_array_equal(got, want)
             assert abs(w.residual - residual) <= 4 * np.finfo(float).eps * w.residual
 
+    def test_partially_exhausted_block_matches_the_batch_of_one_kernels(self, monkeypatch):
+        # With six attempts per matrix, some pairs of the generic 4-state pair exhaust their streams
+        # and the rest share one block with them. Pair by pair, a pair is untested exactly when
+        # sample_with_rng raises, and the tested pairs find the witnesses the report keeps.
+        monkeypatch.setattr(model_module, "_MAX_ATTEMPTS", 6)
+        model = RateModel(name="generic-4", n=4, basis=tuple(_generic_pair(np.random.default_rng(3), 4)))
+        samples, seed = 300, 7
+        tested, failures = 0, []
+        for k in range(samples):
+            try:
+                q, q_prime = audit_pair(model, pair_rng(seed, k))
+            except SamplingError:
+                continue
+            tested += 1
+            logs = log_product(q, q_prime)
+            residual = model_residual(model, logs)
+            if residual > 1e-8:
+                failures.append((k, q, q_prime, logs, residual))
+        assert samples / 2 < tested < samples
+        report = multiplicative_closure_check(model, samples=samples, seed=seed)
+        assert report.samples_tested == tested
+        keep = closure._select_witnesses(np.array([f[-1] for f in failures]))
+        assert report.witnesses
+        assert [w.pair_index for w in report.witnesses] == [failures[i][0] for i in keep]
+        for w, i in zip(report.witnesses, keep):
+            _, q, q_prime, logs, residual = failures[i]
+            for got, want in ((w.q, q), (w.q_prime, q_prime), (w.log_product, logs)):
+                np.testing.assert_array_equal(got, want)
+            # The span residual is ||(I - P) log||_F / max(||log||_F, 1), so it rounds to a few eps of
+            # max(||log||_F, 1); these logs leave the span by under 1% of their norm, so a bound
+            # relative to the residual itself would be far tighter than that rounding.
+            assert abs(w.residual - residual) <= 4 * np.finfo(float).eps * max(np.linalg.norm(logs), 1.0)
+
     def test_mixed_block_skip_count(self):
         # k2p with alpha pinned at 0.02 and beta in [0.001, 0.3]: a pair with s <= 0.65 is tested
         # as drawn, and so is every other, since scaling moves q12. Some of those lie beyond the
@@ -885,7 +927,9 @@ class TestBatchedAudit:
     def test_audit_products_lie_inside_the_bch_bound(self, name):
         # Every product an audit block logs has ||Z||_F <= (e^s - 1) / (3 - e^s) <= 0.8442 for its
         # tested s <= 0.65, so none is refused. gtr's pairs all have s > 0.65 as drawn and are scaled.
-        q, q_prime, _, sampled, ok = closure._log_product_block(zoo_model(name), 7, 1024, 1e-8)
+        model = zoo_model(name)
+        q, q_prime, _, sampled, ok = closure._log_product_block(
+            model, 7, 1024, 1e-8, check_scaling_closure(model) is True)
         assert sampled.all() and ok.all()
         s = np.linalg.norm(q, axis=(1, 2)) + np.linalg.norm(q_prime, axis=(1, 2))
         assert s.max() <= 0.65 * (1 + 1e-15)

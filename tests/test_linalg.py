@@ -442,9 +442,11 @@ class TestStackSeries:
     @pytest.mark.parametrize("name", ["hky", "lm88", "jc", "f81", "k2p", "gtr"])
     def test_audit_products_match_per_row_series(self, name):
         # The log-products of an audit block are its products' per-row series, bit for bit.
-        from liemarkov import closure, zoo_model
+        from liemarkov import check_scaling_closure, closure, zoo_model
 
-        q, q_prime, logs, sampled, ok = closure._log_product_block(zoo_model(name), 7, 300, 1e-8)
+        model = zoo_model(name)
+        q, q_prime, logs, sampled, ok = closure._log_product_block(
+            model, 7, 300, 1e-8, check_scaling_closure(model) is True)
         assert sampled.all() and ok.all()
         exps = _exp_stack(np.stack([q, q_prime], axis=1).reshape(-1, 4, 4))
         products = exps[0::2] @ exps[1::2]

@@ -368,6 +368,22 @@ class TestSampling:
         with pytest.raises(SamplingError):
             sample_with_rng(model, np.random.default_rng(0))
 
+    def test_draws_just_off_the_span_are_rejected(self, monkeypatch):
+        # jc's generator plus 1e-8 times a unit zero-sum direction orthogonal to jc's span: every
+        # draw is a stochastic rate matrix with model residual 1e-8, above the 1e-10 it must meet.
+        jc = zoo_model("jc")
+        fn, n_params = model_module.get_parameterization("jc")
+        leak = np.zeros((4, 4))
+        leak[0, 1], leak[1, 1], leak[0, 2], leak[2, 2] = 0.5, -0.5, -0.5, 0.5
+        monkeypatch.setitem(model_module._PARAMETERIZATIONS, "jc-leaky", (lambda p: fn(p) + 1e-8 * leak, n_params))
+        model = RateModel(name="jc-leaky", n=4, basis=jc.basis, parameterization="jc-leaky",
+                          parameter_ranges=jc.parameter_ranges)
+        q = fn(np.array([[0.02]]))[0] + 1e-8 * leak
+        assert is_stochastic_rate(q, 1e-12)
+        assert model_residual(model, q) == pytest.approx(1e-8, rel=1e-6)
+        with pytest.raises(SamplingError, match="failed 1000 times"):
+            sample_with_rng(model, np.random.default_rng(0))
+
     def test_unreachable_cone(self):
         # Zero-sum basis matrix with off-diagonal entries of both signs:
         # no nonzero multiple is a rate matrix.
