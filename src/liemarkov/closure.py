@@ -324,7 +324,7 @@ def _log_product_block(
     n = model.n
     # A Frobenius norm past 1.3e154 overflows its sum of squares, which is then summed again scaled.
     with np.errstate(over="ignore"):
-        pairs, sampled = _sample_stack(model, np.arange(count), _SeedStreams(seed, count, start).random, 2)
+        pairs, sampled = _sample_stack(model, count, _SeedStreams(seed, count, start).random, 2)
         # Pair k's generators are adjacent rows, so the block is scaled and exponentiated where it
         # lies. A factor of exactly 1 leaves a pair inside the domain bit for bit.
         norms = _fro_rows(pairs.reshape(2 * count, n, n))

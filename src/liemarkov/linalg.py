@@ -164,11 +164,13 @@ def matrix_exp(a) -> np.ndarray:
 def _cayley_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Z = (X + I)^-1 (X - I) of each row of a (B, n, n) stack, and ||Z||_F of each row.
 
-    X + I and X - I commute, so one batched solve gives Z. A row whose
-    X + I is singular (X has the eigenvalue -1, the zero pivot that makes
-    the solve fail and the determinant exactly 0) is beyond every radius:
-    it is solved as X = I and its norm is inf, and the other rows are
-    solved again, each as a stack of one would solve it.
+    X + I and X - I commute, so one batched solve gives Z. A row with a
+    NaN or infinite entry solves to NaN without raising, and its norm is
+    NaN. The solve fails only on a zero pivot, as X + I singular (X has
+    the eigenvalue -1) gives, and then every row whose determinant is
+    not positive in absolute value, NaN included, is beyond every
+    radius: it is solved as X = I and its norm is inf, and the other
+    rows are solved again, each as a stack of one would solve it.
     """
     eye = _identity(x.shape[-1])
     e = x - eye
@@ -176,7 +178,8 @@ def _cayley_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         z = np.linalg.solve(a, e)
     except np.linalg.LinAlgError:
-        singular = np.linalg.det(a) == 0.0
+        with np.errstate(invalid="ignore"):
+            singular = ~(np.abs(np.linalg.det(a)) > 0.0)
         z = np.linalg.solve(np.where(singular[:, None, None], 2.0 * eye, a), e)
         return z, np.where(singular, np.inf, _fro_rows(z))
     return z, _fro_rows(z)
@@ -198,10 +201,12 @@ def _log_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ||Z||_F <= 0.85: rho(Z) <= ||Z||_F <= 0.85 puts every eigenvalue of
     X = (I + Z)(I - Z)^-1 at Re z >= 0.15 / 1.85 > 0.08, so 2 atanh(Z)
     is the principal log, and X + I = 2 (I - Z)^-1 has condition number
-    at most 1.85 / 0.15 < 12.4. A row beyond that radius, X + I singular
-    or a non-finite entry included, is refused: it keeps its place, runs
-    through every pass as Z = 0 with no terms, and its log is NaN, so
-    one refused row never stops or moves the others.
+    at most 1.85 / 0.15 < 12.4. A row beyond that radius is refused: X +
+    I singular gives it an infinite ||Z||_F and a non-finite entry a NaN
+    one, both by _cayley_rows, and the one comparison with the radius
+    refuses all three. A refused row keeps its place, runs through
+    every pass as Z = 0 with no terms, and its log is NaN, so one
+    refused row never stops or moves the others.
 
     Each row's term count is fixed in advance from its own ||Z||_F: odd
     term j is kept when 2 ||Z||_F^j / j >= 1e-18, which, as
@@ -218,13 +223,9 @@ def _log_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exactly as a stack of one computes it.
     """
     count, n = m.shape[0], m.shape[-1]
-    finite = np.isfinite(m).all()
-    if not finite:
-        # A non-finite row stands in as I, so that every row takes the one solve, and is refused.
-        finite = np.isfinite(m).all(axis=(1, 2))
-        m = np.where(finite[:, None, None], m, _identity(n))
     z, nrm = _cayley_rows(m)
-    ok = (nrm <= _LOG_CAYLEY_RADIUS) & finite
+    # A NaN norm, of a non-finite row, is not within the radius either.
+    ok = nrm <= _LOG_CAYLEY_RADIUS
     # A refused row runs as Z = 0 with no terms: zeros, which cannot overflow.
     refused = ~ok
     z[refused] = 0.0

@@ -55,7 +55,8 @@ class PolynomialConstraint:
     ``terms`` is a tuple of (coefficient, monomial) pairs where each
     monomial is a tuple of 1-based (i, j) index pairs with i != j; the
     empty monomial is a constant term. Evaluation at Q is
-    sum(coeff * prod(q_ij)).
+    sum(coeff * prod(q_ij)). A constraint is a plain frozen value: it
+    holds its terms and nothing derived from them.
     """
 
     terms: tuple[tuple[float, tuple[tuple[int, int], ...]], ...]
@@ -77,12 +78,6 @@ class PolynomialConstraint:
                 raise ValueError(f"constraint coefficients must be finite, got {coeff}")
             norm.append((coeff, pairs))
         object.__setattr__(self, "terms", tuple(norm))
-        # The evaluator of each matrix order, compiled on first use.
-        object.__setattr__(self, "_compiled", {})
-
-    def __reduce__(self):
-        # The compiled evaluators are closures, so a pickle or copy rebuilds from the terms.
-        return PolynomialConstraint, (self.terms,)
 
     @property
     def degree(self) -> int:
@@ -94,16 +89,9 @@ class PolynomialConstraint:
         return len(lengths) <= 1
 
     def evaluate(self, q) -> float:
-        """The batch-of-one case of the compiled constraint evaluator.
-
-        The evaluator is compiled once per constraint and matrix order, on
-        the first call at that order.
-        """
+        """The batch-of-one case of the constraint evaluator, compiled for q's order on each call."""
         q = check_square(q)
-        n = q.shape[0]
-        if n not in self._compiled:
-            self._compiled[n] = _compile_constraints(n, (self,))
-        return float(self._compiled[n](q[None])[0, 0])
+        return float(_compile_constraints(q.shape[0], (self,))(q[None])[0, 0])
 
 
 def product_constraint(left: Sequence[tuple[int, int]], right: Sequence[tuple[int, int]]) -> PolynomialConstraint:
@@ -431,15 +419,15 @@ class _SeedStreams:
     counter (i // 4 + 1, 0, k, 0), the counter numpy increments before
     each block, and its i-th double is (word i >> 11) * 2**-53, as
     Generator.random() reads it. A counter-based generator holds no
-    state but the word position of each row, so ``random(rows, m)``
-    computes the blocks that hold each listed row's next m words, in one
-    pass of ten rounds over (2, len(rows), blocks) arrays, and advances
-    only those rows. Each call allocates its work arrays once and every
-    round writes them in place; the rounds read no reversed or broadcast
-    operand, which would take numpy's slower strided loop. The state
-    lives in the instance and the buffers in the call, never in the
-    module. Raises ValueError when count is positive and seed is not in
-    [0, 2**128), the range of a Philox key.
+    state: the instance keeps only the ten round keys and the stream
+    ids, which no call changes, and ``random(rows, offset, m)`` is a pure
+    function of its arguments. It computes the blocks that hold words
+    offset .. offset + m - 1 of each listed row, in one pass of ten
+    rounds over (2, len(rows), blocks) arrays. Each call allocates its
+    work arrays once and every round writes them in place; the rounds
+    read no reversed or broadcast operand, which would take numpy's
+    slower strided loop. Raises ValueError when count is positive and
+    seed is not in [0, 2**128), the range of a Philox key.
     """
 
     def __init__(self, seed: int, count: int, start: int = 0):
@@ -450,20 +438,16 @@ class _SeedStreams:
         # increments, every sum and product wrapping mod 2**64.
         words = np.array([seed & _MASK64, seed >> 64 & _MASK64], dtype=np.uint64)
         self.keys = _const(words + np.arange(10, dtype=np.uint64)[:, None] * _PHILOX_W)
-        self.stream = np.arange(start, start + count, dtype=np.uint64)
-        self.pos = np.zeros(len(self.stream), dtype=np.uint64)
+        self.stream = _const(np.arange(start, start + count, dtype=np.uint64))
 
-    def random(self, rows: np.ndarray, m: int) -> np.ndarray:
-        """The next m doubles in [0, 1) of each listed row's stream, shape (len(rows), m)."""
-        pos = self.pos[rows]
-        block, skip = np.divmod(pos, 4)
-        # Every row takes the blocks that the row skipping most words of its first block needs.
-        most = int(skip.max(initial=0))
-        blocks = (most + m + 3) // 4
+    def random(self, rows: np.ndarray, offset: int, m: int) -> np.ndarray:
+        """Doubles offset .. offset + m - 1 in [0, 1) of each listed row's stream, shape (len(rows), m)."""
+        first, skip = divmod(offset, 4)
+        blocks = (skip + m + 3) // 4
         shape = (2, len(rows), blocks)
         # x holds counter words 0 and 2, which a round multiplies; words 1 and 3 start at zero.
         x, lo, hi, hi_lo, cross, low = np.empty((6, *shape), dtype=np.uint64)
-        np.add(block[:, None], np.arange(1, blocks + 1, dtype=np.uint64), out=x[0])
+        x[0] = np.arange(first + 1, first + blocks + 1, dtype=np.uint64)
         x[1] = self.stream[rows][:, None]
         # The multipliers fill x's shape once: a broadcast operand takes numpy's slower loop.
         m_lo, m_hi, mult = np.empty((3, *shape), dtype=np.uint64)
@@ -497,11 +481,7 @@ class _SeedStreams:
         words = np.empty((len(rows), blocks, 4), dtype=np.uint64)
         words[..., 0::2] = x.transpose(1, 2, 0)
         words[..., 1::2] = low[::-1].transpose(1, 2, 0)
-        words = words.reshape(len(rows), 4 * blocks)
-        self.pos[rows] = pos + m
-        if most:
-            words = np.take_along_axis(words, skip.astype(np.intp)[:, None] + np.arange(m), axis=1)
-        out = (words[:, :m] >> _U64_11).astype(float)
+        out = (words.reshape(len(rows), 4 * blocks)[:, skip:skip + m] >> _U64_11).astype(float)
         out *= 2.0 ** -53
         return out
 
@@ -512,33 +492,36 @@ _MAX_ATTEMPTS = 1000
 
 def _sample_stack(
     model: RateModel,
-    rows: np.ndarray,
-    random: Callable[[np.ndarray, int], np.ndarray],
+    rows: int,
+    random: Callable[[np.ndarray, int, int], np.ndarray],
     count: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """count stochastic rate matrices per stream in rows, as a (len(rows), count, n, n) stack.
+    """count stochastic rate matrices for each of streams 0 .. rows - 1, as a (rows, count, n, n) stack.
 
-    ``random(rows, m)`` is the stream source: the next m uniform doubles
-    of each listed stream, as a (len(rows), m) array: the Philox rows of
-    a _SeedStreams, or one shared Generator (sample_with_rng). A
-    candidate is one draw of m doubles: a parameterized model maps
-    lo + (hi - lo) * unit through its parameterization, which is
-    Generator.uniform(lo, hi); a basis-only model takes coefficients
-    -1 + 2 * unit, which is Generator.uniform(-1, 1). A stream's
-    matrices are its first count accepted candidates, in stream order,
-    so slot i of a row is what the (i + 1)-th sample_with_rng call on
-    its stream would draw. The first attempt draws count candidates for
-    every row, as one (len(rows) * count) stack. When it accepts every
+    ``random(rows, offset, m)`` is the stream source: doubles offset ..
+    offset + m - 1 of each listed stream, as a (len(rows), m) array: the
+    Philox rows of a _SeedStreams, or one shared Generator
+    (sample_with_rng), which ignores the offset. A candidate is one draw
+    of width doubles, one per parameter or basis element: a
+    parameterized model maps lo + (hi - lo) * unit through its
+    parameterization, which is Generator.uniform(lo, hi); a basis-only
+    model takes coefficients -1 + 2 * unit, which is
+    Generator.uniform(-1, 1). A stream's matrices are its first count
+    accepted candidates, in stream order, so slot i of a row is what the
+    (i + 1)-th sample_with_rng call on its stream would draw. The first
+    attempt draws count candidates for every row, words 0 .. count *
+    width - 1, as one (rows * count) stack. When it accepts every
     candidate, as on every zoo draw, slot i of a row is its candidate i,
     and that stack is returned as drawn, with no fill, copy or slot
-    count. Otherwise each row's
-    candidates fill its slots one by one, and each later attempt draws
-    one candidate for every row that still needs one, from its own
-    stream. A matrix that sees _MAX_ATTEMPTS rejected candidates in
-    a row exhausts its stream: the row is marked failed in the returned
-    mask (its open slots stay NaN) instead of raising. Rows of a shared
-    Generator draw from it in row order; that matches sequential draws
-    while no row is rejected.
+    count. Otherwise each row's candidates fill its slots one by one, and
+    each later attempt draws one candidate for every row that still
+    needs one, from its own stream. Every such row has drawn every
+    attempt so far, so all of them read the same width words next, at
+    one offset that each attempt advances by width. A matrix that sees
+    _MAX_ATTEMPTS rejected candidates in a row exhausts its stream: the
+    row is marked failed in the returned mask (its open slots stay NaN)
+    instead of raising. Rows of a shared Generator draw from it in row
+    order; that matches sequential draws while no row is rejected.
 
     A parameterized draw is accepted when it is a stochastic rate matrix
     and its model residual is at most 1e-10. A basis-only draw lies in
@@ -547,29 +530,31 @@ def _sample_stack(
     """
     n = model.n
     if model.parameterization is not None:
-        fn, _ = get_parameterization(model.parameterization)
+        fn, width = get_parameterization(model.parameterization)
         lo, hi = np.array(model.parameter_ranges).T
 
-        def draw(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-            q = fn(lo + (hi - lo) * random(rows, k * len(lo)).reshape(-1, len(lo)))
+        def draw(rows: np.ndarray, offset: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+            q = fn(lo + (hi - lo) * random(rows, offset, k * width).reshape(-1, width))
             return q, is_stochastic_rate(q, 1e-12) & (model._residual(q) <= 1e-10)
     elif model.basis:
         stack = np.reshape(model.basis, (len(model.basis), n * n))
+        width = len(stack)
 
-        def draw(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-            coeffs = -1.0 + 2.0 * random(rows, k * len(stack)).reshape(-1, len(stack))
+        def draw(rows: np.ndarray, offset: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+            coeffs = -1.0 + 2.0 * random(rows, offset, k * width).reshape(-1, width)
             q = (coeffs[:, None, :] @ stack).reshape(-1, n, n)
             return q, is_stochastic_rate(q, 1e-12)
     else:
         raise SamplingError(f"model {model.name!r} has no parameterization or basis to sample")
-    q, accept = draw(rows, count)
+    pending = np.arange(rows)
+    q, accept = draw(pending, 0, count)
     if accept.all():
         # As on every zoo draw: slot i of a row is its candidate i, so the draw is the stack.
-        return q.reshape(len(rows), count, n, n), np.ones(len(rows), dtype=bool)
-    out = np.full((len(rows), count, n, n), np.nan)
-    got = np.zeros(len(rows), dtype=int)
-    misses = np.zeros(len(rows), dtype=int)
-    pending, k = np.arange(len(rows)), count
+        return q.reshape(rows, count, n, n), np.ones(rows, dtype=bool)
+    out = np.full((rows, count, n, n), np.nan)
+    got = np.zeros(rows, dtype=int)
+    misses = np.zeros(rows, dtype=int)
+    k, offset = count, count * width
     while True:
         q, accept = q.reshape(len(pending), k, n, n), accept.reshape(len(pending), k)
         # A row's candidates fill its open slots in stream order until it is full or exhausted.
@@ -585,17 +570,19 @@ def _sample_stack(
         if not len(pending):
             return out, got == count
         k = 1
-        q, accept = draw(rows[pending], k)
+        q, accept = draw(pending, offset, k)
+        offset += width
 
 
 def _sample_all(
-    model: RateModel, count: int, random: Callable[[np.ndarray, int], np.ndarray]
+    model: RateModel, count: int, random: Callable[[np.ndarray, int, int], np.ndarray]
 ) -> np.ndarray:
     """Rows 0..count-1 of _sample_stack, one matrix each, as a (count, n, n) stack.
 
-    Raises SamplingError when any row is exhausted in _MAX_ATTEMPTS draws.
+    A count of zero or below gives an empty stack. Raises SamplingError
+    when any row is exhausted in _MAX_ATTEMPTS draws.
     """
-    mats, ok = _sample_stack(model, np.arange(count), random)
+    mats, ok = _sample_stack(model, max(count, 0), random)
     if ok.all():
         return mats[:, 0]
     if model.parameterization is not None:
@@ -612,7 +599,7 @@ def sample_with_rng(model: RateModel, rng: np.random.Generator) -> np.ndarray:
     The batch-of-one case of the stack sampler the closure audit uses;
     raises SamplingError when no draw is accepted in _MAX_ATTEMPTS.
     """
-    return _sample_all(model, 1, lambda rows, m: rng.random((len(rows), m)))[0]
+    return _sample_all(model, 1, lambda rows, offset, m: rng.random((len(rows), m)))[0]
 
 
 def _sample_stochastic_stack(model: RateModel, seed: int, count: int) -> np.ndarray:

@@ -45,6 +45,20 @@ def pair_rng(seed, k):
     return np.random.default_rng(np.random.Philox(key=seed, counter=k << 128))
 
 
+def equal_input_doc(n):
+    """The n-state equal-input model file: basis matrix i has row i all ones off the diagonal.
+
+    Closed, of dimension n. Its basis-only sampler reaches the stochastic
+    cone with probability about 2^-n per draw.
+    """
+    basis = np.zeros((n, n, n))
+    for i, b in enumerate(basis):
+        b[i] = 1.0
+        np.fill_diagonal(b, 0.0)
+        np.fill_diagonal(b, -b.sum(axis=0))
+    return {"name": f"equal-input-{n}", "n": n, "basis": basis.reshape(n, n * n).tolist()}
+
+
 def cyclic_model(scale=1e6):
     """Span model whose samples are multiples of scale times a 4-cycle generator.
 

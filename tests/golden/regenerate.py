@@ -14,8 +14,13 @@ Each command below runs in process through liemarkov.cli.main with
 JSON stdout. The README's error cases run the
 same way, some with a model file on stdin (`--model -`); their files
 hold the argv, that stdin, the exit code and the `error:` line, the last
-line of stderr, and they print nothing to stdout. tests/test_golden.py
-compares the current program against these files.
+line of stderr, and they print nothing to stdout. The n = 61
+equal-input model is fed on stdin too, but its file (1.1 MB) is built
+by conftest.equal_input_doc, CI's recipe, and its pins record only n:
+export's 2.5 MB of stdout is pinned by its byte length and sha256, and
+a 20-pair check by its `error:` line (every one of its first 11 pairs
+exhausts its sampler, each stream read about 61 000 words deep).
+tests/test_golden.py compares the current program against these files.
 
 The files in audit/ hold what a per-pair audit finds, one file per
 (model, seed) at 150 pairs and the default tolerance;
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -56,7 +62,7 @@ from liemarkov.zoo import zoo_names
 HERE = Path(__file__).resolve().parent
 # The audit pairs come from the tests' own helpers, in the directory above.
 sys.path.insert(0, str(HERE.parent))
-from conftest import audit_pair, cyclic_model, pair_rng
+from conftest import audit_pair, cyclic_model, equal_input_doc, pair_rng
 
 AUDIT_DIR = HERE / "audit"
 AUDIT_MODELS = (*zoo_names(), "cyclic-6", "cyclic-8")
@@ -104,8 +110,22 @@ ERRORS = {
 }
 
 
-def run(argv: list[str], stdin: str | None = None) -> dict:
-    """The pinned record of one command: argv, stdin if any, exit code, then parsed stdout or the error line."""
+# Commands on the n = 61 equal-input model: file stem -> (argv, n of the model fed on stdin).
+EQUAL_INPUT = {
+    "export-equal-input-61": (["export", "--model", "-"], 61),
+    "check-equal-input-61-seed7-20": (
+        ["check", "--model", "-", "--seed", "7", "--samples", "20", "--no-timestamp"], 61),
+}
+
+
+def run(argv: list[str], stdin: str | None = None, equal_input: int | None = None) -> dict:
+    """The pinned record of one command: argv, stdin if any, exit code, then parsed stdout or the error line.
+
+    With equal_input = n, stdin is conftest.equal_input_doc(n), recorded
+    as that n, and stdout is recorded by its byte length and sha256.
+    """
+    if equal_input is not None:
+        stdin = json.dumps(equal_input_doc(equal_input))
     out, err = io.StringIO(), io.StringIO()
     saved, sys.stdin = sys.stdin, io.StringIO(stdin or "")
     try:
@@ -114,10 +134,15 @@ def run(argv: list[str], stdin: str | None = None) -> dict:
     finally:
         sys.stdin = saved
     record = {"argv": argv}
-    if stdin is not None:
+    if equal_input is not None:
+        record["stdin_equal_input"] = equal_input
+    elif stdin is not None:
         record["stdin"] = stdin
     record["exit_code"] = code
-    if out.getvalue():
+    if out.getvalue() and equal_input is not None:
+        data = out.getvalue().encode("utf-8")
+        record["stdout_bytes"], record["stdout_sha256"] = len(data), hashlib.sha256(data).hexdigest()
+    elif out.getvalue():
         record["stdout"] = json.loads(out.getvalue())
     else:
         record["error"] = err.getvalue().splitlines()[-1]
@@ -174,6 +199,7 @@ def records() -> dict[Path, str]:
     """The text of every pinned file, by path, computed in memory."""
     out = {HERE / f"{stem}.json": dumps(run(argv)) for stem, argv in commands().items()}
     out.update({HERE / f"{stem}.json": dumps(run(argv, stdin)) for stem, (argv, stdin) in ERRORS.items()})
+    out.update({HERE / f"{stem}.json": dumps(run(argv, equal_input=n)) for stem, (argv, n) in EQUAL_INPUT.items()})
     for name in AUDIT_MODELS:
         for seed in AUDIT_SEEDS:
             out[AUDIT_DIR / f"{name}-seed{seed}.json"] = dumps(audit(name, seed))
@@ -199,5 +225,5 @@ if __name__ == "__main__":
     AUDIT_DIR.mkdir(exist_ok=True)
     for path, text in fresh.items():
         path.write_text(text, encoding="utf-8")
-    print(f"wrote {len(commands()) + len(ERRORS)} files to {HERE} "
+    print(f"wrote {len(commands()) + len(ERRORS) + len(EQUAL_INPUT)} files to {HERE} "
           f"and {len(AUDIT_MODELS) * len(AUDIT_SEEDS)} to {AUDIT_DIR}")

@@ -39,12 +39,13 @@ from liemarkov import (
 )
 from liemarkov import closure
 from liemarkov import model as model_module
-from liemarkov.model import _SeedStreams, _sample_stack
+from liemarkov.model import _SeedStreams, _sample_stack, model_from_dict
 from liemarkov.zoo import REFERENCE_LOG_PRODUCT, reference_pair
 
 from bracket_loop import lie_closure_loop
 from conftest import (
-    audit_pair, chain_logs, cyclic_model, make_rate_matrix, pair_rng, row_convention_doc, zoo_generator,
+    audit_pair, chain_logs, cyclic_model, equal_input_doc, make_rate_matrix, pair_rng, row_convention_doc,
+    zoo_generator,
 )
 from exact import exact_rank
 
@@ -74,12 +75,6 @@ def _saturation_inputs():
     inputs += [_kronecker_pair(seed, 4, 4) for seed in (0, 4, 6, 13)]
     inputs += [list(_generic_pair(np.random.default_rng(n), n)) for n in (*range(3, 15), 16, 20)]
     return inputs
-
-
-def _exact_floats(mats):
-    # Integers below 2**53 convert to float exactly, so exact_rank sees them unrounded.
-    assert all(abs(int(x)) < 2 ** 53 for m in mats for x in m.flat)
-    return [m.astype(float) for m in mats]
 
 
 def _exact_lie_rank(gens) -> int:
@@ -122,8 +117,8 @@ def _exact_lie_rank(gens) -> int:
                  if independent(w)]
         kept += level
     brackets = [s.dot(w) - w.dot(s) for w in kept for s in gens]
-    assert exact_rank(_exact_floats(kept)) == len(kept)
-    assert exact_rank(_exact_floats(kept + gens + brackets)) == len(kept)
+    assert exact_rank(kept) == len(kept)
+    assert exact_rank(kept + gens + brackets) == len(kept)
     return len(kept)
 
 
@@ -346,6 +341,20 @@ class TestLieClosure:
         closed = lie_closure(base)
         assert len(closed) == dim
         _assert_closed_basis(closed, base, 1e-12)
+
+    def test_block_just_above_the_gate_takes_the_svd(self, caplog):
+        # [A, A^2] = 0, so the one first-level bracket of A and A^2 + d X is d [A, X]. At d = 2^-21
+        # its norm after Gram-Schmidt, the smallest singular value accepted, lies between the gate
+        # and ten times it, and the SVD must still take it and open the rest of L. The same
+        # algebra in integers is generated by A and 2^21 A^2 + X.
+        a, x = _generic_pair(np.random.default_rng(3), 4)
+        with caplog.at_level(logging.DEBUG, logger="liemarkov.closure"):
+            closed = lie_closure([a, a @ a + 2.0 ** -21 * x])
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("lie_closure")]
+        _, dims, accepted, _ = record.args
+        assert closure.DEFAULT_BRACKET_GATE < accepted < 10 * closure.DEFAULT_BRACKET_GATE
+        assert dims[:2] == [2, 3]
+        assert len(closed) == _exact_lie_rank([a, 2 ** 21 * (a @ a) + x]) == 12
 
     def test_rank_gap_logged(self, caplog):
         for gens in _saturation_inputs():
@@ -628,13 +637,7 @@ class TestMultiplicativeClosure:
 
     def test_majority_failure_names_its_cause(self):
         # The 12-state equal-input basis: its box sampler accepts about 2^-12 of its draws.
-        n = 12
-        basis = np.zeros((n, n, n))
-        for i in range(n):
-            basis[i, i] = 1.0
-            basis[i, i, i] = 0.0
-            basis[i][np.arange(n), np.arange(n)] = -basis[i].sum(axis=0)
-        model = RateModel(name="equal-input", n=n, basis=tuple(basis))
+        model = model_from_dict(equal_input_doc(12))
         # The whole message, pinned: one pair of seed 0's first 27 draws both its generators.
         for samples, seed, failed, read in ((20, 42, 11, 11), (50, 0, 26, 27)):
             with pytest.raises(RuntimeError) as err:
@@ -965,7 +968,7 @@ class TestBatchedAudit:
         # Coefficient draws in [-1, 1]^2: three of four land outside the stochastic cone.
         model = RateModel(name="k2p-span", n=4, basis=zoo_model("k2p").basis)
         seed, count = 11, 40
-        pairs, ok = _sample_stack(model, np.arange(count), _SeedStreams(seed, count).random, 2)
+        pairs, ok = _sample_stack(model, count, _SeedStreams(seed, count).random, 2)
         assert ok.all()
         for k in range(count):
             rng = pair_rng(seed, k)
@@ -977,7 +980,7 @@ class TestBatchedAudit:
         monkeypatch.setattr(model_module, "_MAX_ATTEMPTS", 2)
         model = RateModel(name="k2p-span", n=4, basis=zoo_model("k2p").basis)
         seed, count = 3, 80
-        pairs, ok = _sample_stack(model, np.arange(count), _SeedStreams(seed, count).random, 2)
+        pairs, ok = _sample_stack(model, count, _SeedStreams(seed, count).random, 2)
         slots = {"q": 0, "q_prime": 0}
         for k in range(count):
             rng = pair_rng(seed, k)
@@ -999,7 +1002,7 @@ class TestBatchedAudit:
     def test_exhausted_rows_fail_alone(self, monkeypatch):
         monkeypatch.setattr(model_module, "_MAX_ATTEMPTS", 2)
         model = RateModel(name="k2p-span", n=4, basis=zoo_model("k2p").basis)
-        q, ok = _sample_stack(model, np.arange(40), _SeedStreams(5, 40).random)
+        q, ok = _sample_stack(model, 40, _SeedStreams(5, 40).random)
         q = q[:, 0]
         assert 0 < ok.sum() < 40
         for k in range(40):

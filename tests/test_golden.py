@@ -5,11 +5,14 @@ exactly; floats to 1e-12 relative, since another numpy or BLAS may round
 differently. A closure basis is compared by the span it projects onto,
 because another LAPACK may rotate singular vectors within a repeated
 singular value. An error case feeds its pinned stdin, prints nothing to
-stdout, and its last stderr line must be the pinned `error:` line.
-tests/golden/regenerate.py rewrites the files.
+stdout, and its last stderr line must be the pinned `error:` line. A pin
+of the n = 61 equal-input model feeds conftest.equal_input_doc(61) on
+stdin, and its stdout, when pinned, must match in byte length and
+sha256. tests/golden/regenerate.py rewrites the files.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -19,6 +22,8 @@ import numpy as np
 import pytest
 
 from liemarkov.cli import main
+
+from conftest import equal_input_doc
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FILES = sorted(GOLDEN.glob("*.json"))
@@ -47,14 +52,18 @@ def _projector(basis: list) -> np.ndarray:
 
 
 def test_every_pinned_command_has_a_file():
-    assert len(FILES) == 50
+    assert len(FILES) == 52
     assert sum(p.stem.startswith("error-") for p in FILES) == 7
+    assert sum("equal-input-61" in p.stem for p in FILES) == 2
 
 
 @pytest.mark.parametrize("path", FILES, ids=[p.stem for p in FILES])
 def test_report_matches_pin(path, monkeypatch):
     pin = json.loads(path.read_text(encoding="utf-8"))
-    monkeypatch.setattr(sys, "stdin", io.StringIO(pin.get("stdin", "")))
+    stdin = pin.get("stdin", "")
+    if "stdin_equal_input" in pin:
+        stdin = json.dumps(equal_input_doc(pin["stdin_equal_input"]))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(pin["argv"]))
@@ -62,6 +71,10 @@ def test_report_matches_pin(path, monkeypatch):
     if "error" in pin:
         assert out.getvalue() == ""
         assert err.getvalue().splitlines()[-1] == pin["error"]
+        return
+    if "stdout_sha256" in pin:
+        data = out.getvalue().encode("utf-8")
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (pin["stdout_bytes"], pin["stdout_sha256"])
         return
     got, want = json.loads(out.getvalue()), pin["stdout"]
     if pin["argv"][0] == "closure":

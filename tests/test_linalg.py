@@ -571,15 +571,25 @@ class TestBranchGuard:
         np.testing.assert_allclose(matrix_log(x), np.diag([math.log(0.15 / 1.85), 0.0, 0.0, 0.0]), atol=1e-14)
 
     def test_mixed_stack(self):
-        # A near-identity row is summed; X + I singular, a spectrum near zero and NaN are refused alone.
+        # A near-identity row is summed; X + I singular, a spectrum near zero, NaN, inf and a single
+        # NaN entry are refused alone, each by the one comparison with the radius, and warn nothing.
         m = np.stack([
             np.eye(2) + [[1e-3, 2e-3], [0.0, -1e-3]],
             np.diag([-1.0, 2.0]),
             np.diag([1e-13, 1.0]),
             np.full((2, 2), np.nan),
+            np.full((2, 2), np.inf),
+            [[1.0, np.nan], [0.0, 1.0]],
         ])
-        logs, ok = _log_stack(m)
-        assert list(ok) == [True, False, False, False]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logs, ok = _log_stack(m)
+            # Without the singular row the solve does not fail, and the non-finite rows solve to NaN.
+            rest, rest_ok = _log_stack(m[[0, 3, 4, 5]])
+        assert list(ok) == [True, False, False, False, False, False]
+        assert list(rest_ok) == [True, False, False, False]
+        np.testing.assert_array_equal(rest[0], logs[0])
+        assert np.isnan(rest[1:]).all()
         np.testing.assert_array_equal(logs[0], matrix_log(m[0]))
         assert np.isnan(logs[1:]).all()
         for row in m[1:3]:
@@ -798,7 +808,7 @@ class TestStackKernels:
         from liemarkov.model import _SeedStreams, _sample_stack
 
         model = zoo_model(name)
-        pairs, ok = _sample_stack(model, np.arange(60), _SeedStreams(17, 60).random, 2)
+        pairs, ok = _sample_stack(model, 60, _SeedStreams(17, 60).random, 2)
         q, q_prime = pairs[:, 0], pairs[:, 1]
         assert ok.all()
         exps = _exp_stack(np.concatenate([q, q_prime]))
@@ -820,7 +830,7 @@ class TestStackKernels:
         from liemarkov import zoo_model
         from liemarkov.model import _SeedStreams, _sample_stack
 
-        pairs, ok = _sample_stack(zoo_model(name), np.arange(20), _SeedStreams(17, 20).random, 2)
+        pairs, ok = _sample_stack(zoo_model(name), 20, _SeedStreams(17, 20).random, 2)
         assert ok.all()
         exps = _exp_stack(np.concatenate([pairs[:, 0], pairs[:, 1]]))
         products = exps[:20] @ exps[20:]
@@ -846,7 +856,7 @@ class TestStackKernels:
             model, bound = RateModel(name="cyclic", n=4, basis=basis), 1.2e-14
         else:
             model, bound = zoo_model(name), 3e-16
-        pairs, ok = _sample_stack(model, np.arange(20), _SeedStreams(17, 20).random, 2)
+        pairs, ok = _sample_stack(model, 20, _SeedStreams(17, 20).random, 2)
         assert ok.all()
         a = np.concatenate([pairs[:, 0], pairs[:, 1]])
         with mpmath.workdps(40):

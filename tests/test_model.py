@@ -35,7 +35,9 @@ from liemarkov import model as model_module
 from liemarkov.model import _SeedStreams, _sample_stochastic_stack, load_model
 from liemarkov.zoo import REFERENCE_LOG_PRODUCT
 
-from conftest import audit_pair, make_rate_matrix, pair_rng, row_convention_doc, zoo_generator
+from conftest import (
+    audit_pair, equal_input_doc, make_rate_matrix, pair_rng, row_convention_doc, zoo_generator,
+)
 
 
 def by_hand(c, q):
@@ -405,6 +407,11 @@ _KEYS = st.one_of(
 )
 
 
+def _stream_words(seed, k, offset, m):
+    """Doubles offset .. offset + m - 1 of stream k of seed, read from numpy's own Philox."""
+    return pair_rng(seed, k).random(offset + m)[offset:]
+
+
 class TestSeedStreams:
     """Row k of _SeedStreams(seed, count, start) is stream start + k of seed, pair_rng(seed, start + k)."""
 
@@ -412,30 +419,29 @@ class TestSeedStreams:
     @given(seed=_KEYS, count=st.integers(1, 12), start=st.sampled_from((0, 1024, 2**40)), data=st.data())
     def test_rows_match_default_rng(self, seed, count, start, data):
         streams = _SeedStreams(seed, count, start)
-        gens = [pair_rng(seed, start + k) for k in range(count)]
         subsets = st.permutations(range(count)).flatmap(lambda p: st.integers(0, count).map(lambda size: p[:size]))
         widths = st.one_of(st.integers(0, 9), st.integers(0, 640))
         for _ in range(data.draw(st.integers(1, 4))):
-            # Successive draws over row subsets in any order; the other rows stay where they were.
-            rows, m = data.draw(subsets), data.draw(widths)
-            out = streams.random(np.array(rows, dtype=int), m)
+            # Draws over row subsets in any order, each at any offset: no call depends on another.
+            rows, offset, m = data.draw(subsets), data.draw(st.integers(0, 700)), data.draw(widths)
+            out = streams.random(np.array(rows, dtype=int), offset, m)
             assert out.shape == (len(rows), m)
             for r, k in enumerate(rows):
-                np.testing.assert_array_equal(out[r], gens[k].random(m))
+                np.testing.assert_array_equal(out[r], _stream_words(seed, start + k, offset, m))
 
     @pytest.mark.parametrize("m", [1, 2, 7, 20, 64, 640])
     @pytest.mark.parametrize("seed", [5, 2**32 - 3, 2**64 - 2])
     def test_jumps_match_default_rng(self, seed, m):
-        # Rows jump ahead by whole Philox blocks of four words; after the width-3 draw row 1
-        # starts mid-block while the others do not, so one call mixes block offsets.
+        # Offsets at a block start, at each of the three mid-block skips, and past 60 000 words,
+        # as deep as an exhausted n = 61 stream reads; the same call twice gives the same words.
         count = 6
         streams = _SeedStreams(seed, count)
-        gens = [pair_rng(seed, k) for k in range(count)]
-        for rows, width in (([4, 1], m), (list(range(count)), m), ([1], 3), ([5, 0, 1], m)):
-            out = streams.random(np.array(rows), width)
-            assert out.shape == (len(rows), width)
+        for rows, offset in (([4, 1], 0), (list(range(count)), 1), ([1], 6), ([5, 0, 1], 7), ([3], 61_003)):
+            out = streams.random(np.array(rows), offset, m)
+            assert out.shape == (len(rows), m)
+            np.testing.assert_array_equal(streams.random(np.array(rows), offset, m), out)
             for r, k in enumerate(rows):
-                np.testing.assert_array_equal(out[r], gens[k].random(width))
+                np.testing.assert_array_equal(out[r], _stream_words(seed, k, offset, m))
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_outside_the_key_range_raises(self, seed):
@@ -448,22 +454,24 @@ class TestSeedStreams:
         with pytest.raises(ValueError, match=message):
             multiplicative_closure_check(zoo_model("hky"), samples=3, seed=seed)
         # No row, no seed to check.
-        assert _SeedStreams(seed, 0).random(np.arange(0), 3).shape == (0, 3)
+        assert _SeedStreams(seed, 0).random(np.arange(0), 5, 3).shape == (0, 3)
 
     def test_constants_are_unsigned_arrays(self):
         # Under NEP 50 an op with a Python integer beyond the dtype raises OverflowError; with
         # a uint array it wraps. Scalars would warn on overflow, so every constant is an array,
-        # built once at import and read-only, since every stream shares it.
+        # built once and read-only, since every stream and every call shares it. The instance
+        # holds only its round keys and stream ids: no call writes a word position back.
         streams = _SeedStreams(7, 3)
         for value in (model_module._PHILOX_M, model_module._M_LO, model_module._M_HI,
-                      model_module._LOW32, model_module._U64_11, model_module._U64_32, streams.keys):
+                      model_module._LOW32, model_module._U64_11, model_module._U64_32, streams.keys,
+                      streams.stream):
             assert isinstance(value, np.ndarray) and value.dtype == np.uint64
             assert not value.flags.writeable
         # numpy's own Philox4x64 multipliers, and the key of round 0, low word first.
         assert model_module._PHILOX_M.ravel().tolist() == [0xD2E7470EE14C6C93, 0xCA5A826395121157]
         assert streams.keys.shape == (10, 2) and streams.keys[0].tolist() == [7, 0]
-        for state in (streams.stream, streams.pos):
-            assert state.dtype == np.uint64 and state.shape == (3,)
+        assert set(vars(streams)) == {"keys", "stream"}
+        assert streams.stream.tolist() == [0, 1, 2]
 
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**64 + 5, 2**128 - 1])
     def test_round_keys_follow_the_weyl_schedule(self, seed):
@@ -479,9 +487,9 @@ class TestSeedStreams:
     def test_wraparound_emits_no_warning(self, seed, count):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = _SeedStreams(seed, count).random(np.arange(count), 5)
+            out = _SeedStreams(seed, count).random(np.arange(count), 3, 5)
         for k in range(count):
-            np.testing.assert_array_equal(out[k], pair_rng(seed, k).random(5))
+            np.testing.assert_array_equal(out[k], _stream_words(seed, k, 3, 5))
 
     @pytest.mark.parametrize("name", ["hky", "gtr", "k2p-span"])
     def test_stack_rows_are_seeded_draws(self, name):
@@ -623,15 +631,10 @@ class TestCompiledOnce:
             calls.clear()
 
     def test_large_basis_model_builds_without_its_projector(self):
-        # The n = 61 equal-input model: basis matrix i has row i all ones off the diagonal. Its
-        # n^2 x n^2 residual projector alone would take 106 MiB, and building a model or writing
-        # it out reads neither that nor the span.
+        # The n = 61 equal-input model. Its n^2 x n^2 residual projector alone would take
+        # 106 MiB, and building a model or writing it out reads neither that nor the span.
         n = 61
-        basis = np.zeros((n, n, n))
-        for i, b in enumerate(basis):
-            b[i] = 1.0
-            np.fill_diagonal(b, 0.0)
-            np.fill_diagonal(b, -b.sum(axis=0))
+        basis = np.reshape(equal_input_doc(n)["basis"], (n, n, n))
         tracemalloc.start()
         try:
             model = RateModel(name="equal-input-61", n=n, basis=tuple(basis))
@@ -643,27 +646,18 @@ class TestCompiledOnce:
         assert len(doc["basis"]) == n
         assert not {"_span", "_residual"} & set(vars(model))
 
-    def test_raw_values_compile_once_per_constraint(self, monkeypatch):
-        calls = []
+    def test_raw_values_compile_once_per_constraint(self):
+        # evaluate is the batch-of-one case of the constraint compiler. A constraint is a plain
+        # frozen value, so a used one pickles and compares like a fresh one.
         compile_fn = model_module._compile_constraints
-
-        def counted(*args):
-            calls.append(args[0])
-            return compile_fn(*args)
-
-        # Zoo models share their constraint objects, so build fresh ones that have not compiled yet.
         model = model_from_dict(model_to_dict(zoo_model("hky")))
         q = sample_with_rng(model, np.random.default_rng(4))
-        monkeypatch.setattr(model_module, "_compile_constraints", counted)
         first = [c.evaluate(q) for c in model.constraints]
-        assert calls == [4] * len(model.constraints)
         for seed in range(3):
             p = sample_with_rng(model, np.random.default_rng(seed))
             assert [c.evaluate(p) for c in model.constraints] == [
                 float(compile_fn(4, (c,))(p[None])[0, 0]) for c in model.constraints]
         assert [c.evaluate(q) for c in model.constraints] == first
-        assert calls == [4] * len(model.constraints)
-        # A used constraint still pickles, and its copy compiles afresh.
         copies = pickle.loads(pickle.dumps(model.constraints))
         assert copies == model.constraints
         assert [c.evaluate(q) for c in copies] == first
