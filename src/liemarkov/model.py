@@ -554,11 +554,11 @@ def _sample_stack(
     out = np.full((rows, count, n, n), np.nan)
     got = np.zeros(rows, dtype=int)
     misses = np.zeros(rows, dtype=int)
-    k, offset = count, count * width
+    offset = count * width
     while True:
-        q, accept = q.reshape(len(pending), k, n, n), accept.reshape(len(pending), k)
+        q, accept = q.reshape(len(pending), -1, n, n), accept.reshape(len(pending), -1)
         # A row's candidates fill its open slots in stream order until it is full or exhausted.
-        for j in range(k):
+        for j in range(accept.shape[1]):
             live = (got[pending] < count) & (misses[pending] < _MAX_ATTEMPTS)
             take = live & accept[:, j]
             hit, miss = pending[take], pending[live & ~accept[:, j]]
@@ -569,8 +569,7 @@ def _sample_stack(
         pending = pending[(got[pending] < count) & (misses[pending] < _MAX_ATTEMPTS)]
         if not len(pending):
             return out, got == count
-        k = 1
-        q, accept = draw(pending, offset, k)
+        q, accept = draw(pending, offset, 1)
         offset += width
 
 
