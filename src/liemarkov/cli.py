@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .closure import lie_closure, log_product, multiplicative_closure_check, span_basis
+from .closure import _algebra_at, log_product, multiplicative_closure_check
 from .linalg import DEFAULT_MEMBERSHIP_TOL
 from .model import (
     SamplingError,
@@ -160,17 +160,18 @@ def _cmd_check(args) -> tuple[dict, list[str], int]:
 
 def _cmd_closure(args) -> tuple[dict, list[str], int]:
     model = _resolve_model(args.model)
-    base = span_basis(model, seed=args.seed)
-    closed = lie_closure(base)
+    # The model's algebra at --seed, which moves a sampled model's span; _algebra holds seed 0's.
+    algebra = _algebra_at(model, args.seed)
+    closed = algebra.closure
     body = {
         "model": model.name,
-        "span_dim": len(base),
+        "span_dim": len(algebra.span),
         "lie_closure_dim": len(closed),
         "basis": [b.tolist() for b in closed],
     }
     lines = [
         f"model: {model.name}",
-        f"span dim: {len(base)}   lie closure dim: {len(closed)}",
+        f"span dim: {len(algebra.span)}   lie closure dim: {len(closed)}",
     ]
     for k, b in enumerate(closed):
         lines.append(f"basis element {k}:")

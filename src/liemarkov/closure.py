@@ -9,17 +9,19 @@ bracket-closure certificate for span models.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_MEMBERSHIP_TOL,
+    DEFAULT_RANK_RTOL,
     _exp_stack,
     _fro_rows,
     _log_stack,
+    _svd_range,
     check_matrices,
     check_square,
     commutator,
@@ -30,13 +32,11 @@ from .linalg import (
 from .model import (
     RateModel,
     _SeedStreams,
+    _check_zero_sums,
     _sample_stack,
     _sample_stochastic_stack,
     check_scaling_closure,
-    is_in_L,
 )
-
-logger = logging.getLogger(__name__)
 
 _VERDICTS = ("closed", "not_closed", "inconclusive")
 # Singular-value gate for new bracket directions: about sqrt(eps) on unit-norm operands.
@@ -134,18 +134,28 @@ def lie_closure(basis) -> list[np.ndarray]:
     closed span that adds nothing, such as the one level of the n = 61
     equal-input basis (1830 brackets, 3721 columns).
 
-    One debug log line per call gives the dimension after each level and
-    the rank gap: the smallest accepted and the largest rejected singular
-    value, or, for a block that took no SVD, its Frobenius norm, a bound
-    on its singular values.
+    The search itself is _saturate, which also returns the dimension
+    after each level and the rank gap: the smallest accepted and the
+    largest rejected singular value, or, for a block that took no SVD,
+    its Frobenius norm, a bound on its singular values. A model's
+    algebra record (RateModel._algebra) keeps them beside its span and
+    closure. Raises ValueError unless every generator has zero column
+    sums within 1e-10 max(1, ||g||_F).
     """
     stack = check_matrices(basis)
     if not len(stack):
         return []
-    with np.errstate(over="ignore"):  # a norm past 1.3e154 is summed again, scaled
-        scale = np.maximum(1.0, _fro_rows(stack))
-    if not is_in_L(stack, tol=1e-10 * scale).all():
-        raise ValueError("lie_closure requires zero-sum generators")
+    _check_zero_sums(stack, "lie_closure requires zero-sum generators")
+    return list(_saturate(stack)[0])
+
+
+def _saturate(stack: np.ndarray) -> tuple[np.ndarray, list[int], float, float]:
+    """lie_closure's search on a validated (k, n, n) stack of zero-sum generators.
+
+    Returns the orthonormal basis of the algebra as a (d, n, n) array,
+    the dimension after each level, and the smallest accepted and the
+    largest rejected singular value (the rank gap).
+    """
     n = stack.shape[-1]
     gens = np.reshape(orthonormal_basis(_zero_sum(stack), DEFAULT_BRACKET_GATE), (-1, n, n))
     ambient = n * n - n
@@ -197,32 +207,57 @@ def lie_closure(basis) -> list[np.ndarray]:
         block = v @ gens
         block -= gens @ v
         block = block.reshape((d - level) * len(gens), n * n)
-    logger.debug(
-        "lie_closure n=%d: dimension after each level %s, smallest accepted singular value %.3g, "
-        "largest rejected singular value (or bound on it) %.3g",
-        n, dims, smallest_accepted, largest_rejected,
-    )
-    return list(flat[:d].reshape(d, n, n).copy())
+    return flat[:d].reshape(d, n, n).copy(), dims, smallest_accepted, largest_rejected
+
+
+class _Algebra(NamedTuple):
+    """A model's span and the Lie algebra it generates, as read-only orthonormal (d, n, n) stacks.
+
+    levels is the dimension after each level of brackets, and accepted
+    and rejected are the smallest accepted and the largest rejected
+    singular value of the saturation (see lie_closure).
+    """
+
+    span: np.ndarray
+    closure: np.ndarray
+    levels: list[int]
+    accepted: float
+    rejected: float
+
+
+def _span_rows(model: RateModel, seed: int) -> np.ndarray:
+    """span_basis's rows as one (r, n, n) array."""
+    if model.basis:
+        stack = np.array(model.basis)
+    elif model.samplable:
+        stack = _sample_stochastic_stack(model, seed, 4 * model.n ** 2)
+    else:
+        raise ValueError(f"model {model.name!r} has no basis and cannot be sampled")
+    return _svd_range(stack, DEFAULT_RANK_RTOL).reshape(-1, model.n, model.n)
+
+
+def _algebra_at(model: RateModel, seed: int) -> _Algebra:
+    """The model's span at seed (span_basis) and the Lie algebra that span generates (_saturate)."""
+    span = _span_rows(model, seed)
+    algebra = _Algebra(span, *_saturate(span))
+    span.flags.writeable = algebra.closure.flags.writeable = False
+    return algebra
 
 
 def span_basis(model: RateModel, seed: int = 0) -> list[np.ndarray]:
     """Orthonormal basis of the span of the model's stochastic cone.
 
-    For a declared basis, fresh copies of the model's orthonormal span
-    at DEFAULT_RANK_RTOL, computed once per model. Otherwise draws 4 n^2
-    generators as one stack, generator i from stream i of seed
-    (_sample_stochastic_stack, the draws of the sample command), and
-    extracts a rank-revealing basis at DEFAULT_RANK_RTOL. The streams
-    are Philox counters in array arithmetic, so no call imports
-    numpy.random. The audit reads its dimensions from the default seed,
-    once per model. Raises ValueError when a sampled model's seed is not
-    in [0, 2**128).
+    For a declared basis, fresh copies of the span in the model's
+    algebra record (RateModel._algebra), computed once per model, so a
+    call runs no SVD. Otherwise draws 4 n^2 generators as one stack,
+    generator i from stream i of seed (_sample_stochastic_stack, the
+    draws of the sample command). Either way the basis is the
+    rank-revealing one at DEFAULT_RANK_RTOL. The streams are Philox
+    counters in array arithmetic, so no call imports numpy.random. The
+    audit reads its dimensions from the default seed, once per model.
+    Raises ValueError when a sampled model's seed is not in [0, 2**128).
     """
-    if model.basis:
-        return list(model._span.reshape(-1, model.n, model.n).copy())
-    if not model.samplable:
-        raise ValueError(f"model {model.name!r} has no basis and cannot be sampled")
-    return orthonormal_basis(_sample_stochastic_stack(model, seed, 4 * model.n ** 2))
+    return list((model._algebra.span if model.basis else _span_rows(model, seed)).copy())
 
 
 @dataclass(frozen=True)
@@ -416,9 +451,10 @@ def multiplicative_closure_check(
     seed is not in [0, 2**128), the range of a Philox key.
 
     The span and Lie closure dimensions are properties of the model, not
-    of the sample: they come from span_basis at its default seed and its
-    lie_closure, computed on the model's first audit and held on the
-    model object, so later audits of that object pay for neither.
+    of the sample: they are the lengths of the span and the closure in
+    the model's algebra record (RateModel._algebra: span_basis at its
+    default seed and the algebra it generates), computed once per model
+    object, so later audits of that object pay for neither.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -455,7 +491,7 @@ def multiplicative_closure_check(
         keep = fail[_select_witnesses(resid[fail])]
         found += map(Witness, q[keep], q_prime[keep], logs[keep], resid[keep].tolist(), (start + keep).tolist())
 
-    span_dim, lie_dim = model._closure_dims
+    span_dim, lie_dim = len(model._algebra.span), len(model._algebra.closure)
     if found:
         verdict = "not_closed"
     elif model.basis and lie_dim == span_dim:

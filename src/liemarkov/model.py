@@ -4,9 +4,11 @@ A model is a set of stochastic rate matrices cut out of the zero-sum
 space either by a linear span basis, by polynomial constraints on the
 off-diagonal entries, or both, optionally with a named parameterization
 for seeded sampling. Models are immutable after construction and safe to
-share across threads; every value a model fills in later (its span,
-residual and closure dimensions) is a deterministic function of its
-fields.
+share across threads. Every value a model fills in later is a
+deterministic function of its fields: its compiled constraint values
+(_constraint_values), its residual (_residual), and its algebra record
+(_algebra): the span, the Lie algebra that span generates, the dimension
+after each level of brackets and the rank gap.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ import numpy as np
 from . import config
 from .linalg import (
     DEFAULT_MEMBERSHIP_TOL,
-    DEFAULT_RANK_RTOL,
     _fro_rows,
-    _svd_range,
     check_matrices,
     check_square,
     check_stack,
@@ -111,6 +111,24 @@ def get_parameterization(name: str) -> tuple[Callable[[np.ndarray], np.ndarray],
         raise ModelFormatError(f"unknown parameterization {name!r}") from None
 
 
+class _derived(cached_property):
+    """A cached_property that takes no lock.
+
+    Before Python 3.12 a cached_property holds one lock per property for
+    all instances. A span model's _residual reads its _algebra while a
+    sampled model's _algebra reads its _residual, so two threads filling
+    them for two models could each wait for the other. Every derived
+    value is a deterministic function of the model's fields, so threads
+    that race may each compute it, and the instance keeps the first. The
+    descriptor defines no __set__, so a kept value shadows it.
+    """
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        return instance.__dict__.setdefault(self.attrname, self.func(instance))
+
+
 @dataclass(frozen=True, eq=False)
 class RateModel:
     """A named Markov model over n states.
@@ -149,10 +167,7 @@ class RateModel:
         if len(basis):
             if basis.shape[1] != self.n:
                 raise ValueError("basis matrix order does not match the model")
-            with np.errstate(over="ignore"):  # a norm past 1.3e154 is summed again, scaled
-                scale = np.maximum(1.0, _fro_rows(basis))
-            if not is_in_L(basis, tol=1e-10 * scale).all():
-                raise ValueError("basis matrices must have zero generator sums")
+            _check_zero_sums(basis, "basis matrices must have zero generator sums")
         basis.flags.writeable = False
         object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "constraints", tuple(self.constraints))
@@ -197,31 +212,25 @@ class RateModel:
     def samplable(self) -> bool:
         return bool(self.basis) or self.parameterization is not None
 
-    @cached_property
+    @_derived
     def _constraint_values(self) -> Callable[[np.ndarray], np.ndarray]:
         """The constraints' raw values; construction reads them, so a bad index fails there."""
         return _compile_constraints(self.n, self.constraints)
 
-    @cached_property
-    def _span(self) -> np.ndarray:
-        """Read-only orthonormal rows spanning the declared basis, at DEFAULT_RANK_RTOL."""
-        span = _svd_range(np.array(self.basis), DEFAULT_RANK_RTOL)
-        span.flags.writeable = False
-        return span
-
-    @cached_property
+    @_derived
     def _residual(self) -> Callable[[np.ndarray], np.ndarray]:
         """The scale-invariant residual of each matrix of a (B, n, n) stack.
 
         A span model divides the norm of q's part outside the span (its
-        projection by I - V^T V, V = _span) by max(||q||_F, 1), as
+        projection by I - V^T V, V the span rows of _algebra) by max(||q||_F, 1), as
         least_squares_membership does. A constraint model takes the
         largest absolute constraint value, a homogeneous degree-d one
         divided by ||q||_F^d first, so a positive rescaling of q keeps it.
         """
         n = self.n
         if self.basis:
-            projector = np.eye(n * n) - self._span.T @ self._span
+            span = self._algebra.span.reshape(-1, n * n)
+            projector = np.eye(n * n) - span.T @ span
 
             def span_residual(q: np.ndarray) -> np.ndarray:
                 flat = _flat(q, n)
@@ -247,13 +256,12 @@ class RateModel:
 
         return constraint_residual
 
-    @cached_property
-    def _closure_dims(self) -> tuple[int, int]:
-        """(span, Lie closure) dimensions from span_basis at its default seed, not an audit's."""
-        from . import closure  # closure imports this module, so it is imported here
+    @_derived
+    def _algebra(self) -> tuple:
+        """The algebra record at seed 0 (closure._algebra_at), which the residual, span_basis and the audit read."""
+        from .closure import _algebra_at  # closure imports this module, so it is imported here
 
-        base = closure.span_basis(self)
-        return len(base), len(closure.lie_closure(base))
+        return _algebra_at(self, 0)
 
 
 def is_in_L(q, tol: float = 1e-12):
@@ -264,6 +272,14 @@ def is_in_L(q, tol: float = 1e-12):
     q = check_stack(q)
     ok = _zero_sums(q, tol)
     return bool(ok) if q.ndim == 2 else ok
+
+
+def _check_zero_sums(stack: np.ndarray, message: str) -> None:
+    """Raise ValueError(message) unless each matrix of a validated stack has column sums within 1e-10 max(1, ||q||_F) of zero."""
+    with np.errstate(over="ignore"):  # a norm past 1.3e154 is summed again, scaled
+        scale = np.maximum(1.0, _fro_rows(stack))
+    if not _zero_sums(stack, 1e-10 * scale).all():
+        raise ValueError(message)
 
 
 def _column_sums(q: np.ndarray) -> np.ndarray:

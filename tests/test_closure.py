@@ -1,7 +1,8 @@
 import json
-import logging
 import pickle
 import sys
+import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial, reduce
@@ -342,34 +343,38 @@ class TestLieClosure:
         assert len(closed) == dim
         _assert_closed_basis(closed, base, 1e-12)
 
-    def test_block_just_above_the_gate_takes_the_svd(self, caplog):
+    def test_block_just_above_the_gate_takes_the_svd(self):
         # [A, A^2] = 0, so the one first-level bracket of A and A^2 + d X is d [A, X]. At d = 2^-21
         # its norm after Gram-Schmidt, the smallest singular value accepted, lies between the gate
         # and ten times it, and the SVD must still take it and open the rest of L. The same
         # algebra in integers is generated by A and 2^21 A^2 + X.
         a, x = _generic_pair(np.random.default_rng(3), 4)
-        with caplog.at_level(logging.DEBUG, logger="liemarkov.closure"):
-            closed = lie_closure([a, a @ a + 2.0 ** -21 * x])
-        (record,) = [r for r in caplog.records if r.getMessage().startswith("lie_closure")]
-        _, dims, accepted, _ = record.args
+        closed, dims, accepted, _ = closure._saturate(np.array([a, a @ a + 2.0 ** -21 * x]))
         assert closure.DEFAULT_BRACKET_GATE < accepted < 10 * closure.DEFAULT_BRACKET_GATE
         assert dims[:2] == [2, 3]
         assert len(closed) == _exact_lie_rank([a, 2 ** 21 * (a @ a) + x]) == 12
 
-    def test_rank_gap_logged(self, caplog):
+    def test_rank_gap_recorded(self):
+        # lie_closure is the list view of the saturation's rows, which also returns the dimension
+        # after each level and the rank gap; a model's algebra record keeps the same four values.
         for gens in _saturation_inputs():
-            caplog.clear()
-            with caplog.at_level(logging.DEBUG, logger="liemarkov.closure"):
-                closed = lie_closure(gens)
-            (record,) = [r for r in caplog.records if r.getMessage().startswith("lie_closure")]
-            _, dims, accepted, rejected = record.args
+            closed, dims, accepted, rejected = closure._saturate(np.array(gens))
+            np.testing.assert_array_equal(lie_closure(gens), closed)
             assert dims[-1] == len(closed)
             # At least three decades between the kept and the dropped directions.
             assert accepted >= 1e3 * rejected
+        for name in zoo_names():
+            algebra = zoo_model(name)._algebra
+            base = np.array(span_basis(zoo_model(name)))
+            closed, *rest = closure._saturate(base)
+            np.testing.assert_array_equal(algebra.span, base)
+            np.testing.assert_array_equal(algebra.closure, closed)
+            assert list(algebra[2:]) == rest
+            assert algebra.levels[-1] == len(closed) and algebra.accepted >= 1e3 * algebra.rejected
 
 
-def _saturate_counting_svds(gens, monkeypatch, caplog):
-    """lie_closure(gens) under a spy: the row count of every SVD it takes, and its logged dimensions."""
+def _saturate_counting_svds(gens, monkeypatch):
+    """The saturation of gens under a spy: the row count of every SVD it takes, and its dimension after each level."""
     rows = []
     svd = np.linalg.svd
 
@@ -377,38 +382,36 @@ def _saturate_counting_svds(gens, monkeypatch, caplog):
         rows.append(len(a))
         return svd(a, *args, **kwargs)
 
-    caplog.clear()
-    with monkeypatch.context() as patch, caplog.at_level(logging.DEBUG, logger="liemarkov.closure"):
+    with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "svd", spy)
-        lie_closure(gens)
-    (record,) = [r for r in caplog.records if r.getMessage().startswith("lie_closure")]
-    return rows, record.args[1]
+        _, dims, _, _ = closure._saturate(np.array(gens))
+    return rows, dims
 
 
 class TestSaturationCost:
     """A level takes its first c brackets, c the directions left, and the rest only while L is not full;
     a block already in the span takes no SVD."""
 
-    def test_filling_level_takes_one_small_svd(self, monkeypatch, caplog):
+    def test_filling_level_takes_one_small_svd(self, monkeypatch):
         # The last level has 2 (127 - 71) = 112 brackets against 5 directions left.
         rows, dims = _saturate_counting_svds(list(_generic_pair(np.random.default_rng(12), 12)),
-                                             monkeypatch, caplog)
+                                             monkeypatch)
         assert dims == [2, 3, 5, 8, 14, 23, 41, 71, 127, 132]
         # The input's rank, then one SVD per level.
         assert rows == [2, 1, 2, 4, 6, 12, 18, 36, 60, 5]
 
     @pytest.mark.parametrize("name", ["hky", "lm88"])
-    def test_closed_span_takes_no_bracket_svd(self, name, monkeypatch, caplog):
+    def test_closed_span_takes_no_bracket_svd(self, name, monkeypatch):
         # 28 brackets of 8 generators against 4 directions left: 4 first, then the other 24, both
         # already in the span after Gram-Schmidt, so neither block takes an SVD.
         base = span_basis(zoo_model(name), seed=0)
-        rows, dims = _saturate_counting_svds(base, monkeypatch, caplog)
+        rows, dims = _saturate_counting_svds(base, monkeypatch)
         assert dims == [8, 8]
         assert rows == [8]
 
-    def test_at_most_two_svds_per_level(self, monkeypatch, caplog):
+    def test_at_most_two_svds_per_level(self, monkeypatch):
         for gens in _saturation_inputs():
-            rows, dims = _saturate_counting_svds(gens, monkeypatch, caplog)
+            rows, dims = _saturate_counting_svds(gens, monkeypatch)
             s, ambient = dims[0], gens[0].size - len(gens[0])
             # The blocks of each level that adds a direction.
             blocks, adding = [], 0
@@ -1034,25 +1037,21 @@ class TestBatchedAudit:
 
 class TestClosureDims:
     def test_computed_once_per_model(self, monkeypatch):
-        # Audits at other seeds, sample counts and tolerances read the model's one pair of dimensions.
+        # Audits at other seeds, sample counts and tolerances read the model's one algebra record,
+        # built at seed 0, and its dimensions are span_basis's and lie_closure's at that seed.
         calls = []
+        build = closure._algebra_at
 
-        def spy(name):
-            fn = getattr(closure, name)
+        def counted(model, seed):
+            calls.append(seed)
+            return build(model, seed)
 
-            def counted(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-
-            monkeypatch.setattr(closure, name, counted)
-
-        spy("span_basis")
-        spy("lie_closure")
+        monkeypatch.setattr(closure, "_algebra_at", counted)
         for name in zoo_names():
             model = zoo_model(name)
             reports = [multiplicative_closure_check(model, samples=samples, seed=seed, tol=tol)
                        for samples, seed, tol in ((20, 3, 1e-8), (7, 2024, 1e-6), (50, 0, 1e-10))]
-            assert calls == ["span_basis", "lie_closure"]
+            assert calls == [0]
             base = span_basis(model)
             dims = (len(base), len(lie_closure(base)))
             assert all((r.span_dim, r.lie_closure_dim) == dims for r in reports)
@@ -1061,11 +1060,11 @@ class TestClosureDims:
     def test_pickle_drops_the_memo(self):
         # A copy holds no derived value of the original; a constraint model compiles its
         # constraint values afresh, at construction.
-        memos = {"_closure_dims", "_residual", "_span", "_constraint_values"}
+        memos = {"_algebra", "_residual", "_constraint_values"}
         for name in ("gtr", "lm88"):
             model = zoo_model(name)
             multiplicative_closure_check(model, samples=5, seed=1)
-            used = {"_closure_dims", "_residual", "_span" if model.basis else "_constraint_values"}
+            used = {"_algebra", "_residual"} | ({"_constraint_values"} if model.constraints else set())
             assert memos & set(vars(model)) == used
             copy = pickle.loads(pickle.dumps(model))
             assert memos & set(vars(copy)) == ({"_constraint_values"} if model.constraints else set())
@@ -1088,7 +1087,7 @@ class TestConcurrency:
         shared = {name: zoo_model(name) for name in zoo_names()}
         tasks = [partial(audit, shared[name], seed) for name in zoo_names() for seed in seeds]
         tasks += [reference_kappas] * 8
-        memos = {"_closure_dims", "_span", "_residual"}
+        memos = {"_algebra", "_residual"}
         assert not any(memos & set(vars(model)) for model in shared.values())
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1098,3 +1097,35 @@ class TestConcurrency:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+
+    def test_derived_values_share_no_lock_across_models(self, monkeypatch):
+        # jc's residual reads jc's algebra record, and hky's record samples hky, which reads hky's
+        # residual. One thread builds hky's record while another builds jc's residual; a lock per
+        # property for all models (functools.cached_property before Python 3.12) would leave each
+        # thread waiting for the other.
+        build = closure._algebra_at
+        building, entered = threading.Event(), threading.Event()
+
+        def slow(model, seed):
+            if model.name == "hky":
+                building.set()
+                entered.wait(10)
+                time.sleep(0.2)  # the other thread is now inside jc's residual
+            return build(model, seed)
+
+        monkeypatch.setattr(closure, "_algebra_at", slow)
+        hky, jc = zoo_model("hky"), zoo_model("jc")
+
+        def residual():
+            building.wait(10)
+            entered.set()
+            return jc._residual
+
+        threads = [threading.Thread(target=lambda: hky._algebra, daemon=True),
+                   threading.Thread(target=residual, daemon=True)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert not any(t.is_alive() for t in threads)
+        assert {"_algebra", "_residual"} <= set(vars(hky)) & set(vars(jc))

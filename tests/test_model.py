@@ -31,6 +31,7 @@ from liemarkov import (
     zoo_names,
 )
 from liemarkov.closure import _MAX_WITNESSES
+from liemarkov import closure as closure_module
 from liemarkov import model as model_module
 from liemarkov.model import _SeedStreams, _sample_stochastic_stack, load_model
 from liemarkov.zoo import REFERENCE_LOG_PRODUCT
@@ -600,26 +601,27 @@ class TestModelValidation:
 
 class TestCompiledOnce:
     def test_compiled_once_on_first_use(self, monkeypatch):
-        # Construction compiles only the constraint values, which it checks; the span's SVD and the
-        # residual wait for their first use, and audits, membership and sampling never redo them.
+        # Construction compiles only the constraint values, which it checks; the algebra record (the
+        # span's SVD and its saturation) and the residual wait for their first use, and audits,
+        # membership and sampling never redo them.
         calls = []
 
-        def spy(name):
-            compile_fn = getattr(model_module, name)
+        def spy(module, name):
+            compile_fn = getattr(module, name)
 
             def counted(*args):
                 calls.append(name)
                 return compile_fn(*args)
 
-            monkeypatch.setattr(model_module, name, counted)
+            monkeypatch.setattr(module, name, counted)
 
-        spy("_svd_range")
-        spy("_compile_constraints")
+        spy(closure_module, "_algebra_at")
+        spy(model_module, "_compile_constraints")
         for name in zoo_names():
             model = zoo_model(name)
             built = ["_compile_constraints"] * bool(model.constraints)
             assert calls == built
-            assert not {"_span", "_residual"} & set(vars(model))
+            assert not {"_algebra", "_residual"} & set(vars(model))
             q = sample_with_rng(model, np.random.default_rng(1))
             residual = vars(model)["_residual"]
             for seed in (3, 4):
@@ -627,12 +629,12 @@ class TestCompiledOnce:
                 assert membership(model, q).in_r and model_residual(model, q) <= 1e-10
                 sample_with_rng(model, np.random.default_rng(seed))
             assert vars(model)["_residual"] is residual
-            assert calls == built + ["_svd_range"] * bool(model.basis)
+            assert calls == built + ["_algebra_at"]
             calls.clear()
 
     def test_large_basis_model_builds_without_its_projector(self):
         # The n = 61 equal-input model. Its n^2 x n^2 residual projector alone would take
-        # 106 MiB, and building a model or writing it out reads neither that nor the span.
+        # 106 MiB, and building a model or writing it out reads neither that nor its algebra record.
         n = 61
         basis = np.reshape(equal_input_doc(n)["basis"], (n, n, n))
         tracemalloc.start()
@@ -644,7 +646,7 @@ class TestCompiledOnce:
             tracemalloc.stop()
         assert peak < 32 * 2**20
         assert len(doc["basis"]) == n
-        assert not {"_span", "_residual"} & set(vars(model))
+        assert not {"_algebra", "_residual"} & set(vars(model))
 
     def test_raw_values_compile_once_per_constraint(self):
         # evaluate is the batch-of-one case of the constraint compiler. A constraint is a plain
