@@ -226,14 +226,20 @@ class _Algebra(NamedTuple):
 
 
 def _span_rows(model: RateModel, seed: int) -> np.ndarray:
-    """span_basis's rows as one (r, n, n) array."""
+    """span_basis's rows as one (r, n, n) array, projected onto zero column sums.
+
+    The SVD's rounding can leave a row off the zero-sum space by more
+    than lie_closure's check allows: a thin direction, such as the
+    difference of two nearly parallel basis matrices, carries it divided
+    by its small singular value.
+    """
     if model.basis:
         stack = np.array(model.basis)
     elif model.samplable:
         stack = _sample_stochastic_stack(model, seed, 4 * model.n ** 2)
     else:
         raise ValueError(f"model {model.name!r} has no basis and cannot be sampled")
-    return _svd_range(stack, DEFAULT_RANK_RTOL).reshape(-1, model.n, model.n)
+    return _zero_sum(_svd_range(stack, DEFAULT_RANK_RTOL).reshape(-1, model.n, model.n))
 
 
 def _algebra_at(model: RateModel, seed: int) -> _Algebra:

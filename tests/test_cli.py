@@ -255,6 +255,30 @@ class TestClosure:
         assert doc["lie_closure_dim"] == 8
         assert len(doc["basis"]) == 8
 
+    def test_seed_moves_a_sampled_span(self, capsys):
+        # gtr has no basis, so closure samples its span at --seed, not the seed-0 span its model
+        # keeps: the bases differ bit for bit, and both span all of L.
+        bases = []
+        for seed in ("1", "2"):
+            code, out, _ = run_cli(capsys, "closure", "--model", "gtr", "--seed", seed, "--no-timestamp")
+            doc = json.loads(out)
+            assert (code, doc["span_dim"], doc["lie_closure_dim"]) == (EXIT_OK, 12, 12)
+            bases.append(np.reshape(doc["basis"], (12, 16)))
+        assert not np.array_equal(*bases)
+        first, second = (v.T @ v for v in bases)
+        assert np.abs(first - second).max() <= 1e-12
+
+    def test_nearly_parallel_basis(self, capsys, tmp_path):
+        # jc and jc + 1e-6 k2p_0 span k2p's span; their thin SVD row once failed lie_closure's check.
+        jc, k2p = zoo_model("jc").basis[0], zoo_model("k2p").basis[0]
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(model_to_dict(RateModel(name="near", n=4, basis=(jc, jc + 1e-6 * k2p)))))
+        for command in ("check", "closure"):
+            code, out, _ = run_cli(capsys, command, "--model", str(path), "--no-timestamp")
+            doc = json.loads(out)
+            dims = doc["closure"] if command == "check" else doc
+            assert (code, dims["span_dim"], dims["lie_closure_dim"]) == (EXIT_OK, 2, 2)
+
 
 class TestSample:
     def test_deterministic_and_valid(self, capsys):

@@ -495,7 +495,10 @@ class TestSpanBasis:
         for b in first:
             assert b.flags.writeable
             b[...] = 7.0
-        for b, ref in zip(span_basis(model), orthonormal_basis(model.basis)):
+        # The declared basis's orthonormal rows, projected onto zero column sums.
+        refs = closure._zero_sum(np.array(orthonormal_basis(model.basis)))
+        np.testing.assert_allclose(refs, orthonormal_basis(model.basis), rtol=0, atol=1e-15)
+        for b, ref in zip(span_basis(model), refs):
             np.testing.assert_array_equal(b, ref)
         assert model_residual(model, REFERENCE_LOG_PRODUCT) == residual
         assert all(not b.flags.writeable for b in model.basis)
@@ -537,6 +540,20 @@ class TestMultiplicativeClosure:
         assert (report.span_dim, report.lie_closure_dim) == (2, 12)
         assert report.witnesses == ()
         assert report.mult_closed_verdict == "inconclusive"
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+    def test_nearly_parallel_basis_is_audited(self, eps):
+        # jc and jc + eps k2p_0 span k2p's closed span, of dimension 2. The span's thin SVD row
+        # carries rounding divided by its small singular value: column sums of 9.3e-10 at eps =
+        # 1e-6 and 1.2e-6 at 1e-9, beyond lie_closure's 1e-10 check, unless the span rows are
+        # projected onto zero column sums where they are made.
+        jc, k2p = zoo_model("jc").basis[0], zoo_model("k2p").basis[0]
+        model = RateModel(name="near", n=4, basis=(jc, jc + eps * k2p))
+        report = multiplicative_closure_check(model, samples=100, seed=42)
+        assert len(lie_closure(span_basis(model))) == report.lie_closure_dim
+        assert report.mult_closed_verdict != "not_closed"
+        if eps >= 1e-7:
+            assert (report.mult_closed_verdict, report.span_dim, report.lie_closure_dim) == ("closed", 2, 2)
 
     def test_tol_must_be_positive_and_finite(self):
         for tol in (float("nan"), float("inf"), -1.0, 0.0):
