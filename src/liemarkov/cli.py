@@ -161,17 +161,16 @@ def _cmd_check(args) -> tuple[dict, list[str], int]:
 def _cmd_closure(args) -> tuple[dict, list[str], int]:
     model = _resolve_model(args.model)
     # The model's algebra at --seed, which moves a sampled model's span; _algebra holds seed 0's.
-    algebra = _algebra_at(model, args.seed)
-    closed = algebra.closure
+    span, closed = _algebra_at(model, args.seed)[:2]
     body = {
         "model": model.name,
-        "span_dim": len(algebra.span),
+        "span_dim": len(span),
         "lie_closure_dim": len(closed),
         "basis": [b.tolist() for b in closed],
     }
     lines = [
         f"model: {model.name}",
-        f"span dim: {len(algebra.span)}   lie closure dim: {len(closed)}",
+        f"span dim: {len(span)}   lie closure dim: {len(closed)}",
     ]
     for k, b in enumerate(closed):
         lines.append(f"basis element {k}:")

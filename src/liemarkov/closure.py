@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -210,19 +210,10 @@ def _saturate(stack: np.ndarray) -> tuple[np.ndarray, list[int], float, float]:
     return flat[:d].reshape(d, n, n).copy(), dims, smallest_accepted, largest_rejected
 
 
-class _Algebra(NamedTuple):
-    """A model's span and the Lie algebra it generates, as read-only orthonormal (d, n, n) stacks.
-
-    levels is the dimension after each level of brackets, and accepted
-    and rejected are the smallest accepted and the largest rejected
-    singular value of the saturation (see lie_closure).
-    """
-
-    span: np.ndarray
-    closure: np.ndarray
-    levels: list[int]
-    accepted: float
-    rejected: float
+# A model's span and the Lie algebra it generates, as read-only orthonormal (d, n, n) stacks, then
+# the dimension after each level of brackets and the rank gap: the smallest accepted and the largest
+# rejected singular value of the saturation (see lie_closure).
+_Algebra = namedtuple("_Algebra", "span closure levels accepted rejected")
 
 
 def _span_rows(model: RateModel, seed: int) -> np.ndarray:
@@ -233,12 +224,9 @@ def _span_rows(model: RateModel, seed: int) -> np.ndarray:
     difference of two nearly parallel basis matrices, carries it divided
     by its small singular value.
     """
-    if model.basis:
-        stack = np.array(model.basis)
-    elif model.samplable:
-        stack = _sample_stochastic_stack(model, seed, 4 * model.n ** 2)
-    else:
+    if not model.samplable:
         raise ValueError(f"model {model.name!r} has no basis and cannot be sampled")
+    stack = np.array(model.basis) if model.basis else _sample_stochastic_stack(model, seed, 4 * model.n ** 2)
     return _zero_sum(_svd_range(stack, DEFAULT_RANK_RTOL).reshape(-1, model.n, model.n))
 
 
@@ -313,16 +301,10 @@ class ClosureReport:
             raise ValueError("a not_closed verdict requires a witness beyond tolerance")
 
     def to_dict(self) -> dict:
-        return {
-            "model_name": self.model_name,
-            "span_dim": self.span_dim,
-            "lie_closure_dim": self.lie_closure_dim,
-            "ambient_dim": self.ambient_dim,
-            "mult_closed_verdict": self.mult_closed_verdict,
-            "witnesses": [w.to_dict() for w in self.witnesses],
-            "samples_tested": self.samples_tested,
-            "tolerance": self.tolerance,
-        }
+        """Every field, in declaration order, with each witness as its own dict."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["witnesses"] = [w.to_dict() for w in self.witnesses]
+        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

@@ -288,8 +288,10 @@ class TestLieClosure:
         assert len(lie_closure(list(basis))) == 2
 
     def test_rejects_nonzero_sums(self):
-        with pytest.raises(ValueError, match="zero-sum"):
-            lie_closure([np.eye(4)])
+        # A column sum of 1e-8 is beyond the check's 1e-10 max(1, ||g||_F) for jc's generator.
+        for offset in (1.0, 1e-8):
+            with pytest.raises(ValueError, match="zero-sum"):
+                lie_closure([zoo_model("jc").basis[0] + offset * np.eye(4)[0]])
 
     def test_generators_past_the_squared_norm_overflow_warn_nothing(self):
         # ||q||_F^2 overflows from 1.3e154 on; the zero-sum tolerance's norm is summed again, scaled.

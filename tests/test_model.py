@@ -516,8 +516,10 @@ class TestModelValidation:
             model_from_dict(doc)
 
     def test_basis_must_be_zero_sum(self):
-        with pytest.raises(ValueError, match="zero generator sums"):
-            RateModel(name="bad", n=4, basis=(np.eye(4),))
+        # A column sum of 1e-8 is beyond the check's 1e-10 max(1, ||q||_F) for jc's generator.
+        for offset in (1.0, 1e-8):
+            with pytest.raises(ValueError, match="zero generator sums"):
+                RateModel(name="bad", n=4, basis=(zoo_model("jc").basis[0] + offset * np.eye(4)[0],))
 
     def test_basis_must_satisfy_constraints(self):
         q0 = zoo_generator("jc", 1.0)
