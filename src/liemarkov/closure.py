@@ -246,7 +246,8 @@ def span_basis(model: RateModel, seed: int = 0) -> list[np.ndarray]:
     call runs no SVD. Otherwise draws 4 n^2 generators as one stack,
     generator i from stream i of seed (_sample_stochastic_stack, the
     draws of the sample command). Either way the basis is the
-    rank-revealing one at DEFAULT_RANK_RTOL. The streams are Philox
+    rank-revealing one at DEFAULT_RANK_RTOL, each element projected onto
+    zero column sums (see _span_rows). The streams are Philox
     counters in array arithmetic, so no call imports numpy.random. The
     audit reads its dimensions from the default seed, once per model.
     Raises ValueError when a sampled model's seed is not in [0, 2**128).

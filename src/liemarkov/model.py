@@ -222,10 +222,11 @@ class RateModel:
         """The scale-invariant residual of each matrix of a (B, n, n) stack.
 
         A span model divides the norm of q's part outside the span (its
-        projection by I - V^T V, V the span rows of _algebra) by max(||q||_F, 1), as
-        least_squares_membership does. A constraint model takes the
-        largest absolute constraint value, a homogeneous degree-d one
-        divided by ||q||_F^d first, so a positive rescaling of q keeps it.
+        projection by I - V^T V, V the span rows of _algebra) by
+        max(||q||_F, 1), as least_squares_membership does. A constraint
+        model takes the largest absolute constraint value, a homogeneous
+        degree-d one divided by ||q||_F^d first, so a positive rescaling
+        of q keeps it.
         """
         n = self.n
         if self.basis:
@@ -258,7 +259,7 @@ class RateModel:
 
     @_derived
     def _algebra(self) -> tuple:
-        """The algebra record at seed 0 (closure._algebra_at), which the residual, span_basis and the audit read."""
+        """The algebra record at seed 0 (closure._algebra_at), read by the residual, span_basis and the audit."""
         from .closure import _algebra_at  # closure imports this module, so it is imported here
 
         return _algebra_at(self, 0)
@@ -275,7 +276,11 @@ def is_in_L(q, tol: float = 1e-12):
 
 
 def _check_zero_sums(stack: np.ndarray, message: str) -> None:
-    """Raise ValueError(message) unless each matrix of a validated stack has column sums within 1e-10 max(1, ||q||_F) of zero."""
+    """Raise ValueError(message) unless each q of a validated stack has column sums within 1e-10 max(1, ||q||_F).
+
+    RateModel's basis check and lie_closure's generator check, each with
+    its own message.
+    """
     with np.errstate(over="ignore"):  # a norm past 1.3e154 is summed again, scaled
         scale = np.maximum(1.0, _fro_rows(stack))
     if not _zero_sums(stack, 1e-10 * scale).all():

@@ -136,13 +136,14 @@ def main(argv=None) -> int:
     stale = [m.name for m in MUTANTS + EQUIVALENT
              if (ROOT / "src" / "liemarkov" / m.path).read_text(encoding="utf-8").count(m.old) != 1]
     if stale:
-        print(f"stale table: the text of {', '.join(stale)} does not occur exactly once in its file", flush=True)
+        print(f"stale table: the text of {', '.join(stale)} is not in its file exactly once", flush=True)
         return 1
     for m in EQUIVALENT:
         print(f"equivalent  {m.name}: {m.reason}", flush=True)
     with tempfile.TemporaryDirectory(prefix="liemarkov-mutants-") as tmp:
         copy = Path(tmp) / "repo"
-        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache"))
+        caches = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
+        shutil.copytree(ROOT, copy, ignore=caches)
         start = time.perf_counter()
         if not _run_tier1(copy):
             print("tier-1 fails on the unmutated copy; no mutant can be judged", flush=True)

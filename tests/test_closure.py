@@ -376,7 +376,7 @@ class TestLieClosure:
 
 
 def _saturate_counting_svds(gens, monkeypatch):
-    """The saturation of gens under a spy: the row count of every SVD it takes, and its dimension after each level."""
+    """The saturation of gens under a spy: the row count of each SVD it takes, and its dimension per level."""
     rows = []
     svd = np.linalg.svd
 
