@@ -27,7 +27,6 @@ from .linalg import (
     commutator,
     matrix_exp,
     matrix_log,
-    orthonormal_basis,
 )
 from .model import (
     RateModel,
@@ -80,6 +79,19 @@ def _zero_sum(x: np.ndarray) -> np.ndarray:
     return x - x.mean(axis=-2, keepdims=True)
 
 
+def _generators(stack: np.ndarray, rel_tol: float) -> np.ndarray:
+    """The rank-revealing orthonormal rows of a validated (k, n, n) stack at rel_tol, as (r, n, n).
+
+    The rows are _svd_range's at rel_tol, each then projected onto zero
+    column sums. The projection comes after the SVD because the SVD's
+    rounding can leave a row off the zero-sum space by more than
+    lie_closure's check allows: a thin direction, such as the difference
+    of two nearly parallel matrices, carries it divided by its small
+    singular value.
+    """
+    return _zero_sum(_svd_range(stack, rel_tol).reshape(-1, *stack.shape[1:]))
+
+
 def lie_closure(basis) -> list[np.ndarray]:
     """Orthonormal basis of the Lie algebra generated by span(basis).
 
@@ -87,17 +99,20 @@ def lie_closure(basis) -> list[np.ndarray]:
     brackets [s1, [s2, [..., sk]]] with every si in S, so it is the
     smallest subspace that contains S and is invariant under ad_s = [s, .]
     for each s in S alone (the LieTree construction of Elliott, Bilinear
-    Control Systems, 2009, ch. 2). The input is orthonormalised once into
-    generators S, and the search runs breadth first: every basis
-    direction of the newest level is bracketed with every s in S. A
-    closure of dimension d thus costs at most |S| d brackets.
+    Control Systems, 2009, ch. 2). The input is made into orthonormal
+    generators S once (_generators at DEFAULT_BRACKET_GATE, relative to
+    the largest singular value), and the search (_saturate) runs breadth
+    first: every basis direction of the newest level is bracketed with
+    every s in S. A closure of dimension d thus costs at most |S| d
+    brackets.
 
-    A level's brackets are written straight into the level's block: the
-    first level as g_i g_j - g_j g_i over every generator pair i < j,
-    formed in place for one g_i and all its g_j at a time, each later
-    level as one array operation, v g - g v over every new direction v
-    and generator g, into a (k |S|, n^2) block. Each bracket
-    is the same floating-point value as commutator(v, g).
+    A level is a list of operands (g, V), a matrix g and a stack V,
+    whose brackets g v - v g for every v in V are written in place into
+    the level's block, one operand at a time. The first level is
+    (g_i, [g_i+1, ...]) for each generator g_i, so it brackets every
+    pair i < j once; each later level is (g, the new directions) for
+    every generator g, generator-major. Each bracket is the same
+    floating-point value as commutator(g, v).
 
     A block of brackets (a level, or part of one, below) is
     orthogonalised against the basis accumulated so far by two block
@@ -109,12 +124,11 @@ def lie_closure(basis) -> list[np.ndarray]:
     scale; at about sqrt(eps) it sits above the rounding carried through
     deep brackets (up to about 3e-9 on the tested inputs) and below
     genuine new directions (5e-5 and up on the tested inputs, 1e-6 and
-    up on generic integer pairs up to n = 20). The gate is
-    also the relative SVD rank threshold for the input. One SVD per
-    block, rather than accepting brackets one at a time, matters: a
-    nearly dependent bracket accepted on its own becomes a direction
-    whose rounding error is divided by its small residual, and its
-    brackets carry that error on until it clears the gate.
+    up on generic integer pairs up to n = 20). One SVD per block, rather
+    than accepting brackets one at a time, matters: a nearly dependent
+    bracket accepted on its own becomes a direction whose rounding error
+    is divided by its small residual, and its brackets carry that error
+    on until it clears the gate.
 
     Brackets of zero-sum matrices are zero-sum, so the algebra lies in
     the n*n - n dimensional space L of them, and a level can add at most
@@ -123,10 +137,11 @@ def lie_closure(basis) -> list[np.ndarray]:
     block; only when they leave the dimension short of n*n - n do the
     rest follow, as a second block against the enlarged basis. Once the
     dimension is n*n - n the span is all of L, so the brackets not yet
-    taken can add nothing, and the search stops. Every level thus takes
-    at most two SVDs, and the level that fills L orthogonalises c of its
-    brackets rather than all of them. An empty basis, like all-zero
-    generators, generates the zero algebra, whose basis is empty.
+    taken can add nothing, and the search stops before it forms another
+    level. Every level thus takes at most two SVDs, and the level that
+    fills L orthogonalises c of its brackets rather than all of them. An
+    empty basis, like all-zero generators, generates the zero algebra,
+    whose basis is empty.
 
     A block that the Gram-Schmidt passes leave within the gate in
     Frobenius norm takes no SVD: no singular value exceeds that norm, so
@@ -134,30 +149,30 @@ def lie_closure(basis) -> list[np.ndarray]:
     closed span that adds nothing, such as the one level of the n = 61
     equal-input basis (1830 brackets, 3721 columns).
 
-    The search itself is _saturate, which also returns the dimension
-    after each level and the rank gap: the smallest accepted and the
-    largest rejected singular value, or, for a block that took no SVD,
-    its Frobenius norm, a bound on its singular values. A model's
-    algebra record (RateModel._algebra) keeps them beside its span and
-    closure. Raises ValueError unless every generator has zero column
-    sums within 1e-10 max(1, ||g||_F).
+    _saturate also returns the dimension after each level and the rank
+    gap: the smallest accepted and the largest rejected singular value,
+    or, for a block that took no SVD, its Frobenius norm, a bound on its
+    singular values. A model's algebra record (RateModel._algebra) keeps
+    them beside its span and closure, whose first rows are the span's.
+    Raises ValueError unless every generator has zero column sums within
+    1e-10 max(1, ||g||_F).
     """
     stack = check_matrices(basis)
     if not len(stack):
         return []
     _check_zero_sums(stack, "lie_closure requires zero-sum generators")
-    return list(_saturate(stack)[0])
+    return list(_saturate(_generators(stack, DEFAULT_BRACKET_GATE))[0])
 
 
-def _saturate(stack: np.ndarray) -> tuple[np.ndarray, list[int], float, float]:
-    """lie_closure's search on a validated (k, n, n) stack of zero-sum generators.
+def _saturate(gens: np.ndarray) -> tuple[np.ndarray, list[int], float, float]:
+    """lie_closure's search from a (k, n, n) stack of orthonormal zero-sum generators.
 
-    Returns the orthonormal basis of the algebra as a (d, n, n) array,
-    the dimension after each level, and the smallest accepted and the
-    largest rejected singular value (the rank gap).
+    The generators are taken as they are, with no SVD, as the algebra's
+    first k basis rows. Returns the orthonormal basis of the algebra as
+    a (d, n, n) array, the dimension after each level, and the smallest
+    accepted and the largest rejected singular value (the rank gap).
     """
-    n = stack.shape[-1]
-    gens = np.reshape(orthonormal_basis(_zero_sum(stack), DEFAULT_BRACKET_GATE), (-1, n, n))
+    n = gens.shape[-1]
     ambient = n * n - n
     # Rows 0..d-1 hold the orthonormal basis found so far, vectorized.
     flat = np.empty((ambient, n * n))
@@ -165,17 +180,17 @@ def _saturate(stack: np.ndarray) -> tuple[np.ndarray, list[int], float, float]:
     flat[:d] = gens.reshape(d, n * n)
     dims = [d]
     smallest_accepted, largest_rejected = math.inf, 0.0
-    # [g_i, g_j] for j <= i is zero or an earlier bracket's negative, so the first level is every
-    # i < j, i-major, formed in place one generator at a time rather than from gathered copies.
-    block = np.empty((d * (d - 1) // 2, n, n))
-    start = 0
-    for i in range(d - 1):
-        rows = block[start:start + d - 1 - i]
-        np.matmul(gens[i], gens[i + 1:], out=rows)
-        rows -= gens[i + 1:] @ gens[i]
-        start += len(rows)
-    block = block.reshape(len(block), n * n)
-    while len(block) and d < ambient:
+    # [g_i, g_j] for j <= i is zero or an earlier bracket's negative, so the first level is every i < j.
+    operands = [(gens[i], gens[i + 1:]) for i in range(d - 1)]
+    while operands and d < ambient:
+        block = np.empty((sum(len(v) for _, v in operands), n, n))
+        start = 0
+        for g, v in operands:
+            rows = block[start:start + len(v)]
+            np.matmul(g, v, out=rows)
+            rows -= v @ g
+            start += len(v)
+        block = block.reshape(len(block), n * n)
         level = d
         # No level adds more than ambient - d directions: that many brackets
         # first, the rest only while L is not full.
@@ -200,13 +215,8 @@ def _saturate(stack: np.ndarray) -> tuple[np.ndarray, list[int], float, float]:
             flat[d:d + k] = _zero_sum(new.reshape(k, n, n)).reshape(k, n * n)
             d += k
         dims.append(d)
-        if d == ambient:
-            break
-        # [v, s] for every new direction v and generator s, v-major, as the next block.
-        v = flat[level:d].reshape(d - level, 1, n, n)
-        block = v @ gens
-        block -= gens @ v
-        block = block.reshape((d - level) * len(gens), n * n)
+        # The next level brackets every generator with this level's new directions, generator-major.
+        operands = [(g, flat[level:d].reshape(d - level, n, n)) for g in gens] if d > level else []
     return flat[:d].reshape(d, n, n).copy(), dims, smallest_accepted, largest_rejected
 
 
@@ -217,21 +227,19 @@ _Algebra = namedtuple("_Algebra", "span closure levels accepted rejected")
 
 
 def _span_rows(model: RateModel, seed: int) -> np.ndarray:
-    """span_basis's rows as one (r, n, n) array, projected onto zero column sums.
-
-    The SVD's rounding can leave a row off the zero-sum space by more
-    than lie_closure's check allows: a thin direction, such as the
-    difference of two nearly parallel basis matrices, carries it divided
-    by its small singular value.
-    """
+    """span_basis's rows as one (r, n, n) array: _generators at DEFAULT_RANK_RTOL."""
     if not model.samplable:
         raise ValueError(f"model {model.name!r} has no basis and cannot be sampled")
     stack = np.array(model.basis) if model.basis else _sample_stochastic_stack(model, seed, 4 * model.n ** 2)
-    return _zero_sum(_svd_range(stack, DEFAULT_RANK_RTOL).reshape(-1, model.n, model.n))
+    return _generators(stack, DEFAULT_RANK_RTOL)
 
 
 def _algebra_at(model: RateModel, seed: int) -> _Algebra:
-    """The model's span at seed (span_basis) and the Lie algebra that span generates (_saturate)."""
+    """The model's span at seed (span_basis) and the Lie algebra that span generates.
+
+    The span rows are _saturate's generators as they are, so the
+    closure's first rows are the span's, bit for bit.
+    """
     span = _span_rows(model, seed)
     algebra = _Algebra(span, *_saturate(span))
     span.flags.writeable = algebra.closure.flags.writeable = False
@@ -247,7 +255,7 @@ def span_basis(model: RateModel, seed: int = 0) -> list[np.ndarray]:
     generator i from stream i of seed (_sample_stochastic_stack, the
     draws of the sample command). Either way the basis is the
     rank-revealing one at DEFAULT_RANK_RTOL, each element projected onto
-    zero column sums (see _span_rows). The streams are Philox
+    zero column sums (see _generators). The streams are Philox
     counters in array arithmetic, so no call imports numpy.random. The
     audit reads its dimensions from the default seed, once per model.
     Raises ValueError when a sampled model's seed is not in [0, 2**128).

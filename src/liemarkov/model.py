@@ -636,14 +636,16 @@ def _sample_stochastic_stack(model: RateModel, seed: int, count: int) -> np.ndar
 def check_scaling_closure(model: RateModel) -> bool | None:
     """Whether the model is closed under non-negative scalar multiplication: True, or None if undecided.
 
-    Decided algebraically where it can be: a span is a linear space, and a
-    homogeneous constraint of degree d satisfies f(alpha q) = alpha^d f(q),
-    so a model whose constraints are all homogeneous scales. An
-    inhomogeneous constraint does not settle the question either way:
-    q12^2 + q12 = 0 holds on the stochastic cone exactly when q12 = 0,
-    which is a cone. Such a model gets None.
+    Decided algebraically where it can be. A declared basis decides
+    membership, whatever constraints the model also declares, and a span
+    is a linear space, so a basis model scales. A homogeneous constraint
+    of degree d satisfies f(alpha q) = alpha^d f(q), so a model whose
+    constraints are all homogeneous scales too. An inhomogeneous
+    constraint of a model without a basis does not settle the question
+    either way: q12^2 + q12 = 0 holds on the stochastic cone exactly
+    when q12 = 0, which is a cone. Such a model gets None.
     """
-    return True if all(c.homogeneous for c in model.constraints) else None
+    return True if model.basis or all(c.homogeneous for c in model.constraints) else None
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,20 @@
 
 import numpy as np
 
-from liemarkov import commutator, is_in_L, orthonormal_basis
-from liemarkov.closure import DEFAULT_BRACKET_GATE, _zero_sum
+from liemarkov import commutator, is_in_L
+from liemarkov.closure import DEFAULT_BRACKET_GATE, _generators, _zero_sum
 
 
 def lie_closure_loop(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.ndarray]:
     """lie_closure with one commutator call per bracket and a list of brackets per level.
 
-    The same breadth-first search, Gram-Schmidt passes, SVD gate,
-    zero-sum projection and split of a level longer than the directions
-    left as lie_closure; only the brackets are formed one at a time and
-    stacked afterwards. lie_closure must return the same basis bit for
-    bit.
+    The same generators (_generators), breadth-first search, bracket
+    order and sign (the first level [g_i, g_j] for i < j, i-major, each
+    later level [g, v] for every generator g and new direction v,
+    g-major), Gram-Schmidt passes, SVD gate, zero-sum projection and
+    split of a level longer than the directions left as lie_closure;
+    only the brackets are formed one at a time and stacked afterwards.
+    lie_closure must return the same basis bit for bit.
     """
     mats = [np.asarray(b, dtype=float) for b in basis]
     if not mats:
@@ -21,7 +23,7 @@ def lie_closure_loop(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.nd
     for b in mats:
         if not is_in_L(b, tol=1e-10 * max(1.0, np.linalg.norm(b, "fro"))):
             raise ValueError("lie_closure requires zero-sum generators")
-    gens = orthonormal_basis([_zero_sum(b) for b in mats], rel_tol)
+    gens = list(_generators(np.array(mats), rel_tol))
     n = mats[0].shape[0]
     ambient = n * n - n
     flat = np.empty((ambient, n * n))
@@ -43,5 +45,5 @@ def lie_closure_loop(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.nd
             new = vt[:k] - (vt[:k] @ flat[:d].T) @ flat[:d]
             flat[d:d + k] = _zero_sum(new.reshape(k, n, n)).reshape(k, n * n)
             d += k
-        brackets = [commutator(v.reshape(n, n), s) for v in flat[level:d] for s in gens]
+        brackets = [commutator(g, v.reshape(n, n)) for g in gens for v in flat[level:d]]
     return [row.reshape(n, n).copy() for row in flat[:d]]

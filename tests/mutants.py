@@ -52,9 +52,17 @@ MUTANTS = [
            "span_dim, lie_dim = len(model._algebra.span), len(model._algebra.span)",
            "the audit would report the span as its own Lie closure and certify any span model"),
     Mutant("span-rows-unprojected", "closure.py",
-           "return _zero_sum(_svd_range(stack, DEFAULT_RANK_RTOL).reshape(-1, model.n, model.n))",
-           "return _svd_range(stack, DEFAULT_RANK_RTOL).reshape(-1, model.n, model.n)",
-           "a thin span row of two nearly parallel basis matrices fails lie_closure's zero-sum check"),
+           "return _zero_sum(_svd_range(stack, rel_tol).reshape(-1, *stack.shape[1:]))",
+           "return _svd_range(stack, rel_tol).reshape(-1, *stack.shape[1:])",
+           "a thin span row or generator of two nearly parallel matrices fails lie_closure's zero-sum check"),
+    Mutant("first-level-every-pair", "closure.py",
+           "operands = [(gens[i], gens[i + 1:]) for i in range(d - 1)]",
+           "operands = [(g, gens) for g in gens]",
+           "the first level would bracket each pair twice and each generator with itself"),
+    Mutant("scaling-ignores-basis", "model.py",
+           "return True if model.basis or all(c.homogeneous for c in model.constraints) else None",
+           "return True if all(c.homogeneous for c in model.constraints) else None",
+           "a span model that also declares an inhomogeneous constraint would leave scaling undecided"),
     Mutant("closure-reads-seed-0", "cli.py",
            "span, closed = _algebra_at(model, args.seed)[:2]", "span, closed = model._algebra[:2]",
            "closure --seed would have no effect on a sampled model"),

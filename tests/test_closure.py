@@ -304,6 +304,15 @@ class TestLieClosure:
         again = lie_closure(closed)
         assert len(again) == len(closed)
 
+    @pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7])
+    def test_nearly_parallel_generators_give_zero_sum_rows(self, eps):
+        # The thin generator of jc and jc + eps k2p_0 carries the SVD's rounding divided by its small
+        # singular value, so its column sums are zero only if it is projected after the SVD.
+        jc, k2p = zoo_model("jc").basis[0], zoo_model("k2p").basis[0]
+        closed = lie_closure([jc, jc + eps * k2p])
+        assert len(closed) == len(lie_closure(closed)) == 2
+        assert len(RateModel(name="near-closure", n=4, basis=tuple(closed)).basis) == 2
+
     def test_monotone_and_bracket_closed(self):
         basis = span_basis(zoo_model("hky"), seed=0)
         closed = lie_closure(basis)
@@ -351,7 +360,7 @@ class TestLieClosure:
         # and ten times it, and the SVD must still take it and open the rest of L. The same
         # algebra in integers is generated by A and 2^21 A^2 + X.
         a, x = _generic_pair(np.random.default_rng(3), 4)
-        closed, dims, accepted, _ = closure._saturate(np.array([a, a @ a + 2.0 ** -21 * x]))
+        closed, dims, accepted, _ = _saturate_from([a, a @ a + 2.0 ** -21 * x])
         assert closure.DEFAULT_BRACKET_GATE < accepted < 10 * closure.DEFAULT_BRACKET_GATE
         assert dims[:2] == [2, 3]
         assert len(closed) == _exact_lie_rank([a, 2 ** 21 * (a @ a) + x]) == 12
@@ -360,7 +369,7 @@ class TestLieClosure:
         # lie_closure is the list view of the saturation's rows, which also returns the dimension
         # after each level and the rank gap; a model's algebra record keeps the same four values.
         for gens in _saturation_inputs():
-            closed, dims, accepted, rejected = closure._saturate(np.array(gens))
+            closed, dims, accepted, rejected = _saturate_from(gens)
             np.testing.assert_array_equal(lie_closure(gens), closed)
             assert dims[-1] == len(closed)
             # At least three decades between the kept and the dropped directions.
@@ -375,8 +384,20 @@ class TestLieClosure:
             assert algebra.levels[-1] == len(closed) and algebra.accepted >= 1e3 * algebra.rejected
 
 
-def _saturate_counting_svds(gens, monkeypatch):
-    """The saturation of gens under a spy: the row count of each SVD it takes, and its dimension per level."""
+def _saturate_from(gens):
+    """lie_closure's path on raw generators: _generators at the bracket gate, then _saturate."""
+    return closure._saturate(closure._generators(np.array(gens), closure.DEFAULT_BRACKET_GATE))
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_closure_begins_with_the_span_rows(name):
+    # The span rows are the saturation's generators as they are, with no SVD of their own.
+    algebra = zoo_model(name)._algebra
+    np.testing.assert_array_equal(algebra.closure[:len(algebra.span)], algebra.span)
+
+
+def _counting_svds(saturation, monkeypatch):
+    """saturation() under a spy: the row count of each SVD it takes, and its dimension per level."""
     rows = []
     svd = np.linalg.svd
 
@@ -386,7 +407,7 @@ def _saturate_counting_svds(gens, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "svd", spy)
-        _, dims, _, _ = closure._saturate(np.array(gens))
+        _, dims, _, _ = saturation()
     return rows, dims
 
 
@@ -396,24 +417,25 @@ class TestSaturationCost:
 
     def test_filling_level_takes_one_small_svd(self, monkeypatch):
         # The last level has 2 (127 - 71) = 112 brackets against 5 directions left.
-        rows, dims = _saturate_counting_svds(list(_generic_pair(np.random.default_rng(12), 12)),
-                                             monkeypatch)
+        gens = _generic_pair(np.random.default_rng(12), 12)
+        rows, dims = _counting_svds(lambda: _saturate_from(gens), monkeypatch)
         assert dims == [2, 3, 5, 8, 14, 23, 41, 71, 127, 132]
         # The input's rank, then one SVD per level.
         assert rows == [2, 1, 2, 4, 6, 12, 18, 36, 60, 5]
 
     @pytest.mark.parametrize("name", ["hky", "lm88"])
     def test_closed_span_takes_no_bracket_svd(self, name, monkeypatch):
-        # 28 brackets of 8 generators against 4 directions left: 4 first, then the other 24, both
-        # already in the span after Gram-Schmidt, so neither block takes an SVD.
-        base = span_basis(zoo_model(name), seed=0)
-        rows, dims = _saturate_counting_svds(base, monkeypatch)
+        # The span rows are the generators as they are, with no SVD. 28 brackets of 8 generators
+        # against 4 directions left: 4 first, then the other 24, both already in the span after
+        # Gram-Schmidt, so neither block takes an SVD.
+        base = np.array(span_basis(zoo_model(name), seed=0))
+        rows, dims = _counting_svds(lambda: closure._saturate(base), monkeypatch)
         assert dims == [8, 8]
-        assert rows == [8]
+        assert rows == []
 
     def test_at_most_two_svds_per_level(self, monkeypatch):
         for gens in _saturation_inputs():
-            rows, dims = _saturate_counting_svds(gens, monkeypatch)
+            rows, dims = _counting_svds(lambda: _saturate_from(gens), monkeypatch)
             s, ambient = dims[0], gens[0].size - len(gens[0])
             # The blocks of each level that adds a direction.
             blocks, adding = [], 0

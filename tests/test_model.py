@@ -327,6 +327,13 @@ class TestScalingClosure:
         for name in ("jc", "f81", "k2p", "lm88"):
             assert check_scaling_closure(zoo_model(name))
 
+    def test_span_model_with_an_inhomogeneous_constraint_scales(self):
+        # The basis decides membership and a span is a cone, so the constraint q13^2 - q13 = 0, which
+        # both k2p basis matrices satisfy, cannot leave scaling undecided.
+        square = PolynomialConstraint(((1.0, ((1, 3), (1, 3))), (-1.0, ((1, 3),))))
+        model = RateModel(name="k2p-inhom", n=4, basis=zoo_model("k2p").basis, constraints=(square,))
+        assert check_scaling_closure(model) is True
+
     def test_inhomogeneous_constraint_fails(self):
         # An inhomogeneous constraint leaves the question open: q12 = 1 is no cone, but see below.
         model = RateModel(name="pinned", n=4, constraints=(q12_constraint(),))
