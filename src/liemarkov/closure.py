@@ -114,21 +114,28 @@ def lie_closure(basis) -> list[np.ndarray]:
     every generator g, generator-major. Each bracket is the same
     floating-point value as commutator(g, v).
 
-    A block of brackets (a level, or part of one, below) is
-    orthogonalised against the basis accumulated so far by two block
-    Gram-Schmidt passes. The right singular vectors of what remains
-    whose singular values exceed DEFAULT_BRACKET_GATE become new
-    directions, after one more pass and an exact projection onto zero
-    column sums (subtracting column means). Both operands of every
-    bracket have unit norm, so the gate is relative to the brackets'
-    scale; at about sqrt(eps) it sits above the rounding carried through
-    deep brackets (up to about 3e-9 on the tested inputs) and below
-    genuine new directions (5e-5 and up on the tested inputs, 1e-6 and
-    up on generic integer pairs up to n = 20). One SVD per block, rather
-    than accepting brackets one at a time, matters: a nearly dependent
-    bracket accepted on its own becomes a direction whose rounding error
-    is divided by its small residual, and its brackets carry that error
-    on until it clears the gate.
+    The basis is held behind the n unit column-mean directions, an
+    orthonormal basis of the complement of zero column sums. A block of
+    brackets (a level, or part of one, below) is projected once onto the
+    orthogonal complement of both, the basis accumulated so far and the
+    column means. One block Gram-Schmidt pass suffices: what it leaves
+    along the known rows is of order eps times the block's norm, about
+    1e-15, far below the gate. The leading singular vectors of what
+    remains (the left ones of its transpose, which LAPACK factors by QR
+    first) whose singular values exceed DEFAULT_BRACKET_GATE become new
+    directions, after the same projection once more; that pass restores
+    their orthogonality to the basis and their zero column sums, which
+    a direction with a small singular value would otherwise lose by
+    eps divided by it. Both operands of every bracket have unit norm, so
+    the gate is relative to the brackets' scale; at about sqrt(eps) it
+    sits above the rounding carried through deep brackets (up to about
+    3e-9 on the tested inputs) and below genuine new directions (5e-5
+    and up on the tested inputs, 1e-6 and up on generic integer pairs up
+    to n = 20). One SVD per block, rather than accepting brackets one at
+    a time, matters: a nearly dependent bracket accepted on its own
+    becomes a direction whose rounding error is divided by its small
+    residual, and its brackets carry that error on until it clears the
+    gate.
 
     Brackets of zero-sum matrices are zero-sum, so the algebra lies in
     the n*n - n dimensional space L of them, and a level can add at most
@@ -143,10 +150,10 @@ def lie_closure(basis) -> list[np.ndarray]:
     empty basis, like all-zero generators, generates the zero algebra,
     whose basis is empty.
 
-    A block that the Gram-Schmidt passes leave within the gate in
-    Frobenius norm takes no SVD: no singular value exceeds that norm, so
-    it holds no new direction. This spares the SVD of every level of a
-    closed span that adds nothing, such as the one level of the n = 61
+    A block that the projection leaves within the gate in Frobenius
+    norm takes no SVD: no singular value exceeds that norm, so it holds
+    no new direction. This spares the SVD of every level of a closed
+    span that adds nothing, such as the one level of the n = 61
     equal-input basis (1830 brackets, 3721 columns).
 
     _saturate also returns the dimension after each level and the rank
@@ -174,10 +181,14 @@ def _saturate(gens: np.ndarray) -> tuple[np.ndarray, list[int], float, float]:
     """
     n = gens.shape[-1]
     ambient = n * n - n
-    # Rows 0..d-1 hold the orthonormal basis found so far, vectorized.
-    flat = np.empty((ambient, n * n))
+    # Rows 0..n-1 are the unit column-mean directions, 1/sqrt(n) on every entry of column j: an
+    # orthonormal basis of L's complement. Rows n..n+d-1 hold the algebra's orthonormal basis found
+    # so far, vectorized. One projection onto the complement of rows 0..n+d-1 thus also removes
+    # column means.
+    flat = np.zeros((n + ambient, n * n))
+    flat[:n].reshape(n, n, n)[np.arange(n), :, np.arange(n)] = 1.0 / math.sqrt(n)
     d = len(gens)
-    flat[:d] = gens.reshape(d, n * n)
+    flat[n:n + d] = gens.reshape(d, n * n)
     dims = [d]
     smallest_accepted, largest_rejected = math.inf, 0.0
     # [g_i, g_j] for j <= i is zero or an earlier bracket's negative, so the first level is every i < j.
@@ -197,27 +208,28 @@ def _saturate(gens: np.ndarray) -> tuple[np.ndarray, list[int], float, float]:
         for part in (block[:ambient - d], block[ambient - d:]):
             if not len(part) or d == ambient:
                 break
-            for _ in range(2):
-                part -= (part @ flat[:d].T) @ flat[:d]
+            known = flat[:n + d]
+            part -= (part @ known.T) @ known
             # No singular value exceeds ||part||_F, so a block within the gate adds nothing.
             bound = math.sqrt(part.ravel() @ part.ravel())
             if bound <= DEFAULT_BRACKET_GATE:
                 largest_rejected = max(largest_rejected, bound)
                 continue
-            _, svals, vt = np.linalg.svd(part, full_matrices=False)
+            # The block is wide (fewer rows than n*n); its tall transpose is factored by QR first.
+            u, svals, _ = np.linalg.svd(part.T, full_matrices=False)
             k = min(int(np.sum(svals > DEFAULT_BRACKET_GATE)), ambient - d)
             if k < len(svals):
                 largest_rejected = max(largest_rejected, float(svals[k]))
             if k:
                 smallest_accepted = min(smallest_accepted, float(svals[k - 1]))
-            # A direction with a small singular value carries eps/sigma of the basis.
-            new = vt[:k] - (vt[:k] @ flat[:d].T) @ flat[:d]
-            flat[d:d + k] = _zero_sum(new.reshape(k, n, n)).reshape(k, n * n)
+            # A direction with a small singular value carries eps/sigma of the basis and of the column means.
+            new = u[:, :k].T
+            flat[n + d:n + d + k] = new - (new @ known.T) @ known
             d += k
         dims.append(d)
         # The next level brackets every generator with this level's new directions, generator-major.
-        operands = [(g, flat[level:d].reshape(d - level, n, n)) for g in gens] if d > level else []
-    return flat[:d].reshape(d, n, n).copy(), dims, smallest_accepted, largest_rejected
+        operands = [(g, flat[n + level:n + d].reshape(d - level, n, n)) for g in gens] if d > level else []
+    return flat[n:n + d].reshape(d, n, n).copy(), dims, smallest_accepted, largest_rejected
 
 
 # A model's span and the Lie algebra it generates, as read-only orthonormal (d, n, n) stacks, then

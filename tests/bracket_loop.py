@@ -1,9 +1,11 @@
 """Per-bracket Lie saturation, the reference for lie_closure's batched brackets."""
 
+import math
+
 import numpy as np
 
 from liemarkov import commutator, is_in_L
-from liemarkov.closure import DEFAULT_BRACKET_GATE, _generators, _zero_sum
+from liemarkov.closure import DEFAULT_BRACKET_GATE, _generators
 
 
 def lie_closure_loop(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.ndarray]:
@@ -12,9 +14,11 @@ def lie_closure_loop(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.nd
     The same generators (_generators), breadth-first search, bracket
     order and sign (the first level [g_i, g_j] for i < j, i-major, each
     later level [g, v] for every generator g and new direction v,
-    g-major), Gram-Schmidt passes, SVD gate, zero-sum projection and
-    split of a level longer than the directions left as lie_closure;
-    only the brackets are formed one at a time and stacked afterwards.
+    g-major), basis layout (the n unit column-mean directions first),
+    single projection, SVD of the block's transpose, gate, projection of
+    the accepted directions and split of a level longer than the
+    directions left as lie_closure; only the brackets are formed one at
+    a time and stacked afterwards.
     lie_closure must return the same basis bit for bit.
     """
     mats = [np.asarray(b, dtype=float) for b in basis]
@@ -26,9 +30,11 @@ def lie_closure_loop(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.nd
     gens = list(_generators(np.array(mats), rel_tol))
     n = mats[0].shape[0]
     ambient = n * n - n
-    flat = np.empty((ambient, n * n))
+    flat = np.zeros((n + ambient, n * n))
+    for j in range(n):
+        flat[j].reshape(n, n)[:, j] = 1.0 / math.sqrt(n)
     d = len(gens)
-    flat[:d] = np.reshape(gens, (d, n * n))
+    flat[n:n + d] = np.reshape(gens, (d, n * n))
     brackets = [commutator(g, s) for i, g in enumerate(gens) for s in gens[i + 1:]]
     while brackets and d < ambient:
         block = np.stack(brackets).reshape(len(brackets), -1)
@@ -38,12 +44,12 @@ def lie_closure_loop(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.nd
         for part in (block[:ambient - d], block[ambient - d:]):
             if not len(part) or d == ambient:
                 break
-            for _ in range(2):
-                part -= (part @ flat[:d].T) @ flat[:d]
-            _, svals, vt = np.linalg.svd(part, full_matrices=False)
+            known = flat[:n + d]
+            part -= (part @ known.T) @ known
+            u, svals, _ = np.linalg.svd(part.T, full_matrices=False)
             k = min(int(np.sum(svals > rel_tol)), ambient - d)
-            new = vt[:k] - (vt[:k] @ flat[:d].T) @ flat[:d]
-            flat[d:d + k] = _zero_sum(new.reshape(k, n, n)).reshape(k, n * n)
+            new = u[:, :k].T
+            flat[n + d:n + d + k] = new - (new @ known.T) @ known
             d += k
-        brackets = [commutator(g, v.reshape(n, n)) for g in gens for v in flat[level:d]]
-    return [row.reshape(n, n).copy() for row in flat[:d]]
+        brackets = [commutator(g, v.reshape(n, n)) for g in gens for v in flat[n + level:n + d]]
+    return [row.reshape(n, n).copy() for row in flat[n:n + d]]

@@ -70,6 +70,15 @@ def _kronecker_pair(seed, p, m):
     return [np.kron(a[k], np.eye(m)) + np.kron(np.eye(p), b[k]) for k in range(2)]
 
 
+def _block_triangular_pair(seed, n, k):
+    """Two n x n rate matrices with off-diagonal integers 0..9, zero where row >= k and column < k."""
+    q = np.random.default_rng(seed).integers(0, 10, size=(2, n, n)).astype(float)
+    q[:, k:, :k] = 0.0
+    q[:, np.arange(n), np.arange(n)] = 0.0
+    q[:, np.arange(n), np.arange(n)] = -q.sum(axis=1)
+    return q
+
+
 def _saturation_inputs():
     """Zoo span bases, 4 (x) 4 Kronecker pairs and generic pairs up to n = 20."""
     inputs = [span_basis(zoo_model(name), seed=0) for name in zoo_names()]
@@ -345,6 +354,26 @@ class TestLieClosure:
         assert len(closed) == (p * p - p) + (m * m - m)
         _assert_closed_basis(closed, gens, 1e-8)
 
+    @pytest.mark.parametrize("n, k", [(20, 5), (24, 6)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_block_triangular_pairs_keep_three_decades(self, n, k, seed):
+        # Rate matrices that vanish where row >= k and column < k generate all of them, a subalgebra
+        # of dimension n*n - n - (n - k) k. The gap between kept and dropped directions is 3.7 to 5.3
+        # decades on these seeds; the float search's wrong answers from n = 30 on have under one.
+        gens = _block_triangular_pair(seed, n, k)
+        closed, _, accepted, rejected = _saturate_from(gens)
+        assert len(closed) == n * n - n - (n - k) * k
+        assert accepted >= 1e3 * rejected
+
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_generic_pair_rows_stay_zero_sum_and_orthonormal(self, n):
+        # No zero-sum projection runs in the search: the column-mean rows in front of the basis are
+        # removed by the one projection that orthogonalises each block and each accepted direction.
+        closed = np.array(lie_closure(list(_generic_pair(np.random.default_rng(n), n))))
+        flat = closed.reshape(len(closed), -1)
+        assert np.abs(closed.sum(axis=1)).max() <= 1e-14
+        assert np.abs(flat @ flat.T - np.eye(len(closed))).max() <= 1e-13
+
     @pytest.mark.parametrize("name, dim", [
         ("jc", 1), ("k2p", 2), ("f81", 4), ("hky", 8), ("lm88", 8), ("gtr", 12),
     ])
@@ -397,12 +426,14 @@ def test_closure_begins_with_the_span_rows(name):
 
 
 def _counting_svds(saturation, monkeypatch):
-    """saturation() under a spy: the row count of each SVD it takes, and its dimension per level."""
+    """saturation() under a spy: the row count of each SVD's block, and its dimension per level.
+
+    A bracket block enters the SVD transposed, so its row count is the smaller side of the SVD's input."""
     rows = []
     svd = np.linalg.svd
 
     def spy(a, *args, **kwargs):
-        rows.append(len(a))
+        rows.append(min(np.shape(a)))
         return svd(a, *args, **kwargs)
 
     with monkeypatch.context() as patch:
