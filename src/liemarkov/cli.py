@@ -27,7 +27,6 @@ from .model import (
 )
 from .zoo import (
     _ROW_PAIRS,
-    REFERENCE_ALPHAS,
     REFERENCE_LOG_PRODUCT,
     kappa_witness,
     reference_pair,
@@ -198,13 +197,15 @@ def _cmd_repro_paper(args) -> tuple[dict, list[str], int]:
     expected = np.asarray(REFERENCE_LOG_PRODUCT)
     deviation = float(np.max(np.abs(computed - expected)))
     kappas = kappa_witness(computed)
+    # The alphas sit at the first slot of each row pair.
     alphas = [float(computed[slot]) for slot, _ in _ROW_PAIRS]
+    reference_alphas = [float(expected[slot]) for slot, _ in _ROW_PAIRS]
     body = {
         "computed_log_product": computed.tolist(),
         "reference_log_product": expected.tolist(),
         "max_deviation": deviation,
         "alphas": alphas,
-        "reference_alphas": list(REFERENCE_ALPHAS),
+        "reference_alphas": reference_alphas,
         "kappas": kappas,
         "within_tolerance": deviation <= 1e-5,
     }

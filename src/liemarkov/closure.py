@@ -38,7 +38,8 @@ from .model import (
 )
 
 _VERDICTS = ("closed", "not_closed", "inconclusive")
-# Singular-value gate for new bracket directions: about sqrt(eps) on unit-norm operands.
+# Singular-value gate for new bracket directions: about sqrt(eps) on unit-norm operands. It decides
+# only whether a bracket direction is new; the generators are cut at DEFAULT_RANK_RTOL (_generators).
 DEFAULT_BRACKET_GATE = 1e-8
 _MAX_WITNESSES = 10
 # Pairs per stack in the closure audit; bounds its memory for any sample count.
@@ -79,17 +80,18 @@ def _zero_sum(x: np.ndarray) -> np.ndarray:
     return x - x.mean(axis=-2, keepdims=True)
 
 
-def _generators(stack: np.ndarray, rel_tol: float) -> np.ndarray:
-    """The rank-revealing orthonormal rows of a validated (k, n, n) stack at rel_tol, as (r, n, n).
+def _generators(stack: np.ndarray) -> np.ndarray:
+    """The rank-revealing orthonormal rows of a validated (k, n, n) stack, as (r, n, n).
 
-    The rows are _svd_range's at rel_tol, each then projected onto zero
-    column sums. The projection comes after the SVD because the SVD's
-    rounding can leave a row off the zero-sum space by more than
-    lie_closure's check allows: a thin direction, such as the difference
-    of two nearly parallel matrices, carries it divided by its small
-    singular value.
+    The rows are _svd_range's at DEFAULT_RANK_RTOL, each then projected
+    onto zero column sums. lie_closure and a model's span (_span_rows)
+    both cut here, so they agree on the rank of the same input. The
+    projection comes after the SVD because the SVD's rounding can leave
+    a row off the zero-sum space by more than lie_closure's check
+    allows: a thin direction, such as the difference of two nearly
+    parallel matrices, carries it divided by its small singular value.
     """
-    return _zero_sum(_svd_range(stack, rel_tol).reshape(-1, *stack.shape[1:]))
+    return _zero_sum(_svd_range(stack, DEFAULT_RANK_RTOL).reshape(-1, *stack.shape[1:]))
 
 
 def lie_closure(basis) -> list[np.ndarray]:
@@ -100,11 +102,11 @@ def lie_closure(basis) -> list[np.ndarray]:
     smallest subspace that contains S and is invariant under ad_s = [s, .]
     for each s in S alone (the LieTree construction of Elliott, Bilinear
     Control Systems, 2009, ch. 2). The input is made into orthonormal
-    generators S once (_generators at DEFAULT_BRACKET_GATE, relative to
-    the largest singular value), and the search (_saturate) runs breadth
-    first: every basis direction of the newest level is bracketed with
-    every s in S. A closure of dimension d thus costs at most |S| d
-    brackets.
+    generators S once (_generators, at DEFAULT_RANK_RTOL relative to the
+    largest singular value, the cut of a model's span rows), and the
+    search (_saturate) runs breadth first: every basis direction of the
+    newest level is bracketed with every s in S. A closure of dimension
+    d thus costs at most |S| d brackets.
 
     A level is a list of operands (g, V), a matrix g and a stack V,
     whose brackets g v - v g for every v in V are written in place into
@@ -168,7 +170,7 @@ def lie_closure(basis) -> list[np.ndarray]:
     if not len(stack):
         return []
     _check_zero_sums(stack, "lie_closure requires zero-sum generators")
-    return list(_saturate(_generators(stack, DEFAULT_BRACKET_GATE))[0])
+    return list(_saturate(_generators(stack))[0])
 
 
 def _saturate(gens: np.ndarray) -> tuple[np.ndarray, list[int], float, float]:
@@ -239,11 +241,11 @@ _Algebra = namedtuple("_Algebra", "span closure levels accepted rejected")
 
 
 def _span_rows(model: RateModel, seed: int) -> np.ndarray:
-    """span_basis's rows as one (r, n, n) array: _generators at DEFAULT_RANK_RTOL."""
+    """span_basis's rows as one (r, n, n) array: _generators of the basis or of the draws."""
     if not model.samplable:
         raise ValueError(f"model {model.name!r} has no basis and cannot be sampled")
     stack = np.array(model.basis) if model.basis else _sample_stochastic_stack(model, seed, 4 * model.n ** 2)
-    return _generators(stack, DEFAULT_RANK_RTOL)
+    return _generators(stack)
 
 
 def _algebra_at(model: RateModel, seed: int) -> _Algebra:

@@ -2,7 +2,12 @@
 
 DNA models over the state order A, G, C, T, as one table: HKY and the
 8-parameter Lie-algebra envelope that its products land in, plus JC,
-F81, K2P and GTR as closed/not-closed contrast cases. Also holds the
+F81, K2P and GTR as closed/not-closed contrast cases. A row names the
+model's parameters, the off-diagonal slots each one fills and those
+each factor scales, its ranges, its constraints and its expected audit
+outcome. One builder, _zoo_stack, makes every model's generators from
+its row, and the parameterization registry is filled from the table,
+one entry per row under the model's name. Also holds the
 reference HKY example (two generators and the independently computed
 logarithm of the product of their substitution matrices) that the golden
 tests and the repro-paper command pin, and kappa_witness, its ratios.
@@ -21,6 +26,7 @@ from .model import (
     PolynomialConstraint,
     RateModel,
     _column_sums,
+    _derived,
     get_parameterization,
     product_constraint,
 )
@@ -68,87 +74,11 @@ def _params(p, names: tuple[str, ...]) -> np.ndarray:
     return p
 
 
-# Stack builders: each maps a (B, n_params) array to a (B, 4, 4) stack of
-# generators, one per parameter row; a single generator is a batch of one.
-
 _ALPHAS = ("alpha_a", "alpha_g", "alpha_c", "alpha_t")
-
-
-def _hky_stack(p) -> np.ndarray:
-    """HKY: per-row base rates alpha_i, transitions scaled by kappa.
-
-    Row i carries alpha_i off the diagonal, with the transition entries
-    (A<->G, C<->T) multiplied by kappa and the diagonal balancing the sums.
-    """
-    p = _params(p, (*_ALPHAS, "kappa"))
-    alpha, kappa = p[:, :4], p[:, 4]
-    off = np.repeat(alpha[:, :, None], 4, axis=2)
-    for i, j in _TRANSITIONS:
-        off[:, i, j] = kappa * alpha[:, i]
-    return _with_diagonal(off)
-
-
-_GTR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-# GTR's twelve rates: the flat cell 4 i + j of each, the column of its pair's exchangeability
-# and the column of its row's frequency, since the rate into i from j is s_ij * pi_i.
-_GTR_SLOTS = tuple(np.array(side) for side in zip(*(
-    (4 * a + b, col, a) for col, pair in enumerate(_GTR_PAIRS) for a, b in (pair, pair[::-1]))))
-
-
-def _gtr_stack(p) -> np.ndarray:
-    """General time-reversible, from exchangeabilities and frequency weights.
-
-    The weights are normalized to stationary frequencies pi and the rate
-    into state i from state j is s_ij * pi_i, which satisfies detailed
-    balance by construction.
-    """
-    p = _params(p, ("s_ag", "s_ac", "s_at", "s_gc", "s_gt", "s_ct", "w_a", "w_g", "w_c", "w_t"))
-    exch, weights = p[:, :6], p[:, 6:]
-    total = weights.sum(axis=1)
-    if (total <= 0).any():
-        raise ValueError("frequency weights must not all be zero")
-    pi = weights / total[:, None]
-    cells, pairs, rows = _GTR_SLOTS
-    off = np.zeros((len(p), 16))
-    off[:, cells] = exch[:, pairs] * pi[:, rows]
-    return _with_diagonal(off.reshape(len(p), 4, 4))
-
-
 _OFF = tuple((i, j) for i in range(4) for j in range(4) if i != j)
-# The linear models: parameter names and, for each parameter, the off-diagonal slots it fills.
-_LINEAR = {
-    # Jukes-Cantor: all substitutions at rate mu.
-    "jc": (("mu",), (_OFF,)),
-    # F81: row i constant at alpha_i off the diagonal (HKY at kappa = 1).
-    "f81": (_ALPHAS, tuple(tuple(s for s in _OFF if s[0] == i) for i in range(4))),
-    # Kimura two-parameter: transitions at alpha, transversions at beta.
-    "k2p": (("alpha", "beta"), (_TRANSITIONS, tuple(s for s in _OFF if s not in _TRANSITIONS))),
-    # The 8-parameter pattern that log-products of HKY matrices follow: HKY's row pairs, with
-    # the four transition rates kappa_1..kappa_4 free instead of tied to a common ratio.
-    "lm88": (("alpha", "beta", "gamma", "delta", "kappa_1", "kappa_2", "kappa_3", "kappa_4"),
-             _LM88_SLOTS),
-}
-
-
-def _linear_stack(names: tuple[str, ...], cells: np.ndarray, columns: np.ndarray, p) -> np.ndarray:
-    """The generators whose flat entry cells[k] holds parameter columns[k], one per parameter row."""
-    p = _params(p, names)
-    off = np.zeros((len(p), 16))
-    off[:, cells] = p[:, columns]
-    return _with_diagonal(off.reshape(len(p), 4, 4))
-
-
-def _slot_table(slots) -> tuple[np.ndarray, np.ndarray]:
-    """The flat cell 4 i + j of every slot (i, j), and the parameter column that fills it."""
-    pairs = [(4 * i + j, col) for col, cells in enumerate(slots) for i, j in cells]
-    return tuple(np.array(side) for side in zip(*pairs))
-
-
-_PARAMETERIZATIONS.update(
-    {name: (partial(_linear_stack, names, *_slot_table(slots)), len(names))
-     for name, (names, slots) in _LINEAR.items()},
-    hky=(_hky_stack, 5), gtr=(_gtr_stack, 10),
-)
+# The off-diagonal slots of row i, for i = 0..3.
+_ROWS = tuple(tuple(s for s in _OFF if s[0] == i) for i in range(4))
+_GTR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def _hky_constraints() -> tuple[PolynomialConstraint, ...]:
@@ -178,33 +108,89 @@ def _gtr_constraints() -> tuple[PolynomialConstraint, ...]:
 
 @dataclass(frozen=True)
 class ZooEntry:
-    """A built-in model: its sampling ranges, its constraints and its expected audit outcome.
+    """A built-in model: its generator, sampling ranges, constraints and expected audit outcome.
 
-    provenance is "reference" when the expectation is pinned by the
-    built-in reference computation (see the repro-paper command) and
+    parameters names the columns of the generator's (B, len(parameters))
+    input. Parameter k < len(fills) fills the off-diagonal slots (i, j)
+    in fills[k]; the rest are factors, and factor k multiplies the
+    slots in scales[k] after the fill: HKY's kappa its transitions, and
+    GTR's frequencies pi_i row i. normalized factors (GTR's) are weights,
+    first divided by their row sum. The diagonal balances the column
+    sums. provenance is "reference" when the expectation is pinned by
+    the built-in reference computation (see the repro-paper command) and
     "literature" when it is standard-model background.
     """
 
+    parameters: tuple[str, ...]
+    fills: tuple[tuple[tuple[int, int], ...], ...]
     parameter_ranges: tuple[tuple[float, float], ...]
     expected_span_dim: int | None
     expected_closed: bool | None
     provenance: str
     constraints: tuple[PolynomialConstraint, ...] = ()
+    scales: tuple[tuple[tuple[int, int], ...], ...] = ()
+    normalized: bool = False
+
+    @_derived
+    def _cells(self) -> tuple[np.ndarray, ...]:
+        """Flat cells 4 i + j of the filled slots, their parameters, the scaled slots, their factors."""
+        out = []
+        for groups in (self.fills, self.scales):
+            slots = [(4 * i + j, k) for k, group in enumerate(groups) for i, j in group]
+            # Two contiguous rows: the cells, then the column each one reads.
+            out.extend(np.array(slots, dtype=np.intp).reshape(-1, 2).T.copy())
+        return tuple(out)
+
+
+def _zoo_stack(entry: ZooEntry, p) -> np.ndarray:
+    """entry's generators, one per row of the (B, len(entry.parameters)) array p, as a (B, 4, 4) stack.
+
+    A single generator is a batch of one. A filled slot holds its
+    parameter, a scaled slot that times its factor, and the diagonal
+    balances the column sums (_with_diagonal). The slot tables are built
+    on the entry's first call (ZooEntry._cells), not at import.
+    """
+    p = _params(p, entry.parameters)
+    filled, fill_columns, scaled, scale_columns = entry._cells
+    off = np.zeros((len(p), 16))
+    off[:, filled] = p[:, fill_columns]
+    if len(scaled):
+        factors = p[:, len(entry.fills):]
+        if entry.normalized:
+            total = factors.sum(axis=1)
+            if (total <= 0).any():
+                raise ValueError("frequency weights must not all be zero")
+            factors = factors / total[:, None]
+        off[:, scaled] *= factors[:, scale_columns]
+    return _with_diagonal(off.reshape(len(p), 4, 4))
 
 
 _ZOO: dict[str, ZooEntry] = {
-    # HKY as a constraint variety with its 5-parameter generator attached.
-    "hky": ZooEntry(((0.001, 0.05),) * 4 + ((0.5, 2.0),), 8, False, "reference", _hky_constraints()),
-    # The 8-dimensional span model enveloping HKY, one basis matrix per free rate.
-    "lm88": ZooEntry(((0.001, 0.06),) * 8, 8, True, "reference"),
-    "jc": ZooEntry(((0.001, 0.05),), 1, True, "literature"),
-    "f81": ZooEntry(((0.001, 0.05),) * 4, 4, True, "literature"),
-    "k2p": ZooEntry(((0.001, 0.05),) * 2, 2, True, "literature"),
-    # GTR as a constraint variety; no span basis is declared on purpose, so
-    # closure audits of it argue from sampled witnesses, which exercises the
-    # constraints-only code path.
-    "gtr": ZooEntry(((0.2, 0.6),) * 6 + ((0.1, 0.4),) * 4, None, False, "literature", _gtr_constraints()),
+    # HKY as a constraint variety with its 5-parameter generator attached: row i at alpha_i off the
+    # diagonal, with the transitions (A<->G, C<->T) scaled by kappa.
+    "hky": ZooEntry((*_ALPHAS, "kappa"), _ROWS, ((0.001, 0.05),) * 4 + ((0.5, 2.0),), 8, False,
+                    "reference", _hky_constraints(), scales=(_TRANSITIONS,)),
+    # The 8-dimensional span model enveloping HKY, one basis matrix per free rate: HKY's row pairs,
+    # with the four transition rates kappa_1..kappa_4 free instead of tied to a common ratio.
+    "lm88": ZooEntry(("alpha", "beta", "gamma", "delta", "kappa_1", "kappa_2", "kappa_3", "kappa_4"),
+                     _LM88_SLOTS, ((0.001, 0.06),) * 8, 8, True, "reference"),
+    # Jukes-Cantor: all substitutions at rate mu.
+    "jc": ZooEntry(("mu",), (_OFF,), ((0.001, 0.05),), 1, True, "literature"),
+    # F81: row i constant at alpha_i off the diagonal (HKY at kappa = 1).
+    "f81": ZooEntry(_ALPHAS, _ROWS, ((0.001, 0.05),) * 4, 4, True, "literature"),
+    # Kimura two-parameter: transitions at alpha, transversions at beta.
+    "k2p": ZooEntry(("alpha", "beta"), (_TRANSITIONS, tuple(s for s in _OFF if s not in _TRANSITIONS)),
+                    ((0.001, 0.05),) * 2, 2, True, "literature"),
+    # General time-reversible: s_ij fills both rates of its pair, and the rate into i from j is
+    # s_ij pi_i, which satisfies detailed balance by construction. A constraint variety; no span
+    # basis is declared on purpose, so closure audits of it argue from sampled witnesses, which
+    # exercises the constraints-only code path.
+    "gtr": ZooEntry(("s_ag", "s_ac", "s_at", "s_gc", "s_gt", "s_ct", "w_a", "w_g", "w_c", "w_t"),
+                    tuple((pair, pair[::-1]) for pair in _GTR_PAIRS), ((0.2, 0.6),) * 6 + ((0.1, 0.4),) * 4,
+                    None, False, "literature", _gtr_constraints(), scales=_ROWS, normalized=True),
 }
+_PARAMETERIZATIONS.update(
+    {name: (partial(_zoo_stack, entry), len(entry.parameters)) for name, entry in _ZOO.items()})
 
 
 def zoo_names() -> list[str]:
@@ -248,12 +234,10 @@ REFERENCE_LOG_PRODUCT = np.array(
 )
 REFERENCE_LOG_PRODUCT.flags.writeable = False
 
-REFERENCE_ALPHAS = (0.0498348, 0.0200951, 0.0109967, 0.0170734)
-
 
 def reference_pair() -> tuple[np.ndarray, np.ndarray]:
     """The two reference HKY generators."""
-    return tuple(_hky_stack(REFERENCE_HKY_PARAMS))
+    return tuple(_zoo_stack(_ZOO["hky"], REFERENCE_HKY_PARAMS))
 
 
 def kappa_witness(q) -> list[float]:

@@ -8,7 +8,7 @@ from liemarkov import commutator, is_in_L
 from liemarkov.closure import DEFAULT_BRACKET_GATE, _generators
 
 
-def lie_closure_loop(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.ndarray]:
+def lie_closure_loop(basis) -> list[np.ndarray]:
     """lie_closure with one commutator call per bracket and a list of brackets per level.
 
     The same generators (_generators), breadth-first search, bracket
@@ -27,7 +27,7 @@ def lie_closure_loop(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.nd
     for b in mats:
         if not is_in_L(b, tol=1e-10 * max(1.0, np.linalg.norm(b, "fro"))):
             raise ValueError("lie_closure requires zero-sum generators")
-    gens = list(_generators(np.array(mats), rel_tol))
+    gens = list(_generators(np.array(mats)))
     n = mats[0].shape[0]
     ambient = n * n - n
     flat = np.zeros((n + ambient, n * n))
@@ -47,7 +47,7 @@ def lie_closure_loop(basis, rel_tol: float = DEFAULT_BRACKET_GATE) -> list[np.nd
             known = flat[:n + d]
             part -= (part @ known.T) @ known
             u, svals, _ = np.linalg.svd(part.T, full_matrices=False)
-            k = min(int(np.sum(svals > rel_tol)), ambient - d)
+            k = min(int(np.sum(svals > DEFAULT_BRACKET_GATE)), ambient - d)
             new = u[:, :k].T
             flat[n + d:n + d + k] = new - (new @ known.T) @ known
             d += k

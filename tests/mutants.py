@@ -6,8 +6,13 @@ The script copies the repository (without .git and caches) to a
 temporary directory once, checks that tier-1 passes
 there unmutated, and then, for each mutant in turn, writes the mutated
 file, runs `python -m pytest -x -q` on the copy and restores the file.
-It prints, for each mutant, killed or survived and the seconds taken,
-and exits 1 when a mutant marked "must kill" survives. It exits 1
+A mutant's run is stopped once it has taken four times as long as the
+unmutated run, and never before 60 s: a mutant can loop forever, and
+hypothesis can shrink a failing example for minutes. The run is its
+own session, so the whole process group is killed, pytest and any
+child it started. It prints, for each mutant, killed, timeout or
+survived and the seconds taken; a timeout counts as a kill. It exits
+1 when a mutant marked "must kill" survives. It exits 1
 before running anything when a mutant's text no longer occurs exactly
 once in its file (the table is stale). NAME arguments run only those mutants; --must-kill runs only
 the must-kill ones. A full run skips the mutants listed in EQUIVALENT:
@@ -27,6 +32,7 @@ from __future__ import annotations
 import argparse
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -55,13 +61,37 @@ MUTANTS = [
            "span_dim, lie_dim = len(model._algebra.span), len(model._algebra.span)",
            "the audit would report the span as its own Lie closure and certify any span model"),
     Mutant("span-rows-unprojected", "closure.py",
-           "return _zero_sum(_svd_range(stack, rel_tol).reshape(-1, *stack.shape[1:]))",
-           "return _svd_range(stack, rel_tol).reshape(-1, *stack.shape[1:])",
+           "return _zero_sum(_svd_range(stack, DEFAULT_RANK_RTOL).reshape(-1, *stack.shape[1:]))",
+           "return _svd_range(stack, DEFAULT_RANK_RTOL).reshape(-1, *stack.shape[1:])",
            "a thin span row or generator of two nearly parallel matrices fails lie_closure's zero-sum check"),
     Mutant("first-level-every-pair", "closure.py",
            "operands = [(gens[i], gens[i + 1:]) for i in range(d - 1)]",
            "operands = [(g, gens) for g in gens]",
            "the first level would bracket each pair twice and each generator with itself"),
+    Mutant("lie-closure-cuts-at-the-gate", "closure.py",
+           "return list(_saturate(_generators(stack))[0])",
+           "return list(_saturate(_zero_sum(_svd_range(stack, DEFAULT_BRACKET_GATE)"
+           ".reshape(-1, *stack.shape[1:])))[0])",
+           "lie_closure would cut its generators at the bracket gate and disagree with the model's record "
+           "on nearly parallel inputs"),
+    Mutant("generators-cut-at-the-gate", "closure.py",
+           "_svd_range(stack, DEFAULT_RANK_RTOL)", "_svd_range(stack, DEFAULT_BRACKET_GATE)",
+           "a span of two nearly parallel matrices would lose its thin direction"),
+    Mutant("saturate-empty-level", "closure.py",
+           "if d > level else []", "if d >= level else []",
+           "a level that adds nothing would be followed by empty levels forever; killed by the time limit"),
+    Mutant("one-pair-refused", "closure.py",
+           "if samples < 1:", "if samples <= 1:",
+           "an audit of exactly one pair would be refused"),
+    Mutant("tie-blames-exhaustion", "closure.py",
+           "if exhausted > far else", "if exhausted >= far else",
+           "a tie of the two failure causes would be blamed on the sampler"),
+    Mutant("hky-kappa-scale-dropped", "zoo.py",
+           "_hky_constraints(), scales=(_TRANSITIONS,)),", "_hky_constraints()),",
+           "HKY's transitions would not be scaled by kappa, and HKY would be F81"),
+    Mutant("gtr-weights-not-normalized", "zoo.py",
+           "factors = factors / total[:, None]", "pass",
+           "GTR's rates would scale by the raw weights rather than by the frequencies pi"),
     Mutant("scaling-ignores-basis", "model.py",
            "return True if model.basis or all(c.homogeneous for c in model.constraints) else None",
            "return True if all(c.homogeneous for c in model.constraints) else None",
@@ -142,14 +172,23 @@ def stale_mutants() -> list[str]:
             if (ROOT / "src" / "liemarkov" / m.path).read_text(encoding="utf-8").count(m.old) != 1]
 
 
-def _run_tier1(copy: Path) -> bool:
-    """Whether tier-1 passes in the copy, stopping at the first failure."""
+def _run_tier1(copy: Path, limit: float | None = None) -> str:
+    """"passed" or "failed" for tier-1 in the copy, stopping at the first failure, or "timeout" after limit s."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     # The table check would fail on every mutated copy, whose source no longer holds the mutant's text.
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                           "--ignore", str(copy / "tests" / "test_mutant_table.py")],
-                          cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    return proc.returncode == 0
+    proc = subprocess.Popen([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                             "--ignore", str(copy / "tests" / "test_mutant_table.py")],
+                            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                            start_new_session=True)
+    try:
+        return "passed" if proc.wait(timeout=limit) == 0 else "failed"
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    finally:
+        if proc.poll() is None:
+            # The session's group holds pytest and every child it started.
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
 
 
 def main(argv=None) -> int:
@@ -173,26 +212,34 @@ def main(argv=None) -> int:
         caches = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
         shutil.copytree(ROOT, copy, ignore=caches)
         start = time.perf_counter()
-        if not _run_tier1(copy):
+        if _run_tier1(copy) != "passed":
             print("tier-1 fails on the unmutated copy; no mutant can be judged", flush=True)
             return 1
-        print(f"unmutated   tier-1 passes ({time.perf_counter() - start:.0f} s)", flush=True)
-        failed = killed = 0
+        unmutated = time.perf_counter() - start
+        limit = max(60.0, 4 * unmutated)
+        print(f"unmutated   tier-1 passes ({unmutated:.0f} s); each mutant stops at {limit:.0f} s", flush=True)
+        failed = killed = timeouts = 0
         for m in chosen:
             path = copy / "src" / "liemarkov" / m.path
             source = path.read_text(encoding="utf-8")
             path.write_text(source.replace(m.old, m.new), encoding="utf-8")
             start = time.perf_counter()
             try:
-                survived = _run_tier1(copy)
+                result = _run_tier1(copy, limit)
             finally:
                 path.write_text(source, encoding="utf-8")
             seconds = time.perf_counter() - start
+            survived = result == "passed"
             killed += not survived
+            timeouts += result == "timeout"
             failed += survived and m.must_kill
-            status = ("SURVIVED" if m.must_kill else "survived") if survived else "killed"
+            if survived:
+                status = "SURVIVED" if m.must_kill else "survived"
+            else:
+                status = "killed" if result == "failed" else "timeout"
             print(f"{status:11s} {m.name} ({seconds:.0f} s): {m.reason}", flush=True)
-    print(f"{killed} of {len(chosen)} mutants killed, {len(EQUIVALENT)} listed as equivalent", flush=True)
+    print(f"{killed} of {len(chosen)} mutants killed ({timeouts} by timeout), "
+          f"{len(EQUIVALENT)} listed as equivalent", flush=True)
     return 1 if failed else 0
 
 

@@ -31,6 +31,11 @@ class TestCheck:
         assert doc["constraints_homogeneous"] is None
         assert doc["config"]["seed"] == 42
 
+    def test_one_pair(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "--model", "jc", "--samples", "1", "--no-timestamp")
+        assert code == EXIT_OK
+        assert json.loads(out)["closure"]["samples_tested"] == 1
+
     def test_lm88_closed(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--model", "lm88", "--samples", "20", "--no-timestamp")
         assert code == EXIT_OK

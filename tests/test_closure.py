@@ -322,6 +322,19 @@ class TestLieClosure:
         assert len(closed) == len(lie_closure(closed)) == 2
         assert len(RateModel(name="near-closure", n=4, basis=tuple(closed)).basis) == 2
 
+    def test_cuts_the_generators_where_the_record_cuts_the_span(self):
+        # lie_closure and a model's algebra record make their generators one way, at
+        # DEFAULT_RANK_RTOL, so the same input has one closure. jc and jc + eps k2p_0 have a second
+        # singular value of about 0.12 eps relative to the first: two span rows down to eps = 1e-9,
+        # where a cut at DEFAULT_BRACKET_GATE would keep one.
+        jc, k2p = zoo_model("jc").basis[0], zoo_model("k2p").basis[0]
+        near = [[jc, jc + eps * k2p] for eps in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10)]
+        for k, basis in enumerate(near + _saturation_inputs()):
+            algebra = RateModel(name="same-input", n=len(basis[0]), basis=tuple(basis))._algebra
+            np.testing.assert_array_equal(lie_closure(basis), algebra.closure)
+            if k < len(near):
+                assert len(algebra.span) == (2 if k < 5 else 1)
+
     def test_monotone_and_bracket_closed(self):
         basis = span_basis(zoo_model("hky"), seed=0)
         closed = lie_closure(basis)
@@ -414,8 +427,8 @@ class TestLieClosure:
 
 
 def _saturate_from(gens):
-    """lie_closure's path on raw generators: _generators at the bracket gate, then _saturate."""
-    return closure._saturate(closure._generators(np.array(gens), closure.DEFAULT_BRACKET_GATE))
+    """lie_closure's path on raw generators: _generators, then _saturate."""
+    return closure._saturate(closure._generators(np.array(gens)))
 
 
 @pytest.mark.parametrize("name", zoo_names())
@@ -725,6 +738,24 @@ class TestMultiplicativeClosure:
         assert str(err.value) == (
             "more than half of the 10 sampled pairs failed, mostly by products beyond the log's radius: "
             "0 sampler exhaustions and 6 products beyond the log's radius in the first 6 pairs")
+
+    def test_a_tie_of_causes_names_the_log_radius(self, monkeypatch):
+        # One pair whose sampler is exhausted and one whose product lies beyond the log's radius: the
+        # cause named on a tie is the log's radius.
+        def block(model, seed, count, tol, scales, start=0):
+            nan = np.full((count, 4, 4), np.nan)
+            return nan, nan, nan, np.array([False, True]), np.array([False, False])
+
+        monkeypatch.setattr(closure, "_log_product_block", block)
+        with pytest.raises(RuntimeError) as err:
+            multiplicative_closure_check(zoo_model("jc"), samples=2, seed=0)
+        assert str(err.value) == (
+            "more than half of the 2 sampled pairs failed, mostly by products beyond the log's radius: "
+            "1 sampler exhaustions and 1 products beyond the log's radius in the first 2 pairs")
+
+    def test_one_pair_is_an_audit(self):
+        report = multiplicative_closure_check(zoo_model("jc"), samples=1, seed=7)
+        assert (report.mult_closed_verdict, report.samples_tested) == ("closed", 1)
 
     def test_generators_past_the_squared_norm_overflow_warn_nothing(self):
         # ||q||_F^2 overflows from 1.3e154 on. The model is one-dimensional, hence closed; its pairs

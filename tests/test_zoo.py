@@ -30,23 +30,40 @@ class TestStackBuilders:
             np.testing.assert_array_equal(stack[k], fn(params[k:k + 1])[0])
         assert is_stochastic_rate(stack).all()
 
-    def test_gtr_stack_is_its_definition(self):
-        # The rate into i from j is s_ij pi_i, pi the weights over their sum. The expected stack is
-        # built pair by pair, each exchangeability filling both of its rates, and each diagonal
-        # entry is minus its column's off-diagonal sum.
+    @pytest.mark.parametrize("name", ["f81", "gtr", "hky", "jc", "k2p", "lm88"])
+    def test_stack_is_its_definition(self, name):
+        # Each model's generators written slot by slot under the A, G, C, T order, on rows with
+        # zeros and scales from 1e-4 to 10, bit for bit; each diagonal entry is minus its column's
+        # off-diagonal sum.
+        fn, n_params = get_parameterization(name)
         rng = np.random.default_rng(25)
-        p = rng.random((1000, 10)) * 10.0 ** rng.integers(-4, 2, size=(1000, 10))
-        p[rng.random((1000, 10)) < 0.05] = 0.0
-        p[:, 6] += 1e-3  # a row of weights must not sum to zero
-        exch, weights = p[:, :6], p[:, 6:]
-        pi = weights / weights.sum(axis=1)[:, None]
+        p = rng.random((1000, n_params)) * 10.0 ** rng.integers(-4, 2, size=(1000, n_params))
+        p[rng.random((1000, n_params)) < 0.05] = 0.0
+        if name == "gtr":
+            p[:, 6] += 1e-3  # a row of weights must not sum to zero
+            pi = p[:, 6:] / p[:, 6:].sum(axis=1)[:, None]
+        transitions = ((0, 1), (1, 0), (2, 3), (3, 2))  # A<->G and C<->T
+        gtr_pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
         expected = np.zeros((1000, 4, 4))
-        for col, (i, j) in enumerate(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))):
-            expected[:, i, j] = exch[:, col] * pi[:, i]
-            expected[:, j, i] = exch[:, col] * pi[:, j]
+        for i in range(4):
+            for j in range(4):
+                transition = (i, j) in transitions
+                expected[:, i, j] = {
+                    # All substitutions at mu.
+                    "jc": lambda: p[:, 0],
+                    # Row i at alpha_i.
+                    "f81": lambda: p[:, i],
+                    # Transitions at alpha, transversions at beta.
+                    "k2p": lambda: p[:, 0] if transition else p[:, 1],
+                    # Row i at alpha_i, its transition times kappa.
+                    "hky": lambda: p[:, i] * p[:, 4] if transition else p[:, i],
+                    # Row i's transversions at alpha..delta, its transition at kappa_1..kappa_4.
+                    "lm88": lambda: p[:, 4 + i] if transition else p[:, i],
+                    # The rate into i from j is s_ij pi_i, pi the weights over their sum.
+                    "gtr": lambda: p[:, gtr_pairs.index(tuple(sorted((i, j))))] * pi[:, i],
+                }[name]() if i != j else 0.0
         diag = np.arange(4)
         expected[:, diag, diag] = -expected.sum(axis=1)
-        fn, _ = get_parameterization("gtr")
         np.testing.assert_array_equal(fn(p), expected)
 
     def test_negative_parameter_rejected_for_the_stack(self):
