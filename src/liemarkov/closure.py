@@ -355,10 +355,10 @@ def _log_product_block(
 
     The streams of all pairs are one _SeedStreams, local to the call.
     One _sample_stack call draws both generators of every pair: its
-    first attempt reads two candidates from each stream and checks all
-    2 count of them as one stack, and q and q' are the stream's first
-    two accepted candidates, so each pair's stream is read in the same
-    order as sequential draws from its own generator. A drawn pair with
+    first attempt reads two candidates from each stream as one stack,
+    and q and q' are the stream's first two candidates (for a basis-only
+    model, its first two accepted ones), so each pair's stream is read
+    in the same order as sequential draws from its own generator. A drawn pair with
     s = ||q||_F + ||q'||_F > 0.65 is tested as (t q, t q'), t = 0.65 / s,
     unless scales is false (check_scaling_closure does not vouch for the
     model) and t q or t q' has model residual above tol; then it is
@@ -446,9 +446,9 @@ def multiplicative_closure_check(
     row needs. Pair k gets the same matrices and log-product as the
     batch-of-one kernels (matrix_exp, matrix_log, sample_with_rng on
     stream k, then the same scaling) give it alone. Its residual is the
-    model's residual of that log-product, but the block's projector
-    product may sum in another order than model_residual's, so the two
-    can differ in the last bits.
+    model's residual of that log-product, but the block's projection
+    onto the span may sum in another order than model_residual's, so the
+    two can differ in the last bits.
 
     A pair that cannot be tested keeps its own row in every stage, as
     NaN, and two masks say why: its sampler was exhausted (the sampler

@@ -4,11 +4,12 @@ A model is a set of stochastic rate matrices cut out of the zero-sum
 space either by a linear span basis, by polynomial constraints on the
 off-diagonal entries, or both, optionally with a named parameterization
 for seeded sampling. Models are immutable after construction and safe to
-share across threads. Every value a model fills in later is a
-deterministic function of its fields: its compiled constraint values
-(_constraint_values), its residual (_residual), and its algebra record
-(_algebra): the span, the Lie algebra that span generates, the dimension
-after each level of brackets and the rank gap.
+share across threads. A parameterization is judged once, when the model
+is built, so its draws are never judged again. Every value a model
+fills in is a deterministic function of its fields: its compiled
+constraint values (_constraint_values), its residual (_residual), and
+its algebra record (_algebra): the span, the Lie algebra that span
+generates, the dimension after each level of brackets and the rank gap.
 """
 
 from __future__ import annotations
@@ -111,22 +112,16 @@ def get_parameterization(name: str) -> tuple[Callable[[np.ndarray], np.ndarray],
         raise ModelFormatError(f"unknown parameterization {name!r}") from None
 
 
-class _derived(cached_property):
-    """A cached_property that takes no lock.
+def _landing_points(width: int) -> np.ndarray:
+    """Four fixed points of the unit box, as a (4, width) array: frac(k phi) for k = 1 .. 4 width, row-major.
 
-    Before Python 3.12 a cached_property holds one lock per property for
-    all instances. A span model's _residual reads its _algebra while a
-    sampled model's _algebra reads its _residual, so two threads filling
-    them for two models could each wait for the other. Every derived
-    value is a deterministic function of the model's fields, so threads
-    that race may each compute it, and the instance keeps the first. The
-    descriptor defines no __set__, so a kept value shadows it.
+    phi = (sqrt(5) - 1) / 2 is irrational, so each coordinate has its own
+    fraction, strictly inside (0, 1) and never 1/2: no point is the
+    midpoint or a corner, and no two of its coordinates are equal, where
+    one parameterization can land in a smaller model (k2p's in jc's span
+    at alpha = beta).
     """
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        return instance.__dict__.setdefault(self.attrname, self.func(instance))
+    return np.modf(np.arange(1, 4 * width + 1) * ((math.sqrt(5.0) - 1.0) / 2.0))[0].reshape(4, width)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,11 +133,20 @@ class RateModel:
     be given; with both, the basis decides membership and must satisfy
     every constraint). ``parameterization`` names a registered generator
     and ``parameter_ranges`` gives it one (lo, hi) range per parameter,
-    for seeded sampling; the two come together or not at all.
+    for seeded sampling; the two come together or not at all. The
+    parameterization must land in the model: at each of a few fixed
+    interior points of its ranges (_landing_points) it must give a
+    stochastic rate matrix, within 1e-12 max(1, ||q||_F) per entry and
+    column sum, whose model residual is at most 1e-10.
 
-    Construction only judges the model well formed: a breach of any rule
-    above raises ValueError. Everything else is derived from the fields
-    once, on first use, and held on the instance; a pickle or copy
+    Construction judges the model: a breach of any rule above raises
+    ValueError. Judging a parameterization fills the residual, and a
+    span model's residual fills its algebra record. Every other derived
+    value is filled once, on first use, and held on the instance. A fill
+    reads other derived values only in one direction (a span model's
+    residual reads its record, a constraint model's its constraint
+    values), so the lock that functools.cached_property takes per
+    property before Python 3.12 cannot deadlock. A pickle or copy
     rebuilds the model from its fields alone.
     """
 
@@ -185,7 +189,7 @@ class RateModel:
                 f"model {self.name!r} must declare parameterization and parameter_ranges together"
             )
         if self.parameterization is not None:
-            _, n_params = get_parameterization(self.parameterization)
+            fn, n_params = get_parameterization(self.parameterization)
             try:
                 ranges = tuple((float(lo), float(hi)) for lo, hi in self.parameter_ranges)
             except (TypeError, ValueError) as exc:
@@ -202,6 +206,17 @@ class RateModel:
                     f"but parameterization {self.parameterization!r} takes {n_params}"
                 )
             object.__setattr__(self, "parameter_ranges", ranges)
+            # The zoo's maps are polynomial or rational, and so are spans and constraints, so a residual
+            # that vanishes at generic points vanishes on the whole box: no draw needs judging again.
+            lo, hi = np.array(ranges).T
+            try:
+                q = fn(lo + (hi - lo) * _landing_points(n_params))
+                lands, why = _is_rate_stack(q) & (self._residual(q) <= 1e-10), ""
+            except ValueError as exc:
+                lands, why = False, f": {exc}"
+            if not np.all(lands):
+                raise ValueError(f"parameterization {self.parameterization!r} does not land in model "
+                                 f"{self.name!r} on its parameter_ranges{why}")
 
     def __reduce__(self):
         # The derived values include closures, so a pickle or copy rebuilds the model from its fields.
@@ -212,17 +227,17 @@ class RateModel:
     def samplable(self) -> bool:
         return bool(self.basis) or self.parameterization is not None
 
-    @_derived
+    @cached_property
     def _constraint_values(self) -> Callable[[np.ndarray], np.ndarray]:
         """The constraints' raw values; construction reads them, so a bad index fails there."""
         return _compile_constraints(self.n, self.constraints)
 
-    @_derived
+    @cached_property
     def _residual(self) -> Callable[[np.ndarray], np.ndarray]:
         """The scale-invariant residual of each matrix of a (B, n, n) stack.
 
-        A span model divides the norm of q's part outside the span (its
-        projection by I - V^T V, V the span rows of _algebra) by
+        A span model divides the norm of q's part outside the span,
+        x - (x V^T) V for x = vec(q) and V the span rows of _algebra, by
         max(||q||_F, 1), as least_squares_membership does. A constraint
         model takes the largest absolute constraint value, a homogeneous
         degree-d one divided by ||q||_F^d first, so a positive rescaling
@@ -231,11 +246,10 @@ class RateModel:
         n = self.n
         if self.basis:
             span = self._algebra.span.reshape(-1, n * n)
-            projector = np.eye(n * n) - span.T @ span
 
             def span_residual(q: np.ndarray) -> np.ndarray:
                 flat = _flat(q, n)
-                return _fro_rows(flat @ projector) / np.maximum(_fro_rows(flat), 1.0)
+                return _fro_rows(flat - (flat @ span.T) @ span) / np.maximum(_fro_rows(flat), 1.0)
 
             return span_residual
         values = self._constraint_values
@@ -257,7 +271,7 @@ class RateModel:
 
         return constraint_residual
 
-    @_derived
+    @cached_property
     def _algebra(self) -> tuple:
         """The algebra record at seed 0 (closure._algebra_at), read by the residual, span_basis and the audit."""
         from .closure import _algebra_at  # closure imports this module, so it is imported here
@@ -327,6 +341,16 @@ def is_stochastic_rate(q, tol: float = 1e-12):
     q = check_stack(q)
     ok = _zero_sums(q, tol) & (q[..., _off_diagonal(q.shape[-1])].min(axis=-1) >= -tol)
     return bool(ok) if q.ndim == 2 else ok
+
+
+def _is_rate_stack(q: np.ndarray) -> np.ndarray:
+    """is_stochastic_rate of each matrix of a (B, n, n) stack at 1e-12 max(1, ||q||_F).
+
+    The rounding of a column sum grows with the matrix's scale, so the
+    tolerance does too, as in _check_zero_sums.
+    """
+    with np.errstate(over="ignore"):  # a norm past 1.3e154 is summed again, scaled
+        return is_stochastic_rate(q, 1e-12 * np.maximum(1.0, _fro_rows(q)))
 
 
 def _flat(q: np.ndarray, n: int) -> np.ndarray:
@@ -507,7 +531,7 @@ class _SeedStreams:
         return out
 
 
-# Draws a sampler makes for one matrix before it gives up.
+# Draws a basis-only sampler makes for one matrix before it gives up.
 _MAX_ATTEMPTS = 1000
 
 
@@ -523,55 +547,52 @@ def _sample_stack(
     offset + m - 1 of each listed stream, as a (len(rows), m) array: the
     Philox rows of a _SeedStreams, or one shared Generator
     (sample_with_rng), which ignores the offset. A candidate is one draw
-    of width doubles, one per parameter or basis element: a
-    parameterized model maps lo + (hi - lo) * unit through its
-    parameterization, which is Generator.uniform(lo, hi); a basis-only
-    model takes coefficients -1 + 2 * unit, which is
-    Generator.uniform(-1, 1). A stream's matrices are its first count
-    accepted candidates, in stream order, so slot i of a row is what the
-    (i + 1)-th sample_with_rng call on its stream would draw. The first
-    attempt draws count candidates for every row, words 0 .. count *
-    width - 1, as one (rows * count) stack. When it accepts every
-    candidate, as on every zoo draw, slot i of a row is its candidate i,
-    and that stack is returned as drawn, with no fill, copy or slot
-    count. Otherwise each row's candidates fill its slots one by one, and
-    each later attempt draws one candidate for every row that still
-    needs one, from its own stream. Every such row has drawn every
-    attempt so far, so all of them read the same width words next, at
-    one offset that each attempt advances by width. A matrix that sees
-    _MAX_ATTEMPTS rejected candidates in a row exhausts its stream: the
-    row is marked failed in the returned mask (its open slots stay NaN)
-    instead of raising. Rows of a shared Generator draw from it in row
-    order; that matches sequential draws while no row is rejected.
+    of width doubles, one per parameter or basis element, and slot i of
+    a row is what the (i + 1)-th sample_with_rng call on its stream
+    would draw. Also returns a mask of the rows that drew all count.
 
-    A parameterized draw is accepted when it is a stochastic rate matrix
-    and its model residual is at most 1e-10. A basis-only draw lies in
-    its span by construction and only needs to be stochastic. Raises
-    SamplingError when the model cannot be sampled at all.
+    A parameterized model maps lo + (hi - lo) * unit through its
+    parameterization, which is Generator.uniform(lo, hi). Construction
+    judged that it lands in the model, so no draw is judged again: slot
+    i of a row is its candidate i, words i * width .. (i + 1) * width - 1,
+    and the (rows * count) stack is returned as drawn.
+
+    A basis-only model takes coefficients -1 + 2 * unit, which is
+    Generator.uniform(-1, 1). Its draws lie in the span but need not be
+    stochastic, so a candidate is accepted when it is a stochastic rate
+    matrix within 1e-12 max(1, ||q||_F) (_is_rate_stack). A stream's
+    matrices are its first count accepted candidates, in stream order.
+    The first attempt draws count candidates for every row as one stack.
+    Each row's candidates fill its slots one by one, and each later
+    attempt draws one candidate for every row that still needs one,
+    from its own stream. Every such row has drawn every attempt so
+    far, so all of them read the same width words next, at one offset
+    that each attempt advances by width. A matrix that sees
+    _MAX_ATTEMPTS rejected candidates in a row exhausts its stream: the
+    row is marked failed in the mask (its open slots stay NaN) instead
+    of raising. Rows of a shared Generator draw from it in row order;
+    that matches sequential draws while no row is rejected.
+
+    Raises SamplingError when the model cannot be sampled at all.
     """
     n = model.n
     if model.parameterization is not None:
         fn, width = get_parameterization(model.parameterization)
         lo, hi = np.array(model.parameter_ranges).T
-
-        def draw(rows: np.ndarray, offset: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-            q = fn(lo + (hi - lo) * random(rows, offset, k * width).reshape(-1, width))
-            return q, is_stochastic_rate(q, 1e-12) & (model._residual(q) <= 1e-10)
-    elif model.basis:
-        stack = np.reshape(model.basis, (len(model.basis), n * n))
-        width = len(stack)
-
-        def draw(rows: np.ndarray, offset: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-            coeffs = -1.0 + 2.0 * random(rows, offset, k * width).reshape(-1, width)
-            q = (coeffs[:, None, :] @ stack).reshape(-1, n, n)
-            return q, is_stochastic_rate(q, 1e-12)
-    else:
+        q = fn(lo + (hi - lo) * random(np.arange(rows), 0, count * width).reshape(-1, width))
+        return q.reshape(rows, count, n, n), np.ones(rows, dtype=bool)
+    if not model.basis:
         raise SamplingError(f"model {model.name!r} has no parameterization or basis to sample")
+    stack = np.reshape(model.basis, (len(model.basis), n * n))
+    width = len(stack)
+
+    def draw(rows: np.ndarray, offset: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        coeffs = -1.0 + 2.0 * random(rows, offset, k * width).reshape(-1, width)
+        q = (coeffs[:, None, :] @ stack).reshape(-1, n, n)
+        return q, _is_rate_stack(q)
+
     pending = np.arange(rows)
     q, accept = draw(pending, 0, count)
-    if accept.all():
-        # As on every zoo draw: slot i of a row is its candidate i, so the draw is the stack.
-        return q.reshape(rows, count, n, n), np.ones(rows, dtype=bool)
     out = np.full((rows, count, n, n), np.nan)
     got = np.zeros(rows, dtype=int)
     misses = np.zeros(rows, dtype=int)
@@ -599,25 +620,23 @@ def _sample_all(
 ) -> np.ndarray:
     """Rows 0..count-1 of _sample_stack, one matrix each, as a (count, n, n) stack.
 
-    A count of zero or below gives an empty stack. Raises SamplingError
-    when any row is exhausted in _MAX_ATTEMPTS draws.
+    A count of zero or below gives an empty stack. A parameterized
+    model's rows never fail; raises SamplingError when a basis-only
+    model's row is exhausted in _MAX_ATTEMPTS draws.
     """
     mats, ok = _sample_stack(model, max(count, 0), random)
-    if ok.all():
-        return mats[:, 0]
-    if model.parameterization is not None:
-        raise SamplingError(f"parameterized sampler for {model.name!r} failed {_MAX_ATTEMPTS} times")
-    raise SamplingError(
-        f"sampler could not reach the stochastic cone of {model.name!r} "
-        f"in {_MAX_ATTEMPTS} attempts"
-    )
+    if not ok.all():
+        raise SamplingError(
+            f"sampler could not reach the stochastic cone of {model.name!r} in {_MAX_ATTEMPTS} attempts")
+    return mats[:, 0]
 
 
 def sample_with_rng(model: RateModel, rng: np.random.Generator) -> np.ndarray:
     """Draw one stochastic rate matrix from the model using rng.
 
-    The batch-of-one case of the stack sampler the closure audit uses;
-    raises SamplingError when no draw is accepted in _MAX_ATTEMPTS.
+    The batch-of-one case of the stack sampler the closure audit uses.
+    A parameterized draw is always accepted; a basis-only sampler raises
+    SamplingError when no draw is accepted in _MAX_ATTEMPTS.
     """
     return _sample_all(model, 1, lambda rows, offset, m: rng.random((len(rows), m)))[0]
 

@@ -16,7 +16,7 @@ tests and the repro-paper command pin, and kappa_witness, its ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .model import (
     PolynomialConstraint,
     RateModel,
     _column_sums,
-    _derived,
     get_parameterization,
     product_constraint,
 )
@@ -131,7 +130,7 @@ class ZooEntry:
     scales: tuple[tuple[tuple[int, int], ...], ...] = ()
     normalized: bool = False
 
-    @_derived
+    @cached_property
     def _cells(self) -> tuple[np.ndarray, ...]:
         """Flat cells 4 i + j of the filled slots, their parameters, the scaled slots, their factors."""
         out = []

@@ -107,6 +107,9 @@ ERRORS = {
     "error-constraints-not-a-list": (["check", "--model", "-", "--no-timestamp"], _model_text(constraints=5)),
     "error-infinite-range": (["check", "--model", "-", "--no-timestamp"],
                              _model_text(parameter_ranges=[[0.001, float("inf")]])),
+    "error-parameterization-misses-model": (["check", "--model", "-", "--no-timestamp"],
+                                            _model_text(parameterization="k2p",
+                                                        parameter_ranges=[[0.001, 0.05], [0.001, 0.05]])),
 }
 
 

@@ -6,6 +6,8 @@ The script copies the repository (without .git and caches) to a
 temporary directory once, checks that tier-1 passes
 there unmutated, and then, for each mutant in turn, writes the mutated
 file, runs `python -m pytest -x -q` on the copy and restores the file.
+A mutant of src/liemarkov/<module>.py runs tests/test_<module>.py first,
+which shortens kills; a survivor still runs all of tier-1.
 A mutant's run is stopped once it has taken four times as long as the
 unmutated run, and never before 60 s: a mutant can loop forever, and
 hypothesis can shrink a failing example for minutes. The run is its
@@ -116,12 +118,24 @@ MUTANTS = [
            "if not _zero_sums(stack, 1e-10 * scale).all():", "if not _zero_sums(stack, 1e-6 * scale).all():",
            "models and lie_closure would take generators that are not rate matrices"),
     Mutant("acceptance-residual-1e-6", "model.py",
-           "(model._residual(q) <= 1e-10)", "(model._residual(q) <= 1e-6)",
-           "a parameterization just off the model's span would pass its draws"),
-    Mutant("derived-takes-the-lock", "model.py",
-           "    def __get__(self, instance, owner=None):", "    def _get(self, instance, owner=None):",
-           "before Python 3.12, two threads filling _residual and _algebra of two models deadlock",
-           must_kill=sys.version_info < (3, 12)),
+           "(self._residual(q) <= 1e-10)", "(self._residual(q) <= 1e-6)",
+           "a parameterization just off the model's span would be built, and every draw leave the model"),
+    Mutant("landing-check-skipped", "model.py",
+           "if not np.all(lands):", "if False:",
+           "a parameterization that misses its model would be built, and its draws never judged"),
+    Mutant("basis-draw-tolerance-absolute", "model.py",
+           "return is_stochastic_rate(q, 1e-12 * np.maximum(1.0, _fro_rows(q)))",
+           "return is_stochastic_rate(q, 1e-12)",
+           "a basis-only sampler of large rates would reject draws inside the cone for their rounding"),
+    Mutant("parameterized-draws-at-width", "model.py",
+           "random(np.arange(rows), 0, count * width)", "random(np.arange(rows), width, count * width)",
+           "every parameterized pair would skip its stream's first candidate"),
+    Mutant("sampled-record-reads-residual", "model.py",
+           "        return q.reshape(rows, count, n, n), np.ones(rows, dtype=bool)\n    if not model.basis:",
+           "        return q.reshape(rows, count, n, n), (model._residual(q) <= 1e-10).reshape(rows, count)"
+           ".all(axis=1)\n    if not model.basis:",
+           "parameterized draws would be judged again, and a sampled model's record would read its "
+           "residual: before Python 3.12 a deadlock with a span model's residual, which reads its record"),
     Mutant("no-bch-scaling", "closure.py",
            "t = _BCH_DOMAIN / np.maximum(norms[0::2] + norms[1::2], _BCH_DOMAIN)",
            "t = np.ones(count)",
@@ -141,7 +155,7 @@ MUTANTS = [
            "a draw at an offset that is not a multiple of four would read the wrong words"),
     Mutant("first-attempt-at-width", "model.py",
            "q, accept = draw(pending, 0, count)", "q, accept = draw(pending, width, count)",
-           "every pair would skip its stream's first candidate"),
+           "every basis-only pair would skip its stream's first candidate"),
     Mutant("philox-counter-not-preincremented", "model.py",
            "x[0] = np.arange(first + 1, first + blocks + 1, dtype=np.uint64)",
            "x[0] = np.arange(first, first + blocks, dtype=np.uint64)",
@@ -172,12 +186,19 @@ def stale_mutants() -> list[str]:
             if (ROOT / "src" / "liemarkov" / m.path).read_text(encoding="utf-8").count(m.old) != 1]
 
 
-def _run_tier1(copy: Path, limit: float | None = None) -> str:
-    """"passed" or "failed" for tier-1 in the copy, stopping at the first failure, or "timeout" after limit s."""
+def _run_tier1(copy: Path, limit: float | None = None, module: str | None = None) -> str:
+    """"passed" or "failed" for tier-1 in the copy, stopping at the first failure, or "timeout" after limit s.
+
+    The test file of module (a file name under src/liemarkov), tests/test_<module>.py, runs
+    first, where a mutant of that module is most likely to fail, then every other test file.
+    """
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    # pytest runs files in the order given, but folds a file into a directory that holds it, so
+    # every file is named.
+    files = sorted((copy / "tests").glob("test_*.py"), key=lambda f: (f.name != f"test_{module}", f.name))
     # The table check would fail on every mutated copy, whose source no longer holds the mutant's text.
     proc = subprocess.Popen([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                             "--ignore", str(copy / "tests" / "test_mutant_table.py")],
+                             *(str(f) for f in files if f.name != "test_mutant_table.py")],
                             cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                             start_new_session=True)
     try:
@@ -225,7 +246,7 @@ def main(argv=None) -> int:
             path.write_text(source.replace(m.old, m.new), encoding="utf-8")
             start = time.perf_counter()
             try:
-                result = _run_tier1(copy, limit)
+                result = _run_tier1(copy, limit, m.path)
             finally:
                 path.write_text(source, encoding="utf-8")
             seconds = time.perf_counter() - start

@@ -155,6 +155,19 @@ class TestModelLoadErrors:
         assert out == ""
         assert err.startswith("error: parameter_ranges must be finite") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["check", "closure", "sample", "export"])
+    @pytest.mark.parametrize("name, width", [("k2p", 2), ("gtr", 10)])
+    def test_parameterization_that_misses_its_model(self, command, name, width, capsys, monkeypatch):
+        # jc's basis with k2p's or gtr's parameterization: refused on load, before any sampler or
+        # audit runs, where every draw used to be rejected until the sampler gave up.
+        doc = {**model_to_dict(zoo_model("jc")), "parameterization": name, "parameter_ranges": [[0.001, 0.05]] * width}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, command, "--model", "-")
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == (f"error: parameterization '{name}' does not land in model 'jc' "
+                       "on its parameter_ranges\n")
+
     @pytest.mark.parametrize("entry", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_basis_entry(self, entry, capsys, tmp_path):
         # Refused on load under the field's name, not as non-finite matrix entries in the audit.

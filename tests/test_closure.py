@@ -945,8 +945,8 @@ class TestBatchedAudit:
         # Pair by pair, sample_with_rng, the audit's scaling, log_product and model_residual find
         # the witnesses the report keeps: none for the closed cyclic models, scaled pairs for gtr,
         # pairs tested as drawn for jc-pinned. A witness's q, q' and log-product are those bit for
-        # bit. Its residual is the model's residual of that log-product, but the block's projector
-        # product may sum in another order, so it matches model_residual to a few ulps only.
+        # bit. Its residual is the model's residual of that log-product, but the block's projection
+        # may sum in another order, so it matches model_residual to a few ulps only.
         model, samples, seed = _golden_model(name), 150, 7
         failures = []
         for k in range(samples):
@@ -1161,37 +1161,46 @@ class TestClosureDims:
             calls.clear()
 
     def test_pickle_drops_the_memo(self):
-        # A copy holds no derived value of the original; a constraint model compiles its
-        # constraint values afresh, at construction.
+        # A copy is rebuilt from the model's fields. It holds only what construction fills, each
+        # value built afresh: a parameterized model's residual, which judges its parameterization,
+        # with a span model's record or a constraint model's compiled values, which that reads.
         memos = {"_algebra", "_residual", "_constraint_values"}
-        for name in ("gtr", "lm88"):
-            model = zoo_model(name)
+        span = RateModel("lm88-span", 4, basis=zoo_model("lm88").basis)
+        for model, built in ((zoo_model("gtr"), {"_residual", "_constraint_values"}),
+                             (zoo_model("lm88"), {"_residual", "_algebra"}), (span, set())):
+            assert memos & set(vars(model)) == built
             multiplicative_closure_check(model, samples=5, seed=1)
-            used = {"_algebra", "_residual"} | ({"_constraint_values"} if model.constraints else set())
-            assert memos & set(vars(model)) == used
+            assert memos & set(vars(model)) == built | {"_algebra", "_residual"}
             copy = pickle.loads(pickle.dumps(model))
-            assert memos & set(vars(copy)) == ({"_constraint_values"} if model.constraints else set())
+            assert memos & set(vars(copy)) == built
+            assert not any(vars(copy)[k] is vars(model)[k] for k in built)
 
 
 class TestConcurrency:
     def test_threaded_audits_match_serial(self):
         # Calls share no module state, so running them side by side cannot change a result. The
-        # threads share one model per zoo name, built with its dimensions not yet computed, so
-        # several audits race to fill them.
+        # threads share one model per zoo name and one per zoo span with no parameterization, so
+        # several audits race to fill the sampled models' records and the spans' residuals.
         def audit(model, seed):
             return multiplicative_closure_check(model, samples=60, seed=seed).to_json()
 
         def reference_kappas():
             return kappa_witness(log_product(*reference_pair()))
 
+        def models():
+            zoo = [zoo_model(name) for name in zoo_names()]
+            # Basis-only copies of the span models fill their residual and its record on first use.
+            return zoo + [RateModel(f"{m.name}-span", 4, basis=m.basis) for m in zoo if m.basis]
+
         seeds = (3, 8, 13, 21)
-        serial = [audit(zoo_model(name), seed) for name in zoo_names() for seed in seeds]
+        serial = [audit(model, seed) for model in models() for seed in seeds]
         serial += [reference_kappas()] * 8
-        shared = {name: zoo_model(name) for name in zoo_names()}
-        tasks = [partial(audit, shared[name], seed) for name in zoo_names() for seed in seeds]
+        shared = models()
+        tasks = [partial(audit, model, seed) for model in shared for seed in seeds]
         tasks += [reference_kappas] * 8
-        memos = {"_algebra", "_residual"}
-        assert not any(memos & set(vars(model)) for model in shared.values())
+        # Construction fills only what judging a parameterization reads; the rest is left to the race.
+        assert not any("_algebra" in vars(model) for model in shared if not model.basis)
+        assert not any({"_algebra", "_residual"} & set(vars(model)) for model in shared if not model.parameterization)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -1202,10 +1211,11 @@ class TestConcurrency:
         assert threaded == serial
 
     def test_derived_values_share_no_lock_across_models(self, monkeypatch):
-        # jc's residual reads jc's algebra record, and hky's record samples hky, which reads hky's
-        # residual. One thread builds hky's record while another builds jc's residual; a lock per
-        # property for all models (functools.cached_property before Python 3.12) would leave each
-        # thread waiting for the other.
+        # A basis-only span model's residual reads its algebra record, and hky's record samples hky,
+        # which reads nothing else of hky: not its residual, dropped here so that a read would take
+        # the residual's lock. One thread builds hky's record while another builds the span's
+        # residual; with one lock per property for all models (functools.cached_property before
+        # Python 3.12), a record that read its residual would leave each thread waiting for the other.
         build = closure._algebra_at
         building, entered = threading.Event(), threading.Event()
 
@@ -1213,16 +1223,17 @@ class TestConcurrency:
             if model.name == "hky":
                 building.set()
                 entered.wait(10)
-                time.sleep(0.2)  # the other thread is now inside jc's residual
+                time.sleep(0.2)  # the other thread is now inside the span's residual
             return build(model, seed)
 
         monkeypatch.setattr(closure, "_algebra_at", slow)
-        hky, jc = zoo_model("hky"), zoo_model("jc")
+        hky, span = zoo_model("hky"), RateModel("jc-span", 4, basis=zoo_model("jc").basis)
+        del vars(hky)["_residual"]
 
         def residual():
             building.wait(10)
             entered.set()
-            return jc._residual
+            return span._residual
 
         threads = [threading.Thread(target=lambda: hky._algebra, daemon=True),
                    threading.Thread(target=residual, daemon=True)]
@@ -1231,4 +1242,4 @@ class TestConcurrency:
         for t in threads:
             t.join(10)
         assert not any(t.is_alive() for t in threads)
-        assert {"_algebra", "_residual"} <= set(vars(hky)) & set(vars(jc))
+        assert "_algebra" in vars(hky) and {"_algebra", "_residual"} <= set(vars(span))

@@ -378,22 +378,6 @@ class TestSampling:
         with pytest.raises(SamplingError):
             sample_with_rng(model, np.random.default_rng(0))
 
-    def test_draws_just_off_the_span_are_rejected(self, monkeypatch):
-        # jc's generator plus 1e-8 times a unit zero-sum direction orthogonal to jc's span: every
-        # draw is a stochastic rate matrix with model residual 1e-8, above the 1e-10 it must meet.
-        jc = zoo_model("jc")
-        fn, n_params = model_module.get_parameterization("jc")
-        leak = np.zeros((4, 4))
-        leak[0, 1], leak[1, 1], leak[0, 2], leak[2, 2] = 0.5, -0.5, -0.5, 0.5
-        monkeypatch.setitem(model_module._PARAMETERIZATIONS, "jc-leaky", (lambda p: fn(p) + 1e-8 * leak, n_params))
-        model = RateModel(name="jc-leaky", n=4, basis=jc.basis, parameterization="jc-leaky",
-                          parameter_ranges=jc.parameter_ranges)
-        q = fn(np.array([[0.02]]))[0] + 1e-8 * leak
-        assert is_stochastic_rate(q, 1e-12)
-        assert model_residual(model, q) == pytest.approx(1e-8, rel=1e-6)
-        with pytest.raises(SamplingError, match="failed 1000 times"):
-            sample_with_rng(model, np.random.default_rng(0))
-
     def test_unreachable_cone(self):
         # Zero-sum basis matrix with off-diagonal entries of both signs:
         # no nonzero multiple is a rate matrix.
@@ -405,6 +389,90 @@ class TestSampling:
         model = RateModel(name="stuck", n=4, basis=(bad,))
         with pytest.raises(SamplingError, match="attempts"):
             sample_with_rng(model, np.random.default_rng(0))
+
+
+def _jc_doc(parameterization, ranges):
+    """jc's model file with another parameterization and its ranges."""
+    return {**model_to_dict(zoo_model("jc")), "parameterization": parameterization, "parameter_ranges": ranges}
+
+
+class TestLanding:
+    """A parameterization is judged once, when its model is built, and its draws never again."""
+
+    @pytest.mark.parametrize("name, width", [("k2p", 2), ("gtr", 10)])
+    def test_a_parameterization_that_misses_its_model_is_refused(self, name, width):
+        # k2p's and gtr's generators lie in jc's span only where their rates are all equal. The
+        # message names the parameterization and the model, from Python and from a model file.
+        fn, _ = model_module.get_parameterization(name)
+        jc = zoo_model("jc")
+        message = f"parameterization '{name}' does not land in model 'jc'"
+        with pytest.raises(ValueError, match=message):
+            RateModel("jc", 4, basis=jc.basis, parameterization=name, parameter_ranges=((0.2, 0.6),) * width)
+        with pytest.raises(ModelFormatError, match=message):
+            model_from_dict(_jc_doc(name, [[0.2, 0.6]] * width))
+        # On the diagonal of its box, where every rate is equal, a k2p or gtr draw is a jc matrix.
+        assert model_residual(jc, fn(np.full((1, width), 0.3))[0]) <= 1e-15
+
+    def test_a_range_a_landing_point_takes_below_zero_is_refused(self):
+        with pytest.raises(ModelFormatError, match="does not land in model 'jc'.*must be non-negative"):
+            model_from_dict(_jc_doc("jc", [[-0.05, 0.05]]))
+
+    def test_a_parameterization_just_off_the_span_is_refused(self, monkeypatch):
+        # jc's generator plus 1e-8 times a unit zero-sum direction orthogonal to jc's span: every
+        # draw is a stochastic rate matrix with model residual 1e-8, above the 1e-10 it must meet.
+        jc = zoo_model("jc")
+        fn, n_params = model_module.get_parameterization("jc")
+        leak = np.zeros((4, 4))
+        leak[0, 1], leak[1, 1], leak[0, 2], leak[2, 2] = 0.5, -0.5, -0.5, 0.5
+        monkeypatch.setitem(model_module._PARAMETERIZATIONS, "jc-leaky", (lambda p: fn(p) + 1e-8 * leak, n_params))
+        q = fn(np.array([[0.02]]))[0] + 1e-8 * leak
+        assert is_stochastic_rate(q, 1e-12)
+        assert model_residual(jc, q) == pytest.approx(1e-8, rel=1e-6)
+        with pytest.raises(ValueError, match="parameterization 'jc-leaky' does not land in model 'jc-leaky'"):
+            RateModel(name="jc-leaky", n=4, basis=jc.basis, parameterization="jc-leaky",
+                      parameter_ranges=jc.parameter_ranges)
+
+    def test_landing_points_are_fixed_and_generic(self):
+        # Each coordinate its own fraction, strictly inside (0, 1): no midpoint, corner or diagonal.
+        for width in (1, 2, 8, 10):
+            u = model_module._landing_points(width)
+            assert u.shape == (4, width)
+            assert ((0.0 < u) & (u < 1.0) & (u != 0.5)).all()
+            assert len(np.unique(u)) == u.size
+            np.testing.assert_array_equal(u, model_module._landing_points(width))
+
+    def test_large_rates_land_and_audit(self):
+        # hky with every range at [5e4, 1e5]: its generators reach 1e10, whose column sums round
+        # far above 1e-12 but within 1e-12 of their norm. Every pair is tested.
+        doc = {**model_to_dict(zoo_model("hky")), "parameter_ranges": [[5e4, 1e5]] * 5}
+        report = multiplicative_closure_check(model_from_dict(doc), samples=100, seed=7)
+        assert (report.mult_closed_verdict, report.samples_tested) == ("not_closed", 100)
+
+    @pytest.mark.parametrize("name", zoo_names())
+    def test_parameterized_draws_are_not_judged_again(self, name, monkeypatch):
+        # A parameterized draw, the audit's, the sample command's or a sampled span's, makes no
+        # stochastic test and reads no residual.
+        model = zoo_model(name)
+
+        def judged(*args):
+            raise AssertionError("a parameterized draw was judged")
+
+        monkeypatch.setattr(model_module, "is_stochastic_rate", judged)
+        monkeypatch.setitem(vars(model), "_residual", judged)
+        vars(model).pop("_algebra", None)
+        pairs, sampled = model_module._sample_stack(model, 40, _SeedStreams(5, 40).random, 2)
+        assert pairs.shape == (40, 2, 4, 4) and sampled.all()
+        assert _sample_stochastic_stack(model, 5, 40).shape == (40, 4, 4)
+        sample_with_rng(model, np.random.default_rng(0))
+        assert len(model._algebra.span)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e6, 1e9])
+    def test_basis_draws_are_judged_relative_to_their_norm(self, scale):
+        # lm88's basis times scale: the column sums of a draw round to about eps times its norm, so
+        # an absolute 1e-12 would reject most draws in the cone from scale 1e4 on.
+        model = RateModel("lm88-scaled", 4, basis=tuple(scale * b for b in zoo_model("lm88").basis))
+        report = multiplicative_closure_check(model, samples=100, seed=7)
+        assert (report.mult_closed_verdict, report.samples_tested) == ("closed", 98)
 
 
 # Philox keys: anywhere in [0, 2**128), at the edges of its two 64-bit words, and around 2**64.
@@ -610,9 +678,10 @@ class TestModelValidation:
 
 class TestCompiledOnce:
     def test_compiled_once_on_first_use(self, monkeypatch):
-        # Construction compiles only the constraint values, which it checks; the algebra record (the
-        # span's SVD and its saturation) and the residual wait for their first use, and audits,
-        # membership and sampling never redo them.
+        # Construction compiles the constraint values and judges the parameterization, which fills
+        # the residual and, for a span model, the algebra record the residual reads (the span's SVD
+        # and its saturation). A sampled model's record waits for its first use. Audits, membership
+        # and sampling never redo any of them, and a basis-only model builds nothing up front.
         calls = []
 
         def spy(module, name):
@@ -628,22 +697,28 @@ class TestCompiledOnce:
         spy(model_module, "_compile_constraints")
         for name in zoo_names():
             model = zoo_model(name)
-            built = ["_compile_constraints"] * bool(model.constraints)
+            built = ["_compile_constraints"] if model.constraints else ["_algebra_at"]
             assert calls == built
-            assert not {"_algebra", "_residual"} & set(vars(model))
-            q = sample_with_rng(model, np.random.default_rng(1))
+            assert ("_algebra" in vars(model)) == bool(model.basis)
             residual = vars(model)["_residual"]
+            q = sample_with_rng(model, np.random.default_rng(1))
             for seed in (3, 4):
                 multiplicative_closure_check(model, samples=20, seed=seed)
                 assert membership(model, q).in_r and model_residual(model, q) <= 1e-10
                 sample_with_rng(model, np.random.default_rng(seed))
             assert vars(model)["_residual"] is residual
-            assert calls == built + ["_algebra_at"]
+            assert calls == (["_compile_constraints", "_algebra_at"] if model.constraints else built)
             calls.clear()
+        basis = zoo_model("lm88").basis
+        calls.clear()
+        model = RateModel("lm88-span", 4, basis=basis)
+        assert not calls and not {"_algebra", "_residual"} & set(vars(model))
+        multiplicative_closure_check(model, samples=20, seed=3)
+        assert calls == ["_algebra_at"]
 
     def test_large_basis_model_builds_without_its_projector(self):
-        # The n = 61 equal-input model. Its n^2 x n^2 residual projector alone would take
-        # 106 MiB, and building a model or writing it out reads neither that nor its algebra record.
+        # The n = 61 equal-input model, with no parameterization to judge: building it or writing
+        # it out reads neither its residual nor its algebra record.
         n = 61
         basis = np.reshape(equal_input_doc(n)["basis"], (n, n, n))
         tracemalloc.start()
@@ -656,6 +731,25 @@ class TestCompiledOnce:
         assert peak < 32 * 2**20
         assert len(doc["basis"]) == n
         assert not {"_algebra", "_residual"} & set(vars(model))
+
+    def test_span_residual_projects_with_the_span_rows(self):
+        # The n = 61 equal-input model's first residual of 1024 rows, its record built: x - (x V^T) V
+        # takes (1024, 61) coefficients and one (1024, n^2) product, where the n^2 x n^2 projector
+        # I - V^T V took 106 MiB and its identity as much again.
+        n = 61
+        model = RateModel(name="equal-input-61", n=n, basis=tuple(np.reshape(equal_input_doc(n)["basis"], (n, n, n))))
+        span = model._algebra.span.reshape(n, n * n)
+        q = np.random.default_rng(0).standard_normal((1024, n, n))
+        tracemalloc.start()
+        try:
+            residual = model._residual(q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+        flat = q.reshape(1024, n * n)
+        outside = np.linalg.norm(flat - flat @ np.linalg.pinv(span) @ span, axis=1)
+        np.testing.assert_allclose(residual, outside / np.maximum(np.linalg.norm(flat, axis=1), 1.0), rtol=1e-12)
 
     def test_raw_values_compile_once_per_constraint(self):
         # evaluate is the batch-of-one case of the constraint compiler. A constraint is a plain
