@@ -16,11 +16,12 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .closure import _algebra_at, log_product, multiplicative_closure_check
+from .closure import _saturate, log_product, multiplicative_closure_check
 from .linalg import DEFAULT_MEMBERSHIP_TOL
 from .model import (
     SamplingError,
     _sample_stochastic_stack,
+    _span_rows,
     check_scaling_closure,
     load_model,
     model_to_dict,
@@ -159,8 +160,9 @@ def _cmd_check(args) -> tuple[dict, list[str], int]:
 
 def _cmd_closure(args) -> tuple[dict, list[str], int]:
     model = _resolve_model(args.model)
-    # The model's algebra at --seed, which moves a sampled model's span; _algebra holds seed 0's.
-    span, closed = _algebra_at(model, args.seed)[:2]
+    # The span at --seed, which moves a sampled model's span; the model holds seed 0's (_span).
+    span = _span_rows(model, args.seed)
+    closed = _saturate(span).closure
     body = {
         "model": model.name,
         "span_dim": len(span),

@@ -17,11 +17,9 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_MEMBERSHIP_TOL,
-    DEFAULT_RANK_RTOL,
     _exp_stack,
     _fro_rows,
     _log_stack,
-    _svd_range,
     check_matrices,
     check_square,
     commutator,
@@ -32,8 +30,9 @@ from .model import (
     RateModel,
     _SeedStreams,
     _check_zero_sums,
+    _generators,
     _sample_stack,
-    _sample_stochastic_stack,
+    _span_rows,
     check_scaling_closure,
 )
 
@@ -73,25 +72,6 @@ def log_product(q, qp) -> np.ndarray:
     q = check_square(q)
     qp = check_square(qp)
     return matrix_log(matrix_exp(q) @ matrix_exp(qp))
-
-
-def _zero_sum(x: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of (a stack of) square matrices onto zero column sums."""
-    return x - x.mean(axis=-2, keepdims=True)
-
-
-def _generators(stack: np.ndarray) -> np.ndarray:
-    """The rank-revealing orthonormal rows of a validated (k, n, n) stack, as (r, n, n).
-
-    The rows are _svd_range's at DEFAULT_RANK_RTOL, each then projected
-    onto zero column sums. lie_closure and a model's span (_span_rows)
-    both cut here, so they agree on the rank of the same input. The
-    projection comes after the SVD because the SVD's rounding can leave
-    a row off the zero-sum space by more than lie_closure's check
-    allows: a thin direction, such as the difference of two nearly
-    parallel matrices, carries it divided by its small singular value.
-    """
-    return _zero_sum(_svd_range(stack, DEFAULT_RANK_RTOL).reshape(-1, *stack.shape[1:]))
 
 
 def lie_closure(basis) -> list[np.ndarray]:
@@ -161,9 +141,10 @@ def lie_closure(basis) -> list[np.ndarray]:
     _saturate also returns the dimension after each level and the rank
     gap: the smallest accepted and the largest rejected singular value,
     or, for a block that took no SVD, its Frobenius norm, a bound on its
-    singular values. A model's algebra record (RateModel._algebra) keeps
-    them beside its span and closure, whose first rows are the span's.
-    Raises ValueError unless every generator has zero column sums within
+    singular values. A model's algebra record (RateModel._algebra) is
+    _saturate of the model's span rows (RateModel._span), so the first
+    rows of its closure are the span's, bit for bit. Raises ValueError
+    unless every generator has zero column sums within
     1e-10 max(1, ||g||_F).
     """
     stack = check_matrices(basis)
@@ -173,13 +154,17 @@ def lie_closure(basis) -> list[np.ndarray]:
     return list(_saturate(_generators(stack))[0])
 
 
-def _saturate(gens: np.ndarray) -> tuple[np.ndarray, list[int], float, float]:
+# What the saturation finds: the orthonormal basis of the Lie algebra as a (d, n, n) stack, the
+# dimension after each level of brackets and the rank gap, the smallest accepted and the largest
+# rejected singular value (see lie_closure). A model's algebra record (RateModel._algebra) is one.
+_Algebra = namedtuple("_Algebra", "closure levels accepted rejected")
+
+
+def _saturate(gens: np.ndarray) -> _Algebra:
     """lie_closure's search from a (k, n, n) stack of orthonormal zero-sum generators.
 
     The generators are taken as they are, with no SVD, as the algebra's
-    first k basis rows. Returns the orthonormal basis of the algebra as
-    a (d, n, n) array, the dimension after each level, and the smallest
-    accepted and the largest rejected singular value (the rank gap).
+    first k basis rows. Returns the whole _Algebra record.
     """
     n = gens.shape[-1]
     ambient = n * n - n
@@ -231,50 +216,24 @@ def _saturate(gens: np.ndarray) -> tuple[np.ndarray, list[int], float, float]:
         dims.append(d)
         # The next level brackets every generator with this level's new directions, generator-major.
         operands = [(g, flat[n + level:n + d].reshape(d - level, n, n)) for g in gens] if d > level else []
-    return flat[n:n + d].reshape(d, n, n).copy(), dims, smallest_accepted, largest_rejected
-
-
-# A model's span and the Lie algebra it generates, as read-only orthonormal (d, n, n) stacks, then
-# the dimension after each level of brackets and the rank gap: the smallest accepted and the largest
-# rejected singular value of the saturation (see lie_closure).
-_Algebra = namedtuple("_Algebra", "span closure levels accepted rejected")
-
-
-def _span_rows(model: RateModel, seed: int) -> np.ndarray:
-    """span_basis's rows as one (r, n, n) array: _generators of the basis or of the draws."""
-    if not model.samplable:
-        raise ValueError(f"model {model.name!r} has no basis and cannot be sampled")
-    stack = np.array(model.basis) if model.basis else _sample_stochastic_stack(model, seed, 4 * model.n ** 2)
-    return _generators(stack)
-
-
-def _algebra_at(model: RateModel, seed: int) -> _Algebra:
-    """The model's span at seed (span_basis) and the Lie algebra that span generates.
-
-    The span rows are _saturate's generators as they are, so the
-    closure's first rows are the span's, bit for bit.
-    """
-    span = _span_rows(model, seed)
-    algebra = _Algebra(span, *_saturate(span))
-    span.flags.writeable = algebra.closure.flags.writeable = False
-    return algebra
+    return _Algebra(flat[n:n + d].reshape(d, n, n).copy(), dims, smallest_accepted, largest_rejected)
 
 
 def span_basis(model: RateModel, seed: int = 0) -> list[np.ndarray]:
     """Orthonormal basis of the span of the model's stochastic cone.
 
-    For a declared basis, fresh copies of the span in the model's
-    algebra record (RateModel._algebra), computed once per model, so a
-    call runs no SVD. Otherwise draws 4 n^2 generators as one stack,
-    generator i from stream i of seed (_sample_stochastic_stack, the
-    draws of the sample command). Either way the basis is the
-    rank-revealing one at DEFAULT_RANK_RTOL, each element projected onto
-    zero column sums (see _generators). The streams are Philox
-    counters in array arithmetic, so no call imports numpy.random. The
-    audit reads its dimensions from the default seed, once per model.
-    Raises ValueError when a sampled model's seed is not in [0, 2**128).
+    For a declared basis, or at seed 0, fresh copies of the model's span
+    rows (RateModel._span), computed once per model, so a call runs no
+    SVD. Otherwise draws 4 n^2 generators as one stack, generator i from
+    stream i of seed (_sample_stochastic_stack, the draws of the sample
+    command). Either way the basis is the rank-revealing one at
+    DEFAULT_RANK_RTOL, each element projected onto zero column sums (see
+    _generators). The streams are Philox counters in array arithmetic,
+    so no call imports numpy.random. The audit reads its dimensions from
+    the default seed, once per model. Raises ValueError when a sampled
+    model's seed is not in [0, 2**128).
     """
-    return list((model._algebra.span if model.basis else _span_rows(model, seed)).copy())
+    return list((model._span if model.basis or seed == 0 else _span_rows(model, seed)).copy())
 
 
 @dataclass(frozen=True)
@@ -354,11 +313,10 @@ def _log_product_block(
     """Pairs start .. start + count - 1: pair k draws q then q' from stream k of seed.
 
     The streams of all pairs are one _SeedStreams, local to the call.
-    One _sample_stack call draws both generators of every pair: its
-    first attempt reads two candidates from each stream as one stack,
-    and q and q' are the stream's first two candidates (for a basis-only
-    model, its first two accepted ones), so each pair's stream is read
-    in the same order as sequential draws from its own generator. A drawn pair with
+    One _sample_stack call draws both generators of every pair: q and
+    q' are the stream's first two candidates (for a basis-only model,
+    its first two accepted ones), so each pair's stream is read in the
+    same order as sequential draws from its own generator. A drawn pair with
     s = ||q||_F + ||q'||_F > 0.65 is tested as (t q, t q'), t = 0.65 / s,
     unless scales is false (check_scaling_closure does not vouch for the
     model) and t q or t q' has model residual above tol; then it is
@@ -462,10 +420,12 @@ def multiplicative_closure_check(
     seed is not in [0, 2**128), the range of a Philox key.
 
     The span and Lie closure dimensions are properties of the model, not
-    of the sample: they are the lengths of the span and the closure in
-    the model's algebra record (RateModel._algebra: span_basis at its
-    default seed and the algebra it generates), computed once per model
-    object, so later audits of that object pay for neither.
+    of the sample: they are the lengths of the model's span rows
+    (RateModel._span, span_basis at its default seed) and of the closure
+    in its algebra record (RateModel._algebra, the algebra that span
+    generates), each computed once per model object, so later audits of
+    that object pay for neither. The pairs' residuals read only the
+    span, so the first block's membership does not wait on the closure.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -502,7 +462,7 @@ def multiplicative_closure_check(
         keep = fail[_select_witnesses(resid[fail])]
         found += map(Witness, q[keep], q_prime[keep], logs[keep], resid[keep].tolist(), (start + keep).tolist())
 
-    span_dim, lie_dim = len(model._algebra.span), len(model._algebra.closure)
+    span_dim, lie_dim = len(model._span), len(model._algebra.closure)
     if found:
         verdict = "not_closed"
     elif model.basis and lie_dim == span_dim:

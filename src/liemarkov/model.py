@@ -7,9 +7,11 @@ for seeded sampling. Models are immutable after construction and safe to
 share across threads. A parameterization is judged once, when the model
 is built, so its draws are never judged again. Every value a model
 fills in is a deterministic function of its fields: its compiled
-constraint values (_constraint_values), its residual (_residual), and
-its algebra record (_algebra): the span, the Lie algebra that span
-generates, the dimension after each level of brackets and the rank gap.
+constraint values (_constraint_values), its span (_span, the rows
+span_basis reports at seed 0), its residual (_residual, which reads the
+span or the constraint values), and its algebra record (_algebra, the
+closure's own results on the span: the Lie algebra the span generates,
+the dimension after each level of brackets and the rank gap).
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ import numpy as np
 from . import config
 from .linalg import (
     DEFAULT_MEMBERSHIP_TOL,
+    DEFAULT_RANK_RTOL,
     _fro_rows,
+    _svd_range,
     check_matrices,
     check_square,
     check_stack,
@@ -141,11 +145,11 @@ class RateModel:
 
     Construction judges the model: a breach of any rule above raises
     ValueError. Judging a parameterization fills the residual, and a
-    span model's residual fills its algebra record. Every other derived
-    value is filled once, on first use, and held on the instance. A fill
-    reads other derived values only in one direction (a span model's
-    residual reads its record, a constraint model's its constraint
-    values), so the lock that functools.cached_property takes per
+    span model's residual fills its span. Every other derived value is
+    filled once, on first use, and held on the instance. A fill reads
+    other derived values only in one direction (the residual reads the
+    span or the constraint values, the algebra record the span, and the
+    span none), so the lock that functools.cached_property takes per
     property before Python 3.12 cannot deadlock. A pickle or copy
     rebuilds the model from its fields alone.
     """
@@ -200,6 +204,9 @@ class RateModel:
                     raise ValueError(
                         f"parameter_ranges must be finite with lo <= hi, got ({lo}, {hi})"
                     )
+                # Every registered parameterization refuses a negative parameter, but only once one is drawn.
+                if lo < 0:
+                    raise ValueError(f"parameter_ranges must be non-negative, got ({lo}, {hi})")
             if len(ranges) != n_params:
                 raise ValueError(
                     f"model {self.name!r} declares {len(ranges)} ranges "
@@ -237,15 +244,16 @@ class RateModel:
         """The scale-invariant residual of each matrix of a (B, n, n) stack.
 
         A span model divides the norm of q's part outside the span,
-        x - (x V^T) V for x = vec(q) and V the span rows of _algebra, by
-        max(||q||_F, 1), as least_squares_membership does. A constraint
-        model takes the largest absolute constraint value, a homogeneous
-        degree-d one divided by ||q||_F^d first, so a positive rescaling
-        of q keeps it.
+        x - (x V^T) V for x = vec(q) and V the rows of _span, by
+        max(||q||_F, 1), as least_squares_membership does. It reads no
+        algebra record, so membership never waits on the saturation. A
+        constraint model takes the largest absolute constraint value, a
+        homogeneous degree-d one divided by ||q||_F^d first, so a
+        positive rescaling of q keeps it.
         """
         n = self.n
         if self.basis:
-            span = self._algebra.span.reshape(-1, n * n)
+            span = self._span.reshape(-1, n * n)
 
             def span_residual(q: np.ndarray) -> np.ndarray:
                 flat = _flat(q, n)
@@ -272,11 +280,47 @@ class RateModel:
         return constraint_residual
 
     @cached_property
-    def _algebra(self) -> tuple:
-        """The algebra record at seed 0 (closure._algebra_at), read by the residual, span_basis and the audit."""
-        from .closure import _algebra_at  # closure imports this module, so it is imported here
+    def _span(self) -> np.ndarray:
+        """The span rows at seed 0 (_span_rows), read by the residual, span_basis, the audit and _algebra."""
+        return _span_rows(self, 0)
 
-        return _algebra_at(self, 0)
+    @cached_property
+    def _algebra(self) -> tuple:
+        """The Lie algebra the span generates, as closure._saturate records it; read by the audit."""
+        from .closure import _saturate  # closure imports this module, so it is imported here
+
+        algebra = _saturate(self._span)
+        algebra.closure.flags.writeable = False
+        return algebra
+
+
+def _zero_sum(x: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of (a stack of) square matrices onto zero column sums."""
+    return x - x.mean(axis=-2, keepdims=True)
+
+
+def _generators(stack: np.ndarray) -> np.ndarray:
+    """The rank-revealing orthonormal rows of a validated (k, n, n) stack, as (r, n, n).
+
+    The rows are _svd_range's at DEFAULT_RANK_RTOL, each then projected
+    onto zero column sums. lie_closure and a model's span (_span_rows)
+    both cut here, so they agree on the rank of the same input. The
+    projection comes after the SVD because the SVD's rounding can leave
+    a row off the zero-sum space by more than lie_closure's check
+    allows: a thin direction, such as the difference of two nearly
+    parallel matrices, carries it divided by its small singular value.
+    """
+    return _zero_sum(_svd_range(stack, DEFAULT_RANK_RTOL).reshape(-1, *stack.shape[1:]))
+
+
+def _span_rows(model: RateModel, seed: int) -> np.ndarray:
+    """span_basis's rows as one read-only (r, n, n) array: _generators of the basis or of the draws."""
+    if not model.samplable:
+        raise ValueError(f"model {model.name!r} has no basis and cannot be sampled")
+    stack = np.array(model.basis) if model.basis else _sample_stochastic_stack(model, seed, 4 * model.n ** 2)
+    rows = _generators(stack)
+    rows.flags.writeable = False
+    return rows
 
 
 def is_in_L(q, tol: float = 1e-12):
@@ -562,16 +606,15 @@ def _sample_stack(
     stochastic, so a candidate is accepted when it is a stochastic rate
     matrix within 1e-12 max(1, ||q||_F) (_is_rate_stack). A stream's
     matrices are its first count accepted candidates, in stream order.
-    The first attempt draws count candidates for every row as one stack.
-    Each row's candidates fill its slots one by one, and each later
-    attempt draws one candidate for every row that still needs one,
-    from its own stream. Every such row has drawn every attempt so
-    far, so all of them read the same width words next, at one offset
-    that each attempt advances by width. A matrix that sees
-    _MAX_ATTEMPTS rejected candidates in a row exhausts its stream: the
-    row is marked failed in the mask (its open slots stay NaN) instead
-    of raising. Rows of a shared Generator draw from it in row order;
-    that matches sequential draws while no row is rejected.
+    Each pass draws one candidate for every row that still needs one,
+    from its own stream, into that row's next open slot if accepted.
+    Every such row has drawn every pass so far, so all of them read the
+    same width words, at one offset that each pass advances by width. A
+    matrix that sees _MAX_ATTEMPTS rejected candidates in a row exhausts
+    its stream: the row is marked failed in the mask (its open slots
+    stay NaN) instead of raising. Rows of a shared Generator draw from
+    it in row order; that matches sequential draws while no row is
+    rejected.
 
     Raises SamplingError when the model cannot be sampled at all.
     """
@@ -585,34 +628,22 @@ def _sample_stack(
         raise SamplingError(f"model {model.name!r} has no parameterization or basis to sample")
     stack = np.reshape(model.basis, (len(model.basis), n * n))
     width = len(stack)
-
-    def draw(rows: np.ndarray, offset: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        coeffs = -1.0 + 2.0 * random(rows, offset, k * width).reshape(-1, width)
-        q = (coeffs[:, None, :] @ stack).reshape(-1, n, n)
-        return q, _is_rate_stack(q)
-
-    pending = np.arange(rows)
-    q, accept = draw(pending, 0, count)
     out = np.full((rows, count, n, n), np.nan)
     got = np.zeros(rows, dtype=int)
     misses = np.zeros(rows, dtype=int)
-    offset = count * width
-    while True:
-        q, accept = q.reshape(len(pending), -1, n, n), accept.reshape(len(pending), -1)
-        # A row's candidates fill its open slots in stream order until it is full or exhausted.
-        for j in range(accept.shape[1]):
-            live = (got[pending] < count) & (misses[pending] < _MAX_ATTEMPTS)
-            take = live & accept[:, j]
-            hit, miss = pending[take], pending[live & ~accept[:, j]]
-            out[hit, got[hit]] = q[take, j]
-            got[hit] += 1
-            misses[hit] = 0
-            misses[miss] += 1
-        pending = pending[(got[pending] < count) & (misses[pending] < _MAX_ATTEMPTS)]
-        if not len(pending):
-            return out, got == count
-        q, accept = draw(pending, offset, 1)
+    pending, offset = np.arange(rows), 0
+    while len(pending):
+        coeffs = -1.0 + 2.0 * random(pending, offset, width)
+        q = (coeffs[:, None, :] @ stack).reshape(-1, n, n)
+        accept = _is_rate_stack(q)
+        hit, miss = pending[accept], pending[~accept]
+        out[hit, got[hit]] = q[accept]
+        got[hit] += 1
+        misses[hit] = 0
+        misses[miss] += 1
         offset += width
+        pending = pending[(got[pending] < count) & (misses[pending] < _MAX_ATTEMPTS)]
+    return out, got == count
 
 
 def _sample_all(

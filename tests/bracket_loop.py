@@ -5,7 +5,8 @@ import math
 import numpy as np
 
 from liemarkov import commutator, is_in_L
-from liemarkov.closure import DEFAULT_BRACKET_GATE, _generators
+from liemarkov.closure import DEFAULT_BRACKET_GATE
+from liemarkov.model import _generators
 
 
 def lie_closure_loop(basis) -> list[np.ndarray]:

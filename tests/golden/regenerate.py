@@ -110,6 +110,7 @@ ERRORS = {
     "error-parameterization-misses-model": (["check", "--model", "-", "--no-timestamp"],
                                             _model_text(parameterization="k2p",
                                                         parameter_ranges=[[0.001, 0.05], [0.001, 0.05]])),
+    "error-range-below-zero": (["export", "--model", "-"], _model_text(parameter_ranges=[[-0.01, 0.05]])),
 }
 
 

@@ -59,10 +59,10 @@ MUTANTS = [
            "elif model.basis and lie_dim == span_dim:", "elif model.basis and lie_dim >= span_dim:",
            "a span that is not bracket-closed would audit closed when no pair fails"),
     Mutant("audit-dims-span-twice", "closure.py",
-           "span_dim, lie_dim = len(model._algebra.span), len(model._algebra.closure)",
-           "span_dim, lie_dim = len(model._algebra.span), len(model._algebra.span)",
+           "span_dim, lie_dim = len(model._span), len(model._algebra.closure)",
+           "span_dim, lie_dim = len(model._span), len(model._span)",
            "the audit would report the span as its own Lie closure and certify any span model"),
-    Mutant("span-rows-unprojected", "closure.py",
+    Mutant("span-rows-unprojected", "model.py",
            "return _zero_sum(_svd_range(stack, DEFAULT_RANK_RTOL).reshape(-1, *stack.shape[1:]))",
            "return _svd_range(stack, DEFAULT_RANK_RTOL).reshape(-1, *stack.shape[1:])",
            "a thin span row or generator of two nearly parallel matrices fails lie_closure's zero-sum check"),
@@ -72,12 +72,13 @@ MUTANTS = [
            "the first level would bracket each pair twice and each generator with itself"),
     Mutant("lie-closure-cuts-at-the-gate", "closure.py",
            "return list(_saturate(_generators(stack))[0])",
-           "return list(_saturate(_zero_sum(_svd_range(stack, DEFAULT_BRACKET_GATE)"
+           "from .linalg import _svd_range\n    from .model import _zero_sum\n"
+           "    return list(_saturate(_zero_sum(_svd_range(stack, DEFAULT_BRACKET_GATE)"
            ".reshape(-1, *stack.shape[1:])))[0])",
            "lie_closure would cut its generators at the bracket gate and disagree with the model's record "
            "on nearly parallel inputs"),
-    Mutant("generators-cut-at-the-gate", "closure.py",
-           "_svd_range(stack, DEFAULT_RANK_RTOL)", "_svd_range(stack, DEFAULT_BRACKET_GATE)",
+    Mutant("generators-cut-at-the-gate", "model.py",
+           "_svd_range(stack, DEFAULT_RANK_RTOL)", "_svd_range(stack, 1e-8)",
            "a span of two nearly parallel matrices would lose its thin direction"),
     Mutant("saturate-empty-level", "closure.py",
            "if d > level else []", "if d >= level else []",
@@ -99,8 +100,18 @@ MUTANTS = [
            "return True if all(c.homogeneous for c in model.constraints) else None",
            "a span model that also declares an inhomogeneous constraint would leave scaling undecided"),
     Mutant("closure-reads-seed-0", "cli.py",
-           "span, closed = _algebra_at(model, args.seed)[:2]", "span, closed = model._algebra[:2]",
+           "span = _span_rows(model, args.seed)", "span = model._span",
            "closure --seed would have no effect on a sampled model"),
+    Mutant("residual-reads-the-closure", "model.py",
+           "span = self._span.reshape(-1, n * n)",
+           "span = self._algebra.closure[:len(self._span)].reshape(-1, n * n)",
+           "the same rows, bit for bit, but membership would wait on the whole bracket saturation"),
+    Mutant("span-basis-redraws-at-seed-0", "closure.py",
+           "model._span if model.basis or seed == 0 else", "model._span if model.basis else",
+           "a sampled model would draw 4 n^2 generators and take an SVD on every span_basis call"),
+    Mutant("negative-range-loads", "model.py",
+           "                if lo < 0:", "                if False:",
+           "a range below zero would load, and its first negative draw fail mid-audit"),
     Mutant("column-means-not-in-basis", "closure.py",
            "flat[:n].reshape(n, n, n)[np.arange(n), :, np.arange(n)] = 1.0 / math.sqrt(n)", "pass",
            "the projection would no longer remove column means, so rounding would leave brackets and "
@@ -130,12 +141,12 @@ MUTANTS = [
     Mutant("parameterized-draws-at-width", "model.py",
            "random(np.arange(rows), 0, count * width)", "random(np.arange(rows), width, count * width)",
            "every parameterized pair would skip its stream's first candidate"),
-    Mutant("sampled-record-reads-residual", "model.py",
+    Mutant("sampled-span-reads-residual", "model.py",
            "        return q.reshape(rows, count, n, n), np.ones(rows, dtype=bool)\n    if not model.basis:",
            "        return q.reshape(rows, count, n, n), (model._residual(q) <= 1e-10).reshape(rows, count)"
            ".all(axis=1)\n    if not model.basis:",
-           "parameterized draws would be judged again, and a sampled model's record would read its "
-           "residual: before Python 3.12 a deadlock with a span model's residual, which reads its record"),
+           "parameterized draws would be judged again, and a sampled model's span would read its "
+           "residual: before Python 3.12 a deadlock with a span model's residual, which reads its span"),
     Mutant("no-bch-scaling", "closure.py",
            "t = _BCH_DOMAIN / np.maximum(norms[0::2] + norms[1::2], _BCH_DOMAIN)",
            "t = np.ones(count)",
@@ -154,7 +165,7 @@ MUTANTS = [
            "[:, skip:skip + m]", "[:, :m]",
            "a draw at an offset that is not a multiple of four would read the wrong words"),
     Mutant("first-attempt-at-width", "model.py",
-           "q, accept = draw(pending, 0, count)", "q, accept = draw(pending, width, count)",
+           "pending, offset = np.arange(rows), 0", "pending, offset = np.arange(rows), width",
            "every basis-only pair would skip its stream's first candidate"),
     Mutant("philox-counter-not-preincremented", "model.py",
            "x[0] = np.arange(first + 1, first + blocks + 1, dtype=np.uint64)",

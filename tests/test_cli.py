@@ -156,6 +156,17 @@ class TestModelLoadErrors:
         assert err.startswith("error: parameter_ranges must be finite") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["check", "closure", "sample", "export"])
+    def test_range_below_zero(self, command, capsys, monkeypatch):
+        # jc's range at [-0.01, 0.05]: every landing point is positive, so the file used to load, and
+        # export wrote it back; check failed only at its first negative draw.
+        doc = {**model_to_dict(zoo_model("jc")), "parameter_ranges": [[-0.01, 0.05]]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, command, "--model", "-")
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == "error: parameter_ranges must be non-negative, got (-0.01, 0.05)\n"
+
+    @pytest.mark.parametrize("command", ["check", "closure", "sample", "export"])
     @pytest.mark.parametrize("name, width", [("k2p", 2), ("gtr", 10)])
     def test_parameterization_that_misses_its_model(self, command, name, width, capsys, monkeypatch):
         # jc's basis with k2p's or gtr's parameterization: refused on load, before any sampler or

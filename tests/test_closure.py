@@ -3,6 +3,7 @@ import pickle
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial, reduce
@@ -40,7 +41,7 @@ from liemarkov import (
 )
 from liemarkov import closure
 from liemarkov import model as model_module
-from liemarkov.model import _SeedStreams, _sample_stack, model_from_dict
+from liemarkov.model import _SeedStreams, _generators, _sample_stack, _zero_sum, model_from_dict
 from liemarkov.zoo import REFERENCE_LOG_PRODUCT, reference_pair
 
 from bracket_loop import lie_closure_loop
@@ -323,17 +324,17 @@ class TestLieClosure:
         assert len(RateModel(name="near-closure", n=4, basis=tuple(closed)).basis) == 2
 
     def test_cuts_the_generators_where_the_record_cuts_the_span(self):
-        # lie_closure and a model's algebra record make their generators one way, at
-        # DEFAULT_RANK_RTOL, so the same input has one closure. jc and jc + eps k2p_0 have a second
+        # lie_closure and a model's span make their generators one way, at DEFAULT_RANK_RTOL, so the
+        # same input has one closure, the model's algebra record. jc and jc + eps k2p_0 have a second
         # singular value of about 0.12 eps relative to the first: two span rows down to eps = 1e-9,
         # where a cut at DEFAULT_BRACKET_GATE would keep one.
         jc, k2p = zoo_model("jc").basis[0], zoo_model("k2p").basis[0]
         near = [[jc, jc + eps * k2p] for eps in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10)]
         for k, basis in enumerate(near + _saturation_inputs()):
-            algebra = RateModel(name="same-input", n=len(basis[0]), basis=tuple(basis))._algebra
-            np.testing.assert_array_equal(lie_closure(basis), algebra.closure)
+            model = RateModel(name="same-input", n=len(basis[0]), basis=tuple(basis))
+            np.testing.assert_array_equal(lie_closure(basis), model._algebra.closure)
             if k < len(near):
-                assert len(algebra.span) == (2 if k < 5 else 1)
+                assert len(model._span) == (2 if k < 5 else 1)
 
     def test_monotone_and_bracket_closed(self):
         basis = span_basis(zoo_model("hky"), seed=0)
@@ -409,7 +410,7 @@ class TestLieClosure:
 
     def test_rank_gap_recorded(self):
         # lie_closure is the list view of the saturation's rows, which also returns the dimension
-        # after each level and the rank gap; a model's algebra record keeps the same four values.
+        # after each level and the rank gap; a model's algebra record is the saturation of its span.
         for gens in _saturation_inputs():
             closed, dims, accepted, rejected = _saturate_from(gens)
             np.testing.assert_array_equal(lie_closure(gens), closed)
@@ -417,25 +418,26 @@ class TestLieClosure:
             # At least three decades between the kept and the dropped directions.
             assert accepted >= 1e3 * rejected
         for name in zoo_names():
-            algebra = zoo_model(name)._algebra
+            model = zoo_model(name)
             base = np.array(span_basis(zoo_model(name)))
             closed, *rest = closure._saturate(base)
-            np.testing.assert_array_equal(algebra.span, base)
-            np.testing.assert_array_equal(algebra.closure, closed)
-            assert list(algebra[2:]) == rest
+            np.testing.assert_array_equal(model._span, base)
+            np.testing.assert_array_equal(model._algebra.closure, closed)
+            assert list(model._algebra[1:]) == rest
+            algebra = model._algebra
             assert algebra.levels[-1] == len(closed) and algebra.accepted >= 1e3 * algebra.rejected
 
 
 def _saturate_from(gens):
     """lie_closure's path on raw generators: _generators, then _saturate."""
-    return closure._saturate(closure._generators(np.array(gens)))
+    return closure._saturate(_generators(np.array(gens)))
 
 
 @pytest.mark.parametrize("name", zoo_names())
 def test_closure_begins_with_the_span_rows(name):
-    # The span rows are the saturation's generators as they are, with no SVD of their own.
-    algebra = zoo_model(name)._algebra
-    np.testing.assert_array_equal(algebra.closure[:len(algebra.span)], algebra.span)
+    # The model's span rows are the saturation's generators as they are, with no SVD of their own.
+    model = zoo_model(name)
+    np.testing.assert_array_equal(model._algebra.closure[:len(model._span)], model._span)
 
 
 def _counting_svds(saturation, monkeypatch):
@@ -564,7 +566,7 @@ class TestSpanBasis:
             assert b.flags.writeable
             b[...] = 7.0
         # The declared basis's orthonormal rows, projected onto zero column sums.
-        refs = closure._zero_sum(np.array(orthonormal_basis(model.basis)))
+        refs = _zero_sum(np.array(orthonormal_basis(model.basis)))
         np.testing.assert_allclose(refs, orthonormal_basis(model.basis), rtol=0, atol=1e-15)
         for b, ref in zip(span_basis(model), refs):
             np.testing.assert_array_equal(b, ref)
@@ -576,6 +578,41 @@ class TestSpanBasis:
         assert len(span_basis(model)) == 4
         monkeypatch.setattr(np.linalg, "svd", None)
         assert len(span_basis(model)) == 4
+
+    def test_sampled_span_at_seed_0_is_drawn_once(self, monkeypatch):
+        # A sampled model's span at seed 0 is the model's own: the second call draws nothing.
+        calls = []
+        draw = model_module._sample_stochastic_stack
+
+        def counted(*args):
+            calls.append(args[1:])
+            return draw(*args)
+
+        monkeypatch.setattr(model_module, "_sample_stochastic_stack", counted)
+        model = zoo_model("hky")
+        first, second = span_basis(model, seed=0), span_basis(model, seed=0)
+        assert calls == [(0, 64)]
+        for a, b in zip(first, second, strict=True):
+            np.testing.assert_array_equal(a, b)
+            assert a is not b and a.flags.writeable
+        assert len(span_basis(model, seed=1)) == 8 and calls == [(0, 64), (1, 64)]
+
+    def test_first_residual_of_a_generic_pair_builds_no_closure(self):
+        # A generic integer pair at n = 61 generates all 3660 zero-sum directions, a float closure
+        # of 14 levels and hundreds of MiB. Membership needs only the pair's span.
+        n = 61
+        model = RateModel(name="generic-61", n=n, basis=tuple(_generic_pair(np.random.default_rng(n), n)))
+        q = model.basis[0] + 1e-3 * np.roll(model.basis[1], 1, axis=1)
+        tracemalloc.start()
+        try:
+            residual = model_residual(model, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "_algebra" not in vars(model) and "_span" in vars(model)
+        assert peak < 100 * 2**20
+        assert 1e-6 < residual < 1.0
+        assert model_residual(model, model.basis[0] - 2.0 * model.basis[1]) <= 1e-12
 
     def test_nearly_dependent_basis_has_one_span_and_residual(self):
         # jc and jc + 1e-12 b span one direction at DEFAULT_RANK_RTOL, so b lies outside it.
@@ -1140,21 +1177,27 @@ class TestBatchedAudit:
 
 class TestClosureDims:
     def test_computed_once_per_model(self, monkeypatch):
-        # Audits at other seeds, sample counts and tolerances read the model's one algebra record,
-        # built at seed 0, and its dimensions are span_basis's and lie_closure's at that seed.
+        # Audits at other seeds, sample counts and tolerances read the model's one span, built at
+        # seed 0, and its one algebra record, the saturation of that span. Their dimensions are
+        # span_basis's and lie_closure's at that seed.
         calls = []
-        build = closure._algebra_at
+        rows, saturate = model_module._span_rows, closure._saturate
 
-        def counted(model, seed):
+        def counted_rows(model, seed):
             calls.append(seed)
-            return build(model, seed)
+            return rows(model, seed)
 
-        monkeypatch.setattr(closure, "_algebra_at", counted)
+        def counted_saturate(gens):
+            calls.append("saturate")
+            return saturate(gens)
+
+        monkeypatch.setattr(model_module, "_span_rows", counted_rows)
+        monkeypatch.setattr(closure, "_saturate", counted_saturate)
         for name in zoo_names():
             model = zoo_model(name)
             reports = [multiplicative_closure_check(model, samples=samples, seed=seed, tol=tol)
                        for samples, seed, tol in ((20, 3, 1e-8), (7, 2024, 1e-6), (50, 0, 1e-10))]
-            assert calls == [0]
+            assert calls == [0, "saturate"]
             base = span_basis(model)
             dims = (len(base), len(lie_closure(base)))
             assert all((r.span_dim, r.lie_closure_dim) == dims for r in reports)
@@ -1163,14 +1206,14 @@ class TestClosureDims:
     def test_pickle_drops_the_memo(self):
         # A copy is rebuilt from the model's fields. It holds only what construction fills, each
         # value built afresh: a parameterized model's residual, which judges its parameterization,
-        # with a span model's record or a constraint model's compiled values, which that reads.
-        memos = {"_algebra", "_residual", "_constraint_values"}
+        # with a span model's span or a constraint model's compiled values, which that reads.
+        memos = {"_span", "_algebra", "_residual", "_constraint_values"}
         span = RateModel("lm88-span", 4, basis=zoo_model("lm88").basis)
         for model, built in ((zoo_model("gtr"), {"_residual", "_constraint_values"}),
-                             (zoo_model("lm88"), {"_residual", "_algebra"}), (span, set())):
+                             (zoo_model("lm88"), {"_residual", "_span"}), (span, set())):
             assert memos & set(vars(model)) == built
             multiplicative_closure_check(model, samples=5, seed=1)
-            assert memos & set(vars(model)) == built | {"_algebra", "_residual"}
+            assert memos & set(vars(model)) == built | {"_span", "_algebra", "_residual"}
             copy = pickle.loads(pickle.dumps(model))
             assert memos & set(vars(copy)) == built
             assert not any(vars(copy)[k] is vars(model)[k] for k in built)
@@ -1180,7 +1223,8 @@ class TestConcurrency:
     def test_threaded_audits_match_serial(self):
         # Calls share no module state, so running them side by side cannot change a result. The
         # threads share one model per zoo name and one per zoo span with no parameterization, so
-        # several audits race to fill the sampled models' records and the spans' residuals.
+        # several audits race to fill the sampled models' spans, the basis-only models' residuals
+        # and every model's record.
         def audit(model, seed):
             return multiplicative_closure_check(model, samples=60, seed=seed).to_json()
 
@@ -1189,7 +1233,7 @@ class TestConcurrency:
 
         def models():
             zoo = [zoo_model(name) for name in zoo_names()]
-            # Basis-only copies of the span models fill their residual and its record on first use.
+            # Basis-only copies of the span models fill their residual and its span on first use.
             return zoo + [RateModel(f"{m.name}-span", 4, basis=m.basis) for m in zoo if m.basis]
 
         seeds = (3, 8, 13, 21)
@@ -1199,8 +1243,9 @@ class TestConcurrency:
         tasks = [partial(audit, model, seed) for model in shared for seed in seeds]
         tasks += [reference_kappas] * 8
         # Construction fills only what judging a parameterization reads; the rest is left to the race.
-        assert not any("_algebra" in vars(model) for model in shared if not model.basis)
-        assert not any({"_algebra", "_residual"} & set(vars(model)) for model in shared if not model.parameterization)
+        assert not any("_algebra" in vars(model) for model in shared)
+        assert not any("_span" in vars(model) for model in shared if not model.basis)
+        assert not any({"_span", "_residual"} & set(vars(model)) for model in shared if not model.parameterization)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -1211,22 +1256,22 @@ class TestConcurrency:
         assert threaded == serial
 
     def test_derived_values_share_no_lock_across_models(self, monkeypatch):
-        # A basis-only span model's residual reads its algebra record, and hky's record samples hky,
-        # which reads nothing else of hky: not its residual, dropped here so that a read would take
-        # the residual's lock. One thread builds hky's record while another builds the span's
+        # A basis-only span model's residual reads its span, and hky's span samples hky, which reads
+        # nothing else of hky: not its residual, dropped here so that a read would take the
+        # residual's lock. One thread builds hky's span while another builds the span model's
         # residual; with one lock per property for all models (functools.cached_property before
-        # Python 3.12), a record that read its residual would leave each thread waiting for the other.
-        build = closure._algebra_at
+        # Python 3.12), a span that read its residual would leave each thread waiting for the other.
+        build = model_module._span_rows
         building, entered = threading.Event(), threading.Event()
 
         def slow(model, seed):
             if model.name == "hky":
                 building.set()
                 entered.wait(10)
-                time.sleep(0.2)  # the other thread is now inside the span's residual
+                time.sleep(0.2)  # the other thread is now inside the span model's residual
             return build(model, seed)
 
-        monkeypatch.setattr(closure, "_algebra_at", slow)
+        monkeypatch.setattr(model_module, "_span_rows", slow)
         hky, span = zoo_model("hky"), RateModel("jc-span", 4, basis=zoo_model("jc").basis)
         del vars(hky)["_residual"]
 
@@ -1235,11 +1280,11 @@ class TestConcurrency:
             entered.set()
             return span._residual
 
-        threads = [threading.Thread(target=lambda: hky._algebra, daemon=True),
+        threads = [threading.Thread(target=lambda: hky._span, daemon=True),
                    threading.Thread(target=residual, daemon=True)]
         for t in threads:
             t.start()
         for t in threads:
             t.join(10)
         assert not any(t.is_alive() for t in threads)
-        assert "_algebra" in vars(hky) and {"_algebra", "_residual"} <= set(vars(span))
+        assert "_span" in vars(hky) and {"_span", "_residual"} <= set(vars(span))

@@ -414,8 +414,20 @@ class TestLanding:
         assert model_residual(jc, fn(np.full((1, width), 0.3))[0]) <= 1e-15
 
     def test_a_range_a_landing_point_takes_below_zero_is_refused(self):
-        with pytest.raises(ModelFormatError, match="does not land in model 'jc'.*must be non-negative"):
+        with pytest.raises(ModelFormatError, match=r"parameter_ranges must be non-negative, got \(-0.05, 0.05\)"):
             model_from_dict(_jc_doc("jc", [[-0.05, 0.05]]))
+
+    @pytest.mark.parametrize("name, lo", [("jc", -0.01), ("k2p", -1e-300), ("hky", -0.001)])
+    def test_a_range_below_zero_is_refused_where_every_landing_point_is_not(self, name, lo):
+        # Every landing point of [lo, 0.05] lies above zero, so the range used to build, and its
+        # first negative draw raised the parameterization's error mid-audit.
+        model = zoo_model(name)
+        width = model_module.get_parameterization(name)[1]
+        ranges = ((lo, 0.05),) + model.parameter_ranges[1:]
+        assert (lo + (0.05 - lo) * model_module._landing_points(width)[:, 0] > 0).all()
+        with pytest.raises(ValueError, match=rf"parameter_ranges must be non-negative, got \({lo}, 0.05\)"):
+            RateModel(name, model.n, model.basis, model.constraints, name, ranges)
+        RateModel(name, model.n, model.basis, model.constraints, name, ((0.0, 0.05),) + model.parameter_ranges[1:])
 
     def test_a_parameterization_just_off_the_span_is_refused(self, monkeypatch):
         # jc's generator plus 1e-8 times a unit zero-sum direction orthogonal to jc's span: every
@@ -459,12 +471,12 @@ class TestLanding:
 
         monkeypatch.setattr(model_module, "is_stochastic_rate", judged)
         monkeypatch.setitem(vars(model), "_residual", judged)
-        vars(model).pop("_algebra", None)
+        vars(model).pop("_span", None)
         pairs, sampled = model_module._sample_stack(model, 40, _SeedStreams(5, 40).random, 2)
         assert pairs.shape == (40, 2, 4, 4) and sampled.all()
         assert _sample_stochastic_stack(model, 5, 40).shape == (40, 4, 4)
         sample_with_rng(model, np.random.default_rng(0))
-        assert len(model._algebra.span)
+        assert len(model._span)
 
     @pytest.mark.parametrize("scale", [1.0, 1e4, 1e6, 1e9])
     def test_basis_draws_are_judged_relative_to_their_norm(self, scale):
@@ -679,9 +691,10 @@ class TestModelValidation:
 class TestCompiledOnce:
     def test_compiled_once_on_first_use(self, monkeypatch):
         # Construction compiles the constraint values and judges the parameterization, which fills
-        # the residual and, for a span model, the algebra record the residual reads (the span's SVD
-        # and its saturation). A sampled model's record waits for its first use. Audits, membership
-        # and sampling never redo any of them, and a basis-only model builds nothing up front.
+        # the residual and, for a span model, the span the residual reads (its SVD), but not the
+        # algebra record (its saturation). A sampled model's span waits for its first use, and
+        # every model's record for its first audit. Audits, membership and sampling never redo any
+        # of them, and a basis-only model builds nothing up front.
         calls = []
 
         def spy(module, name):
@@ -693,13 +706,14 @@ class TestCompiledOnce:
 
             monkeypatch.setattr(module, name, counted)
 
-        spy(closure_module, "_algebra_at")
+        spy(model_module, "_span_rows")
+        spy(closure_module, "_saturate")
         spy(model_module, "_compile_constraints")
         for name in zoo_names():
             model = zoo_model(name)
-            built = ["_compile_constraints"] if model.constraints else ["_algebra_at"]
+            built = ["_compile_constraints"] if model.constraints else ["_span_rows"]
             assert calls == built
-            assert ("_algebra" in vars(model)) == bool(model.basis)
+            assert ("_span" in vars(model)) == bool(model.basis) and "_algebra" not in vars(model)
             residual = vars(model)["_residual"]
             q = sample_with_rng(model, np.random.default_rng(1))
             for seed in (3, 4):
@@ -707,18 +721,29 @@ class TestCompiledOnce:
                 assert membership(model, q).in_r and model_residual(model, q) <= 1e-10
                 sample_with_rng(model, np.random.default_rng(seed))
             assert vars(model)["_residual"] is residual
-            assert calls == (["_compile_constraints", "_algebra_at"] if model.constraints else built)
+            assert calls == (["_compile_constraints", "_span_rows"] if model.constraints else built) + ["_saturate"]
             calls.clear()
         basis = zoo_model("lm88").basis
         calls.clear()
         model = RateModel("lm88-span", 4, basis=basis)
-        assert not calls and not {"_algebra", "_residual"} & set(vars(model))
+        assert not calls and not {"_span", "_algebra", "_residual"} & set(vars(model))
         multiplicative_closure_check(model, samples=20, seed=3)
-        assert calls == ["_algebra_at"]
+        assert calls == ["_span_rows", "_saturate"]
+
+    @pytest.mark.parametrize("name", ["lm88", "f81", "k2p", "jc"])
+    def test_span_model_builds_its_span_but_not_its_closure(self, name, monkeypatch):
+        # Judging the parameterization reads the residual, which reads the span's SVD alone.
+        def saturate(gens):
+            raise AssertionError("building a span model saturated its span")
+
+        monkeypatch.setattr(closure_module, "_saturate", saturate)
+        model = zoo_model(name)
+        assert {"_span", "_residual"} <= set(vars(model)) and "_algebra" not in vars(model)
+        assert membership(model, sample_with_rng(model, np.random.default_rng(1))).in_r
 
     def test_large_basis_model_builds_without_its_projector(self):
         # The n = 61 equal-input model, with no parameterization to judge: building it or writing
-        # it out reads neither its residual nor its algebra record.
+        # it out reads neither its residual nor its span, let alone its algebra record.
         n = 61
         basis = np.reshape(equal_input_doc(n)["basis"], (n, n, n))
         tracemalloc.start()
@@ -730,15 +755,15 @@ class TestCompiledOnce:
             tracemalloc.stop()
         assert peak < 32 * 2**20
         assert len(doc["basis"]) == n
-        assert not {"_algebra", "_residual"} & set(vars(model))
+        assert not {"_span", "_algebra", "_residual"} & set(vars(model))
 
     def test_span_residual_projects_with_the_span_rows(self):
-        # The n = 61 equal-input model's first residual of 1024 rows, its record built: x - (x V^T) V
+        # The n = 61 equal-input model's first residual of 1024 rows, its span built: x - (x V^T) V
         # takes (1024, 61) coefficients and one (1024, n^2) product, where the n^2 x n^2 projector
         # I - V^T V took 106 MiB and its identity as much again.
         n = 61
         model = RateModel(name="equal-input-61", n=n, basis=tuple(np.reshape(equal_input_doc(n)["basis"], (n, n, n))))
-        span = model._algebra.span.reshape(n, n * n)
+        span = model._span.reshape(n, n * n)
         q = np.random.default_rng(0).standard_normal((1024, n, n))
         tracemalloc.start()
         try:
