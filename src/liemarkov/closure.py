@@ -230,8 +230,10 @@ def span_basis(model: RateModel, seed: int = 0) -> list[np.ndarray]:
     DEFAULT_RANK_RTOL, each element projected onto zero column sums (see
     _generators). The streams are Philox counters in array arithmetic,
     so no call imports numpy.random. The audit reads its dimensions from
-    the default seed, once per model. Raises ValueError when a sampled
-    model's seed is not in [0, 2**128).
+    the default seed, once per model. A declared basis draws nothing, so
+    any seed returns its span. Otherwise raises ValueError when the seed
+    is not in [0, 2**128), and then SamplingError, from the sampler's
+    gate, when the model has no parameterization to draw from.
     """
     return list((model._span if model.basis or seed == 0 else _span_rows(model, seed)).copy())
 
@@ -417,7 +419,9 @@ def multiplicative_closure_check(
     it is skipped without a gather. More than samples/2 such pairs is an
     error, which counts the two causes apart and names the larger.
     Raises ValueError unless tol is a positive finite number, or when
-    seed is not in [0, 2**128), the range of a Philox key.
+    seed is not in [0, 2**128), the range of a Philox key; then
+    SamplingError, from the sampler's gate, for a model with neither a
+    parameterization nor a basis.
 
     The span and Lie closure dimensions are properties of the model, not
     of the sample: they are the lengths of the model's span rows
@@ -431,8 +435,6 @@ def multiplicative_closure_check(
         raise ValueError("samples must be at least 1")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a positive finite number, got {tol}")
-    if not model.samplable:
-        raise ValueError(f"model {model.name!r} cannot be sampled")
     found: list[Witness] = []
     exhausted = far = 0
     tested = 0

@@ -39,7 +39,13 @@ from .linalg import (
 
 
 class SamplingError(RuntimeError):
-    """A seeded sampler could not produce a valid stochastic rate matrix."""
+    """A sampler could not produce a stochastic rate matrix.
+
+    Raised by _sample_stack, the one gate for drawing, when a model has
+    neither a parameterization nor a basis, and by _sample_all when a
+    basis-only sampler exhausts a stream. Every draw (the audit, span
+    rows at a seed, sample_with_rng and the sample command) ends there.
+    """
 
 
 class ModelFormatError(ValueError):
@@ -230,10 +236,6 @@ class RateModel:
         return RateModel, (self.name, self.n, self.basis, self.constraints,
                            self.parameterization, self.parameter_ranges)
 
-    @property
-    def samplable(self) -> bool:
-        return bool(self.basis) or self.parameterization is not None
-
     @cached_property
     def _constraint_values(self) -> Callable[[np.ndarray], np.ndarray]:
         """The constraints' raw values; construction reads them, so a bad index fails there."""
@@ -314,9 +316,14 @@ def _generators(stack: np.ndarray) -> np.ndarray:
 
 
 def _span_rows(model: RateModel, seed: int) -> np.ndarray:
-    """span_basis's rows as one read-only (r, n, n) array: _generators of the basis or of the draws."""
-    if not model.samplable:
-        raise ValueError(f"model {model.name!r} has no basis and cannot be sampled")
+    """span_basis's rows as one read-only (r, n, n) array: _generators of the basis or of the draws.
+
+    The seed is checked first (_check_seed), though a declared basis
+    draws nothing, so the closure command refuses the seeds that every
+    other seeded command refuses. A model without a basis is drawn from,
+    and _sample_stack refuses one it cannot draw from.
+    """
+    _check_seed(seed)
     stack = np.array(model.basis) if model.basis else _sample_stochastic_stack(model, seed, 4 * model.n ** 2)
     rows = _generators(stack)
     rows.flags.writeable = False
@@ -346,15 +353,13 @@ def _check_zero_sums(stack: np.ndarray, message: str) -> None:
 
 
 def _column_sums(q: np.ndarray) -> np.ndarray:
-    """The column sums of each matrix of a stack of order >= 2, as q.sum(axis=-2) gives them, bit for bit.
+    """The column sums of each matrix of a stack, as q.sum(axis=-2) gives them, bit for bit.
 
-    The rows are added in order, as that reduction adds them, but as
-    whole-row array additions rather than a reduction over a short axis.
+    One einsum, which adds the rows in order. The bits agree for every
+    layout a caller passes, a fresh array or check_matrices' output; a
+    transposed view can differ in the last bit, as q.sum(axis=-2) can.
     """
-    sums = q[..., 0, :] + q[..., 1, :]
-    for i in range(2, q.shape[-2]):
-        sums += q[..., i, :]
-    return sums
+    return np.einsum("...ij->...j", q)
 
 
 def _zero_sums(q: np.ndarray, tol: float) -> np.ndarray:
@@ -500,6 +505,14 @@ _PHILOX_W = _const([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B])
 _MASK64 = 2**64 - 1
 
 
+def _check_seed(seed: int) -> int:
+    """seed as an int, by operator.index; ValueError unless it lies in [0, 2**128), the range of a Philox key."""
+    seed = operator.index(seed)
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    return seed
+
+
 class _SeedStreams:
     """Streams start .. start + count - 1 of seed, one row each, as Philox4x64-10 counters.
 
@@ -515,14 +528,12 @@ class _SeedStreams:
     rounds over (2, len(rows), blocks) arrays. Each call allocates its
     work arrays once and every round writes them in place; the rounds
     read no reversed or broadcast operand, which would take numpy's
-    slower strided loop. Raises ValueError when count is positive and
-    seed is not in [0, 2**128), the range of a Philox key.
+    slower strided loop. When count is positive the seed must be a
+    Philox key (_check_seed); with no streams it is not checked.
     """
 
     def __init__(self, seed: int, count: int, start: int = 0):
-        seed = operator.index(seed)
-        if count > 0 and not 0 <= seed < 2**128:
-            raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+        seed = _check_seed(seed) if count > 0 else operator.index(seed)
         # The key of each of the ten rounds: its two words, low first, bumped by r times the Weyl
         # increments, every sum and product wrapping mod 2**64.
         words = np.array([seed & _MASK64, seed >> 64 & _MASK64], dtype=np.uint64)
@@ -616,16 +627,19 @@ def _sample_stack(
     it in row order; that matches sequential draws while no row is
     rejected.
 
-    Raises SamplingError when the model cannot be sampled at all.
+    This is the one gate for drawing: a model with neither a
+    parameterization nor a basis raises SamplingError here, before any
+    word is read, whatever rows is. Every draw reaches it: the audit,
+    span rows at a seed, sample_with_rng and the sample command.
     """
+    if model.parameterization is None and not model.basis:
+        raise SamplingError(f"model {model.name!r} has no parameterization or basis to sample")
     n = model.n
     if model.parameterization is not None:
         fn, width = get_parameterization(model.parameterization)
         lo, hi = np.array(model.parameter_ranges).T
         q = fn(lo + (hi - lo) * random(np.arange(rows), 0, count * width).reshape(-1, width))
         return q.reshape(rows, count, n, n), np.ones(rows, dtype=bool)
-    if not model.basis:
-        raise SamplingError(f"model {model.name!r} has no parameterization or basis to sample")
     stack = np.reshape(model.basis, (len(model.basis), n * n))
     width = len(stack)
     out = np.full((rows, count, n, n), np.nan)
@@ -667,7 +681,8 @@ def sample_with_rng(model: RateModel, rng: np.random.Generator) -> np.ndarray:
 
     The batch-of-one case of the stack sampler the closure audit uses.
     A parameterized draw is always accepted; a basis-only sampler raises
-    SamplingError when no draw is accepted in _MAX_ATTEMPTS.
+    SamplingError when no draw is accepted in _MAX_ATTEMPTS, and a model
+    with neither at the sampler's gate (_sample_stack).
     """
     return _sample_all(model, 1, lambda rows, offset, m: rng.random((len(rows), m)))[0]
 
@@ -677,8 +692,9 @@ def _sample_stochastic_stack(model: RateModel, seed: int, count: int) -> np.ndar
 
     Stream k is np.random.Generator(np.random.Philox(key=seed, counter=k << 128)),
     drawn here by _SeedStreams. A count of zero or below gives an empty
-    stack. Raises SamplingError when any row's sampler is exhausted, and
-    ValueError when count is positive and seed is not in [0, 2**128).
+    stack. Raises ValueError when count is positive and seed is not in
+    [0, 2**128), and then SamplingError when the model cannot be drawn
+    from or any row's sampler is exhausted.
     """
     return _sample_all(model, count, _SeedStreams(seed, count).random)
 

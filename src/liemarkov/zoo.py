@@ -44,12 +44,12 @@ _TRANSITIONS = tuple(slot for (slot,) in _LM88_SLOTS[4:])
 def _with_diagonal(off) -> np.ndarray:
     """Fill the diagonal so each column sums to zero.
 
-    Acts on the last two axes, so off may be one matrix or a (B, n, n) stack.
+    Acts on the last two axes, so off may be one matrix or a (B, n, n)
+    stack. The diagonal is einsum's writable view of a fresh copy, zeroed
+    before the column sums are taken and then overwritten by their negation.
     """
     q = np.array(off, dtype=float)
-    n = q.shape[-1]
-    # The diagonal as a view: every (n + 1)-th entry of each flattened matrix.
-    diag = q.reshape(*q.shape[:-2], n * n)[..., :: n + 1]
+    diag = np.einsum("...ii->...i", q)
     diag[...] = 0.0
     np.negative(_column_sums(q), out=diag)
     return q

@@ -111,6 +111,8 @@ ERRORS = {
                                             _model_text(parameterization="k2p",
                                                         parameter_ranges=[[0.001, 0.05], [0.001, 0.05]])),
     "error-range-below-zero": (["export", "--model", "-"], _model_text(parameter_ranges=[[-0.01, 0.05]])),
+    "error-model-cannot-be-sampled": (["check", "--model", "-"], json.dumps(
+        {"name": "bare", "n": 4, "constraints": [{"terms": [{"coeff": 1.0, "monomial": [[1, 2]]}]}]})),
 }
 
 

@@ -142,9 +142,9 @@ MUTANTS = [
            "random(np.arange(rows), 0, count * width)", "random(np.arange(rows), width, count * width)",
            "every parameterized pair would skip its stream's first candidate"),
     Mutant("sampled-span-reads-residual", "model.py",
-           "        return q.reshape(rows, count, n, n), np.ones(rows, dtype=bool)\n    if not model.basis:",
+           "        return q.reshape(rows, count, n, n), np.ones(rows, dtype=bool)",
            "        return q.reshape(rows, count, n, n), (model._residual(q) <= 1e-10).reshape(rows, count)"
-           ".all(axis=1)\n    if not model.basis:",
+           ".all(axis=1)",
            "parameterized draws would be judged again, and a sampled model's span would read its "
            "residual: before Python 3.12 a deadlock with a span model's residual, which reads its span"),
     Mutant("no-bch-scaling", "closure.py",
@@ -171,6 +171,18 @@ MUTANTS = [
            "x[0] = np.arange(first + 1, first + blocks + 1, dtype=np.uint64)",
            "x[0] = np.arange(first, first + blocks, dtype=np.uint64)",
            "the streams would not be numpy's Philox streams"),
+    Mutant("sampler-gate-dropped", "model.py",
+           "if model.parameterization is None and not model.basis:", "if False:",
+           "a model with neither a parameterization nor a basis would draw zero matrices silently"),
+    Mutant("closure-seed-unchecked", "model.py",
+           "    _check_seed(seed)\n    stack =", "    stack =",
+           "closure on a declared basis would take a seed that every other seeded command refuses"),
+    Mutant("column-sums-by-row", "model.py",
+           'np.einsum("...ij->...j", q)', 'np.einsum("...ij->...i", q)',
+           "the zero-sum checks and the zoo's diagonal would read row sums, not column sums"),
+    Mutant("diagonal-summed-unzeroed", "zoo.py",
+           "    diag[...] = 0.0\n", "",
+           "an input diagonal would be summed into the column sums that fill the diagonal"),
     Mutant("philox-key-words-swapped", "model.py",
            "words = np.array([seed & _MASK64, seed >> 64 & _MASK64], dtype=np.uint64)",
            "words = np.array([seed >> 64 & _MASK64, seed & _MASK64], dtype=np.uint64)",
@@ -188,6 +200,10 @@ EQUIVALENT = [
            "blocks = max(-(-int(terms.max(initial=0)) // 4), 1)",
            "the floor of two blocks only keeps a one-block table's contraction a matrix product; "
            "no test sees the rounding of the other path", must_kill=False),
+    Mutant("column-sums-by-axis-reduction", "model.py",
+           'np.einsum("...ij->...j", q)', "q.sum(axis=-2)",
+           "every caller passes a fresh array or check_matrices' output, on which the two give the "
+           "same bits; only a transposed view tells them apart, in the last bit", must_kill=False),
 ]
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -155,6 +156,17 @@ class TestModelLoadErrors:
         assert out == ""
         assert err.startswith("error: parameter_ranges must be finite") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["check", "closure", "sample"])
+    def test_model_that_cannot_be_sampled(self, command, capsys, monkeypatch):
+        # Constraints alone, no parameterization: the file loads (export writes it back), and every
+        # command that draws stops at the sampler's one gate, with one line.
+        doc = {"name": "bare", "n": 4, "constraints": [{"terms": [{"coeff": 1.0, "monomial": [[1, 2]]}]}]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, command, "--model", "-")
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == "error: model 'bare' has no parameterization or basis to sample\n"
+
     @pytest.mark.parametrize("command", ["check", "closure", "sample", "export"])
     def test_range_below_zero(self, command, capsys, monkeypatch):
         # jc's range at [-0.01, 0.05]: every landing point is positive, so the file used to load, and
@@ -251,10 +263,20 @@ class TestUsageErrors:
         assert code == EXIT_OK
         assert "--samples" in out and "--chain-length" not in out
 
+    def test_module_entry_point(self, capsys, monkeypatch):
+        # python -m liemarkov runs main on the command line and exits with its code.
+        monkeypatch.setattr(sys, "argv", ["liemarkov", "closure", "--model", "jc", "--seed", "-1"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("liemarkov", run_name="__main__")
+        assert exc.value.code == EXIT_ERROR
+        assert capsys.readouterr() == ("", "error: seed must be in [0, 2**128), got -1\n")
+
     @pytest.mark.parametrize("seed", ["-1", str(2**128)])
-    @pytest.mark.parametrize("argv", [("check",), ("sample",), ("closure", "--model", "gtr")])
+    @pytest.mark.parametrize("argv", [("check",), ("sample",), ("closure", "--model", "gtr"),
+                                      ("closure", "--model", "jc")])
     def test_seed_outside_the_key_range(self, capsys, argv, seed):
-        # Every command that draws refuses a seed that is no Philox key, in one line naming both.
+        # Every command that takes --seed refuses a seed that is no Philox key, in one line naming
+        # both: closure too, on a declared basis that draws nothing.
         code, out, err = run_cli(capsys, *argv, "--seed", seed)
         assert code == EXIT_ERROR
         assert out == "" and err == f"error: seed must be in [0, 2**128), got {seed}\n"

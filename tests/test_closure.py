@@ -555,6 +555,11 @@ class TestMatrixSets:
         for call in (orthonormal_basis, lie_closure):
             with pytest.raises(ValueError, match="matrices must all have the same order"):
                 call([np.zeros((3, 3)), np.zeros((4, 4))])
+        # Matrices of one shape that are not numbers keep numpy's own error; vectors are no matrices.
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            lie_closure([[["a", "b"], ["c", "d"]]])
+        with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(4,\)"):
+            lie_closure([np.zeros(4)])
 
 
 class TestSpanBasis:
@@ -578,6 +583,13 @@ class TestSpanBasis:
         assert len(span_basis(model)) == 4
         monkeypatch.setattr(np.linalg, "svd", None)
         assert len(span_basis(model)) == 4
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_declared_basis_takes_any_seed(self, seed):
+        # A declared basis draws nothing, so span_basis returns the model's span at any seed.
+        model = zoo_model("jc")
+        for got, want in zip(span_basis(model, seed=seed), model._span, strict=True):
+            np.testing.assert_array_equal(got, want)
 
     def test_sampled_span_at_seed_0_is_drawn_once(self, monkeypatch):
         # A sampled model's span at seed 0 is the model's own: the second call draws nothing.
@@ -741,6 +753,12 @@ class TestMultiplicativeClosure:
         assert np.asarray(w["log_product"]).shape == (4, 4)
 
     def test_report_invariants_enforced(self):
+        with pytest.raises(ValueError, match="verdict must be one of"):
+            ClosureReport(
+                model_name="x", span_dim=1, lie_closure_dim=1, ambient_dim=12,
+                mult_closed_verdict="maybe", witnesses=(), samples_tested=1,
+                tolerance=1e-8,
+            )
         with pytest.raises(ValueError, match="dimensions"):
             ClosureReport(
                 model_name="x", span_dim=5, lie_closure_dim=4, ambient_dim=12,
@@ -904,6 +922,10 @@ class TestKappaWitness:
         q[0, 2] += 0.1  # break q13 = q14
         with pytest.raises(ValueError, match="pattern"):
             kappa_witness(q)
+
+    def test_order_4_only(self):
+        with pytest.raises(ValueError, match="the closure pattern is defined for order-4 matrices"):
+            kappa_witness(np.ones((3, 3)) - 3 * np.eye(3))
 
     def test_zero_denominator(self):
         q = zoo_generator("lm88", 0.0, 0.01, 0.01, 0.01, 0.02, 0.02, 0.02, 0.02)

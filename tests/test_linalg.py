@@ -57,6 +57,15 @@ class TestArith:
         with pytest.raises(ValueError, match="finite"):
             linalg.check_square(bad)
 
+    @pytest.mark.parametrize("a, message", [
+        (np.zeros(4), r"expected a square matrix, got shape \(4,\)"),
+        (np.zeros((2, 3)), r"expected a square matrix, got shape \(2, 3\)"),
+        ([[1.0]], "matrix order must be at least 2"),
+    ], ids=["not-2d", "not-square", "order-1"])
+    def test_rejects_what_is_no_square_matrix_of_order_2(self, a, message):
+        with pytest.raises(ValueError, match=message):
+            matrix_exp(a)
+
 
 class TestExp:
     def test_exp_zero_is_identity(self):

@@ -27,6 +27,7 @@ from liemarkov import (
     model_to_dict,
     multiplicative_closure_check,
     sample_with_rng,
+    span_basis,
     zoo_model,
     zoo_names,
 )
@@ -205,7 +206,7 @@ class TestStackPredicates:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 21, 34, 61])
     def test_predicates_agree_with_the_axis_reduction(self, n):
-        # Column sums added row by row are q.sum(axis=-2) bit for bit, so both predicates decide as
+        # The column sums are q.sum(axis=-2) bit for bit, so both predicates decide as
         # np.max(np.abs(q.sum(axis=-2)), axis=-1) <= tol does: with a scalar tol, a per-row tol, and
         # sums exactly at tol or one ulp past it. zoo's diagonal fill uses the same sums.
         from liemarkov.model import _column_sums
@@ -374,9 +375,22 @@ class TestSampling:
         np.testing.assert_allclose(q, coeff * q0, atol=1e-15)
 
     def test_unsamplable_model(self):
+        # Constraints alone, no parameterization: every draw ends at the sampler's one gate.
         model = RateModel(name="bare", n=4, constraints=(q12_constraint(0.0),))
-        with pytest.raises(SamplingError):
-            sample_with_rng(model, np.random.default_rng(0))
+        for draw in (lambda: sample_with_rng(model, np.random.default_rng(0)),
+                     lambda: multiplicative_closure_check(model, samples=3),
+                     lambda: span_basis(model, seed=0),
+                     lambda: span_basis(model, seed=3)):
+            with pytest.raises(SamplingError, match="^model 'bare' has no parameterization or basis to sample$"):
+                draw()
+
+    def test_a_bad_seed_is_refused_before_the_gate(self):
+        # The streams are keyed before the sampler is reached.
+        model = RateModel(name="bare", n=4, constraints=(q12_constraint(0.0),))
+        for draw in (lambda: multiplicative_closure_check(model, samples=3, seed=-1),
+                     lambda: span_basis(model, seed=-1)):
+            with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*128\), got -1$"):
+                draw()
 
     def test_unreachable_cone(self):
         # Zero-sum basis matrix with off-diagonal entries of both signs:
@@ -412,6 +426,19 @@ class TestLanding:
             model_from_dict(_jc_doc(name, [[0.2, 0.6]] * width))
         # On the diagonal of its box, where every rate is equal, a k2p or gtr draw is a jc matrix.
         assert model_residual(jc, fn(np.full((1, width), 0.3))[0]) <= 1e-15
+
+    def test_a_parameterization_that_raises_is_refused_with_its_error(self):
+        # The parameterization's own error follows the landing message: gtr with every frequency
+        # weight at zero, and jc's 4-state map on a 3-state basis.
+        gtr = zoo_model("gtr")
+        with pytest.raises(ValueError, match="parameterization 'gtr' does not land in model 'gtr' on its "
+                                             "parameter_ranges: frequency weights must not all be zero"):
+            RateModel("gtr", 4, constraints=gtr.constraints, parameterization="gtr",
+                      parameter_ranges=gtr.parameter_ranges[:6] + ((0.0, 0.0),) * 4)
+        with pytest.raises(ValueError, match="parameterization 'jc' does not land in model 'three' on its "
+                                             "parameter_ranges: matrix order does not match the model"):
+            RateModel("three", 3, basis=(np.ones((3, 3)) - 3 * np.eye(3),), parameterization="jc",
+                      parameter_ranges=((0.001, 0.05),))
 
     def test_a_range_a_landing_point_takes_below_zero_is_refused(self):
         with pytest.raises(ModelFormatError, match=r"parameter_ranges must be non-negative, got \(-0.05, 0.05\)"):
@@ -628,6 +655,16 @@ class TestModelValidation:
         doc["parameter_ranges"] = doc["parameter_ranges"][:3]
         with pytest.raises(ModelFormatError, match=message):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: PolynomialConstraint(((1.0, ((0, 1),)),)), r"constraint indices are 1-based, got \(0, 1\)"),
+        (lambda: RateModel(name="x", n=1, constraints=(q12_constraint(0.0),)), "model order must be at least 2"),
+        (lambda: RateModel(name="x", n=3, basis=(zoo_generator("jc", 1.0),)),
+         "basis matrix order does not match the model"),
+    ], ids=["index-0", "order-1", "basis-order"])
+    def test_out_of_range_orders_and_indices(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
     def test_bare_model_is_refused_at_construction(self):
         # Such a model could do nothing: its residual, sampler and audit would all raise.
@@ -930,4 +967,7 @@ class TestModelFiles:
         path = tmp_path / "junk.json"
         path.write_text("not json at all")
         with pytest.raises(ModelFormatError, match="JSON"):
+            load_model(path)
+        path.write_text("[1, 2]")
+        with pytest.raises(ModelFormatError, match="junk.json must contain a JSON object"):
             load_model(path)
