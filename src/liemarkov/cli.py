@@ -19,7 +19,6 @@ import numpy as np
 from .closure import _saturate, log_product, multiplicative_closure_check
 from .linalg import DEFAULT_MEMBERSHIP_TOL
 from .model import (
-    SamplingError,
     _sample_stochastic_stack,
     _span_rows,
     check_scaling_closure,
@@ -243,7 +242,7 @@ def main(argv=None) -> int:
             _emit(args, model_to_dict(_resolve_model(args.model)))
             return EXIT_OK
         return _report(args, *_HANDLERS[args.command](args))
-    except (CliError, ValueError, SamplingError, RuntimeError, OSError) as exc:
+    except (CliError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -188,10 +188,7 @@ class RateModel:
         if not self.basis and not self.constraints:
             raise ValueError(f"model {self.name!r} must declare a basis or constraints")
         if self.constraints:
-            try:
-                values = self._constraint_values
-            except IndexError as exc:
-                raise ValueError(str(exc)) from None
+            values = self._constraint_values
             if len(basis) and np.max(np.abs(values(basis))) > 1e-12:
                 raise ValueError("basis matrices must satisfy the declared constraints")
         if (self.parameterization is None) != (self.parameter_ranges is None):
@@ -210,7 +207,7 @@ class RateModel:
                     raise ValueError(
                         f"parameter_ranges must be finite with lo <= hi, got ({lo}, {hi})"
                     )
-                # Every registered parameterization refuses a negative parameter, but only once one is drawn.
+                # The one check of a parameter's sign: every draw and landing point lies in the box.
                 if lo < 0:
                     raise ValueError(f"parameter_ranges must be non-negative, got ({lo}, {hi})")
             if len(ranges) != n_params:
@@ -420,7 +417,7 @@ def _compile_constraints(
     factors in declaration order and sums each constraint's terms in
     declaration order, starting from 0.0; missing terms and factors are
     padded with a zero coefficient and a constant 1, which leave every
-    sum and product unchanged. Raises IndexError when a monomial index
+    sum and product unchanged. Raises ValueError when a monomial index
     exceeds n.
     """
     width = max((len(c.terms) for c in constraints), default=0)
@@ -434,7 +431,7 @@ def _compile_constraints(
             coeffs[t, a] = coeff
             for d, (i, j) in enumerate(monomial):
                 if i > n or j > n:
-                    raise IndexError(f"constraint index ({i}, {j}) out of range for order {n}")
+                    raise ValueError(f"constraint index ({i}, {j}) out of range for order {n}")
                 index[d, t, a] = (i - 1) * n + (j - 1)
 
     def values(q: np.ndarray) -> np.ndarray:
@@ -528,12 +525,12 @@ class _SeedStreams:
     rounds over (2, len(rows), blocks) arrays. Each call allocates its
     work arrays once and every round writes them in place; the rounds
     read no reversed or broadcast operand, which would take numpy's
-    slower strided loop. When count is positive the seed must be a
-    Philox key (_check_seed); with no streams it is not checked.
+    slower strided loop. The seed must be a Philox key (_check_seed),
+    whatever count is.
     """
 
     def __init__(self, seed: int, count: int, start: int = 0):
-        seed = _check_seed(seed) if count > 0 else operator.index(seed)
+        seed = _check_seed(seed)
         # The key of each of the ten rounds: its two words, low first, bumped by r times the Weyl
         # increments, every sum and product wrapping mod 2**64.
         words = np.array([seed & _MASK64, seed >> 64 & _MASK64], dtype=np.uint64)
@@ -665,11 +662,11 @@ def _sample_all(
 ) -> np.ndarray:
     """Rows 0..count-1 of _sample_stack, one matrix each, as a (count, n, n) stack.
 
-    A count of zero or below gives an empty stack. A parameterized
+    count is at least 0, and 0 gives an empty stack. A parameterized
     model's rows never fail; raises SamplingError when a basis-only
     model's row is exhausted in _MAX_ATTEMPTS draws.
     """
-    mats, ok = _sample_stack(model, max(count, 0), random)
+    mats, ok = _sample_stack(model, count, random)
     if not ok.all():
         raise SamplingError(
             f"sampler could not reach the stochastic cone of {model.name!r} in {_MAX_ATTEMPTS} attempts")
@@ -691,10 +688,10 @@ def _sample_stochastic_stack(model: RateModel, seed: int, count: int) -> np.ndar
     """Row k is sample_with_rng(model, rng) on stream k of seed, for k < count, as one stack.
 
     Stream k is np.random.Generator(np.random.Philox(key=seed, counter=k << 128)),
-    drawn here by _SeedStreams. A count of zero or below gives an empty
-    stack. Raises ValueError when count is positive and seed is not in
-    [0, 2**128), and then SamplingError when the model cannot be drawn
-    from or any row's sampler is exhausted.
+    drawn here by _SeedStreams. count is at least 0, and 0 gives an
+    empty stack. Raises ValueError when seed is not in [0, 2**128), and
+    then SamplingError when the model cannot be drawn from or any row's
+    sampler is exhausted.
     """
     return _sample_all(model, count, _SeedStreams(seed, count).random)
 
@@ -783,8 +780,7 @@ def model_from_dict(doc: dict) -> RateModel:
 
     def constraint(cdoc) -> PolynomialConstraint:
         return PolynomialConstraint(tuple(
-            (float(t["coeff"]), tuple(swap((_json_int(i), _json_int(j))) for i, j in t["monomial"]))
-            for t in cdoc["terms"]
+            (t["coeff"], tuple(swap((i, j)) for i, j in t["monomial"])) for t in cdoc["terms"]
         ))
 
     basis = _field(doc, "basis", lambda v: tuple(map(matrix, v)), ())

@@ -7,7 +7,9 @@ model's parameters, the off-diagonal slots each one fills and those
 each factor scales, its ranges, its constraints and its expected audit
 outcome. One builder, _zoo_stack, makes every model's generators from
 its row, and the parameterization registry is filled from the table,
-one entry per row under the model's name. Also holds the
+one entry per row under the model's name. The builder does not check
+a parameter's sign: a model's ranges are judged non-negative when it
+is built (RateModel), and every draw lies in its box. Also holds the
 reference HKY example (two generators and the independently computed
 logarithm of the product of their substitution matrices) that the golden
 tests and the repro-paper command pin, and kappa_witness, its ratios.
@@ -53,24 +55,6 @@ def _with_diagonal(off) -> np.ndarray:
     diag[...] = 0.0
     np.negative(_column_sums(q), out=diag)
     return q
-
-
-def _params(p, names: tuple[str, ...]) -> np.ndarray:
-    """A (B, len(names)) parameter array, checked to be non-negative in one test.
-
-    A negative entry is named by its column, the first such column, and
-    its value, that column's first negative entry.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 2 or p.shape[1] != len(names):
-        raise ValueError(f"expected a (B, {len(names)}) parameter array, got shape {p.shape}")
-    negative = p < 0
-    if negative.any():
-        col = int(np.argmax(negative.any(axis=0)))
-        raise ValueError(
-            f"parameter {names[col]} must be non-negative, got {p[negative[:, col], col][0]}"
-        )
-    return p
 
 
 _ALPHAS = ("alpha_a", "alpha_g", "alpha_c", "alpha_t")
@@ -147,9 +131,11 @@ def _zoo_stack(entry: ZooEntry, p) -> np.ndarray:
     A single generator is a batch of one. A filled slot holds its
     parameter, a scaled slot that times its factor, and the diagonal
     balances the column sums (_with_diagonal). The slot tables are built
-    on the entry's first call (ZooEntry._cells), not at import.
+    on the entry's first call (ZooEntry._cells), not at import. p is
+    taken as given: every caller passes a point of ranges that RateModel
+    has judged non-negative, or constants.
     """
-    p = _params(p, entry.parameters)
+    p = np.asarray(p, dtype=float)
     filled, fill_columns, scaled, scale_columns = entry._cells
     off = np.zeros((len(p), 16))
     off[:, filled] = p[:, fill_columns]

@@ -102,6 +102,8 @@ ERRORS = {
     "error-index-beyond-n": (["check", "--model", "-", "--no-timestamp"], json.dumps(
         {"name": "index-beyond-n", "n": 3,
          "constraints": [{"terms": [{"coeff": 1.0, "monomial": [[1, 4]]}]}]})),
+    "error-index-not-an-integer": (["check", "--model", "-"], _model_text(
+        constraints=[{"terms": [{"coeff": 1.0, "monomial": [[1, "2"]]}]}])),
     "error-range-count": (["check", "--model", "-", "--no-timestamp"],
                           _model_text(parameter_ranges=[[0.001, 0.05], [0.001, 0.05]])),
     "error-constraints-not-a-list": (["check", "--model", "-", "--no-timestamp"], _model_text(constraints=5)),

@@ -82,7 +82,8 @@ MUTANTS = [
            "a span of two nearly parallel matrices would lose its thin direction"),
     Mutant("saturate-empty-level", "closure.py",
            "if d > level else []", "if d >= level else []",
-           "a level that adds nothing would be followed by empty levels forever; killed by the time limit"),
+           "a level that adds nothing would be followed by empty levels forever; the first test of "
+           "test_closure.py fails when lie_closure of a closed span takes 10 s"),
     Mutant("one-pair-refused", "closure.py",
            "if samples < 1:", "if samples <= 1:",
            "an audit of exactly one pair would be refused"),
@@ -111,7 +112,15 @@ MUTANTS = [
            "a sampled model would draw 4 n^2 generators and take an SVD on every span_basis call"),
     Mutant("negative-range-loads", "model.py",
            "                if lo < 0:", "                if False:",
-           "a range below zero would load, and its first negative draw fail mid-audit"),
+           "a range below zero would load, and a negative draw give a non-stochastic matrix with no error: "
+           "this is the only check of a parameter's sign"),
+    Mutant("constraint-index-unchecked", "model.py",
+           "if i > n or j > n:", "if False:",
+           "a constraint index beyond n would read another entry, or the constant 1, instead of being refused"),
+    Mutant("seed-exemption-restored", "model.py",
+           "        seed = _check_seed(seed)\n",
+           "        seed = _check_seed(seed) if count > 0 else operator.index(seed)\n",
+           "a seed outside the Philox key range would pass unchecked when no stream is drawn"),
     Mutant("column-means-not-in-basis", "closure.py",
            "flat[:n].reshape(n, n, n)[np.arange(n), :, np.arange(n)] = 1.0 / math.sqrt(n)", "pass",
            "the projection would no longer remove column means, so rounding would leave brackets and "
@@ -187,6 +196,10 @@ MUTANTS = [
            "words = np.array([seed & _MASK64, seed >> 64 & _MASK64], dtype=np.uint64)",
            "words = np.array([seed >> 64 & _MASK64, seed & _MASK64], dtype=np.uint64)",
            "the streams would not be numpy's Philox streams"),
+    Mutant("cli-runtime-error-uncaught", "cli.py",
+           "except (CliError, ValueError, RuntimeError, OSError) as exc:",
+           "except (CliError, ValueError, OSError) as exc:",
+           "a SamplingError or PrincipalLogError would end a command in a traceback instead of one error line"),
 ]
 
 EQUIVALENT = [

@@ -213,6 +213,15 @@ class TestModelLoadErrors:
         assert out == ""
         assert err.startswith("error: model file field 'constraints': ") and err.count("\n") == 1
 
+    def test_non_integer_constraint_index_gets_the_constraints_own_message(self, capsys, monkeypatch):
+        # The loader passes the index as read, and PolynomialConstraint alone judges it.
+        doc = {**model_to_dict(zoo_model("jc")), "constraints": [{"terms": [{"coeff": 1.0, "monomial": [[1, "2"]]}]}]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, "check", "--model", "-")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == ("error: model file field 'constraints': constraint monomials must be pairs of integers: "
+                       "'str' object cannot be interpreted as an integer\n")
+
     @pytest.mark.parametrize("command", ["check", "closure", "sample", "export"])
     @pytest.mark.parametrize("field, value", [
         ("name", None),

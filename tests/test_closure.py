@@ -1,5 +1,7 @@
 import json
+import os
 import pickle
+import subprocess
 import sys
 import threading
 import time
@@ -172,6 +174,22 @@ def _pinned_model(name, ranges):
     pin = PolynomialConstraint(((1.0, ((1, 2),)), (-c, ())))
     return RateModel(name=f"{name}-pinned", n=4, constraints=(pin,), parameterization=name,
                      parameter_ranges=ranges)
+
+
+def test_saturating_a_closed_span_returns_in_seconds():
+    # The first test of this file, before any other saturates a span of two or more generators: a
+    # saturation that loops on a closed span fails here in 10 s instead of hanging the suite. The
+    # calls run in a child process, which the timeout kills; a looping thread could not be stopped,
+    # and would hold the interpreter lock through the failure's report.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = ("from liemarkov import lie_closure, zoo_model\n"
+            "for name in ('k2p', 'lm88'): print(len(lie_closure(list(zoo_model(name).basis))))")
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                              timeout=10, env=env)
+    except subprocess.TimeoutExpired:
+        pytest.fail("lie_closure of k2p's and lm88's bases did not return in 10 s")
+    assert proc.stdout.split() == ["2", "8"]
 
 
 class TestProductChain:

@@ -35,7 +35,7 @@ from liemarkov.closure import _MAX_WITNESSES
 from liemarkov import closure as closure_module
 from liemarkov import model as model_module
 from liemarkov.model import _SeedStreams, _sample_stochastic_stack, load_model
-from liemarkov.zoo import REFERENCE_LOG_PRODUCT
+from liemarkov.zoo import _ZOO, REFERENCE_LOG_PRODUCT
 
 from conftest import (
     audit_pair, equal_input_doc, make_rate_matrix, pair_rng, row_convention_doc, zoo_generator,
@@ -93,11 +93,11 @@ class TestPolynomialConstraint:
         assert all(type(i) is int for i in c.terms[0][1][0])
 
     def test_index_out_of_range(self):
+        # One check, where the constraints are compiled: an evaluation and a model get the same error.
         c = PolynomialConstraint(((1.0, ((1, 4),)),))
-        with pytest.raises(IndexError, match="out of range"):
+        with pytest.raises(ValueError, match=r"^constraint index \(1, 4\) out of range for order 3$"):
             c.evaluate(np.zeros((3, 3)))
-        # A model rejects the index when it is built, so no evaluation of it can reach the IndexError.
-        with pytest.raises(ValueError, match=r"\(1, 4\) out of range for order 3"):
+        with pytest.raises(ValueError, match=r"^constraint index \(1, 4\) out of range for order 3$"):
             RateModel(name="short", n=3, constraints=(q12_constraint(0.0), c))
 
     @pytest.mark.parametrize("name", ["hky", "gtr"])
@@ -456,6 +456,22 @@ class TestLanding:
             RateModel(name, model.n, model.basis, model.constraints, name, ranges)
         RateModel(name, model.n, model.basis, model.constraints, name, ((0.0, 0.05),) + model.parameter_ranges[1:])
 
+    @pytest.mark.parametrize("name, parameter", [("jc", "mu"), ("k2p", "beta"), ("f81", "alpha_c"),
+                                                 ("hky", "kappa"), ("lm88", "kappa_2"), ("gtr", "w_c")])
+    def test_a_negative_lower_bound_of_any_parameter_is_refused_on_load(self, name, parameter):
+        # The range check is the one check of a parameter's sign: the zoo's builder takes a negative
+        # parameter as given, and would fill a negative rate.
+        doc = model_to_dict(zoo_model(name))
+        column = _ZOO[name].parameters.index(parameter)
+        lo, hi = -1e-3, doc["parameter_ranges"][column][1]
+        doc["parameter_ranges"][column][0] = lo
+        with pytest.raises(ModelFormatError, match=rf"^parameter_ranges must be non-negative, got \({lo}, {hi}\)$"):
+            model_from_dict(doc)
+        fn, width = model_module.get_parameterization(name)
+        p = np.full((1, width), 0.3)
+        p[0, column] = lo
+        assert not is_stochastic_rate(fn(p)[0])
+
     def test_a_parameterization_just_off_the_span_is_refused(self, monkeypatch):
         # jc's generator plus 1e-8 times a unit zero-sum direction orthogonal to jc's span: every
         # draw is a stochastic rate matrix with model residual 1e-8, above the 1e-10 it must meet.
@@ -568,8 +584,9 @@ class TestSeedStreams:
             _SeedStreams(seed, 4)
         with pytest.raises(ValueError, match=message):
             multiplicative_closure_check(zoo_model("hky"), samples=3, seed=seed)
-        # No row, no seed to check.
-        assert _SeedStreams(seed, 0).random(np.arange(0), 5, 3).shape == (0, 3)
+        # The seed is checked whatever the count, with no streams too.
+        with pytest.raises(ValueError, match=message):
+            _SeedStreams(seed, 0)
 
     def test_constants_are_unsigned_arrays(self):
         # Under NEP 50 an op with a Python integer beyond the dtype raises OverflowError; with
@@ -617,9 +634,8 @@ class TestSeedStreams:
             expected = sample_with_rng(model, pair_rng(seed, k))
             np.testing.assert_array_equal(mats[k], expected)
 
-    @pytest.mark.parametrize("seed", [7, -1])
-    @pytest.mark.parametrize("count", [0, -2])
-    def test_stack_of_no_rows_is_empty(self, seed, count):
+    @pytest.mark.parametrize("count, seed", [(0, 7)])
+    def test_stack_of_no_rows_is_empty(self, count, seed):
         assert _sample_stochastic_stack(zoo_model("hky"), seed, count).shape == (0, 4, 4)
 
 

@@ -66,27 +66,6 @@ class TestStackBuilders:
         expected[:, diag, diag] = -expected.sum(axis=1)
         np.testing.assert_array_equal(fn(p), expected)
 
-    def test_negative_parameter_rejected_for_the_stack(self):
-        fn, _ = get_parameterization("k2p")
-        with pytest.raises(ValueError, match="parameter beta must be non-negative, got -0.5"):
-            fn(np.array([[0.1, 0.2], [0.3, -0.5]]))
-
-    def test_negative_parameter_named_by_first_column_then_first_row(self):
-        fn, _ = get_parameterization("lm88")
-        params = np.full((3, 8), 0.01)
-        params[2, 5], params[0, 6], params[1, 5] = -0.3, -0.7, -0.2
-        with pytest.raises(ValueError, match="parameter kappa_2 must be non-negative, got -0.2"):
-            fn(params)
-
-    def test_f81_names_its_own_shape(self):
-        fn, _ = get_parameterization("f81")
-        with pytest.raises(ValueError, match=r"expected a \(B, 4\) parameter array, got shape \(2, 3\)"):
-            fn(np.ones((2, 3)))
-        with pytest.raises(ValueError, match=r"expected a \(B, 4\) parameter array, got shape \(4,\)"):
-            fn(np.ones(4))
-        with pytest.raises(ValueError, match="parameter alpha_c must be non-negative, got -0.5"):
-            fn(np.array([[0.1, 0.2, -0.5, 0.3]]))
-
 
 class TestGenerators:
     def test_hky_reference_entries(self):
@@ -104,14 +83,6 @@ class TestGenerators:
         q = zoo_generator("hky", 0.02, 0.01, 0.005, 0.009, 1.0)
         np.testing.assert_array_equal(q, zoo_generator("f81", 0.02, 0.01, 0.005, 0.009))
         assert membership(zoo_model("f81"), q)[:2] == (True, True)
-
-    def test_negative_parameter_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            zoo_generator("hky", -0.01, 0.01, 0.01, 0.01, 1.0)
-        with pytest.raises(ValueError, match="non-negative"):
-            zoo_generator("lm88", -1, 1, 1, 1, 1, 1, 1, 1)
-        with pytest.raises(ValueError, match="non-negative"):
-            zoo_generator("gtr", 1, 1, 1, 1, 1, -1, 1, 1, 1, 1)
 
     def test_all_generators_stochastic(self):
         rng = np.random.default_rng(12)
