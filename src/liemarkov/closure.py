@@ -322,24 +322,29 @@ def _log_product_block(
     s = ||q||_F + ||q'||_F > 0.65 is tested as (t q, t q'), t = 0.65 / s,
     unless scales is false (check_scaling_closure does not vouch for the
     model) and t q or t q' has model residual above tol; then it is
-    tested as drawn. Returns the tested q and q', the log-products, a
-    mask of the pairs whose sampler drew both generators and a mask of
-    the pairs that have a log-product, row k for pair start + k; a pair
-    that cannot be tested is a NaN row (see multiplicative_closure_check).
+    tested as drawn. Norms and residuals need no guard at any scale
+    (_fro_rows mends a norm's overflow itself); only the exponential and
+    the log are guarded, for a pair tested as drawn whose exponential
+    overflows, a product the log then refuses. Returns the tested q and
+    q', the log-products, a mask of the pairs whose sampler drew both
+    generators and a mask of the pairs that have a log-product, row k
+    for pair start + k; a pair that cannot be tested is a NaN row (see
+    multiplicative_closure_check).
     """
     n = model.n
-    # A Frobenius norm past 1.3e154 overflows its sum of squares, which is then summed again scaled.
-    with np.errstate(over="ignore"):
-        pairs, sampled = _sample_stack(model, count, _SeedStreams(seed, count, start).random, 2)
-        # Pair k's generators are adjacent rows, so the block is scaled and exponentiated where it
-        # lies. A factor of exactly 1 leaves a pair inside the domain bit for bit.
-        norms = _fro_rows(pairs.reshape(2 * count, n, n))
-        t = _BCH_DOMAIN / np.maximum(norms[0::2] + norms[1::2], _BCH_DOMAIN)
-        if not scales:
-            # A model that may not be a cone tests a pair that scaling takes out of it as drawn.
-            out = model._residual(pairs.reshape(-1, n, n) * np.repeat(t, 2)[:, None, None]) > tol
-            t[out.reshape(-1, 2).any(axis=1)] = 1.0
-        pairs *= t[:, None, None, None]
+    pairs, sampled = _sample_stack(model, count, _SeedStreams(seed, count, start).random, 2)
+    # Pair k's generators are adjacent rows, so the block is scaled and exponentiated where it
+    # lies. A factor of exactly 1 leaves a pair inside the domain bit for bit.
+    norms = _fro_rows(pairs.reshape(2 * count, n, n))
+    t = _BCH_DOMAIN / np.maximum(norms[0::2] + norms[1::2], _BCH_DOMAIN)
+    if not scales:
+        # A model that may not be a cone tests a pair that scaling takes out of it as drawn.
+        out = model._residual(pairs.reshape(-1, n, n) * np.repeat(t, 2)[:, None, None]) > tol
+        t[out.reshape(-1, 2).any(axis=1)] = 1.0
+    pairs *= t[:, None, None, None]
+    # A pair tested as drawn may lie far outside the BCH domain, and its exponential overflow, as
+    # matrix_exp allows for: the product is then non-finite, and the log refuses its row.
+    with np.errstate(over="ignore", invalid="ignore"):
         exps = _exp_stack(pairs.reshape(2 * count, n, n))
         logs, ok = _log_stack(exps[0::2] @ exps[1::2])
     return pairs[:, 0], pairs[:, 1], logs, sampled, ok

@@ -81,18 +81,21 @@ def _fro_rows(x: np.ndarray) -> np.ndarray:
     for bit. A finite row whose sum of squares overflows (norm beyond
     about 1.3e154) is summed again scaled by 2^-e, e the exponent of its
     largest entry, and its norm scaled back by 2^e; both scalings are
-    exact, and no other row is touched.
+    exact, and no other row is touched. A norm beyond the largest double
+    is inf. The first pass's overflow is expected and mended here, so it
+    is silenced here, and no caller guards a norm.
     """
     count = len(x)
     flat = np.ascontiguousarray(x).reshape(count, math.prod(x.shape[1:]))
-    squares = (flat[:, None, :] @ flat[:, :, None]).reshape(count)
-    big = np.isinf(squares)
-    if not big.any():
-        return np.sqrt(squares)
-    nrm = np.sqrt(squares)
-    exponent = np.frexp(np.abs(flat[big]).max(axis=1))[1]
-    scaled = np.ldexp(flat[big], -exponent[:, None])
-    nrm[big] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exponent)
+    with np.errstate(over="ignore"):
+        squares = (flat[:, None, :] @ flat[:, :, None]).reshape(count)
+        big = np.isinf(squares)
+        if not big.any():
+            return np.sqrt(squares)
+        nrm = np.sqrt(squares)
+        exponent = np.frexp(np.abs(flat[big]).max(axis=1))[1]
+        scaled = np.ldexp(flat[big], -exponent[:, None])
+        nrm[big] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exponent)
     return nrm
 
 

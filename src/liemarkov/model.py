@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from operator import itemgetter
 from dataclasses import dataclass
@@ -59,6 +60,19 @@ def _json_int(value) -> int:
     return operator.index(value)
 
 
+def _json_floats(values) -> np.ndarray:
+    """A flat sequence of real numbers as a float array; strings, booleans and other non-numbers are refused.
+
+    Each distinct type is judged once, so a long basis row costs one pass
+    of type(); the first refused value, in order, is named.
+    """
+    values = list(values)
+    refused = {k for k in set(map(type, values)) if issubclass(k, bool) or not issubclass(k, numbers.Real)}
+    if refused:
+        raise TypeError(f"expected a number, got {next(v for v in values if type(v) in refused)!r}")
+    return np.array(values, dtype=float)
+
+
 @dataclass(frozen=True)
 class PolynomialConstraint:
     """Polynomial in the off-diagonal entries q_ij, stored as coefficient-monomial terms.
@@ -84,7 +98,10 @@ class PolynomialConstraint:
                     raise ValueError(f"constraint indices are 1-based, got ({i}, {j})")
                 if i == j:
                     raise ValueError("constraints only involve off-diagonal entries")
-            coeff = float(coeff)
+            try:
+                (coeff,) = _json_floats([coeff]).tolist()
+            except TypeError as exc:
+                raise ValueError(f"constraint coefficients must be numbers: {exc}") from None
             if not np.isfinite(coeff):
                 raise ValueError(f"constraint coefficients must be finite, got {coeff}")
             norm.append((coeff, pairs))
@@ -198,7 +215,7 @@ class RateModel:
         if self.parameterization is not None:
             fn, n_params = get_parameterization(self.parameterization)
             try:
-                ranges = tuple((float(lo), float(hi)) for lo, hi in self.parameter_ranges)
+                ranges = tuple(tuple(_json_floats((lo, hi)).tolist()) for lo, hi in self.parameter_ranges)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"parameter_ranges must be (lo, hi) pairs: {exc}") from None
             for lo, hi in ranges:
@@ -246,9 +263,14 @@ class RateModel:
         x - (x V^T) V for x = vec(q) and V the rows of _span, by
         max(||q||_F, 1), as least_squares_membership does. It reads no
         algebra record, so membership never waits on the saturation. A
-        constraint model takes the largest absolute constraint value, a
-        homogeneous degree-d one divided by ||q||_F^d first, so a
-        positive rescaling of q keeps it.
+        constraint model takes the largest absolute constraint value at
+        unit scale, q / ||q||_F (a zero q as it is): a homogeneous
+        degree-d constraint gives f(q) / ||q||_F^d there, so a positive
+        rescaling of q keeps it, and no power of the norm is formed, so
+        no scale overflows it. An inhomogeneous constraint has no such
+        scale, and its value is taken at q itself. A finite q whose norm
+        overflows has no unit scale, and its residual is NaN, which no
+        tol admits.
         """
         n = self.n
         if self.basis:
@@ -260,21 +282,15 @@ class RateModel:
 
             return span_residual
         values = self._constraint_values
-        degree = np.array([c.degree if c.homogeneous else 0 for c in self.constraints])
-        top = int(degree.max(initial=0))
+        # The rows of the inhomogeneous constraints, which have no scale and are taken at q.
+        raw = np.array([[not c.homogeneous] for c in self.constraints])
 
         def constraint_residual(q: np.ndarray) -> np.ndarray:
-            total = np.abs(values(q))
-            # ||q||_F^d for d = 0..top, each the product of the one before and ||q||_F; a zero norm gives 1.
-            scale = np.empty((top + 1, len(q)))
-            scale[0] = 1.0
-            if top:
-                nrm = _fro_rows(q)
-                scale[1] = np.where(nrm > 0.0, nrm, 1.0)
-                for d in range(2, top + 1):
-                    np.multiply(scale[d - 1], scale[1], out=scale[d])
-            total /= scale[degree]
-            return total.max(axis=0)
+            nrm = _fro_rows(q)
+            unit = q / np.where(nrm > 0.0, nrm, 1.0)[:, None, None]
+            unit[np.isinf(nrm)] = np.nan
+            total = np.where(raw, values(q), values(unit)) if raw.any() else values(unit)
+            return np.abs(total).max(axis=0)
 
         return constraint_residual
 
@@ -343,8 +359,7 @@ def _check_zero_sums(stack: np.ndarray, message: str) -> None:
     RateModel's basis check and lie_closure's generator check, each with
     its own message.
     """
-    with np.errstate(over="ignore"):  # a norm past 1.3e154 is summed again, scaled
-        scale = np.maximum(1.0, _fro_rows(stack))
+    scale = np.maximum(1.0, _fro_rows(stack))
     if not _zero_sums(stack, 1e-10 * scale).all():
         raise ValueError(message)
 
@@ -395,8 +410,7 @@ def _is_rate_stack(q: np.ndarray) -> np.ndarray:
     The rounding of a column sum grows with the matrix's scale, so the
     tolerance does too, as in _check_zero_sums.
     """
-    with np.errstate(over="ignore"):  # a norm past 1.3e154 is summed again, scaled
-        return is_stochastic_rate(q, 1e-12 * np.maximum(1.0, _fro_rows(q)))
+    return is_stochastic_rate(q, 1e-12 * np.maximum(1.0, _fro_rows(q)))
 
 
 def _flat(q: np.ndarray, n: int) -> np.ndarray:
@@ -773,7 +787,7 @@ def model_from_dict(doc: dict) -> RateModel:
     swap = itemgetter(*axes)
 
     def matrix(flat) -> np.ndarray:
-        arr = np.asarray(flat, dtype=float)
+        arr = _json_floats(flat)
         if arr.size != n * n:
             raise ValueError(f"basis matrix has {arr.size} entries, expected {n * n}")
         return arr.reshape(n, n).transpose(axes)

@@ -62,13 +62,12 @@ def equal_input_doc(n):
 def cyclic_model(scale=1e6):
     """Span model whose samples are multiples of scale times a 4-cycle generator.
 
-    A pair's product is exp(s C) with s up to 2 * scale. Its complex
-    eigenvalues shrink like exp(-s) and its real one like exp(-2s), so
-    the product is ill-conditioned, and the principal log fails once
-    that real eigenvalue comes within the branch margin of zero (s
-    above about 13.8). At the default scale, log extraction reliably
-    fails; at scale 6 no pair fails, at scale 8 a few in a hundred, at
-    scale 10 about a fifth.
+    An unscaled product exp(s C), s up to 2 * scale, has complex
+    eigenvalues that shrink like exp(-s) and a real one like exp(-2s),
+    so it is ill-conditioned, and at the default scale its principal
+    log fails (chain_logs skips every such product). The audit scales
+    every pair into the BCH domain, s <= 0.65, before it takes a log,
+    so none of its pairs fails at any scale.
     """
     cycle = np.zeros((4, 4))
     for i in range(4):

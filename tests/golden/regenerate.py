@@ -89,9 +89,9 @@ def commands() -> dict[str, list[str]]:
     return cmds
 
 
-def _model_text(**fields) -> str:
-    """A model file: jc as export writes it, with fields replaced or added."""
-    return json.dumps({**model_to_dict(zoo_model("jc")), **fields})
+def _model_text(model: str = "jc", **fields) -> str:
+    """A model file: the zoo model as export writes it (jc by default), with fields replaced or added."""
+    return json.dumps({**model_to_dict(zoo_model(model)), **fields})
 
 
 # The README's error cases: file stem -> (argv, model file on stdin or None). Each exits 1.
@@ -115,6 +115,9 @@ ERRORS = {
     "error-range-below-zero": (["export", "--model", "-"], _model_text(parameter_ranges=[[-0.01, 0.05]])),
     "error-model-cannot-be-sampled": (["check", "--model", "-"], json.dumps(
         {"name": "bare", "n": 4, "constraints": [{"terms": [{"coeff": 1.0, "monomial": [[1, 2]]}]}]})),
+    # hky's export with its first coefficient written as the string "1.0".
+    "error-coefficient-not-a-number": (["check", "--model", "-"],
+                                       _model_text("hky").replace('"coeff": 1.0', '"coeff": "1.0"', 1)),
 }
 
 

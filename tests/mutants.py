@@ -147,6 +147,18 @@ MUTANTS = [
            "return is_stochastic_rate(q, 1e-12 * np.maximum(1.0, _fro_rows(q)))",
            "return is_stochastic_rate(q, 1e-12)",
            "a basis-only sampler of large rates would reject draws inside the cone for their rounding"),
+    Mutant("constraint-values-at-q", "model.py",
+           "unit = q / np.where(nrm > 0.0, nrm, 1.0)[:, None, None]", "unit = q.copy()",
+           "a constraint residual would change with the units of time, and a large non-member read as a member"),
+    Mutant("inhomogeneous-rows-unit-scaled", "model.py",
+           "np.where(raw, values(q), values(unit))", "np.where(raw, values(unit), values(unit))",
+           "an inhomogeneous constraint, which has no scale, would be judged at q / ||q||_F"),
+    Mutant("norm-overflow-unguarded", "linalg.py",
+           'with np.errstate(over="ignore"):', "with np.errstate():",
+           "a norm past 1.3e154 would warn of the overflow that _fro_rows mends, and no caller guards it"),
+    Mutant("audit-exp-log-unguarded", "closure.py",
+           'with np.errstate(over="ignore", invalid="ignore"):', "with np.errstate():",
+           "a pair tested as drawn whose exponential overflows would warn before the log refuses it"),
     Mutant("parameterized-draws-at-width", "model.py",
            "random(np.arange(rows), 0, count * width)", "random(np.arange(rows), width, count * width)",
            "every parameterized pair would skip its stream's first candidate"),

@@ -222,6 +222,26 @@ class TestModelLoadErrors:
         assert err == ("error: model file field 'constraints': constraint monomials must be pairs of integers: "
                        "'str' object cannot be interpreted as an integer\n")
 
+    @pytest.mark.parametrize("model, edit, error", [
+        ("hky", lambda doc: doc["constraints"][0]["terms"][0].update(coeff="1.0"),
+         "model file field 'constraints': constraint coefficients must be numbers: expected a number, got '1.0'"),
+        ("hky", lambda doc: doc["constraints"][0]["terms"][0].update(coeff=True),
+         "model file field 'constraints': constraint coefficients must be numbers: expected a number, got True"),
+        ("jc", lambda doc: doc.update(parameter_ranges=[["0.001", True]]),
+         "parameter_ranges must be (lo, hi) pairs: expected a number, got '0.001'"),
+        ("jc", lambda doc: doc.update(basis=[[str(x) for x in doc["basis"][0]]]),
+         "model file field 'basis': expected a number, got '-3.0'"),
+        ("jc", lambda doc: doc.update(basis=[[x > 0 for x in doc["basis"][0]]]),
+         "model file field 'basis': expected a number, got False"),
+    ], ids=["coeff-string", "coeff-true", "range-string-and-true", "basis-strings", "basis-booleans"])
+    def test_a_string_or_boolean_where_a_number_is_read(self, model, edit, error, capsys, monkeypatch):
+        # Each used to load as a float; its field's own checker refuses it, and names the first.
+        doc = model_to_dict(zoo_model(model))
+        edit(doc)
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, "check", "--model", "-")
+        assert (code, out, err) == (EXIT_ERROR, "", f"error: {error}\n")
+
     @pytest.mark.parametrize("command", ["check", "closure", "sample", "export"])
     @pytest.mark.parametrize("field, value", [
         ("name", None),

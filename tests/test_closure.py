@@ -830,6 +830,17 @@ class TestMultiplicativeClosure:
         report = multiplicative_closure_check(zoo_model("jc"), samples=1, seed=7)
         assert (report.mult_closed_verdict, report.samples_tested) == ("closed", 1)
 
+    def test_a_pair_whose_exponential_overflows_is_refused_without_a_warning(self):
+        # jc at rate 1e100 with q12 - 1e100 = 0: no scaled pair is a member, so every pair is tested as
+        # drawn. Its exponential overflows, and the log refuses the non-finite product.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError) as err:
+                multiplicative_closure_check(_pinned_model("jc", ((1e100, 1e100),)), samples=20, seed=0)
+        assert str(err.value) == (
+            "more than half of the 20 sampled pairs failed, mostly by products beyond the log's radius: "
+            "0 sampler exhaustions and 11 products beyond the log's radius in the first 11 pairs")
+
     def test_generators_past_the_squared_norm_overflow_warn_nothing(self):
         # ||q||_F^2 overflows from 1.3e154 on. The model is one-dimensional, hence closed; its pairs
         # are scaled into the BCH domain, and the audit says closed without a warning.

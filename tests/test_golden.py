@@ -52,8 +52,8 @@ def _projector(basis: list) -> np.ndarray:
 
 
 def test_every_pinned_command_has_a_file():
-    assert len(FILES) == 56
-    assert sum(p.stem.startswith("error-") for p in FILES) == 11
+    assert len(FILES) == 57
+    assert sum(p.stem.startswith("error-") for p in FILES) == 12
     assert sum("equal-input-61" in p.stem for p in FILES) == 2
 
 

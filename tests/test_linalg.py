@@ -114,15 +114,19 @@ class TestExp:
         np.testing.assert_allclose(p, [[0.0, 0.0], [1.0, 1.0]], rtol=0, atol=1e-15)
 
     def test_fro_rows_rescales_only_overflowing_rows(self):
+        # The overflow of the first pass is mended, and silenced, by _fro_rows alone: no caller guards
+        # a norm. A norm beyond the largest double (row 5) is inf.
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(5, 3, 3))
+        x = np.concatenate([rng.normal(size=(5, 3, 3)), np.full((1, 3, 3), 1e308)])
         x[2] *= 1e200
         x[4] *= 1e-200
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             nrm = _fro_rows(x)
         for k in (0, 1, 3, 4):
             assert nrm[k] == _fro_rows(x[k:k + 1])[0] == np.linalg.norm(x[k], "fro")
         assert abs(nrm[2] / (1e200 * np.linalg.norm(x[2] / 1e200, "fro")) - 1.0) <= 4e-16
+        assert nrm[5] == np.inf
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))

@@ -113,7 +113,8 @@ class TestPolynomialConstraint:
     @pytest.mark.parametrize("name", ["hky", "gtr"])
     def test_constraint_major_values_equal_hand_sums(self, name):
         # The compiled evaluator gives one row per constraint and one column per matrix, each entry the
-        # hand sum bit for bit; the residual divides each by ||q||_F to its degree, as a product of norms.
+        # hand sum bit for bit; the residual takes the hand sums at unit scale, q / ||q||_F (a zero q as
+        # it is), bit for bit.
         model = zoo_model(name)
         rng = np.random.default_rng(11)
         stack = np.concatenate([
@@ -126,14 +127,8 @@ class TestPolynomialConstraint:
         np.testing.assert_array_equal(values, [[by_hand(c, q) for q in stack] for c in model.constraints])
         expected = []
         for q in stack:
-            nrm = float(np.sqrt(q.ravel() @ q.ravel())) or 1.0
-            scaled = []
-            for c in model.constraints:
-                power = 1.0
-                for _ in range(c.degree):
-                    power *= nrm
-                scaled.append(abs(by_hand(c, q)) / power)
-            expected.append(max(scaled))
+            unit = q / (float(np.sqrt(q.ravel() @ q.ravel())) or 1.0)
+            expected.append(max(abs(by_hand(c, unit)) for c in model.constraints))
         np.testing.assert_array_equal(model._residual(stack), expected)
 
     def test_constant_and_mixed_degree_terms(self):
@@ -318,6 +313,65 @@ class TestMembership:
                 assert membership(model, log).in_r is True
                 passed += 1
             assert passed == report.samples_tested - len(witnesses)
+
+
+class TestResidualAtAnyScale:
+    """Closure does not depend on the units of time, so q and c q get one residual at every finite scale."""
+
+    @staticmethod
+    def gtr_non_member():
+        # Off-diagonals uniform from default_rng(3), the diagonal filling zero column sums, ||q||_F = 1.
+        q = np.random.default_rng(3).uniform(size=(4, 4))
+        np.fill_diagonal(q, 0.0)
+        q -= np.diag(q.sum(axis=0))
+        return q / np.linalg.norm(q)
+
+    def test_a_non_member_stays_out_at_every_scale(self):
+        # A power of the norm used to overflow: the residual read 0.0 at 1e103, a member, and NaN from
+        # 1e104 on.
+        model, q = zoo_model("gtr"), self.gtr_non_member()
+        base = model_residual(model, q)
+        assert base > 1e-3
+        for k in (0, 50, 102, 103, 104, 200, 300):
+            res = membership(model, q * 10.0 ** k)
+            assert res.residual == pytest.approx(base, rel=1e-12, abs=0.0)
+            assert res.in_r is False
+
+    @pytest.mark.parametrize("name, scales", [
+        # Powers of the norm overflowed: gtr's cubic terms from 1e104 on, hky's quadratic ones from 1e155.
+        ("hky", (1e104, 1e155, 1e300)),
+        ("gtr", (1e104, 1e155, 1e300)),
+        # The span residual stayed finite, but its norm warned when ||q||_F^2 overflowed, past 1.3e154.
+        ("lm88", (1.4e154, 1e300)),
+    ])
+    def test_a_member_stays_in_at_every_scale_without_a_warning(self, name, scales):
+        model = zoo_model(name)
+        q = sample_with_rng(model, np.random.default_rng(1))
+        q /= np.linalg.norm(q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in scales:
+                assert model_residual(model, scale * q) <= 1e-12
+
+    def test_a_norm_beyond_the_largest_double_is_not_a_member(self):
+        # ||q||_F is inf, and q / inf would be 0, a member: the residual is NaN instead.
+        q = np.arange(16.0).reshape(4, 4) * 1e307
+        for name in ("hky", "gtr"):
+            res = membership(zoo_model(name), q)
+            assert res.in_r is False and math.isnan(res.residual)
+
+    def test_homogeneous_rows_at_unit_scale_and_inhomogeneous_rows_at_q(self):
+        # q13 - q14 = 0 is homogeneous and q12 - 0.2 = 0 is not: the residual is the larger of the
+        # first's hand sum at q / ||q||_F and the second's at q, bit for bit.
+        same = PolynomialConstraint(((1.0, ((1, 3),)), (-1.0, ((1, 4),))))
+        model = RateModel(name="mixed", n=4, constraints=(same, q12_constraint(0.2)))
+        rng = np.random.default_rng(4)
+        stack = np.array([make_rate_matrix(rng, 4, max_norm=1.0) * 10.0 ** e for e in rng.uniform(-3, 3, 40)])
+        expected = []
+        for q in stack:
+            unit = q / float(np.sqrt(q.ravel() @ q.ravel()))
+            expected.append(max(abs(by_hand(same, unit)), abs(by_hand(q12_constraint(0.2), q))))
+        np.testing.assert_array_equal(model._residual(stack), expected)
 
 
 class TestScalingClosure:
